@@ -27,6 +27,9 @@ FAMILIES = ("memoryless", "memory_poly", "gmp", "full_dual_input")
 
 COVARIANCE_LOADING = 1e-10
 
+# rows per base_matrix call in the chunked passes (Gram, filter, correlation)
+CHUNK = 16384
+
 
 @dataclass(frozen=True)
 class BfTerm:
@@ -232,11 +235,28 @@ def base_matrix(spec: BasisSpec, x: np.ndarray, start: int, n: int) -> np.ndarra
     return np.stack(cols, axis=1)
 
 
-def region_rows(spec: BasisSpec, x: np.ndarray, start: int, n: int) -> np.ndarray | None:
-    """Region index per row (keyed on the instantaneous envelope), or None."""
-    if spec.partition is None:
-        return None
-    return spec.partition.region_index(np.abs(x[start:start + n]))
+def region_blocks(spec: BasisSpec, x: np.ndarray, start: int = 0, stop: int | None = None,
+                  chunk: int = CHUNK):
+    """Yield (k, rows, psi) per non-empty region of each chunk of x[start:stop].
+
+    This is the one place basis rows are built: one base_matrix call per
+    chunk, then its rows grouped by the region owning each sample's
+    instantaneous envelope. rows are positions in x and psi the matching
+    base-set rows (len(rows) x B1); an unpartitioned spec yields the whole
+    chunk as region 0.
+    """
+    stop = x.size if stop is None else stop
+    for lo in range(start, stop, chunk):
+        n = min(chunk, stop - lo)
+        psi0 = base_matrix(spec, x, lo, n)
+        if spec.partition is None:
+            yield 0, np.arange(lo, lo + n), psi0
+            continue
+        ridx = spec.partition.region_index(np.abs(x[lo:lo + n]))
+        for k in range(spec.n_regions):
+            sel = np.flatnonzero(ridx == k)
+            if sel.size:
+                yield k, lo + sel, psi0[sel]
 
 
 @dataclass
@@ -254,7 +274,6 @@ class BasisMatrix:
     orthogonalized: bool = False
     whitener: np.ndarray | None = None
     region_index: np.ndarray | None = None
-    block: tuple[int, int] = (0, 0)
 
     @property
     def n_basis_single(self) -> int:
@@ -269,17 +288,13 @@ def build_matrix(spec: BasisSpec, a1: IqSignal, block: tuple[int, int] | None = 
     start, n = block
     if start < 0 or n <= 0 or start + n > x.size:
         raise ConfigError(f"block {block} outside signal of length {x.size}")
-    psi0 = base_matrix(spec, x, start, n)
-    ridx = region_rows(spec, x, start, n)
-    if ridx is None:
-        values = psi0
-    else:
-        b1 = psi0.shape[1]
-        values = np.zeros((n, spec.n_regions * b1), dtype=np.complex128)
-        for k in range(spec.n_regions):
-            rows = ridx == k
-            values[rows, k * b1:(k + 1) * b1] = psi0[rows]
-    return BasisMatrix(values, spec, region_index=ridx, block=(start, n))
+    b1 = spec.n_basis_single
+    values = np.zeros((n, spec.n_basis_total), dtype=np.complex128)
+    ridx = np.zeros(n, dtype=np.intp)
+    for k, rows, psi in region_blocks(spec, x, start, start + n, chunk=n):
+        values[rows - start, k * b1:(k + 1) * b1] = psi
+        ridx[rows - start] = k
+    return BasisMatrix(values, spec, region_index=ridx if spec.partition is not None else None)
 
 
 def block_cholesky(gram: np.ndarray, b1: int, n_regions: int) -> np.ndarray:
@@ -298,13 +313,11 @@ def block_cholesky(gram: np.ndarray, b1: int, n_regions: int) -> np.ndarray:
     return whitener
 
 
-def orthogonalize(bm: BasisMatrix, stats_signal: IqSignal | None = None) -> BasisMatrix:
+def orthogonalize(bm: BasisMatrix) -> BasisMatrix:
     """Whiten the matrix so the sample Gram Psi^H Psi / N is the identity.
 
     The Gram is block-diagonal by region (disjoint row supports), so a
     per-region Cholesky factor is computed and inverted against the columns.
-    When stats_signal is given, the whitener is derived from that signal's
-    statistics instead of the matrix's own block.
     """
     if bm.orthogonalized:
         raise ConfigError("matrix is already orthogonalized")
@@ -313,11 +326,7 @@ def orthogonalize(bm: BasisMatrix, stats_signal: IqSignal | None = None) -> Basi
         raise ConfigError(f"need at least 10 rows per column to orthogonalize (N={n}, B={b})")
     b1 = bm.n_basis_single
     k = bm.spec.n_regions
-    if stats_signal is not None:
-        gram_src = build_matrix(bm.spec, stats_signal).values
-        gram = gram_src.conj().T @ gram_src / gram_src.shape[0]
-    else:
-        gram = bm.values.conj().T @ bm.values / n
+    gram = bm.values.conj().T @ bm.values / n
     whitener = block_cholesky(gram, b1, k)
     values = np.zeros_like(bm.values)
     for r in range(k):
@@ -326,28 +335,17 @@ def orthogonalize(bm: BasisMatrix, stats_signal: IqSignal | None = None) -> Basi
         # columns <- columns (L^H)^-1, done as a triangular solve
         values[:, sl] = np.linalg.solve(lk.conj(), bm.values[:, sl].T).T
     return BasisMatrix(values, bm.spec, orthogonalized=True, whitener=whitener,
-                       region_index=bm.region_index, block=bm.block)
+                       region_index=bm.region_index)
 
 
-def gram_matrix(spec: BasisSpec, x: np.ndarray, chunk: int = 16384) -> np.ndarray:
+def gram_matrix(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     """Block-diagonal sample Gram Psi^H Psi / N accumulated chunk-wise."""
     b1 = spec.n_basis_single
-    k = spec.n_regions
-    gram = np.zeros((k * b1, k * b1), dtype=np.complex128)
-    n_total = x.size
-    for start in range(0, n_total, chunk):
-        n = min(chunk, n_total - start)
-        psi0 = base_matrix(spec, x, start, n)
-        ridx = region_rows(spec, x, start, n)
-        if ridx is None:
-            gram[:b1, :b1] += psi0.conj().T @ psi0
-        else:
-            for r in range(k):
-                rows = psi0[ridx == r]
-                if rows.size:
-                    sl = slice(r * b1, (r + 1) * b1)
-                    gram[sl, sl] += rows.conj().T @ rows
-    return gram / n_total
+    gram = np.zeros((spec.n_basis_total, spec.n_basis_total), dtype=np.complex128)
+    for k, _, psi in region_blocks(spec, x):
+        sl = slice(k * b1, (k + 1) * b1)
+        gram[sl, sl] += psi.conj().T @ psi
+    return gram / x.size
 
 
 def precompute_covariance(spec: BasisSpec, training: IqSignal,
@@ -365,45 +363,23 @@ def precompute_covariance(spec: BasisSpec, training: IqSignal,
     return cov, np.linalg.inv(cov)
 
 
-def apply_gamma(spec: BasisSpec, x: np.ndarray, gamma: np.ndarray,
-                chunk: int = 16384) -> np.ndarray:
+def apply_gamma(spec: BasisSpec, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Correction signal Psi @ gamma without materializing the masked matrix."""
     b1 = spec.n_basis_single
     out = np.zeros(x.size, dtype=np.complex128)
     if not np.any(gamma):
         return out
-    for start in range(0, x.size, chunk):
-        n = min(chunk, x.size - start)
-        psi0 = base_matrix(spec, x, start, n)
-        ridx = region_rows(spec, x, start, n)
-        if ridx is None:
-            out[start:start + n] = psi0 @ gamma
-        else:
-            seg = out[start:start + n]
-            for k in range(spec.n_regions):
-                rows = ridx == k
-                if np.any(rows):
-                    seg[rows] = psi0[rows] @ gamma[k * b1:(k + 1) * b1]
+    for k, rows, psi in region_blocks(spec, x):
+        out[rows] = psi @ gamma[k * b1:(k + 1) * b1]
     return out
 
 
-def cross_correlation(spec: BasisSpec, x: np.ndarray, err: np.ndarray,
-                      chunk: int = 16384) -> np.ndarray:
+def cross_correlation(spec: BasisSpec, x: np.ndarray, err: np.ndarray) -> np.ndarray:
     """Region-stacked sample cross-correlation Psi^H e / N."""
     b1 = spec.n_basis_single
     acc = np.zeros(spec.n_basis_total, dtype=np.complex128)
-    for start in range(0, x.size, chunk):
-        n = min(chunk, x.size - start)
-        psi0 = base_matrix(spec, x, start, n)
-        ridx = region_rows(spec, x, start, n)
-        e = err[start:start + n]
-        if ridx is None:
-            acc += psi0.conj().T @ e
-        else:
-            for k in range(spec.n_regions):
-                rows = ridx == k
-                if np.any(rows):
-                    acc[k * b1:(k + 1) * b1] += psi0[rows].conj().T @ e[rows]
+    for k, rows, psi in region_blocks(spec, x):
+        acc[k * b1:(k + 1) * b1] += psi.conj().T @ err[rows]
     return acc / x.size
 
 

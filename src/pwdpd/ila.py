@@ -23,23 +23,24 @@ def _postinverse_fit(spec: BasisSpec, regressor: np.ndarray, target: np.ndarray)
     """Per-region LS postinverse coefficients, stacked in region order."""
     b1 = spec.n_basis_single
     coeffs = np.zeros(spec.n_basis_total, dtype=np.complex128)
-    ridx = basis_mod.region_rows(spec, regressor, 0, regressor.size)
-    psi0 = basis_mod.base_matrix(spec, regressor, 0, regressor.size)
-    if ridx is None:
-        row_sets = [np.arange(regressor.size)]
+    fitted = 0  # regions are yielded in order; an empty one is skipped
+    for k, rows, psi in basis_mod.region_blocks(spec, regressor, chunk=regressor.size):
+        n_rows = rows.size if k == fitted else 0
+        if n_rows < b1:
+            break
+        coeffs[k * b1:(k + 1) * b1] = basis_mod.regularized_lstsq(psi, target[rows])
+        fitted += 1
     else:
-        row_sets = [np.flatnonzero(ridx == k) for k in range(spec.n_regions)]
-    for k, rows in enumerate(row_sets):
-        if rows.size < b1:
-            raise DegenerateRegionError(
-                k, f"region {k} has {rows.size} samples for {b1} coefficients")
-        coeffs[k * b1:(k + 1) * b1] = basis_mod.regularized_lstsq(psi0[rows], target[rows])
+        n_rows = 0
+    if fitted < spec.n_regions:
+        raise DegenerateRegionError(
+            fitted, f"region {fitted} has {n_rows} samples for {b1} coefficients")
     return coeffs
 
 
 def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50000,
-              noise_floor_dbc: float | None = None, clip_headroom: float = 1.15,
-              chunk: int = 16384) -> tuple[DpdModel, list[TraceRecord]]:
+              noise_floor_dbc: float | None = None,
+              clip_headroom: float = 1.15) -> tuple[DpdModel, list[TraceRecord]]:
     """Iterative postinverse identification over a closed-loop source.
 
     Piecewise fits assign regressor samples through the partition mapped
@@ -64,7 +65,7 @@ def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50
     trace: list[TraceRecord] = []
     for i in range(1, iterations + 1):
         a1 = source.next_block(block_size)
-        x = predistort(model, a1, chunk)
+        x = predistort(model, a1)
         full_scale = clip_headroom * float(np.max(np.abs(a1.samples)))
         env = np.abs(x.samples)
         over = env > full_scale

@@ -203,28 +203,27 @@ class ArrayPlant:
     def angle_factor(self) -> float:
         return 1.0 + self.angle_coupling_slope * abs(math.sin(math.radians(self.steer_angle_deg)))
 
-    def _coupled_neighbor_wave(self, a1: np.ndarray) -> np.ndarray:
-        """Per-element coupled wave sum_{l != i} w_l (lambda_il * mu_l * a1), unscaled."""
-        L = self.n_elements
-        out = np.zeros((L, a1.size), dtype=np.complex128)
+    def _coupled_neighbor_wave(self, a1: np.ndarray, elements: list[int]) -> np.ndarray:
+        """Coupled wave sum_{l != i} w_l (lambda_il * mu_l * a1) per listed element, unscaled."""
+        out = np.zeros((len(elements), a1.size), dtype=np.complex128)
         if self.coupling_strength == 0.0:
             return out
-        branch = [np.convolve(a1, self.branch_filters[l])[:a1.size] for l in range(L)]
-        for i in range(L):
-            for l in range(L):
-                if l == i:
-                    continue
+        branch: dict[int, np.ndarray] = {}
+        for row, i in enumerate(elements):
+            for l in range(self.n_elements):
                 lam = self.coupling[i, l]
-                if not np.any(lam):
+                if l == i or not np.any(lam):
                     continue
-                out[i] += self.weights[l] * np.convolve(branch[l], lam)[:a1.size]
+                if l not in branch:
+                    branch[l] = np.convolve(a1, self.branch_filters[l])[:a1.size]
+                out[row] += self.weights[l] * np.convolve(branch[l], lam)[:a1.size]
         return out
 
-    def drive_signals(self, a1: np.ndarray) -> np.ndarray:
-        """PA input per element: incident wave plus scaled coupled wave."""
-        coupled = self._coupled_neighbor_wave(a1)
+    def drive_signals(self, a1: np.ndarray, elements: list[int]) -> np.ndarray:
+        """PA input of each listed element: incident wave plus scaled coupled wave."""
+        coupled = self._coupled_neighbor_wave(a1, elements)
         scale = self.coupling_strength * self.angle_factor
-        return self.weights[:, None] * a1[None, :] + scale * coupled
+        return self.weights[elements, None] * a1[None, :] + scale * coupled
 
     def branch_response(self, element: int) -> np.ndarray:
         """f_i = sum_l w_l lambda_il * mu_l with the scaled off-diagonal coupling."""
@@ -367,37 +366,35 @@ def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,
     return out
 
 
+def _pa_outputs(plant: ArrayPlant, a1: np.ndarray, elements: list[int]) -> list[np.ndarray]:
+    """Output wave of each listed PA branch; the one dispatch on PA kind."""
+    simple = [i for i in elements if plant.elements[i].kind != "dual_input_lumped"]
+    drives = dict(zip(simple, plant.drive_signals(a1, simple)))
+    outs = []
+    for i in elements:
+        pa = plant.elements[i]
+        if pa.kind == "dual_input_lumped":
+            outs.append(_dual_input_forward(pa, plant, i, a1))
+            continue
+        u = _soft_limit(drives[i], pa.saturation_level)
+        if pa.kind == "doherty_like":
+            outs.append(_doherty(u, pa.coefficients, pa.saturation_level))
+        else:
+            outs.append(_poly_memory(u, pa.coefficients))
+    return outs
+
+
 def pa_forward(plant: ArrayPlant, element: int, a1: IqSignal) -> IqSignal:
     """Output wave of one PA branch for transmit signal a1."""
     if not 0 <= element < plant.n_elements:
         raise ConfigError(f"element {element} out of range")
-    pa = plant.elements[element]
-    if pa.kind == "dual_input_lumped":
-        b = _dual_input_forward(pa, plant, element, a1.samples)
-    else:
-        u = plant.drive_signals(a1.samples)[element]
-        u = _soft_limit(u, pa.saturation_level)
-        if pa.kind == "doherty_like":
-            b = _doherty(u, pa.coefficients, pa.saturation_level)
-        else:
-            b = _poly_memory(u, pa.coefficients)
-    return a1.with_samples(b)
+    return a1.with_samples(_pa_outputs(plant, a1.samples, [element])[0])
 
 
 def array_forward(plant: ArrayPlant, a1: IqSignal) -> tuple[list[IqSignal], IqSignal]:
     """All PA outputs plus the OTA-combined signal sum_i h_i b_i."""
-    if plant.elements[0].kind == "dual_input_lumped":
-        per_element = [pa_forward(plant, i, a1) for i in range(plant.n_elements)]
-    else:
-        drives = plant.drive_signals(a1.samples)
-        per_element = []
-        for i, pa in enumerate(plant.elements):
-            u = _soft_limit(drives[i], pa.saturation_level)
-            if pa.kind == "doherty_like":
-                b = _doherty(u, pa.coefficients, pa.saturation_level)
-            else:
-                b = _poly_memory(u, pa.coefficients)
-            per_element.append(a1.with_samples(b))
+    outs = _pa_outputs(plant, a1.samples, list(range(plant.n_elements)))
+    per_element = [a1.with_samples(b) for b in outs]
     combined = np.zeros(len(a1), dtype=np.complex128)
     for i, sig in enumerate(per_element):
         combined += plant.channel[i] * sig.samples

@@ -13,13 +13,11 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .plant import ArrayPlant, PaModel
-from .waveform import OfdmConfig
 
 PLANT_PRESETS = ("array8-deep", "array8-backoff", "doherty-n3")
 
@@ -141,39 +139,19 @@ _BUILDERS = {
     "doherty-n3": build_doherty_n3,
 }
 
+# presets that share another preset's hardware file; PRESET_PARAMS sets the drive
+_PLANT_FILES = {"array8-backoff": "array8-deep"}
+
 
 def load_plant_preset(name: str) -> ArrayPlant:
     """Load a named plant preset from the shipped JSON description."""
     if name not in PLANT_PRESETS:
         raise ConfigError(f"unknown plant preset {name!r}; have {PLANT_PRESETS}")
-    ref = resources.files("pwdpd").joinpath(f"presets/plants/{name}.json")
-    if ref.is_file():
-        return ArrayPlant.from_dict(json.loads(ref.read_text()))
-    return _BUILDERS[name]()
+    ref = resources.files("pwdpd").joinpath(f"presets/plants/{_PLANT_FILES.get(name, name)}.json")
+    return ArrayPlant.from_dict(json.loads(ref.read_text()))
 
 
 def preset_params(name: str) -> dict:
     if name not in PRESET_PARAMS:
         raise ConfigError(f"unknown plant preset {name!r}; have {PLANT_PRESETS}")
     return json.loads(json.dumps(PRESET_PARAMS[name]))  # deep copy
-
-
-def preset_ofdm(name: str, num_symbols: int, seed: int) -> OfdmConfig:
-    params = preset_params(name)
-    return OfdmConfig(num_symbols=num_symbols, seed=seed, **params["ofdm"])
-
-
-def dump_plant_presets(outdir: str | Path) -> list[Path]:
-    """Regenerate the shipped plant JSON files (maintenance helper)."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in ("array8-deep", "doherty-n3"):
-        path = outdir / f"{name}.json"
-        path.write_text(json.dumps(_BUILDERS[name]().to_dict(), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    backoff = outdir / "array8-backoff.json"
-    backoff.write_text(json.dumps(_BUILDERS["array8-backoff"]().to_dict(),
-                                  indent=2, sort_keys=True) + "\n")
-    written.append(backoff)
-    return written

@@ -425,7 +425,7 @@ def run_powersweep(config: dict, outdir: Path, workers: int = 1) -> dict:
     return payload
 
 
-def run_anglesweep(config: dict, outdir: Path, workers: int = 1) -> dict:
+def run_anglesweep(config: dict, outdir: Path) -> dict:
     """Train at 0 degrees, evaluate the frozen model across steering angles."""
     seed = config.get("seed", 1)
     plant, preset = load_scenario_plant(config)
@@ -433,12 +433,11 @@ def run_anglesweep(config: dict, outdir: Path, workers: int = 1) -> dict:
     spec_single = _base_spec(config)
     method = config.get("method", "pwcl_orth")
     ofdm_train = preset_ofdm_from(preset)
+    plant0 = steer(plant, 0.0)
     partitions = {}
     if method.startswith("pw"):
-        plant0 = steer(plant, 0.0)
         partitions["taylor"], _ = derive_partition(plant0, preset, ofdm_train,
                                                    seed=seed * 1000 + 17)
-    plant0 = steer(plant, 0.0)
     model, _ = train_method(method, plant0, preset, config, spec_single, partitions,
                             seed=seed * 100)
     ofdm_eval = preset_ofdm_from(preset, num_symbols=config.get("eval", {}).get("num_symbols", 2))
@@ -555,7 +554,7 @@ def run_scenario(config: dict, outdir: str | Path, workers: int = 1) -> dict:
     elif kind == "powersweep":
         payload = run_powersweep(config, outdir, workers)
     elif kind == "anglesweep":
-        payload = run_anglesweep(config, outdir, workers)
+        payload = run_anglesweep(config, outdir)
     elif kind == "partition":
         payload = run_partition_demo(config, outdir)
     elif kind == "pruning":

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from pwdpd.basis import (BasisSpec, build_matrix, enumerate_bfs, gram_matrix,
-                         orthogonalize, precompute_covariance)
+from pwdpd import basis as basis_mod
+from pwdpd.basis import (CHUNK, BasisSpec, apply_gamma, build_matrix, cross_correlation,
+                         enumerate_bfs, gram_matrix, orthogonalize, precompute_covariance)
 from pwdpd.errors import ConfigError, DegenerateRegionError
 from pwdpd.partition import RegionPartition
 from pwdpd.signals import IqSignal
@@ -196,14 +199,49 @@ def test_covariance_piecewise_block_diagonal():
 
 
 def test_gram_matrix_matches_dense():
-    sig = rayleigh_signal(6000, seed=8)
+    # two full chunks and a partial one
+    sig = rayleigh_signal(40000, seed=8)
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
     spec = BasisSpec("gmp", 5, 1, 1, partition=part)
     dense = build_matrix(spec, sig).values
     expected = dense.conj().T @ dense / len(sig)
-    np.testing.assert_allclose(gram_matrix(spec, sig.samples, chunk=1024), expected,
+    np.testing.assert_allclose(gram_matrix(spec, sig.samples), expected,
                                rtol=1e-10, atol=1e-14)
+
+
+def test_chunked_passes_share_one_basis_build_per_chunk(monkeypatch):
+    """Gram, filter and correlation each build the basis once per chunk and
+    agree with the dense matrix, also where a region is empty in a chunk."""
+    sig = rayleigh_signal(2 * CHUNK + 1000, seed=13)
+    env = np.abs(sig.samples)
+    edges = [0.0, *np.quantile(env, [0.3, 0.7]), env.max() * 1.001]
+    x = sig.samples.copy()
+    mid = slice(CHUNK, 2 * CHUNK)
+    x[mid] *= 0.9 * edges[2] / env[mid].max()  # top region empty in the middle chunk
+    sig = sig.with_samples(x)
+    spec = BasisSpec("memory_poly", 3, 1, partition=RegionPartition(edges))
+    dense = build_matrix(spec, sig).values
+    assert not np.any(dense[mid, 2 * spec.n_basis_single:])
+
+    calls = []
+    real = basis_mod.base_matrix
+    monkeypatch.setattr(basis_mod, "base_matrix", lambda *a: calls.append(a[3]) or real(*a))
+    per_pass = math.ceil(x.size / CHUNK)
+    rng = np.random.default_rng(1)
+    gamma = rng.standard_normal(spec.n_basis_total) + 1j * rng.standard_normal(spec.n_basis_total)
+    err = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+
+    np.testing.assert_allclose(gram_matrix(spec, x), dense.conj().T @ dense / x.size,
+                               rtol=1e-10, atol=1e-14)
+    assert len(calls) == per_pass
+    np.testing.assert_allclose(apply_gamma(spec, x, gamma), dense @ gamma,
+                               rtol=1e-10, atol=1e-14)
+    assert len(calls) == 2 * per_pass
+    np.testing.assert_allclose(cross_correlation(spec, x, err), dense.conj().T @ err / x.size,
+                               rtol=1e-10, atol=1e-14)
+    assert len(calls) == 3 * per_pass
+    assert sum(calls) == 3 * x.size
 
 
 def test_build_matrix_block_bounds():

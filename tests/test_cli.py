@@ -87,6 +87,28 @@ def test_divergence_exit_code(tmp_path, monkeypatch):
     assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b[:80],            # truncated inside the whitener
+    lambda b: b[:-8],            # odd float64 count: a real part without its imaginary part
+    lambda b: b[:-3],            # not a whole number of float64s
+    lambda b: b + bytes(16),     # trailing bytes after the whitener
+], ids=["truncated", "odd-length", "ragged", "trailing"])
+def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
+    from pwdpd.basis import BasisSpec
+    from pwdpd.dpd import DpdModel, load_model, save_model
+
+    spec = BasisSpec("memoryless", 5)
+    model = DpdModel(np.arange(3) + 1j, spec, orthogonal_domain=True, whitener=np.eye(3))
+    _, payload = save_model(model, tmp_path / "m")
+    intact = payload.read_bytes()
+    assert len(intact) == 192  # 3 coefficients plus a 3 x 3 whitener, complex float64
+    np.testing.assert_array_equal(load_model(tmp_path / "m").whitener, np.eye(3))
+    payload.write_bytes(corrupt(intact))
+    with pytest.raises(ConfigError):
+        load_model(tmp_path / "m")
+    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+
+
 def test_scenario_preset_loader():
     cfg = scenario_preset("complexity-ledger")
     assert cfg["kind"] == "complexity"

@@ -239,6 +239,15 @@ def test_learn_divergence_detected(cubic_plant):
     assert len(err.value.trace) >= 4
 
 
+def test_large_step_stability_depends_on_drive():
+    """mu in (0, 2) is not stable at every drive level on a compressing PA."""
+    plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.12 + 0.03j, (5, 0): 0.02}, sat=1.0)
+    cfg = LearnConfig(mu=1.9, block_size=4000, iterations=12)
+    learn(PlantLoop(plant, rms=0.5, seed=3), BasisSpec("memoryless", 7), cfg)
+    with pytest.raises(DivergenceError):
+        learn(PlantLoop(plant, rms=0.8, seed=3), BasisSpec("memoryless", 7), cfg)
+
+
 def test_learn_config_validation():
     with pytest.raises(ConfigError):
         LearnConfig(mu=2.5)
