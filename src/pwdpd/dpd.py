@@ -371,6 +371,26 @@ def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
     return header_path, payload_path
 
 
+# model header field -> the JSON type it must hold
+_HEADER_TYPES = {"spec": dict, "ghat": list, "n_coefficients": int, "has_whitener": bool,
+                 "orthogonal_domain": bool, "active_mask": list}
+
+
+def _check_header(header, path: Path) -> None:
+    """Raise ConfigError unless every header field is present and well typed."""
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    for key, kind in _HEADER_TYPES.items():
+        value = header.get(key)
+        if not isinstance(value, kind) or (kind is int and (isinstance(value, bool) or value < 0)):
+            raise ConfigError(f"{path}: header field {key!r} is missing or not a {kind.__name__}")
+    if len(header["ghat"]) != 2 or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in header["ghat"]):
+        raise ConfigError(f"{path}: header field 'ghat' must be [real, imag]")
+    if not all(v in (0, 1) for v in header["active_mask"]):
+        raise ConfigError(f"{path}: header field 'active_mask' must hold 0/1 flags")
+
+
 def load_model(stem: str | Path) -> DpdModel:
     stem = Path(stem)
     header_path = stem.with_suffix(".dpd.json")
@@ -378,8 +398,12 @@ def load_model(stem: str | Path) -> DpdModel:
     if not header_path.exists() or not payload_path.exists():
         raise ConfigError(f"missing model files for {stem}")
     header = json.loads(header_path.read_text())
-    spec = BasisSpec.from_dict(header["spec"])
-    n = int(header["n_coefficients"])
+    _check_header(header, header_path)
+    try:
+        spec = BasisSpec.from_dict(header["spec"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{header_path}: malformed basis spec ({exc!r})") from exc
+    n = header["n_coefficients"]
     n_complex = n + n * n if header["has_whitener"] else n
     payload = payload_path.read_bytes()
     if len(payload) != 16 * n_complex:
@@ -393,7 +417,7 @@ def load_model(stem: str | Path) -> DpdModel:
         whitener = flat[n:].reshape(n, n)
     return DpdModel(
         gamma, spec,
-        ghat=complex(header["ghat"][0], header["ghat"][1]),
+        ghat=complex(*header["ghat"]),
         orthogonal_domain=header["orthogonal_domain"],
         whitener=whitener,
         active_mask=np.asarray(header["active_mask"], dtype=bool),

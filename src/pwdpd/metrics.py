@@ -91,7 +91,7 @@ def _welch(samples: np.ndarray, sample_rate: float, nperseg: int) -> tuple[np.nd
     return freqs, pxx
 
 
-def psd(sig: IqSignal, resolution_bins: int) -> tuple[np.ndarray, np.ndarray]:
+def psd(sig: IqSignal, resolution_bins: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """Welch PSD estimate; returns (freqs, dB/Hz)."""
     if len(sig) < 4 * resolution_bins:
         raise ConfigError("signal must be at least 4 x resolution_bins long")

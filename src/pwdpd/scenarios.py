@@ -12,7 +12,9 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +33,15 @@ from .presets import load_plant_preset, preset_params
 from .signals import IqSignal
 from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_at
 
-SCENARIO_KINDS = ("linearization", "powersweep", "anglesweep", "partition",
-                  "pruning", "complexity")
-
 METHODS = ("none", "pwcl_orth", "pwcl_selforth", "pwcl_kmeans", "cl_orth", "cl_selforth",
            "pw_ila", "ila")
+
+# derive_partition: AM/AM fit order of the ramp probe, OFDM samples that set
+# the amplitude range and region shares, and the smallest share a trailing
+# region may hold before it is merged into its neighbor
+FIT_ORDER = 9
+PARTITION_BLOCK = 40000
+MIN_SHARE = 0.025
 
 
 def build_linear8() -> ArrayPlant:
@@ -53,21 +59,19 @@ class SimulatedLoop:
     """Closed-loop source backed by a simulated plant.
 
     next_block synthesizes a fresh crest-factor-reduced OFDM block (new data
-    every call unless fixed_data is set); transmit runs the array forward
-    and the phase-aligned observation combiner, adding receiver noise when
-    requested.
+    every call); transmit runs the array forward and the phase-aligned
+    observation combiner, adding receiver noise when requested.
     """
 
     def __init__(self, plant: ArrayPlant, ofdm: OfdmConfig, drive_rms: float,
                  cfr_target_papr_db: float | None = None, cfr_iterations: int = 10,
-                 seed: int = 0, fixed_data: bool = False):
+                 seed: int = 0):
         self.plant = plant
         self.ofdm = ofdm
         self.drive_rms = drive_rms
         self.cfr_target_papr_db = cfr_target_papr_db
         self.cfr_iterations = cfr_iterations
         self.seed = seed
-        self.fixed_data = fixed_data
         self._counter = 0
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
 
@@ -83,8 +87,7 @@ class SimulatedLoop:
         return IqSignal(sig.samples[:n], sig.sample_rate, seed)
 
     def next_block(self, n: int) -> IqSignal:
-        if not self.fixed_data:
-            self._counter += 1
+        self._counter += 1
         return self.make_block(n, self.seed + self._counter)
 
     def transmit(self, x: IqSignal, noise_floor_dbc: float | None = None) -> IqSignal:
@@ -107,8 +110,7 @@ def ramp_probe(amax: float, sample_rate: float, n: int = 32768,
 
 def derive_partition(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, seed: int,
                      method: str = "taylor", order: int = 5, target_error: float = 0.01,
-                     n_regions: int | None = None, fit_order: int = 9,
-                     block: int = 40000, min_share: float = 0.025) -> tuple[RegionPartition, dict]:
+                     n_regions: int | None = None) -> tuple[RegionPartition, dict]:
     """Amplitude partition from a characterization pass.
 
     An OFDM block sets the amplitude range and the per-region sample shares;
@@ -116,12 +118,12 @@ def derive_partition(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, seed: in
     probe, whose scatter-free response makes the fitted derivatives (and so
     the Taylor partition) reproducible. K-means partitioning clusters the
     OFDM block's envelope directly. A trailing region holding less than
-    min_share of the waveform samples is merged into its neighbor: such a
+    MIN_SHARE of the waveform samples is merged into its neighbor: such a
     region cannot support the per-region coefficient estimation downstream.
     """
     loop = SimulatedLoop(plant, ofdm, preset["drive_rms"], preset.get("cfr_target_papr_db"),
                          preset.get("cfr_iterations", 10), seed=seed)
-    a1 = loop.next_block(block)
+    a1 = loop.next_block(PARTITION_BLOCK)
     env = np.abs(a1.samples)
     amax = float(env.max())
     if method == "taylor":
@@ -129,7 +131,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, seed: in
         per_element, _ = array_forward(plant, probe)
         zp = observation_receive(plant, per_element)
         ghat = estimate_gain(probe, zp)
-        model = fit_amam(probe, zp.with_samples(zp.samples / ghat), fit_order)
+        model = fit_amam(probe, zp.with_samples(zp.samples / ghat), FIT_ORDER)
         part = partition_regions(model, model.a_max, order, target_error)
         fit_residual = model.fit_residual
     elif method == "kmeans":
@@ -141,7 +143,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, seed: in
         fit_residual = 0.0
     else:
         raise ConfigError(f"unknown partition method {method!r}")
-    while part.n_regions > 1 and float(np.mean(part.region_index(env) == part.n_regions - 1)) < min_share:
+    while part.n_regions > 1 and float(np.mean(part.region_index(env) == part.n_regions - 1)) < MIN_SHARE:
         edges = np.delete(part.edges, part.n_regions - 1)
         part = RegionPartition(edges,
                                part.orders[:-1] if part.orders else None,
@@ -167,8 +169,7 @@ class EvalResult:
 
 def evaluate(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, model: DpdModel | None,
              seed: int, trp_angles: np.ndarray | None = None,
-             noise_floor_dbc: float | None = None, noise_averages: int = 1,
-             resolution_bins: int = 2048) -> EvalResult:
+             noise_floor_dbc: float | None = None, noise_averages: int = 1) -> EvalResult:
     """Fresh-data evaluation of one DPD model (or the no-DPD reference)."""
     cfg = replace(ofdm, seed=seed)
     sig, grid = generate_ofdm(cfg)
@@ -190,7 +191,7 @@ def evaluate(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, model: DpdModel 
 
     channel_bw = preset["channel_bw"]
     metrics = {
-        "aclr_dbc": aclr_single_direction(z, channel_bw, resolution_bins=resolution_bins),
+        "aclr_dbc": aclr_single_direction(z, channel_bw),
         "evm_percent": evm(grid, y, cfg),
         "nmse_db": nmse(a1, y),
         "papr_1pct_db": papr_at(x, 0.01),
@@ -199,10 +200,9 @@ def evaluate(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, model: DpdModel 
     }
     beam = None
     if trp_angles is not None:
-        beam = beam_pattern(plant, x, trp_angles, channel_bw,
-                            resolution_bins=resolution_bins, per_element=per_element)
+        beam = beam_pattern(plant, x, trp_angles, channel_bw, per_element=per_element)
         metrics["aclr_trp_dbc"] = aclr_trp(beam)
-    freqs, db = psd(z, resolution_bins)
+    freqs, db = psd(z)
     return EvalResult(metrics, freqs, db, beam)
 
 
@@ -278,8 +278,8 @@ def train_method(method: str, plant: ArrayPlant, preset: dict, config: dict,
     return learn(loop, spec, cfg)
 
 
-def preset_ofdm_from(preset: dict, num_symbols: int = 1, seed: int = 0) -> OfdmConfig:
-    return OfdmConfig(num_symbols=num_symbols, seed=seed, **preset["ofdm"])
+def preset_ofdm_from(preset: dict, num_symbols: int = 1) -> OfdmConfig:
+    return OfdmConfig(num_symbols=num_symbols, **preset["ofdm"])
 
 
 def _write_json(path: Path, payload) -> None:
@@ -306,56 +306,117 @@ def write_manifest(outdir: Path, config: dict) -> Path:
     return path
 
 
-def run_linearization(config: dict, outdir: Path) -> dict:
-    seed = config.get("seed", 1)
-    plant, preset = load_scenario_plant(config)
-    spec_single = _base_spec(config)
-    methods = config.get("methods", ["none", "pwcl_orth"])
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; have {METHODS}")
-
-    ofdm_train = preset_ofdm_from(preset)
+def _partitions(plant: ArrayPlant, preset: dict, config: dict, seed: int,
+                kmeans: bool) -> dict:
+    """Taylor partition from the config's "partition" settings at seed*1000+17,
+    plus K-means with as many regions when kmeans is set; maps "taylor"/"kmeans"
+    to (RegionPartition, info)."""
     part_cfg = config.get("partition", {})
-    partitions: dict = {}
-    part_info = None
+    ofdm = preset_ofdm_from(preset)
+    taylor = derive_partition(plant, preset, ofdm, seed=seed * 1000 + 17, method="taylor",
+                              order=part_cfg.get("order", 5),
+                              target_error=part_cfg.get("target_error", 0.01))
+    partitions = {"taylor": taylor}
+    if kmeans:
+        partitions["kmeans"] = derive_partition(plant, preset, ofdm, seed=seed * 1000 + 17,
+                                                method="kmeans", n_regions=taylor[0].n_regions)
+    return partitions
+
+
+def _trp_angles(eval_cfg: dict) -> np.ndarray | None:
+    trp = eval_cfg.get("trp_angles")
+    if isinstance(trp, dict):
+        return np.arange(trp["start"], trp["stop"] + 1e-9, trp["step"])
+    if trp is True:
+        return np.arange(-50.0, 50.0 + 1e-9, 2.0)
+    return None
+
+
+@dataclass
+class _Pipeline:
+    plant: ArrayPlant     # as loaded, before any steering
+    spec: BasisSpec       # single-region basis
+    partitions: dict      # "taylor"/"kmeans" -> (RegionPartition, info)
+    runs: Iterator        # yields (label, model, trace, [EvalResult per evaluation plant])
+
+
+def _pipeline(config: dict, runs: list, seed: int, eval_symbols: int = 2,
+              drive_offset_db: float = 0.0, angles: list | None = None) -> _Pipeline:
+    """Plant -> partition -> train -> evaluate, the chain every trained kind runs.
+
+    runs lists (label, method, training seed, learn overrides). The partitions
+    are derived up front when a piecewise method needs them. Each model is
+    evaluated on fresh data at seed*100+7 with the config's "eval" settings:
+    on the plant at the preset noise floor or, when angles are given, trained
+    on the plant steered to 0 degrees and evaluated noise-free at each angle.
+    The runs are trained lazily as the caller iterates, so a caller can write
+    each run's files before the next one trains.
+    """
+    plant, preset = load_scenario_plant(config)
+    preset["drive_rms"] *= 10 ** (drive_offset_db / 20)
+    spec = _base_spec(config)
+    methods = [method for _, method, _, _ in runs]
+    for method in methods:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}; have {METHODS}")
+    if angles is None:
+        train_plant, noise = plant, preset.get("noise_floor_dbc")
+        eval_plants = [plant]
+    else:
+        train_plant, noise = steer(plant, 0.0), None
+        eval_plants = [steer(plant, float(a)) for a in angles]
+    partitions = {}
     if any(m.startswith("pw") for m in methods):
-        taylor, part_info = derive_partition(
-            plant, preset, ofdm_train, seed=seed * 1000 + 17,
-            method="taylor",
-            order=part_cfg.get("order", 5),
-            target_error=part_cfg.get("target_error", 0.01),
-        )
-        partitions["taylor"] = taylor
-        taylor.save(outdir / "partition.json")
-        if "pwcl_kmeans" in methods:
-            km, km_info = derive_partition(
-                plant, preset, ofdm_train, seed=seed * 1000 + 17,
-                method="kmeans", n_regions=taylor.n_regions)
-            partitions["kmeans"] = km
-            km.save(outdir / "partition_kmeans.json")
-            part_info = {"taylor": part_info, "kmeans": km_info}
+        partitions = _partitions(train_plant, preset, config, seed,
+                                 kmeans="pwcl_kmeans" in methods)
+    parts = {key: part for key, (part, _) in partitions.items()}
 
     eval_cfg = config.get("eval", {})
-    ofdm_eval = preset_ofdm_from(preset, num_symbols=eval_cfg.get("num_symbols", 4))
-    angles = None
-    if eval_cfg.get("trp_angles", True):
-        spec_a = eval_cfg.get("trp_angles")
-        if isinstance(spec_a, dict):
-            angles = np.arange(spec_a["start"], spec_a["stop"] + 1e-9, spec_a["step"])
-        elif spec_a is True:
-            angles = np.arange(-50.0, 50.0 + 1e-9, 2.0)
+    ofdm_eval = preset_ofdm_from(preset, num_symbols=eval_cfg.get("num_symbols", eval_symbols))
+    trp_angles = _trp_angles(eval_cfg)
+    # averaging only helps against receiver noise; the angle sweep has none
+    averages = eval_cfg.get("noise_averages", 1) if noise is not None else 1
+
+    def trained():
+        for label, method, train_seed, overrides in runs:
+            run_config = config
+            if overrides:
+                run_config = dict(config, learn=dict(config.get("learn", {}), **overrides))
+            model, trace = train_method(method, train_plant, preset, run_config, spec, parts,
+                                        seed=train_seed)
+            evals = [evaluate(p, preset, ofdm_eval, model, seed=seed * 100 + 7,
+                              trp_angles=trp_angles, noise_floor_dbc=noise,
+                              noise_averages=averages)
+                     for p in eval_plants]
+            yield label, model, trace, evals
+
+    return _Pipeline(plant, spec, partitions, trained())
+
+
+def _save_run(outdir: Path, label: str, model: DpdModel | None, trace: list) -> None:
+    if model is not None:
+        save_model(model, outdir / label)
+        trace_to_csv(trace, outdir / f"trace_{label}.csv")
+
+
+def run_linearization(config: dict, outdir: Path) -> dict:
+    seed = config.get("seed", 1)
+    methods = config.get("methods", ["none", "pwcl_orth"])
+    out = _pipeline(config, [(m, m, seed * 100 + idx, {}) for idx, m in enumerate(methods)],
+                    seed, eval_symbols=4)
+
+    part_info = None
+    if "taylor" in out.partitions:
+        taylor, part_info = out.partitions["taylor"]
+        taylor.save(outdir / "partition.json")
+    if "kmeans" in out.partitions:
+        km, km_info = out.partitions["kmeans"]
+        km.save(outdir / "partition_kmeans.json")
+        part_info = {"taylor": part_info, "kmeans": km_info}
 
     results = {}
-    for idx, method in enumerate(methods):
-        model, trace = train_method(method, plant, preset, config, spec_single,
-                                    partitions, seed=seed * 100 + idx)
-        if model is not None:
-            save_model(model, outdir / method)
-            trace_to_csv(trace, outdir / f"trace_{method}.csv")
-        res = evaluate(plant, preset, ofdm_eval, model, seed=seed * 100 + 7,
-                       trp_angles=angles, noise_floor_dbc=preset.get("noise_floor_dbc"),
-                       noise_averages=eval_cfg.get("noise_averages", 1))
+    for method, model, trace, (res,) in out.runs:
+        _save_run(outdir, method, model, trace)
         _write_csv(outdir / f"psd_{method}.csv", "freq_hz,psd_db_hz",
                    zip(res.psd_freqs.tolist(), res.psd_db.tolist()))
         if res.beam is not None:
@@ -371,36 +432,17 @@ def run_linearization(config: dict, outdir: Path) -> dict:
             entry["gamma_norm"] = float(np.linalg.norm(model.gamma))
             entry["final_error_power_dbc"] = trace[-1].error_power_dbc if trace else None
         results[method] = entry
-
-    payload = {"kind": "linearization", "partition": part_info, "methods": results}
-    _write_json(outdir / "metrics.json", payload)
-    return payload
+    return {"kind": "linearization", "partition": part_info, "methods": results}
 
 
-def _powersweep_point(args: tuple) -> dict:
-    config, outdir_str, offset_db, idx = args
-    sub = dict(config)
-    sub_seed = config.get("seed", 1) + 31 * idx
-    sub["seed"] = sub_seed
-    plant, preset = load_scenario_plant(sub)
-    preset = dict(preset)
-    preset["drive_rms"] = preset["drive_rms"] * 10 ** (offset_db / 20)
-    spec_single = _base_spec(sub)
-    methods = sub.get("methods", ["none", "pwcl_orth", "pw_ila"])
-    ofdm_train = preset_ofdm_from(preset)
-    partitions = {}
-    if any(m.startswith("pw") for m in methods):
-        partitions["taylor"], _ = derive_partition(
-            plant, preset, ofdm_train, seed=sub_seed * 1000 + 17,
-            order=sub.get("partition", {}).get("order", 5),
-            target_error=sub.get("partition", {}).get("target_error", 0.01))
-    ofdm_eval = preset_ofdm_from(preset, num_symbols=sub.get("eval", {}).get("num_symbols", 2))
+def _powersweep_point(job: tuple) -> dict:
+    config, offset_db, idx = job
+    seed = config.get("seed", 1) + 31 * idx
+    methods = config.get("methods", ["none", "pwcl_orth", "pw_ila"])
+    out = _pipeline(config, [(m, m, seed * 100 + j, {}) for j, m in enumerate(methods)],
+                    seed, drive_offset_db=offset_db)
     row = {"offset_db": offset_db}
-    for j, method in enumerate(methods):
-        model, _ = train_method(method, plant, preset, sub, spec_single, partitions,
-                                seed=sub_seed * 100 + j)
-        res = evaluate(plant, preset, ofdm_eval, model, seed=sub_seed * 100 + 7,
-                       noise_floor_dbc=preset.get("noise_floor_dbc"))
+    for method, _, _, (res,) in out.runs:
         row[method] = {"aclr_dbc": res.metrics["aclr_dbc"],
                        "evm_percent": res.metrics["evm_percent"]}
     return row
@@ -408,7 +450,7 @@ def _powersweep_point(args: tuple) -> dict:
 
 def run_powersweep(config: dict, outdir: Path, workers: int = 1) -> dict:
     offsets = config.get("offsets_db", [-10, -8, -6, -4, -2, 0])
-    jobs = [(config, str(outdir), float(o), i) for i, o in enumerate(offsets)]
+    jobs = [(config, float(o), i) for i, o in enumerate(offsets)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_powersweep_point, jobs))
@@ -420,81 +462,42 @@ def run_powersweep(config: dict, outdir: Path, workers: int = 1) -> dict:
         for m in methods:
             csv_rows.append((row["offset_db"], m, row[m]["aclr_dbc"], row[m]["evm_percent"]))
     _write_csv(outdir / "powersweep.csv", "offset_db,method,aclr_dbc,evm_percent", csv_rows)
-    payload = {"kind": "powersweep", "offsets_db": list(offsets), "rows": rows}
-    _write_json(outdir / "metrics.json", payload)
-    return payload
+    return {"kind": "powersweep", "offsets_db": list(offsets), "rows": rows}
 
 
 def run_anglesweep(config: dict, outdir: Path) -> dict:
     """Train at 0 degrees, evaluate the frozen model across steering angles."""
     seed = config.get("seed", 1)
-    plant, preset = load_scenario_plant(config)
     angles = config.get("angles", [0, 10, 20, 30, 40, 50])
-    spec_single = _base_spec(config)
     method = config.get("method", "pwcl_orth")
-    ofdm_train = preset_ofdm_from(preset)
-    plant0 = steer(plant, 0.0)
-    partitions = {}
-    if method.startswith("pw"):
-        partitions["taylor"], _ = derive_partition(plant0, preset, ofdm_train,
-                                                   seed=seed * 1000 + 17)
-    model, _ = train_method(method, plant0, preset, config, spec_single, partitions,
-                            seed=seed * 100)
-    ofdm_eval = preset_ofdm_from(preset, num_symbols=config.get("eval", {}).get("num_symbols", 2))
-    rows = []
-    for ang in angles:
-        steered = steer(plant, float(ang))
-        res = evaluate(steered, preset, ofdm_eval, model, seed=seed * 100 + 7,
-                       noise_floor_dbc=None)
-        rows.append((float(ang), res.metrics["aclr_dbc"], res.metrics["evm_percent"]))
+    out = _pipeline(config, [(method, method, seed * 100, {})], seed, angles=angles)
+    (_, _, _, evals), = out.runs
+    rows = [(float(a), res.metrics["aclr_dbc"], res.metrics["evm_percent"])
+            for a, res in zip(angles, evals)]
     _write_csv(outdir / "angle_sweep.csv", "angle_deg,aclr_dbc,evm_percent", rows)
-    payload = {"kind": "anglesweep", "coupling_strength": plant.coupling_strength,
-               "rows": [{"angle_deg": a, "aclr_dbc": b, "evm_percent": c} for a, b, c in rows]}
-    _write_json(outdir / "metrics.json", payload)
-    return payload
+    return {"kind": "anglesweep", "coupling_strength": out.plant.coupling_strength,
+            "rows": [{"angle_deg": a, "aclr_dbc": b, "evm_percent": c} for a, b, c in rows]}
 
 
 def run_partition_demo(config: dict, outdir: Path) -> dict:
-    seed = config.get("seed", 1)
     plant, preset = load_scenario_plant(config)
-    ofdm = preset_ofdm_from(preset)
-    part_cfg = config.get("partition", {})
-    taylor, taylor_info = derive_partition(
-        plant, preset, ofdm, seed=seed * 1000 + 17, method="taylor",
-        order=part_cfg.get("order", 5), target_error=part_cfg.get("target_error", 0.01))
-    km, km_info = derive_partition(
-        plant, preset, ofdm, seed=seed * 1000 + 17, method="kmeans",
-        n_regions=taylor.n_regions)
+    partitions = _partitions(plant, preset, config, config.get("seed", 1), kmeans=True)
+    (taylor, taylor_info), (km, km_info) = partitions["taylor"], partitions["kmeans"]
     taylor.save(outdir / "partition_taylor.json")
     km.save(outdir / "partition_kmeans.json")
-    payload = {"kind": "partition", "taylor": taylor_info, "kmeans": km_info}
-    _write_json(outdir / "metrics.json", payload)
-    return payload
+    return {"kind": "partition", "taylor": taylor_info, "kmeans": km_info}
 
 
 def run_pruning_study(config: dict, outdir: Path) -> dict:
     seed = config.get("seed", 1)
     threshold = config.get("prune_threshold_db", -40.0)
-    base = dict(config)
-    base["methods"] = ["pwcl_orth"]
-    base.setdefault("learn", {})
-    plant, preset = load_scenario_plant(base)
-    spec_single = _base_spec(base)
-    ofdm_train = preset_ofdm_from(preset)
-    partition_obj, part_info = derive_partition(plant, preset, ofdm_train,
-                                                seed=seed * 1000 + 17)
-    ofdm_eval = preset_ofdm_from(preset, num_symbols=base.get("eval", {}).get("num_symbols", 2))
-
+    runs = [(label, "pwcl_orth", seed * 100, {"prune_threshold_db": th})
+            for label, th in (("unpruned", None), ("pruned", threshold))]
+    out = _pipeline(config, runs, seed)
+    partition_obj, part_info = out.partitions["taylor"]
     results = {}
-    for label, th in (("unpruned", None), ("pruned", threshold)):
-        cfg = dict(base)
-        cfg["learn"] = dict(base.get("learn", {}), prune_threshold_db=th)
-        model, trace = train_method("pwcl_orth", plant, preset, cfg, spec_single,
-                                    {"taylor": partition_obj}, seed=seed * 100)
-        save_model(model, outdir / label)
-        trace_to_csv(trace, outdir / f"trace_{label}.csv")
-        res = evaluate(plant, preset, ofdm_eval, model, seed=seed * 100 + 7,
-                       noise_floor_dbc=preset.get("noise_floor_dbc"))
+    for label, model, trace, (res,) in out.runs:
+        _save_run(outdir, label, model, trace)
         results[label] = {
             "aclr_dbc": res.metrics["aclr_dbc"],
             "evm_percent": res.metrics["evm_percent"],
@@ -502,19 +505,17 @@ def run_pruning_study(config: dict, outdir: Path) -> dict:
             "active_coefficients": int(model.active_mask.sum()),
         }
 
-    _write_json(outdir / "bf_descriptors.json",
-                basis_descriptors_json(spec_single.with_partition(partition_obj)))
-
-    learn_cfg = base.get("learn", {})
+    spec = out.spec.with_partition(partition_obj)
+    _write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
+    learn_cfg = config.get("learn", {})
     params = complexity_mod.params_from_spec(
-        spec_single.with_partition(partition_obj),
-        b_cl=learn_cfg.get("block_size", 20000), i_cl=learn_cfg.get("iterations", 10),
+        spec, b_cl=learn_cfg.get("block_size", 20000), i_cl=learn_cfg.get("iterations", 10),
         b_ila=50000, i_ila=4,
         n_pw_pruned=results["pruned"]["active_coefficients"])
     pruned_cost = complexity_mod.flops("pwcl_orth_pruned", params)["learn_total"]
     unpruned_params = replace(params, n_pw_pruned=params.n_pw)
     unpruned_cost = complexity_mod.flops("pwcl_orth_pruned", unpruned_params)["learn_total"]
-    payload = {
+    return {
         "kind": "pruning",
         "partition": part_info,
         "threshold_db": threshold,
@@ -523,8 +524,6 @@ def run_pruning_study(config: dict, outdir: Path) -> dict:
         "learn_flops_per_sample": {"unpruned": unpruned_cost, "pruned": pruned_cost,
                                    "reduction": 1 - pruned_cost / unpruned_cost},
     }
-    _write_json(outdir / "metrics.json", payload)
-    return payload
 
 
 def run_complexity(config: dict, outdir: Path) -> dict:
@@ -535,33 +534,34 @@ def run_complexity(config: dict, outdir: Path) -> dict:
         params = complexity_mod.ComplexityParams(**pcfg)
     ledger = complexity_mod.full_ledger(params, exact_division=config.get("exact_division", False))
     (outdir / "ledger.txt").write_text(complexity_mod.format_ledger(ledger) + "\n")
-    payload = {"kind": "complexity", "params": params.__dict__, "ledger": ledger}
-    _write_json(outdir / "metrics.json", payload)
-    return payload
+    return {"kind": "complexity", "params": params.__dict__, "ledger": ledger}
+
+
+# scenario kind -> runner(config, outdir); run_scenario gives powersweep its workers
+RUNNERS = {
+    "linearization": run_linearization,
+    "powersweep": run_powersweep,
+    "anglesweep": run_anglesweep,
+    "partition": run_partition_demo,
+    "pruning": run_pruning_study,
+    "complexity": run_complexity,
+}
 
 
 def run_scenario(config: dict, outdir: str | Path, workers: int = 1) -> dict:
-    """Dispatch a scenario config; returns the metrics payload."""
+    """Dispatch a scenario config; writes metrics.json and the manifest and
+    returns the metrics payload."""
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("scenario config must be an object with a 'kind' field")
     if config.get("schema_version", 1) != 1:
         raise ConfigError("unsupported scenario schema_version")
     kind = config["kind"]
+    if kind not in RUNNERS:
+        raise ConfigError(f"unknown scenario kind {kind!r}; have {tuple(RUNNERS)}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if kind == "linearization":
-        payload = run_linearization(config, outdir)
-    elif kind == "powersweep":
-        payload = run_powersweep(config, outdir, workers)
-    elif kind == "anglesweep":
-        payload = run_anglesweep(config, outdir)
-    elif kind == "partition":
-        payload = run_partition_demo(config, outdir)
-    elif kind == "pruning":
-        payload = run_pruning_study(config, outdir)
-    elif kind == "complexity":
-        payload = run_complexity(config, outdir)
-    else:
-        raise ConfigError(f"unknown scenario kind {kind!r}; have {SCENARIO_KINDS}")
+    runner = partial(run_powersweep, workers=workers) if kind == "powersweep" else RUNNERS[kind]
+    payload = runner(config, outdir)
+    _write_json(outdir / "metrics.json", payload)
     write_manifest(outdir, config)
     return payload

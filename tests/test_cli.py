@@ -87,23 +87,52 @@ def test_divergence_exit_code(tmp_path, monkeypatch):
     assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 
+def _without(key):
+    def corrupt(header, payload):
+        del header[key]
+        return payload
+    return corrupt
+
+
+def _with(key, value):
+    def corrupt(header, payload):
+        header[key] = value
+        return payload
+    return corrupt
+
+
+_HEADER_KEYS = ("spec", "ghat", "n_coefficients", "has_whitener", "orthogonal_domain",
+                "active_mask")
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda b: b[:80],            # truncated inside the whitener
-    lambda b: b[:-8],            # odd float64 count: a real part without its imaginary part
-    lambda b: b[:-3],            # not a whole number of float64s
-    lambda b: b + bytes(16),     # trailing bytes after the whitener
-], ids=["truncated", "odd-length", "ragged", "trailing"])
+    lambda h, b: b[:80],            # truncated inside the whitener
+    lambda h, b: b[:-8],            # odd float64 count: a real part without its imaginary part
+    lambda h, b: b[:-3],            # not a whole number of float64s
+    lambda h, b: b + bytes(16),     # trailing bytes after the whitener
+    *(_without(key) for key in _HEADER_KEYS),
+    _with("n_coefficients", "3"),
+    _with("has_whitener", 1),
+    _with("ghat", [1.0]),
+    _with("spec", {"max_order": 5}),
+    _with("active_mask", [1, "1", 1]),
+], ids=["truncated", "odd-length", "ragged", "trailing",
+        *(f"no-{key}" for key in _HEADER_KEYS),
+        "n-as-string", "whitener-flag-as-int", "short-ghat", "spec-without-family",
+        "mask-with-string"])
 def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
     from pwdpd.basis import BasisSpec
     from pwdpd.dpd import DpdModel, load_model, save_model
 
     spec = BasisSpec("memoryless", 5)
     model = DpdModel(np.arange(3) + 1j, spec, orthogonal_domain=True, whitener=np.eye(3))
-    _, payload = save_model(model, tmp_path / "m")
+    header_path, payload = save_model(model, tmp_path / "m")
     intact = payload.read_bytes()
     assert len(intact) == 192  # 3 coefficients plus a 3 x 3 whitener, complex float64
     np.testing.assert_array_equal(load_model(tmp_path / "m").whitener, np.eye(3))
-    payload.write_bytes(corrupt(intact))
+    header = json.loads(header_path.read_text())
+    payload.write_bytes(corrupt(header, intact))
+    header_path.write_text(json.dumps(header))
     with pytest.raises(ConfigError):
         load_model(tmp_path / "m")
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
@@ -184,3 +213,73 @@ def test_scenario_failure_writes_error_record(tmp_path):
     record = json.loads((tmp_path / "x" / "error.json").read_text())
     assert record["error"] == "ConfigError"
     assert "nonsense" in record["message"]
+
+
+def test_failed_bundle_keeps_finished_runs(tmp_path, monkeypatch):
+    import pwdpd.scenarios as scenarios
+    from pwdpd.basis import BasisSpec
+    from pwdpd.dpd import DpdModel
+    from pwdpd.partition import RegionPartition
+
+    def fake_partition(*args, **kwargs):
+        return RegionPartition(np.array([0.0, 0.5, 1.0])), {"method": "taylor"}
+
+    def fake_train(method, *args, **kwargs):
+        if method == "cl_orth":
+            raise DivergenceError("test divergence", [])
+        return DpdModel(np.arange(3) + 0j, BasisSpec("memoryless", 5)), []
+
+    def fake_evaluate(*args, **kwargs):
+        return scenarios.EvalResult({"aclr_dbc": -40.0}, np.zeros(2), np.zeros(2))
+
+    monkeypatch.setattr(scenarios, "derive_partition", fake_partition)
+    monkeypatch.setattr(scenarios, "train_method", fake_train)
+    monkeypatch.setattr(scenarios, "evaluate", fake_evaluate)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "linearization", "preset": "doherty-n3",
+                               "methods": ["pwcl_orth", "cl_orth"]}))
+    assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path), "--name", "x"]) == 4
+    bundle = tmp_path / "x"
+    assert json.loads((bundle / "error.json").read_text())["error"] == "DivergenceError"
+    for name in ("partition.json", "pwcl_orth.dpd.json", "trace_pwcl_orth.csv",
+                 "psd_pwcl_orth.csv"):
+        assert (bundle / name).exists(), name
+    assert not (bundle / "metrics.json").exists()
+
+
+class _PartitionReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["linearization", "powersweep", "anglesweep", "pruning"])
+def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind):
+    import pwdpd.scenarios as scenarios
+
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs)
+        raise _PartitionReached
+
+    monkeypatch.setattr(scenarios, "derive_partition", record)
+    config = {"kind": kind, "preset": "doherty-n3", "seed": 3, "methods": ["pwcl_orth"],
+              "method": "pwcl_orth", "partition": {"order": 3, "target_error": 0.05}}
+    with pytest.raises(_PartitionReached):
+        scenarios.run_scenario(config, tmp_path)
+    assert seen[0].get("order") == 3
+    assert seen[0].get("target_error") == 0.05
+
+
+def test_shipped_scenario_presets_are_well_formed():
+    from importlib import resources
+
+    from pwdpd.scenarios import METHODS, RUNNERS, load_scenario_plant
+
+    names = [p.name[:-5] for p in resources.files("pwdpd").joinpath("presets/scenarios").iterdir()]
+    assert names
+    for name in names:
+        cfg = scenario_preset(name)
+        assert cfg["kind"] in RUNNERS, name
+        methods = cfg.get("methods", []) + ([cfg["method"]] if "method" in cfg else [])
+        assert set(methods) <= set(METHODS), name
+        load_scenario_plant(cfg)

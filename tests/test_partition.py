@@ -124,10 +124,10 @@ def test_partition_doherty_width_ordering():
     (narrower where the fitted high-order derivative is larger), and the
     compression-knee region is narrower than the near-zero region."""
     import math
-    from pwdpd.presets import build_doherty_n3
+    from pwdpd.presets import load_plant_preset
     from pwdpd.scenarios import ramp_probe
     from pwdpd.dpd import estimate_gain
-    plant = build_doherty_n3()
+    plant = load_plant_preset("doherty-n3")
     probe = ramp_probe(1.1, 1.0)
     per, _ = array_forward(plant, probe)
     z = observation_receive(plant, per)

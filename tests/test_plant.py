@@ -211,8 +211,8 @@ def test_pa_validation():
 
 
 def test_plant_json_roundtrip(tmp_path):
-    from pwdpd.presets import build_array8_deep, build_doherty_n3
-    for plant in (build_array8_deep(), build_doherty_n3()):
+    from pwdpd.presets import load_plant_preset
+    for plant in (load_plant_preset("array8-deep"), load_plant_preset("doherty-n3")):
         save_plant(plant, tmp_path / "p.json")
         back = load_plant(tmp_path / "p.json")
         np.testing.assert_allclose(back.weights, plant.weights)
@@ -223,10 +223,3 @@ def test_plant_json_roundtrip(tmp_path):
         _, b = array_forward(back, sig)
         np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12)
 
-
-def test_shipped_plant_presets_match_builders():
-    from pwdpd.presets import (PLANT_PRESETS, _BUILDERS, load_plant_preset)
-    for name in PLANT_PRESETS:
-        shipped = load_plant_preset(name)
-        built = _BUILDERS[name]()
-        assert shipped.to_dict() == built.to_dict()
