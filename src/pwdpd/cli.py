@@ -27,8 +27,8 @@ from .metrics import aclr_single_direction
 from .partition import RegionPartition
 from .plant import load_plant, steer
 from .presets import PLANT_PRESETS, load_plant_preset, preset_params
-from .scenarios import (derive_partition, evaluate, preset_ofdm_from, run_scenario,
-                        train_method)
+from .scenarios import (METHODS, _partitions, derive_partition, evaluate, preset_ofdm_from,
+                        run_scenario, train_method)
 from .signals import read_iq, write_iq
 from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_ccdf
 
@@ -56,7 +56,10 @@ def _load_config(args) -> dict:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        return json.loads(Path(args.config).read_text())
+        config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise ConfigError(f"scenario config {args.config} must hold a JSON object")
+        return config
     if args.preset:
         return scenario_preset(args.preset)
     raise ConfigError("a scenario needs --config FILE or --preset NAME")
@@ -133,6 +136,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.method not in METHODS or args.method == "none":
+        raise ConfigError(f"unknown training method {args.method!r}; "
+                          f"have {[m for m in METHODS if m != 'none']}")
     plant, params = _resolve_plant(args.plant)
     if params is None:
         raise ConfigError("train needs a named preset")
@@ -147,11 +153,12 @@ def cmd_train(args) -> int:
     partitions = {}
     if args.method.startswith("pw"):
         if args.partition:
-            partitions["taylor"] = RegionPartition.load(args.partition)
-            partitions["kmeans"] = partitions["taylor"]
+            part = RegionPartition.load(args.partition)
+            partitions = {"taylor": part, "kmeans": part}
         else:
-            ofdm = preset_ofdm_from(params)
-            partitions["taylor"], _ = derive_partition(plant, params, ofdm, seed=args.seed)
+            derived = _partitions(plant, params, config, args.seed,
+                                  kmeans=args.method == "pwcl_kmeans")
+            partitions = {key: part for key, (part, _) in derived.items()}
     model, trace = train_method(args.method, plant, params, config, spec_single,
                                 partitions, seed=args.seed)
     save_model(model, args.output)

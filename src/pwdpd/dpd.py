@@ -232,8 +232,8 @@ def _block_solve_lower(whitener: np.ndarray, vec: np.ndarray, b1: int) -> np.nda
     return out
 
 
-def learn(source: ClosedLoopSource, spec: BasisSpec, cfg: LearnConfig,
-          init: DpdModel | None = None) -> tuple[DpdModel, list[TraceRecord]]:
+def learn(source: ClosedLoopSource, spec: BasisSpec,
+          cfg: LearnConfig) -> tuple[DpdModel, list[TraceRecord]]:
     """Block-adaptive closed-loop learning.
 
     A leading statistics block fixes the covariance inverse (self-orth rule)
@@ -264,14 +264,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec, cfg: LearnConfig,
         whitener = None
         cov_inv = np.linalg.inv(gram)
 
-    if init is not None:
-        if init.orthogonal_domain != orthogonal:
-            raise ConfigError("init model domain does not match the learning rule")
-        model = DpdModel(init.gamma.copy(), spec, init.ghat, orthogonal,
-                         whitener if orthogonal else None,
-                         init.active_mask.copy())
-    else:
-        model = DpdModel.zero(spec, orthogonal_domain=orthogonal, whitener=whitener)
+    model = DpdModel.zero(spec, orthogonal_domain=orthogonal, whitener=whitener)
 
     prune = cfg.prune_threshold_db is not None
     pd_mask: np.ndarray | None = None

@@ -28,7 +28,11 @@ def _postinverse_fit(spec: BasisSpec, regressor: np.ndarray, target: np.ndarray)
         n_rows = rows.size if k == fitted else 0
         if n_rows < b1:
             break
-        coeffs[k * b1:(k + 1) * b1] = basis_mod.regularized_lstsq(psi, target[rows])
+        try:
+            coeffs[k * b1:(k + 1) * b1] = basis_mod.regularized_lstsq(psi, target[rows])
+        except np.linalg.LinAlgError:
+            raise DegenerateRegionError(
+                k, f"region {k} least-squares system is singular") from None
         fitted += 1
     else:
         n_rows = 0

@@ -208,16 +208,19 @@ class ArrayPlant:
         out = np.zeros((len(elements), a1.size), dtype=np.complex128)
         if self.coupling_strength == 0.0:
             return out
-        branch: dict[int, np.ndarray] = {}
         for row, i in enumerate(elements):
-            for l in range(self.n_elements):
-                lam = self.coupling[i, l]
-                if l == i or not np.any(lam):
-                    continue
-                if l not in branch:
-                    branch[l] = np.convolve(a1, self.branch_filters[l])[:a1.size]
-                out[row] += self.weights[l] * np.convolve(branch[l], lam)[:a1.size]
+            out[row] = np.convolve(a1, self._neighbor_fir(i))[:a1.size]
         return out
+
+    def _neighbor_fir(self, element: int) -> np.ndarray:
+        """Composite FIR sum_{l != i} w_l lambda_il * mu_l of element i, unscaled."""
+        taps = self.coupling.shape[2] + self.branch_filters.shape[1] - 1
+        f = np.zeros(taps, dtype=np.complex128)
+        for l in range(self.n_elements):
+            if l != element:
+                f += self.weights[l] * np.convolve(self.coupling[element, l],
+                                                   self.branch_filters[l])
+        return f
 
     def drive_signals(self, a1: np.ndarray, elements: list[int]) -> np.ndarray:
         """PA input of each listed element: incident wave plus scaled coupled wave."""
@@ -227,15 +230,9 @@ class ArrayPlant:
 
     def branch_response(self, element: int) -> np.ndarray:
         """f_i = sum_l w_l lambda_il * mu_l with the scaled off-diagonal coupling."""
-        L = self.n_elements
-        taps = self.coupling.shape[2] + self.branch_filters.shape[1] - 1
-        f = np.zeros(taps, dtype=np.complex128)
         scale = self.coupling_strength * self.angle_factor
-        for l in range(L):
-            lam = self.coupling[element, l] if l == element \
-                else scale * self.coupling[element, l]
-            f += self.weights[l] * np.convolve(lam, self.branch_filters[l])
-        return f
+        own = np.convolve(self.coupling[element, element], self.branch_filters[element])
+        return self.weights[element] * own + scale * self._neighbor_fir(element)
 
     def to_dict(self) -> dict:
         def c2l(arr):
@@ -326,7 +323,12 @@ def save_plant(plant: ArrayPlant, path: str | Path) -> None:
 
 
 def load_plant(path: str | Path) -> ArrayPlant:
-    return ArrayPlant.from_dict(json.loads(Path(path).read_text()))
+    """Read a plant written by save_plant; ConfigError when a field is missing or ill-typed."""
+    d = json.loads(Path(path).read_text())
+    try:
+        return ArrayPlant.from_dict(d)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed plant file {path}: {exc!r}") from None
 
 
 def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,

@@ -83,8 +83,12 @@ def read_iq(stem: str | Path) -> IqSignal:
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"missing IQ file or sidecar for {path}")
     meta = json.loads(meta_path.read_text())
+    try:
+        length, sample_rate = int(meta["length"]), float(meta["sample_rate"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed IQ sidecar {meta_path}: {exc!r}") from None
     raw = np.fromfile(path, dtype="<f8")
-    if raw.size != 2 * int(meta["length"]):
-        raise ConfigError(f"IQ payload length {raw.size // 2} does not match sidecar {meta['length']}")
+    if raw.size != 2 * length:
+        raise ConfigError(f"IQ payload length {raw.size // 2} does not match sidecar {length}")
     samples = raw[0::2] + 1j * raw[1::2]
-    return IqSignal(samples, float(meta["sample_rate"]), meta.get("seed"))
+    return IqSignal(samples, sample_rate, meta.get("seed"))

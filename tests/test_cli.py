@@ -5,7 +5,12 @@ import pytest
 
 from pwdpd.cli import main, scenario_preset
 from pwdpd.errors import ConfigError, DivergenceError
-from pwdpd.signals import read_iq
+from pwdpd.plant import save_plant
+from pwdpd.presets import load_plant_preset
+from pwdpd.scenarios import METHODS
+from pwdpd.signals import read_iq, write_iq
+
+from conftest import random_signal
 
 
 def test_generate_writes_bundle(tmp_path, capsys):
@@ -283,3 +288,73 @@ def test_shipped_scenario_presets_are_well_formed():
         methods = cfg.get("methods", []) + ([cfg["method"]] if "method" in cfg else [])
         assert set(methods) <= set(METHODS), name
         load_scenario_plant(cfg)
+
+
+# (method, exit code, partition the saved model carries)
+_TRAIN_ROWS = [
+    ("none", 2, None),
+    ("bogus", 2, None),
+    ("pwcl_orth", 0, "taylor"),
+    ("pwcl_selforth", 0, "taylor"),
+    ("pwcl_kmeans", 0, "kmeans"),
+    ("cl_orth", 0, None),
+    ("cl_selforth", 0, None),
+    ("pw_ila", 0, "taylor"),
+    ("ila", 0, None),
+]
+
+
+@pytest.mark.parametrize("method, code, partition", _TRAIN_ROWS,
+                         ids=[row[0] for row in _TRAIN_ROWS])
+def test_train_method_table(tmp_path, method, code, partition):
+    assert set(METHODS) <= {row[0] for row in _TRAIN_ROWS}
+    stem = tmp_path / "m"
+    rc = main(["train", "--plant", "doherty-n3", "--method", method,
+               "--family", "memoryless", "--order", "5", "--block-size", "2000",
+               "--iterations", "1", "--output", str(stem)])
+    assert rc == code
+    header_path = tmp_path / "m.dpd.json"
+    assert header_path.exists() == (code == 0)
+    if code == 0:
+        saved = json.loads(header_path.read_text())["spec"]["partition"]
+        if partition is None:
+            assert saved is None
+        else:
+            # Taylor partitions carry per-region orders, K-means ones do not
+            assert len(saved["edges"]) >= 3
+            assert (saved["orders"] is not None) == (partition == "taylor")
+
+
+def _plant_file(tmp_path, broken):
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
+    if broken:
+        plant = json.loads((tmp_path / "p.json").read_text())
+        del plant["weights"]
+        (tmp_path / "p.json").write_text(json.dumps(plant))
+    return ["simulate", "--plant", str(tmp_path / "p.json"), "--input", str(tmp_path / "wave"),
+            "--output", str(tmp_path / "z")]
+
+
+def _iq_sidecar(tmp_path, broken):
+    _, sidecar = write_iq(tmp_path / "wave", random_signal(4096, rms=0.3, seed=3, sample_rate=2e9))
+    if broken:
+        meta = json.loads(sidecar.read_text())
+        del meta["length"]
+        sidecar.write_text(json.dumps(meta))
+    return ["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
+            "--output", str(tmp_path / "z")]
+
+
+def _scenario_config(tmp_path, broken):
+    config = {"kind": "complexity", "seed": 0}
+    (tmp_path / "c.json").write_text(json.dumps([config] if broken else config))
+    return ["scenario", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
+
+
+@pytest.mark.parametrize("make_argv", [_plant_file, _iq_sidecar, _scenario_config],
+                         ids=["plant-without-weights", "sidecar-without-length",
+                              "config-as-list"])
+def test_malformed_input_file_exit_code(tmp_path, make_argv):
+    assert main(make_argv(tmp_path, broken=False)) == 0
+    assert main(make_argv(tmp_path, broken=True)) == 2

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pwdpd import basis as basis_mod
 from pwdpd.basis import BasisSpec, regularized_lstsq, COVARIANCE_LOADING
 from pwdpd.dpd import predistort
 from pwdpd.errors import ConfigError, DegenerateRegionError
-from pwdpd.ila import ila_learn
+from pwdpd.ila import _postinverse_fit, ila_learn
 from pwdpd.partition import RegionPartition
 
 from conftest import PlantLoop, random_signal, single_element_plant
@@ -75,3 +76,48 @@ def test_ila_model_predistorts_toward_inverse():
     g = estimate_gain(probe, z)
     res = np.mean(np.abs(error_signal(z, probe, g).samples) ** 2) / (abs(g) ** 2 * probe.power)
     assert 10 * np.log10(res) < -38
+
+
+def test_regularized_lstsq_on_array8_deep_region_blocks():
+    # one ILA fit of the array8-deep preset: the gain-normalized plant output
+    # of an OFDM block, mapped onto the shipped Taylor partition the way
+    # ila_learn maps it; region 0 holds the low-amplitude samples, where the
+    # high-order columns are tiny and the 116-column block is ill-conditioned.
+    # Without the refinement step region 1 misses the bound (2.3e-6 here).
+    from pwdpd.dpd import estimate_gain
+    from pwdpd.presets import load_plant_preset, preset_params
+    from pwdpd.scenarios import SimulatedLoop, derive_partition, preset_ofdm_from
+
+    plant, params = load_plant_preset("array8-deep"), preset_params("array8-deep")
+    ofdm = preset_ofdm_from(params)
+    part, _ = derive_partition(plant, params, ofdm, seed=7017)
+    loop = SimulatedLoop(plant, ofdm, params["drive_rms"], params["cfr_target_papr_db"],
+                         seed=701)
+    a1 = loop.next_block(20000)
+    z = loop.transmit(a1)
+    y = z.samples / estimate_gain(a1, z)
+    scale = np.max(np.abs(y)) / part.a_max
+    spec = BasisSpec("full_dual_input", 9, 3, partition=RegionPartition(
+        part.edges * scale, part.orders, part.target_error))
+    blocks = list(basis_mod.region_blocks(spec, y, chunk=y.size))
+    assert [k for k, _, _ in blocks] == [0, 1, 2]
+    assert np.linalg.cond(blocks[0][2]) > 1e8
+
+    for k, rows, psi in blocks:
+        assert psi.shape[1] == 116 and rows.size >= 10 * 116
+        target = a1.samples[rows]
+        got = regularized_lstsq(psi, target)
+        cols = psi.shape[1]
+        lam = COVARIANCE_LOADING * np.sum(np.abs(psi) ** 2) / cols
+        aug = np.vstack([psi, np.sqrt(lam) * np.eye(cols)])
+        oracle = np.linalg.lstsq(aug, np.concatenate([target, np.zeros(cols)]), rcond=None)[0]
+        assert np.max(np.abs(got - oracle)) <= 1e-6 * np.max(np.abs(oracle)), k
+
+
+def test_postinverse_fit_all_zero_block_is_degenerate():
+    # a regressor with no power leaves region 0 with an all-zero system
+    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.5, 1.0]))
+    target = random_signal(400, seed=8).samples
+    with pytest.raises(DegenerateRegionError) as info:
+        _postinverse_fit(spec, np.zeros(400, dtype=np.complex128), target)
+    assert info.value.region == 0

@@ -223,3 +223,31 @@ def test_plant_json_roundtrip(tmp_path):
         _, b = array_forward(back, sig)
         np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12)
 
+
+def test_coupled_drive_against_per_pair_oracle():
+    # the coupled drive and branch_response come from one composite FIR per
+    # element; the oracle filters each neighbor's wave pair by pair
+    rng = np.random.default_rng(15)
+    n, taps = 4, 3
+    coupling = identity_coupling(n, taps)
+    off = ~np.eye(n, dtype=bool)
+    coupling[off] = 0.1 * (rng.standard_normal((n * (n - 1), taps))
+                           + 1j * rng.standard_normal((n * (n - 1), taps)))
+    coupling[0, 2] = 0.0  # an uncoupled pair
+    branch = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    pa = PaModel("memoryless_poly", {(1, 0): 1.0})
+    plant = steer(ArrayPlant((pa,) * n, np.ones(n, dtype=complex), coupling, branch,
+                             np.ones(n, dtype=complex), coupling_strength=0.3), 25.0)
+    a1 = random_signal(256, seed=16).samples
+    w, scale = plant.weights, 0.3 * plant.angle_factor
+    drives = plant.drive_signals(a1, list(range(n)))
+    for i in range(n):
+        expected = w[i] * a1
+        f = w[i] * np.convolve(coupling[i, i], branch[i])
+        for l in range(n):
+            if l != i:
+                mu = np.convolve(a1, branch[l])[:a1.size]
+                expected = expected + scale * w[l] * np.convolve(mu, coupling[i, l])[:a1.size]
+                f = f + w[l] * np.convolve(scale * coupling[i, l], branch[l])
+        np.testing.assert_allclose(drives[i], expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(plant.branch_response(i), f, rtol=1e-12, atol=1e-15)
