@@ -168,71 +168,76 @@ def enumerate_bfs(spec: BasisSpec) -> list[BfTerm]:
     return terms
 
 
-def _lag_span(terms: list[BfTerm]) -> tuple[int, int]:
-    """(max_lag, max_lead) over all term lags; leads arise from GMP cross terms."""
-    lags = [m for t in terms for m in t.lags]
-    return max(max(lags), 0), max(-min(lags), 0)
-
-
 class _LagCache:
-    """Lagged views (zero-padded history/future) over one block of a signal."""
+    """Lagged samples x(rows - lag), their conjugates and envelope powers over
+    one region's rows; window[pos] is x at those rows, zero-padded beyond x."""
 
-    def __init__(self, x: np.ndarray, start: int, n: int, max_lag: int, max_lead: int):
-        lo = start - max_lag
-        hi = start + n + max_lead
-        window = np.zeros(hi - lo, dtype=np.complex128)
-        src_lo, src_hi = max(lo, 0), min(hi, x.size)
-        if src_hi > src_lo:
-            window[src_lo - lo:src_hi - lo] = x[src_lo:src_hi]
+    def __init__(self, window: np.ndarray, pos: np.ndarray):
         self._window = window
-        self._offset = start - lo
-        self._n = n
-        self._shifted: dict[int, np.ndarray] = {}
+        self._pos = pos
+        self._shifted: dict[tuple[int, bool], np.ndarray] = {}
         self._env_pow: dict[tuple[int, int], np.ndarray] = {}
 
-    def shifted(self, lag: int) -> np.ndarray:
-        if lag not in self._shifted:
-            a = self._offset - lag
-            self._shifted[lag] = self._window[a:a + self._n]
-        return self._shifted[lag]
+    def shifted(self, lag: int, conj: bool = False) -> np.ndarray:
+        key = (lag, conj)
+        if key not in self._shifted:
+            self._shifted[key] = (np.conj(self.shifted(lag)) if conj
+                                  else self._window[self._pos - lag])
+        return self._shifted[key]
 
     def env_power(self, lag: int, exponent: int) -> np.ndarray:
         """|x(n-lag)|^exponent for even exponent >= 2."""
         key = (lag, exponent)
         if key not in self._env_pow:
-            base = self._env_pow.get((lag, 2))
-            if base is None:
+            if exponent == 2:
                 s = self.shifted(lag)
-                base = (s.real * s.real + s.imag * s.imag)
-                self._env_pow[(lag, 2)] = base
-            self._env_pow[key] = base ** (exponent // 2) if exponent != 2 else base
+                self._env_pow[key] = s.real * s.real + s.imag * s.imag
+            else:
+                self._env_pow[key] = self.env_power(lag, 2) ** (exponent // 2)
         return self._env_pow[key]
 
 
-def _term_column(term: BfTerm, cache: _LagCache) -> np.ndarray:
+def _write_column(term: BfTerm, cache: _LagCache, out: np.ndarray) -> None:
+    """Write one basis function over the cache's rows into out, without temporaries."""
     q = term.order
-    if term.family == "aligned":
-        (m,) = term.lags
-        col = cache.shifted(m)
-        return col * cache.env_power(m, q - 1) if q > 1 else col
-    if term.family == "cross":
-        ms, me = term.lags
-        return cache.shifted(ms) * cache.env_power(me, q - 1)
-    # conj
-    mc, mq = term.lags
-    col = np.conj(cache.shifted(mc)) * cache.shifted(mq) ** 2
-    if q > 3:
-        col = col * cache.env_power(mq, q - 3)
-    return col
+    if term.family == "conj":
+        mc, mq = term.lags
+        np.square(cache.shifted(mq), out=out)
+        np.multiply(cache.shifted(mc, conj=True), out, out=out)
+        if q > 3:
+            np.multiply(out, cache.env_power(mq, q - 3), out=out)
+    elif q > 1:  # aligned (one lag) or cross (ms, me)
+        np.multiply(cache.shifted(term.lags[0]), cache.env_power(term.lags[-1], q - 1), out=out)
+    else:
+        out[...] = cache.shifted(term.lags[0])
 
 
-def base_matrix(spec: BasisSpec, x: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Dense single-region matrix (n x B1) for rows start..start+n-1 of x."""
+def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
+                n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Basis blocks of rows start..start+n-1 of x as (k, rows, psi), one per non-empty region.
+
+    rows are the positions in x whose instantaneous envelope falls in region
+    k (all n of them for an unpartitioned spec) and psi the matching base-set
+    rows, a preallocated F-order len(rows) x B1 block filled column by column.
+    """
     terms = enumerate_bfs(spec)
-    max_lag, max_lead = _lag_span(terms)
-    cache = _LagCache(x, start, n, max_lag, max_lead)
-    cols = [_term_column(t, cache) for t in terms]
-    return np.stack(cols, axis=1)
+    lags = [m for t in terms for m in t.lags]  # negative lags are the GMP cross-term leads
+    max_lag, max_lead = max(max(lags), 0), max(-min(lags), 0)
+    lo, hi = start - max_lag, start + n + max_lead
+    window = np.pad(x[max(lo, 0):hi].astype(np.complex128), (max(-lo, 0), max(hi - x.size, 0)))
+    ridx = (np.zeros(n, dtype=np.intp) if spec.partition is None
+            else spec.partition.region_index(np.abs(x[start:start + n])))
+    blocks = []
+    for k in range(spec.n_regions):
+        sel = np.flatnonzero(ridx == k)
+        if sel.size:
+            # rebinding frees the previous region's gathered lags before new ones are made
+            cache = _LagCache(window, sel + max_lag)
+            psi = np.empty((sel.size, len(terms)), dtype=np.complex128, order="F")
+            for j, term in enumerate(terms):
+                _write_column(term, cache, psi[:, j])
+            blocks.append((k, start + sel, psi))
+    return blocks
 
 
 def region_blocks(spec: BasisSpec, x: np.ndarray, start: int = 0, stop: int | None = None,
@@ -240,23 +245,11 @@ def region_blocks(spec: BasisSpec, x: np.ndarray, start: int = 0, stop: int | No
     """Yield (k, rows, psi) per non-empty region of each chunk of x[start:stop].
 
     This is the one place basis rows are built: one base_matrix call per
-    chunk, then its rows grouped by the region owning each sample's
-    instantaneous envelope. rows are positions in x and psi the matching
-    base-set rows (len(rows) x B1); an unpartitioned spec yields the whole
-    chunk as region 0.
+    chunk, whose per-region blocks are yielded as they are.
     """
     stop = x.size if stop is None else stop
     for lo in range(start, stop, chunk):
-        n = min(chunk, stop - lo)
-        psi0 = base_matrix(spec, x, lo, n)
-        if spec.partition is None:
-            yield 0, np.arange(lo, lo + n), psi0
-            continue
-        ridx = spec.partition.region_index(np.abs(x[lo:lo + n]))
-        for k in range(spec.n_regions):
-            sel = np.flatnonzero(ridx == k)
-            if sel.size:
-                yield k, lo + sel, psi0[sel]
+        yield from base_matrix(spec, x, lo, min(chunk, stop - lo))
 
 
 @dataclass
@@ -379,7 +372,7 @@ def cross_correlation(spec: BasisSpec, x: np.ndarray, err: np.ndarray) -> np.nda
     b1 = spec.n_basis_single
     acc = np.zeros(spec.n_basis_total, dtype=np.complex128)
     for k, rows, psi in region_blocks(spec, x):
-        acc[k * b1:(k + 1) * b1] += psi.conj().T @ err[rows]
+        acc[k * b1:(k + 1) * b1] += (err[rows].conj() @ psi).conj()
     return acc / x.size
 
 

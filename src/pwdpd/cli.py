@@ -110,7 +110,10 @@ def cmd_simulate(args) -> int:
     print(f"wrote {args.output}.iq ({len(z)} samples)")
     if args.channel_bw or params:
         bw = args.channel_bw or params["channel_bw"]
-        print(f"observation ACLR: {aclr_single_direction(z, bw):.2f} dBc")
+        try:  # a short or narrowband signal still got written; the ACLR line is optional
+            print(f"observation ACLR: {aclr_single_direction(z, bw):.2f} dBc")
+        except ConfigError as exc:
+            print(f"observation ACLR: n/a ({exc})")
     return 0
 
 
@@ -149,6 +152,8 @@ def cmd_train(args) -> int:
                   "iterations": args.iterations, "prune_threshold_db": args.prune},
         "ila": {"iterations": args.iterations, "block_size": args.block_size},
     }
+    if args.partition and not args.method.startswith("pw"):
+        raise ConfigError(f"--partition needs a piecewise method, not {args.method!r}")
     spec_single = BasisSpec(args.family, args.order, args.memory, args.cross_memory)
     partitions = {}
     if args.method.startswith("pw"):

@@ -120,7 +120,6 @@ class LearnConfig:
 class TraceRecord:
     iteration: int
     error_power_dbc: float
-    nmse_db: float
     active_count: int
     zeta: np.ndarray | None = field(default=None, repr=False)
 
@@ -302,8 +301,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
             err_dbc = np.inf
         else:
             err_dbc = 10 * np.log10(max(p_err, np.finfo(float).tiny) / p_lin)
-        trace.append(TraceRecord(i, float(err_dbc), float(err_dbc),
-                                 int(update_mask.sum()), zeta.copy()))
+        trace.append(TraceRecord(i, float(err_dbc), int(update_mask.sum()), zeta.copy()))
 
         if i >= 4 and err_powers[-1] > 10 * err_powers[-4]:
             raise DivergenceError(
@@ -329,9 +327,9 @@ def static_response(model: DpdModel, amplitudes: np.ndarray, settle: int = 64) -
 
 
 def trace_to_csv(trace: list[TraceRecord], path: str | Path) -> None:
-    lines = ["iteration,error_power_dbc,nmse_db,active_count"]
+    lines = ["iteration,error_power_dbc,active_count"]
     for rec in trace:
-        lines.append(f"{rec.iteration},{rec.error_power_dbc:.6f},{rec.nmse_db:.6f},{rec.active_count}")
+        lines.append(f"{rec.iteration},{rec.error_power_dbc:.6f},{rec.active_count}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -95,5 +95,5 @@ def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50
 
         p_err = float(np.mean(np.abs(y - a1.samples) ** 2))
         nmse_db = 10 * np.log10(p_err / a1.power) if p_err > 0 else -300.0
-        trace.append(TraceRecord(i, nmse_db, nmse_db, int(gamma.size)))
+        trace.append(TraceRecord(i, nmse_db, int(gamma.size)))
     return model, trace

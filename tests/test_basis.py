@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +244,78 @@ def test_chunked_passes_share_one_basis_build_per_chunk(monkeypatch):
                                rtol=1e-10, atol=1e-14)
     assert len(calls) == 3 * per_pass
     assert sum(calls) == 3 * x.size
+
+
+def _lagged(x, m):
+    """x(n - m), zero outside x; a negative m is a lead."""
+    out = np.zeros_like(x)
+    if m >= 0:
+        out[m:] = x[:x.size - m]
+    else:
+        out[:m] = x[-m:]
+    return out
+
+
+def _docstring_column(term, x):
+    """One basis function over all of x, straight from the module docstring."""
+    q = term.order
+    if term.family == "aligned":
+        (m,) = term.lags
+        return _lagged(x, m) * np.abs(_lagged(x, m)) ** (q - 1)
+    if term.family == "cross":
+        ms, me = term.lags
+        return _lagged(x, ms) * np.abs(_lagged(x, me)) ** (q - 1)
+    mc, mq = term.lags
+    return np.conj(_lagged(x, mc)) * _lagged(x, mq) ** 2 * np.abs(_lagged(x, mq)) ** (q - 3)
+
+
+@pytest.mark.parametrize("spec", [BasisSpec("gmp", 5, 2, 2), BasisSpec("full_dual_input", 5, 2)],
+                         ids=["gmp-leads", "full-dual-input-conj"])
+def test_region_blocks_against_docstring_formulas(spec):
+    """Every yielded block equals the docstring formulas on the region's rows,
+    across chunk edges, and each chunk's rows split exactly into its regions."""
+    x = rayleigh_signal(2 * CHUNK + 1000, seed=17).samples.copy()
+    env = np.abs(x)
+    edges = [0.0, *np.quantile(env, [0.3, 0.7]), env.max() * 1.001]
+    mid = np.arange(CHUNK, 2 * CHUNK)
+    inner = mid[(env[mid] >= edges[1]) & (env[mid] < edges[2])]
+    x[inner] *= 0.5 * edges[1] / env[inner]  # region 1 empty in the middle chunk
+    part = RegionPartition(edges)
+    spec = spec.with_partition(part)
+    assert any(t.family == "conj" or min(t.lags) < 0 for t in enumerate_bfs(spec))
+    dense = np.stack([_docstring_column(t, x) for t in enumerate_bfs(spec)], axis=1)
+    ridx = part.region_index(np.abs(x))
+
+    per_chunk = {}
+    for k, rows, psi in basis_mod.region_blocks(spec, x):
+        assert psi.shape == (rows.size, spec.n_basis_single) and psi.flags.f_contiguous
+        assert np.all(ridx[rows] == k)
+        np.testing.assert_allclose(psi, dense[rows], rtol=1e-12, atol=0)
+        per_chunk.setdefault(rows[0] // CHUNK, []).append((k, rows))
+    assert [[k for k, _ in per_chunk[c]] for c in range(3)] == [[0, 1, 2], [0, 2], [0, 1, 2]]
+    for c, blocks in per_chunk.items():
+        rows = np.sort(np.concatenate([r for _, r in blocks]))
+        np.testing.assert_array_equal(rows, np.arange(c * CHUNK, min((c + 1) * CHUNK, x.size)))
+
+
+def _owners(node, name, owner="<module>"):
+    """Names of the functions (or classes) whose bodies refer to name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _owners(child, name, child.name)
+            continue
+        if ((isinstance(child, ast.Name) and child.id == name)
+                or (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.alias) and name in (child.name, child.asname))):
+            yield owner
+        yield from _owners(child, name, owner)
+
+
+def test_only_region_blocks_builds_basis_rows():
+    package = Path(basis_mod.__file__).parent
+    owners = {(path.name, owner) for path in sorted(package.glob("*.py"))
+              for owner in _owners(ast.parse(path.read_text()), "base_matrix")}
+    assert owners == {("basis.py", "region_blocks")}
 
 
 def test_build_matrix_block_bounds():

@@ -325,6 +325,29 @@ def test_train_method_table(tmp_path, method, code, partition):
             assert (saved["orders"] is not None) == (partition == "taylor")
 
 
+@pytest.mark.parametrize("method, code", [("pwcl_orth", 0), ("cl_orth", 2), ("cl_selforth", 2),
+                                          ("ila", 2)])
+def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, code):
+    part = tmp_path / "part.json"
+    assert main(["partition", "--plant", "doherty-n3", "--output", str(part)]) == 0
+    rc = main(["train", "--plant", "doherty-n3", "--method", method, "--partition", str(part),
+               "--family", "memoryless", "--order", "5", "--block-size", "2000",
+               "--iterations", "1", "--output", str(tmp_path / "m")])
+    assert rc == code
+    assert (tmp_path / "m.dpd.json").exists() == (code == 0)
+    assert ("--partition" in capsys.readouterr().err) == (code == 2)
+
+
+def test_simulate_without_aclr_view_still_succeeds(tmp_path, capsys):
+    # 64 samples at rate 1: shorter than one PSD segment and narrower than 3 channels
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    rc = main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
+               "--output", str(tmp_path / "z")])
+    assert rc == 0
+    assert len(read_iq(tmp_path / "z")) == 64
+    assert "observation ACLR: n/a (" in capsys.readouterr().out
+
+
 def _plant_file(tmp_path, broken):
     write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")

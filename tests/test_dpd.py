@@ -185,7 +185,11 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
     psi = build_matrix(spec, a1).values
     zeta = np.linalg.solve(lo, psi.conj().T @ e / n)
     expected = -(mu / ghat) * zeta
-    np.testing.assert_allclose(model.gamma, expected, rtol=1e-10)
+    # gamma[0] pairs the linear column a1 with e, which the LS gain makes
+    # orthogonal (a1^H e = 0): both sides hold round-off of a structural zero
+    for gamma in (model.gamma, expected):
+        assert abs(gamma[0]) <= 1e-12 * np.max(np.abs(gamma))
+    np.testing.assert_allclose(model.gamma[1:], expected[1:], rtol=1e-10)
 
 
 def test_learn_stability_fixed_source(cubic_plant):
@@ -315,5 +319,5 @@ def test_model_save_load_roundtrip(tmp_path, cubic_plant):
                                   predistort(model, sig).samples)
     trace_to_csv(trace, tmp_path / "t.csv")
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
-    assert lines[0] == "iteration,error_power_dbc,nmse_db,active_count"
+    assert lines[0] == "iteration,error_power_dbc,active_count"
     assert len(lines) == 1 + len(trace)
