@@ -257,9 +257,9 @@ class BasisMatrix:
     """Realized data matrix for one sample block.
 
     values is N x B with B = n_regions * B1; the region-k column block is the
-    base set masked to rows whose envelope falls in region k. whitener holds
-    the block-diagonal lower-triangular L with Psi_orth = Psi (L^H)^-1 when
-    orthogonalized.
+    base set masked to rows whose envelope falls in region k. When
+    orthogonalized, whitener is the K x B1 x B1 stack of lower-triangular L_k
+    with the region-k columns of Psi_orth equal to Psi_k (L_k^H)^-1.
     """
 
     values: np.ndarray
@@ -281,25 +281,27 @@ def build_matrix(spec: BasisSpec, a1: IqSignal, block: tuple[int, int] | None = 
     start, n = block
     if start < 0 or n <= 0 or start + n > x.size:
         raise ConfigError(f"block {block} outside signal of length {x.size}")
-    b1 = spec.n_basis_single
-    values = np.zeros((n, spec.n_basis_total), dtype=np.complex128)
+    values = np.zeros((n, spec.n_regions, spec.n_basis_single), dtype=np.complex128)
     ridx = np.zeros(n, dtype=np.intp)
     for k, rows, psi in region_blocks(spec, x, start, start + n, chunk=n):
-        values[rows - start, k * b1:(k + 1) * b1] = psi
+        values[rows - start, k] = psi
         ridx[rows - start] = k
-    return BasisMatrix(values, spec, region_index=ridx if spec.partition is not None else None)
+    return BasisMatrix(values.reshape(n, -1), spec,
+                       region_index=ridx if spec.partition is not None else None)
 
 
-def block_cholesky(gram: np.ndarray, b1: int, n_regions: int) -> np.ndarray:
-    """Per-region Cholesky of a block-diagonal Gram; DegenerateRegionError on failure."""
-    whitener = np.zeros_like(gram)
-    for k in range(n_regions):
-        sl = slice(k * b1, (k + 1) * b1)
-        block = gram[sl, sl]
+def block_cholesky(gram: np.ndarray) -> np.ndarray:
+    """Cholesky factor of each block of a K x B1 x B1 Gram stack.
+
+    Raises DegenerateRegionError for the first region whose block is not
+    finite, has a zero-power column or is rank deficient.
+    """
+    whitener = np.empty_like(gram)
+    for k, block in enumerate(gram):
         if not np.all(np.isfinite(block)) or np.abs(np.diag(block)).min() <= 0:
             raise DegenerateRegionError(k, f"region {k} has empty or zero-power basis columns")
         try:
-            whitener[sl, sl] = np.linalg.cholesky(block)
+            whitener[k] = np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
             raise DegenerateRegionError(
                 k, f"region {k} Gram matrix is rank deficient") from None
@@ -317,63 +319,63 @@ def orthogonalize(bm: BasisMatrix) -> BasisMatrix:
     n, b = bm.values.shape
     if n < 10 * b:
         raise ConfigError(f"need at least 10 rows per column to orthogonalize (N={n}, B={b})")
-    b1 = bm.n_basis_single
-    k = bm.spec.n_regions
-    gram = bm.values.conj().T @ bm.values / n
-    whitener = block_cholesky(gram, b1, k)
-    values = np.zeros_like(bm.values)
-    for r in range(k):
-        sl = slice(r * b1, (r + 1) * b1)
-        lk = whitener[sl, sl]
-        # columns <- columns (L^H)^-1, done as a triangular solve
-        values[:, sl] = np.linalg.solve(lk.conj(), bm.values[:, sl].T).T
-    return BasisMatrix(values, bm.spec, orthogonalized=True, whitener=whitener,
+    cols = bm.values.reshape(n, bm.spec.n_regions, -1).transpose(1, 0, 2)  # K x N x B1
+    whitener = block_cholesky(cols.conj().transpose(0, 2, 1) @ cols / n)
+    # columns <- columns (L^H)^-1, done as a triangular solve per region
+    values = np.linalg.solve(whitener.conj(), cols.transpose(0, 2, 1)).transpose(2, 0, 1)
+    return BasisMatrix(values.reshape(n, b), bm.spec, orthogonalized=True, whitener=whitener,
                        region_index=bm.region_index)
 
 
 def gram_matrix(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
-    """Block-diagonal sample Gram Psi^H Psi / N accumulated chunk-wise."""
+    """Sample Gram Psi^H Psi / N as its K x B1 x B1 region blocks, accumulated chunk-wise.
+
+    The off-diagonal blocks are exactly zero (regions have disjoint rows), so
+    they are not stored.
+    """
     b1 = spec.n_basis_single
-    gram = np.zeros((spec.n_basis_total, spec.n_basis_total), dtype=np.complex128)
+    gram = np.zeros((spec.n_regions, b1, b1), dtype=np.complex128)
     for k, _, psi in region_blocks(spec, x):
-        sl = slice(k * b1, (k + 1) * b1)
-        gram[sl, sl] += psi.conj().T @ psi
+        gram[k] += psi.conj().T @ psi
     return gram / x.size
 
 
 def precompute_covariance(spec: BasisSpec, training: IqSignal,
                           loading: float = COVARIANCE_LOADING) -> tuple[np.ndarray, np.ndarray]:
-    """Sample covariance of the basis vector and its inverse.
+    """Loaded sample covariance of the basis vector and its inverse, as K x B1 x B1 stacks.
 
-    Diagonal loading of loading * trace/B guarantees invertibility even for
-    nearly empty regions.
+    Diagonal loading of loading * trace/B keeps nearly empty regions
+    invertible; a region with no samples at all raises DegenerateRegionError.
     """
     b = spec.n_basis_total
     if len(training) < 10 * b:
         raise ConfigError(f"training signal must have at least 10*B = {10 * b} samples")
     cov = gram_matrix(spec, training.samples)
-    cov = cov + (loading * np.trace(cov).real / b) * np.eye(b)
+    for k, block in enumerate(cov):
+        if np.abs(np.diag(block)).max() <= 0:
+            raise DegenerateRegionError(k, f"region {k} received no samples in the statistics block")
+    trace = cov.diagonal(axis1=1, axis2=2).real.sum()
+    cov = cov + (loading * trace / b) * np.eye(spec.n_basis_single)
     return cov, np.linalg.inv(cov)
 
 
 def apply_gamma(spec: BasisSpec, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Correction signal Psi @ gamma without materializing the masked matrix."""
-    b1 = spec.n_basis_single
     out = np.zeros(x.size, dtype=np.complex128)
     if not np.any(gamma):
         return out
+    per_region = gamma.reshape(spec.n_regions, -1)
     for k, rows, psi in region_blocks(spec, x):
-        out[rows] = psi @ gamma[k * b1:(k + 1) * b1]
+        out[rows] = psi @ per_region[k]
     return out
 
 
 def cross_correlation(spec: BasisSpec, x: np.ndarray, err: np.ndarray) -> np.ndarray:
     """Region-stacked sample cross-correlation Psi^H e / N."""
-    b1 = spec.n_basis_single
-    acc = np.zeros(spec.n_basis_total, dtype=np.complex128)
+    acc = np.zeros((spec.n_regions, spec.n_basis_single), dtype=np.complex128)
     for k, rows, psi in region_blocks(spec, x):
-        acc[k * b1:(k + 1) * b1] += (err[rows].conj() @ psi).conj()
-    return acc / x.size
+        acc[k] += (err[rows].conj() @ psi).conj()
+    return acc.ravel() / x.size
 
 
 def regularized_lstsq(a: np.ndarray, b: np.ndarray,
@@ -389,9 +391,11 @@ def regularized_lstsq(a: np.ndarray, b: np.ndarray,
     b - a c (two matrix-vector products) follows. Raises LinAlgError when a
     has no power or the factorization fails.
     """
-    cols = a.shape[1]
-    ah = a.conj().T
-    loaded = ah @ a
+    rows, cols = a.shape
+    loaded = np.zeros((cols, cols), dtype=a.dtype)
+    for lo in range(0, rows, CHUNK):  # a^H a without a conjugated copy of all of a
+        blk = a[lo:lo + CHUNK]
+        loaded += blk.conj().T @ blk
     lam = loading * np.trace(loaded).real / cols
     if not lam > 0:
         raise np.linalg.LinAlgError("least-squares system matrix has no power")
@@ -402,8 +406,9 @@ def regularized_lstsq(a: np.ndarray, b: np.ndarray,
     def solve(rhs):
         return d * np.linalg.solve(factor.conj().T, np.linalg.solve(factor, d * rhs))
 
-    c = solve(ah @ b)
-    return c + solve(ah @ (b - a @ c) - lam * c)
+    # a^H v is formed as (v^H a)^H, which reads a in place
+    c = solve((b.conj() @ a).conj())
+    return c + solve(((b - a @ c).conj() @ a).conj() - lam * c)
 
 
 def descriptors_json(spec: BasisSpec) -> list[dict]:

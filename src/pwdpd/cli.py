@@ -194,10 +194,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    if args.preset == "reference" or args.params is None:
-        params = complexity_mod.reference_params()
-    else:
-        params = complexity_mod.ComplexityParams(**json.loads(Path(args.params).read_text()))
+    source = json.loads(Path(args.params).read_text()) if args.params else args.preset
+    params = complexity_mod.load_params(source)
     ledger = complexity_mod.full_ledger(params, exact_division=args.exact_division)
     print(complexity_mod.format_ledger(ledger))
     if args.json_out:
@@ -307,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("complexity", help="print the FLOP ledger")
-    p.add_argument("--preset", default="reference")
-    p.add_argument("--params", default=None, help="JSON file with ComplexityParams fields")
+    p.add_argument("--preset", default="reference", choices=["reference"])
+    p.add_argument("--params", default=None,
+                   help="JSON file with ComplexityParams fields (wins over --preset)")
     p.add_argument("--exact-division", action="store_true",
                    help="evaluate pruned cells without per-region ceilings")
     p.add_argument("--json-out", default=None)

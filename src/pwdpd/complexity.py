@@ -59,6 +59,19 @@ def reference_params() -> ComplexityParams:
                             b_cl=20000, i_cl=10, b_ila=50000, i_ila=4, n_pw_pruned=96)
 
 
+def load_params(source) -> ComplexityParams:
+    """ComplexityParams from "reference" or a dict of its fields; ConfigError otherwise."""
+    if source == "reference":
+        return reference_params()
+    if not isinstance(source, dict):
+        raise ConfigError(f"complexity params must be \"reference\" or an object of "
+                          f"ComplexityParams fields, not {source!r}")
+    try:
+        return ComplexityParams(**source)
+    except TypeError as exc:
+        raise ConfigError(f"complexity params: {exc}") from None
+
+
 def params_from_spec(spec, b_cl: int, i_cl: int, b_ila: int, i_ila: int,
                      n_pw_pruned: int | None = None) -> ComplexityParams:
     """Derive the cardinalities from a BasisSpec with a partition."""

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import AlignmentError, ConfigError, DegenerateRegionError, DivergenceError
+from .errors import AlignmentError, ConfigError, DivergenceError
 from .signals import IqSignal
 
 LEARN_RULES = ("self_orthogonalized", "orthogonal_bfs")
@@ -58,7 +58,7 @@ class DpdModel:
     spec: BasisSpec
     ghat: complex = 1.0 + 0.0j
     orthogonal_domain: bool = False
-    whitener: np.ndarray | None = None
+    whitener: np.ndarray | None = None  # K x B1 x B1 stack of per-region Cholesky factors
     active_mask: np.ndarray | None = None
 
     def __post_init__(self):
@@ -68,6 +68,9 @@ class DpdModel:
                 f"gamma length {self.gamma.size} != basis size {self.spec.n_basis_total}")
         if self.orthogonal_domain and self.whitener is None:
             raise ConfigError("orthogonal-domain model requires its whitener")
+        blocks = (self.spec.n_regions, self.spec.n_basis_single, self.spec.n_basis_single)
+        if self.whitener is not None and np.shape(self.whitener) != blocks:
+            raise ConfigError(f"whitener shape {np.shape(self.whitener)} != region blocks {blocks}")
         if self.active_mask is None:
             self.active_mask = np.ones(self.gamma.size, dtype=bool)
         else:
@@ -83,8 +86,9 @@ class DpdModel:
         """Coefficients in the non-orthogonalized basis domain."""
         if not self.orthogonal_domain:
             return self.gamma
-        # Psi_orth = Psi (L^H)^-1  =>  native = (L^H)^-1 gamma_orth
-        return np.linalg.solve(self.whitener.conj().T, self.gamma)
+        # Psi_orth = Psi (L^H)^-1  =>  native = (L^H)^-1 gamma_orth, per region
+        lh = self.whitener.conj().transpose(0, 2, 1)
+        return np.linalg.solve(lh, self.gamma.reshape(len(lh), -1, 1)).ravel()
 
     @classmethod
     def zero(cls, spec: BasisSpec, orthogonal_domain: bool = False,
@@ -222,15 +226,6 @@ def distortion_power_identity(zeta: np.ndarray, e: IqSignal) -> tuple[float, flo
     return lhs, rhs, gap
 
 
-def _block_solve_lower(whitener: np.ndarray, vec: np.ndarray, b1: int) -> np.ndarray:
-    """L^-1 vec per region block (maps native correlations to the orthogonal domain)."""
-    out = np.empty_like(vec)
-    for k in range(vec.size // b1):
-        sl = slice(k * b1, (k + 1) * b1)
-        out[sl] = np.linalg.solve(whitener[sl, sl], vec[sl])
-    return out
-
-
 def learn(source: ClosedLoopSource, spec: BasisSpec,
           cfg: LearnConfig) -> tuple[DpdModel, list[TraceRecord]]:
     """Block-adaptive closed-loop learning.
@@ -243,25 +238,14 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
     over three iterations) raises DivergenceError with the trace attached.
     """
     b_total = spec.n_basis_total
-    b1 = spec.n_basis_single
     if cfg.block_size < 10 * b_total:
         raise ConfigError(
             f"block_size {cfg.block_size} < 10 x coefficient count {b_total}")
 
     stats = source.next_block(cfg.stats_blocks * cfg.block_size)
-    gram = basis_mod.gram_matrix(spec, stats.samples)
-    for k in range(spec.n_regions):
-        sl = slice(k * b1, (k + 1) * b1)
-        if np.abs(np.diag(gram[sl, sl])).max() <= 0:
-            raise DegenerateRegionError(k, f"region {k} received no samples in the statistics block")
-    gram = gram + (STATS_LOADING * np.trace(gram).real / b_total) * np.eye(b_total)
+    gram, cov_inv = basis_mod.precompute_covariance(spec, stats, STATS_LOADING)
     orthogonal = cfg.rule == "orthogonal_bfs"
-    if orthogonal:
-        whitener = basis_mod.block_cholesky(gram, b1, spec.n_regions)
-        cov_inv = None
-    else:
-        whitener = None
-        cov_inv = np.linalg.inv(gram)
+    whitener = basis_mod.block_cholesky(gram) if orthogonal else None
 
     model = DpdModel.zero(spec, orthogonal_domain=orthogonal, whitener=whitener)
 
@@ -282,8 +266,9 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         err_powers.append(p_err)
 
         zeta = basis_mod.cross_correlation(spec, a1.samples, err.samples)
-        if orthogonal:
-            zeta = _block_solve_lower(whitener, zeta, b1)
+        per_region = zeta.reshape(spec.n_regions, -1, 1)
+        if orthogonal:  # L^-1 zeta: the correlation against the whitened columns
+            zeta = np.linalg.solve(whitener, per_region).ravel()
 
         if prune:
             mask_now = prune_select(zeta, cfg.prune_threshold_db, p_err)
@@ -293,7 +278,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         else:
             update_mask = np.ones(b_total, dtype=bool)
 
-        step = zeta if orthogonal else cov_inv @ zeta
+        step = zeta if orthogonal else (cov_inv @ per_region).ravel()
         model.gamma[update_mask] -= (cfg.mu / ghat) * step[update_mask]
         model.ghat = ghat
 
@@ -336,8 +321,8 @@ def trace_to_csv(trace: list[TraceRecord], path: str | Path) -> None:
 def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
     """Write <stem>.dpd.json (header) and <stem>.dpd.bin (payload).
 
-    Payload layout: gamma as interleaved float64 re/im, then the whitener
-    (row-major interleaved) when present.
+    Payload layout: gamma as interleaved float64 re/im, then, when present,
+    the whitener's K region blocks of B1 x B1, each row-major interleaved.
     """
     stem = Path(stem)
     header_path = stem.with_suffix(".dpd.json")
@@ -395,7 +380,11 @@ def load_model(stem: str | Path) -> DpdModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{header_path}: malformed basis spec ({exc!r})") from exc
     n = header["n_coefficients"]
-    n_complex = n + n * n if header["has_whitener"] else n
+    if n != spec.n_basis_total:
+        raise ConfigError(f"{header_path}: n_coefficients {n} != {spec.n_basis_total} "
+                          "coefficients of its basis spec")
+    k, b1 = spec.n_regions, spec.n_basis_single
+    n_complex = n + k * b1 * b1 if header["has_whitener"] else n
     payload = payload_path.read_bytes()
     if len(payload) != 16 * n_complex:
         raise ConfigError(f"{payload_path} holds {len(payload)} bytes; the header needs "
@@ -405,7 +394,7 @@ def load_model(stem: str | Path) -> DpdModel:
     gamma = flat[:n]
     whitener = None
     if header["has_whitener"]:
-        whitener = flat[n:].reshape(n, n)
+        whitener = flat[n:].reshape(k, b1, b1)
     return DpdModel(
         gamma, spec,
         ghat=complex(*header["ghat"]),

@@ -154,7 +154,6 @@ class AngleSweepResult:
     inband_power: np.ndarray
     adjacent_power_low: np.ndarray
     adjacent_power_high: np.ndarray
-    eirp_scale: float = 1.0
 
     def __post_init__(self):
         self.angles_deg = np.asarray(self.angles_deg, dtype=float)

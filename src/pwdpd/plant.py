@@ -79,29 +79,6 @@ class PaModel:
             c.setdefault("beta0", {})
             object.__setattr__(self, "coefficients", c)
 
-    @property
-    def max_order(self) -> int:
-        if self.kind in ("memoryless_poly", "memory_poly"):
-            return max(q for q, _ in self.coefficients)
-        if self.kind == "doherty_like":
-            return max(q for part in ("main", "aux") for q, _ in self.coefficients[part])
-        orders = [q for q, *_ in self.coefficients["alpha"]]
-        orders += [q for q, *_ in self.coefficients["beta"]]
-        orders += [q for q, *_ in self.coefficients["zeta"]]
-        return max(orders, default=1)
-
-    @property
-    def memory_depth(self) -> int:
-        if self.kind in ("memoryless_poly", "memory_poly"):
-            return max(m for _, m in self.coefficients)
-        if self.kind == "doherty_like":
-            return max(m for part in ("main", "aux") for _, m in self.coefficients[part])
-        taps = [t for key in ("alpha",) for _, t in self.coefficients[key]]
-        taps += [t for _, a, b in self.coefficients["beta"] for t in (a, b)]
-        taps += [t for _, a, b in self.coefficients["zeta"] for t in (a, b)]
-        taps += list(self.coefficients["beta0"].keys())
-        return max(taps, default=0)
-
     def output_ceiling(self) -> float:
         """Worst-case |b| bound under the envelope limiter (simple kinds)."""
         sat = self.saturation_level

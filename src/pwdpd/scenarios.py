@@ -527,11 +527,7 @@ def run_pruning_study(config: dict, outdir: Path) -> dict:
 
 
 def run_complexity(config: dict, outdir: Path) -> dict:
-    pcfg = config.get("params", "reference")
-    if pcfg == "reference":
-        params = complexity_mod.reference_params()
-    else:
-        params = complexity_mod.ComplexityParams(**pcfg)
+    params = complexity_mod.load_params(config.get("params", "reference"))
     ledger = complexity_mod.full_ledger(params, exact_division=config.get("exact_division", False))
     (outdir / "ledger.txt").write_text(complexity_mod.format_ledger(ledger) + "\n")
     return {"kind": "complexity", "params": params.__dict__, "ledger": ledger}

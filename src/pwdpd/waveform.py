@@ -172,17 +172,16 @@ def papr_at(sig: IqSignal, probability: float) -> float:
 
 
 def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
-                        occupied_bandwidth: float | None = None,
-                        final_clip: bool = True) -> IqSignal:
+                        occupied_bandwidth: float | None = None) -> IqSignal:
     """Iterative clipping and filtering toward a target PAPR.
 
     Each iteration hard-clips the envelope at rms * 10^(target/20) and, when
     occupied_bandwidth is given, projects the result back onto the occupied
     band (brick-wall: FFT bins outside +-occupied_bandwidth/2 are zeroed, so
-    clipping noise cannot grow out of band). With final_clip the sequence
-    ends on a clip, pinning the output peak exactly at the clip level; the
-    unfiltered residue of that last pass is tiny (waveform self-ACLR stays
-    above 60 dBc at the default settings). Best-effort: the achievable 1%
+    clipping noise cannot grow out of band). The sequence ends on a clip,
+    pinning the output peak exactly at the clip level; the unfiltered residue
+    of that last pass is tiny (waveform self-ACLR stays above 60 dBc at the
+    default settings). Best-effort: the achievable 1%
     PAPR depends on the signal; no error is raised.
     """
     if target_papr_db <= 0:
@@ -215,6 +214,5 @@ def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
             spectrum = np.fft.fft(x)
             spectrum[~keep] = 0
             x = np.fft.ifft(spectrum)
-    if final_clip:
-        x, _ = clip_pass(x)
+    x, _ = clip_pass(x)
     return IqSignal(x, sig.sample_rate, sig.seed)

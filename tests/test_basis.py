@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pwdpd import basis as basis_mod
-from pwdpd.basis import (CHUNK, BasisSpec, apply_gamma, build_matrix, cross_correlation,
-                         enumerate_bfs, gram_matrix, orthogonalize, precompute_covariance)
+from pwdpd.basis import (CHUNK, COVARIANCE_LOADING, BasisSpec, apply_gamma, build_matrix,
+                         cross_correlation, enumerate_bfs, gram_matrix, orthogonalize,
+                         precompute_covariance)
 from pwdpd.errors import ConfigError, DegenerateRegionError
 from pwdpd.partition import RegionPartition
 from pwdpd.signals import IqSignal
@@ -17,6 +18,15 @@ from conftest import random_signal
 
 def rayleigh_signal(n=30000, seed=2):
     return random_signal(n, rms=0.7, seed=seed)
+
+
+def _block_diag(blocks):
+    """Dense block-diagonal matrix of a K x B1 x B1 stack, zero off the blocks."""
+    k, b1, _ = blocks.shape
+    dense = np.zeros((k * b1, k * b1), dtype=blocks.dtype)
+    for r in range(k):
+        dense[r * b1:(r + 1) * b1, r * b1:(r + 1) * b1] = blocks[r]
+    return dense
 
 
 def test_memoryless_count_and_order():
@@ -124,7 +134,7 @@ def test_orthogonalize_unitary_whitener_identity():
     bm = build_matrix(BasisSpec("memoryless", 5), rayleigh_signal(n))
     bm.values = np.sqrt(n) * q  # sample Gram exactly identity
     out = orthogonalize(bm)
-    np.testing.assert_allclose(out.whitener, np.eye(b), atol=1e-10)
+    np.testing.assert_allclose(out.whitener, np.eye(b)[None], atol=1e-10)
 
 
 def test_orthogonalize_gram_identity_and_reconstruction():
@@ -135,7 +145,9 @@ def test_orthogonalize_gram_identity_and_reconstruction():
     n = len(sig)
     gram = out.values.conj().T @ out.values / n
     assert np.max(np.abs(gram - np.eye(3))) < 1e-6
-    np.testing.assert_allclose(out.values @ out.whitener.conj().T, bm.values, rtol=1e-10, atol=1e-12)
+    assert out.whitener.shape == (1, 3, 3)
+    np.testing.assert_allclose(out.values @ _block_diag(out.whitener).conj().T, bm.values,
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_orthogonalize_piecewise_block_structure():
@@ -143,9 +155,13 @@ def test_orthogonalize_piecewise_block_structure():
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
     spec = BasisSpec("memoryless", 5, partition=part)
-    out = orthogonalize(build_matrix(spec, sig))
+    bm = build_matrix(spec, sig)
+    out = orthogonalize(bm)
     gram = out.values.conj().T @ out.values / len(sig)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-6
+    assert out.whitener.shape == (2, 3, 3)
+    np.testing.assert_allclose(out.values @ _block_diag(out.whitener).conj().T, bm.values,
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_orthogonalize_degenerate_cases():
@@ -180,11 +196,11 @@ def test_covariance_orthonormal_and_closed_form():
     x = sig.samples
     psi = np.stack([x, x * np.abs(x) ** 2], axis=1)
     r = psi.conj().T @ psi / x.size
-    np.testing.assert_allclose(cov, r, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(cov, r[None], rtol=1e-9, atol=1e-12)
     a, b_, c, d = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
     det = a * d - b_ * c
     oracle_inv = np.array([[d, -b_], [-c, a]]) / det
-    np.testing.assert_allclose(cov_inv, oracle_inv, rtol=1e-5)
+    np.testing.assert_allclose(cov_inv, oracle_inv[None], rtol=1e-5)
 
 
 def test_covariance_piecewise_block_diagonal():
@@ -192,12 +208,23 @@ def test_covariance_piecewise_block_diagonal():
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
     spec = BasisSpec("memoryless", 5, partition=part)
-    cov, _ = precompute_covariance(spec, sig)
+    cov, cov_inv = precompute_covariance(spec, sig)
     b1 = spec.n_basis_single
-    off = cov.copy()
-    off[:b1, :b1] = 0
-    off[b1:, b1:] = 0
-    assert np.max(np.abs(off)) < 1e-12 * np.max(np.abs(cov))
+    assert cov.shape == cov_inv.shape == (2, b1, b1)
+    # the stack is the whole loaded covariance: the dense one is zero off its blocks
+    dense = build_matrix(spec, sig).values
+    gram = dense.conj().T @ dense / len(sig)
+    loaded = gram + COVARIANCE_LOADING * np.trace(gram).real / (2 * b1) * np.eye(2 * b1)
+    assert np.max(np.abs(_block_diag(cov) - loaded)) < 1e-12 * np.max(np.abs(cov))
+    np.testing.assert_allclose(cov_inv @ cov, np.broadcast_to(np.eye(b1), cov.shape), atol=1e-6)
+
+
+def test_covariance_rejects_empty_region():
+    sig = rayleigh_signal(20000, seed=3)
+    spec = BasisSpec("memoryless", 3, partition=RegionPartition([0.0, 5.0, 6.0, 7.0]))
+    with pytest.raises(DegenerateRegionError) as err:
+        precompute_covariance(spec, sig)
+    assert err.value.region == 1
 
 
 def test_gram_matrix_matches_dense():
@@ -208,8 +235,9 @@ def test_gram_matrix_matches_dense():
     spec = BasisSpec("gmp", 5, 1, 1, partition=part)
     dense = build_matrix(spec, sig).values
     expected = dense.conj().T @ dense / len(sig)
-    np.testing.assert_allclose(gram_matrix(spec, sig.samples), expected,
-                               rtol=1e-10, atol=1e-14)
+    gram = gram_matrix(spec, sig.samples)
+    assert gram.shape == (2, spec.n_basis_single, spec.n_basis_single)
+    np.testing.assert_allclose(_block_diag(gram), expected, rtol=1e-10, atol=1e-14)
 
 
 def test_chunked_passes_share_one_basis_build_per_chunk(monkeypatch):
@@ -234,7 +262,7 @@ def test_chunked_passes_share_one_basis_build_per_chunk(monkeypatch):
     gamma = rng.standard_normal(spec.n_basis_total) + 1j * rng.standard_normal(spec.n_basis_total)
     err = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
 
-    np.testing.assert_allclose(gram_matrix(spec, x), dense.conj().T @ dense / x.size,
+    np.testing.assert_allclose(_block_diag(gram_matrix(spec, x)), dense.conj().T @ dense / x.size,
                                rtol=1e-10, atol=1e-14)
     assert len(calls) == per_pass
     np.testing.assert_allclose(apply_gamma(spec, x, gamma), dense @ gamma,
@@ -316,6 +344,22 @@ def test_only_region_blocks_builds_basis_rows():
     owners = {(path.name, owner) for path in sorted(package.glob("*.py"))
               for owner in _owners(ast.parse(path.read_text()), "base_matrix")}
     assert owners == {("basis.py", "region_blocks")}
+
+
+def test_package_does_not_import_scipy():
+    """numpy is the only numerical runtime dependency; scipy is not declared."""
+    package = Path(basis_mod.__file__).parent
+    hits = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            hits += [(path.name, m) for m in modules if m.split(".")[0] == "scipy"]
+    assert hits == []
 
 
 def test_build_matrix_block_bounds():

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from pwdpd.basis import BasisSpec
 from pwdpd.cli import main, scenario_preset
 from pwdpd.errors import ConfigError, DivergenceError
+from pwdpd.partition import RegionPartition
 from pwdpd.plant import save_plant
 from pwdpd.presets import load_plant_preset
 from pwdpd.scenarios import METHODS
@@ -59,6 +61,41 @@ def test_complexity_subcommand(tmp_path, capsys):
     assert ledger["pwcl_orth_pruned"]["learn_est"] == pytest.approx(323.2032)
 
 
+def test_complexity_params_file_wins(tmp_path):
+    from pwdpd import complexity
+
+    fields = dict(complexity.reference_params().__dict__, k=6, n_ipw=30, n_pw=696)
+    (tmp_path / "p.json").write_text(json.dumps(fields))
+    assert main(["complexity", "--params", str(tmp_path / "p.json"),
+                 "--json-out", str(tmp_path / "ledger.json")]) == 0
+    ledger = json.loads((tmp_path / "ledger.json").read_text())
+
+    def as_json(params):
+        return json.loads(json.dumps(complexity.full_ledger(params)))
+
+    assert ledger == as_json(complexity.ComplexityParams(**fields))
+    assert ledger != as_json(complexity.reference_params())
+
+
+def _json_file(path, value):
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda d: ["complexity", "--params", _json_file(d / "p.json", {"n_isp": 5, "bogus": 1})],
+    lambda d: ["scenario", "--out", str(d), "--config",
+               _json_file(d / "c.json", {"kind": "complexity", "seed": 0, "params": "refrence"})],
+    lambda d: ["complexity", "--preset", "bogus"],
+], ids=["unknown-field", "scenario-params-typo", "unknown-preset"])
+def test_complexity_bad_params_exit_code(tmp_path, make_argv):
+    try:
+        rc = main(make_argv(tmp_path))
+    except SystemExit as exc:  # argparse refuses the value before main's handlers
+        rc = exc.code
+    assert rc == 2
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "nonsense", "seed": 1}))
@@ -110,6 +147,23 @@ _HEADER_KEYS = ("spec", "ghat", "n_coefficients", "has_whitener", "orthogonal_do
                 "active_mask")
 
 
+def _k3_spec():
+    """Three regions of the memoryless order-1 basis: n = 3 coefficients, B1 = 1."""
+    return BasisSpec("memoryless", 1, partition=RegionPartition([0.0, 0.3, 0.6, 2.0]))
+
+
+def _dense_k3(header, payload):
+    """A K = 3 header over 3 + 3 x 3 values: the old dense n + n^2 whitener layout."""
+    header["spec"] = _k3_spec().to_dict()
+    return payload
+
+
+def _n_off_spec(header, payload):
+    """n_coefficients and payload size agree with each other but not with the spec."""
+    header["n_coefficients"] = 4
+    return payload + bytes(16)
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda h, b: b[:80],            # truncated inside the whitener
     lambda h, b: b[:-8],            # odd float64 count: a real part without its imaginary part
@@ -121,24 +175,55 @@ _HEADER_KEYS = ("spec", "ghat", "n_coefficients", "has_whitener", "orthogonal_do
     _with("ghat", [1.0]),
     _with("spec", {"max_order": 5}),
     _with("active_mask", [1, "1", 1]),
+    _n_off_spec,
+    _dense_k3,
 ], ids=["truncated", "odd-length", "ragged", "trailing",
         *(f"no-{key}" for key in _HEADER_KEYS),
         "n-as-string", "whitener-flag-as-int", "short-ghat", "spec-without-family",
-        "mask-with-string"])
+        "mask-with-string", "n-disagrees-with-spec", "dense-whitener-layout"])
 def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
-    from pwdpd.basis import BasisSpec
     from pwdpd.dpd import DpdModel, load_model, save_model
 
     spec = BasisSpec("memoryless", 5)
-    model = DpdModel(np.arange(3) + 1j, spec, orthogonal_domain=True, whitener=np.eye(3))
+    model = DpdModel(np.arange(3) + 1j, spec, orthogonal_domain=True, whitener=np.eye(3)[None])
     header_path, payload = save_model(model, tmp_path / "m")
     intact = payload.read_bytes()
-    assert len(intact) == 192  # 3 coefficients plus a 3 x 3 whitener, complex float64
-    np.testing.assert_array_equal(load_model(tmp_path / "m").whitener, np.eye(3))
+    assert len(intact) == 192  # 3 coefficients plus one 3 x 3 whitener block, complex float64
+    np.testing.assert_array_equal(load_model(tmp_path / "m").whitener, np.eye(3)[None])
     header = json.loads(header_path.read_text())
     payload.write_bytes(corrupt(header, intact))
     header_path.write_text(json.dumps(header))
     with pytest.raises(ConfigError):
+        load_model(tmp_path / "m")
+    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+
+
+def test_model_payload_holds_region_blocks(tmp_path):
+    """A K = 3 model stores gamma plus K blocks of B1 x B1 and reads back bit-exactly;
+    the same model in the old dense n + n^2 layout is rejected with the expected size."""
+    from pwdpd.dpd import DpdModel, load_model, save_model
+
+    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 0.6, 2.0]))
+    n, k, b1 = spec.n_basis_total, spec.n_regions, spec.n_basis_single
+    assert (n, k, b1) == (9, 3, 3)
+    rng = np.random.default_rng(4)
+    gamma = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    whitener = np.tril(rng.standard_normal((k, b1, b1)) + 1j * rng.standard_normal((k, b1, b1)))
+    whitener[:, np.arange(b1), np.arange(b1)] = 1 + np.arange(b1)
+    model = DpdModel(gamma, spec, orthogonal_domain=True, whitener=whitener)
+    _, payload = save_model(model, tmp_path / "m")
+    assert payload.stat().st_size == 16 * (n + k * b1 * b1)
+    back = load_model(tmp_path / "m")
+    np.testing.assert_array_equal(back.gamma, gamma)
+    np.testing.assert_array_equal(back.whitener, whitener)
+    np.testing.assert_array_equal(back.native_gamma(), model.native_gamma())
+
+    dense = np.zeros((n, n), dtype=complex)
+    for r in range(k):
+        dense[r * b1:(r + 1) * b1, r * b1:(r + 1) * b1] = whitener[r]
+    flat = np.concatenate([gamma, dense.ravel()])
+    payload.write_bytes(np.stack([flat.real, flat.imag], axis=1).astype("<f8").tobytes())
+    with pytest.raises(ConfigError, match=f"{16 * (n + k * b1 * b1)} bytes"):
         load_model(tmp_path / "m")
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
 

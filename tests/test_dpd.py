@@ -174,7 +174,7 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
 
     # oracle: dense-matrix replication of the update on the same data
     stats, a1 = src.blocks[0], src.blocks[1]
-    gram = basis_mod.gram_matrix(spec, stats.samples)
+    gram = basis_mod.gram_matrix(spec, stats.samples)[0]  # the one region block (K = 1)
     from pwdpd.dpd import STATS_LOADING
     gram += (STATS_LOADING * np.trace(gram).real / gram.shape[0]) * np.eye(gram.shape[0])
     lo = np.linalg.cholesky(gram)
@@ -210,6 +210,23 @@ def test_learn_domain_consistency(cubic_plant):
     b = predistort(native, sig)
     scale = np.max(np.abs(a.samples))
     assert np.max(np.abs(a.samples - b.samples)) / scale < 1e-8
+
+
+def test_model_whitener_is_region_block_stack():
+    """native_gamma solves each region block; a whitener of any other shape is refused."""
+    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
+    rng = np.random.default_rng(23)
+    whitener = np.tril(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))
+    whitener[:, np.arange(3), np.arange(3)] = 1 + np.arange(3)
+    gamma = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    model = DpdModel(gamma, spec, orthogonal_domain=True, whitener=whitener)
+    dense = np.zeros((6, 6), dtype=complex)
+    dense[:3, :3], dense[3:, 3:] = whitener
+    np.testing.assert_allclose(model.native_gamma(), np.linalg.solve(dense.conj().T, gamma),
+                               rtol=1e-12)
+    for bad in (dense, whitener[:1], whitener[:, :2, :2]):
+        with pytest.raises(ConfigError):
+            DpdModel(gamma, spec, orthogonal_domain=True, whitener=bad)
 
 
 def test_learn_rules_equivalent_given_same_data(cubic_plant):
