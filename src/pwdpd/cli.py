@@ -20,15 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import complexity as complexity_mod
-from .basis import BasisSpec
 from .dpd import load_model, save_model, trace_to_csv
 from .errors import AlignmentError, ConfigError, DegenerateRegionError, DemodulationError, DivergenceError
 from .metrics import aclr_single_direction
 from .partition import RegionPartition
 from .plant import load_plant, steer
 from .presets import PLANT_PRESETS, load_plant_preset, preset_params
-from .scenarios import (METHODS, _partitions, derive_partition, evaluate, preset_ofdm_from,
-                        run_scenario, train_method)
+from .scenarios import (METHODS, _base_spec, _partitions, _trp_angles, derive_partition,
+                        evaluate, run_scenario, train_method)
 from .signals import read_iq, write_iq
 from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_ccdf
 
@@ -86,6 +85,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _given(**settings) -> dict:
+    """The settings whose flags were given, so the defaults of the code that
+    takes them apply to the rest."""
+    return {key: value for key, value in settings.items() if value is not None}
+
+
 def _resolve_plant(spec: str):
     if spec in PLANT_PRESETS:
         return load_plant_preset(spec), preset_params(spec)
@@ -121,11 +126,10 @@ def cmd_partition(args) -> int:
     plant, params = _resolve_plant(args.plant)
     if params is None:
         raise ConfigError("partition needs a named preset (drive level and waveform)")
-    ofdm = preset_ofdm_from(params)
-    part, info = derive_partition(plant, params, ofdm, seed=args.seed,
-                                  method=args.method, order=args.order,
-                                  target_error=args.target_error,
-                                  n_regions=args.regions)
+    part, info = derive_partition(plant, params, args.seed,
+                                  **_given(method=args.method, order=args.order,
+                                           target_error=args.target_error,
+                                           n_regions=args.regions))
     if args.output:
         part.save(args.output)
     print(f"{info['method']} partition, K = {part.n_regions} "
@@ -146,15 +150,15 @@ def cmd_train(args) -> int:
     if params is None:
         raise ConfigError("train needs a named preset")
     config = {
-        "basis": {"family": args.family, "max_order": args.order,
-                  "memory_depth": args.memory, "cross_memory_depth": args.cross_memory},
-        "learn": {"mu": args.mu, "block_size": args.block_size,
-                  "iterations": args.iterations, "prune_threshold_db": args.prune},
-        "ila": {"iterations": args.iterations, "block_size": args.block_size},
+        "learn": _given(mu=args.mu, block_size=args.block_size, iterations=args.iterations,
+                        prune_threshold_db=args.prune),
+        "ila": _given(iterations=args.iterations, block_size=args.block_size),
     }
     if args.partition and not args.method.startswith("pw"):
         raise ConfigError(f"--partition needs a piecewise method, not {args.method!r}")
-    spec_single = BasisSpec(args.family, args.order, args.memory, args.cross_memory)
+    spec_single = _base_spec(**_given(family=args.family, max_order=args.order,
+                                      memory_depth=args.memory,
+                                      cross_memory_depth=args.cross_memory))
     partitions = {}
     if args.method.startswith("pw"):
         if args.partition:
@@ -181,11 +185,9 @@ def cmd_evaluate(args) -> int:
     if params is None:
         raise ConfigError("evaluate needs a named preset")
     model = load_model(args.model) if args.model else None
-    ofdm_eval = preset_ofdm_from(params, num_symbols=args.symbols)
-    angles = np.arange(-50.0, 50.01, 2.0) if args.trp else None
-    res = evaluate(plant, params, ofdm_eval, model, seed=args.seed, trp_angles=angles,
-                   noise_floor_dbc=params.get("noise_floor_dbc"),
-                   noise_averages=args.noise_averages)
+    res = evaluate(plant, params, model, args.seed, trp_angles=_trp_angles(args.trp),
+                   noise_floor_dbc=params["noise_floor_dbc"],
+                   **_given(num_symbols=args.symbols, noise_averages=args.noise_averages))
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
     if args.output:
@@ -270,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="derive an amplitude partition")
     p.add_argument("--plant", required=True)
-    p.add_argument("--method", choices=["taylor", "kmeans"], default="taylor")
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--target-error", type=float, default=0.01)
+    p.add_argument("--method", choices=["taylor", "kmeans"], default=None)
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--target-error", type=float, default=None)
     p.add_argument("--regions", type=int, default=None, help="K for kmeans")
     p.add_argument("--seed", type=int, default=17)
     p.add_argument("--output", default=None)
@@ -281,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a DPD model against a preset plant")
     p.add_argument("--plant", required=True)
     p.add_argument("--method", default="pwcl_orth")
-    p.add_argument("--family", default="full_dual_input")
-    p.add_argument("--order", type=int, default=9)
-    p.add_argument("--memory", type=int, default=3)
-    p.add_argument("--cross-memory", type=int, default=2)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--block-size", type=int, default=20000)
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--family", default=None)
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--memory", type=int, default=None)
+    p.add_argument("--cross-memory", type=int, default=None)
+    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--block-size", type=int, default=None)
+    p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--prune", type=float, default=None, help="threshold in dB")
     p.add_argument("--partition", default=None, help="partition JSON path")
     p.add_argument("--seed", type=int, default=7)
@@ -297,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a model (or the bare plant)")
     p.add_argument("--plant", required=True)
     p.add_argument("--model", default=None, help="model stem from train")
-    p.add_argument("--symbols", type=int, default=4)
+    p.add_argument("--symbols", type=int, default=None)
     p.add_argument("--trp", action="store_true", help="include the TRP angle sweep")
-    p.add_argument("--noise-averages", type=int, default=1)
+    p.add_argument("--noise-averages", type=int, default=None)
     p.add_argument("--seed", type=int, default=777)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_evaluate)

@@ -99,7 +99,7 @@ class DpdModel:
 
 @dataclass
 class LearnConfig:
-    mu: float = 0.25
+    mu: float = 1.0
     block_size: int = 20000
     iterations: int = 10
     rule: str = "orthogonal_bfs"

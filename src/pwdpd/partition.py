@@ -73,6 +73,8 @@ class RegionPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionPartition":
+        if not isinstance(d, dict) or "edges" not in d:
+            raise ConfigError("a partition must be a JSON object with an 'edges' list")
         return cls(np.asarray(d["edges"], dtype=float), d.get("orders"), d.get("target_error"))
 
     def save(self, path: str | Path) -> None:

@@ -8,7 +8,9 @@ landing at K=3); its per-element coefficients were drawn with a +-10 %
 spread around one memory polynomial (numpy default_rng seed 2024).
 "array8-backoff" is the same hardware at 3 dB lower drive; "doherty-n3" is
 a single strongly amplitude-dependent two-branch PA on a 20 MHz carrier
-where single-polynomial DPD visibly underperforms.
+where single-polynomial DPD visibly underperforms. "linear8" is an ideal
+8-element linear array (the sanity plant) on the array8-deep waveform, at a
+low drive with neither CFR nor receiver noise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from importlib import resources
 
 from .errors import ConfigError
 from .plant import ArrayPlant
-
-PLANT_PRESETS = ("array8-deep", "array8-backoff", "doherty-n3")
 
 # drive level (waveform RMS at the plant input), ACLR channel bandwidth,
 # crest-factor-reduction settings, and the matching OFDM numerology
@@ -56,6 +56,9 @@ PRESET_PARAMS = {
                      wola_taper_samples=64),
     },
 }
+PRESET_PARAMS["linear8"] = dict(PRESET_PARAMS["array8-deep"], drive_rms=0.25,
+                                cfr_target_papr_db=None, noise_floor_dbc=None)
+PLANT_PRESETS = tuple(PRESET_PARAMS)
 
 
 # presets that share another preset's hardware file; PRESET_PARAMS sets the drive

@@ -9,6 +9,7 @@ so identical configs produce identical bundles.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from .errors import ConfigError
 from .ila import ila_learn
 from .metrics import (aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd)
 from .partition import RegionPartition, fit_amam, kmeans_partition, partition_regions
-from .plant import ArrayPlant, PaModel, array_forward, observation_receive, steer
+from .plant import ArrayPlant, array_forward, observation_receive, steer
 from .presets import load_plant_preset, preset_params
 from .signals import IqSignal
 from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_at
@@ -44,46 +45,38 @@ PARTITION_BLOCK = 40000
 MIN_SHARE = 0.025
 
 
-def build_linear8() -> ArrayPlant:
-    """Ideal 8-element linear array (sanity plant)."""
-    n = 8
-    ident = np.zeros((n, n, 1), dtype=np.complex128)
-    for i in range(n):
-        ident[i, i, 0] = 1.0
-    elements = tuple(PaModel("memoryless_poly", {(1, 0): 1.0 + 0.0j}) for _ in range(n))
-    return ArrayPlant(elements, np.ones(n, dtype=complex), ident,
-                      np.ones((n, 1), dtype=complex), np.ones(n, dtype=complex))
+def preset_waveform(preset: dict, num_symbols: int,
+                    seed: int) -> tuple[IqSignal, np.ndarray, OfdmConfig]:
+    """OFDM of the preset's numerology, crest-factor reduced to its PAPR target
+    (when it has one) and scaled to its drive level; returns (signal, symbol
+    grid, OFDM config)."""
+    cfg = OfdmConfig(num_symbols=num_symbols, seed=seed, **preset["ofdm"])
+    sig, grid = generate_ofdm(cfg)
+    if preset["cfr_target_papr_db"] is not None:
+        sig = crest_factor_reduce(sig, preset["cfr_target_papr_db"], preset["cfr_iterations"],
+                                  occupied_bandwidth=cfg.occupied_bandwidth)
+    return sig.scaled_to_rms(preset["drive_rms"]), grid, cfg
 
 
 class SimulatedLoop:
     """Closed-loop source backed by a simulated plant.
 
-    next_block synthesizes a fresh crest-factor-reduced OFDM block (new data
-    every call); transmit runs the array forward and the phase-aligned
-    observation combiner, adding receiver noise when requested.
+    next_block synthesizes a fresh block of the preset's waveform (new data
+    every call, see preset_waveform); transmit runs the array forward and the
+    phase-aligned observation combiner, adding receiver noise when requested.
     """
 
-    def __init__(self, plant: ArrayPlant, ofdm: OfdmConfig, drive_rms: float,
-                 cfr_target_papr_db: float | None = None, cfr_iterations: int = 10,
-                 seed: int = 0):
+    def __init__(self, plant: ArrayPlant, preset: dict, seed: int = 0):
         self.plant = plant
-        self.ofdm = ofdm
-        self.drive_rms = drive_rms
-        self.cfr_target_papr_db = cfr_target_papr_db
-        self.cfr_iterations = cfr_iterations
+        self.preset = preset
         self.seed = seed
         self._counter = 0
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
 
     def make_block(self, n: int, seed: int) -> IqSignal:
-        stride = self.ofdm.symbol_stride
-        symbols = max(1, math.ceil((n - self.ofdm.wola_taper_samples) / stride))
-        cfg = replace(self.ofdm, num_symbols=symbols, seed=seed)
-        sig, _ = generate_ofdm(cfg)
-        if self.cfr_target_papr_db is not None:
-            sig = crest_factor_reduce(sig, self.cfr_target_papr_db, self.cfr_iterations,
-                                      occupied_bandwidth=cfg.occupied_bandwidth)
-        sig = sig.scaled_to_rms(self.drive_rms)
+        ofdm = OfdmConfig(**self.preset["ofdm"])
+        symbols = max(1, math.ceil((n - ofdm.wola_taper_samples) / ofdm.symbol_stride))
+        sig, _, _ = preset_waveform(self.preset, symbols, seed)
         return IqSignal(sig.samples[:n], sig.sample_rate, seed)
 
     def next_block(self, n: int) -> IqSignal:
@@ -108,8 +101,8 @@ def ramp_probe(amax: float, sample_rate: float, n: int = 32768,
     return IqSignal(env * phase, sample_rate)
 
 
-def derive_partition(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, seed: int,
-                     method: str = "taylor", order: int = 5, target_error: float = 0.01,
+def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "taylor",
+                     order: int = 5, target_error: float = 0.01,
                      n_regions: int | None = None) -> tuple[RegionPartition, dict]:
     """Amplitude partition from a characterization pass.
 
@@ -121,8 +114,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, seed: in
     MIN_SHARE of the waveform samples is merged into its neighbor: such a
     region cannot support the per-region coefficient estimation downstream.
     """
-    loop = SimulatedLoop(plant, ofdm, preset["drive_rms"], preset.get("cfr_target_papr_db"),
-                         preset.get("cfr_iterations", 10), seed=seed)
+    loop = SimulatedLoop(plant, preset, seed)
     a1 = loop.next_block(PARTITION_BLOCK)
     env = np.abs(a1.samples)
     amax = float(env.max())
@@ -167,25 +159,24 @@ class EvalResult:
     beam: object | None = None
 
 
-def evaluate(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, model: DpdModel | None,
-             seed: int, trp_angles: np.ndarray | None = None,
+def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
+             num_symbols: int = 4, trp_angles: np.ndarray | None = None,
              noise_floor_dbc: float | None = None, noise_averages: int = 1) -> EvalResult:
-    """Fresh-data evaluation of one DPD model (or the no-DPD reference)."""
-    cfg = replace(ofdm, seed=seed)
-    sig, grid = generate_ofdm(cfg)
-    if preset.get("cfr_target_papr_db") is not None:
-        sig = crest_factor_reduce(sig, preset["cfr_target_papr_db"],
-                                  preset.get("cfr_iterations", 10),
-                                  occupied_bandwidth=cfg.occupied_bandwidth)
-    a1 = sig.scaled_to_rms(preset["drive_rms"])
+    """Fresh-data evaluation of one DPD model (or the no-DPD reference).
+
+    The observation is averaged over noise_averages receiver-noise draws;
+    without receiver noise there is nothing to average and one pass is made.
+    """
+    a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
     x = predistort(model, a1) if model is not None else a1
     per_element, _ = array_forward(plant, x)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
+    averages = max(1, noise_averages) if noise_floor_dbc is not None else 1
     obs = np.zeros(len(x), dtype=np.complex128)
-    for _ in range(max(1, noise_averages)):
+    for _ in range(averages):
         z_i = observation_receive(plant, per_element, noise_floor_dbc, rng)
         obs += z_i.samples
-    z = IqSignal(obs / max(1, noise_averages), x.sample_rate)
+    z = IqSignal(obs / averages, x.sample_rate)
     ghat = estimate_gain(a1, z)
     y = z.with_samples(z.samples / ghat)
 
@@ -206,33 +197,19 @@ def evaluate(plant: ArrayPlant, preset: dict, ofdm: OfdmConfig, model: DpdModel 
     return EvalResult(metrics, freqs, db, beam)
 
 
-def _base_spec(config: dict) -> BasisSpec:
-    basis_cfg = config.get("basis", {})
-    return BasisSpec(
-        family=basis_cfg.get("family", "full_dual_input"),
-        max_order=basis_cfg.get("max_order", 9),
-        memory_depth=basis_cfg.get("memory_depth", 3),
-        cross_memory_depth=basis_cfg.get("cross_memory_depth", 2),
-    )
+def _base_spec(family: str = "full_dual_input", max_order: int = 9, memory_depth: int = 3,
+               cross_memory_depth: int = 2) -> BasisSpec:
+    """Single-region basis of a scenario's "basis" section (and of pwdpd train)."""
+    return BasisSpec(family, max_order, memory_depth, cross_memory_depth)
 
 
 def load_scenario_plant(config: dict) -> tuple[ArrayPlant, dict]:
+    """The config's plant preset and its parameters, with the config's
+    top-level drive, CFR target, noise floor and coupling overrides."""
     name = config.get("preset", "array8-deep")
-    if name == "linear8":
-        plant = build_linear8()
-        preset = preset_params("array8-deep")
-        preset["drive_rms"] = config.get("drive_rms", 0.25)
-        preset["cfr_target_papr_db"] = None
-        preset["noise_floor_dbc"] = None
-    else:
-        plant = load_plant_preset(name)
-        preset = preset_params(name)
-    if "drive_rms" in config:
-        preset["drive_rms"] = config["drive_rms"]
-    if "cfr_target_papr_db" in config:
-        preset["cfr_target_papr_db"] = config["cfr_target_papr_db"]
-    if "noise_floor_dbc" in config:
-        preset["noise_floor_dbc"] = config["noise_floor_dbc"]
+    plant, preset = load_plant_preset(name), preset_params(name)
+    preset.update((key, config[key]) for key in ("drive_rms", "cfr_target_papr_db",
+                                                 "noise_floor_dbc") if key in config)
     if "coupling_strength" in config:
         plant = replace(plant, coupling_strength=config["coupling_strength"])
     return plant, preset
@@ -248,38 +225,18 @@ def train_method(method: str, plant: ArrayPlant, preset: dict, config: dict,
     """
     if method == "none":
         return None, []
-    learn_cfg = config.get("learn", {})
-    ila_cfg = config.get("ila", {})
-    ofdm = preset_ofdm_from(preset)
-    noise = preset.get("noise_floor_dbc")
+    noise = preset["noise_floor_dbc"]
     if method.startswith("pw"):
         key = "kmeans" if method == "pwcl_kmeans" else "taylor"
         spec = spec_single.with_partition(partitions[key])
     else:
         spec = spec_single
-    loop = SimulatedLoop(plant, ofdm, preset["drive_rms"], preset.get("cfr_target_papr_db"),
-                         preset.get("cfr_iterations", 10), seed=seed)
+    loop = SimulatedLoop(plant, preset, seed)
     if method in ("pw_ila", "ila"):
-        return ila_learn(loop, spec,
-                         iterations=ila_cfg.get("iterations", 4),
-                         block_size=ila_cfg.get("block_size", 50000),
-                         noise_floor_dbc=noise,
-                         clip_headroom=ila_cfg.get("clip_headroom", 1.15))
+        return ila_learn(loop, spec, noise_floor_dbc=noise, **config_section(config, "ila"))
     rule = "self_orthogonalized" if method.endswith("selforth") else "orthogonal_bfs"
-    cfg = LearnConfig(
-        mu=learn_cfg.get("mu", 1.0),
-        block_size=learn_cfg.get("block_size", 20000),
-        iterations=learn_cfg.get("iterations", 10),
-        rule=rule,
-        prune_threshold_db=learn_cfg.get("prune_threshold_db"),
-        noise_floor_dbc=noise,
-        stats_blocks=learn_cfg.get("stats_blocks", 2),
-    )
-    return learn(loop, spec, cfg)
-
-
-def preset_ofdm_from(preset: dict, num_symbols: int = 1) -> OfdmConfig:
-    return OfdmConfig(num_symbols=num_symbols, **preset["ofdm"])
+    return learn(loop, spec, LearnConfig(rule=rule, noise_floor_dbc=noise,
+                                         **config_section(config, "learn")))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -308,28 +265,32 @@ def write_manifest(outdir: Path, config: dict) -> Path:
 
 def _partitions(plant: ArrayPlant, preset: dict, config: dict, seed: int,
                 kmeans: bool) -> dict:
-    """Taylor partition from the config's "partition" settings at seed*1000+17,
+    """Taylor partition from the config's "partition" section at seed*1000+17,
     plus K-means with as many regions when kmeans is set; maps "taylor"/"kmeans"
     to (RegionPartition, info)."""
-    part_cfg = config.get("partition", {})
-    ofdm = preset_ofdm_from(preset)
-    taylor = derive_partition(plant, preset, ofdm, seed=seed * 1000 + 17, method="taylor",
-                              order=part_cfg.get("order", 5),
-                              target_error=part_cfg.get("target_error", 0.01))
+    taylor = derive_partition(plant, preset, seed=seed * 1000 + 17,
+                              **config_section(config, "partition"))
     partitions = {"taylor": taylor}
     if kmeans:
-        partitions["kmeans"] = derive_partition(plant, preset, ofdm, seed=seed * 1000 + 17,
+        partitions["kmeans"] = derive_partition(plant, preset, seed=seed * 1000 + 17,
                                                 method="kmeans", n_regions=taylor[0].n_regions)
     return partitions
 
 
-def _trp_angles(eval_cfg: dict) -> np.ndarray | None:
-    trp = eval_cfg.get("trp_angles")
-    if isinstance(trp, dict):
-        return np.arange(trp["start"], trp["stop"] + 1e-9, trp["step"])
+def _trp_angles(trp) -> np.ndarray | None:
+    """Angle grid of an "eval" section's trp_angles: an object of start, stop
+    and step in degrees (stop included), true for -50..50 in 2-degree steps,
+    or null/false for no TRP sweep."""
     if trp is True:
-        return np.arange(-50.0, 50.0 + 1e-9, 2.0)
-    return None
+        trp = {"start": -50.0, "stop": 50.0, "step": 2.0}
+    if trp is None or trp is False:
+        return None
+    if not isinstance(trp, dict) or set(trp) != {"start", "stop", "step"}:
+        raise ConfigError(f"eval.trp_angles must be true, false, null or an object with "
+                          f"start, stop and step; got {trp!r}")
+    if not trp["step"] > 0:
+        raise ConfigError(f"eval.trp_angles step must be positive, got {trp['step']!r}")
+    return np.arange(trp["start"], trp["stop"] + 1e-9, trp["step"])
 
 
 @dataclass
@@ -354,7 +315,7 @@ def _pipeline(config: dict, runs: list, seed: int, eval_symbols: int = 2,
     """
     plant, preset = load_scenario_plant(config)
     preset["drive_rms"] *= 10 ** (drive_offset_db / 20)
-    spec = _base_spec(config)
+    spec = _base_spec(**config_section(config, "basis"))
     methods = [method for _, method, _, _ in runs]
     for method in methods:
         if method not in METHODS:
@@ -371,11 +332,9 @@ def _pipeline(config: dict, runs: list, seed: int, eval_symbols: int = 2,
                                  kmeans="pwcl_kmeans" in methods)
     parts = {key: part for key, (part, _) in partitions.items()}
 
-    eval_cfg = config.get("eval", {})
-    ofdm_eval = preset_ofdm_from(preset, num_symbols=eval_cfg.get("num_symbols", eval_symbols))
-    trp_angles = _trp_angles(eval_cfg)
-    # averaging only helps against receiver noise; the angle sweep has none
-    averages = eval_cfg.get("noise_averages", 1) if noise is not None else 1
+    eval_kw = dict(config_section(config, "eval"), noise_floor_dbc=noise)
+    eval_kw.setdefault("num_symbols", eval_symbols)
+    eval_kw["trp_angles"] = _trp_angles(eval_kw.get("trp_angles"))
 
     def trained():
         for label, method, train_seed, overrides in runs:
@@ -384,10 +343,7 @@ def _pipeline(config: dict, runs: list, seed: int, eval_symbols: int = 2,
                 run_config = dict(config, learn=dict(config.get("learn", {}), **overrides))
             model, trace = train_method(method, train_plant, preset, run_config, spec, parts,
                                         seed=train_seed)
-            evals = [evaluate(p, preset, ofdm_eval, model, seed=seed * 100 + 7,
-                              trp_angles=trp_angles, noise_floor_dbc=noise,
-                              noise_averages=averages)
-                     for p in eval_plants]
+            evals = [evaluate(p, preset, model, seed * 100 + 7, **eval_kw) for p in eval_plants]
             yield label, model, trace, evals
 
     return _Pipeline(plant, spec, partitions, trained())
@@ -507,10 +463,11 @@ def run_pruning_study(config: dict, outdir: Path) -> dict:
 
     spec = out.spec.with_partition(partition_obj)
     _write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
-    learn_cfg = config.get("learn", {})
+    learn_cfg, ila_cfg = ({**section_settings(name), **config_section(config, name)}
+                          for name in ("learn", "ila"))
     params = complexity_mod.params_from_spec(
-        spec, b_cl=learn_cfg.get("block_size", 20000), i_cl=learn_cfg.get("iterations", 10),
-        b_ila=50000, i_ila=4,
+        spec, b_cl=learn_cfg["block_size"], i_cl=learn_cfg["iterations"],
+        b_ila=ila_cfg["block_size"], i_ila=ila_cfg["iterations"],
         n_pw_pruned=results["pruned"]["active_coefficients"])
     pruned_cost = complexity_mod.flops("pwcl_orth_pruned", params)["learn_total"]
     unpruned_params = replace(params, n_pw_pruned=params.n_pw)
@@ -531,6 +488,38 @@ def run_complexity(config: dict, outdir: Path) -> dict:
     ledger = complexity_mod.full_ledger(params, exact_division=config.get("exact_division", False))
     (outdir / "ledger.txt").write_text(complexity_mod.format_ledger(ledger) + "\n")
     return {"kind": "complexity", "params": params.__dict__, "ledger": ledger}
+
+
+# config section -> (the function or dataclass whose keyword defaults the
+# section overrides, the keywords the pipeline sets itself)
+SECTIONS = {
+    "basis": (_base_spec, ()),
+    "partition": (derive_partition, ("method", "n_regions")),
+    "learn": (LearnConfig, ("rule", "noise_floor_dbc")),
+    "ila": (ila_learn, ("noise_floor_dbc",)),
+    "eval": (evaluate, ("noise_floor_dbc",)),
+}
+
+
+def section_settings(name: str) -> dict:
+    """The keys config section `name` accepts, each with its consumer's default."""
+    consumer, fixed = SECTIONS[name]
+    return {p.name: p.default for p in inspect.signature(consumer).parameters.values()
+            if p.default is not p.empty and p.name not in fixed}
+
+
+def config_section(config: dict, name: str) -> dict:
+    """The config's section `name` (empty when absent), to be passed whole to
+    its consumer; a key the consumer does not take is a ConfigError."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    accepted = section_settings(name)
+    for key in section:
+        if key not in accepted:
+            raise ConfigError(f"config section {name!r} has unknown key {key!r}; "
+                              f"{SECTIONS[name][0].__name__} takes {sorted(accepted)}")
+    return section
 
 
 # scenario kind -> runner(config, outdir); run_scenario gives powersweep its workers
@@ -554,6 +543,8 @@ def run_scenario(config: dict, outdir: str | Path, workers: int = 1) -> dict:
     kind = config["kind"]
     if kind not in RUNNERS:
         raise ConfigError(f"unknown scenario kind {kind!r}; have {tuple(RUNNERS)}")
+    for name in SECTIONS:  # a misspelled setting fails before any run starts
+        config_section(config, name)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runner = partial(run_powersweep, workers=workers) if kind == "powersweep" else RUNNERS[kind]

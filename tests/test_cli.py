@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwdpd.basis import BasisSpec
-from pwdpd.cli import main, scenario_preset
+from pwdpd.cli import build_parser, main, scenario_preset
 from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import RegionPartition
 from pwdpd.plant import save_plant
@@ -363,7 +363,9 @@ def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind):
 def test_shipped_scenario_presets_are_well_formed():
     from importlib import resources
 
-    from pwdpd.scenarios import METHODS, RUNNERS, load_scenario_plant
+    from pwdpd.dpd import LearnConfig
+    from pwdpd.scenarios import (METHODS, RUNNERS, SECTIONS, _base_spec, _trp_angles,
+                                 config_section, load_scenario_plant)
 
     names = [p.name[:-5] for p in resources.files("pwdpd").joinpath("presets/scenarios").iterdir()]
     assert names
@@ -373,6 +375,52 @@ def test_shipped_scenario_presets_are_well_formed():
         methods = cfg.get("methods", []) + ([cfg["method"]] if "method" in cfg else [])
         assert set(methods) <= set(METHODS), name
         load_scenario_plant(cfg)
+        for section in SECTIONS:
+            config_section(cfg, section)
+        _base_spec(**config_section(cfg, "basis"))
+        LearnConfig(**config_section(cfg, "learn"))
+        _trp_angles(config_section(cfg, "eval").get("trp_angles"))
+
+
+def _scenario_exit_code(tmp_path, **config):
+    """Exit code of a no-DPD doherty-n3 linearization bundle with the given config keys."""
+    cfg = _json_file(tmp_path / "c.json", dict(
+        {"kind": "linearization", "preset": "doherty-n3", "seed": 3, "methods": ["none"]},
+        **config))
+    return main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"])
+
+
+@pytest.mark.parametrize("section", ["learn", "ila", "partition", "basis", "eval"])
+def test_misspelled_section_key_exit_code(tmp_path, section):
+    assert _scenario_exit_code(tmp_path, **{section: {"iteratons": 1}}) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "'iteratons'" in record["message"] and repr(section) in record["message"]
+
+
+@pytest.mark.parametrize("trp", [{"start": -10, "stop": 10}, {"start": -10, "stop": 10, "step": 0}],
+                         ids=["no-step", "zero-step"])
+def test_malformed_trp_angles_exit_code(tmp_path, trp):
+    assert _scenario_exit_code(tmp_path, eval={"trp_angles": trp}) == 2
+    assert "trp_angles" in json.loads((tmp_path / "x" / "error.json").read_text())["message"]
+
+
+def test_readme_commands_parse():
+    """Every pwdpd command line in the README still parses, so a renamed or
+    removed flag cannot outlive its documentation."""
+    from pathlib import Path
+    import shlex
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line, comments=True)
+                for line in readme.replace("\\\n", " ").splitlines() if line.startswith("pwdpd ")]
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
 # (method, exit code, partition the saved model carries)
@@ -454,15 +502,24 @@ def _iq_sidecar(tmp_path, broken):
             "--output", str(tmp_path / "z")]
 
 
+def _partition_file(tmp_path, broken):
+    RegionPartition([0.0, 0.5, 2.0]).save(tmp_path / "part.json")
+    if broken:
+        (tmp_path / "part.json").write_text(json.dumps({"orders": None}))
+    return ["train", "--plant", "doherty-n3", "--method", "pwcl_orth",
+            "--partition", str(tmp_path / "part.json"), "--family", "memoryless", "--order", "5",
+            "--block-size", "2000", "--iterations", "1", "--output", str(tmp_path / "m")]
+
+
 def _scenario_config(tmp_path, broken):
     config = {"kind": "complexity", "seed": 0}
     (tmp_path / "c.json").write_text(json.dumps([config] if broken else config))
     return ["scenario", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
 
 
-@pytest.mark.parametrize("make_argv", [_plant_file, _iq_sidecar, _scenario_config],
+@pytest.mark.parametrize("make_argv", [_plant_file, _iq_sidecar, _scenario_config, _partition_file],
                          ids=["plant-without-weights", "sidecar-without-length",
-                              "config-as-list"])
+                              "config-as-list", "partition-without-edges"])
 def test_malformed_input_file_exit_code(tmp_path, make_argv):
     assert main(make_argv(tmp_path, broken=False)) == 0
     assert main(make_argv(tmp_path, broken=True)) == 2

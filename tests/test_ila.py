@@ -86,13 +86,11 @@ def test_regularized_lstsq_on_array8_deep_region_blocks():
     # Without the refinement step region 1 misses the bound (2.3e-6 here).
     from pwdpd.dpd import estimate_gain
     from pwdpd.presets import load_plant_preset, preset_params
-    from pwdpd.scenarios import SimulatedLoop, derive_partition, preset_ofdm_from
+    from pwdpd.scenarios import SimulatedLoop, derive_partition
 
     plant, params = load_plant_preset("array8-deep"), preset_params("array8-deep")
-    ofdm = preset_ofdm_from(params)
-    part, _ = derive_partition(plant, params, ofdm, seed=7017)
-    loop = SimulatedLoop(plant, ofdm, params["drive_rms"], params["cfr_target_papr_db"],
-                         seed=701)
+    part, _ = derive_partition(plant, params, seed=7017)
+    loop = SimulatedLoop(plant, params, seed=701)
     a1 = loop.next_block(20000)
     z = loop.transmit(a1)
     y = z.samples / estimate_gain(a1, z)

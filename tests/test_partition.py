@@ -17,6 +17,9 @@ def test_region_partition_validation():
         RegionPartition([0.0, 0.4, 0.4])  # strictly increasing
     with pytest.raises(ConfigError):
         RegionPartition([0.0, 1.0], orders=[5, 5])
+    for malformed in ({"orders": None}, [{"edges": [0.0, 1.0]}]):  # no edges; a list
+        with pytest.raises(ConfigError, match="edges"):
+            RegionPartition.from_dict(malformed)
 
 
 def test_region_index_clamps_top():
