@@ -187,7 +187,7 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model) if args.model else None
     res = evaluate(plant, params, model, args.seed, trp_angles=_trp_angles(args.trp),
                    noise_floor_dbc=params["noise_floor_dbc"],
-                   **_given(num_symbols=args.symbols, noise_averages=args.noise_averages))
+                   **_given(num_symbols=args.symbols))
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
     if args.output:
@@ -205,36 +205,21 @@ def cmd_complexity(args) -> int:
     return 0
 
 
-def _run_bundle(config: dict, outdir: Path, workers: int) -> dict:
-    """Run a scenario, leaving a machine-readable error record on failure."""
+def cmd_scenario(args) -> int:
+    config = _load_config(args)
+    outdir = _out_root(args) / (args.name or config.get("kind", "scenario"))
     try:
-        return run_scenario(config, outdir, workers=workers)
-    except Exception as exc:
+        payload = run_scenario(config, outdir, workers=args.workers)
+    except Exception as exc:  # leave a machine-readable error record, then fail as usual
         outdir.mkdir(parents=True, exist_ok=True)
         record = {"error": type(exc).__name__, "message": str(exc), "config": config}
         (outdir / "error.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         raise
-
-
-def cmd_scenario(args) -> int:
-    config = _load_config(args)
-    outdir = _out_root(args) / (args.name or config.get("kind", "scenario"))
-    payload = _run_bundle(config, outdir, args.workers)
     print(f"bundle written to {outdir}")
     summary = {"kind": payload.get("kind")}
     if "methods" in payload:
         summary["aclr_dbc"] = {m: round(v["aclr_dbc"], 2) for m, v in payload["methods"].items()}
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    config = _load_config(args)
-    if config.get("kind") not in ("powersweep", "anglesweep"):
-        raise ConfigError("sweep expects a powersweep or anglesweep config")
-    outdir = _out_root(args) / (args.name or config["kind"])
-    _run_bundle(config, outdir, args.workers)
-    print(f"bundle written to {outdir}")
     return 0
 
 
@@ -301,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model stem from train")
     p.add_argument("--symbols", type=int, default=None)
     p.add_argument("--trp", action="store_true", help="include the TRP angle sweep")
-    p.add_argument("--noise-averages", type=int, default=None)
     p.add_argument("--seed", type=int, default=777)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -315,15 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_complexity)
 
-    for name, help_text in (("scenario", "run a scenario bundle"),
-                            ("sweep", "run a sweep scenario")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="scenario config JSON")
-        p.add_argument("--preset", default=None, help="shipped scenario preset name")
-        p.add_argument("--out", default=None, help="output root (default $PWDPD_OUT or .)")
-        p.add_argument("--name", default=None, help="bundle directory name")
-        p.add_argument("--workers", type=int, default=1)
-        p.set_defaults(func=cmd_scenario if name == "scenario" else cmd_sweep)
+    p = sub.add_parser("scenario", help="run a scenario bundle")
+    p.add_argument("--config", default=None, help="scenario config JSON")
+    p.add_argument("--preset", default=None, help="shipped scenario preset name")
+    p.add_argument("--out", default=None, help="output root (default $PWDPD_OUT or .)")
+    p.add_argument("--name", default=None, help="bundle directory name")
+    p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(func=cmd_scenario)
 
     return parser
 

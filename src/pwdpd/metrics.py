@@ -187,25 +187,21 @@ def aclr_trp(sweep: AngleSweepResult) -> float:
     return 10 * math.log10(trp_ch / trp_adj)
 
 
-def beam_pattern(plant: ArrayPlant, a1: IqSignal, angles_deg,
-                 channel_bw: float, resolution_bins: int = 2048,
-                 per_element: list[IqSignal] | None = None,
-                 measurement_bw_rule: str = "occupied99") -> AngleSweepResult:
+def beam_pattern(plant: ArrayPlant, a1: IqSignal, angles_deg, channel_bw: float,
+                 per_element: list[IqSignal] | None = None) -> AngleSweepResult:
     """Far-field in-band / adjacent powers versus azimuth.
 
     The element outputs are combined with the half-wavelength ULA array
     response exp(j pi i sin(angle)) per angle; powers integrate the Welch
-    spectrum over the measurement bandwidth centered on the channel and the
-    +-channel_bw adjacent offsets. The measurement bandwidth is derived once,
-    at the angle with the strongest in-channel power, by the same rule as
-    aclr_single_direction, so a one-point sweep reproduces that metric
-    exactly. Pass per_element to reuse already-computed PA outputs.
+    spectrum (2048 bins) over the measurement bandwidth centered on the
+    channel and the +-channel_bw adjacent offsets. The measurement bandwidth
+    is the occupied-99% band of the angle with the strongest in-channel power,
+    the default rule of aclr_single_direction, so a one-point sweep reproduces
+    that metric exactly. Pass per_element to reuse already-computed PA outputs.
     """
     angles_deg = np.asarray(list(angles_deg), dtype=float)
     if angles_deg.size == 0 or np.any(np.diff(angles_deg) < 0):
         raise ConfigError("angles must be non-empty and sorted")
-    if measurement_bw_rule not in ("occupied99", "fixed_allocated"):
-        raise ConfigError(f"unknown measurement bandwidth rule {measurement_bw_rule!r}")
     if per_element is None:
         per_element, _ = array_forward(plant, a1)
     outputs = np.stack([sig.samples for sig in per_element])
@@ -214,15 +210,11 @@ def beam_pattern(plant: ArrayPlant, a1: IqSignal, angles_deg,
     freqs = None
     for ang in angles_deg:
         af = np.exp(1j * np.pi * idx * math.sin(math.radians(ang)))
-        freqs, pxx = _welch(af @ outputs, a1.sample_rate, resolution_bins)
+        freqs, pxx = _welch(af @ outputs, a1.sample_rate, 2048)
         spectra.append(pxx)
     channel_powers = [band_power(freqs, pxx, -channel_bw / 2, channel_bw / 2)
                       for pxx in spectra]
-    if measurement_bw_rule == "occupied99":
-        ref = spectra[int(np.argmax(channel_powers))]
-        mbw = _occupied99_bandwidth(freqs, ref, channel_bw)
-    else:
-        mbw = channel_bw
+    mbw = _occupied99_bandwidth(freqs, spectra[int(np.argmax(channel_powers))], channel_bw)
     inband = np.zeros(angles_deg.size)
     adj_lo = np.zeros(angles_deg.size)
     adj_hi = np.zeros(angles_deg.size)

@@ -15,7 +15,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -161,22 +160,13 @@ class EvalResult:
 
 def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
              num_symbols: int = 4, trp_angles: np.ndarray | None = None,
-             noise_floor_dbc: float | None = None, noise_averages: int = 1) -> EvalResult:
-    """Fresh-data evaluation of one DPD model (or the no-DPD reference).
-
-    The observation is averaged over noise_averages receiver-noise draws;
-    without receiver noise there is nothing to average and one pass is made.
-    """
+             noise_floor_dbc: float | None = None) -> EvalResult:
+    """Fresh-data evaluation of one DPD model (or the no-DPD reference)."""
     a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
     x = predistort(model, a1) if model is not None else a1
     per_element, _ = array_forward(plant, x)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-    averages = max(1, noise_averages) if noise_floor_dbc is not None else 1
-    obs = np.zeros(len(x), dtype=np.complex128)
-    for _ in range(averages):
-        z_i = observation_receive(plant, per_element, noise_floor_dbc, rng)
-        obs += z_i.samples
-    z = IqSignal(obs / averages, x.sample_rate)
+    z = observation_receive(plant, per_element, noise_floor_dbc, rng)
     ghat = estimate_gain(a1, z)
     y = z.with_samples(z.samples / ghat)
 
@@ -301,8 +291,8 @@ class _Pipeline:
     runs: Iterator        # yields (label, model, trace, [EvalResult per evaluation plant])
 
 
-def _pipeline(config: dict, runs: list, seed: int, eval_symbols: int = 2,
-              drive_offset_db: float = 0.0, angles: list | None = None) -> _Pipeline:
+def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
+              angles: list | None = None) -> _Pipeline:
     """Plant -> partition -> train -> evaluate, the chain every trained kind runs.
 
     runs lists (label, method, training seed, learn overrides). The partitions
@@ -333,14 +323,13 @@ def _pipeline(config: dict, runs: list, seed: int, eval_symbols: int = 2,
     parts = {key: part for key, (part, _) in partitions.items()}
 
     eval_kw = dict(config_section(config, "eval"), noise_floor_dbc=noise)
-    eval_kw.setdefault("num_symbols", eval_symbols)
     eval_kw["trp_angles"] = _trp_angles(eval_kw.get("trp_angles"))
 
     def trained():
         for label, method, train_seed, overrides in runs:
             run_config = config
             if overrides:
-                run_config = dict(config, learn=dict(config.get("learn", {}), **overrides))
+                run_config = dict(config, learn=dict(config_section(config, "learn"), **overrides))
             model, trace = train_method(method, train_plant, preset, run_config, spec, parts,
                                         seed=train_seed)
             evals = [evaluate(p, preset, model, seed * 100 + 7, **eval_kw) for p in eval_plants]
@@ -355,11 +344,10 @@ def _save_run(outdir: Path, label: str, model: DpdModel | None, trace: list) -> 
         trace_to_csv(trace, outdir / f"trace_{label}.csv")
 
 
-def run_linearization(config: dict, outdir: Path) -> dict:
-    seed = config.get("seed", 1)
-    methods = config.get("methods", ["none", "pwcl_orth"])
+def run_linearization(config: dict, outdir: Path, seed: int,
+                      methods: tuple = ("none", "pwcl_orth")) -> dict:
     out = _pipeline(config, [(m, m, seed * 100 + idx, {}) for idx, m in enumerate(methods)],
-                    seed, eval_symbols=4)
+                    seed)
 
     part_info = None
     if "taylor" in out.partitions:
@@ -392,9 +380,7 @@ def run_linearization(config: dict, outdir: Path) -> dict:
 
 
 def _powersweep_point(job: tuple) -> dict:
-    config, offset_db, idx = job
-    seed = config.get("seed", 1) + 31 * idx
-    methods = config.get("methods", ["none", "pwcl_orth", "pw_ila"])
+    config, methods, seed, offset_db = job
     out = _pipeline(config, [(m, m, seed * 100 + j, {}) for j, m in enumerate(methods)],
                     seed, drive_offset_db=offset_db)
     row = {"offset_db": offset_db}
@@ -404,28 +390,26 @@ def _powersweep_point(job: tuple) -> dict:
     return row
 
 
-def run_powersweep(config: dict, outdir: Path, workers: int = 1) -> dict:
-    offsets = config.get("offsets_db", [-10, -8, -6, -4, -2, 0])
-    jobs = [(config, float(o), i) for i, o in enumerate(offsets)]
+def run_powersweep(config: dict, outdir: Path, seed: int,
+                   methods: tuple = ("none", "pwcl_orth", "pw_ila"),
+                   offsets_db: tuple = (-10, -8, -6, -4, -2, 0), workers: int = 1) -> dict:
+    jobs = [(config, methods, seed + 31 * i, float(o)) for i, o in enumerate(offsets_db)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_powersweep_point, jobs))
     else:
         rows = [_powersweep_point(j) for j in jobs]
-    methods = config.get("methods", ["none", "pwcl_orth", "pw_ila"])
     csv_rows = []
     for row in rows:
         for m in methods:
             csv_rows.append((row["offset_db"], m, row[m]["aclr_dbc"], row[m]["evm_percent"]))
     _write_csv(outdir / "powersweep.csv", "offset_db,method,aclr_dbc,evm_percent", csv_rows)
-    return {"kind": "powersweep", "offsets_db": list(offsets), "rows": rows}
+    return {"kind": "powersweep", "offsets_db": list(offsets_db), "rows": rows}
 
 
-def run_anglesweep(config: dict, outdir: Path) -> dict:
+def run_anglesweep(config: dict, outdir: Path, seed: int,
+                   angles: tuple = (0, 10, 20, 30, 40, 50), method: str = "pwcl_orth") -> dict:
     """Train at 0 degrees, evaluate the frozen model across steering angles."""
-    seed = config.get("seed", 1)
-    angles = config.get("angles", [0, 10, 20, 30, 40, 50])
-    method = config.get("method", "pwcl_orth")
     out = _pipeline(config, [(method, method, seed * 100, {})], seed, angles=angles)
     (_, _, _, evals), = out.runs
     rows = [(float(a), res.metrics["aclr_dbc"], res.metrics["evm_percent"])
@@ -435,20 +419,19 @@ def run_anglesweep(config: dict, outdir: Path) -> dict:
             "rows": [{"angle_deg": a, "aclr_dbc": b, "evm_percent": c} for a, b, c in rows]}
 
 
-def run_partition_demo(config: dict, outdir: Path) -> dict:
+def run_partition_demo(config: dict, outdir: Path, seed: int) -> dict:
     plant, preset = load_scenario_plant(config)
-    partitions = _partitions(plant, preset, config, config.get("seed", 1), kmeans=True)
+    partitions = _partitions(plant, preset, config, seed, kmeans=True)
     (taylor, taylor_info), (km, km_info) = partitions["taylor"], partitions["kmeans"]
     taylor.save(outdir / "partition_taylor.json")
     km.save(outdir / "partition_kmeans.json")
     return {"kind": "partition", "taylor": taylor_info, "kmeans": km_info}
 
 
-def run_pruning_study(config: dict, outdir: Path) -> dict:
-    seed = config.get("seed", 1)
-    threshold = config.get("prune_threshold_db", -40.0)
+def run_pruning_study(config: dict, outdir: Path, seed: int,
+                      prune_threshold_db: float = -40.0) -> dict:
     runs = [(label, "pwcl_orth", seed * 100, {"prune_threshold_db": th})
-            for label, th in (("unpruned", None), ("pruned", threshold))]
+            for label, th in (("unpruned", None), ("pruned", prune_threshold_db))]
     out = _pipeline(config, runs, seed)
     partition_obj, part_info = out.partitions["taylor"]
     results = {}
@@ -463,7 +446,7 @@ def run_pruning_study(config: dict, outdir: Path) -> dict:
 
     spec = out.spec.with_partition(partition_obj)
     _write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
-    learn_cfg, ila_cfg = ({**section_settings(name), **config_section(config, name)}
+    learn_cfg, ila_cfg = ({**accepted_settings(*SECTIONS[name]), **config_section(config, name)}
                           for name in ("learn", "ila"))
     params = complexity_mod.params_from_spec(
         spec, b_cl=learn_cfg["block_size"], i_cl=learn_cfg["iterations"],
@@ -475,7 +458,7 @@ def run_pruning_study(config: dict, outdir: Path) -> dict:
     return {
         "kind": "pruning",
         "partition": part_info,
-        "threshold_db": threshold,
+        "threshold_db": prune_threshold_db,
         "unpruned": results["unpruned"],
         "pruned": results["pruned"],
         "learn_flops_per_sample": {"unpruned": unpruned_cost, "pruned": pruned_cost,
@@ -483,9 +466,10 @@ def run_pruning_study(config: dict, outdir: Path) -> dict:
     }
 
 
-def run_complexity(config: dict, outdir: Path) -> dict:
-    params = complexity_mod.load_params(config.get("params", "reference"))
-    ledger = complexity_mod.full_ledger(params, exact_division=config.get("exact_division", False))
+def run_complexity(config: dict, outdir: Path, params: str | dict = "reference",
+                   exact_division: bool = False) -> dict:
+    params = complexity_mod.load_params(params)
+    ledger = complexity_mod.full_ledger(params, exact_division=exact_division)
     (outdir / "ledger.txt").write_text(complexity_mod.format_ledger(ledger) + "\n")
     return {"kind": "complexity", "params": params.__dict__, "ledger": ledger}
 
@@ -500,29 +484,9 @@ SECTIONS = {
     "eval": (evaluate, ("noise_floor_dbc",)),
 }
 
-
-def section_settings(name: str) -> dict:
-    """The keys config section `name` accepts, each with its consumer's default."""
-    consumer, fixed = SECTIONS[name]
-    return {p.name: p.default for p in inspect.signature(consumer).parameters.values()
-            if p.default is not p.empty and p.name not in fixed}
-
-
-def config_section(config: dict, name: str) -> dict:
-    """The config's section `name` (empty when absent), to be passed whole to
-    its consumer; a key the consumer does not take is a ConfigError."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    accepted = section_settings(name)
-    for key in section:
-        if key not in accepted:
-            raise ConfigError(f"config section {name!r} has unknown key {key!r}; "
-                              f"{SECTIONS[name][0].__name__} takes {sorted(accepted)}")
-    return section
-
-
-# scenario kind -> runner(config, outdir); run_scenario gives powersweep its workers
+# scenario kind -> runner(config, outdir, ...); its keyword parameters with
+# defaults other than workers are the kind's own top-level keys, and
+# run_scenario passes it every setting it names (seed, for one) and workers
 RUNNERS = {
     "linearization": run_linearization,
     "powersweep": run_powersweep,
@@ -532,23 +496,84 @@ RUNNERS = {
     "complexity": run_complexity,
 }
 
+# top-level keys every kind takes besides the section names, with their
+# defaults; None takes any value: kind is checked against RUNNERS, preset
+# defaults in load_scenario_plant, and the rest override preset values
+SHARED = {"kind": None, "schema_version": 1, "preset": None, "seed": 1, "drive_rms": None,
+          "cfr_target_papr_db": None, "noise_floor_dbc": None, "coupling_strength": None}
+
+# the type a config value must have, by the type of the default it replaces
+# (bool first, since a bool is an int); a default of any other type, None
+# included, takes any value
+_VALUE_TYPES = (
+    (bool, lambda v: isinstance(v, bool), "true or false"),
+    (int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    (float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    ((list, tuple), lambda v: isinstance(v, list), "an array"),
+)
+
+
+def accepted_settings(consumer, fixed: tuple) -> dict:
+    """The keyword parameters of `consumer` a config may set, each with its
+    default; `fixed` names those its caller sets itself."""
+    return {p.name: p.default for p in inspect.signature(consumer).parameters.values()
+            if p.default is not p.empty and p.name not in fixed}
+
+
+def check_settings(values: dict, accepted: dict, where: str) -> dict:
+    """values, once each key is one of `accepted` and each value has the type
+    its default asks for (see _VALUE_TYPES); otherwise a ConfigError that names
+    `where` and the key."""
+    for key, value in values.items():
+        if key not in accepted:
+            raise ConfigError(f"{where} has unknown key {key!r}; it takes {sorted(accepted)}")
+        for default_type, fits, wanted in _VALUE_TYPES:
+            if isinstance(accepted[key], default_type):
+                if not fits(value):
+                    raise ConfigError(f"{where} key {key!r} must be {wanted}, got {value!r}")
+                break
+    return values
+
+
+def config_section(config: dict, name: str) -> dict:
+    """The config's section `name` (empty when absent), to be passed whole to
+    its consumer; checked by check_settings against the consumer's keywords."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    return check_settings(section, accepted_settings(*SECTIONS[name]), f"config section {name!r}")
+
+
+def scenario_settings(config: dict) -> dict:
+    """Every top-level setting of a scenario config, the config's value or the
+    default: the SHARED keys, the section names and the keyword parameters of
+    the kind's runner. The whole config, sections included, is checked first,
+    so a misspelled or ill-typed key fails before any run starts."""
+    if not isinstance(config, dict) or "kind" not in config:
+        raise ConfigError("scenario config must be an object with a 'kind' field")
+    kind = config["kind"]
+    if kind not in RUNNERS:
+        raise ConfigError(f"unknown scenario kind {kind!r}; have {tuple(RUNNERS)}")
+    accepted = {**SHARED, **dict.fromkeys(SECTIONS),
+                **accepted_settings(RUNNERS[kind], ("workers",))}
+    settings = {**accepted, **check_settings(config, accepted, f"{kind!r} scenario config")}
+    if settings["schema_version"] != 1:
+        raise ConfigError("unsupported scenario schema_version")
+    for name in SECTIONS:
+        config_section(config, name)
+    return settings
+
 
 def run_scenario(config: dict, outdir: str | Path, workers: int = 1) -> dict:
     """Dispatch a scenario config; writes metrics.json and the manifest and
     returns the metrics payload."""
-    if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigError("scenario config must be an object with a 'kind' field")
-    if config.get("schema_version", 1) != 1:
-        raise ConfigError("unsupported scenario schema_version")
-    kind = config["kind"]
-    if kind not in RUNNERS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; have {tuple(RUNNERS)}")
-    for name in SECTIONS:  # a misspelled setting fails before any run starts
-        config_section(config, name)
+    settings = dict(scenario_settings(config), workers=workers)
+    runner = RUNNERS[config["kind"]]
+    kwargs = {name: settings[name] for name in inspect.signature(runner).parameters
+              if name in settings}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = partial(run_powersweep, workers=workers) if kind == "powersweep" else RUNNERS[kind]
-    payload = runner(config, outdir)
+    payload = runner(config, outdir, **kwargs)
     _write_json(outdir / "metrics.json", payload)
     write_manifest(outdir, config)
     return payload

@@ -279,7 +279,7 @@ def test_sweep_parallel_workers(tmp_path):
     cfg["methods"] = ["none"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+    assert main(["scenario", "--config", str(cfg_path), "--out", str(tmp_path),
                  "--name", "par", "--workers", "2"]) == 0
     rows = json.loads((tmp_path / "par" / "metrics.json").read_text())["rows"]
     assert [r["offset_db"] for r in rows] == [-1.0, 0.0]
@@ -341,8 +341,12 @@ class _PartitionReached(Exception):
     pass
 
 
-@pytest.mark.parametrize("kind", ["linearization", "powersweep", "anglesweep", "pruning"])
-def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind):
+@pytest.mark.parametrize("kind, own", [("linearization", {"methods": ["pwcl_orth"]}),
+                                       ("powersweep", {"methods": ["pwcl_orth"]}),
+                                       ("anglesweep", {"method": "pwcl_orth"}),
+                                       ("pruning", {})],
+                         ids=["linearization", "powersweep", "anglesweep", "pruning"])
+def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind, own):
     import pwdpd.scenarios as scenarios
 
     seen = []
@@ -352,8 +356,8 @@ def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind):
         raise _PartitionReached
 
     monkeypatch.setattr(scenarios, "derive_partition", record)
-    config = {"kind": kind, "preset": "doherty-n3", "seed": 3, "methods": ["pwcl_orth"],
-              "method": "pwcl_orth", "partition": {"order": 3, "target_error": 0.05}}
+    config = {"kind": kind, "preset": "doherty-n3", "seed": 3,
+              "partition": {"order": 3, "target_error": 0.05}, **own}
     with pytest.raises(_PartitionReached):
         scenarios.run_scenario(config, tmp_path)
     assert seen[0].get("order") == 3
@@ -364,8 +368,8 @@ def test_shipped_scenario_presets_are_well_formed():
     from importlib import resources
 
     from pwdpd.dpd import LearnConfig
-    from pwdpd.scenarios import (METHODS, RUNNERS, SECTIONS, _base_spec, _trp_angles,
-                                 config_section, load_scenario_plant)
+    from pwdpd.scenarios import (METHODS, RUNNERS, _base_spec, _trp_angles, config_section,
+                                 load_scenario_plant, scenario_settings)
 
     names = [p.name[:-5] for p in resources.files("pwdpd").joinpath("presets/scenarios").iterdir()]
     assert names
@@ -375,8 +379,7 @@ def test_shipped_scenario_presets_are_well_formed():
         methods = cfg.get("methods", []) + ([cfg["method"]] if "method" in cfg else [])
         assert set(methods) <= set(METHODS), name
         load_scenario_plant(cfg)
-        for section in SECTIONS:
-            config_section(cfg, section)
+        scenario_settings(cfg)  # the whole top level and every section
         _base_spec(**config_section(cfg, "basis"))
         LearnConfig(**config_section(cfg, "learn"))
         _trp_angles(config_section(cfg, "eval").get("trp_angles"))
@@ -396,6 +399,29 @@ def test_misspelled_section_key_exit_code(tmp_path, section):
     record = json.loads((tmp_path / "x" / "error.json").read_text())
     assert record["error"] == "ConfigError"
     assert "'iteratons'" in record["message"] and repr(section) in record["message"]
+
+
+@pytest.mark.parametrize("kind, key, value", [("linearization", "method", ["none"]),
+                                             ("powersweep", "offset_db", [0.0]),
+                                             ("anglesweep", "angle", [0]),
+                                             ("pruning", "prune_threshold", -30.0),
+                                             ("complexity", "exact_divison", True)],
+                         ids=["linearization", "powersweep", "anglesweep", "pruning", "complexity"])
+def test_misspelled_top_level_key_exit_code(tmp_path, kind, key, value):
+    cfg = _json_file(tmp_path / "c.json", {"kind": kind, key: value})
+    assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert f"unknown key {key!r}" in record["message"] and repr(kind) in record["message"]
+
+
+@pytest.mark.parametrize("config, key", [({"learn": {"iterations": "2"}}, "iterations"),
+                                         ({"partition": {"order": "5"}}, "order"),
+                                         ({"seed": "7"}, "seed")], ids=["learn", "partition", "seed"])
+def test_ill_typed_value_exit_code(tmp_path, config, key):
+    assert _scenario_exit_code(tmp_path, **config) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and repr(key) in record["message"]
 
 
 @pytest.mark.parametrize("trp", [{"start": -10, "stop": 10}, {"start": -10, "stop": 10, "step": 0}],
