@@ -21,7 +21,7 @@ import numpy as np
 
 from . import complexity as complexity_mod
 from .dpd import load_model, save_model, trace_to_csv
-from .errors import AlignmentError, ConfigError, DegenerateRegionError, DemodulationError, DivergenceError
+from .errors import ConfigError, DegenerateRegionError, DemodulationError, DivergenceError
 from .metrics import aclr_single_direction
 from .partition import RegionPartition
 from .plant import load_plant, steer
@@ -207,9 +207,10 @@ def cmd_complexity(args) -> int:
 
 def cmd_scenario(args) -> int:
     config = _load_config(args)
-    outdir = _out_root(args) / (args.name or config.get("kind", "scenario"))
+    kind = config.get("kind")  # run_scenario reports a missing or ill-typed kind
+    outdir = _out_root(args) / (args.name or (kind if isinstance(kind, str) else "scenario"))
     try:
-        payload = run_scenario(config, outdir, workers=args.workers)
+        payload = run_scenario(config, outdir)
     except Exception as exc:  # leave a machine-readable error record, then fail as usual
         outdir.mkdir(parents=True, exist_ok=True)
         record = {"error": type(exc).__name__, "message": str(exc), "config": config}
@@ -304,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, help="shipped scenario preset name")
     p.add_argument("--out", default=None, help="output root (default $PWDPD_OUT or .)")
     p.add_argument("--name", default=None, help="bundle directory name")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_scenario)
 
     return parser
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except (ConfigError, DemodulationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateRegionError, AlignmentError) as exc:
+    except DegenerateRegionError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except DivergenceError as exc:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import AlignmentError, ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError
 from .signals import IqSignal
 
 LEARN_RULES = ("self_orthogonalized", "orthogonal_bfs")
@@ -77,10 +77,6 @@ class DpdModel:
             self.active_mask = np.asarray(self.active_mask, dtype=bool)
             if self.active_mask.size != self.gamma.size:
                 raise ConfigError("active_mask length must match gamma")
-
-    @property
-    def partition(self):
-        return self.spec.partition
 
     def native_gamma(self) -> np.ndarray:
         """Coefficients in the non-orthogonalized basis domain."""
@@ -162,37 +158,6 @@ def error_signal(z: IqSignal, a1: IqSignal, ghat: complex) -> IqSignal:
     if len(a1) != len(z):
         raise ConfigError("error signal requires equal-length signals")
     return z.with_samples(z.samples - ghat * a1.samples)
-
-
-def align(reference: IqSignal, measured: IqSignal) -> tuple[int, complex]:
-    """Integer-lag delay and unit phasor relating measured to reference.
-
-    measured(n) ~ phase * reference(n - delay). Raises AlignmentError when
-    the normalized correlation peak is below 0.2.
-    """
-    ref = reference.samples
-    mea = measured.samples
-    size = 1 << int(np.ceil(np.log2(ref.size + mea.size - 1)))
-    spec = np.fft.fft(mea, size) * np.conj(np.fft.fft(ref, size))
-    corr = np.fft.ifft(spec)
-    peak = int(np.argmax(np.abs(corr)))
-    norm = np.linalg.norm(ref) * np.linalg.norm(mea)
-    if norm == 0 or np.abs(corr[peak]) / norm < 0.2:
-        raise AlignmentError("correlation peak below 0.2; signals do not overlap")
-    delay = peak if peak <= size // 2 else peak - size
-    phase = corr[peak] / np.abs(corr[peak])
-    return delay, complex(phase)
-
-
-def apply_alignment(measured: IqSignal, delay: int, phase: complex) -> IqSignal:
-    """Undo the (delay, phase) found by align, zero-padding exposed edges."""
-    x = np.conj(phase) * measured.samples
-    out = np.zeros_like(x)
-    if delay >= 0:
-        out[:x.size - delay] = x[delay:]
-    else:
-        out[-delay:] = x[:x.size + delay]
-    return measured.with_samples(out)
 
 
 def prune_select(zeta: np.ndarray, threshold_db: float, reference_power: float) -> np.ndarray:
@@ -296,19 +261,6 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         model.active_mask = pd_mask
         model.gamma[~pd_mask] = 0.0
     return model, trace
-
-
-def static_response(model: DpdModel, amplitudes: np.ndarray, settle: int = 64) -> np.ndarray:
-    """|predistorted| amplitude at each input amplitude after memory settles.
-
-    Feeds a staircase (each amplitude held for ``settle`` samples) and reads
-    the final sample of each step, giving the composite DPD AM/AM curve.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    stair = np.repeat(amplitudes.astype(np.complex128), settle)
-    sig = IqSignal(stair, 1.0)
-    out = predistort(model, sig)
-    return np.abs(out.samples[settle - 1::settle])
 
 
 def trace_to_csv(trace: list[TraceRecord], path: str | Path) -> None:

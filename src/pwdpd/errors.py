@@ -25,9 +25,5 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
 
 
-class AlignmentError(RuntimeError):
-    """Cross-correlation alignment failed (no usable peak)."""
-
-
 class DemodulationError(RuntimeError):
     """Received signal could not be demodulated against the expected framing."""

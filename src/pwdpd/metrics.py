@@ -2,9 +2,9 @@
 TRP-based), NMSE, and far-field beam patterns.
 
 ACLR convention: adjacent channels sit at exactly +-channel_bw offsets; the
-measurement bandwidth is either the band holding 99% of the in-channel power
-(default) or the fixed allocated bandwidth, and the same bandwidth is used
-for the adjacent channels. Only the worse adjacent channel enters the ratio.
+measurement bandwidth is the band holding 99% of the in-channel power (on a
+2048-bin Welch spectrum), and the same bandwidth is used for the adjacent
+channels. Only the worse adjacent channel enters the ratio.
 """
 
 from __future__ import annotations
@@ -120,23 +120,13 @@ def _occupied99_bandwidth(freqs: np.ndarray, pxx: np.ndarray, channel_bw: float)
     return channel_bw
 
 
-def aclr_single_direction(sig: IqSignal, channel_bw: float,
-                          measurement_bw_rule: str = "occupied99",
-                          allocated_bw: float | None = None,
-                          resolution_bins: int = 2048) -> float:
+def aclr_single_direction(sig: IqSignal, channel_bw: float) -> float:
     """In-channel to worst-adjacent power ratio in dBc for one direction."""
     if sig.sample_rate < 3 * channel_bw:
         raise ConfigError(
             f"sample rate {sig.sample_rate:.3g} < 3 x channel bandwidth; adjacent channels not in view")
-    if measurement_bw_rule not in ("occupied99", "fixed_allocated"):
-        raise ConfigError(f"unknown measurement bandwidth rule {measurement_bw_rule!r}")
-    freqs, pxx = _welch(sig.samples, sig.sample_rate, resolution_bins)
-    if measurement_bw_rule == "occupied99":
-        mbw = _occupied99_bandwidth(freqs, pxx, channel_bw)
-    else:
-        if allocated_bw is None:
-            raise ConfigError("fixed_allocated rule requires allocated_bw")
-        mbw = allocated_bw
+    freqs, pxx = _welch(sig.samples, sig.sample_rate, 2048)
+    mbw = _occupied99_bandwidth(freqs, pxx, channel_bw)
     p_ch = band_power(freqs, pxx, -mbw / 2, mbw / 2)
     p_low = band_power(freqs, pxx, -channel_bw - mbw / 2, -channel_bw + mbw / 2)
     p_high = band_power(freqs, pxx, channel_bw - mbw / 2, channel_bw + mbw / 2)
@@ -196,7 +186,7 @@ def beam_pattern(plant: ArrayPlant, a1: IqSignal, angles_deg, channel_bw: float,
     spectrum (2048 bins) over the measurement bandwidth centered on the
     channel and the +-channel_bw adjacent offsets. The measurement bandwidth
     is the occupied-99% band of the angle with the strongest in-channel power,
-    the default rule of aclr_single_direction, so a one-point sweep reproduces
+    the rule of aclr_single_direction, so a one-point sweep reproduces
     that metric exactly. Pass per_element to reuse already-computed PA outputs.
     """
     angles_deg = np.asarray(list(angles_deg), dtype=float)

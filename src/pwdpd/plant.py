@@ -345,8 +345,9 @@ def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,
     return out
 
 
-def _pa_outputs(plant: ArrayPlant, a1: np.ndarray, elements: list[int]) -> list[np.ndarray]:
-    """Output wave of each listed PA branch; the one dispatch on PA kind."""
+def _pa_outputs(plant: ArrayPlant, a1: np.ndarray) -> list[np.ndarray]:
+    """Output wave of each PA branch; the one dispatch on PA kind."""
+    elements = range(plant.n_elements)
     simple = [i for i in elements if plant.elements[i].kind != "dual_input_lumped"]
     drives = dict(zip(simple, plant.drive_signals(a1, simple)))
     outs = []
@@ -363,16 +364,9 @@ def _pa_outputs(plant: ArrayPlant, a1: np.ndarray, elements: list[int]) -> list[
     return outs
 
 
-def pa_forward(plant: ArrayPlant, element: int, a1: IqSignal) -> IqSignal:
-    """Output wave of one PA branch for transmit signal a1."""
-    if not 0 <= element < plant.n_elements:
-        raise ConfigError(f"element {element} out of range")
-    return a1.with_samples(_pa_outputs(plant, a1.samples, [element])[0])
-
-
 def array_forward(plant: ArrayPlant, a1: IqSignal) -> tuple[list[IqSignal], IqSignal]:
     """All PA outputs plus the OTA-combined signal sum_i h_i b_i."""
-    outs = _pa_outputs(plant, a1.samples, list(range(plant.n_elements)))
+    outs = _pa_outputs(plant, a1.samples)
     per_element = [a1.with_samples(b) for b in outs]
     combined = np.zeros(len(a1), dtype=np.complex128)
     for i, sig in enumerate(per_element):

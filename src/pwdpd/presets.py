@@ -6,17 +6,15 @@ memory-polynomial array driven into deep compression (no-DPD observation
 ACLR around 25 dBc at its drive level, Taylor partitioning with Q=5, e=0.01
 landing at K=3); its per-element coefficients were drawn with a +-10 %
 spread around one memory polynomial (numpy default_rng seed 2024).
-"array8-backoff" is the same hardware at 3 dB lower drive; "doherty-n3" is
-a single strongly amplitude-dependent two-branch PA on a 20 MHz carrier
-where single-polynomial DPD visibly underperforms. "linear8" is an ideal
-8-element linear array (the sanity plant) on the array8-deep waveform, at a
-low drive with neither CFR nor receiver noise.
+"doherty-n3" is a single strongly amplitude-dependent two-branch PA on a
+20 MHz carrier where single-polynomial DPD visibly underperforms. "linear8"
+is an ideal 8-element linear array (the sanity plant) on the array8-deep
+waveform, at a low drive with neither CFR nor receiver noise.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
 
 from .errors import ConfigError
@@ -27,16 +25,6 @@ from .plant import ArrayPlant
 PRESET_PARAMS = {
     "array8-deep": {
         "drive_rms": 0.56,
-        "channel_bw": 400e6,
-        "cfr_target_papr_db": 6.5,
-        "cfr_iterations": 10,
-        "noise_floor_dbc": -54.0,
-        "ofdm": dict(subcarrier_spacing=120e3, fft_size=4096, active_subcarriers=3168,
-                     oversampling=5, constellation="64QAM", cp_fraction=0.07,
-                     wola_taper_samples=256),
-    },
-    "array8-backoff": {
-        "drive_rms": 0.56 / math.sqrt(2),
         "channel_bw": 400e6,
         "cfr_target_papr_db": 6.5,
         "cfr_iterations": 10,
@@ -61,15 +49,11 @@ PRESET_PARAMS["linear8"] = dict(PRESET_PARAMS["array8-deep"], drive_rms=0.25,
 PLANT_PRESETS = tuple(PRESET_PARAMS)
 
 
-# presets that share another preset's hardware file; PRESET_PARAMS sets the drive
-_PLANT_FILES = {"array8-backoff": "array8-deep"}
-
-
 def load_plant_preset(name: str) -> ArrayPlant:
     """Load a named plant preset from the shipped JSON description."""
     if name not in PLANT_PRESETS:
         raise ConfigError(f"unknown plant preset {name!r}; have {PLANT_PRESETS}")
-    ref = resources.files("pwdpd").joinpath(f"presets/plants/{_PLANT_FILES.get(name, name)}.json")
+    ref = resources.files("pwdpd").joinpath(f"presets/plants/{name}.json")
     return ArrayPlant.from_dict(json.loads(ref.read_text()))
 
 

@@ -12,7 +12,6 @@ import hashlib
 import inspect
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -196,7 +195,7 @@ def _base_spec(family: str = "full_dual_input", max_order: int = 9, memory_depth
 def load_scenario_plant(config: dict) -> tuple[ArrayPlant, dict]:
     """The config's plant preset and its parameters, with the config's
     top-level drive, CFR target, noise floor and coupling overrides."""
-    name = config.get("preset", "array8-deep")
+    name = config.get("preset", SHARED["preset"])
     plant, preset = load_plant_preset(name), preset_params(name)
     preset.update((key, config[key]) for key in ("drive_rms", "cfr_target_papr_db",
                                                  "noise_floor_dbc") if key in config)
@@ -379,26 +378,19 @@ def run_linearization(config: dict, outdir: Path, seed: int,
     return {"kind": "linearization", "partition": part_info, "methods": results}
 
 
-def _powersweep_point(job: tuple) -> dict:
-    config, methods, seed, offset_db = job
-    out = _pipeline(config, [(m, m, seed * 100 + j, {}) for j, m in enumerate(methods)],
-                    seed, drive_offset_db=offset_db)
-    row = {"offset_db": offset_db}
-    for method, _, _, (res,) in out.runs:
-        row[method] = {"aclr_dbc": res.metrics["aclr_dbc"],
-                       "evm_percent": res.metrics["evm_percent"]}
-    return row
-
-
 def run_powersweep(config: dict, outdir: Path, seed: int,
                    methods: tuple = ("none", "pwcl_orth", "pw_ila"),
-                   offsets_db: tuple = (-10, -8, -6, -4, -2, 0), workers: int = 1) -> dict:
-    jobs = [(config, methods, seed + 31 * i, float(o)) for i, o in enumerate(offsets_db)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_powersweep_point, jobs))
-    else:
-        rows = [_powersweep_point(j) for j in jobs]
+                   offsets_db: tuple = (-10.0, -8.0, -6.0, -4.0, -2.0, 0.0)) -> dict:
+    rows = []
+    for i, offset_db in enumerate(map(float, offsets_db)):
+        point_seed = seed + 31 * i
+        out = _pipeline(config, [(m, m, point_seed * 100 + j, {}) for j, m in enumerate(methods)],
+                        point_seed, drive_offset_db=offset_db)
+        row = {"offset_db": offset_db}
+        for method, _, _, (res,) in out.runs:
+            row[method] = {"aclr_dbc": res.metrics["aclr_dbc"],
+                           "evm_percent": res.metrics["evm_percent"]}
+        rows.append(row)
     csv_rows = []
     for row in rows:
         for m in methods:
@@ -408,7 +400,8 @@ def run_powersweep(config: dict, outdir: Path, seed: int,
 
 
 def run_anglesweep(config: dict, outdir: Path, seed: int,
-                   angles: tuple = (0, 10, 20, 30, 40, 50), method: str = "pwcl_orth") -> dict:
+                   angles: tuple = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0),
+                   method: str = "pwcl_orth") -> dict:
     """Train at 0 degrees, evaluate the frozen model across steering angles."""
     out = _pipeline(config, [(method, method, seed * 100, {})], seed, angles=angles)
     (_, _, _, evals), = out.runs
@@ -485,8 +478,8 @@ SECTIONS = {
 }
 
 # scenario kind -> runner(config, outdir, ...); its keyword parameters with
-# defaults other than workers are the kind's own top-level keys, and
-# run_scenario passes it every setting it names (seed, for one) and workers
+# defaults are the kind's own top-level keys, and run_scenario passes it every
+# setting it names (seed, for one)
 RUNNERS = {
     "linearization": run_linearization,
     "powersweep": run_powersweep,
@@ -497,20 +490,49 @@ RUNNERS = {
 }
 
 # top-level keys every kind takes besides the section names, with their
-# defaults; None takes any value: kind is checked against RUNNERS, preset
-# defaults in load_scenario_plant, and the rest override preset values
-SHARED = {"kind": None, "schema_version": 1, "preset": None, "seed": 1, "drive_rms": None,
-          "cfr_target_papr_db": None, "noise_floor_dbc": None, "coupling_strength": None}
+# defaults; kind is checked against RUNNERS, and None marks an override whose
+# default the preset supplies
+SHARED = {"kind": None, "schema_version": 1, "preset": "array8-deep", "seed": 1,
+          "drive_rms": None, "cfr_target_papr_db": None, "noise_floor_dbc": None,
+          "coupling_strength": None}
 
-# the type a config value must have, by the type of the default it replaces
-# (bool first, since a bool is an int); a default of any other type, None
-# included, takes any value
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# (test, description) of the values a config key takes, by the type of the
+# default they replace (bool first, since a bool is an int); a None default
+# is a stage that null turns off. An array's elements must pass the rule of
+# the default's first element
 _VALUE_TYPES = (
-    (bool, lambda v: isinstance(v, bool), "true or false"),
-    (int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    (float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-    ((list, tuple), lambda v: isinstance(v, list), "an array"),
+    (bool, (lambda v: isinstance(v, bool), "true or false")),
+    (int, (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")),
+    (float, (_is_number, "a number")),
+    (str, (lambda v: isinstance(v, str), "a string")),
+    (dict, (lambda v: isinstance(v, dict), "an object")),
+    ((list, tuple), (lambda v: isinstance(v, list), "an array")),
+    (type(None), (lambda v: v is None or _is_number(v), "a number or null")),
 )
+
+# the same by key name, for the keys whose default does not give their type;
+# these win over _VALUE_TYPES (_trp_angles checks the object's fields)
+_KEY_TYPES = {
+    "kind": (lambda v: isinstance(v, str), "a string"),
+    "drive_rms": (_is_number, "a number"),
+    "coupling_strength": (_is_number, "a number"),
+    "params": (lambda v: isinstance(v, (str, dict)), "\"reference\" or an object"),
+    "trp_angles": (lambda v: v is None or isinstance(v, (bool, dict)),
+                   "true, false, null or an object"),
+}
+
+
+def _value_rule(default) -> tuple:
+    """(test, description) for the values that may replace `default`."""
+    for default_type, rule in _VALUE_TYPES:
+        if isinstance(default, default_type):
+            return rule
+    return (lambda v: True), "any value"
 
 
 def accepted_settings(consumer, fixed: tuple) -> dict:
@@ -521,17 +543,22 @@ def accepted_settings(consumer, fixed: tuple) -> dict:
 
 
 def check_settings(values: dict, accepted: dict, where: str) -> dict:
-    """values, once each key is one of `accepted` and each value has the type
-    its default asks for (see _VALUE_TYPES); otherwise a ConfigError that names
-    `where` and the key."""
+    """values, once each key is one of `accepted` and each value, and each
+    element of an array, has the type its default asks for (see _VALUE_TYPES
+    and _KEY_TYPES); otherwise a ConfigError that names `where` and the key."""
     for key, value in values.items():
         if key not in accepted:
             raise ConfigError(f"{where} has unknown key {key!r}; it takes {sorted(accepted)}")
-        for default_type, fits, wanted in _VALUE_TYPES:
-            if isinstance(accepted[key], default_type):
-                if not fits(value):
-                    raise ConfigError(f"{where} key {key!r} must be {wanted}, got {value!r}")
-                break
+        default = accepted[key]
+        fits, wanted = _KEY_TYPES.get(key) or _value_rule(default)
+        if not fits(value):
+            raise ConfigError(f"{where} key {key!r} must be {wanted}, got {value!r}")
+        if isinstance(default, (list, tuple)) and default:
+            fits, wanted = _value_rule(default[0])
+            for element in value:
+                if not fits(element):
+                    raise ConfigError(f"{where} key {key!r} elements must each be {wanted}, "
+                                      f"got {element!r}")
     return values
 
 
@@ -552,10 +579,11 @@ def scenario_settings(config: dict) -> dict:
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("scenario config must be an object with a 'kind' field")
     kind = config["kind"]
-    if kind not in RUNNERS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; have {tuple(RUNNERS)}")
-    accepted = {**SHARED, **dict.fromkeys(SECTIONS),
-                **accepted_settings(RUNNERS[kind], ("workers",))}
+    if not isinstance(kind, str) or kind not in RUNNERS:
+        raise ConfigError(f"scenario config key 'kind' must name one of {tuple(RUNNERS)}, "
+                          f"got {kind!r}")
+    accepted = {**SHARED, **{name: {} for name in SECTIONS},
+                **accepted_settings(RUNNERS[kind], ())}
     settings = {**accepted, **check_settings(config, accepted, f"{kind!r} scenario config")}
     if settings["schema_version"] != 1:
         raise ConfigError("unsupported scenario schema_version")
@@ -564,10 +592,10 @@ def scenario_settings(config: dict) -> dict:
     return settings
 
 
-def run_scenario(config: dict, outdir: str | Path, workers: int = 1) -> dict:
+def run_scenario(config: dict, outdir: str | Path) -> dict:
     """Dispatch a scenario config; writes metrics.json and the manifest and
     returns the metrics payload."""
-    settings = dict(scenario_settings(config), workers=workers)
+    settings = scenario_settings(config)
     runner = RUNNERS[config["kind"]]
     kwargs = {name: settings[name] for name in inspect.signature(runner).parameters
               if name in settings}

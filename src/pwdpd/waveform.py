@@ -180,8 +180,8 @@ def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
     band (brick-wall: FFT bins outside +-occupied_bandwidth/2 are zeroed, so
     clipping noise cannot grow out of band). The sequence ends on a clip,
     pinning the output peak exactly at the clip level; the unfiltered residue
-    of that last pass is tiny (waveform self-ACLR stays above 60 dBc at the
-    default settings). Best-effort: the achievable 1%
+    of that last pass is tiny (waveform self-ACLR stays above 60 dBc on the
+    array8-deep and doherty-n3 waveforms). Best-effort: the achievable 1%
     PAPR depends on the signal; no error is raised.
     """
     if target_papr_db <= 0:

@@ -120,7 +120,7 @@ def test_degenerate_region_exit_code(tmp_path):
 def test_divergence_exit_code(tmp_path, monkeypatch):
     import pwdpd.cli as cli_mod
 
-    def boom(config, outdir, workers=1):
+    def boom(config, outdir):
         raise DivergenceError("test divergence", [])
 
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
@@ -273,15 +273,15 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "led" / "metrics.json").exists()
 
 
-def test_sweep_parallel_workers(tmp_path):
+def test_powersweep_rows_follow_offsets_db(tmp_path):
     cfg = scenario_preset("powersweep")
     cfg["offsets_db"] = [-1.0, 0.0]
     cfg["methods"] = ["none"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["scenario", "--config", str(cfg_path), "--out", str(tmp_path),
-                 "--name", "par", "--workers", "2"]) == 0
-    rows = json.loads((tmp_path / "par" / "metrics.json").read_text())["rows"]
+                 "--name", "sweep"]) == 0
+    rows = json.loads((tmp_path / "sweep" / "metrics.json").read_text())["rows"]
     assert [r["offset_db"] for r in rows] == [-1.0, 0.0]
 
 
@@ -415,13 +415,60 @@ def test_misspelled_top_level_key_exit_code(tmp_path, kind, key, value):
     assert f"unknown key {key!r}" in record["message"] and repr(kind) in record["message"]
 
 
-@pytest.mark.parametrize("config, key", [({"learn": {"iterations": "2"}}, "iterations"),
-                                         ({"partition": {"order": "5"}}, "order"),
-                                         ({"seed": "7"}, "seed")], ids=["learn", "partition", "seed"])
-def test_ill_typed_value_exit_code(tmp_path, config, key):
-    assert _scenario_exit_code(tmp_path, **config) == 2
+def _ill_typed_cases():
+    """(kind, config keys, key) for one ill-typed value of every key a scenario
+    config takes (SHARED, the section names, each section's keys and each
+    runner's keys) and one ill-typed element of every array-valued key, keyed
+    by a test id. Each value is the first of a few candidates that the key's
+    type check rejects, so a key added later is covered without a new row."""
+    from pwdpd.scenarios import RUNNERS, SECTIONS, SHARED, accepted_settings, check_settings
+
+    def rejected(accepted, key, candidates):
+        for value in candidates:
+            try:
+                check_settings({key: value}, accepted, "")
+            except ConfigError:
+                return value
+        raise AssertionError(f"no ill-typed candidate for {key!r}")
+
+    values, elements = ("x", [1.5]), (["x"], [1.5])
+    cases = {}
+    top = {**SHARED, **{name: {} for name in SECTIONS}}
+    for key in top:
+        cases[key] = ("linearization", {key: rejected(top, key, values)}, key)
+    for name, (consumer, fixed) in SECTIONS.items():
+        accepted = accepted_settings(consumer, fixed)
+        for key in accepted:
+            cases[f"{name}.{key}"] = ("linearization",
+                                      {name: {key: rejected(accepted, key, values)}}, key)
+    for kind, runner in RUNNERS.items():
+        accepted = accepted_settings(runner, ())
+        for key, default in accepted.items():
+            cases[f"{kind}.{key}"] = (kind, {key: rejected(accepted, key, values)}, key)
+            if isinstance(default, (list, tuple)):
+                cases[f"{kind}.{key}[0]"] = (kind, {key: rejected(accepted, key, elements)},
+                                             key)
+    return cases
+
+
+_ILL_TYPED = _ill_typed_cases()
+
+
+@pytest.mark.parametrize("kind, config, key", list(_ILL_TYPED.values()), ids=list(_ILL_TYPED))
+def test_ill_typed_value_exit_code(tmp_path, kind, config, key):
+    cfg = _json_file(tmp_path / "c.json", {"kind": kind, "preset": "doherty-n3", **config})
+    assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
     record = json.loads((tmp_path / "x" / "error.json").read_text())
     assert record["error"] == "ConfigError" and repr(key) in record["message"]
+    assert not (tmp_path / "x" / "metrics.json").exists()
+
+
+def test_ill_typed_kind_without_name_exit_code(tmp_path):
+    """The bundle directory falls back to "scenario" when kind cannot name it."""
+    cfg = _json_file(tmp_path / "c.json", {"kind": ["x"]})
+    assert main(["scenario", "--config", cfg, "--out", str(tmp_path)]) == 2
+    record = json.loads((tmp_path / "scenario" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and "'kind'" in record["message"]
 
 
 @pytest.mark.parametrize("trp", [{"start": -10, "stop": 10}, {"start": -10, "stop": 10, "step": 0}],

@@ -3,11 +3,10 @@ import pytest
 
 import pwdpd.basis as basis_mod
 from pwdpd.basis import BasisSpec, build_matrix, orthogonalize
-from pwdpd.dpd import (DpdModel, LearnConfig, align, apply_alignment,
-                       distortion_power_identity, error_signal, estimate_gain, learn,
-                       load_model, predistort, prune_select, save_model, static_response,
+from pwdpd.dpd import (DpdModel, LearnConfig, distortion_power_identity, error_signal,
+                       estimate_gain, learn, load_model, predistort, prune_select, save_model,
                        trace_to_csv)
-from pwdpd.errors import AlignmentError, ConfigError, DivergenceError
+from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import RegionPartition
 from pwdpd.signals import IqSignal
 
@@ -82,42 +81,6 @@ def test_error_signal_third_order_energy_oracle():
     d = c3 * a * np.abs(a) ** 2
     d_perp = d - (np.vdot(a, d) / np.vdot(a, a)) * a
     assert np.sum(np.abs(err.samples) ** 2) == pytest.approx(np.sum(np.abs(d_perp) ** 2), rel=1e-10)
-
-
-def test_align_delay_and_phase():
-    ref = random_signal(4000, seed=7)
-    delayed = np.zeros_like(ref.samples)
-    delayed[7:] = ref.samples[:-7]
-    delay, phase = align(ref, ref.with_samples(delayed))
-    assert delay == 7
-    rotated = ref.samples * np.exp(1j * np.pi / 4)
-    _, phase = align(ref, ref.with_samples(rotated))
-    assert phase == pytest.approx(np.exp(1j * np.pi / 4), abs=1e-6)
-
-
-def test_align_noisy_monte_carlo():
-    rng = np.random.default_rng(8)
-    ref = random_signal(8000, seed=9)
-    for trial in range(5):
-        d = int(rng.integers(-200, 200))
-        rot = np.exp(1j * rng.uniform(-np.pi, np.pi))
-        shifted = np.roll(ref.samples, d) * rot
-        noise = (rng.standard_normal(8000) + 1j * rng.standard_normal(8000))
-        noise *= np.sqrt(ref.power * 1e-3 / 2)  # 30 dB SNR
-        meas = ref.with_samples(shifted + noise)
-        delay, phase = align(ref, meas)
-        assert delay == d
-        aligned = apply_alignment(meas, delay, phase)
-        keep = slice(300, -300)
-        err = aligned.samples[keep] - ref.samples[keep]
-        assert np.mean(np.abs(err) ** 2) / ref.power < 2e-3
-
-
-def test_align_failure():
-    a = random_signal(2000, seed=10)
-    b = random_signal(2000, seed=11)
-    with pytest.raises(AlignmentError):
-        align(a, b)
 
 
 def test_learn_linear_plant_stays_zero():
@@ -312,7 +275,10 @@ def test_piecewise_continuity_after_convergence(cubic_plant):
     cfg = LearnConfig(mu=0.4, block_size=6000, iterations=12)
     model, _ = learn(PlantLoop(cubic_plant, rms=0.25, seed=20), spec, cfg)
     amps = np.linspace(0.01, 0.8, 1200)
-    curve = static_response(model, amps)
+    # staircase holding each amplitude 64 samples so memory settles; the last
+    # sample of each step reads the composite DPD AM/AM curve
+    stair = IqSignal(np.repeat(amps.astype(np.complex128), 64), 1.0)
+    curve = np.abs(predistort(model, stair).samples[63::64])
     boundary = 0.22
     i = int(np.searchsorted(amps, boundary))
     jump = abs(curve[i + 1] - curve[i - 1])

@@ -3,7 +3,7 @@ import pytest
 
 from pwdpd.errors import ConfigError
 from pwdpd.plant import (ArrayPlant, PaModel, array_forward, load_plant,
-                         observation_receive, pa_forward, save_plant, steer)
+                         observation_receive, save_plant, steer)
 from pwdpd.signals import IqSignal
 
 from conftest import identity_coupling, random_signal, single_element_plant
@@ -14,20 +14,20 @@ def test_linear_pa_exact():
     plant = ArrayPlant(plant.elements, np.array([np.exp(0.7j)]), plant.coupling,
                        plant.branch_filters, plant.channel)
     sig = random_signal(256, seed=1)
-    out = pa_forward(plant, 0, sig)
+    out = array_forward(plant, sig)[0][0]
     np.testing.assert_allclose(out.samples, (2.5 - 0.5j) * np.exp(0.7j) * sig.samples, rtol=1e-14)
 
 
 def test_memoryless_hand_value():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     sig = IqSignal(np.array([0.5], dtype=complex), 1.0)
-    out = pa_forward(plant, 0, sig)
+    out = array_forward(plant, sig)[0][0]
     assert out.samples[0] == pytest.approx(0.5 - 0.1 * 0.5 * 0.25, abs=1e-15)
 
 
 def test_memory_tap_hand_convolution():
     plant = single_element_plant({(1, 0): 1.0, (1, 1): 0.2}, kind="memory_poly")
-    out = pa_forward(plant, 0, IqSignal(np.array([1.0, 1.0], dtype=complex), 1.0))
+    out = array_forward(plant, IqSignal(np.array([1.0, 1.0], dtype=complex), 1.0))[0][0]
     np.testing.assert_allclose(out.samples, [1.0, 1.2], rtol=1e-14)
 
 
@@ -79,7 +79,7 @@ def test_dual_input_against_scalar_oracle():
     plant = ArrayPlant((pa, pa), w, coupling, branch, np.conj(w), coupling_strength=0.5)
     sig = random_signal(64, rms=0.4, seed=5)
     for element in (0, 1):
-        got = pa_forward(plant, element, sig)
+        got = array_forward(plant, sig)[0][element]
         f = plant.branch_response(element)
         expected = _oracle_dual_input(pa, w[element], f, sig.samples)
         np.testing.assert_allclose(got.samples, expected, rtol=1e-10, atol=1e-14)
@@ -194,7 +194,7 @@ def test_saturation_bounds_output():
     plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
                        np.ones((1, 1), dtype=complex), np.ones(1, dtype=complex))
     huge = random_signal(500, rms=50.0, seed=13)
-    out = pa_forward(plant, 0, huge)
+    out = array_forward(plant, huge)[0][0]
     ceiling = pa.output_ceiling()
     assert np.max(np.abs(out.samples)) <= ceiling + 1e-12
     with pytest.raises(ConfigError):

@@ -100,6 +100,20 @@ def test_cfr_reaches_target_and_never_raises_papr():
         assert after <= before + 1e-9
 
 
+@pytest.mark.parametrize("num_symbols", [2, 4, 8])
+@pytest.mark.parametrize("preset", ["array8-deep", "doherty-n3"])
+def test_cfr_preset_waveform_self_aclr(preset, num_symbols):
+    """The clip that ends crest_factor_reduce leaves the preset waveforms'
+    self-ACLR above 60 dBc, as its docstring claims."""
+    from pwdpd.metrics import aclr_single_direction
+    from pwdpd.presets import preset_params
+    from pwdpd.scenarios import preset_waveform
+
+    params = preset_params(preset)
+    sig, _, _ = preset_waveform(params, num_symbols, seed=1)
+    assert aclr_single_direction(sig, params["channel_bw"]) > 60
+
+
 def test_papr_ccdf_trivial_and_hand_quantile():
     const = IqSignal(np.exp(1j * np.arange(100)), 1.0)
     for _, level in papr_ccdf(const, [0.5, 0.1, 0.01]):
