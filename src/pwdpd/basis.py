@@ -186,14 +186,14 @@ class _LagCache:
         return self._shifted[key]
 
     def env_power(self, lag: int, exponent: int) -> np.ndarray:
-        """|x(n-lag)|^exponent for even exponent >= 2."""
+        """|x(n-lag)|^exponent for even exponent >= 2, a product of the cached lower powers."""
         key = (lag, exponent)
         if key not in self._env_pow:
             if exponent == 2:
                 s = self.shifted(lag)
                 self._env_pow[key] = s.real * s.real + s.imag * s.imag
             else:
-                self._env_pow[key] = self.env_power(lag, 2) ** (exponent // 2)
+                self._env_pow[key] = self.env_power(lag, exponent - 2) * self.env_power(lag, 2)
         return self._env_pow[key]
 
 

@@ -18,8 +18,9 @@ For the three simple kinds, the drive u is the incident wave w_i * a1 plus
 the coupled neighbor wave scaled by coupling_strength and the steering-angle
 factor; with coupling_strength = 0 the nonlinear response is exactly
 steering-invariant. A smooth envelope limiter at saturation_level bounds the
-drive (and hence the output) for all inputs; saturation_level = inf disables
-it.
+drive to |u| <= saturation_level * (1 + 4 eps) (eps the float64 epsilon), and
+hence the output, for every drive whose |u| / saturation_level is finite;
+saturation_level = inf disables it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .signals import IqSignal
 
 PA_KINDS = ("memoryless_poly", "memory_poly", "doherty_like", "dual_input_lumped")
 
-_LIMIT_KNEE = 2  # Rapp-style knee sharpness of the envelope limiter
+# |x|/sat above which the limiter's (1 + r^4)^(1/4) is r to double precision
+_LIMIT_FLAT = 2.0 ** 14
 
 
 def _check_poly_table(table: dict) -> dict:
@@ -97,11 +99,19 @@ class PaModel:
 
 
 def _soft_limit(x: np.ndarray, sat: float) -> np.ndarray:
-    """Smooth envelope limiter: |out| < sat for all finite inputs."""
+    """Smooth envelope limiter x / (1 + r^4)^(1/4), r = |x|/sat (Rapp, knee 2).
+
+    Wherever r is finite, |out| <= sat * (1 + 4 eps) (eps the float64
+    epsilon) and, up to that rounding, |out| never decreases as |x| grows.
+    Beyond r = _LIMIT_FLAT the fourth root is taken at _LIMIT_FLAT and scaled
+    by r / _LIMIT_FLAT, which is exact to double precision there, so no power
+    overflows.
+    """
     if not math.isfinite(sat):
         return x
     r = np.abs(x) / sat
-    return x / (1.0 + r ** (2 * _LIMIT_KNEE)) ** (1.0 / (2 * _LIMIT_KNEE))
+    r2 = np.square(np.minimum(r, _LIMIT_FLAT))
+    return x * (1.0 / (np.sqrt(np.sqrt(1.0 + r2 * r2)) * np.maximum(r / _LIMIT_FLAT, 1.0)))
 
 
 def _lagged(x: np.ndarray, m: int) -> np.ndarray:
@@ -112,21 +122,56 @@ def _lagged(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _poly_memory(u: np.ndarray, table: dict) -> np.ndarray:
-    out = np.zeros_like(u)
-    lag_cache: dict[int, np.ndarray] = {}
+def _causal_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """sum_k taps[k] x(n-k) over the first x.size outputs: np.convolve(x, taps)[:x.size]."""
+    n = x.size
+    out = taps[0] * x
+    for k in range(1, min(taps.size, n)):
+        out[k:] += taps[k] * x[:n - k]
+    return out
+
+
+def _power(x: np.ndarray) -> np.ndarray:
+    """Instantaneous power |x|^2 as re^2 + im^2."""
+    env2 = np.square(x.real)
+    env2 += np.square(x.imag)
+    return env2
+
+
+def _envelope_poly(env2: np.ndarray, coefs: dict):
+    """sum_p coefs[p] env2^p by Horner's rule; the bare coefficient if p = 0 only."""
+    top = max(coefs)
+    if top == 0:
+        return coefs[0]
+    g = complex(coefs[top]) * env2
+    for p in range(top - 1, 0, -1):
+        g += coefs.get(p, 0.0)
+        g *= env2
+    g += coefs.get(0, 0.0)
+    return g
+
+
+def _poly_memory(u: np.ndarray, env2: np.ndarray, table: dict) -> np.ndarray:
+    """sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1) given env2 = |u|^2: per tap m,
+    u(n-m) times one polynomial in env2(n-m)."""
+    by_tap: dict[int, dict[int, complex]] = {}
     for (order, tap), coef in table.items():
-        xm = lag_cache.setdefault(tap, _lagged(u, tap))
-        out += coef * xm * np.abs(xm) ** (order - 1) if order > 1 else coef * xm
+        by_tap.setdefault(tap, {})[order // 2] = coef
+    n = u.size
+    out = np.zeros_like(u)
+    for tap, coefs in by_tap.items():
+        if tap < n:
+            out[tap:] += u[:n - tap] * _envelope_poly(env2[:n - tap], coefs)
     return out
 
 
 def _doherty(u: np.ndarray, coeffs: dict, sat: float) -> np.ndarray:
-    main = _poly_memory(u, coeffs["main"])
-    aux = _poly_memory(u, coeffs["aux"])
+    env2 = _power(u)
+    main = _poly_memory(u, env2, coeffs["main"])
+    aux = _poly_memory(u, env2, coeffs["aux"])
     center = coeffs["crossover"] * (sat if math.isfinite(sat) else 1.0)
     width = coeffs["blend_width"] * (sat if math.isfinite(sat) else 1.0)
-    blend = 0.5 * (1 + np.tanh((np.abs(u) - center) / width))
+    blend = 0.5 * (1 + np.tanh((np.sqrt(env2) - center) / width))
     return (1 - blend) * main + blend * aux
 
 
@@ -180,15 +225,6 @@ class ArrayPlant:
     def angle_factor(self) -> float:
         return 1.0 + self.angle_coupling_slope * abs(math.sin(math.radians(self.steer_angle_deg)))
 
-    def _coupled_neighbor_wave(self, a1: np.ndarray, elements: list[int]) -> np.ndarray:
-        """Coupled wave sum_{l != i} w_l (lambda_il * mu_l * a1) per listed element, unscaled."""
-        out = np.zeros((len(elements), a1.size), dtype=np.complex128)
-        if self.coupling_strength == 0.0:
-            return out
-        for row, i in enumerate(elements):
-            out[row] = np.convolve(a1, self._neighbor_fir(i))[:a1.size]
-        return out
-
     def _neighbor_fir(self, element: int) -> np.ndarray:
         """Composite FIR sum_{l != i} w_l lambda_il * mu_l of element i, unscaled."""
         taps = self.coupling.shape[2] + self.branch_filters.shape[1] - 1
@@ -199,11 +235,13 @@ class ArrayPlant:
                                                    self.branch_filters[l])
         return f
 
-    def drive_signals(self, a1: np.ndarray, elements: list[int]) -> np.ndarray:
-        """PA input of each listed element: incident wave plus scaled coupled wave."""
-        coupled = self._coupled_neighbor_wave(a1, elements)
-        scale = self.coupling_strength * self.angle_factor
-        return self.weights[elements, None] * a1[None, :] + scale * coupled
+    def drive_signal(self, a1: np.ndarray, element: int) -> np.ndarray:
+        """PA input of one element: incident wave w_i a1 plus the scaled coupled wave."""
+        if self.coupling_strength == 0.0:
+            return self.weights[element] * a1
+        taps = self.coupling_strength * self.angle_factor * self._neighbor_fir(element)
+        taps[0] += self.weights[element]
+        return _causal_fir(a1, taps)
 
     def branch_response(self, element: int) -> np.ndarray:
         """f_i = sum_l w_l lambda_il * mu_l with the scaled off-diagonal coupling."""
@@ -313,54 +351,55 @@ def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,
     a = _soft_limit(a1, pa.saturation_level)
     w = plant.weights[element]
     f = plant.branch_response(element)
-    fc = np.convolve(a, f)[:a.size]
-    env2 = np.abs(a) ** 2
+    waves = {"a": a, "f": _causal_fir(a, f)}
+    cache = {}
 
-    lag = {}
+    def la(name, m):
+        """The wave delayed by m samples, zero-filled."""
+        if (name, m) not in cache:
+            cache[(name, m)] = _lagged(waves[name], m)
+        return cache[(name, m)]
 
-    def la(arr, m, cache_key):
-        key = (cache_key, m)
-        if key not in lag:
-            lag[key] = _lagged(arr, m)
-        return lag[key]
+    def env(m, p):
+        """|a(n-m)|^(2p) as a product of the lower powers; 1 for p <= 0."""
+        if p <= 0:
+            return 1.0
+        if ("e", m, p) not in cache:
+            if p == 1:
+                cache[("e", m, p)] = _power(la("a", m))
+            else:
+                cache[("e", m, p)] = env(m, p - 1) * env(m, 1)
+        return cache[("e", m, p)]
 
     out = np.zeros_like(a)
     for (order, m1), coef in pa.coefficients["alpha"].items():
         p = (order - 1) // 2
-        xm = la(a, m1, "a")
-        term = xm if p == 0 else xm * la(env2, m1, "e") ** p
-        out += coef * (w * abs(w) ** (2 * p)) * term
+        out += coef * (w * abs(w) ** (2 * p)) * (la("a", m1) * env(m1, p))
     for m2, coef in pa.coefficients["beta0"].items():
-        out += coef * la(fc, m2, "f")
+        out += coef * la("f", m2)
     for (order, m3, m4), coef in pa.coefficients["beta"].items():
         p = (order - 1) // 2
-        out += coef * abs(w) ** (2 * p) * la(fc, m3, "f") * la(env2, m4, "e") ** p
+        out += coef * abs(w) ** (2 * p) * la("f", m3) * env(m4, p)
     for (order, m5, m6), coef in pa.coefficients["zeta"].items():
         p = (order - 1) // 2
         # conjugate-wave term; |w| exponent p-1 as modeled
-        term = np.conj(la(fc, m5, "f")) * la(a, m6, "a") ** 2
-        if p > 1:
-            term = term * la(env2, m6, "e") ** (p - 1)
+        term = np.conj(la("f", m5)) * la("a", m6) ** 2 * env(m6, p - 1)
         out += coef * (w ** 2 * abs(w) ** (p - 1)) * term
     return out
 
 
 def _pa_outputs(plant: ArrayPlant, a1: np.ndarray) -> list[np.ndarray]:
     """Output wave of each PA branch; the one dispatch on PA kind."""
-    elements = range(plant.n_elements)
-    simple = [i for i in elements if plant.elements[i].kind != "dual_input_lumped"]
-    drives = dict(zip(simple, plant.drive_signals(a1, simple)))
     outs = []
-    for i in elements:
-        pa = plant.elements[i]
+    for i, pa in enumerate(plant.elements):
         if pa.kind == "dual_input_lumped":
             outs.append(_dual_input_forward(pa, plant, i, a1))
             continue
-        u = _soft_limit(drives[i], pa.saturation_level)
+        u = _soft_limit(plant.drive_signal(a1, i), pa.saturation_level)
         if pa.kind == "doherty_like":
             outs.append(_doherty(u, pa.coefficients, pa.saturation_level))
         else:
-            outs.append(_poly_memory(u, pa.coefficients))
+            outs.append(_poly_memory(u, _power(u), pa.coefficients))
     return outs
 
 

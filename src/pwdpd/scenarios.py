@@ -3,7 +3,9 @@
 Every scenario is deterministic given its seed: waveform seeds, learning
 block seeds, and observation noise all derive from the config. A run writes
 its artifacts plus a manifest.json listing each file with a sha256 checksum,
-so identical configs produce identical bundles.
+so identical configs produce identical bundles at a fixed BLAS thread count;
+across thread counts the learning and ILA solves round differently, and the
+floats in metrics.json (and the files that hold them) differ in their last bits.
 """
 
 from __future__ import annotations

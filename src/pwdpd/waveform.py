@@ -190,29 +190,28 @@ def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
         raise ConfigError("iterations must be >= 1")
     x = sig.samples.copy()
     n = x.size
-    keep = None
+    drop = None
     if occupied_bandwidth is not None:
         freqs = np.fft.fftfreq(n, d=1.0 / sig.sample_rate)
-        keep = np.abs(freqs) <= occupied_bandwidth / 2
+        drop = np.abs(freqs) > occupied_bandwidth / 2
     # clip level fixed against the input average power
     clip = np.sqrt(np.mean(np.abs(x) ** 2)) * 10 ** (target_papr_db / 20)
 
     def clip_pass(vec):
+        """Clip vec in place (the private copy or a fresh ifft output); False if none was over."""
         env = np.abs(vec)
         over = env > clip
         if not np.any(over):
-            return vec, False
-        vec = vec.copy()
+            return False
         vec[over] *= clip / env[over]
-        return vec, True
+        return True
 
     for _ in range(iterations):
-        x, clipped = clip_pass(x)
-        if not clipped:
+        if not clip_pass(x):
             break
-        if keep is not None:
+        if drop is not None:
             spectrum = np.fft.fft(x)
-            spectrum[~keep] = 0
+            spectrum[drop] = 0
             x = np.fft.ifft(spectrum)
-    x, _ = clip_pass(x)
+    clip_pass(x)
     return IqSignal(x, sig.sample_rate, sig.seed)

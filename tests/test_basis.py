@@ -366,3 +366,14 @@ def test_build_matrix_block_bounds():
     sig = rayleigh_signal(100)
     with pytest.raises(ConfigError):
         build_matrix(BasisSpec("memoryless", 3), sig, block=(90, 20))
+
+
+def test_lag_cache_env_power_matches_pow():
+    # env_power builds |x|^e (e even) from products of the cached lower powers
+    x = random_signal(700, rms=0.8, seed=31).samples
+    pos = np.arange(3, x.size)
+    cache = basis_mod._LagCache(x, pos)
+    for lag in (0, 1, 3):
+        ref = np.abs(x[pos - lag])
+        for e in (8, 2, 6, 4):
+            np.testing.assert_allclose(cache.env_power(lag, e), ref ** e, rtol=1e-14)

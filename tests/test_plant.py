@@ -1,8 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from pwdpd.errors import ConfigError
-from pwdpd.plant import (ArrayPlant, PaModel, array_forward, load_plant,
+from pwdpd.plant import (ArrayPlant, PaModel, _soft_limit, array_forward, load_plant,
                          observation_receive, save_plant, steer)
 from pwdpd.signals import IqSignal
 
@@ -240,7 +243,6 @@ def test_coupled_drive_against_per_pair_oracle():
                              np.ones(n, dtype=complex), coupling_strength=0.3), 25.0)
     a1 = random_signal(256, seed=16).samples
     w, scale = plant.weights, 0.3 * plant.angle_factor
-    drives = plant.drive_signals(a1, list(range(n)))
     for i in range(n):
         expected = w[i] * a1
         f = w[i] * np.convolve(coupling[i, i], branch[i])
@@ -249,5 +251,98 @@ def test_coupled_drive_against_per_pair_oracle():
                 mu = np.convolve(a1, branch[l])[:a1.size]
                 expected = expected + scale * w[l] * np.convolve(mu, coupling[i, l])[:a1.size]
                 f = f + w[l] * np.convolve(scale * coupling[i, l], branch[l])
-        np.testing.assert_allclose(drives[i], expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(plant.drive_signal(a1, i), expected, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(plant.branch_response(i), f, rtol=1e-12, atol=1e-15)
+
+
+def test_soft_limit_bounded_and_monotone_without_overflow():
+    # (|x|/sat)^4 overflows past |x|/sat ~ 1e77 when formed directly, which
+    # would zero the output. Where the curve is flat (|x|/sat beyond ~1e4)
+    # its exact value is sat to within eps/4, so each sample's own rounding
+    # of x / |x| moves |out| by an ulp or two either way: monotone is checked
+    # strictly where the curve still rises and to that rounding above.
+    eps = np.finfo(float).eps
+    r = np.logspace(-3, 300, 3031)
+    for sat in (1.0, 1.15, 0.37):
+        for phase in (0.0, 0.3, 2.0):
+            x = r * sat * np.exp(1j * phase)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mag = np.abs(_soft_limit(x, sat))
+            assert np.all(mag <= sat * (1 + 4 * eps))
+            assert mag[-1] >= sat * (1 - 4 * eps)
+            step = np.diff(mag)
+            assert np.all(step[r[1:] <= 100] > 0)
+            assert np.all(step >= -4 * eps * sat)
+            rising = r <= 1e3
+            np.testing.assert_allclose(mag[rising], sat * r[rising] / (1 + r[rising] ** 4) ** 0.25,
+                                       rtol=1e-15)
+
+
+def _oracle_simple_forward(plant, a1):
+    """Per-element outputs of the memory-polynomial and Doherty kinds, term by
+    term with np.convolve and pow, straight from the module docstring."""
+    n = a1.size
+    scale = plant.coupling_strength * plant.angle_factor
+    outs = []
+    for i, pa in enumerate(plant.elements):
+        u = plant.weights[i] * a1
+        for l in range(plant.n_elements):
+            if l != i:
+                mu = np.convolve(a1, plant.branch_filters[l])[:n]
+                u = u + scale * plant.weights[l] * np.convolve(mu, plant.coupling[i, l])[:n]
+        sat = pa.saturation_level
+        if math.isfinite(sat):
+            u = u / (1 + (np.abs(u) / sat) ** 4) ** 0.25
+
+        def poly(table):
+            out = np.zeros(n, dtype=complex)
+            for (order, tap), coef in table.items():
+                um = np.concatenate([np.zeros(tap), u[:n - tap]])
+                out += coef * um * np.abs(um) ** (order - 1)
+            return out
+
+        if pa.kind == "doherty_like":
+            c = pa.coefficients
+            level = sat if math.isfinite(sat) else 1.0
+            blend = 0.5 * (1 + np.tanh((np.abs(u) - c["crossover"] * level)
+                                       / (c["blend_width"] * level)))
+            outs.append((1 - blend) * poly(c["main"]) + blend * poly(c["aux"]))
+        else:
+            outs.append(poly(pa.coefficients))
+    return outs
+
+
+_MEMORY_TABLE = {(1, 0): 1.0 + 0j, (1, 1): 0.03 + 0.04j, (1, 2): -0.005 - 0.01j,
+                 (3, 0): -0.44 + 0.12j, (3, 1): -0.006 + 0.018j, (3, 2): 0.004j,
+                 (5, 0): 0.13 - 0.05j, (5, 1): 0.01, (7, 0): -0.018 + 0.006j}
+_DOHERTY = {"main": {(1, 0): 1.0, (1, 1): 0.03 + 0.026j, (3, 0): -0.055 + 0.02j,
+                     (5, 0): 0.004 - 0.003j},
+            "aux": {(1, 0): 1.22 - 0.05j, (1, 1): 0.03 + 0.026j, (3, 0): -0.32 + 0.07j,
+                    (5, 0): 0.045 - 0.02j, (7, 2): 0.003j},
+            "crossover": 0.5, "blend_width": 0.07}
+
+
+@pytest.mark.parametrize("kind", ["memory_poly", "doherty_like"])
+@pytest.mark.parametrize("coupling_strength", [0.4, 0.0])
+@pytest.mark.parametrize("sat", [1.1, math.inf])
+def test_simple_kinds_against_convolve_pow_oracle(kind, coupling_strength, sat):
+    rng = np.random.default_rng(21)
+    n = 3
+    coupling = identity_coupling(n, taps=2)
+    off = ~np.eye(n, dtype=bool)
+    coupling[off] = 0.1 * (rng.standard_normal((n * (n - 1), 2))
+                           + 1j * rng.standard_normal((n * (n - 1), 2)))
+    branch = np.ones((n, 2), dtype=complex)
+    branch[:, 1] = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    table = _MEMORY_TABLE if kind == "memory_poly" else _DOHERTY
+    pas = tuple(PaModel(kind, table, saturation_level=sat) for _ in range(n))
+    plant = steer(ArrayPlant(pas, np.ones(n, dtype=complex), coupling, branch,
+                             np.ones(n, dtype=complex), coupling_strength=coupling_strength), 20.0)
+    sig = random_signal(3000, rms=0.6, seed=22)
+    per, combined = array_forward(plant, sig)
+    expected = _oracle_simple_forward(plant, sig.samples)
+    for got, want in zip(per, expected):
+        np.testing.assert_allclose(got.samples, want, rtol=1e-12)
+    np.testing.assert_allclose(combined.samples, sum(h * b for h, b in zip(plant.channel, expected)),
+                               rtol=1e-12)
