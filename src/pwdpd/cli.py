@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
     if args.angle:
         plant = steer(plant, args.angle)
     sig = read_iq(args.input)
-    if args.drive_rms:
+    if args.drive_rms is not None:
         sig = sig.scaled_to_rms(args.drive_rms)
     from .plant import array_forward, observation_receive
     per_element, combined = array_forward(plant, sig)
@@ -196,7 +196,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    source = json.loads(Path(args.params).read_text()) if args.params else args.preset
+    source = json.loads(Path(args.params).read_text()) if args.params else "reference"
     params = complexity_mod.load_params(source)
     ledger = complexity_mod.full_ledger(params, exact_division=args.exact_division)
     print(complexity_mod.format_ledger(ledger))
@@ -292,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("complexity", help="print the FLOP ledger")
-    p.add_argument("--preset", default="reference", choices=["reference"])
     p.add_argument("--params", default=None,
-                   help="JSON file with ComplexityParams fields (wins over --preset)")
+                   help="JSON file with ComplexityParams fields (default: the reference set)")
     p.add_argument("--exact-division", action="store_true",
                    help="evaluate pruned cells without per-region ceilings")
     p.add_argument("--json-out", default=None)

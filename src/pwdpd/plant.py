@@ -11,8 +11,12 @@ PA kinds:
   memory_poly       b(n) = sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1)
   doherty_like      two memoryless branches blended across an amplitude
                     crossover, producing strongly local nonlinearity
-  dual_input_lumped four-term dual-wave model whose coupled-wave terms are
-                    driven by the branch response f_i = sum_l w_l lambda_il * mu_l
+  dual_input_lumped four-term dual-wave model on the limited incident wave a
+                    and the branch wave f = f_i * a, f_i = sum_l w_l lambda_il * mu_l:
+                    b(n) = sum alpha_{q,m} w|w|^(q-1) a(n-m)|a(n-m)|^(q-1)
+                         + sum beta0_m f(n-m)
+                         + sum beta_{q,m,k} |w|^(q-1) f(n-m)|a(n-k)|^(q-1)
+                         + sum zeta_{q,m,k} w^2|w|^((q-3)/2) f*(n-m) a(n-k)^2|a(n-k)|^(q-3)
 
 For the three simple kinds, the drive u is the incident wave w_i * a1 plus
 the coupled neighbor wave scaled by coupling_strength and the steering-angle
@@ -21,6 +25,10 @@ steering-invariant. A smooth envelope limiter at saturation_level bounds the
 drive to |u| <= saturation_level * (1 + 4 eps) (eps the float64 epsilon), and
 hence the output, for every drive whose |u| / saturation_level is finite;
 saturation_level = inf disables it.
+
+Every kind's terms come from one evaluator, _lagged_poly. A coefficient table
+is a dict keyed by (order, tap...), a bare tap for beta0; plant JSON stores it
+as sorted [[key...], [re, im]] rows, a polynomial kind's one table as "table".
 """
 
 from __future__ import annotations
@@ -35,67 +43,75 @@ import numpy as np
 from .errors import ConfigError
 from .signals import IqSignal
 
-PA_KINDS = ("memoryless_poly", "memory_poly", "doherty_like", "dual_input_lumped")
+# the named coefficient tables and scalar settings of each PA kind, with their
+# defaults (None: required)
+_KIND_FIELDS = {"memoryless_poly": {"table": None}, "memory_poly": {"table": None},
+                "doherty_like": {"main": None, "aux": None, "crossover": 0.5, "blend_width": 0.1},
+                "dual_input_lumped": {"alpha": {}, "beta0": {}, "beta": {}, "zeta": {}}}
+
+# each table's key length and least order; a beta0 key is a bare tap
+_TABLE_KEYS = {"table": (2, 1), "main": (2, 1), "aux": (2, 1), "alpha": (2, 1),
+               "beta0": (1, None), "beta": (3, 1), "zeta": (3, 3)}
 
 # |x|/sat above which the limiter's (1 + r^4)^(1/4) is r to double precision
 _LIMIT_FLAT = 2.0 ** 14
 
 
-def _check_poly_table(table: dict) -> dict:
+def _check_table(name: str, table) -> dict:
+    """table with int keys and complex values; ConfigError unless each key has
+    the table's length, an odd order no less than its least, and taps >= 0."""
+    size, least = _TABLE_KEYS[name]
+    if not isinstance(table, dict):
+        raise ConfigError(f"coefficient table {name!r} must be a dict, got {table!r}")
     out = {}
-    for (order, tap), coef in table.items():
-        if order % 2 == 0 or order < 1:
-            raise ConfigError(f"PA polynomial orders must be odd, got {order}")
-        if tap < 0:
-            raise ConfigError("memory taps must be non-negative")
-        out[(int(order), int(tap))] = complex(coef)
+    for key, coef in table.items():
+        ints = tuple(map(int, key if isinstance(key, tuple) else (key,)))
+        order, taps = (ints[0] if least and ints else 1), ints[1 if least else 0:]
+        if len(ints) != size or order % 2 == 0 or order < (least or 1) or min(taps) < 0:
+            form = (f"{size} integers, an odd order >= {least} and then taps >= 0" if least
+                    else "a tap >= 0")
+            raise ConfigError(f"coefficient table {name!r} keys are {form}, got {key!r}")
+        out[ints if size > 1 else ints[0]] = complex(coef)
     return out
 
 
 @dataclass(frozen=True)
 class PaModel:
-    """Behavioral PA model for one array element."""
+    """Behavioral PA model for one array element.
+
+    coefficients holds the kind's named tables and settings (_KIND_FIELDS); a
+    polynomial kind may be given its one table bare, and stores it as "table".
+    """
 
     kind: str
     coefficients: dict
     saturation_level: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in PA_KINDS:
+        if self.kind not in _KIND_FIELDS:
             raise ConfigError(f"unknown PA kind {self.kind!r}")
         if self.saturation_level <= 0:
             raise ConfigError("saturation_level must be positive")
-        if self.kind in ("memoryless_poly", "memory_poly"):
-            object.__setattr__(self, "coefficients", _check_poly_table(self.coefficients))
-        elif self.kind == "doherty_like":
-            c = dict(self.coefficients)
-            c["main"] = _check_poly_table(c["main"])
-            c["aux"] = _check_poly_table(c["aux"])
-            c.setdefault("crossover", 0.5)
-            c.setdefault("blend_width", 0.1)
-            object.__setattr__(self, "coefficients", c)
-        else:  # dual_input_lumped
-            c = dict(self.coefficients)
-            for key in ("alpha", "beta", "zeta"):
-                c.setdefault(key, {})
-            c.setdefault("beta0", {})
-            object.__setattr__(self, "coefficients", c)
+        fields, given = _KIND_FIELDS[self.kind], self.coefficients
+        if "table" in fields and "table" not in given:
+            given = {"table": given}
+        if not isinstance(given, dict) or not set(given) <= set(fields):
+            raise ConfigError(f"{self.kind} coefficients take {sorted(fields)}, got {given!r}")
+        c = {}
+        for name, default in fields.items():  # a missing required table is None
+            value = given.get(name, default)
+            c[name] = _check_table(name, value) if name in _TABLE_KEYS else value
+        object.__setattr__(self, "coefficients", c)
 
     def output_ceiling(self) -> float:
         """Worst-case |b| bound under the envelope limiter (simple kinds)."""
         sat = self.saturation_level
         if not math.isfinite(sat):
             raise ConfigError("output ceiling undefined without a finite saturation_level")
-
-        def table_bound(table):
-            return sum(abs(c) * sat ** q for (q, _), c in table.items())
-
-        if self.kind in ("memoryless_poly", "memory_poly"):
-            return table_bound(self.coefficients)
-        if self.kind == "doherty_like":
-            return max(table_bound(self.coefficients["main"]),
-                       table_bound(self.coefficients["aux"]))
-        raise ConfigError("output ceiling is only defined for the simple PA kinds")
+        if self.kind == "dual_input_lumped":
+            raise ConfigError("output ceiling is only defined for the simple PA kinds")
+        tables = [t for name, t in self.coefficients.items() if name in _TABLE_KEYS]
+        return max(sum(abs(c) * sat ** q for (q, _), c in t.items()) for t in tables)
 
 
 def _soft_limit(x: np.ndarray, sat: float) -> np.ndarray:
@@ -112,14 +128,6 @@ def _soft_limit(x: np.ndarray, sat: float) -> np.ndarray:
     r = np.abs(x) / sat
     r2 = np.square(np.minimum(r, _LIMIT_FLAT))
     return x * (1.0 / (np.sqrt(np.sqrt(1.0 + r2 * r2)) * np.maximum(r / _LIMIT_FLAT, 1.0)))
-
-
-def _lagged(x: np.ndarray, m: int) -> np.ndarray:
-    if m == 0:
-        return x
-    out = np.zeros_like(x)
-    out[m:] = x[:-m]
-    return out
 
 
 def _causal_fir(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -151,18 +159,31 @@ def _envelope_poly(env2: np.ndarray, coefs: dict):
     return g
 
 
+def _lagged_poly(u: np.ndarray, env2: np.ndarray, terms, v: np.ndarray | None = None) -> np.ndarray:
+    """sum over terms ((m_u, m_e), {p: c_p}) of u(n-m_u) [v(n-m_e)] sum_p c_p env2(n-m_e)^p,
+    each term zero before n = max(m_u, m_e): a constant polynomial with m_e > m_u
+    belongs at (m_u, m_u)."""
+    n = u.size
+    out = np.zeros_like(u)
+    for (m_u, m_e), coefs in terms:
+        start = max(m_u, m_e)
+        if start < n:
+            wave, lag = u[start - m_u:n - m_u], slice(start - m_e, n - m_e)
+            if v is not None:
+                wave = wave * v[lag]
+            # one expression, so numpy may write the product into the
+            # polynomial's temporary: operand order fixes the last bit
+            out[start:] += wave * _envelope_poly(env2[lag], coefs)
+    return out
+
+
 def _poly_memory(u: np.ndarray, env2: np.ndarray, table: dict) -> np.ndarray:
     """sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1) given env2 = |u|^2: per tap m,
     u(n-m) times one polynomial in env2(n-m)."""
-    by_tap: dict[int, dict[int, complex]] = {}
+    terms: dict[tuple[int, int], dict[int, complex]] = {}
     for (order, tap), coef in table.items():
-        by_tap.setdefault(tap, {})[order // 2] = coef
-    n = u.size
-    out = np.zeros_like(u)
-    for tap, coefs in by_tap.items():
-        if tap < n:
-            out[tap:] += u[:n - tap] * _envelope_poly(env2[:n - tap], coefs)
-    return out
+        terms.setdefault((tap, tap), {})[order // 2] = coef
+    return _lagged_poly(u, env2, terms.items())
 
 
 def _doherty(u: np.ndarray, coeffs: dict, sat: float) -> np.ndarray:
@@ -253,34 +274,12 @@ class ArrayPlant:
         def c2l(arr):
             return [[float(v.real), float(v.imag)] for v in np.asarray(arr).ravel()]
 
-        def table2list(table):
-            return [[list(key), [coef.real, coef.imag]] for key, coef in sorted(table.items())]
-
-        elements = []
-        for pa in self.elements:
-            if pa.kind in ("memoryless_poly", "memory_poly"):
-                coeffs = {"table": table2list(pa.coefficients)}
-            elif pa.kind == "doherty_like":
-                coeffs = {
-                    "main": table2list(pa.coefficients["main"]),
-                    "aux": table2list(pa.coefficients["aux"]),
-                    "crossover": pa.coefficients["crossover"],
-                    "blend_width": pa.coefficients["blend_width"],
-                }
-            else:
-                coeffs = {
-                    "alpha": table2list(pa.coefficients["alpha"]),
-                    "beta0": [[[m], [c.real, c.imag]] for m, c in sorted(pa.coefficients["beta0"].items())],
-                    "beta": table2list(pa.coefficients["beta"]),
-                    "zeta": table2list(pa.coefficients["zeta"]),
-                }
-            elements.append({
+        return {
+            "elements": [{
                 "kind": pa.kind,
                 "saturation_level": pa.saturation_level if math.isfinite(pa.saturation_level) else None,
-                "coefficients": coeffs,
-            })
-        return {
-            "elements": elements,
+                "coefficients": _encode_coefficients(pa.coefficients),
+            } for pa in self.elements],
             "weights": c2l(self.weights),
             "coupling": {"shape": list(self.coupling.shape), "values": c2l(self.coupling)},
             "branch_filters": {"shape": list(self.branch_filters.shape), "values": c2l(self.branch_filters)},
@@ -296,33 +295,12 @@ class ArrayPlant:
             arr = np.asarray([complex(re, im) for re, im in pairs])
             return arr.reshape(shape) if shape else arr
 
-        def list2table(entries):
-            return {tuple(key): complex(c[0], c[1]) for key, c in entries}
+        def sat(level):
+            return math.inf if level is None else float(level)
 
-        elements = []
-        for e in d["elements"]:
-            sat = e.get("saturation_level")
-            sat = math.inf if sat is None else float(sat)
-            coeffs = e["coefficients"]
-            if e["kind"] in ("memoryless_poly", "memory_poly"):
-                table = list2table(coeffs["table"])
-            elif e["kind"] == "doherty_like":
-                table = {
-                    "main": list2table(coeffs["main"]),
-                    "aux": list2table(coeffs["aux"]),
-                    "crossover": coeffs["crossover"],
-                    "blend_width": coeffs["blend_width"],
-                }
-            else:
-                table = {
-                    "alpha": list2table(coeffs["alpha"]),
-                    "beta0": {key[0]: complex(c[0], c[1]) for key, c in coeffs["beta0"]},
-                    "beta": list2table(coeffs["beta"]),
-                    "zeta": list2table(coeffs["zeta"]),
-                }
-            elements.append(PaModel(e["kind"], table, sat))
         return cls(
-            elements=tuple(elements),
+            elements=tuple(PaModel(e["kind"], _decode_coefficients(e["coefficients"]),
+                                   sat(e.get("saturation_level"))) for e in d["elements"]),
             weights=l2c(d["weights"]),
             coupling=l2c(d["coupling"]["values"], tuple(d["coupling"]["shape"])),
             branch_filters=l2c(d["branch_filters"]["values"], tuple(d["branch_filters"]["shape"])),
@@ -331,6 +309,19 @@ class ArrayPlant:
             steer_angle_deg=d.get("steer_angle_deg", 0.0),
             angle_coupling_slope=d.get("angle_coupling_slope", 1.0),
         )
+
+
+def _encode_coefficients(named: dict) -> dict:
+    """Plant-JSON form of named coefficients: tables as sorted [[key...], [re, im]] rows."""
+    return {name: [[list(key) if isinstance(key, tuple) else [key], [coef.real, coef.imag]]
+                   for key, coef in sorted(value.items())] if isinstance(value, dict) else value
+            for name, value in named.items()}
+
+
+def _decode_coefficients(named: dict) -> dict:
+    """Inverse of _encode_coefficients: a one-element key is a beta0 tap."""
+    return {name: {tuple(key) if len(key) > 1 else key[0]: complex(*coef) for key, coef in value}
+            if isinstance(value, list) else value for name, value in named.items()}
 
 
 def save_plant(plant: ArrayPlant, path: str | Path) -> None:
@@ -342,50 +333,23 @@ def load_plant(path: str | Path) -> ArrayPlant:
     d = json.loads(Path(path).read_text())
     try:
         return ArrayPlant.from_dict(d)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed plant file {path}: {exc!r}") from None
 
 
 def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,
                         a1: np.ndarray) -> np.ndarray:
     a = _soft_limit(a1, pa.saturation_level)
-    w = plant.weights[element]
-    f = plant.branch_response(element)
-    waves = {"a": a, "f": _causal_fir(a, f)}
-    cache = {}
-
-    def la(name, m):
-        """The wave delayed by m samples, zero-filled."""
-        if (name, m) not in cache:
-            cache[(name, m)] = _lagged(waves[name], m)
-        return cache[(name, m)]
-
-    def env(m, p):
-        """|a(n-m)|^(2p) as a product of the lower powers; 1 for p <= 0."""
-        if p <= 0:
-            return 1.0
-        if ("e", m, p) not in cache:
-            if p == 1:
-                cache[("e", m, p)] = _power(la("a", m))
-            else:
-                cache[("e", m, p)] = env(m, p - 1) * env(m, 1)
-        return cache[("e", m, p)]
-
-    out = np.zeros_like(a)
-    for (order, m1), coef in pa.coefficients["alpha"].items():
-        p = (order - 1) // 2
-        out += coef * (w * abs(w) ** (2 * p)) * (la("a", m1) * env(m1, p))
-    for m2, coef in pa.coefficients["beta0"].items():
-        out += coef * la("f", m2)
-    for (order, m3, m4), coef in pa.coefficients["beta"].items():
-        p = (order - 1) // 2
-        out += coef * abs(w) ** (2 * p) * la("f", m3) * env(m4, p)
-    for (order, m5, m6), coef in pa.coefficients["zeta"].items():
-        p = (order - 1) // 2
-        # conjugate-wave term; |w| exponent p-1 as modeled
-        term = np.conj(la("f", m5)) * la("a", m6) ** 2 * env(m6, p - 1)
-        out += coef * (w ** 2 * abs(w) ** (p - 1)) * term
-    return out
+    f = _causal_fir(a, plant.branch_response(element))
+    w, g, c = plant.weights[element], abs(plant.weights[element]), pa.coefficients
+    alpha = [((m, m), {q // 2: cf * w * g ** (q - 1)}) for (q, m), cf in c["alpha"].items()]
+    beta = [((m, m), {0: cf}) for m, cf in c["beta0"].items()] + [
+        ((m, k if q > 1 else m), {q // 2: cf * g ** (q - 1)}) for (q, m, k), cf in c["beta"].items()]
+    zeta = [((m, k), {q // 2 - 1: cf * w ** 2 * g ** (q // 2 - 1)})
+            for (q, m, k), cf in c["zeta"].items()]
+    env2 = _power(a)
+    return (_lagged_poly(a, env2, alpha) + _lagged_poly(f, env2, beta)
+            + _lagged_poly(np.conj(f), env2, zeta, v=a * a))
 
 
 def _pa_outputs(plant: ArrayPlant, a1: np.ndarray) -> list[np.ndarray]:
@@ -399,7 +363,7 @@ def _pa_outputs(plant: ArrayPlant, a1: np.ndarray) -> list[np.ndarray]:
         if pa.kind == "doherty_like":
             outs.append(_doherty(u, pa.coefficients, pa.saturation_level))
         else:
-            outs.append(_poly_memory(u, _power(u), pa.coefficients))
+            outs.append(_poly_memory(u, _power(u), pa.coefficients["table"]))
     return outs
 
 

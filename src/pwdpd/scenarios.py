@@ -521,7 +521,7 @@ _VALUE_TYPES = (
 # these win over _VALUE_TYPES (_trp_angles checks the object's fields)
 _KEY_TYPES = {
     "kind": (lambda v: isinstance(v, str), "a string"),
-    "drive_rms": (_is_number, "a number"),
+    "drive_rms": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
     "coupling_strength": (_is_number, "a number"),
     "params": (lambda v: isinstance(v, (str, dict)), "\"reference\" or an object"),
     "trp_angles": (lambda v: v is None or isinstance(v, (bool, dict)),

@@ -30,8 +30,8 @@ class IqSignal:
             raise ConfigError("IqSignal requires a non-empty 1-D sample array")
         if not np.all(np.isfinite(self.samples)):
             raise ConfigError("IqSignal samples must be finite")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise ConfigError(f"sample_rate must be positive and finite, got {self.sample_rate!r}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -46,7 +46,9 @@ class IqSignal:
         return float(np.sqrt(self.power))
 
     def scaled_to_rms(self, rms: float) -> "IqSignal":
-        """Return a copy scaled to the requested RMS amplitude."""
+        """Return a copy scaled to the requested RMS amplitude, a finite rms > 0."""
+        if not 0 < rms < np.inf:
+            raise ConfigError(f"target rms must be positive and finite, got {rms!r}")
         if self.rms == 0:
             raise ConfigError("cannot rescale an all-zero signal")
         return IqSignal(self.samples * (rms / self.rms), self.sample_rate, self.seed)

@@ -52,8 +52,7 @@ def test_partition_subcommand(tmp_path, capsys):
 
 
 def test_complexity_subcommand(tmp_path, capsys):
-    rc = main(["complexity", "--preset", "reference", "--json-out",
-               str(tmp_path / "ledger.json")])
+    rc = main(["complexity", "--json-out", str(tmp_path / "ledger.json")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "926" in out and "27,847" in out
@@ -86,8 +85,8 @@ def _json_file(path, value):
     lambda d: ["complexity", "--params", _json_file(d / "p.json", {"n_isp": 5, "bogus": 1})],
     lambda d: ["scenario", "--out", str(d), "--config",
                _json_file(d / "c.json", {"kind": "complexity", "seed": 0, "params": "refrence"})],
-    lambda d: ["complexity", "--preset", "bogus"],
-], ids=["unknown-field", "scenario-params-typo", "unknown-preset"])
+    lambda d: ["complexity", "--preset", "reference"],
+], ids=["unknown-field", "scenario-params-typo", "preset-flag-gone"])
 def test_complexity_bad_params_exit_code(tmp_path, make_argv):
     try:
         rc = main(make_argv(tmp_path))
@@ -552,6 +551,35 @@ def test_simulate_without_aclr_view_still_succeeds(tmp_path, capsys):
     assert rc == 0
     assert len(read_iq(tmp_path / "z")) == 64
     assert "observation ACLR: n/a (" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("drive_rms", ["-0.25", "0", "nan"])
+def test_simulate_non_positive_drive_exit_code(tmp_path, drive_rms):
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    assert main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z"), "--drive-rms", drive_rms]) == 2
+    assert not (tmp_path / "z.iq").exists()
+
+
+@pytest.mark.parametrize("drive_rms", [-0.25, 0])
+def test_non_positive_scenario_drive_exit_code(tmp_path, drive_rms):
+    assert _scenario_exit_code(tmp_path, drive_rms=drive_rms) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and "'drive_rms'" in record["message"]
+    assert not (tmp_path / "x" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("beta0_tap, code", [(1, 0), (-1, 2)], ids=["valid", "negative-tap"])
+def test_simulate_dual_input_plant_file(tmp_path, beta0_tap, code):
+    """A dual-input plant file runs; one with an invalid table exits 2."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    plant = load_plant_preset("doherty-n3").to_dict()
+    plant["elements"][0] = {"kind": "dual_input_lumped", "saturation_level": None, "coefficients": {
+        "alpha": [[[1, 0], [1.0, 0.0]]], "beta0": [[[beta0_tap], [0.1, 0.0]]]}}
+    plant_file = _json_file(tmp_path / "p.json", plant)
+    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z")]) == code
+    assert (tmp_path / "z.iq").exists() == (code == 0)
 
 
 def _plant_file(tmp_path, broken):

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -86,6 +87,47 @@ def test_dual_input_against_scalar_oracle():
         f = plant.branch_response(element)
         expected = _oracle_dual_input(pa, w[element], f, sig.samples)
         np.testing.assert_allclose(got.samples, expected, rtol=1e-10, atol=1e-14)
+
+
+def test_dual_input_constant_envelope_terms_against_scalar_oracle():
+    # an order-1 beta term multiplies |a(n-k)|^0 = 1, so it is live from n = m
+    # even when its envelope lag k is longer; beta0 and beta share the wave f
+    tables = {
+        "alpha": {(1, 2): 0.9 - 0.1j, (3, 2): -0.1j},
+        "beta0": {1: 0.2 + 0.1j},
+        "beta": {(1, 0, 3): 0.07 - 0.02j, (1, 1, 1): 0.05j, (1, 2, 0): -0.04, (3, 1, 2): 0.03},
+        "zeta": {(3, 0, 2): 0.02 + 0.01j, (3, 2, 1): -0.01j, (7, 1, 3): 0.005},
+    }
+    pa = PaModel("dual_input_lumped", tables, saturation_level=1.3)
+    w = np.exp(-0.7j) * np.array([1.0, 0.8])
+    coupling = identity_coupling(2, taps=2)
+    coupling[1, 0, 1] = 0.25 - 0.1j
+    branch = np.ones((2, 2), dtype=complex)
+    branch[:, 1] = 0.15j
+    plant = ArrayPlant((pa, pa), w, coupling, branch, np.conj(w), coupling_strength=0.4)
+    sig = random_signal(48, rms=0.5, seed=23)
+    a = _soft_limit(sig.samples, 1.3)
+    per, _ = array_forward(plant, sig)
+    for element in (0, 1):
+        expected = _oracle_dual_input(pa, w[element], plant.branch_response(element), a)
+        np.testing.assert_allclose(per[element].samples, expected, rtol=1e-10, atol=1e-14)
+
+
+_BAD_DUAL_TABLES = {
+    "negative-beta0-tap": {"beta0": {-1: 0.1}},
+    "even-alpha-order": {"alpha": {(1, 0): 1.0, (2, 0): 0.1}},
+    "first-order-zeta": {"zeta": {(1, 0, 0): 0.1}},
+    "negative-beta-tap": {"beta": {(3, 0, -1): 0.1}},
+    "short-beta-key": {"beta": {(3, 0): 0.1}},
+    "unknown-table": {"gamma": {(1, 0): 0.1}},
+    "table-not-a-dict": {"beta0": [0.1]},
+}
+
+
+@pytest.mark.parametrize("tables", list(_BAD_DUAL_TABLES.values()), ids=list(_BAD_DUAL_TABLES))
+def test_dual_input_table_validation(tables):
+    with pytest.raises(ConfigError):
+        PaModel("dual_input_lumped", {"alpha": {(1, 0): 1.0}, **tables})
 
 
 def test_array_forward_coherent_combining():
@@ -211,19 +253,50 @@ def test_pa_validation():
         PaModel("memoryless_poly", {(1, 0): 1.0}, saturation_level=0.0)
     with pytest.raises(ConfigError):
         PaModel("unknown", {})
+    with pytest.raises(ConfigError):
+        PaModel("doherty_like", {"main": {(1, 0): 1.0}})  # no aux branch
+    with pytest.raises(ConfigError):
+        PaModel("doherty_like", {"main": {(1, 0): 1.0}, "aux": {(1, 0): 1.0}, "crossing": 0.4})
+
+
+def _dual_input_plant():
+    # keys out of order: the file lists each table's rows sorted
+    tables = {"alpha": {(3, 1): -0.2 + 0.05j, (1, 0): 1.0 + 0j}, "beta0": {2: 0.01j, 0: 0.1},
+              "beta": {(3, 0, 1): 0.05 + 0.01j, (1, 0, 2): 0.03}, "zeta": {(3, 1, 0): 0.02 - 0.01j}}
+    pa = PaModel("dual_input_lumped", tables, saturation_level=1.2)
+    coupling = identity_coupling(2, taps=2)
+    coupling[0, 1, 1] = 0.3
+    w = np.exp(0.4j) * np.ones(2)
+    return ArrayPlant((pa, pa), w, coupling, np.ones((2, 1), dtype=complex), np.conj(w),
+                      coupling_strength=0.5)
 
 
 def test_plant_json_roundtrip(tmp_path):
-    from pwdpd.presets import load_plant_preset
-    for plant in (load_plant_preset("array8-deep"), load_plant_preset("doherty-n3")):
+    """save_plant writes every shipped preset byte for byte, and a plant read
+    back writes the same bytes again and computes what the original does."""
+    from importlib import resources
+
+    from pwdpd.presets import PLANT_PRESETS, load_plant_preset
+    plants = {name: load_plant_preset(name) for name in PLANT_PRESETS}
+    plants["dual-input"] = _dual_input_plant()
+    sig = random_signal(128, rms=0.4, seed=14)
+    for name, plant in plants.items():
         save_plant(plant, tmp_path / "p.json")
+        if name in PLANT_PRESETS:
+            shipped = resources.files("pwdpd").joinpath(f"presets/plants/{name}.json")
+            assert (tmp_path / "p.json").read_bytes() == shipped.read_bytes(), name
+        for element in json.loads((tmp_path / "p.json").read_text())["elements"]:
+            tables = [v for v in element["coefficients"].values() if isinstance(v, list)]
+            assert all(rows == sorted(rows) for rows in tables), name
         back = load_plant(tmp_path / "p.json")
-        np.testing.assert_allclose(back.weights, plant.weights)
-        np.testing.assert_allclose(back.coupling, plant.coupling)
+        save_plant(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "p.json").read_bytes(), name
         assert back.coupling_strength == plant.coupling_strength
-        sig = random_signal(128, rms=0.4, seed=14)
+        np.testing.assert_array_equal(back.weights, plant.weights)
+        np.testing.assert_array_equal(back.coupling, plant.coupling)
         _, a = array_forward(plant, sig)
         _, b = array_forward(back, sig)
+        # a dual-input table read back is in sorted order, so its terms sum in another order
         np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12)
 
 
@@ -309,7 +382,7 @@ def _oracle_simple_forward(plant, a1):
                                        / (c["blend_width"] * level)))
             outs.append((1 - blend) * poly(c["main"]) + blend * poly(c["aux"]))
         else:
-            outs.append(poly(pa.coefficients))
+            outs.append(poly(pa.coefficients["table"]))
     return outs
 
 

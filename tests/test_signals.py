@@ -10,8 +10,9 @@ def test_signal_validation():
         IqSignal(np.array([], dtype=complex), 1.0)
     with pytest.raises(ConfigError):
         IqSignal(np.array([1.0, np.inf]), 1.0)
-    with pytest.raises(ConfigError):
-        IqSignal(np.ones(4), 0.0)
+    for rate in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            IqSignal(np.ones(4), rate)
 
 
 def test_power_and_scaling():
@@ -20,6 +21,9 @@ def test_power_and_scaling():
     scaled = sig.scaled_to_rms(0.5)
     assert scaled.rms == pytest.approx(0.5)
     assert scaled.sample_rate == 2.0
+    for rms in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            sig.scaled_to_rms(rms)
 
 
 def test_file_roundtrip(tmp_path):
