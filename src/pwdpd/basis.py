@@ -378,25 +378,24 @@ def cross_correlation(spec: BasisSpec, x: np.ndarray, err: np.ndarray) -> np.nda
     return acc.ravel() / x.size
 
 
-def regularized_lstsq(a: np.ndarray, b: np.ndarray,
-                      loading: float = COVARIANCE_LOADING) -> np.ndarray:
+def regularized_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares via a Cholesky of the diagonally loaded normal equations.
 
-    Solves min ||a c - b||^2 + lam ||c||^2 with lam = loading * trace(a^H a)/B,
-    the same loading policy as precompute_covariance, at the cost the FLOP
-    ledger charges an ILA fit: one Gram G = a^H a plus a B x B Cholesky. The
-    loaded system is column-equilibrated, D (G + lam I) D u = D a^H b with
-    D = diag(G + lam I)^-1/2, before it is factored, and c = D u. Forming G
-    squares the conditioning of a, so one refinement step on the residual
-    b - a c (two matrix-vector products) follows. Raises LinAlgError when a
-    has no power or the factorization fails.
+    Solves min ||a c - b||^2 + lam ||c||^2 with lam = COVARIANCE_LOADING *
+    trace(a^H a)/B, the same loading policy as precompute_covariance, at the
+    cost the FLOP ledger charges an ILA fit: one Gram G = a^H a plus a B x B
+    Cholesky. The loaded system is column-equilibrated, D (G + lam I) D u =
+    D a^H b with D = diag(G + lam I)^-1/2, before it is factored, and c = D u.
+    Forming G squares the conditioning of a, so one refinement step on the
+    residual b - a c (two matrix-vector products) follows. Raises LinAlgError
+    when a has no power or the factorization fails.
     """
     rows, cols = a.shape
     loaded = np.zeros((cols, cols), dtype=a.dtype)
     for lo in range(0, rows, CHUNK):  # a^H a without a conjugated copy of all of a
         blk = a[lo:lo + CHUNK]
         loaded += blk.conj().T @ blk
-    lam = loading * np.trace(loaded).real / cols
+    lam = COVARIANCE_LOADING * np.trace(loaded).real / cols
     if not lam > 0:
         raise np.linalg.LinAlgError("least-squares system matrix has no power")
     loaded[np.diag_indices(cols)] += lam

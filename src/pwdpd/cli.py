@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
     if args.coupling_strength is not None:
         from dataclasses import replace
         plant = replace(plant, coupling_strength=args.coupling_strength)
-    if args.angle:
+    if args.angle is not None:
         plant = steer(plant, args.angle)
     sig = read_iq(args.input)
     if args.drive_rms is not None:
@@ -143,9 +143,10 @@ def cmd_partition(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.method not in METHODS or args.method == "none":
+    kind, rule = METHODS.get(args.method, (None, None))
+    if rule is None:
         raise ConfigError(f"unknown training method {args.method!r}; "
-                          f"have {[m for m in METHODS if m != 'none']}")
+                          f"have {[m for m, (_, r) in METHODS.items() if r is not None]}")
     plant, params = _resolve_plant(args.plant)
     if params is None:
         raise ConfigError("train needs a named preset")
@@ -154,22 +155,15 @@ def cmd_train(args) -> int:
                         prune_threshold_db=args.prune),
         "ila": _given(iterations=args.iterations, block_size=args.block_size),
     }
-    if args.partition and not args.method.startswith("pw"):
+    if args.partition and kind is None:
         raise ConfigError(f"--partition needs a piecewise method, not {args.method!r}")
-    spec_single = _base_spec(**_given(family=args.family, max_order=args.order,
-                                      memory_depth=args.memory,
-                                      cross_memory_depth=args.cross_memory))
-    partitions = {}
-    if args.method.startswith("pw"):
-        if args.partition:
-            part = RegionPartition.load(args.partition)
-            partitions = {"taylor": part, "kmeans": part}
-        else:
-            derived = _partitions(plant, params, config, args.seed,
-                                  kmeans=args.method == "pwcl_kmeans")
-            partitions = {key: part for key, (part, _) in derived.items()}
-    model, trace = train_method(args.method, plant, params, config, spec_single,
-                                partitions, seed=args.seed)
+    spec = _base_spec(**_given(family=args.family, max_order=args.order,
+                               memory_depth=args.memory, cross_memory_depth=args.cross_memory))
+    if args.partition:
+        spec = spec.with_partition(RegionPartition.load(args.partition))
+    elif kind is not None:
+        spec = spec.with_partition(_partitions(plant, params, config, args.seed, {kind})[kind][0])
+    model, trace = train_method(args.method, plant, params, config, spec, seed=args.seed)
     save_model(model, args.output)
     trace_to_csv(trace, str(args.output) + ".trace.csv")
     last = trace[-1] if trace else None
@@ -249,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--drive-rms", type=float, default=None)
-    p.add_argument("--angle", type=float, default=0.0)
+    p.add_argument("--angle", type=float, default=None)
     p.add_argument("--coupling-strength", type=float, default=None)
     p.add_argument("--noise-floor", type=float, default=None, help="dBc")
     p.add_argument("--channel-bw", type=float, default=None)

@@ -291,11 +291,7 @@ def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
     chunks = [model.gamma]
     if model.whitener is not None:
         chunks.append(model.whitener.ravel())
-    flat = np.concatenate(chunks)
-    buf = np.empty(2 * flat.size, dtype="<f8")
-    buf[0::2] = flat.real
-    buf[1::2] = flat.imag
-    buf.tofile(payload_path)
+    np.concatenate(chunks).astype("<c16").tofile(payload_path)
     return header_path, payload_path
 
 
@@ -337,12 +333,11 @@ def load_model(stem: str | Path) -> DpdModel:
                           "coefficients of its basis spec")
     k, b1 = spec.n_regions, spec.n_basis_single
     n_complex = n + k * b1 * b1 if header["has_whitener"] else n
-    payload = payload_path.read_bytes()
-    if len(payload) != 16 * n_complex:
-        raise ConfigError(f"{payload_path} holds {len(payload)} bytes; the header needs "
+    n_bytes = payload_path.stat().st_size
+    if n_bytes != 16 * n_complex:
+        raise ConfigError(f"{payload_path} holds {n_bytes} bytes; the header needs "
                           f"{n_complex} complex float64 values ({16 * n_complex} bytes)")
-    raw = np.frombuffer(payload, dtype="<f8")
-    flat = raw[0::2] + 1j * raw[1::2]
+    flat = np.fromfile(payload_path, dtype="<c16")
     gamma = flat[:n]
     whitener = None
     if header["has_whitener"]:

@@ -22,23 +22,19 @@ from .partition import RegionPartition
 def _postinverse_fit(spec: BasisSpec, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-region LS postinverse coefficients, stacked in region order."""
     b1 = spec.n_basis_single
+    blocks = {k: (rows, psi) for k, rows, psi in
+              basis_mod.region_blocks(spec, regressor, chunk=regressor.size)}
     coeffs = np.zeros(spec.n_basis_total, dtype=np.complex128)
-    fitted = 0  # regions are yielded in order; an empty one is skipped
-    for k, rows, psi in basis_mod.region_blocks(spec, regressor, chunk=regressor.size):
-        n_rows = rows.size if k == fitted else 0
-        if n_rows < b1:
-            break
+    for k in range(spec.n_regions):
+        rows, psi = blocks.get(k, ((), None))  # an empty region is not yielded
+        if len(rows) < b1:
+            raise DegenerateRegionError(
+                k, f"region {k} has {len(rows)} samples for {b1} coefficients")
         try:
             coeffs[k * b1:(k + 1) * b1] = basis_mod.regularized_lstsq(psi, target[rows])
         except np.linalg.LinAlgError:
             raise DegenerateRegionError(
                 k, f"region {k} least-squares system is singular") from None
-        fitted += 1
-    else:
-        n_rows = 0
-    if fitted < spec.n_regions:
-        raise DegenerateRegionError(
-            fitted, f"region {fitted} has {n_rows} samples for {b1} coefficients")
     return coeffs
 
 

@@ -53,6 +53,10 @@ _KIND_FIELDS = {"memoryless_poly": {"table": None}, "memory_poly": {"table": Non
 _TABLE_KEYS = {"table": (2, 1), "main": (2, 1), "aux": (2, 1), "alpha": (2, 1),
                "beta0": (1, None), "beta": (3, 1), "zeta": (3, 3)}
 
+# each scalar setting's test and what it asks for
+_SCALAR_RULES = {"crossover": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+                 "blend_width": (lambda v: 0 < v < math.inf, "a finite number > 0")}
+
 # |x|/sat above which the limiter's (1 + r^4)^(1/4) is r to double precision
 _LIMIT_FLAT = 2.0 ** 14
 
@@ -73,6 +77,14 @@ def _check_table(name: str, table) -> dict:
             raise ConfigError(f"coefficient table {name!r} keys are {form}, got {key!r}")
         out[ints if size > 1 else ints[0]] = complex(coef)
     return out
+
+
+def _check_scalar(name: str, value):
+    """value, unless it is not a number passing the setting's _SCALAR_RULES test."""
+    fits, wanted = _SCALAR_RULES[name]
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool) and fits(value)):
+        raise ConfigError(f"PA setting {name!r} must be {wanted}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class PaModel:
         c = {}
         for name, default in fields.items():  # a missing required table is None
             value = given.get(name, default)
-            c[name] = _check_table(name, value) if name in _TABLE_KEYS else value
+            c[name] = (_check_table if name in _TABLE_KEYS else _check_scalar)(name, value)
         object.__setattr__(self, "coefficients", c)
 
     def output_ceiling(self) -> float:

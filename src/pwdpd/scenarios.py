@@ -34,8 +34,19 @@ from .presets import load_plant_preset, preset_params
 from .signals import IqSignal
 from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_at
 
-METHODS = ("none", "pwcl_orth", "pwcl_selforth", "pwcl_kmeans", "cl_orth", "cl_selforth",
-           "pw_ila", "ila")
+# DPD method -> (the partition it trains on: "taylor", "kmeans" or None for a
+# single polynomial; the rule that fits it: a dpd.LEARN_RULES entry, "ila",
+# or None for no DPD)
+METHODS = {
+    "none": (None, None),
+    "pwcl_orth": ("taylor", "orthogonal_bfs"),
+    "pwcl_selforth": ("taylor", "self_orthogonalized"),
+    "pwcl_kmeans": ("kmeans", "orthogonal_bfs"),
+    "cl_orth": (None, "orthogonal_bfs"),
+    "cl_selforth": (None, "self_orthogonalized"),
+    "pw_ila": ("taylor", "ila"),
+    "ila": (None, "ila"),
+}
 
 # derive_partition: AM/AM fit order of the ramp probe, OFDM samples that set
 # the amplitude range and region shares, and the smallest share a trailing
@@ -207,25 +218,16 @@ def load_scenario_plant(config: dict) -> tuple[ArrayPlant, dict]:
 
 
 def train_method(method: str, plant: ArrayPlant, preset: dict, config: dict,
-                 spec_single: BasisSpec, partitions: dict,
-                 seed: int) -> tuple[DpdModel | None, list]:
-    """Train one method name from METHODS; returns (model, trace).
-
-    partitions maps "taylor"/"kmeans" to RegionPartition objects; pwcl_kmeans
-    uses the kmeans entry, every other piecewise method the taylor entry.
-    """
-    if method == "none":
+                 spec: BasisSpec, seed: int) -> tuple[DpdModel | None, list]:
+    """Train one method of METHODS by its rule on spec, which carries the
+    method's partition; returns (model, trace)."""
+    rule = METHODS[method][1]
+    if rule is None:
         return None, []
     noise = preset["noise_floor_dbc"]
-    if method.startswith("pw"):
-        key = "kmeans" if method == "pwcl_kmeans" else "taylor"
-        spec = spec_single.with_partition(partitions[key])
-    else:
-        spec = spec_single
     loop = SimulatedLoop(plant, preset, seed)
-    if method in ("pw_ila", "ila"):
+    if rule == "ila":
         return ila_learn(loop, spec, noise_floor_dbc=noise, **config_section(config, "ila"))
-    rule = "self_orthogonalized" if method.endswith("selforth") else "orthogonal_bfs"
     return learn(loop, spec, LearnConfig(rule=rule, noise_floor_dbc=noise,
                                          **config_section(config, "learn")))
 
@@ -254,15 +256,17 @@ def write_manifest(outdir: Path, config: dict) -> Path:
     return path
 
 
-def _partitions(plant: ArrayPlant, preset: dict, config: dict, seed: int,
-                kmeans: bool) -> dict:
-    """Taylor partition from the config's "partition" section at seed*1000+17,
-    plus K-means with as many regions when kmeans is set; maps "taylor"/"kmeans"
-    to (RegionPartition, info)."""
+def _partitions(plant: ArrayPlant, preset: dict, config: dict, seed: int, kinds) -> dict:
+    """The partition kinds asked for, each derived at seed*1000+17; maps
+    "taylor"/"kmeans" to (RegionPartition, info). Taylor, from the config's
+    "partition" section, is derived whenever any kind is asked for, since
+    K-means takes its number of regions."""
+    if not kinds:
+        return {}
     taylor = derive_partition(plant, preset, seed=seed * 1000 + 17,
                               **config_section(config, "partition"))
     partitions = {"taylor": taylor}
-    if kmeans:
+    if "kmeans" in kinds:
         partitions["kmeans"] = derive_partition(plant, preset, seed=seed * 1000 + 17,
                                                 method="kmeans", n_regions=taylor[0].n_regions)
     return partitions
@@ -307,21 +311,17 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
     plant, preset = load_scenario_plant(config)
     preset["drive_rms"] *= 10 ** (drive_offset_db / 20)
     spec = _base_spec(**config_section(config, "basis"))
-    methods = [method for _, method, _, _ in runs]
-    for method in methods:
+    for _, method, _, _ in runs:
         if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; have {METHODS}")
+            raise ConfigError(f"unknown method {method!r}; have {tuple(METHODS)}")
     if angles is None:
         train_plant, noise = plant, preset.get("noise_floor_dbc")
         eval_plants = [plant]
     else:
         train_plant, noise = steer(plant, 0.0), None
         eval_plants = [steer(plant, float(a)) for a in angles]
-    partitions = {}
-    if any(m.startswith("pw") for m in methods):
-        partitions = _partitions(train_plant, preset, config, seed,
-                                 kmeans="pwcl_kmeans" in methods)
-    parts = {key: part for key, (part, _) in partitions.items()}
+    partitions = _partitions(train_plant, preset, config, seed,
+                             {METHODS[method][0] for _, method, _, _ in runs} - {None})
 
     eval_kw = dict(config_section(config, "eval"), noise_floor_dbc=noise)
     eval_kw["trp_angles"] = _trp_angles(eval_kw.get("trp_angles"))
@@ -331,7 +331,9 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
             run_config = config
             if overrides:
                 run_config = dict(config, learn=dict(config_section(config, "learn"), **overrides))
-            model, trace = train_method(method, train_plant, preset, run_config, spec, parts,
+            kind = METHODS[method][0]
+            run_spec = spec if kind is None else spec.with_partition(partitions[kind][0])
+            model, trace = train_method(method, train_plant, preset, run_config, run_spec,
                                         seed=train_seed)
             evals = [evaluate(p, preset, model, seed * 100 + 7, **eval_kw) for p in eval_plants]
             yield label, model, trace, evals
@@ -416,7 +418,7 @@ def run_anglesweep(config: dict, outdir: Path, seed: int,
 
 def run_partition_demo(config: dict, outdir: Path, seed: int) -> dict:
     plant, preset = load_scenario_plant(config)
-    partitions = _partitions(plant, preset, config, seed, kmeans=True)
+    partitions = _partitions(plant, preset, config, seed, {"taylor", "kmeans"})
     (taylor, taylor_info), (km, km_info) = partitions["taylor"], partitions["kmeans"]
     taylor.save(outdir / "partition_taylor.json")
     km.save(outdir / "partition_kmeans.json")

@@ -62,10 +62,7 @@ def write_iq(stem: str | Path, sig: IqSignal) -> tuple[Path, Path]:
     stem = Path(stem)
     bin_path = stem.with_suffix(".iq")
     meta_path = Path(str(bin_path) + ".json")
-    interleaved = np.empty(2 * len(sig), dtype="<f8")
-    interleaved[0::2] = sig.samples.real
-    interleaved[1::2] = sig.samples.imag
-    interleaved.tofile(bin_path)
+    sig.samples.astype("<c16").tofile(bin_path)  # "<c16" is interleaved "<f8" re/im
     meta = {
         "format": "iq-float64-le-interleaved",
         "sample_rate": sig.sample_rate,
@@ -89,8 +86,8 @@ def read_iq(stem: str | Path) -> IqSignal:
         length, sample_rate = int(meta["length"]), float(meta["sample_rate"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed IQ sidecar {meta_path}: {exc!r}") from None
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size != 2 * length:
-        raise ConfigError(f"IQ payload length {raw.size // 2} does not match sidecar {length}")
-    samples = raw[0::2] + 1j * raw[1::2]
-    return IqSignal(samples, sample_rate, meta.get("seed"))
+    n_bytes = path.stat().st_size
+    if n_bytes != 16 * length:  # fromfile would drop a trailing partial sample
+        raise ConfigError(f"IQ payload of {n_bytes} bytes does not hold the sidecar's "
+                          f"{length} samples ({16 * length} bytes)")
+    return IqSignal(np.fromfile(path, dtype="<c16"), sample_rate, meta.get("seed"))

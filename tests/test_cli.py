@@ -7,7 +7,7 @@ from pwdpd.basis import BasisSpec
 from pwdpd.cli import build_parser, main, scenario_preset
 from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import RegionPartition
-from pwdpd.plant import save_plant
+from pwdpd.plant import save_plant, steer
 from pwdpd.presets import load_plant_preset
 from pwdpd.scenarios import METHODS
 from pwdpd.signals import read_iq, write_iq
@@ -495,6 +495,25 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
+def test_readme_method_table():
+    """The README's method table has one row per METHODS entry, with its
+    partition and learner."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| method | partition | learner |\n| --- | --- | --- |\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        method, *cells = line.strip("| ").split(" | ")
+        rows[method.strip("`")] = cells
+    assert list(rows) == list(METHODS)
+    names = {"taylor": "Taylor", "kmeans": "K-means", None: "none"}
+    for method, (kind, rule) in METHODS.items():
+        partition, learner = rows[method]
+        assert partition.startswith(names[kind]), method
+        assert f"(`{rule}`)" in learner if rule else learner.startswith("no DPD"), method
+
+
 # (method, exit code, partition the saved model carries)
 _TRAIN_ROWS = [
     ("none", 2, None),
@@ -582,6 +601,22 @@ def test_simulate_dual_input_plant_file(tmp_path, beta0_tap, code):
     assert (tmp_path / "z.iq").exists() == (code == 0)
 
 
+def test_simulate_angle_zero_resteers(tmp_path):
+    """--angle 0 steers a plant file saved at 30 degrees back to broadside."""
+    write_iq(tmp_path / "wave", random_signal(256, rms=0.4, seed=5))
+    plant = load_plant_preset("array8-deep")
+    outputs = {}
+    for name, angle, argv in (("saved30", 30.0, ["--angle", "0"]), ("at30", 30.0, []),
+                              ("at0", 0.0, [])):
+        save_plant(steer(plant, angle), tmp_path / f"{name}.json")
+        assert main(["simulate", "--plant", str(tmp_path / f"{name}.json"),
+                     "--input", str(tmp_path / "wave"), "--output", str(tmp_path / name),
+                     *argv]) == 0
+        outputs[name] = read_iq(tmp_path / name).samples
+    np.testing.assert_array_equal(outputs["saved30"], outputs["at0"])
+    assert not np.allclose(outputs["saved30"], outputs["at30"])
+
+
 def _plant_file(tmp_path, broken):
     write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
@@ -591,6 +626,14 @@ def _plant_file(tmp_path, broken):
         (tmp_path / "p.json").write_text(json.dumps(plant))
     return ["simulate", "--plant", str(tmp_path / "p.json"), "--input", str(tmp_path / "wave"),
             "--output", str(tmp_path / "z")]
+
+
+def _doherty_blend_width(tmp_path, broken):
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    plant = load_plant_preset("doherty-n3").to_dict()
+    plant["elements"][0]["coefficients"]["blend_width"] = 0 if broken else 0.07
+    return ["simulate", "--plant", _json_file(tmp_path / "p.json", plant),
+            "--input", str(tmp_path / "wave"), "--output", str(tmp_path / "z")]
 
 
 def _iq_sidecar(tmp_path, broken):
@@ -618,9 +661,11 @@ def _scenario_config(tmp_path, broken):
     return ["scenario", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
 
 
-@pytest.mark.parametrize("make_argv", [_plant_file, _iq_sidecar, _scenario_config, _partition_file],
-                         ids=["plant-without-weights", "sidecar-without-length",
-                              "config-as-list", "partition-without-edges"])
+@pytest.mark.parametrize("make_argv", [_plant_file, _doherty_blend_width, _iq_sidecar,
+                                       _scenario_config, _partition_file],
+                         ids=["plant-without-weights", "doherty-blend-width-zero",
+                              "sidecar-without-length", "config-as-list",
+                              "partition-without-edges"])
 def test_malformed_input_file_exit_code(tmp_path, make_argv):
     assert main(make_argv(tmp_path, broken=False)) == 0
     assert main(make_argv(tmp_path, broken=True)) == 2

@@ -294,6 +294,7 @@ def test_model_save_load_roundtrip(tmp_path, cubic_plant):
     save_model(model, tmp_path / "m")
     back = load_model(tmp_path / "m")
     np.testing.assert_array_equal(back.gamma, model.gamma)
+    assert back.gamma.flags.writeable
     np.testing.assert_array_equal(back.active_mask, model.active_mask)
     np.testing.assert_array_equal(back.whitener, model.whitener)
     assert back.ghat == model.ghat

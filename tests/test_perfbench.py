@@ -1,0 +1,74 @@
+"""The traced benchmark run still fits the code it wraps.
+
+perfbench/tracer.py wraps pwdpd functions by name and reads some of their
+arguments by position, and perfbench/checks.py pins per-layer counts by layer
+name; a rename or a reordered parameter would otherwise surface only as a
+failed traced run.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import pwdpd.cli  # noqa: F401  (imports every pwdpd module)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer, checks = _load("tracer"), _load("checks")
+
+
+def _layer_function(layer):
+    module, attr = layer.split(".")
+    return getattr(importlib.import_module(f"pwdpd.{module}"), attr, None)
+
+
+@pytest.mark.parametrize("layer", list(tracer.LAYERS))
+def test_every_layer_is_a_pwdpd_function(layer):
+    assert inspect.isfunction(_layer_function(layer)), layer
+
+
+@pytest.mark.parametrize("workload", list(checks.EXPECTED_COUNTS))
+def test_expected_counts_name_layers(workload):
+    for key in checks.EXPECTED_COUNTS[workload]:
+        assert key.rsplit(".", 1)[0] in tracer.LAYERS, key
+
+
+def _arg_reads():
+    """(layer, index, name) of every _arg(a, k, index, name) a LAYERS counter
+    makes, read from tracer.py: the counter is a lambda in the table or a
+    module-level function named there."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    reads = []
+    for key, counter in zip(table.keys, table.values):
+        if isinstance(counter, ast.Name):
+            counter = functions[counter.id]
+        for call in ast.walk(counter):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                index, name = (ast.literal_eval(arg) for arg in call.args[2:4])
+                reads.append((key.value, index, name))
+    return reads
+
+
+def test_counters_read_the_parameters_they_name():
+    reads = _arg_reads()
+    # every counted layer, argument-reading lambdas and _predistort_counts alike
+    assert {layer for layer, _, _ in reads} == {
+        layer for layer, counter in tracer.LAYERS.items() if counter is not None}
+    for layer, index, name in reads:
+        params = list(inspect.signature(_layer_function(layer)).parameters)
+        assert index < len(params) and params[index] == name, (layer, index, name, params)

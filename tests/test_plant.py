@@ -257,6 +257,14 @@ def test_pa_validation():
         PaModel("doherty_like", {"main": {(1, 0): 1.0}})  # no aux branch
     with pytest.raises(ConfigError):
         PaModel("doherty_like", {"main": {(1, 0): 1.0}, "aux": {(1, 0): 1.0}, "crossing": 0.4})
+    branches = {"main": {(1, 0): 1.0}, "aux": {(1, 0): 1.0}}
+    for crossover in (-0.1, np.inf, np.nan, None, "0.5", True):
+        with pytest.raises(ConfigError, match="'crossover' must be a finite number >= 0"):
+            PaModel("doherty_like", dict(branches, crossover=crossover))
+    for blend_width in (0, 0.0, -0.1, np.inf, np.nan, None, "0.1"):
+        with pytest.raises(ConfigError, match="'blend_width' must be a finite number > 0"):
+            PaModel("doherty_like", dict(branches, blend_width=blend_width))
+    PaModel("doherty_like", dict(branches, crossover=0, blend_width=1))
 
 
 def _dual_input_plant():

@@ -29,7 +29,9 @@ def test_power_and_scaling():
 def test_file_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     sig = IqSignal(rng.standard_normal(257) + 1j * rng.standard_normal(257), 30.72e6, seed=3)
-    write_iq(tmp_path / "x", sig)
+    bin_path, _ = write_iq(tmp_path / "x", sig)
+    interleaved = np.stack([sig.samples.real, sig.samples.imag], axis=1).astype("<f8")
+    assert bin_path.read_bytes() == interleaved.tobytes()
     back = read_iq(tmp_path / "x")
     assert back.sample_rate == sig.sample_rate
     assert back.seed == 3
@@ -41,6 +43,9 @@ def test_read_missing_and_corrupt(tmp_path):
         read_iq(tmp_path / "nope")
     sig = IqSignal(np.ones(8, dtype=complex), 1.0)
     bin_path, _ = write_iq(tmp_path / "y", sig)
-    bin_path.write_bytes(bin_path.read_bytes()[:-8])
-    with pytest.raises(ConfigError):
-        read_iq(tmp_path / "y")
+    intact = bin_path.read_bytes()
+    # a missing imaginary part, and a stray float after the last whole sample
+    for payload in (intact[:-8], intact + bytes(8)):
+        bin_path.write_bytes(payload)
+        with pytest.raises(ConfigError, match="128 bytes"):
+            read_iq(tmp_path / "y")
