@@ -27,6 +27,12 @@ FAMILIES = ("memoryless", "memory_poly", "gmp", "full_dual_input")
 
 COVARIANCE_LOADING = 1e-10
 
+# ridge on the learning statistics Gram: piecewise high-order columns can be
+# 1e-15 relative power in low-amplitude regions, and unregularized whitening
+# would amplify block-to-block sampling noise on those directions into the
+# correction path; the floor freezes directions below ~ -50 dB relative power
+STATS_LOADING = 1e-5
+
 # rows per base_matrix call in the chunked passes (Gram, filter, correlation)
 CHUNK = 16384
 
@@ -340,12 +346,11 @@ def gram_matrix(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     return gram / x.size
 
 
-def precompute_covariance(spec: BasisSpec, training: IqSignal,
-                          loading: float = COVARIANCE_LOADING) -> tuple[np.ndarray, np.ndarray]:
-    """Loaded sample covariance of the basis vector and its inverse, as K x B1 x B1 stacks.
+def precompute_covariance(spec: BasisSpec, training: IqSignal) -> np.ndarray:
+    """Loaded sample covariance of the basis vector as a K x B1 x B1 stack.
 
-    Diagonal loading of loading * trace/B keeps nearly empty regions
-    invertible; a region with no samples at all raises DegenerateRegionError.
+    Diagonal loading of STATS_LOADING * trace/B keeps nearly empty regions
+    positive definite; a region with no samples raises DegenerateRegionError.
     """
     b = spec.n_basis_total
     if len(training) < 10 * b:
@@ -355,8 +360,7 @@ def precompute_covariance(spec: BasisSpec, training: IqSignal,
         if np.abs(np.diag(block)).max() <= 0:
             raise DegenerateRegionError(k, f"region {k} received no samples in the statistics block")
     trace = cov.diagonal(axis1=1, axis2=2).real.sum()
-    cov = cov + (loading * trace / b) * np.eye(spec.n_basis_single)
-    return cov, np.linalg.inv(cov)
+    return cov + (STATS_LOADING * trace / b) * np.eye(spec.n_basis_single)
 
 
 def apply_gamma(spec: BasisSpec, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -382,7 +386,7 @@ def regularized_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least squares via a Cholesky of the diagonally loaded normal equations.
 
     Solves min ||a c - b||^2 + lam ||c||^2 with lam = COVARIANCE_LOADING *
-    trace(a^H a)/B, the same loading policy as precompute_covariance, at the
+    trace(a^H a)/B, the loading policy of precompute_covariance, at the
     cost the FLOP ledger charges an ILA fit: one Gram G = a^H a plus a B x B
     Cholesky. The loaded system is column-equilibrated, D (G + lam I) D u =
     D a^H b with D = diag(G + lam I)^-1/2, before it is factored, and c = D u.

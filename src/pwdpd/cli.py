@@ -98,6 +98,8 @@ def _resolve_plant(spec: str):
 
 
 def cmd_simulate(args) -> int:
+    if args.channel_bw is not None and not 0 < args.channel_bw < np.inf:
+        raise ConfigError(f"--channel-bw must be a positive finite bandwidth, got {args.channel_bw}")
     plant, params = _resolve_plant(args.plant)
     if args.coupling_strength is not None:
         from dataclasses import replace
@@ -113,8 +115,8 @@ def cmd_simulate(args) -> int:
     z = observation_receive(plant, per_element, args.noise_floor, rng)
     write_iq(Path(args.output), z)
     print(f"wrote {args.output}.iq ({len(z)} samples)")
-    if args.channel_bw or params:
-        bw = args.channel_bw or params["channel_bw"]
+    bw = params["channel_bw"] if args.channel_bw is None and params else args.channel_bw
+    if bw is not None:
         try:  # a short or narrowband signal still got written; the ACLR line is optional
             print(f"observation ACLR: {aclr_single_direction(z, bw):.2f} dBc")
         except ConfigError as exc:

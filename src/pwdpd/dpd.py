@@ -43,12 +43,6 @@ from .signals import IqSignal
 
 LEARN_RULES = ("self_orthogonalized", "orthogonal_bfs")
 
-# ridge on the learning statistics Gram: piecewise high-order columns can be
-# 1e-15 relative power in low-amplitude regions, and unregularized whitening
-# would amplify block-to-block sampling noise on those directions into the
-# correction path; the floor freezes directions below ~ -50 dB relative power
-STATS_LOADING = 1e-5
-
 
 @dataclass
 class DpdModel:
@@ -195,11 +189,11 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
           cfg: LearnConfig) -> tuple[DpdModel, list[TraceRecord]]:
     """Block-adaptive closed-loop learning.
 
-    A leading statistics block fixes the covariance inverse (self-orth rule)
-    or the per-region Cholesky whitener (orthogonal rule); both are treated
-    as precomputed thereafter. Each iteration transmits freshly predistorted
-    data, re-estimates the linear gain, and updates along the normalized
-    error correlation. Divergence (error power growing by more than 10 dB
+    A leading statistics block fixes the per-region Cholesky factor L of the
+    loaded covariance R = L L^H: the orthogonal rule whitens with it, the
+    self-orth rule applies R^-1 = L^-H L^-1. Each iteration transmits freshly
+    predistorted data, re-estimates the linear gain, and updates along the
+    normalized error correlation. Divergence (error power growing by more than 10 dB
     over three iterations) raises DivergenceError with the trace attached.
     """
     b_total = spec.n_basis_total
@@ -208,11 +202,10 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
             f"block_size {cfg.block_size} < 10 x coefficient count {b_total}")
 
     stats = source.next_block(cfg.stats_blocks * cfg.block_size)
-    gram, cov_inv = basis_mod.precompute_covariance(spec, stats, STATS_LOADING)
+    factor = basis_mod.block_cholesky(basis_mod.precompute_covariance(spec, stats))
     orthogonal = cfg.rule == "orthogonal_bfs"
-    whitener = basis_mod.block_cholesky(gram) if orthogonal else None
-
-    model = DpdModel.zero(spec, orthogonal_domain=orthogonal, whitener=whitener)
+    model = DpdModel.zero(spec, orthogonal_domain=orthogonal,
+                          whitener=factor if orthogonal else None)
 
     prune = cfg.prune_threshold_db is not None
     pd_mask: np.ndarray | None = None
@@ -231,9 +224,9 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         err_powers.append(p_err)
 
         zeta = basis_mod.cross_correlation(spec, a1.samples, err.samples)
-        per_region = zeta.reshape(spec.n_regions, -1, 1)
-        if orthogonal:  # L^-1 zeta: the correlation against the whitened columns
-            zeta = np.linalg.solve(whitener, per_region).ravel()
+        whitened = np.linalg.solve(factor, zeta.reshape(spec.n_regions, -1, 1))  # L^-1 zeta
+        if orthogonal:  # the correlation against the whitened columns
+            zeta = whitened.ravel()
 
         if prune:
             mask_now = prune_select(zeta, cfg.prune_threshold_db, p_err)
@@ -243,7 +236,8 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         else:
             update_mask = np.ones(b_total, dtype=bool)
 
-        step = zeta if orthogonal else (cov_inv @ per_region).ravel()
+        step = zeta if orthogonal else np.linalg.solve(
+            factor.conj().transpose(0, 2, 1), whitened).ravel()  # L^-H L^-1 zeta = R^-1 zeta
         model.gamma[update_mask] -= (cfg.mu / ghat) * step[update_mask]
         model.ghat = ghat
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DemodulationError
-from .plant import ArrayPlant, array_forward
 from .signals import IqSignal
 from .waveform import OfdmConfig, demodulate_ofdm
 
@@ -120,16 +119,24 @@ def _occupied99_bandwidth(freqs: np.ndarray, pxx: np.ndarray, channel_bw: float)
     return channel_bw
 
 
+def _channel_powers(freqs: np.ndarray, spectra, channel_bw: float) -> np.ndarray:
+    """In-channel, lower and upper adjacent power of each spectrum, one row each:
+    bands as wide as the occupied-99% bandwidth of the spectrum with the most
+    in-channel power, centered at 0 and -+channel_bw."""
+    channel = [band_power(freqs, pxx, -channel_bw / 2, channel_bw / 2) for pxx in spectra]
+    mbw = _occupied99_bandwidth(freqs, spectra[int(np.argmax(channel))], channel_bw)
+    bands = ((-mbw / 2, mbw / 2), (-channel_bw - mbw / 2, -channel_bw + mbw / 2),
+             (channel_bw - mbw / 2, channel_bw + mbw / 2))
+    return np.array([[band_power(freqs, pxx, lo, hi) for lo, hi in bands] for pxx in spectra])
+
+
 def aclr_single_direction(sig: IqSignal, channel_bw: float) -> float:
     """In-channel to worst-adjacent power ratio in dBc for one direction."""
     if sig.sample_rate < 3 * channel_bw:
         raise ConfigError(
             f"sample rate {sig.sample_rate:.3g} < 3 x channel bandwidth; adjacent channels not in view")
     freqs, pxx = _welch(sig.samples, sig.sample_rate, 2048)
-    mbw = _occupied99_bandwidth(freqs, pxx, channel_bw)
-    p_ch = band_power(freqs, pxx, -mbw / 2, mbw / 2)
-    p_low = band_power(freqs, pxx, -channel_bw - mbw / 2, -channel_bw + mbw / 2)
-    p_high = band_power(freqs, pxx, channel_bw - mbw / 2, channel_bw + mbw / 2)
+    (p_ch, p_low, p_high), = _channel_powers(freqs, [pxx], channel_bw)
     p_adj = max(p_low, p_high)
     if p_adj <= 0:
         return 300.0
@@ -177,39 +184,26 @@ def aclr_trp(sweep: AngleSweepResult) -> float:
     return 10 * math.log10(trp_ch / trp_adj)
 
 
-def beam_pattern(plant: ArrayPlant, a1: IqSignal, angles_deg, channel_bw: float,
-                 per_element: list[IqSignal] | None = None) -> AngleSweepResult:
+def beam_pattern(per_element: list[IqSignal], angles_deg, channel_bw: float) -> AngleSweepResult:
     """Far-field in-band / adjacent powers versus azimuth.
 
-    The element outputs are combined with the half-wavelength ULA array
-    response exp(j pi i sin(angle)) per angle; powers integrate the Welch
-    spectrum (2048 bins) over the measurement bandwidth centered on the
+    array_forward's element outputs are combined with the half-wavelength ULA
+    array response exp(j pi i sin(angle)) per angle; powers integrate the
+    Welch spectrum (2048 bins) over the measurement bandwidth centered on the
     channel and the +-channel_bw adjacent offsets. The measurement bandwidth
     is the occupied-99% band of the angle with the strongest in-channel power,
-    the rule of aclr_single_direction, so a one-point sweep reproduces
-    that metric exactly. Pass per_element to reuse already-computed PA outputs.
+    the rule of aclr_single_direction, so a one-point sweep reproduces that
+    metric exactly.
     """
     angles_deg = np.asarray(list(angles_deg), dtype=float)
     if angles_deg.size == 0 or np.any(np.diff(angles_deg) < 0):
         raise ConfigError("angles must be non-empty and sorted")
-    if per_element is None:
-        per_element, _ = array_forward(plant, a1)
     outputs = np.stack([sig.samples for sig in per_element])
-    idx = np.arange(plant.n_elements)
+    idx = np.arange(len(per_element))
     spectra = []
     freqs = None
     for ang in angles_deg:
         af = np.exp(1j * np.pi * idx * math.sin(math.radians(ang)))
-        freqs, pxx = _welch(af @ outputs, a1.sample_rate, 2048)
+        freqs, pxx = _welch(af @ outputs, per_element[0].sample_rate, 2048)
         spectra.append(pxx)
-    channel_powers = [band_power(freqs, pxx, -channel_bw / 2, channel_bw / 2)
-                      for pxx in spectra]
-    mbw = _occupied99_bandwidth(freqs, spectra[int(np.argmax(channel_powers))], channel_bw)
-    inband = np.zeros(angles_deg.size)
-    adj_lo = np.zeros(angles_deg.size)
-    adj_hi = np.zeros(angles_deg.size)
-    for j, pxx in enumerate(spectra):
-        inband[j] = band_power(freqs, pxx, -mbw / 2, mbw / 2)
-        adj_lo[j] = band_power(freqs, pxx, -channel_bw - mbw / 2, -channel_bw + mbw / 2)
-        adj_hi[j] = band_power(freqs, pxx, channel_bw - mbw / 2, channel_bw + mbw / 2)
-    return AngleSweepResult(angles_deg, inband, adj_lo, adj_hi)
+    return AngleSweepResult(angles_deg, *_channel_powers(freqs, spectra, channel_bw).T)

@@ -17,6 +17,12 @@ import numpy as np
 from .errors import ConfigError
 from .signals import IqSignal
 
+# derivative_max's grid points, the share of a_max below which a final Taylor
+# region is merged into its neighbor, and the cap on K-means iterations
+DERIVATIVE_GRID = 1000
+MIN_REGION_FRACTION = 0.02
+KMEANS_MAX_ITER = 100
+
 
 @dataclass
 class RegionPartition:
@@ -125,9 +131,9 @@ class AmAmModel:
         t = np.asarray(a, dtype=float) / self.a_max
         return np.polynomial.polynomial.polyval(t, dcoef) / self.a_max ** order
 
-    def derivative_max(self, lo: float, hi: float, order: int, grid: int = 1000) -> float:
-        """Max |f^(order)| over [lo, hi] by dense grid evaluation."""
-        a = np.linspace(lo, hi, grid)
+    def derivative_max(self, lo: float, hi: float, order: int) -> float:
+        """Max |f^(order)| over [lo, hi] on a DERIVATIVE_GRID-point grid."""
+        a = np.linspace(lo, hi, DERIVATIVE_GRID)
         return float(np.max(np.abs(self.derivative_values(a, order))))
 
 
@@ -182,8 +188,7 @@ def _converge_width(model: AmAmModel, u: float, a_max: float, order: int,
 
 
 def partition_regions(model: AmAmModel, a_max: float, order: int, target_error: float,
-                      delta: float | None = None,
-                      min_region_fraction: float = 0.02) -> RegionPartition:
+                      delta: float | None = None) -> RegionPartition:
     """Greedy left-to-right Taylor-remainder partitioning.
 
     Each region is the widest interval on which a degree-``order`` polynomial
@@ -191,7 +196,7 @@ def partition_regions(model: AmAmModel, a_max: float, order: int, target_error: 
     (Lagrange remainder bound, derivative maximum by dense grid search). The
     per-region width iteration starts from the conservative interval
     reaching a_max and stops when it changes by less than ``delta``. A final
-    region narrower than ``min_region_fraction * a_max`` is merged into its
+    region narrower than ``MIN_REGION_FRACTION * a_max`` is merged into its
     neighbor to avoid sample-starved regions.
     """
     if order < 1:
@@ -217,13 +222,13 @@ def partition_regions(model: AmAmModel, a_max: float, order: int, target_error: 
             raise ConfigError("partition produced more than 256 regions; "
                               "raise target_error or lower the fit order")
     edges[-1] = a_max
-    if len(edges) > 2 and (edges[-1] - edges[-2]) < min_region_fraction * a_max:
+    if len(edges) > 2 and (edges[-1] - edges[-2]) < MIN_REGION_FRACTION * a_max:
         del edges[-2]
     k = len(edges) - 1
     return RegionPartition(np.asarray(edges), orders=[order] * k, target_error=[target_error] * k)
 
 
-def kmeans_partition(a1: IqSignal, n_regions: int, max_iter: int = 100) -> RegionPartition:
+def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
     """1-D K-means over the envelope; boundaries at midpoints between centroids.
 
     Deterministic: centroids are seeded at the (i+0.5)/K quantiles of the
@@ -241,7 +246,7 @@ def kmeans_partition(a1: IqSignal, n_regions: int, max_iter: int = 100) -> Regio
         return RegionPartition(np.asarray([0.0, a_max]))
 
     centroids = np.quantile(env, (np.arange(n_regions) + 0.5) / n_regions)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         assign = np.argmin(np.abs(env[:, None] - centroids[None, :]), axis=1)
         new = centroids.copy()
         for k in range(n_regions):

@@ -9,8 +9,8 @@ PA kinds:
 
   memoryless_poly   b(n) = sum_q c_q u(n)|u(n)|^(q-1)
   memory_poly       b(n) = sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1)
-  doherty_like      two memoryless branches blended across an amplitude
-                    crossover, producing strongly local nonlinearity
+  doherty_like      two memory-polynomial branches blended across an
+                    amplitude crossover, producing strongly local nonlinearity
   dual_input_lumped four-term dual-wave model on the limited incident wave a
                     and the branch wave f = f_i * a, f_i = sum_l w_l lambda_il * mu_l:
                     b(n) = sum alpha_{q,m} w|w|^(q-1) a(n-m)|a(n-m)|^(q-1)
@@ -113,6 +113,8 @@ class PaModel:
         for name, default in fields.items():  # a missing required table is None
             value = given.get(name, default)
             c[name] = (_check_table if name in _TABLE_KEYS else _check_scalar)(name, value)
+        if self.kind == "memoryless_poly" and any(tap for _, tap in c["table"]):
+            raise ConfigError(f"memoryless_poly taps must be 0, got {given['table']!r}")
         object.__setattr__(self, "coefficients", c)
 
     def output_ceiling(self) -> float:

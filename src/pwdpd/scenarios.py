@@ -48,10 +48,12 @@ METHODS = {
     "ila": (None, "ila"),
 }
 
-# derive_partition: AM/AM fit order of the ramp probe, OFDM samples that set
-# the amplitude range and region shares, and the smallest share a trailing
-# region may hold before it is merged into its neighbor
+# derive_partition: the ramp probe's AM/AM fit order, length and phase rate
+# (cycles per sample), OFDM samples that set the amplitude range and region
+# shares, and the smallest share a trailing region may hold unmerged
 FIT_ORDER = 9
+RAMP_SAMPLES = 32768
+RAMP_PHASE_RATE = 1e-3
 PARTITION_BLOCK = 40000
 MIN_SHARE = 0.025
 
@@ -99,16 +101,15 @@ class SimulatedLoop:
         return observation_receive(self.plant, per_element, noise_floor_dbc, self._noise_rng)
 
 
-def ramp_probe(amax: float, sample_rate: float, n: int = 32768,
-               phase_rate: float = 1e-3) -> IqSignal:
+def ramp_probe(amax: float, sample_rate: float) -> IqSignal:
     """Slow full-scale envelope ramp (power-sweep characterization probe).
 
     The envelope rises linearly to amax while the phase rotates slowly, so
     plant memory taps add coherently and the observed response is the static
     amplitude curve rather than a memory-smeared cloud.
     """
-    env = np.linspace(0.0, amax, n)
-    phase = np.exp(2j * np.pi * phase_rate * np.arange(n))
+    env = np.linspace(0.0, amax, RAMP_SAMPLES)
+    phase = np.exp(2j * np.pi * RAMP_PHASE_RATE * np.arange(RAMP_SAMPLES))
     return IqSignal(env * phase, sample_rate)
 
 
@@ -193,7 +194,7 @@ def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
     }
     beam = None
     if trp_angles is not None:
-        beam = beam_pattern(plant, x, trp_angles, channel_bw, per_element=per_element)
+        beam = beam_pattern(per_element, trp_angles, channel_bw)
         metrics["aclr_trp_dbc"] = aclr_trp(beam)
     freqs, db = psd(z)
     return EvalResult(metrics, freqs, db, beam)

@@ -172,28 +172,25 @@ def papr_at(sig: IqSignal, probability: float) -> float:
 
 
 def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
-                        occupied_bandwidth: float | None = None) -> IqSignal:
+                        occupied_bandwidth: float) -> IqSignal:
     """Iterative clipping and filtering toward a target PAPR.
 
-    Each iteration hard-clips the envelope at rms * 10^(target/20) and, when
-    occupied_bandwidth is given, projects the result back onto the occupied
-    band (brick-wall: FFT bins outside +-occupied_bandwidth/2 are zeroed, so
-    clipping noise cannot grow out of band). The sequence ends on a clip,
-    pinning the output peak exactly at the clip level; the unfiltered residue
-    of that last pass is tiny (waveform self-ACLR stays above 60 dBc on the
-    array8-deep and doherty-n3 waveforms). Best-effort: the achievable 1%
-    PAPR depends on the signal; no error is raised.
+    Each iteration hard-clips the envelope at rms * 10^(target/20) and
+    projects the result back onto the occupied band (brick-wall: FFT bins
+    outside +-occupied_bandwidth/2 are zeroed, so clipping noise cannot grow
+    out of band); iterations stop early once nothing exceeds the clip level,
+    so a signal that never does is returned unchanged. The sequence ends on a
+    clip, pinning the output peak exactly at the clip level; the unfiltered
+    residue of that last pass is tiny (waveform self-ACLR stays above 60 dBc
+    on the array8-deep and doherty-n3 waveforms). Best-effort: the achievable
+    1% PAPR depends on the signal; no error is raised.
     """
     if target_papr_db <= 0:
         raise ConfigError("target_papr_db must be positive")
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     x = sig.samples.copy()
-    n = x.size
-    drop = None
-    if occupied_bandwidth is not None:
-        freqs = np.fft.fftfreq(n, d=1.0 / sig.sample_rate)
-        drop = np.abs(freqs) > occupied_bandwidth / 2
+    drop = np.abs(np.fft.fftfreq(x.size, d=1.0 / sig.sample_rate)) > occupied_bandwidth / 2
     # clip level fixed against the input average power
     clip = np.sqrt(np.mean(np.abs(x) ** 2)) * 10 ** (target_papr_db / 20)
 
@@ -209,9 +206,8 @@ def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
     for _ in range(iterations):
         if not clip_pass(x):
             break
-        if drop is not None:
-            spectrum = np.fft.fft(x)
-            spectrum[drop] = 0
-            x = np.fft.ifft(spectrum)
+        spectrum = np.fft.fft(x)
+        spectrum[drop] = 0
+        x = np.fft.ifft(spectrum)
     clip_pass(x)
     return IqSignal(x, sig.sample_rate, sig.seed)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from pwdpd import basis as basis_mod
-from pwdpd.basis import (CHUNK, COVARIANCE_LOADING, BasisSpec, apply_gamma, build_matrix,
-                         cross_correlation, enumerate_bfs, gram_matrix, orthogonalize,
-                         precompute_covariance)
+from pwdpd.basis import (CHUNK, STATS_LOADING, BasisSpec, apply_gamma, block_cholesky,
+                         build_matrix, cross_correlation, enumerate_bfs, gram_matrix,
+                         orthogonalize, precompute_covariance)
 from pwdpd.errors import ConfigError, DegenerateRegionError
 from pwdpd.partition import RegionPartition
 from pwdpd.signals import IqSignal
@@ -188,19 +188,27 @@ def test_orthogonalize_preconditions():
         orthogonalize(short)
 
 
+def _factor_solve(factor, rhs):
+    """R^-1 rhs through the Cholesky factor of R = L L^H, as learn applies it: L^-H (L^-1 rhs)."""
+    return np.linalg.solve(factor.conj().transpose(0, 2, 1), np.linalg.solve(factor, rhs))
+
+
 def test_covariance_orthonormal_and_closed_form():
     sig = rayleigh_signal()
     spec = BasisSpec("memoryless", 3)
-    cov, cov_inv = precompute_covariance(spec, sig)
-    # oracle: direct sample covariance and the 2x2 analytic inverse
+    cov = precompute_covariance(spec, sig)
+    # oracle: direct loaded sample covariance and the 2x2 analytic inverse
     x = sig.samples
     psi = np.stack([x, x * np.abs(x) ** 2], axis=1)
     r = psi.conj().T @ psi / x.size
+    r += STATS_LOADING * np.trace(r).real / 2 * np.eye(2)
     np.testing.assert_allclose(cov, r[None], rtol=1e-9, atol=1e-12)
+    factor = block_cholesky(cov)
+    np.testing.assert_allclose(factor @ factor.conj().transpose(0, 2, 1), cov, rtol=1e-12)
     a, b_, c, d = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
     det = a * d - b_ * c
     oracle_inv = np.array([[d, -b_], [-c, a]]) / det
-    np.testing.assert_allclose(cov_inv, oracle_inv[None], rtol=1e-5)
+    np.testing.assert_allclose(_factor_solve(factor, np.eye(2)[None]), oracle_inv[None], rtol=1e-5)
 
 
 def test_covariance_piecewise_block_diagonal():
@@ -208,15 +216,19 @@ def test_covariance_piecewise_block_diagonal():
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
     spec = BasisSpec("memoryless", 5, partition=part)
-    cov, cov_inv = precompute_covariance(spec, sig)
+    cov = precompute_covariance(spec, sig)
     b1 = spec.n_basis_single
-    assert cov.shape == cov_inv.shape == (2, b1, b1)
+    assert cov.shape == (2, b1, b1)
     # the stack is the whole loaded covariance: the dense one is zero off its blocks
     dense = build_matrix(spec, sig).values
     gram = dense.conj().T @ dense / len(sig)
-    loaded = gram + COVARIANCE_LOADING * np.trace(gram).real / (2 * b1) * np.eye(2 * b1)
+    loaded = gram + STATS_LOADING * np.trace(gram).real / (2 * b1) * np.eye(2 * b1)
     assert np.max(np.abs(_block_diag(cov) - loaded)) < 1e-12 * np.max(np.abs(cov))
-    np.testing.assert_allclose(cov_inv @ cov, np.broadcast_to(np.eye(b1), cov.shape), atol=1e-6)
+    factor = block_cholesky(cov)
+    np.testing.assert_allclose(factor @ factor.conj().transpose(0, 2, 1), cov,
+                               rtol=0, atol=1e-12 * np.max(np.abs(cov)))
+    np.testing.assert_allclose(_factor_solve(factor, cov), np.broadcast_to(np.eye(b1), cov.shape),
+                               atol=1e-6)
 
 
 def test_covariance_rejects_empty_region():
@@ -344,6 +356,14 @@ def test_only_region_blocks_builds_basis_rows():
     owners = {(path.name, owner) for path in sorted(package.glob("*.py"))
               for owner in _owners(ast.parse(path.read_text()), "base_matrix")}
     assert owners == {("basis.py", "region_blocks")}
+
+
+def test_package_calls_no_matrix_inverse():
+    """R^-1 and (L^H)^-1 are applied through solves against Cholesky factors."""
+    package = Path(basis_mod.__file__).parent
+    owners = {(path.name, owner) for path in sorted(package.glob("*.py"))
+              for owner in _owners(ast.parse(path.read_text()), "inv")}
+    assert owners == set()
 
 
 def test_package_does_not_import_scipy():

@@ -580,6 +580,15 @@ def test_simulate_non_positive_drive_exit_code(tmp_path, drive_rms):
     assert not (tmp_path / "z.iq").exists()
 
 
+@pytest.mark.parametrize("channel_bw", ["0", "-1", "inf"])
+def test_simulate_bad_channel_bw_exit_code(tmp_path, channel_bw):
+    """A given --channel-bw is used, never replaced by the preset's, so a bad one is refused."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    assert main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z"), "--channel-bw", channel_bw]) == 2
+    assert not (tmp_path / "z.iq").exists()
+
+
 @pytest.mark.parametrize("drive_rms", [-0.25, 0])
 def test_non_positive_scenario_drive_exit_code(tmp_path, drive_rms):
     assert _scenario_exit_code(tmp_path, drive_rms=drive_rms) == 2

@@ -138,7 +138,7 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
     # oracle: dense-matrix replication of the update on the same data
     stats, a1 = src.blocks[0], src.blocks[1]
     gram = basis_mod.gram_matrix(spec, stats.samples)[0]  # the one region block (K = 1)
-    from pwdpd.dpd import STATS_LOADING
+    from pwdpd.basis import STATS_LOADING
     gram += (STATS_LOADING * np.trace(gram).real / gram.shape[0]) * np.eye(gram.shape[0])
     lo = np.linalg.cholesky(gram)
     per, _ = __import__("pwdpd.plant", fromlist=["array_forward"]).array_forward(cubic_plant, a1)

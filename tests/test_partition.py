@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pwdpd.errors import ConfigError
-from pwdpd.partition import (AmAmModel, RegionPartition, fit_amam, kmeans_partition,
-                             partition_regions)
+from pwdpd.partition import (DERIVATIVE_GRID, AmAmModel, RegionPartition, fit_amam,
+                             kmeans_partition, partition_regions)
 from pwdpd.plant import array_forward, observation_receive
 from pwdpd.signals import IqSignal
 
@@ -102,8 +102,9 @@ def test_partition_cubic_closed_form():
 
 def test_partition_grid_refinement_stable():
     model = AmAmModel.from_coefficients([0.0, 1.0, 0.0, -0.2, 0.0, 0.05], a_max=1.0)
-    coarse = model.derivative_max(0.1, 0.9, 3, grid=1000)
-    fine = model.derivative_max(0.1, 0.9, 3, grid=4000)
+    coarse = model.derivative_max(0.1, 0.9, 3)
+    fine = float(np.max(np.abs(model.derivative_values(
+        np.linspace(0.1, 0.9, 4 * DERIVATIVE_GRID), 3))))
     assert abs(coarse - fine) / fine < 1e-4
 
 

@@ -249,6 +249,8 @@ def test_saturation_bounds_output():
 def test_pa_validation():
     with pytest.raises(ConfigError):
         PaModel("memoryless_poly", {(2, 0): 1.0})
+    with pytest.raises(ConfigError, match="memoryless_poly taps must be 0"):
+        PaModel("memoryless_poly", {(1, 0): 1.0, (3, 2): 0.5})
     with pytest.raises(ConfigError):
         PaModel("memoryless_poly", {(1, 0): 1.0}, saturation_level=0.0)
     with pytest.raises(ConfigError):

@@ -72,19 +72,21 @@ def test_mean_power_near_unity():
 
 def test_cfr_constant_envelope_unchanged():
     sig = IqSignal(np.exp(1j * np.linspace(0, 20, 4096)), 1.0)
-    out = crest_factor_reduce(sig, 3.0, 5)
+    # nothing exceeds the clip level, so not even the half-band projection runs
+    out = crest_factor_reduce(sig, 3.0, 5, occupied_bandwidth=0.5)
     np.testing.assert_allclose(out.samples, sig.samples)
 
 
 def test_cfr_single_peak_clip_arithmetic():
-    # carrier with one 5x peak; hard target, one iteration, no filtering:
-    # the peak lands exactly at the rms-referred clip level
+    # carrier with one 5x peak; hard target, one iteration, a projection onto
+    # the whole band (no bin dropped): the peak lands exactly at the
+    # rms-referred clip level
     x = np.ones(1000, dtype=complex)
     x[371] = 5.0
     sig = IqSignal(x, 1.0)
     target_db = 3.0
     expected_clip = np.sqrt(np.mean(np.abs(x) ** 2)) * 10 ** (target_db / 20)
-    out = crest_factor_reduce(sig, target_db, 1)
+    out = crest_factor_reduce(sig, target_db, 1, occupied_bandwidth=sig.sample_rate)
     assert np.max(np.abs(out.samples)) == pytest.approx(expected_clip, rel=1e-12)
 
 
