@@ -1,6 +1,6 @@
 """Piecewise closed-loop digital predistortion workbench."""
 
-from .basis import BasisMatrix, BasisSpec, BfTerm, build_matrix, enumerate_bfs, orthogonalize, precompute_covariance
+from .basis import BasisSpec, BfTerm, enumerate_bfs, precompute_covariance
 from .complexity import ComplexityParams, flops, full_ledger, reference_params
 from .dpd import (DpdModel, LearnConfig, TraceRecord, distortion_power_identity,
                   error_signal, estimate_gain, learn, predistort, prune_select)

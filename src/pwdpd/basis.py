@@ -1,4 +1,4 @@
-"""Nonlinear basis-function sets, piecewise data matrices, and orthogonalization.
+"""Nonlinear basis-function sets, their chunked region blocks, and the block statistics.
 
 Each basis function is one of three shapes over the complex baseband signal x:
 
@@ -10,7 +10,9 @@ with q the odd nonlinearity order. Families enumerate deterministic ordered
 subsets of these; the aligned order-1 lag-0 term (x itself) is always index 0,
 which the learners rely on. Piecewise specs replicate the set per region and
 zero every row outside the region owning that sample's envelope, so the Gram
-matrix is exactly block-diagonal by region.
+matrix is exactly block-diagonal by region. That masked matrix is never
+formed: region_blocks yields each region's rows chunk by chunk, and the Gram,
+filter and correlation passes accumulate over those blocks.
 """
 
 from __future__ import annotations
@@ -258,44 +260,6 @@ def region_blocks(spec: BasisSpec, x: np.ndarray, start: int = 0, stop: int | No
         yield from base_matrix(spec, x, lo, min(chunk, stop - lo))
 
 
-@dataclass
-class BasisMatrix:
-    """Realized data matrix for one sample block.
-
-    values is N x B with B = n_regions * B1; the region-k column block is the
-    base set masked to rows whose envelope falls in region k. When
-    orthogonalized, whitener is the K x B1 x B1 stack of lower-triangular L_k
-    with the region-k columns of Psi_orth equal to Psi_k (L_k^H)^-1.
-    """
-
-    values: np.ndarray
-    spec: BasisSpec
-    orthogonalized: bool = False
-    whitener: np.ndarray | None = None
-    region_index: np.ndarray | None = None
-
-    @property
-    def n_basis_single(self) -> int:
-        return self.spec.n_basis_single
-
-
-def build_matrix(spec: BasisSpec, a1: IqSignal, block: tuple[int, int] | None = None) -> BasisMatrix:
-    """Assemble the (piecewise-masked) data matrix over one block of a1."""
-    x = a1.samples
-    if block is None:
-        block = (0, x.size)
-    start, n = block
-    if start < 0 or n <= 0 or start + n > x.size:
-        raise ConfigError(f"block {block} outside signal of length {x.size}")
-    values = np.zeros((n, spec.n_regions, spec.n_basis_single), dtype=np.complex128)
-    ridx = np.zeros(n, dtype=np.intp)
-    for k, rows, psi in region_blocks(spec, x, start, start + n, chunk=n):
-        values[rows - start, k] = psi
-        ridx[rows - start] = k
-    return BasisMatrix(values.reshape(n, -1), spec,
-                       region_index=ridx if spec.partition is not None else None)
-
-
 def block_cholesky(gram: np.ndarray) -> np.ndarray:
     """Cholesky factor of each block of a K x B1 x B1 Gram stack.
 
@@ -312,25 +276,6 @@ def block_cholesky(gram: np.ndarray) -> np.ndarray:
             raise DegenerateRegionError(
                 k, f"region {k} Gram matrix is rank deficient") from None
     return whitener
-
-
-def orthogonalize(bm: BasisMatrix) -> BasisMatrix:
-    """Whiten the matrix so the sample Gram Psi^H Psi / N is the identity.
-
-    The Gram is block-diagonal by region (disjoint row supports), so a
-    per-region Cholesky factor is computed and inverted against the columns.
-    """
-    if bm.orthogonalized:
-        raise ConfigError("matrix is already orthogonalized")
-    n, b = bm.values.shape
-    if n < 10 * b:
-        raise ConfigError(f"need at least 10 rows per column to orthogonalize (N={n}, B={b})")
-    cols = bm.values.reshape(n, bm.spec.n_regions, -1).transpose(1, 0, 2)  # K x N x B1
-    whitener = block_cholesky(cols.conj().transpose(0, 2, 1) @ cols / n)
-    # columns <- columns (L^H)^-1, done as a triangular solve per region
-    values = np.linalg.solve(whitener.conj(), cols.transpose(0, 2, 1)).transpose(2, 0, 1)
-    return BasisMatrix(values.reshape(n, b), bm.spec, orthogonalized=True, whitener=whitener,
-                       region_index=bm.region_index)
 
 
 def gram_matrix(spec: BasisSpec, x: np.ndarray) -> np.ndarray:

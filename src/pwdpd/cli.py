@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -34,6 +35,15 @@ from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_ccdf
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
+
+
+def finite_float(text: str) -> float:
+    """argparse type of every float flag: a usage error (exit 2) naming the
+    flag for nan, inf or anything float() does not read."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _out_root(args) -> Path:
@@ -98,8 +108,8 @@ def _resolve_plant(spec: str):
 
 
 def cmd_simulate(args) -> int:
-    if args.channel_bw is not None and not 0 < args.channel_bw < np.inf:
-        raise ConfigError(f"--channel-bw must be a positive finite bandwidth, got {args.channel_bw}")
+    if args.channel_bw is not None and not args.channel_bw > 0:
+        raise ConfigError(f"--channel-bw must be a positive bandwidth, got {args.channel_bw}")
     plant, params = _resolve_plant(args.plant)
     if args.coupling_strength is not None:
         from dataclasses import replace
@@ -226,16 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate an OFDM excitation")
-    p.add_argument("--scs", type=float, default=120e3)
+    p.add_argument("--scs", type=finite_float, default=120e3)
     p.add_argument("--fft", type=int, default=4096)
     p.add_argument("--active", type=int, default=3168)
     p.add_argument("--oversampling", type=int, default=5)
     p.add_argument("--symbols", type=int, default=1)
     p.add_argument("--constellation", default="64QAM")
-    p.add_argument("--cp-fraction", type=float, default=0.07)
+    p.add_argument("--cp-fraction", type=finite_float, default=0.07)
     p.add_argument("--wola", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cfr-target", type=float, default=None, help="PAPR target in dB")
+    p.add_argument("--cfr-target", type=finite_float, default=None, help="PAPR target in dB")
     p.add_argument("--cfr-iterations", type=int, default=10)
     p.add_argument("--output", required=True, help="output stem")
     p.set_defaults(func=cmd_generate)
@@ -244,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", required=True, help="preset name or plant JSON path")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--drive-rms", type=float, default=None)
-    p.add_argument("--angle", type=float, default=None)
-    p.add_argument("--coupling-strength", type=float, default=None)
-    p.add_argument("--noise-floor", type=float, default=None, help="dBc")
-    p.add_argument("--channel-bw", type=float, default=None)
+    p.add_argument("--drive-rms", type=finite_float, default=None)
+    p.add_argument("--angle", type=finite_float, default=None)
+    p.add_argument("--coupling-strength", type=finite_float, default=None)
+    p.add_argument("--noise-floor", type=finite_float, default=None, help="dBc")
+    p.add_argument("--channel-bw", type=finite_float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
@@ -256,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", required=True)
     p.add_argument("--method", choices=["taylor", "kmeans"], default=None)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--target-error", type=float, default=None)
+    p.add_argument("--target-error", type=finite_float, default=None)
     p.add_argument("--regions", type=int, default=None, help="K for kmeans")
     p.add_argument("--seed", type=int, default=17)
     p.add_argument("--output", default=None)
@@ -269,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--memory", type=int, default=None)
     p.add_argument("--cross-memory", type=int, default=None)
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--mu", type=finite_float, default=None)
     p.add_argument("--block-size", type=int, default=None)
     p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--prune", type=float, default=None, help="threshold in dB")
+    p.add_argument("--prune", type=finite_float, default=None, help="threshold in dB")
     p.add_argument("--partition", default=None, help="partition JSON path")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--output", required=True, help="model stem")
@@ -307,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error argparse has printed (code 2), or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except (ConfigError, DemodulationError, FileNotFoundError, json.JSONDecodeError) as exc:

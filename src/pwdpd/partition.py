@@ -41,6 +41,8 @@ class RegionPartition:
         self.edges = np.asarray(self.edges, dtype=float)
         if self.edges.ndim != 1 or self.edges.size < 2:
             raise ConfigError("partition needs at least two edges")
+        if not np.all(np.isfinite(self.edges)):
+            raise ConfigError(f"partition edges must be finite, got {self.edges.tolist()}")
         if self.edges[0] != 0.0:
             raise ConfigError("partition must start at amplitude 0")
         if np.any(np.diff(self.edges) <= 0):

@@ -284,6 +284,9 @@ def _trp_angles(trp) -> np.ndarray | None:
     if not isinstance(trp, dict) or set(trp) != {"start", "stop", "step"}:
         raise ConfigError(f"eval.trp_angles must be true, false, null or an object with "
                           f"start, stop and step; got {trp!r}")
+    for field, value in trp.items():
+        if not _is_number(value):
+            raise ConfigError(f"eval.trp_angles {field!r} must be a finite number, got {value!r}")
     if not trp["step"] > 0:
         raise ConfigError(f"eval.trp_angles step must be positive, got {trp['step']!r}")
     return np.arange(trp["start"], trp["stop"] + 1e-9, trp["step"])
@@ -321,11 +324,10 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
     else:
         train_plant, noise = steer(plant, 0.0), None
         eval_plants = [steer(plant, float(a)) for a in angles]
-    partitions = _partitions(train_plant, preset, config, seed,
-                             {METHODS[method][0] for _, method, _, _ in runs} - {None})
-
     eval_kw = dict(config_section(config, "eval"), noise_floor_dbc=noise)
     eval_kw["trp_angles"] = _trp_angles(eval_kw.get("trp_angles"))
+    partitions = _partitions(train_plant, preset, config, seed,
+                             {METHODS[method][0] for _, method, _, _ in runs} - {None})
 
     def trained():
         for label, method, train_seed, overrides in runs:
@@ -503,7 +505,9 @@ SHARED = {"kind": None, "schema_version": 1, "preset": "array8-deep", "seed": 1,
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; Python's json also reads NaN and +-Infinity."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 # (test, description) of the values a config key takes, by the type of the
@@ -513,19 +517,19 @@ def _is_number(value) -> bool:
 _VALUE_TYPES = (
     (bool, (lambda v: isinstance(v, bool), "true or false")),
     (int, (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")),
-    (float, (_is_number, "a number")),
+    (float, (_is_number, "a finite number")),
     (str, (lambda v: isinstance(v, str), "a string")),
     (dict, (lambda v: isinstance(v, dict), "an object")),
     ((list, tuple), (lambda v: isinstance(v, list), "an array")),
-    (type(None), (lambda v: v is None or _is_number(v), "a number or null")),
+    (type(None), (lambda v: v is None or _is_number(v), "a finite number or null")),
 )
 
 # the same by key name, for the keys whose default does not give their type;
 # these win over _VALUE_TYPES (_trp_angles checks the object's fields)
 _KEY_TYPES = {
     "kind": (lambda v: isinstance(v, str), "a string"),
-    "drive_rms": (lambda v: _is_number(v) and 0 < v < math.inf, "a positive number"),
-    "coupling_strength": (_is_number, "a number"),
+    "drive_rms": (lambda v: _is_number(v) and v > 0, "a positive finite number"),
+    "coupling_strength": (_is_number, "a finite number"),
     "params": (lambda v: isinstance(v, (str, dict)), "\"reference\" or an object"),
     "trp_angles": (lambda v: v is None or isinstance(v, (bool, dict)),
                    "true, false, null or an object"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pwdpd.basis import region_blocks
 from pwdpd.plant import ArrayPlant, PaModel
 from pwdpd.signals import IqSignal
 
@@ -23,6 +24,25 @@ def random_signal(n, rms=0.5, seed=0, sample_rate=1.0):
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rms / np.sqrt(2))
     return IqSignal(x, sample_rate)
+
+
+def dense_basis(spec, x):
+    """The masked N x K*B1 basis matrix of x: region k's column block holds the
+    base set on the rows whose envelope falls in region k and zeros elsewhere.
+    A test oracle; the package only streams its region blocks."""
+    values = np.zeros((x.size, spec.n_regions, spec.n_basis_single), dtype=np.complex128)
+    for k, rows, psi in region_blocks(spec, x):
+        values[rows, k] = psi
+    return values.reshape(x.size, -1)
+
+
+def whiten(dense, factor):
+    """Region k's columns of a dense basis matrix times (L_k^H)^-1, for the
+    K x B1 x B1 stack of lower-triangular factors L; with L L^H the sample
+    Gram, the result has the identity as its sample Gram."""
+    n, k = dense.shape[0], factor.shape[0]
+    cols = dense.reshape(n, k, -1).transpose(1, 2, 0)  # K x B1 x N, region k's Psi_k^T
+    return np.linalg.solve(factor.conj(), cols).transpose(2, 0, 1).reshape(n, -1)
 
 
 class PlantLoop:

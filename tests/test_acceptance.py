@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 
 import pwdpd.basis as basis_mod
-from pwdpd.basis import BasisSpec, build_matrix, orthogonalize, regularized_lstsq
+from pwdpd.basis import (STATS_LOADING, BasisSpec, apply_gamma, block_cholesky,
+                         cross_correlation, gram_matrix, precompute_covariance, regularized_lstsq)
 from pwdpd.cli import scenario_preset
 from pwdpd.complexity import flops, reference_params
 from pwdpd.dpd import DpdModel, distortion_power_identity, predistort
 from pwdpd.metrics import aclr_requirement, psd
-from pwdpd.partition import AmAmModel, partition_regions
+from pwdpd.partition import AmAmModel, RegionPartition, partition_regions
 from pwdpd.scenarios import run_scenario
 from pwdpd.signals import IqSignal
 from pwdpd.waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_ccdf
 
-from conftest import random_signal
+from conftest import dense_basis, random_signal, whiten
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -182,6 +183,10 @@ def test_beam_pattern_oob_widening(deep_bundle):
 
 # ------------------------------------------------ criterion 3: invariants
 
+# unpartitioned, and three regions over the Rayleigh envelopes of criterion 3's signals
+_CRITERION_3_PARTITIONS = {"K=1": None, "K=3": RegionPartition([0.0, 0.5, 1.0, 4.0])}
+
+
 def test_criterion_3_invariant_suites():
     rng = np.random.default_rng(123)
     # partition coverage/ordering on 1000 random amplitude fits
@@ -204,12 +209,27 @@ def test_criterion_3_invariant_suites():
     _report("criterion-3 partition coverage", part_ok,
             "1000 random amplitude fits: contiguous ordered cover of [0, a_max]")
 
-    # Gram identity after orthogonalization
+    # Gram identity through the learner's whitening, the Cholesky factor L of
+    # gram_matrix: the masked basis columns times L^-H have the identity as
+    # their sample Gram. The factor of the loaded Gram that learn uses whitens
+    # the loaded Gram G + lam I in the same way.
     sig = random_signal(30000, rms=0.7, seed=5)
-    bm = orthogonalize(build_matrix(BasisSpec("memoryless", 7), sig))
-    gram = bm.values.conj().T @ bm.values / len(sig)
-    off = np.max(np.abs(gram - np.eye(gram.shape[0])))
-    _report("criterion-3 gram identity", off < 1e-6, f"max off-diagonal {off:.2e} < 1e-6")
+    for label, part in _CRITERION_3_PARTITIONS.items():
+        spec = BasisSpec("memoryless", 7, partition=part)
+        white = whiten(dense_basis(spec, sig.samples),
+                       block_cholesky(gram_matrix(spec, sig.samples)))
+        gram = white.conj().T @ white / len(sig)
+        off = np.max(np.abs(gram - np.eye(gram.shape[0])))
+        _report(f"criterion-3 gram identity ({label})", off < 1e-6,
+                f"max off-diagonal {off:.2e} < 1e-6")
+        gram = gram_matrix(spec, sig.samples)
+        lam = STATS_LOADING * gram.diagonal(axis1=1, axis2=2).real.sum() / spec.n_basis_total
+        factor = block_cholesky(precompute_covariance(spec, sig))
+        half = np.linalg.solve(factor, gram + lam * np.eye(spec.n_basis_single))  # L^-1 (G + lam I)
+        loaded = np.linalg.solve(factor, half.conj().transpose(0, 2, 1))
+        off = np.max(np.abs(loaded - np.eye(spec.n_basis_single)))
+        _report(f"criterion-3 loaded gram identity ({label})", off < 1e-6,
+                f"max |L^-1 (G + lam I) L^-H - I| {off:.2e} < 1e-6")
 
     # injection identity
     sig2 = random_signal(4000, seed=6)
@@ -224,14 +244,22 @@ def test_criterion_3_invariant_suites():
     gap_db = abs(10 * math.log10(power / sig3.power))
     _report("criterion-3 parseval", gap_db < 0.1, f"PSD/time power gap {gap_db:.3f} dB < 0.1")
 
-    # distortion power identity on constructed signals
-    bm2 = orthogonalize(build_matrix(BasisSpec("memoryless", 5), random_signal(20000, rms=0.8, seed=8)))
-    psi = bm2.values[:, 1:]
+    # distortion power identity on constructed signals: e is the third- and
+    # fifth-order whitened columns of each region weighted by alpha, built by
+    # the predistorter filter; zeta = Psi^H e / N from cross_correlation, whitened as L^-1 zeta
+    x = random_signal(20000, rms=0.8, seed=8).samples
     alpha = np.array([0.2 - 0.05j, 0.02 + 0.07j])
-    err = IqSignal(psi @ alpha, 1.0)
-    zeta = psi.conj().T @ err.samples / psi.shape[0]
-    _, _, gap = distortion_power_identity(zeta, err)
-    _report("criterion-3 distortion identity", gap < 1e-6, f"relative gap {gap:.2e} < 1e-6")
+    for label, part in _CRITERION_3_PARTITIONS.items():
+        spec = BasisSpec("memoryless", 5, partition=part)
+        factor = block_cholesky(gram_matrix(spec, x))
+        model = DpdModel(np.tile(np.r_[0, alpha], spec.n_regions), spec,
+                         orthogonal_domain=True, whitener=factor)
+        err = IqSignal(apply_gamma(spec, x, model.native_gamma()), 1.0)
+        zeta = cross_correlation(spec, x, err.samples)
+        whitened = np.linalg.solve(factor, zeta.reshape(spec.n_regions, -1, 1)).ravel()
+        _, _, gap = distortion_power_identity(whitened, err)
+        _report(f"criterion-3 distortion identity ({label})", gap < 1e-6,
+                f"relative gap {gap:.2e} < 1e-6")
 
     # LS vs normal equations
     worst = 0.0

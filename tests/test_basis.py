@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from pwdpd import basis as basis_mod
+import pwdpd
 from pwdpd.basis import (CHUNK, STATS_LOADING, BasisSpec, apply_gamma, block_cholesky,
-                         build_matrix, cross_correlation, enumerate_bfs, gram_matrix,
-                         orthogonalize, precompute_covariance)
+                         cross_correlation, enumerate_bfs, gram_matrix, precompute_covariance)
 from pwdpd.errors import ConfigError, DegenerateRegionError
 from pwdpd.partition import RegionPartition
-from pwdpd.signals import IqSignal
 
-from conftest import random_signal
+from conftest import dense_basis, random_signal, whiten
 
 
 def rayleigh_signal(n=30000, seed=2):
@@ -58,7 +57,7 @@ def test_gmp_count_against_enumeration_oracle():
     assert spec.n_basis_single == len(oracle) == 44
     # no duplicated columns on random data
     sig = random_signal(4000, seed=7)
-    m = build_matrix(spec, sig).values
+    m = dense_basis(spec, sig.samples)
     corr = np.abs(m.conj().T @ m)
     norm = np.sqrt(np.outer(np.diag(corr).real, np.diag(corr).real))
     off = corr / norm - np.eye(m.shape[1])
@@ -83,20 +82,19 @@ def test_even_order_rejected():
 def test_single_region_identical_to_dense():
     sig = rayleigh_signal(2000)
     spec = BasisSpec("memory_poly", 5, 1)
-    dense = build_matrix(spec, sig).values
+    dense = dense_basis(spec, sig.samples)
     part = RegionPartition(np.array([0.0, 10.0]))
-    masked = build_matrix(spec.with_partition(part), sig).values
+    masked = dense_basis(spec.with_partition(part), sig.samples)
     np.testing.assert_array_equal(dense, masked)
 
 
 def test_mask_definition_two_samples():
     part = RegionPartition(np.array([0.0, 0.5, 1.0]))
     spec = BasisSpec("memoryless", 3, partition=part)
-    sig = IqSignal(np.array([0.2, 0.8], dtype=complex), 1.0)
-    bm = build_matrix(spec, sig)
+    values = dense_basis(spec, np.array([0.2, 0.8], dtype=complex))
     b1 = spec.n_basis_single
-    assert np.all(bm.values[0, b1:] == 0) and np.any(bm.values[0, :b1] != 0)
-    assert np.all(bm.values[1, :b1] == 0) and np.any(bm.values[1, b1:] != 0)
+    assert np.all(values[0, b1:] == 0) and np.any(values[0, :b1] != 0)
+    assert np.all(values[1, :b1] == 0) and np.any(values[1, b1:] != 0)
 
 
 def test_partition_of_unity_masking():
@@ -104,11 +102,11 @@ def test_partition_of_unity_masking():
     env = np.abs(sig.samples)
     part = RegionPartition([0.0] + np.quantile(env, [0.4, 0.8]).tolist() + [env.max() * 1.001])
     spec = BasisSpec("memoryless", 5, partition=part)
-    bm = build_matrix(spec, sig)
+    values = dense_basis(spec, sig.samples)
     b1 = spec.n_basis_single
     hits = np.zeros(len(sig), dtype=int)
     for k in range(3):
-        block = bm.values[:, k * b1:(k + 1) * b1]
+        block = values[:, k * b1:(k + 1) * b1]
         hits += np.any(block != 0, axis=1)
     assert np.all(hits == 1)  # every sample in exactly one region
 
@@ -118,74 +116,76 @@ def test_linear_term_is_index_zero_per_region():
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
     spec = BasisSpec("gmp", 5, 2, 1, partition=part)
-    bm = build_matrix(spec, sig)
+    values = dense_basis(spec, sig.samples)
     b1 = spec.n_basis_single
     for k in range(2):
-        col = bm.values[:, k * b1]
-        rows = bm.region_index == k
+        col = values[:, k * b1]
+        rows = part.region_index(env) == k
         np.testing.assert_array_equal(col[rows], sig.samples[rows])
         assert np.all(col[~rows] == 0)
 
 
 def test_orthogonalize_unitary_whitener_identity():
+    """A Gram that is exactly the identity has the identity as its Cholesky factor."""
     rng = np.random.default_rng(5)
     n, b = 400, 3
     q, _ = np.linalg.qr(rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b)))
-    bm = build_matrix(BasisSpec("memoryless", 5), rayleigh_signal(n))
-    bm.values = np.sqrt(n) * q  # sample Gram exactly identity
-    out = orthogonalize(bm)
-    np.testing.assert_allclose(out.whitener, np.eye(b)[None], atol=1e-10)
+    values = np.sqrt(n) * q  # sample Gram exactly identity
+    factor = block_cholesky((values.conj().T @ values / n)[None])
+    np.testing.assert_allclose(factor, np.eye(b)[None], atol=1e-10)
 
 
 def test_orthogonalize_gram_identity_and_reconstruction():
+    """The whitening learn applies, the Cholesky factor L of gram_matrix, turns
+    the basis columns into columns of identity sample Gram, and L^H takes them back."""
     sig = rayleigh_signal()
     spec = BasisSpec("memoryless", 5)
-    bm = build_matrix(spec, sig)
-    out = orthogonalize(bm)
-    n = len(sig)
-    gram = out.values.conj().T @ out.values / n
+    factor = block_cholesky(gram_matrix(spec, sig.samples))
+    dense = dense_basis(spec, sig.samples)
+    white = whiten(dense, factor)
+    gram = white.conj().T @ white / len(sig)
     assert np.max(np.abs(gram - np.eye(3))) < 1e-6
-    assert out.whitener.shape == (1, 3, 3)
-    np.testing.assert_allclose(out.values @ _block_diag(out.whitener).conj().T, bm.values,
+    assert factor.shape == (1, 3, 3)
+    np.testing.assert_allclose(white @ _block_diag(factor).conj().T, dense,
                                rtol=1e-10, atol=1e-12)
 
 
 def test_orthogonalize_piecewise_block_structure():
+    """Per-region factors whiten the masked matrix as a whole; the factor of the
+    loaded Gram, which learn uses, whitens the loaded Gram."""
     sig = rayleigh_signal(40000, seed=12)
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
     spec = BasisSpec("memoryless", 5, partition=part)
-    bm = build_matrix(spec, sig)
-    out = orthogonalize(bm)
-    gram = out.values.conj().T @ out.values / len(sig)
+    factor = block_cholesky(gram_matrix(spec, sig.samples))
+    dense = dense_basis(spec, sig.samples)
+    white = whiten(dense, factor)
+    gram = white.conj().T @ white / len(sig)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-6
-    assert out.whitener.shape == (2, 3, 3)
-    np.testing.assert_allclose(out.values @ _block_diag(out.whitener).conj().T, bm.values,
+    assert factor.shape == (2, 3, 3)
+    np.testing.assert_allclose(white @ _block_diag(factor).conj().T, dense,
                                rtol=1e-10, atol=1e-12)
+    raw = dense.conj().T @ dense / len(sig)
+    loaded = raw + STATS_LOADING * np.trace(raw).real / 6 * np.eye(6)
+    lf = _block_diag(block_cholesky(precompute_covariance(spec, sig)))
+    half = np.linalg.solve(lf, loaded)  # L^-1 R, whose conjugate transpose is R L^-H
+    assert np.max(np.abs(np.linalg.solve(lf, half.conj().T) - np.eye(6))) < 1e-6
 
 
 def test_orthogonalize_degenerate_cases():
+    """block_cholesky refuses a rank-deficient Gram, and the zero block that
+    gram_matrix gives an empty region, naming that region."""
     sig = rayleigh_signal(2000)
-    bm = build_matrix(BasisSpec("memoryless", 5), sig)
-    bm.values = np.stack([bm.values[:, 0], bm.values[:, 0]], axis=1)  # exact duplicate
+    col = dense_basis(BasisSpec("memoryless", 5), sig.samples)[:, :1]
+    dup = np.hstack([col, col])  # exact duplicate
     with pytest.raises(DegenerateRegionError):
-        orthogonalize(bm)
+        block_cholesky((dup.conj().T @ dup / len(sig))[None])
     # empty top region
     part = RegionPartition([0.0, 5.0, 6.0])
     spec = BasisSpec("memoryless", 3, partition=part)
     with pytest.raises(DegenerateRegionError) as err:
-        orthogonalize(build_matrix(spec, sig))
+        block_cholesky(gram_matrix(spec, sig.samples))
     assert err.value.region == 1
-
-
-def test_orthogonalize_preconditions():
-    sig = rayleigh_signal(2000)
-    bm = orthogonalize(build_matrix(BasisSpec("memoryless", 5), sig))
-    with pytest.raises(ConfigError):
-        orthogonalize(bm)
-    short = build_matrix(BasisSpec("memoryless", 5), rayleigh_signal(20))
-    with pytest.raises(ConfigError):
-        orthogonalize(short)
 
 
 def _factor_solve(factor, rhs):
@@ -220,7 +220,7 @@ def test_covariance_piecewise_block_diagonal():
     b1 = spec.n_basis_single
     assert cov.shape == (2, b1, b1)
     # the stack is the whole loaded covariance: the dense one is zero off its blocks
-    dense = build_matrix(spec, sig).values
+    dense = dense_basis(spec, sig.samples)
     gram = dense.conj().T @ dense / len(sig)
     loaded = gram + STATS_LOADING * np.trace(gram).real / (2 * b1) * np.eye(2 * b1)
     assert np.max(np.abs(_block_diag(cov) - loaded)) < 1e-12 * np.max(np.abs(cov))
@@ -245,7 +245,7 @@ def test_gram_matrix_matches_dense():
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
     spec = BasisSpec("gmp", 5, 1, 1, partition=part)
-    dense = build_matrix(spec, sig).values
+    dense = dense_basis(spec, sig.samples)
     expected = dense.conj().T @ dense / len(sig)
     gram = gram_matrix(spec, sig.samples)
     assert gram.shape == (2, spec.n_basis_single, spec.n_basis_single)
@@ -263,7 +263,7 @@ def test_chunked_passes_share_one_basis_build_per_chunk(monkeypatch):
     x[mid] *= 0.9 * edges[2] / env[mid].max()  # top region empty in the middle chunk
     sig = sig.with_samples(x)
     spec = BasisSpec("memory_poly", 3, 1, partition=RegionPartition(edges))
-    dense = build_matrix(spec, sig).values
+    dense = dense_basis(spec, x)
     assert not np.any(dense[mid, 2 * spec.n_basis_single:])
 
     calls = []
@@ -366,6 +366,17 @@ def test_package_calls_no_matrix_inverse():
     assert owners == set()
 
 
+def test_package_keeps_no_dense_basis_builders():
+    """The masked N x K*B1 matrix and its whitening are test oracles
+    (conftest.dense_basis, conftest.whiten): the package streams region blocks
+    and whitens through block_cholesky, and neither defines nor exports them."""
+    package = Path(basis_mod.__file__).parent
+    names = {getattr(node, field, None) for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) for field in ("name", "id", "attr")}
+    assert names.isdisjoint({"BasisMatrix", "build_matrix", "orthogonalize"})
+    assert not {"BasisMatrix", "build_matrix", "orthogonalize"} & set(dir(pwdpd))
+
+
 def test_package_does_not_import_scipy():
     """numpy is the only numerical runtime dependency; scipy is not declared."""
     package = Path(basis_mod.__file__).parent
@@ -380,12 +391,6 @@ def test_package_does_not_import_scipy():
                 continue
             hits += [(path.name, m) for m in modules if m.split(".")[0] == "scipy"]
     assert hits == []
-
-
-def test_build_matrix_block_bounds():
-    sig = rayleigh_signal(100)
-    with pytest.raises(ConfigError):
-        build_matrix(BasisSpec("memoryless", 3), sig, block=(90, 20))
 
 
 def test_lag_cache_env_power_matches_pow():

@@ -1,10 +1,12 @@
+import argparse
 import json
+import math
 
 import numpy as np
 import pytest
 
 from pwdpd.basis import BasisSpec
-from pwdpd.cli import build_parser, main, scenario_preset
+from pwdpd.cli import build_parser, finite_float, main, scenario_preset
 from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import RegionPartition
 from pwdpd.plant import save_plant, steer
@@ -450,7 +452,46 @@ def _ill_typed_cases():
     return cases
 
 
-_ILL_TYPED = _ill_typed_cases()
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _non_finite_cases():
+    """(kind, config keys, key) putting NaN, Infinity and -Infinity in every
+    number key a scenario config takes (SHARED, each section's keys and each
+    runner's keys), in the first element of every array of numbers and in each
+    eval.trp_angles field, keyed by a test id. A key is a number key when its
+    type check takes 1 or 0.5, so a key added later is covered without a new row."""
+    from pwdpd.scenarios import RUNNERS, SECTIONS, SHARED, accepted_settings, check_settings
+
+    def takes(accepted, key, value):
+        try:
+            check_settings({key: value}, accepted, "")
+        except ConfigError:
+            return False
+        return True
+
+    tables = [("linearization", None, {**SHARED, **{name: {} for name in SECTIONS}})]
+    tables += [("linearization", name, accepted_settings(*SECTIONS[name])) for name in SECTIONS]
+    tables += [(kind, None, accepted_settings(runner, ())) for kind, runner in RUNNERS.items()]
+    cases = {}
+    for kind, section, accepted in tables:
+        for key in accepted:
+            for suffix, wrap in (("", lambda v: v), ("[0]", lambda v: [v])):
+                if not (takes(accepted, key, wrap(1)) or takes(accepted, key, wrap(0.5))):
+                    continue
+                for label, value in _NON_FINITE.items():
+                    keys = {key: wrap(value)}
+                    cases[f"{section or kind}.{key}{suffix}={label}"] = (
+                        kind, {section: keys} if section else keys, key)
+    for field in ("start", "stop", "step"):
+        for label, value in _NON_FINITE.items():
+            trp = dict({"start": -10.0, "stop": 10.0, "step": 2.0}, **{field: value})
+            cases[f"eval.trp_angles.{field}={label}"] = (
+                "linearization", {"methods": ["none"], "eval": {"trp_angles": trp}}, field)
+    return cases
+
+
+_ILL_TYPED = {**_ill_typed_cases(), **_non_finite_cases()}
 
 
 @pytest.mark.parametrize("kind, config, key", list(_ILL_TYPED.values()), ids=list(_ILL_TYPED))
@@ -493,6 +534,30 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
+
+
+def test_readme_library_layout_names():
+    """Every plain-identifier code span of the README's library layout table
+    names an attribute of a pwdpd module, of a class in one, or a METHODS key,
+    so a deleted or renamed function cannot outlive its documentation."""
+    import importlib
+    import inspect
+    import pkgutil
+    import re
+    from pathlib import Path
+
+    import pwdpd
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Library layout")[1].split("\n## ")[0]
+    names = {span for line in table.splitlines() if line.startswith("| `pwdpd.")
+             for span in re.findall(r"`([A-Za-z_]\w*)`", line)}
+    assert len(names) >= 30
+    modules = [importlib.import_module(f"pwdpd.{m.name}")
+               for m in pkgutil.iter_modules(pwdpd.__path__)]
+    owners = modules + [cls for m in modules for _, cls in inspect.getmembers(m, inspect.isclass)]
+    unresolved = {n for n in names if n not in METHODS and not any(hasattr(o, n) for o in owners)}
+    assert unresolved == set()
 
 
 def test_readme_method_table():
@@ -560,6 +625,44 @@ def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, c
     assert rc == code
     assert (tmp_path / "m.dpd.json").exists() == (code == 0)
     assert ("--partition" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("edge", [math.nan, math.inf], ids=["nan", "inf"])
+def test_train_non_finite_partition_file_exit_code(tmp_path, capsys, edge):
+    argv = _partition_file(tmp_path, broken=False)
+    (tmp_path / "part.json").write_text(json.dumps({"edges": [0.0, edge, 2.0]}))
+    assert main(argv) == 2
+    assert "edges must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.dpd.json").exists()
+
+
+def _float_flags():
+    """(subcommand, flag) of every float-typed flag of build_parser()."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[-1]) for name, parser in sub.choices.items()
+            for action in parser._actions if action.type in (float, finite_float)]
+
+
+# the required flags of each subcommand with a float flag, for an output root d
+_REQUIRED_FLAGS = {
+    "generate": lambda d: ["--output", str(d / "out")],
+    "simulate": lambda d: ["--plant", "doherty-n3", "--input", str(d / "wave"),
+                           "--output", str(d / "z")],
+    "partition": lambda d: ["--plant", "doherty-n3", "--output", str(d / "part.json")],
+    "train": lambda d: ["--plant", "doherty-n3", "--output", str(d / "m")],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", _float_flags(),
+                         ids=[f"{c}{f}" for c, f in _float_flags()])
+def test_non_finite_float_flag_exit_code(tmp_path, capsys, command, flag, value):
+    """Every float flag is a finite_float: nan and inf are usage errors naming the flag."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *_REQUIRED_FLAGS[command](tmp_path), flag, value]) == 2
+    assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_simulate_without_aclr_view_still_succeeds(tmp_path, capsys):

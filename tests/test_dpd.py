@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pwdpd.basis as basis_mod
-from pwdpd.basis import BasisSpec, build_matrix, orthogonalize
+from pwdpd.basis import BasisSpec, block_cholesky, gram_matrix
 from pwdpd.dpd import (DpdModel, LearnConfig, distortion_power_identity, error_signal,
                        estimate_gain, learn, load_model, predistort, prune_select, save_model,
                        trace_to_csv)
@@ -10,7 +10,7 @@ from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import RegionPartition
 from pwdpd.signals import IqSignal
 
-from conftest import PlantLoop, random_signal, single_element_plant
+from conftest import PlantLoop, dense_basis, random_signal, single_element_plant, whiten
 
 
 def test_predistort_identity_bit_exact():
@@ -145,7 +145,7 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
     z = __import__("pwdpd.plant", fromlist=["observation_receive"]).observation_receive(cubic_plant, per)
     ghat = estimate_gain(a1, z)
     e = z.samples - ghat * a1.samples
-    psi = build_matrix(spec, a1).values
+    psi = dense_basis(spec, a1.samples)
     zeta = np.linalg.solve(lo, psi.conj().T @ e / n)
     expected = -(mu / ghat) * zeta
     # gamma[0] pairs the linear column a1 with e, which the LS gain makes
@@ -254,8 +254,9 @@ def test_distortion_power_identity():
     assert lhs == rhs == 0 and gap == 0
     # constructed: orthonormal (in sample power) third/fifth-order components
     sig = random_signal(20000, rms=0.8, seed=18)
-    bm = orthogonalize(build_matrix(BasisSpec("memoryless", 5), sig))
-    psi = bm.values[:, 1:]  # third- and fifth-order whitened columns
+    spec = BasisSpec("memoryless", 5)
+    factor = block_cholesky(gram_matrix(spec, sig.samples))
+    psi = whiten(dense_basis(spec, sig.samples), factor)[:, 1:]  # third and fifth order
     alpha = np.array([0.3 - 0.1j, 0.05 + 0.2j])
     e = IqSignal(psi @ alpha, 1.0)
     zeta = psi.conj().T @ e.samples / len(sig)

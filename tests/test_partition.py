@@ -15,6 +15,10 @@ def test_region_partition_validation():
         RegionPartition([0.5, 1.0])  # must start at 0
     with pytest.raises(ConfigError):
         RegionPartition([0.0, 0.4, 0.4])  # strictly increasing
+    # a NaN edge passes the ordering check and would send every amplitude to region 0
+    for edges in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ConfigError, match="edges must be finite"):
+            RegionPartition(edges)
     with pytest.raises(ConfigError):
         RegionPartition([0.0, 1.0], orders=[5, 5])
     for malformed in ({"orders": None}, [{"edges": [0.0, 1.0]}]):  # no edges; a list
