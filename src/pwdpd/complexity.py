@@ -45,12 +45,14 @@ class ComplexityParams:
     n_pw_pruned: int | None = None
 
     def __post_init__(self):
-        for name in ("n_isp", "n_ipw", "n_sp", "n_pw", "k", "b_cl", "i_cl", "b_ila", "i_ila"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.n_pw_pruned is not None:
-            if not 0 < self.n_pw_pruned <= self.n_pw:
-                raise ConfigError("n_pw_pruned must lie in (0, n_pw]")
+        for name, value in self.__dict__.items():
+            if value is None and name == "n_pw_pruned":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                raise ConfigError(f"complexity params: {name} must be an integer > 0, "
+                                  f"got {value!r}")
+        if self.n_pw_pruned is not None and self.n_pw_pruned > self.n_pw:
+            raise ConfigError("complexity params: n_pw_pruned must lie in (0, n_pw]")
 
 
 def reference_params() -> ComplexityParams:

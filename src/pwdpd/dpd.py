@@ -4,10 +4,17 @@ The predistorter injects a weighted basis-function correction into the
 transmit signal: out = a1 + Psi(a1) @ gamma, so gamma = 0 is the exact
 identity. Learning iterates blocks through the closed loop (predistort ->
 plant -> observe), forms the error e = z - Ghat a1, and descends along the
-block cross-correlation between the basis and the error:
+block cross-correlation between the basis and the error. Both rules run one
+update on whitened coefficients c, with L the per-region Cholesky factor of
+the loaded covariance R = L L^H:
 
-  self_orthogonalized:  gamma <- gamma - (mu / Ghat) R^-1 (Psi^H e / N)
-  orthogonal_bfs:       gamma_orth <- gamma_orth - (mu / Ghat) (Psi_orth^H e / N)
+  c <- c - (mu / Ghat) L^-1 (Psi^H e / N),    gamma = L^-H c
+
+which is gamma <- gamma - (mu / Ghat) R^-1 (Psi^H e / N), the
+self-orthogonalized rule, and equally the orthogonal-BF rule's descent on
+the whitened columns Psi_orth = Psi L^-H. The model holds the native gamma
+the predistorter applies; the rules differ only in pruning, which the
+orthogonal rule alone may use, and in what the FLOP ledger charges.
 
 The correlation is conjugated and 1/N-normalized relative to the transposed
 unnormalized form sometimes written for this update; with unit-sample-power
@@ -22,9 +29,12 @@ soft-limited 5th-order PA with a memoryless order-7 basis, mu = 1.9
 converges at rms 0.5 and diverges at rms 0.8. The shipped presets use
 mu <= 1.
 
-Pruning (orthogonal rule only): the first block's correlation vector selects
-the retained set; later blocks freeze coefficients whose correlation falls
-below the threshold but keep them in the predistortion path.
+Pruning (orthogonal rule only): the first block's whitened correlation
+vector selects the retained set of c; later blocks freeze coefficients whose
+correlation falls below the threshold but keep them in the predistortion
+path. The native gamma = L^-H c mixes each retained entry of c into every
+native coefficient of its region with an index at or below its own, so the
+model's gamma is not sparse.
 """
 
 from __future__ import annotations
@@ -46,13 +56,11 @@ LEARN_RULES = ("self_orthogonalized", "orthogonal_bfs")
 
 @dataclass
 class DpdModel:
-    """Predistorter state: coefficients plus the basis they bind to."""
+    """Predistorter state: the native coefficients it applies plus the basis they bind to."""
 
     gamma: np.ndarray
     spec: BasisSpec
     ghat: complex = 1.0 + 0.0j
-    orthogonal_domain: bool = False
-    whitener: np.ndarray | None = None  # K x B1 x B1 stack of per-region Cholesky factors
     active_mask: np.ndarray | None = None
 
     def __post_init__(self):
@@ -60,11 +68,9 @@ class DpdModel:
         if self.gamma.size != self.spec.n_basis_total:
             raise ConfigError(
                 f"gamma length {self.gamma.size} != basis size {self.spec.n_basis_total}")
-        if self.orthogonal_domain and self.whitener is None:
-            raise ConfigError("orthogonal-domain model requires its whitener")
-        blocks = (self.spec.n_regions, self.spec.n_basis_single, self.spec.n_basis_single)
-        if self.whitener is not None and np.shape(self.whitener) != blocks:
-            raise ConfigError(f"whitener shape {np.shape(self.whitener)} != region blocks {blocks}")
+        bad = np.flatnonzero(~np.isfinite(self.gamma))
+        if bad.size:
+            raise ConfigError(f"gamma[{bad[0]}] is not finite ({self.gamma[bad[0]]})")
         if self.active_mask is None:
             self.active_mask = np.ones(self.gamma.size, dtype=bool)
         else:
@@ -72,19 +78,9 @@ class DpdModel:
             if self.active_mask.size != self.gamma.size:
                 raise ConfigError("active_mask length must match gamma")
 
-    def native_gamma(self) -> np.ndarray:
-        """Coefficients in the non-orthogonalized basis domain."""
-        if not self.orthogonal_domain:
-            return self.gamma
-        # Psi_orth = Psi (L^H)^-1  =>  native = (L^H)^-1 gamma_orth, per region
-        lh = self.whitener.conj().transpose(0, 2, 1)
-        return np.linalg.solve(lh, self.gamma.reshape(len(lh), -1, 1)).ravel()
-
     @classmethod
-    def zero(cls, spec: BasisSpec, orthogonal_domain: bool = False,
-             whitener: np.ndarray | None = None) -> "DpdModel":
-        return cls(np.zeros(spec.n_basis_total, dtype=np.complex128), spec,
-                   orthogonal_domain=orthogonal_domain, whitener=whitener)
+    def zero(cls, spec: BasisSpec) -> "DpdModel":
+        return cls(np.zeros(spec.n_basis_total, dtype=np.complex128), spec)
 
 
 @dataclass
@@ -104,8 +100,12 @@ class LearnConfig:
             raise ConfigError("block_size and iterations must be positive")
         if self.rule not in LEARN_RULES:
             raise ConfigError(f"rule must be one of {LEARN_RULES}")
-        if self.prune_threshold_db is not None and self.rule != "orthogonal_bfs":
-            raise ConfigError("pruning requires the orthogonal_bfs rule")
+        if self.prune_threshold_db is not None:
+            if self.rule != "orthogonal_bfs":
+                raise ConfigError("pruning requires the orthogonal_bfs rule")
+            if not np.isfinite(self.prune_threshold_db):
+                raise ConfigError(
+                    f"prune_threshold_db must be finite, got {self.prune_threshold_db}")
         if self.stats_blocks < 1:
             raise ConfigError("stats_blocks must be >= 1")
 
@@ -133,7 +133,7 @@ class ClosedLoopSource(Protocol):
 
 def predistort(model: DpdModel, a1: IqSignal) -> IqSignal:
     """Apply the injection predistorter; gamma = 0 returns a1 unchanged."""
-    corr = basis_mod.apply_gamma(model.spec, a1.samples, model.native_gamma())
+    corr = basis_mod.apply_gamma(model.spec, a1.samples, model.gamma)
     return a1.with_samples(a1.samples + corr)
 
 
@@ -190,10 +190,10 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
     """Block-adaptive closed-loop learning.
 
     A leading statistics block fixes the per-region Cholesky factor L of the
-    loaded covariance R = L L^H: the orthogonal rule whitens with it, the
-    self-orth rule applies R^-1 = L^-H L^-1. Each iteration transmits freshly
-    predistorted data, re-estimates the linear gain, and updates along the
-    normalized error correlation. Divergence (error power growing by more than 10 dB
+    loaded covariance R = L L^H. Each iteration transmits freshly predistorted
+    data, re-estimates the linear gain, steps the whitened coefficients c
+    along the whitened error correlation L^-1 zeta, and sets the model's
+    native gamma = L^-H c. Divergence (error power growing by more than 10 dB
     over three iterations) raises DivergenceError with the trace attached.
     """
     b_total = spec.n_basis_total
@@ -203,9 +203,9 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
 
     stats = source.next_block(cfg.stats_blocks * cfg.block_size)
     factor = basis_mod.block_cholesky(basis_mod.precompute_covariance(spec, stats))
-    orthogonal = cfg.rule == "orthogonal_bfs"
-    model = DpdModel.zero(spec, orthogonal_domain=orthogonal,
-                          whitener=factor if orthogonal else None)
+    factor_h = factor.conj().transpose(0, 2, 1)
+    model = DpdModel.zero(spec)
+    white = np.zeros(b_total, dtype=np.complex128)  # c, with gamma = L^-H c
 
     prune = cfg.prune_threshold_db is not None
     pd_mask: np.ndarray | None = None
@@ -224,9 +224,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         err_powers.append(p_err)
 
         zeta = basis_mod.cross_correlation(spec, a1.samples, err.samples)
-        whitened = np.linalg.solve(factor, zeta.reshape(spec.n_regions, -1, 1))  # L^-1 zeta
-        if orthogonal:  # the correlation against the whitened columns
-            zeta = whitened.ravel()
+        zeta = np.linalg.solve(factor, zeta.reshape(spec.n_regions, -1, 1)).ravel()  # L^-1 zeta
 
         if prune:
             mask_now = prune_select(zeta, cfg.prune_threshold_db, p_err)
@@ -236,24 +234,22 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         else:
             update_mask = np.ones(b_total, dtype=bool)
 
-        step = zeta if orthogonal else np.linalg.solve(
-            factor.conj().transpose(0, 2, 1), whitened).ravel()  # L^-H L^-1 zeta = R^-1 zeta
-        model.gamma[update_mask] -= (cfg.mu / ghat) * step[update_mask]
+        white[update_mask] -= (cfg.mu / ghat) * zeta[update_mask]
+        model.gamma = np.linalg.solve(factor_h, white.reshape(spec.n_regions, -1, 1)).ravel()
         model.ghat = ghat
 
         if p_lin <= 0:
             err_dbc = np.inf
         else:
             err_dbc = 10 * np.log10(max(p_err, np.finfo(float).tiny) / p_lin)
-        trace.append(TraceRecord(i, float(err_dbc), int(update_mask.sum()), zeta.copy()))
+        trace.append(TraceRecord(i, float(err_dbc), int(update_mask.sum()), zeta))
 
         if i >= 4 and err_powers[-1] > 10 * err_powers[-4]:
             raise DivergenceError(
                 f"error power grew >10 dB between iterations {i - 3} and {i}", trace)
 
-    if prune and pd_mask is not None:
+    if pd_mask is not None:
         model.active_mask = pd_mask
-        model.gamma[~pd_mask] = 0.0
     return model, trace
 
 
@@ -267,8 +263,7 @@ def trace_to_csv(trace: list[TraceRecord], path: str | Path) -> None:
 def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
     """Write <stem>.dpd.json (header) and <stem>.dpd.bin (payload).
 
-    Payload layout: gamma as interleaved float64 re/im, then, when present,
-    the whitener's K region blocks of B1 x B1, each row-major interleaved.
+    Payload layout: the native gamma as interleaved float64 re/im.
     """
     stem = Path(stem)
     header_path = stem.with_suffix(".dpd.json")
@@ -276,22 +271,16 @@ def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
     header = {
         "spec": model.spec.to_dict(),
         "ghat": [model.ghat.real, model.ghat.imag],
-        "orthogonal_domain": model.orthogonal_domain,
         "active_mask": [int(v) for v in model.active_mask],
         "n_coefficients": int(model.gamma.size),
-        "has_whitener": model.whitener is not None,
     }
     header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    chunks = [model.gamma]
-    if model.whitener is not None:
-        chunks.append(model.whitener.ravel())
-    np.concatenate(chunks).astype("<c16").tofile(payload_path)
+    model.gamma.astype("<c16").tofile(payload_path)
     return header_path, payload_path
 
 
 # model header field -> the JSON type it must hold
-_HEADER_TYPES = {"spec": dict, "ghat": list, "n_coefficients": int, "has_whitener": bool,
-                 "orthogonal_domain": bool, "active_mask": list}
+_HEADER_TYPES = {"spec": dict, "ghat": list, "n_coefficients": int, "active_mask": list}
 
 
 def _check_header(header, path: Path) -> None:
@@ -302,11 +291,12 @@ def _check_header(header, path: Path) -> None:
         value = header.get(key)
         if not isinstance(value, kind) or (kind is int and (isinstance(value, bool) or value < 0)):
             raise ConfigError(f"{path}: header field {key!r} is missing or not a {kind.__name__}")
-    if len(header["ghat"]) != 2 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in header["ghat"]):
-        raise ConfigError(f"{path}: header field 'ghat' must be [real, imag]")
-    if not all(v in (0, 1) for v in header["active_mask"]):
-        raise ConfigError(f"{path}: header field 'active_mask' must hold 0/1 flags")
+    if len(header["ghat"]) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                           and np.isfinite(v) for v in header["ghat"]):
+        raise ConfigError(f"{path}: header field 'ghat' must be [real, imag], both finite")
+    mask = header["active_mask"]
+    if len(mask) != header["n_coefficients"] or not all(v in (0, 1) for v in mask):
+        raise ConfigError(f"{path}: header field 'active_mask' must hold n_coefficients 0/1 flags")
 
 
 def load_model(stem: str | Path) -> DpdModel:
@@ -325,21 +315,13 @@ def load_model(stem: str | Path) -> DpdModel:
     if n != spec.n_basis_total:
         raise ConfigError(f"{header_path}: n_coefficients {n} != {spec.n_basis_total} "
                           "coefficients of its basis spec")
-    k, b1 = spec.n_regions, spec.n_basis_single
-    n_complex = n + k * b1 * b1 if header["has_whitener"] else n
     n_bytes = payload_path.stat().st_size
-    if n_bytes != 16 * n_complex:
+    if n_bytes != 16 * n:
         raise ConfigError(f"{payload_path} holds {n_bytes} bytes; the header needs "
-                          f"{n_complex} complex float64 values ({16 * n_complex} bytes)")
-    flat = np.fromfile(payload_path, dtype="<c16")
-    gamma = flat[:n]
-    whitener = None
-    if header["has_whitener"]:
-        whitener = flat[n:].reshape(k, b1, b1)
-    return DpdModel(
-        gamma, spec,
-        ghat=complex(*header["ghat"]),
-        orthogonal_domain=header["orthogonal_domain"],
-        whitener=whitener,
-        active_mask=np.asarray(header["active_mask"], dtype=bool),
-    )
+                          f"{n} complex float64 values ({16 * n} bytes)")
+    try:
+        return DpdModel(np.fromfile(payload_path, dtype="<c16"), spec,
+                        ghat=complex(*header["ghat"]),
+                        active_mask=np.asarray(header["active_mask"], dtype=bool))
+    except ConfigError as exc:
+        raise ConfigError(f"{payload_path}: {exc}") from None

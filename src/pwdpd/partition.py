@@ -83,6 +83,12 @@ class RegionPartition:
     def from_dict(cls, d: dict) -> "RegionPartition":
         if not isinstance(d, dict) or "edges" not in d:
             raise ConfigError("a partition must be a JSON object with an 'edges' list")
+        for name in ("edges", "orders", "target_error"):
+            val = d.get(name)
+            if val is not None and not (isinstance(val, list) and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)):
+                raise ConfigError(f"partition field {name!r} must be a list of numbers, "
+                                  f"got {val!r}")
         return cls(np.asarray(d["edges"], dtype=float), d.get("orders"), d.get("target_error"))
 
     def save(self, path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from pwdpd.basis import BasisSpec
 from pwdpd.cli import build_parser, finite_float, main, scenario_preset
+from pwdpd.complexity import ComplexityParams, reference_params
 from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import RegionPartition
 from pwdpd.plant import save_plant, steer
@@ -97,6 +99,23 @@ def test_complexity_bad_params_exit_code(tmp_path, make_argv):
     assert rc == 2
 
 
+def _complexity_argv(d, params, via):
+    if via == "cli":
+        return ["complexity", "--params", _json_file(d / "p.json", params)]
+    config = {"kind": "complexity", "seed": 0, "params": params}
+    return ["scenario", "--out", str(d), "--name", "led",
+            "--config", _json_file(d / "c.json", config)]
+
+
+@pytest.mark.parametrize("via", ["cli", "scenario"])
+@pytest.mark.parametrize("value", [math.nan, 1.5, True, "3"], ids=["nan", "1.5", "true", "str"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ComplexityParams)])
+def test_complexity_params_must_be_positive_integers(tmp_path, capsys, name, value, via):
+    params = {**reference_params().__dict__, name: value}
+    assert main(_complexity_argv(tmp_path, params, via)) == 2
+    assert f"{name} must be an integer > 0" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "nonsense", "seed": 1}))
@@ -144,53 +163,48 @@ def _with(key, value):
     return corrupt
 
 
-_HEADER_KEYS = ("spec", "ghat", "n_coefficients", "has_whitener", "orthogonal_domain",
-                "active_mask")
+_HEADER_KEYS = ("spec", "ghat", "n_coefficients", "active_mask")
 
 
-def _k3_spec():
-    """Three regions of the memoryless order-1 basis: n = 3 coefficients, B1 = 1."""
-    return BasisSpec("memoryless", 1, partition=RegionPartition([0.0, 0.3, 0.6, 2.0]))
-
-
-def _dense_k3(header, payload):
-    """A K = 3 header over 3 + 3 x 3 values: the old dense n + n^2 whitener layout."""
-    header["spec"] = _k3_spec().to_dict()
-    return payload
+def _dense_whitener(header, payload):
+    """gamma followed by an n x n whitener, as earlier orthogonal models stored it."""
+    return payload + bytes(16 * 9)
 
 
 def _n_off_spec(header, payload):
-    """n_coefficients and payload size agree with each other but not with the spec."""
+    """n_coefficients, mask and payload size agree with each other but not with the spec."""
     header["n_coefficients"] = 4
+    header["active_mask"] = [1] * 4
     return payload + bytes(16)
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda h, b: b[:80],            # truncated inside the whitener
+    lambda h, b: b[:32],            # truncated inside gamma
     lambda h, b: b[:-8],            # odd float64 count: a real part without its imaginary part
     lambda h, b: b[:-3],            # not a whole number of float64s
-    lambda h, b: b + bytes(16),     # trailing bytes after the whitener
+    lambda h, b: b + bytes(16),     # trailing bytes after gamma
     *(_without(key) for key in _HEADER_KEYS),
     _with("n_coefficients", "3"),
-    _with("has_whitener", 1),
     _with("ghat", [1.0]),
+    _with("ghat", [math.nan, 0.0]),
     _with("spec", {"max_order": 5}),
     _with("active_mask", [1, "1", 1]),
+    _with("active_mask", [1, 1]),
     _n_off_spec,
-    _dense_k3,
+    _dense_whitener,
 ], ids=["truncated", "odd-length", "ragged", "trailing",
         *(f"no-{key}" for key in _HEADER_KEYS),
-        "n-as-string", "whitener-flag-as-int", "short-ghat", "spec-without-family",
-        "mask-with-string", "n-disagrees-with-spec", "dense-whitener-layout"])
+        "n-as-string", "short-ghat", "nan-ghat", "spec-without-family",
+        "mask-with-string", "short-mask", "n-disagrees-with-spec", "dense-whitener-layout"])
 def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
     from pwdpd.dpd import DpdModel, load_model, save_model
 
     spec = BasisSpec("memoryless", 5)
-    model = DpdModel(np.arange(3) + 1j, spec, orthogonal_domain=True, whitener=np.eye(3)[None])
+    model = DpdModel(np.arange(3) + 1j, spec)
     header_path, payload = save_model(model, tmp_path / "m")
     intact = payload.read_bytes()
-    assert len(intact) == 192  # 3 coefficients plus one 3 x 3 whitener block, complex float64
-    np.testing.assert_array_equal(load_model(tmp_path / "m").whitener, np.eye(3)[None])
+    assert len(intact) == 48  # 3 coefficients, complex float64
+    np.testing.assert_array_equal(load_model(tmp_path / "m").gamma, model.gamma)
     header = json.loads(header_path.read_text())
     payload.write_bytes(corrupt(header, intact))
     header_path.write_text(json.dumps(header))
@@ -199,9 +213,25 @@ def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
 
 
-def test_model_payload_holds_region_blocks(tmp_path):
-    """A K = 3 model stores gamma plus K blocks of B1 x B1 and reads back bit-exactly;
-    the same model in the old dense n + n^2 layout is rejected with the expected size."""
+def test_non_finite_model_coefficient_exit_code(tmp_path, capsys):
+    """A NaN in the payload is refused where it is read, naming the file and the coefficient."""
+    from pwdpd.dpd import DpdModel, save_model
+
+    _, payload = save_model(DpdModel(np.arange(3) + 1j, BasisSpec("memoryless", 5)),
+                            tmp_path / "m")
+    values = np.fromfile(payload, dtype="<c16")
+    values[1] = complex(np.nan, 0.0)
+    values.tofile(payload)
+    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert str(payload) in err and "gamma[1] is not finite" in err
+
+
+def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
+    """A model file of the earlier two-domain format holds whitened coefficients when
+    has_whitener is set: gamma in the whitened domain, then K blocks of B1 x B1. Its
+    payload size refuses it, so a whitened gamma is never applied as a native one; a
+    file of that format without a whitener already held the native gamma and loads."""
     from pwdpd.dpd import DpdModel, load_model, save_model
 
     spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 0.6, 2.0]))
@@ -210,23 +240,20 @@ def test_model_payload_holds_region_blocks(tmp_path):
     rng = np.random.default_rng(4)
     gamma = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     whitener = np.tril(rng.standard_normal((k, b1, b1)) + 1j * rng.standard_normal((k, b1, b1)))
-    whitener[:, np.arange(b1), np.arange(b1)] = 1 + np.arange(b1)
-    model = DpdModel(gamma, spec, orthogonal_domain=True, whitener=whitener)
-    _, payload = save_model(model, tmp_path / "m")
-    assert payload.stat().st_size == 16 * (n + k * b1 * b1)
-    back = load_model(tmp_path / "m")
-    np.testing.assert_array_equal(back.gamma, gamma)
-    np.testing.assert_array_equal(back.whitener, whitener)
-    np.testing.assert_array_equal(back.native_gamma(), model.native_gamma())
+    header_path, payload = save_model(DpdModel(gamma, spec), tmp_path / "m")
+    header = json.loads(header_path.read_text())
 
-    dense = np.zeros((n, n), dtype=complex)
-    for r in range(k):
-        dense[r * b1:(r + 1) * b1, r * b1:(r + 1) * b1] = whitener[r]
-    flat = np.concatenate([gamma, dense.ravel()])
-    payload.write_bytes(np.stack([flat.real, flat.imag], axis=1).astype("<f8").tobytes())
-    with pytest.raises(ConfigError, match=f"{16 * (n + k * b1 * b1)} bytes"):
+    header_path.write_text(json.dumps({**header, "orthogonal_domain": False,
+                                       "has_whitener": False}))
+    np.testing.assert_array_equal(load_model(tmp_path / "m").gamma, gamma)
+
+    header_path.write_text(json.dumps({**header, "orthogonal_domain": True,
+                                       "has_whitener": True}))
+    np.concatenate([gamma, whitener.ravel()]).astype("<c16").tofile(payload)
+    with pytest.raises(ConfigError, match=rf"\({16 * n} bytes\)"):
         load_model(tmp_path / "m")
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+    assert f"needs {n} complex float64 values ({16 * n} bytes)" in capsys.readouterr().err
 
 
 def test_scenario_preset_loader():
@@ -767,6 +794,16 @@ def _partition_file(tmp_path, broken):
             "--block-size", "2000", "--iterations", "1", "--output", str(tmp_path / "m")]
 
 
+def _partition_with(**fields):
+    """A valid partition file, or with broken set, one whose fields are replaced."""
+    def make_argv(tmp_path, broken):
+        argv = _partition_file(tmp_path, broken=False)
+        if broken:
+            (tmp_path / "part.json").write_text(json.dumps({"edges": [0.0, 0.5, 2.0], **fields}))
+        return argv
+    return make_argv
+
+
 def _scenario_config(tmp_path, broken):
     config = {"kind": "complexity", "seed": 0}
     (tmp_path / "c.json").write_text(json.dumps([config] if broken else config))
@@ -774,10 +811,13 @@ def _scenario_config(tmp_path, broken):
 
 
 @pytest.mark.parametrize("make_argv", [_plant_file, _doherty_blend_width, _iq_sidecar,
-                                       _scenario_config, _partition_file],
+                                       _scenario_config, _partition_file,
+                                       _partition_with(edges=[0, "x", 2]),
+                                       _partition_with(orders=3)],
                          ids=["plant-without-weights", "doherty-blend-width-zero",
                               "sidecar-without-length", "config-as-list",
-                              "partition-without-edges"])
+                              "partition-without-edges", "partition-edge-string",
+                              "partition-orders-int"])
 def test_malformed_input_file_exit_code(tmp_path, make_argv):
     assert main(make_argv(tmp_path, broken=False)) == 0
     assert main(make_argv(tmp_path, broken=True)) == 2

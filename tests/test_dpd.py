@@ -1,7 +1,11 @@
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import pwdpd.basis as basis_mod
+import pwdpd.dpd as dpd_mod
 from pwdpd.basis import BasisSpec, block_cholesky, gram_matrix
 from pwdpd.dpd import (DpdModel, LearnConfig, distortion_power_identity, error_signal,
                        estimate_gain, learn, load_model, predistort, prune_select, save_model,
@@ -89,7 +93,7 @@ def test_learn_linear_plant_stays_zero():
     cfg = LearnConfig(mu=0.5, block_size=2000, iterations=5)
     model, trace = learn(loop, BasisSpec("memoryless", 5), cfg)
     assert trace[-1].error_power_dbc < -60
-    assert np.linalg.norm(model.native_gamma()) < 1e-6
+    assert np.linalg.norm(model.gamma) < 1e-6
 
 
 def test_learn_cubic_convergence(cubic_plant):
@@ -112,8 +116,12 @@ def test_learn_cubic_convergence(cubic_plant):
 
 
 def test_learn_single_update_matches_dense_algebra(cubic_plant):
-    """One block update equals the documented rule evaluated with dense matrices."""
-    spec = BasisSpec("memoryless", 5)
+    """One block update equals the documented rule evaluated with dense matrices:
+    the whitened step c = -(mu / Ghat) L^-1 Psi^H e / N, applied as gamma = L^-H c,
+    with L block diagonal over the regions (K = 1 and K = 3)."""
+    from pwdpd.basis import STATS_LOADING
+    from pwdpd.plant import array_forward, observation_receive
+
     mu, n = 0.5, 3000
 
     class OneShot:
@@ -127,32 +135,41 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
             return blk
 
         def transmit(self, x, noise_floor_dbc=None):
-            from pwdpd.plant import array_forward, observation_receive
             per, _ = array_forward(cubic_plant, x)
             return observation_receive(cubic_plant, per)
 
-    src = OneShot()
-    cfg = LearnConfig(mu=mu, block_size=n, iterations=1, stats_blocks=1)
-    model, trace = learn(src, spec, cfg)
+    for spec in (BasisSpec("memoryless", 5),
+                 BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.15, 0.3, 2.0]))):
+        src = OneShot()
+        cfg = LearnConfig(mu=mu, block_size=n, iterations=1, stats_blocks=1)
+        model, trace = learn(src, spec, cfg)
 
-    # oracle: dense-matrix replication of the update on the same data
-    stats, a1 = src.blocks[0], src.blocks[1]
-    gram = basis_mod.gram_matrix(spec, stats.samples)[0]  # the one region block (K = 1)
-    from pwdpd.basis import STATS_LOADING
-    gram += (STATS_LOADING * np.trace(gram).real / gram.shape[0]) * np.eye(gram.shape[0])
-    lo = np.linalg.cholesky(gram)
-    per, _ = __import__("pwdpd.plant", fromlist=["array_forward"]).array_forward(cubic_plant, a1)
-    z = __import__("pwdpd.plant", fromlist=["observation_receive"]).observation_receive(cubic_plant, per)
-    ghat = estimate_gain(a1, z)
-    e = z.samples - ghat * a1.samples
-    psi = dense_basis(spec, a1.samples)
-    zeta = np.linalg.solve(lo, psi.conj().T @ e / n)
-    expected = -(mu / ghat) * zeta
-    # gamma[0] pairs the linear column a1 with e, which the LS gain makes
-    # orthogonal (a1^H e = 0): both sides hold round-off of a structural zero
-    for gamma in (model.gamma, expected):
-        assert abs(gamma[0]) <= 1e-12 * np.max(np.abs(gamma))
-    np.testing.assert_allclose(model.gamma[1:], expected[1:], rtol=1e-10)
+        # oracle: dense-matrix replication of the update on the same data
+        stats, a1 = src.blocks[0], src.blocks[1]
+        psi_stats = dense_basis(spec, stats.samples)
+        gram = psi_stats.conj().T @ psi_stats / n  # block diagonal: regions share no rows
+        b1 = spec.n_basis_single
+        gram += (STATS_LOADING * np.trace(gram).real / spec.n_basis_total) * np.eye(gram.shape[0])
+        lo = np.zeros_like(gram)
+        for r in range(spec.n_regions):
+            blk = slice(r * b1, (r + 1) * b1)
+            lo[blk, blk] = np.linalg.cholesky(gram[blk, blk])
+        z = src.transmit(a1)
+        ghat = estimate_gain(a1, z)
+        e = z.samples - ghat * a1.samples
+        psi = dense_basis(spec, a1.samples)
+        zeta = np.linalg.solve(lo, psi.conj().T @ e / n)
+        expected = np.linalg.solve(lo.conj().T, -(mu / ghat) * zeta)
+        skip = 0
+        if spec.n_regions == 1:
+            # zeta[0] pairs the linear column a1 with e, which the LS gain makes
+            # orthogonal (a1^H e = 0): both sides hold round-off of a structural zero
+            for got in (trace[0].zeta, zeta):
+                assert abs(got[0]) <= 1e-12 * np.max(np.abs(got))
+            skip = 1
+        np.testing.assert_allclose(trace[0].zeta[skip:], zeta[skip:], rtol=1e-10)
+        np.testing.assert_allclose(model.gamma, expected, rtol=1e-10,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
 
 def test_learn_stability_fixed_source(cubic_plant):
@@ -163,45 +180,27 @@ def test_learn_stability_fixed_source(cubic_plant):
     assert all(b <= a + 1e-6 for a, b in zip(powers, powers[1:]))
 
 
-def test_learn_domain_consistency(cubic_plant):
-    spec = BasisSpec("memoryless", 7)
-    cfg = LearnConfig(mu=0.5, block_size=3000, iterations=6)
-    model, _ = learn(PlantLoop(cubic_plant, rms=0.25, seed=15), spec, cfg)
-    native = DpdModel(model.native_gamma(), spec, model.ghat)
-    sig = random_signal(2000, rms=0.25, seed=16)
-    a = predistort(model, sig)
-    b = predistort(native, sig)
-    scale = np.max(np.abs(a.samples))
-    assert np.max(np.abs(a.samples - b.samples)) / scale < 1e-8
-
-
-def test_model_whitener_is_region_block_stack():
-    """native_gamma solves each region block; a whitener of any other shape is refused."""
-    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
-    rng = np.random.default_rng(23)
-    whitener = np.tril(rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))
-    whitener[:, np.arange(3), np.arange(3)] = 1 + np.arange(3)
-    gamma = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    model = DpdModel(gamma, spec, orthogonal_domain=True, whitener=whitener)
-    dense = np.zeros((6, 6), dtype=complex)
-    dense[:3, :3], dense[3:, 3:] = whitener
-    np.testing.assert_allclose(model.native_gamma(), np.linalg.solve(dense.conj().T, gamma),
-                               rtol=1e-12)
-    for bad in (dense, whitener[:1], whitener[:, :2, :2]):
-        with pytest.raises(ConfigError):
-            DpdModel(gamma, spec, orthogonal_domain=True, whitener=bad)
+def test_model_holds_one_coefficient_domain():
+    """A model is the native gamma its predistorter applies: pwdpd.dpd names no
+    whitener, orthogonal domain or native-gamma conversion."""
+    tree = ast.parse(Path(dpd_mod.__file__).read_text())
+    names = {getattr(node, key, None) for node in ast.walk(tree)
+             for key in ("name", "id", "attr", "arg")}
+    keys = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert names.isdisjoint({"whitener", "orthogonal_domain", "native_gamma"})
+    assert keys.isdisjoint({"whitener", "orthogonal_domain", "has_whitener"})
+    assert [f.name for f in fields(DpdModel)] == ["gamma", "spec", "ghat", "active_mask"]
 
 
 def test_learn_rules_equivalent_given_same_data(cubic_plant):
-    """Self-orthogonalized and whitened updates are the same linear map."""
+    """Both rules run one update, so on the same data they give the same gamma."""
     spec = BasisSpec("memoryless", 7)
     out = {}
     for rule in ("orthogonal_bfs", "self_orthogonalized"):
         cfg = LearnConfig(mu=0.5, block_size=3000, iterations=5, rule=rule)
         model, _ = learn(PlantLoop(cubic_plant, rms=0.25, seed=17), spec, cfg)
-        out[rule] = model.native_gamma()
-    np.testing.assert_allclose(out["orthogonal_bfs"], out["self_orthogonalized"],
-                               rtol=1e-8, atol=1e-12)
+        out[rule] = model.gamma
+    np.testing.assert_array_equal(out["orthogonal_bfs"], out["self_orthogonalized"])
 
 
 def test_learn_divergence_detected(cubic_plant):
@@ -241,6 +240,18 @@ def test_learn_config_validation():
         LearnConfig(rule="self_orthogonalized", prune_threshold_db=-40.0)
     with pytest.raises(ConfigError):
         learn(None, BasisSpec("memoryless", 9, 3), LearnConfig(block_size=10))
+    for threshold in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="prune_threshold_db"):
+            LearnConfig(prune_threshold_db=threshold)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_model_refuses_non_finite_gamma(bad):
+    gamma = np.zeros(3, dtype=complex)
+    gamma[2] = bad
+    with pytest.raises(ConfigError, match=r"gamma\[2\] is not finite"):
+        DpdModel(gamma, BasisSpec("memoryless", 5))
 
 
 def test_prune_select_cases():
@@ -297,7 +308,6 @@ def test_model_save_load_roundtrip(tmp_path, cubic_plant):
     np.testing.assert_array_equal(back.gamma, model.gamma)
     assert back.gamma.flags.writeable
     np.testing.assert_array_equal(back.active_mask, model.active_mask)
-    np.testing.assert_array_equal(back.whitener, model.whitener)
     assert back.ghat == model.ghat
     sig = random_signal(1000, rms=0.25, seed=22)
     np.testing.assert_array_equal(predistort(back, sig).samples,

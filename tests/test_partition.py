@@ -24,6 +24,11 @@ def test_region_partition_validation():
     for malformed in ({"orders": None}, [{"edges": [0.0, 1.0]}]):  # no edges; a list
         with pytest.raises(ConfigError, match="edges"):
             RegionPartition.from_dict(malformed)
+    # JSON fields of the wrong type name the field rather than fail in numpy or len()
+    for field, value in (("edges", [0, "x", 2]), ("edges", "0 1"), ("edges", [0, True, 2]),
+                         ("orders", 3), ("orders", [5, "5"]), ("target_error", {"k": 1})):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            RegionPartition.from_dict({"edges": [0.0, 0.5, 2.0], field: value})
 
 
 def test_region_index_clamps_top():
