@@ -278,6 +278,18 @@ def block_cholesky(gram: np.ndarray) -> np.ndarray:
     return whitener
 
 
+def block_solve(factor: np.ndarray, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Solve L x = v (L^H x = v if adjoint) for the block-diagonal L held as
+    its K x B1 x B1 stack of region blocks, v region-stacked like gamma."""
+    k, b1, b2 = factor.shape
+    if b1 != b2 or v.shape != (k * b1,):
+        raise ValueError(
+            f"a {factor.shape} factor stack does not tile {v.shape[0]} coefficients")
+    if adjoint:
+        factor = factor.conj().transpose(0, 2, 1)
+    return np.linalg.solve(factor, v.reshape(k, b1, 1)).ravel()
+
+
 def gram_matrix(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     """Sample Gram Psi^H Psi / N as its K x B1 x B1 region blocks, accumulated chunk-wise.
 

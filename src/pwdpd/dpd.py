@@ -203,7 +203,6 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
 
     stats = source.next_block(cfg.stats_blocks * cfg.block_size)
     factor = basis_mod.block_cholesky(basis_mod.precompute_covariance(spec, stats))
-    factor_h = factor.conj().transpose(0, 2, 1)
     model = DpdModel.zero(spec)
     white = np.zeros(b_total, dtype=np.complex128)  # c, with gamma = L^-H c
 
@@ -224,7 +223,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         err_powers.append(p_err)
 
         zeta = basis_mod.cross_correlation(spec, a1.samples, err.samples)
-        zeta = np.linalg.solve(factor, zeta.reshape(spec.n_regions, -1, 1)).ravel()  # L^-1 zeta
+        zeta = basis_mod.block_solve(factor, zeta)  # L^-1 zeta
 
         if prune:
             mask_now = prune_select(zeta, cfg.prune_threshold_db, p_err)
@@ -235,7 +234,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
             update_mask = np.ones(b_total, dtype=bool)
 
         white[update_mask] -= (cfg.mu / ghat) * zeta[update_mask]
-        model.gamma = np.linalg.solve(factor_h, white.reshape(spec.n_regions, -1, 1)).ravel()
+        model.gamma = basis_mod.block_solve(factor, white, adjoint=True)
         model.ghat = ghat
 
         if p_lin <= 0:

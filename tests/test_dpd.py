@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pwdpd.dpd as dpd_mod
-from pwdpd.basis import BasisSpec, block_cholesky, gram_matrix
+from pwdpd.basis import BasisSpec, block_cholesky, block_solve, gram_matrix, precompute_covariance
 from pwdpd.dpd import (DpdModel, LearnConfig, distortion_power_identity, error_signal,
                        estimate_gain, learn, load_model, predistort, prune_select, save_model,
                        trace_to_csv)
@@ -178,6 +178,25 @@ def test_learn_stability_fixed_source(cubic_plant):
     _, trace = learn(loop, BasisSpec("memoryless", 7), cfg)
     powers = [t.error_power_dbc for t in trace]
     assert all(b <= a + 1e-6 for a, b in zip(powers, powers[1:]))
+
+
+def test_model_whitener_is_region_block_stack():
+    """The learner's L^-1 and L^-H solve each region block of its factor stack;
+    a factor of any other shape is refused."""
+    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
+    factor = block_cholesky(precompute_covariance(spec, random_signal(3000, rms=0.25, seed=23)))
+    assert factor.shape == (2, 3, 3)
+    assert np.all(factor == np.tril(factor))
+    dense = np.zeros((6, 6), dtype=complex)
+    dense[:3, :3], dense[3:, 3:] = factor
+    rng = np.random.default_rng(23)
+    c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    np.testing.assert_allclose(block_solve(factor, c), np.linalg.solve(dense, c), rtol=1e-12)
+    np.testing.assert_allclose(block_solve(factor, c, adjoint=True),
+                               np.linalg.solve(dense.conj().T, c), rtol=1e-12)
+    for bad in (dense, factor[:1], factor[:, :2, :2], factor[:, :, :2]):
+        with pytest.raises(ValueError):
+            block_solve(bad, c)
 
 
 def test_model_holds_one_coefficient_domain():
