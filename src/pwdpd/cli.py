@@ -155,10 +155,10 @@ def cmd_partition(args) -> int:
 
 
 def cmd_train(args) -> int:
-    kind, rule = METHODS.get(args.method, (None, None))
-    if rule is None:
+    kind, learner = METHODS.get(args.method, (None, None))
+    if learner is None:
         raise ConfigError(f"unknown training method {args.method!r}; "
-                          f"have {[m for m, (_, r) in METHODS.items() if r is not None]}")
+                          f"have {[m for m, (_, how) in METHODS.items() if how is not None]}")
     plant, params = _resolve_plant(args.plant)
     if params is None:
         raise ConfigError("train needs a named preset")
@@ -178,11 +178,9 @@ def cmd_train(args) -> int:
     model, trace = train_method(args.method, plant, params, config, spec, seed=args.seed)
     save_model(model, args.output)
     trace_to_csv(trace, str(args.output) + ".trace.csv")
-    last = trace[-1] if trace else None
     print(f"wrote {args.output}.dpd.json/.bin "
-          f"({int(model.active_mask.sum())}/{model.gamma.size} active coefficients)")
-    if last:
-        print(f"final error power: {last.error_power_dbc:.2f} dBc")
+          f"({trace[0].active_count}/{model.gamma.size} active coefficients)")
+    print(f"final error power: {trace[-1].error_power_dbc:.2f} dBc")
     return 0
 
 

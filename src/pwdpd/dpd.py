@@ -4,17 +4,17 @@ The predistorter injects a weighted basis-function correction into the
 transmit signal: out = a1 + Psi(a1) @ gamma, so gamma = 0 is the exact
 identity. Learning iterates blocks through the closed loop (predistort ->
 plant -> observe), forms the error e = z - Ghat a1, and descends along the
-block cross-correlation between the basis and the error. Both rules run one
-update on whitened coefficients c, with L the per-region Cholesky factor of
-the loaded covariance R = L L^H:
+block cross-correlation between the basis and the error. The update runs on
+whitened coefficients c, with L the per-region Cholesky factor of the loaded
+covariance R = L L^H:
 
   c <- c - (mu / Ghat) L^-1 (Psi^H e / N),    gamma = L^-H c
 
-which is gamma <- gamma - (mu / Ghat) R^-1 (Psi^H e / N), the
-self-orthogonalized rule, and equally the orthogonal-BF rule's descent on
-the whitened columns Psi_orth = Psi L^-H. The model holds the native gamma
-the predistorter applies; the rules differ only in pruning, which the
-orthogonal rule alone may use, and in what the FLOP ledger charges.
+which is the self-orthogonalized rule gamma <- gamma - (mu / Ghat) R^-1
+(Psi^H e / N), and equally the orthogonal-BF rule's descent on the whitened
+columns Psi_orth = Psi L^-H: one update serves both, and the two differ only
+in what the FLOP ledger charges. The model holds the native gamma the
+predistorter applies.
 
 The correlation is conjugated and 1/N-normalized relative to the transposed
 unnormalized form sometimes written for this update; with unit-sample-power
@@ -29,12 +29,13 @@ soft-limited 5th-order PA with a memoryless order-7 basis, mu = 1.9
 converges at rms 0.5 and diverges at rms 0.8. The shipped presets use
 mu <= 1.
 
-Pruning (orthogonal rule only): the first block's whitened correlation
-vector selects the retained set of c; later blocks freeze coefficients whose
-correlation falls below the threshold but keep them in the predistortion
-path. The native gamma = L^-H c mixes each retained entry of c into every
-native coefficient of its region with an index at or below its own, so the
-model's gamma is not sparse.
+Pruning: the first block's whitened correlation vector selects the retained
+set of c; later blocks freeze coefficients whose correlation falls below the
+threshold but keep them in the predistortion path. The native gamma = L^-H c
+mixes each retained entry of c into every native coefficient of its region
+with an index at or below its own, so the model's gamma is not sparse, and a
+trace record's active_count counts the entries of c the learner updated, not
+the non-zeros of gamma.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ from .basis import BasisSpec
 from .errors import ConfigError, DivergenceError
 from .signals import IqSignal
 
-LEARN_RULES = ("self_orthogonalized", "orthogonal_bfs")
-
-
 @dataclass
 class DpdModel:
     """Predistorter state: the native coefficients it applies plus the basis they bind to."""
@@ -61,7 +59,6 @@ class DpdModel:
     gamma: np.ndarray
     spec: BasisSpec
     ghat: complex = 1.0 + 0.0j
-    active_mask: np.ndarray | None = None
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.complex128)
@@ -71,12 +68,6 @@ class DpdModel:
         bad = np.flatnonzero(~np.isfinite(self.gamma))
         if bad.size:
             raise ConfigError(f"gamma[{bad[0]}] is not finite ({self.gamma[bad[0]]})")
-        if self.active_mask is None:
-            self.active_mask = np.ones(self.gamma.size, dtype=bool)
-        else:
-            self.active_mask = np.asarray(self.active_mask, dtype=bool)
-            if self.active_mask.size != self.gamma.size:
-                raise ConfigError("active_mask length must match gamma")
 
     @classmethod
     def zero(cls, spec: BasisSpec) -> "DpdModel":
@@ -88,9 +79,7 @@ class LearnConfig:
     mu: float = 1.0
     block_size: int = 20000
     iterations: int = 10
-    rule: str = "orthogonal_bfs"
     prune_threshold_db: float | None = None
-    noise_floor_dbc: float | None = None
     stats_blocks: int = 2  # block multiples for the precomputed statistics pass
 
     def __post_init__(self):
@@ -98,14 +87,8 @@ class LearnConfig:
             raise ConfigError("mu must lie in (0, 2)")
         if self.block_size < 1 or self.iterations < 1:
             raise ConfigError("block_size and iterations must be positive")
-        if self.rule not in LEARN_RULES:
-            raise ConfigError(f"rule must be one of {LEARN_RULES}")
-        if self.prune_threshold_db is not None:
-            if self.rule != "orthogonal_bfs":
-                raise ConfigError("pruning requires the orthogonal_bfs rule")
-            if not np.isfinite(self.prune_threshold_db):
-                raise ConfigError(
-                    f"prune_threshold_db must be finite, got {self.prune_threshold_db}")
+        if self.prune_threshold_db is not None and not np.isfinite(self.prune_threshold_db):
+            raise ConfigError(f"prune_threshold_db must be finite, got {self.prune_threshold_db}")
         if self.stats_blocks < 1:
             raise ConfigError("stats_blocks must be >= 1")
 
@@ -123,12 +106,13 @@ class ClosedLoopSource(Protocol):
 
     next_block yields a fresh block of the (pre-DPD) transmit signal;
     transmit runs the predistorted block through the plant and returns the
-    observation receiver output.
+    observation receiver output, with whatever receiver noise the source
+    itself models.
     """
 
     def next_block(self, n: int) -> IqSignal: ...
 
-    def transmit(self, x: IqSignal, noise_floor_dbc: float | None = None) -> IqSignal: ...
+    def transmit(self, x: IqSignal) -> IqSignal: ...
 
 
 def predistort(model: DpdModel, a1: IqSignal) -> IqSignal:
@@ -214,7 +198,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
     for i in range(1, cfg.iterations + 1):
         a1 = source.next_block(cfg.block_size)
         x = predistort(model, a1)
-        z = source.transmit(x, noise_floor_dbc=cfg.noise_floor_dbc)
+        z = source.transmit(x)
         ghat = estimate_gain(a1, z)
         err = error_signal(z, a1, ghat)
 
@@ -246,9 +230,6 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
         if i >= 4 and err_powers[-1] > 10 * err_powers[-4]:
             raise DivergenceError(
                 f"error power grew >10 dB between iterations {i - 3} and {i}", trace)
-
-    if pd_mask is not None:
-        model.active_mask = pd_mask
     return model, trace
 
 
@@ -270,7 +251,6 @@ def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
     header = {
         "spec": model.spec.to_dict(),
         "ghat": [model.ghat.real, model.ghat.imag],
-        "active_mask": [int(v) for v in model.active_mask],
         "n_coefficients": int(model.gamma.size),
     }
     header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
@@ -279,7 +259,7 @@ def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
 
 
 # model header field -> the JSON type it must hold
-_HEADER_TYPES = {"spec": dict, "ghat": list, "n_coefficients": int, "active_mask": list}
+_HEADER_TYPES = {"spec": dict, "ghat": list, "n_coefficients": int}
 
 
 def _check_header(header, path: Path) -> None:
@@ -293,9 +273,6 @@ def _check_header(header, path: Path) -> None:
     if len(header["ghat"]) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                                            and np.isfinite(v) for v in header["ghat"]):
         raise ConfigError(f"{path}: header field 'ghat' must be [real, imag], both finite")
-    mask = header["active_mask"]
-    if len(mask) != header["n_coefficients"] or not all(v in (0, 1) for v in mask):
-        raise ConfigError(f"{path}: header field 'active_mask' must hold n_coefficients 0/1 flags")
 
 
 def load_model(stem: str | Path) -> DpdModel:
@@ -320,7 +297,6 @@ def load_model(stem: str | Path) -> DpdModel:
                           f"{n} complex float64 values ({16 * n} bytes)")
     try:
         return DpdModel(np.fromfile(payload_path, dtype="<c16"), spec,
-                        ghat=complex(*header["ghat"]),
-                        active_mask=np.asarray(header["active_mask"], dtype=bool))
+                        ghat=complex(*header["ghat"]))
     except ConfigError as exc:
         raise ConfigError(f"{payload_path}: {exc}") from None

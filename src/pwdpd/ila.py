@@ -39,7 +39,6 @@ def _postinverse_fit(spec: BasisSpec, regressor: np.ndarray, target: np.ndarray)
 
 
 def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50000,
-              noise_floor_dbc: float | None = None,
               clip_headroom: float = 1.15) -> tuple[DpdModel, list[TraceRecord]]:
     """Iterative postinverse identification over a closed-loop source.
 
@@ -73,7 +72,7 @@ def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50
             clipped = x.samples.copy()
             clipped[over] *= full_scale / env[over]
             x = x.with_samples(clipped)
-        z = source.transmit(x, noise_floor_dbc=noise_floor_dbc)
+        z = source.transmit(x)
         ghat = estimate_gain(x, z)
         y = z.samples / ghat
 

@@ -102,8 +102,9 @@ class PaModel:
     def __post_init__(self):
         if self.kind not in _KIND_FIELDS:
             raise ConfigError(f"unknown PA kind {self.kind!r}")
-        if self.saturation_level <= 0:
-            raise ConfigError("saturation_level must be positive")
+        if not self.saturation_level > 0:  # NaN too, which would switch the limiter off
+            raise ConfigError(f"PA setting 'saturation_level' must be > 0 (inf: no limiter), "
+                              f"got {self.saturation_level!r}")
         fields, given = _KIND_FIELDS[self.kind], self.coefficients
         if "table" in fields and "table" not in given:
             given = {"table": given}
@@ -249,6 +250,10 @@ class ArrayPlant:
         for i in range(L):
             if not np.allclose(self.coupling[i, i], ident):
                 raise ConfigError("coupling diagonal must be the identity pulse")
+        for name in ("coupling_strength", "steer_angle_deg", "angle_coupling_slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"plant field {name!r} must be a finite number, "
+                                  f"got {getattr(self, name)!r}")
         if self.coupling_strength < 0:
             raise ConfigError("coupling_strength must be non-negative")
 
@@ -415,8 +420,8 @@ def observation_receive(plant: ArrayPlant, per_element: list[IqSignal],
 def steer(plant: ArrayPlant, angle_deg: float) -> ArrayPlant:
     """Re-point the array: phase-only weights for a half-wavelength ULA, with
     the LOS channel re-aligned so the main beam tracks the receiver."""
-    if abs(angle_deg) > 90:
-        raise ConfigError("steering angle must satisfy |angle| <= 90 degrees")
+    if not abs(angle_deg) <= 90:
+        raise ConfigError(f"steering angle must satisfy |angle| <= 90 degrees, got {angle_deg!r}")
     idx = np.arange(plant.n_elements)
     weights = np.exp(-1j * np.pi * idx * math.sin(math.radians(angle_deg)))
     channel = np.conj(weights)

@@ -35,15 +35,16 @@ from .signals import IqSignal
 from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_at
 
 # DPD method -> (the partition it trains on: "taylor", "kmeans" or None for a
-# single polynomial; the rule that fits it: a dpd.LEARN_RULES entry, "ila",
-# or None for no DPD)
+# single polynomial; its learner: "cl" for closed-loop dpd.learn, "ila", or
+# None for no DPD). dpd.learn's one update is both the orthogonal-BF and the
+# self-orthogonalized rule, so the *_orth and *_selforth methods train alike
 METHODS = {
     "none": (None, None),
-    "pwcl_orth": ("taylor", "orthogonal_bfs"),
-    "pwcl_selforth": ("taylor", "self_orthogonalized"),
-    "pwcl_kmeans": ("kmeans", "orthogonal_bfs"),
-    "cl_orth": (None, "orthogonal_bfs"),
-    "cl_selforth": (None, "self_orthogonalized"),
+    "pwcl_orth": ("taylor", "cl"),
+    "pwcl_selforth": ("taylor", "cl"),
+    "pwcl_kmeans": ("kmeans", "cl"),
+    "cl_orth": (None, "cl"),
+    "cl_selforth": (None, "cl"),
     "pw_ila": ("taylor", "ila"),
     "ila": (None, "ila"),
 }
@@ -76,7 +77,8 @@ class SimulatedLoop:
 
     next_block synthesizes a fresh block of the preset's waveform (new data
     every call, see preset_waveform); transmit runs the array forward and the
-    phase-aligned observation combiner, adding receiver noise when requested.
+    phase-aligned observation combiner, with receiver noise at the preset's
+    noise_floor_dbc (none when it is null).
     """
 
     def __init__(self, plant: ArrayPlant, preset: dict, seed: int = 0):
@@ -96,9 +98,10 @@ class SimulatedLoop:
         self._counter += 1
         return self.make_block(n, self.seed + self._counter)
 
-    def transmit(self, x: IqSignal, noise_floor_dbc: float | None = None) -> IqSignal:
+    def transmit(self, x: IqSignal) -> IqSignal:
         per_element, _ = array_forward(self.plant, x)
-        return observation_receive(self.plant, per_element, noise_floor_dbc, self._noise_rng)
+        return observation_receive(self.plant, per_element, self.preset["noise_floor_dbc"],
+                                   self._noise_rng)
 
 
 def ramp_probe(amax: float, sample_rate: float) -> IqSignal:
@@ -141,7 +144,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "
     elif method == "kmeans":
         if n_regions is None:
             raise ConfigError("kmeans partitioning needs n_regions")
-        z = loop.transmit(a1)
+        z = observation_receive(plant, array_forward(plant, a1)[0])
         ghat = estimate_gain(a1, z)
         part = kmeans_partition(a1, n_regions)
         fit_residual = 0.0
@@ -220,17 +223,15 @@ def load_scenario_plant(config: dict) -> tuple[ArrayPlant, dict]:
 
 def train_method(method: str, plant: ArrayPlant, preset: dict, config: dict,
                  spec: BasisSpec, seed: int) -> tuple[DpdModel | None, list]:
-    """Train one method of METHODS by its rule on spec, which carries the
+    """Train one method of METHODS by its learner on spec, which carries the
     method's partition; returns (model, trace)."""
-    rule = METHODS[method][1]
-    if rule is None:
+    learner = METHODS[method][1]
+    if learner is None:
         return None, []
-    noise = preset["noise_floor_dbc"]
     loop = SimulatedLoop(plant, preset, seed)
-    if rule == "ila":
-        return ila_learn(loop, spec, noise_floor_dbc=noise, **config_section(config, "ila"))
-    return learn(loop, spec, LearnConfig(rule=rule, noise_floor_dbc=noise,
-                                         **config_section(config, "learn")))
+    if learner == "ila":
+        return ila_learn(loop, spec, **config_section(config, "ila"))
+    return learn(loop, spec, LearnConfig(**config_section(config, "learn")))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -289,6 +290,9 @@ def _trp_angles(trp) -> np.ndarray | None:
             raise ConfigError(f"eval.trp_angles {field!r} must be a finite number, got {value!r}")
     if not trp["step"] > 0:
         raise ConfigError(f"eval.trp_angles step must be positive, got {trp['step']!r}")
+    if trp["stop"] < trp["start"]:
+        raise ConfigError(f"eval.trp_angles 'stop' ({trp['stop']!r}) must not be below "
+                          f"'start' ({trp['start']!r})")
     return np.arange(trp["start"], trp["stop"] + 1e-9, trp["step"])
 
 
@@ -378,9 +382,9 @@ def run_linearization(config: dict, outdir: Path, seed: int,
         entry = dict(res.metrics)
         if model is not None:
             entry["coefficients"] = int(model.gamma.size)
-            entry["active_coefficients"] = int(model.active_mask.sum())
+            entry["active_coefficients"] = trace[0].active_count
             entry["gamma_norm"] = float(np.linalg.norm(model.gamma))
-            entry["final_error_power_dbc"] = trace[-1].error_power_dbc if trace else None
+            entry["final_error_power_dbc"] = trace[-1].error_power_dbc
         results[method] = entry
     return {"kind": "linearization", "partition": part_info, "methods": results}
 
@@ -441,7 +445,7 @@ def run_pruning_study(config: dict, outdir: Path, seed: int,
             "aclr_dbc": res.metrics["aclr_dbc"],
             "evm_percent": res.metrics["evm_percent"],
             "coefficients": int(model.gamma.size),
-            "active_coefficients": int(model.active_mask.sum()),
+            "active_coefficients": trace[0].active_count,
         }
 
     spec = out.spec.with_partition(partition_obj)
@@ -479,8 +483,8 @@ def run_complexity(config: dict, outdir: Path, params: str | dict = "reference",
 SECTIONS = {
     "basis": (_base_spec, ()),
     "partition": (derive_partition, ("method", "n_regions")),
-    "learn": (LearnConfig, ("rule", "noise_floor_dbc")),
-    "ila": (ila_learn, ("noise_floor_dbc",)),
+    "learn": (LearnConfig, ()),
+    "ila": (ila_learn, ()),
     "eval": (evaluate, ("noise_floor_dbc",)),
 }
 

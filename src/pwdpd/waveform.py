@@ -185,8 +185,8 @@ def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
     on the array8-deep and doherty-n3 waveforms). Best-effort: the achievable
     1% PAPR depends on the signal; no error is raised.
     """
-    if target_papr_db <= 0:
-        raise ConfigError("target_papr_db must be positive")
+    if not 0 < target_papr_db < np.inf:
+        raise ConfigError(f"target_papr_db must be a positive finite number, got {target_papr_db!r}")
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     x = sig.samples.copy()

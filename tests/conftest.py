@@ -55,17 +55,16 @@ class PlantLoop:
         self.fixed_data = fixed_data
         self.sample_rate = sample_rate
         self._k = 0
-        self._noise_rng = np.random.default_rng(seed + 991)
 
     def next_block(self, n):
         if not self.fixed_data:
             self._k += 1
         return random_signal(n, self.rms, self.seed + self._k, self.sample_rate)
 
-    def transmit(self, x, noise_floor_dbc=None):
+    def transmit(self, x):
         from pwdpd.plant import array_forward, observation_receive
         per, _ = array_forward(self.plant, x)
-        return observation_receive(self.plant, per, noise_floor_dbc, self._noise_rng)
+        return observation_receive(self.plant, per)
 
 
 @pytest.fixture

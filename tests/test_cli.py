@@ -163,7 +163,7 @@ def _with(key, value):
     return corrupt
 
 
-_HEADER_KEYS = ("spec", "ghat", "n_coefficients", "active_mask")
+_HEADER_KEYS = ("spec", "ghat", "n_coefficients")
 
 
 def _dense_whitener(header, payload):
@@ -172,9 +172,8 @@ def _dense_whitener(header, payload):
 
 
 def _n_off_spec(header, payload):
-    """n_coefficients, mask and payload size agree with each other but not with the spec."""
+    """n_coefficients and payload size agree with each other but not with the spec."""
     header["n_coefficients"] = 4
-    header["active_mask"] = [1] * 4
     return payload + bytes(16)
 
 
@@ -188,14 +187,12 @@ def _n_off_spec(header, payload):
     _with("ghat", [1.0]),
     _with("ghat", [math.nan, 0.0]),
     _with("spec", {"max_order": 5}),
-    _with("active_mask", [1, "1", 1]),
-    _with("active_mask", [1, 1]),
     _n_off_spec,
     _dense_whitener,
 ], ids=["truncated", "odd-length", "ragged", "trailing",
         *(f"no-{key}" for key in _HEADER_KEYS),
         "n-as-string", "short-ghat", "nan-ghat", "spec-without-family",
-        "mask-with-string", "short-mask", "n-disagrees-with-spec", "dense-whitener-layout"])
+        "n-disagrees-with-spec", "dense-whitener-layout"])
 def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
     from pwdpd.dpd import DpdModel, load_model, save_model
 
@@ -225,6 +222,28 @@ def test_non_finite_model_coefficient_exit_code(tmp_path, capsys):
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert str(payload) in err and "gamma[1] is not finite" in err
+
+
+def test_model_file_with_active_mask_loads(tmp_path):
+    """A header that still carries the active mask earlier files wrote loads, and
+    the model predistorts as the one saved; the mask is not read."""
+    from pwdpd.dpd import DpdModel, load_model, predistort, save_model
+
+    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
+    rng = np.random.default_rng(6)
+    model = DpdModel(0.01 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)), spec,
+                     ghat=0.9 - 0.1j)
+    header_path, _ = save_model(model, tmp_path / "m")
+    header = json.loads(header_path.read_text())
+    assert "active_mask" not in header
+    header_path.write_text(json.dumps({**header, "active_mask": [1, 0, 1, 1, 0, 0]}))
+    back = load_model(tmp_path / "m")
+    np.testing.assert_array_equal(back.gamma, model.gamma)
+    assert back.ghat == model.ghat
+    sig = random_signal(1000, rms=0.25, seed=6)
+    np.testing.assert_array_equal(predistort(back, sig).samples, predistort(model, sig).samples)
+    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m"),
+                 "--symbols", "1"]) == 0
 
 
 def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
@@ -336,7 +355,7 @@ def test_scenario_failure_writes_error_record(tmp_path):
 def test_failed_bundle_keeps_finished_runs(tmp_path, monkeypatch):
     import pwdpd.scenarios as scenarios
     from pwdpd.basis import BasisSpec
-    from pwdpd.dpd import DpdModel
+    from pwdpd.dpd import DpdModel, TraceRecord
     from pwdpd.partition import RegionPartition
 
     def fake_partition(*args, **kwargs):
@@ -345,7 +364,7 @@ def test_failed_bundle_keeps_finished_runs(tmp_path, monkeypatch):
     def fake_train(method, *args, **kwargs):
         if method == "cl_orth":
             raise DivergenceError("test divergence", [])
-        return DpdModel(np.arange(3) + 0j, BasisSpec("memoryless", 5)), []
+        return DpdModel(np.arange(3) + 0j, BasisSpec("memoryless", 5)), [TraceRecord(1, -40.0, 3)]
 
     def fake_evaluate(*args, **kwargs):
         return scenarios.EvalResult({"aclr_dbc": -40.0}, np.zeros(2), np.zeros(2))
@@ -600,10 +619,11 @@ def test_readme_method_table():
         rows[method.strip("`")] = cells
     assert list(rows) == list(METHODS)
     names = {"taylor": "Taylor", "kmeans": "K-means", None: "none"}
-    for method, (kind, rule) in METHODS.items():
-        partition, learner = rows[method]
+    for method, (kind, learner) in METHODS.items():
+        partition, learner_cell = rows[method]
         assert partition.startswith(names[kind]), method
-        assert f"(`{rule}`)" in learner if rule else learner.startswith("no DPD"), method
+        assert (f"(`{learner}`)" in learner_cell if learner
+                else learner_cell.startswith("no DPD")), method
 
 
 # (method, exit code, partition the saved model carries)
@@ -652,6 +672,27 @@ def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, c
     assert rc == code
     assert (tmp_path / "m.dpd.json").exists() == (code == 0)
     assert ("--partition" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("method, twin", [("pwcl_selforth", "pwcl_orth"),
+                                          ("cl_selforth", "cl_orth")])
+def test_train_selforth_prunes_like_orth(tmp_path, capsys, method, twin):
+    """Every closed-loop method prunes, and a *_selforth method writes the same
+    model bytes as its *_orth twin at the same seed, since one update serves both
+    rules; the summary line counts the coefficients the pruned learner updates."""
+    payloads = {}
+    for name in (method, twin):
+        stem = tmp_path / name
+        assert main(["train", "--plant", "doherty-n3", "--method", name, "--prune", "-40",
+                     "--family", "memoryless", "--order", "9", "--block-size", "2000",
+                     "--iterations", "3", "--output", str(stem)]) == 0
+        payloads[name] = (tmp_path / f"{name}.dpd.bin").read_bytes()
+        n = json.loads((tmp_path / f"{name}.dpd.json").read_text())["n_coefficients"]
+        rows = (tmp_path / f"{name}.trace.csv").read_text().splitlines()
+        active = int(rows[1].split(",")[2])
+        assert active < n
+        assert f"({active}/{n} active coefficients)" in capsys.readouterr().out
+    assert payloads[method] == payloads[twin]
 
 
 @pytest.mark.parametrize("edge", [math.nan, math.inf], ids=["nan", "inf"])
@@ -738,6 +779,61 @@ def test_simulate_dual_input_plant_file(tmp_path, beta0_tap, code):
     assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
                  "--output", str(tmp_path / "z")]) == code
     assert (tmp_path / "z.iq").exists() == (code == 0)
+
+
+def _set_plant_field(plant, field, value):
+    """Put value in a plant dict's top-level field or, for saturation_level, in
+    its first element's."""
+    (plant["elements"][0] if field == "saturation_level" else plant)[field] = value
+
+
+_PLANT_SCALARS = [("saturation_level", math.nan), ("coupling_strength", math.nan),
+                  ("coupling_strength", math.inf), ("steer_angle_deg", math.nan),
+                  ("steer_angle_deg", -math.inf), ("angle_coupling_slope", math.nan),
+                  ("angle_coupling_slope", math.inf)]
+
+
+@pytest.mark.parametrize("field, value", _PLANT_SCALARS,
+                         ids=[f"{f}={v}" for f, v in _PLANT_SCALARS])
+def test_plant_file_non_finite_scalar_exit_code(tmp_path, capsys, field, value):
+    """A non-finite plant scalar is refused with exit 2 naming it; a NaN
+    saturation_level would otherwise switch the limiter off."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    plant = load_plant_preset("array8-deep").to_dict()
+    _set_plant_field(plant, field, value)
+    plant_file = _json_file(tmp_path / "p.json", plant)
+    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z")]) == 2
+    assert repr(field) in capsys.readouterr().err
+    assert not (tmp_path / "z.iq").exists()
+
+
+def test_plant_file_unlimited_saturation_level(tmp_path):
+    """Infinity and null both mean no limiter."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    outputs = []
+    for name, level in (("inf", math.inf), ("null", None)):
+        plant = load_plant_preset("array8-deep").to_dict()
+        _set_plant_field(plant, "saturation_level", level)
+        plant_file = _json_file(tmp_path / f"{name}.json", plant)
+        assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                     "--output", str(tmp_path / name)]) == 0
+        outputs.append(read_iq(tmp_path / name).samples)
+    np.testing.assert_array_equal(*outputs)
+
+
+def test_reversed_trp_angles_refused_before_partition(tmp_path):
+    """A trp_angles grid with stop below start exits 2 naming the field before
+    any partition or training work."""
+    cfg = _json_file(tmp_path / "c.json", {
+        "kind": "linearization", "preset": "doherty-n3", "seed": 3,
+        "methods": ["none", "pwcl_orth"],
+        "eval": {"trp_angles": {"start": 50, "stop": -50, "step": 2}}})
+    assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "trp_angles" in record["message"] and "'stop'" in record["message"]
+    assert not (tmp_path / "x" / "partition.json").exists()
 
 
 def test_simulate_angle_zero_resteers(tmp_path):

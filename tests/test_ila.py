@@ -85,6 +85,7 @@ def test_regularized_lstsq_on_array8_deep_region_blocks():
     # high-order columns are tiny and the 116-column block is ill-conditioned.
     # Without the refinement step region 1 misses the bound (2.3e-6 here).
     from pwdpd.dpd import estimate_gain
+    from pwdpd.plant import array_forward, observation_receive
     from pwdpd.presets import load_plant_preset, preset_params
     from pwdpd.scenarios import SimulatedLoop, derive_partition
 
@@ -92,7 +93,7 @@ def test_regularized_lstsq_on_array8_deep_region_blocks():
     part, _ = derive_partition(plant, params, seed=7017)
     loop = SimulatedLoop(plant, params, seed=701)
     a1 = loop.next_block(20000)
-    z = loop.transmit(a1)
+    z = observation_receive(plant, array_forward(plant, a1)[0])  # noise-free
     y = z.samples / estimate_gain(a1, z)
     scale = np.max(np.abs(y)) / part.a_max
     spec = BasisSpec("full_dual_input", 9, 3, partition=RegionPartition(

@@ -206,6 +206,8 @@ def test_steer_geometry():
     np.testing.assert_allclose(plus.weights, np.conj(minus.weights), rtol=1e-12)
     with pytest.raises(ConfigError):
         steer(plant, 91.0)
+    with pytest.raises(ConfigError, match="nan"):
+        steer(plant, np.nan)
 
 
 def test_zero_coupling_angle_invariance():

@@ -77,6 +77,15 @@ def test_cfr_constant_envelope_unchanged():
     np.testing.assert_allclose(out.samples, sig.samples)
 
 
+@pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf, 0.0],
+                         ids=["nan", "inf", "-inf", "zero"])
+def test_cfr_refuses_target_that_is_not_positive_and_finite(target):
+    """A NaN target used to return the input unchanged without a word."""
+    sig = IqSignal(np.ones(64, dtype=complex), 1.0)
+    with pytest.raises(ConfigError, match="target_papr_db"):
+        crest_factor_reduce(sig, target, 5, occupied_bandwidth=0.5)
+
+
 def test_cfr_single_peak_clip_arithmetic():
     # carrier with one 5x peak; hard target, one iteration, a projection onto
     # the whole band (no bin dropped): the peak lands exactly at the
