@@ -101,6 +101,14 @@ def _given(**settings) -> dict:
     return {key: value for key, value in settings.items() if value is not None}
 
 
+def _refuse(reason: str, **flags) -> None:
+    """A configuration error naming the first of flags that was given, for a
+    flag the chosen method does not read."""
+    for name, value in flags.items():
+        if value is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} {reason}")
+
+
 def _resolve_plant(spec: str):
     if spec in PLANT_PRESETS:
         return load_plant_preset(spec), preset_params(spec)
@@ -135,6 +143,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    if args.method == "kmeans":
+        _refuse("is not read by --method kmeans", order=args.order,
+                target_error=args.target_error)
+    else:
+        _refuse("is read only by --method kmeans", regions=args.regions)
     plant, params = _resolve_plant(args.plant)
     if params is None:
         raise ConfigError("partition needs a named preset (drive level and waveform)")
@@ -146,11 +159,10 @@ def cmd_partition(args) -> int:
         part.save(args.output)
     print(f"{info['method']} partition, K = {part.n_regions} "
           f"(fit residual {info['fit_residual']:.4f})")
-    print(f"{'region':>6} {'u_k':>10} {'v_k':>10} {'share':>8} {'Q_k':>5}")
+    print(f"{'region':>6} {'u_k':>10} {'v_k':>10} {'share':>8}")
     for k in range(part.n_regions):
-        order = part.orders[k] if part.orders else "-"
         print(f"{k:>6} {part.edges[k]:>10.4f} {part.edges[k + 1]:>10.4f} "
-              f"{info['sample_share'][k]:>8.3f} {order:>5}")
+              f"{info['sample_share'][k]:>8.3f}")
     return 0
 
 
@@ -159,6 +171,11 @@ def cmd_train(args) -> int:
     if learner is None:
         raise ConfigError(f"unknown training method {args.method!r}; "
                           f"have {[m for m, (_, how) in METHODS.items() if how is not None]}")
+    if kind is None:
+        _refuse(f"needs a piecewise method, not {args.method!r}", partition=args.partition)
+    if learner == "ila":
+        _refuse(f"is read only by a closed-loop method, not {args.method!r}",
+                mu=args.mu, prune=args.prune)
     plant, params = _resolve_plant(args.plant)
     if params is None:
         raise ConfigError("train needs a named preset")
@@ -167,8 +184,6 @@ def cmd_train(args) -> int:
                         prune_threshold_db=args.prune),
         "ila": _given(iterations=args.iterations, block_size=args.block_size),
     }
-    if args.partition and kind is None:
-        raise ConfigError(f"--partition needs a piecewise method, not {args.method!r}")
     spec = _base_spec(**_given(family=args.family, max_order=args.order,
                                memory_depth=args.memory, cross_memory_depth=args.cross_memory))
     if args.partition:

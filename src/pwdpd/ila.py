@@ -48,13 +48,15 @@ def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50
     edges would leave the top region empty. The copied predistorter applies
     the original partition on the transmit envelope.
 
-    The transmitted signal is envelope-clamped at clip_headroom x the block's
-    peak input amplitude (a digital full-scale): the postinverse extrapolates
-    steeply beyond its fitted range, and without the clamp the full-replacement
-    iteration compounds peak expansion until it diverges.
+    The transmitted signal is envelope-clamped at clip_headroom (> 0) x the
+    block's peak input amplitude (a digital full-scale): the postinverse
+    extrapolates steeply beyond its fitted range, and without the clamp the
+    full-replacement iteration compounds peak expansion until it diverges.
     """
     if iterations < 1 or block_size < 1:
         raise ConfigError("iterations and block_size must be positive")
+    if not clip_headroom > 0:
+        raise ConfigError(f"clip_headroom must be > 0, got {clip_headroom}")
     if block_size < 10 * spec.n_basis_total:
         raise ConfigError(
             f"block_size {block_size} < 10 x coefficient count {spec.n_basis_total}")
@@ -79,9 +81,7 @@ def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50
         fit_spec = spec
         if spec.partition is not None:
             scale = float(np.max(np.abs(y))) / spec.partition.a_max
-            fit_spec = spec.with_partition(RegionPartition(
-                spec.partition.edges * scale, spec.partition.orders,
-                spec.partition.target_error))
+            fit_spec = spec.with_partition(RegionPartition(spec.partition.edges * scale))
         coeffs = _postinverse_fit(fit_spec, y, x.samples)
         gamma = coeffs.copy()
         for k in range(spec.n_regions):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +17,8 @@ import numpy as np
 from .errors import ConfigError
 from .signals import IqSignal
 
-# derivative_max's grid points, the share of a_max below which a final Taylor
-# region is merged into its neighbor, and the cap on K-means iterations
+# derivative_max's grid points and the cap on K-means iterations
 DERIVATIVE_GRID = 1000
-MIN_REGION_FRACTION = 0.02
 KMEANS_MAX_ITER = 100
 
 
@@ -30,12 +28,11 @@ class RegionPartition:
 
     edges has K+1 ascending entries starting at 0; region k spans
     [edges[k], edges[k+1]), with the last region closed at the top.
-    Amplitudes beyond the top edge are assigned to the last region.
+    Amplitudes beyond the top edge are assigned to the last region. Every
+    region takes the same basis, so the edges are the whole partition.
     """
 
     edges: np.ndarray
-    orders: list[int] | None = None
-    target_error: list[float] | None = None
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
@@ -47,10 +44,6 @@ class RegionPartition:
             raise ConfigError("partition must start at amplitude 0")
         if np.any(np.diff(self.edges) <= 0):
             raise ConfigError("partition edges must be strictly increasing")
-        for name in ("orders", "target_error"):
-            val = getattr(self, name)
-            if val is not None and len(val) != self.n_regions:
-                raise ConfigError(f"{name} must have one entry per region")
 
     @property
     def n_regions(self) -> int:
@@ -73,23 +66,19 @@ class RegionPartition:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "edges": self.edges.tolist(),
-            "orders": list(self.orders) if self.orders is not None else None,
-            "target_error": list(self.target_error) if self.target_error is not None else None,
-        }
+        return {"edges": self.edges.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionPartition":
+        """Reads the edges alone; the per-region orders and target errors that
+        earlier partition files carried are not read."""
         if not isinstance(d, dict) or "edges" not in d:
             raise ConfigError("a partition must be a JSON object with an 'edges' list")
-        for name in ("edges", "orders", "target_error"):
-            val = d.get(name)
-            if val is not None and not (isinstance(val, list) and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)):
-                raise ConfigError(f"partition field {name!r} must be a list of numbers, "
-                                  f"got {val!r}")
-        return cls(np.asarray(d["edges"], dtype=float), d.get("orders"), d.get("target_error"))
+        edges = d["edges"]
+        if not (isinstance(edges, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in edges)):
+            raise ConfigError(f"partition field 'edges' must be a list of numbers, got {edges!r}")
+        return cls(np.asarray(edges, dtype=float))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -110,7 +99,6 @@ class AmAmModel:
     scaled_coeffs: np.ndarray
     a_max: float
     fit_residual: float = 0.0
-    warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.scaled_coeffs = np.asarray(self.scaled_coeffs, dtype=float)
@@ -149,8 +137,10 @@ def fit_amam(a1: IqSignal, z: IqSignal, fit_order: int = 9) -> AmAmModel:
     """Least-squares polynomial fit of |z| versus |a1|.
 
     Both even and odd powers (plus a constant) are admitted since the fit is
-    over the amplitude domain. A warning is recorded on the result when the
-    amplitude spread (max/min) is below 2.
+    over the amplitude domain. |a1| should span [0, max |a1|], as the
+    characterization ramp probe (``scenarios.ramp_probe``) does: over a narrow
+    amplitude range the Vandermonde columns are nearly collinear and the fit
+    is poorly conditioned.
     """
     if len(a1) != len(z):
         raise ConfigError("fit_amam requires equal-length, aligned signals")
@@ -165,12 +155,7 @@ def fit_amam(a1: IqSignal, z: IqSignal, fit_order: int = 9) -> AmAmModel:
     vander = np.polynomial.polynomial.polyvander(t, fit_order)
     coeffs, *_ = np.linalg.lstsq(vander, y, rcond=None)
     residual = float(np.sqrt(np.mean((vander @ coeffs - y) ** 2)))
-    model = AmAmModel(coeffs, a_max, fit_residual=residual)
-    x_min = float(x.min())
-    if x_min > 0 and a_max / x_min < 2:
-        model.warnings.append(
-            f"amplitude spread max/min = {a_max / x_min:.2f} < 2; fit may be poorly conditioned")
-    return model
+    return AmAmModel(coeffs, a_max, fit_residual=residual)
 
 
 def _converge_width(model: AmAmModel, u: float, a_max: float, order: int,
@@ -203,9 +188,10 @@ def partition_regions(model: AmAmModel, a_max: float, order: int, target_error: 
     approximates the fitted amplitude response within ``target_error``
     (Lagrange remainder bound, derivative maximum by dense grid search). The
     per-region width iteration starts from the conservative interval
-    reaching a_max and stops when it changes by less than ``delta``. A final
-    region narrower than ``MIN_REGION_FRACTION * a_max`` is merged into its
-    neighbor to avoid sample-starved regions.
+    reaching a_max and stops when it changes by less than ``delta``. The
+    last region is clipped at a_max and may be narrow; whether it holds
+    enough samples depends on the waveform, so merging sparse regions is left
+    to the caller that has one (``scenarios.derive_partition``).
     """
     if order < 1:
         raise ConfigError("order must be >= 1")
@@ -230,10 +216,7 @@ def partition_regions(model: AmAmModel, a_max: float, order: int, target_error: 
             raise ConfigError("partition produced more than 256 regions; "
                               "raise target_error or lower the fit order")
     edges[-1] = a_max
-    if len(edges) > 2 and (edges[-1] - edges[-2]) < MIN_REGION_FRACTION * a_max:
-        del edges[-2]
-    k = len(edges) - 1
-    return RegionPartition(np.asarray(edges), orders=[order] * k, target_error=[target_error] * k)
+    return RegionPartition(np.asarray(edges))
 
 
 def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
@@ -250,9 +233,6 @@ def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
         raise ConfigError(
             f"n_regions={n_regions} exceeds the {distinct.size} distinct amplitude values")
     a_max = float(env.max())
-    if n_regions == 1:
-        return RegionPartition(np.asarray([0.0, a_max]))
-
     centroids = np.quantile(env, (np.arange(n_regions) + 0.5) / n_regions)
     for _ in range(KMEANS_MAX_ITER):
         assign = np.argmin(np.abs(env[:, None] - centroids[None, :]), axis=1)

@@ -125,9 +125,10 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "
     the amplitude response itself is extracted from a slow full-scale ramp
     probe, whose scatter-free response makes the fitted derivatives (and so
     the Taylor partition) reproducible. K-means partitioning clusters the
-    OFDM block's envelope directly. A trailing region holding less than
-    MIN_SHARE of the waveform samples is merged into its neighbor: such a
-    region cannot support the per-region coefficient estimation downstream.
+    OFDM block's envelope directly. For either method, a trailing region
+    holding less than MIN_SHARE of the waveform samples is merged into its
+    neighbor: such a region cannot support the per-region coefficient
+    estimation downstream.
     """
     loop = SimulatedLoop(plant, preset, seed)
     a1 = loop.next_block(PARTITION_BLOCK)
@@ -151,10 +152,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "
     else:
         raise ConfigError(f"unknown partition method {method!r}")
     while part.n_regions > 1 and float(np.mean(part.region_index(env) == part.n_regions - 1)) < MIN_SHARE:
-        edges = np.delete(part.edges, part.n_regions - 1)
-        part = RegionPartition(edges,
-                               part.orders[:-1] if part.orders else None,
-                               part.target_error[:-1] if part.target_error else None)
+        part = RegionPartition(np.delete(part.edges, part.n_regions - 1))
     shares = [float(np.mean(part.region_index(env) == k)) for k in range(part.n_regions)]
     info = {
         "method": method,

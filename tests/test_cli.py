@@ -656,9 +656,7 @@ def test_train_method_table(tmp_path, method, code, partition):
         if partition is None:
             assert saved is None
         else:
-            # Taylor partitions carry per-region orders, K-means ones do not
-            assert len(saved["edges"]) >= 3
-            assert (saved["orders"] is not None) == (partition == "taylor")
+            assert list(saved) == ["edges"] and len(saved["edges"]) >= 3
 
 
 @pytest.mark.parametrize("method, code", [("pwcl_orth", 0), ("cl_orth", 2), ("cl_selforth", 2),
@@ -672,6 +670,49 @@ def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, c
     assert rc == code
     assert (tmp_path / "m.dpd.json").exists() == (code == 0)
     assert ("--partition" in capsys.readouterr().err) == (code == 2)
+
+
+def test_train_partition_file_with_orders_and_target_error(tmp_path):
+    """A partition file that still carries the per-region orders and target
+    errors of earlier files trains the same model bytes as its edges alone."""
+    files = {"with": {"orders": [5, 5], "target_error": [0.01, 0.01]}, "without": {}}
+    for name, extra in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"edges": [0.0, 0.5, 2.0], **extra}))
+        assert main(["train", "--plant", "doherty-n3", "--method", "pwcl_orth",
+                     "--partition", str(tmp_path / f"{name}.json"), "--family", "memoryless",
+                     "--order", "5", "--block-size", "2000", "--iterations", "1",
+                     "--output", str(tmp_path / name)]) == 0
+    for suffix in (".dpd.bin", ".dpd.json"):
+        assert ((tmp_path / f"with{suffix}").read_bytes()
+                == (tmp_path / f"without{suffix}").read_bytes())
+
+
+@pytest.mark.parametrize("method", ["ila", "pw_ila"])
+@pytest.mark.parametrize("flag, value", [("--mu", "0.5"), ("--prune", "-40")])
+def test_train_ila_refuses_closed_loop_flags(tmp_path, capsys, method, flag, value):
+    rc = main(["train", "--plant", "doherty-n3", "--method", method, flag, value,
+               "--family", "memoryless", "--order", "5", "--block-size", "2000",
+               "--iterations", "1", "--output", str(tmp_path / "m")])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "m.dpd.json").exists()
+
+
+_UNREAD_PARTITION_FLAGS = [
+    (["--regions", "4"], "--regions"),
+    (["--method", "taylor", "--regions", "4"], "--regions"),
+    (["--method", "kmeans", "--regions", "4", "--order", "3"], "--order"),
+    (["--method", "kmeans", "--regions", "4", "--target-error", "0.5"], "--target-error"),
+]
+
+
+@pytest.mark.parametrize("flags, named", _UNREAD_PARTITION_FLAGS,
+                         ids=["regions", "taylor-regions", "kmeans-order", "kmeans-target-error"])
+def test_partition_refuses_flags_its_method_does_not_read(tmp_path, capsys, flags, named):
+    part = tmp_path / "part.json"
+    assert main(["partition", "--plant", "doherty-n3", *flags, "--output", str(part)]) == 2
+    assert named in capsys.readouterr().err
+    assert not part.exists()
 
 
 @pytest.mark.parametrize("method, twin", [("pwcl_selforth", "pwcl_orth"),
@@ -908,12 +949,10 @@ def _scenario_config(tmp_path, broken):
 
 @pytest.mark.parametrize("make_argv", [_plant_file, _doherty_blend_width, _iq_sidecar,
                                        _scenario_config, _partition_file,
-                                       _partition_with(edges=[0, "x", 2]),
-                                       _partition_with(orders=3)],
+                                       _partition_with(edges=[0, "x", 2])],
                          ids=["plant-without-weights", "doherty-blend-width-zero",
                               "sidecar-without-length", "config-as-list",
-                              "partition-without-edges", "partition-edge-string",
-                              "partition-orders-int"])
+                              "partition-without-edges", "partition-edge-string"])
 def test_malformed_input_file_exit_code(tmp_path, make_argv):
     assert main(make_argv(tmp_path, broken=False)) == 0
     assert main(make_argv(tmp_path, broken=True)) == 2

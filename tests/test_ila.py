@@ -63,6 +63,15 @@ def test_ila_validation():
         ila_learn(None, BasisSpec("full_dual_input", 9, 3), block_size=100)
 
 
+@pytest.mark.parametrize("headroom", [0.0, -1.0])
+def test_ila_clip_headroom_must_be_positive(headroom):
+    # a headroom <= 0 clamps every transmitted sample to zero or flips its sign
+    loop = PlantLoop(single_element_plant({(1, 0): 1.0, (3, 0): -0.1}), rms=0.25, seed=9)
+    with pytest.raises(ConfigError, match="clip_headroom"):
+        ila_learn(loop, BasisSpec("memoryless", 5), iterations=1, block_size=2000,
+                  clip_headroom=headroom)
+
+
 def test_ila_model_predistorts_toward_inverse():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     loop = PlantLoop(plant, rms=0.25, seed=6)
@@ -96,8 +105,7 @@ def test_regularized_lstsq_on_array8_deep_region_blocks():
     z = observation_receive(plant, array_forward(plant, a1)[0])  # noise-free
     y = z.samples / estimate_gain(a1, z)
     scale = np.max(np.abs(y)) / part.a_max
-    spec = BasisSpec("full_dual_input", 9, 3, partition=RegionPartition(
-        part.edges * scale, part.orders, part.target_error))
+    spec = BasisSpec("full_dual_input", 9, 3, partition=RegionPartition(part.edges * scale))
     blocks = list(basis_mod.region_blocks(spec, y, chunk=y.size))
     assert [k for k, _, _ in blocks] == [0, 1, 2]
     assert np.linalg.cond(blocks[0][2]) > 1e8

@@ -12,9 +12,15 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwdpd.cli  # noqa: F401  (imports every pwdpd module)
+from pwdpd import complexity
+from pwdpd.basis import BasisSpec
+from pwdpd.dpd import DpdModel
+from pwdpd.partition import RegionPartition
+from pwdpd.signals import IqSignal
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,3 +78,18 @@ def test_counters_read_the_parameters_they_name():
     for layer, index, name in reads:
         params = list(inspect.signature(_layer_function(layer)).parameters)
         assert index < len(params) and params[index] == name, (layer, index, name, params)
+
+
+def test_predistort_counter_runs_on_a_piecewise_model():
+    """_predistort_counts reads model.gamma and model.spec, and _ledger_per_sample
+    the BasisSpec fields of its cache key; run both, so a renamed or dropped
+    attribute fails here rather than in the traced run."""
+    spec = BasisSpec("full_dual_input", 3, 1, partition=RegionPartition([0.0, 0.5, 1.0]))
+    a1 = IqSignal(np.zeros(8, dtype=np.complex128), 1.0)
+    per_sample = tracer._ledger_per_sample(spec)
+    row = complexity.flops("pwcl_self_orth", complexity.params_from_spec(spec, 1, 1, 1, 1))
+    assert per_sample == row["bf_gen"] + row["filt"] > 0
+    assert tracer._predistort_counts((DpdModel.zero(spec), a1), {}) == {"samples": 8}
+    model = DpdModel(np.ones(spec.n_basis_total), spec)
+    assert tracer._predistort_counts((), {"model": model, "a1": a1}) == {
+        "samples": 8, "ledger_samples": 8, "ledger_flops": 8 * per_sample}
