@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRegionError
+from .errors import ConfigError, DegenerateRegionError, is_int
 from .partition import RegionPartition
 from .signals import IqSignal
 
@@ -69,6 +69,11 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown basis family {self.family!r}")
+        for name in ("max_order", "memory_depth", "cross_memory_depth", "orders", "memories"):
+            value = getattr(self, name)
+            values = value if name in ("orders", "memories") else (value,)
+            if not all(map(is_int, values or ())):
+                raise ConfigError(f"basis spec field {name!r} must hold integers, got {value!r}")
         for q in (self.max_order,) + tuple(self.orders or ()):
             if q < 1 or q % 2 == 0:
                 raise ConfigError(f"nonlinearity orders must be odd and >= 1, got {q}")
@@ -138,26 +143,17 @@ def enumerate_bfs(spec: BasisSpec) -> list[BfTerm]:
     memories 3 the surviving set has 116 entries.
     """
     terms: list[BfTerm] = []
-    if spec.family == "memoryless":
+    if spec.family != "full_dual_input":
+        depth = 0 if spec.family == "memoryless" else spec.memory_depth
         for p in range((spec.max_order + 1) // 2):
-            terms.append(BfTerm("aligned", 2 * p + 1, (0,)))
-    elif spec.family == "memory_poly":
-        for p in range((spec.max_order + 1) // 2):
-            for m in range(spec.memory_depth + 1):
+            for m in range(depth + 1):
                 terms.append(BfTerm("aligned", 2 * p + 1, (m,)))
-    elif spec.family == "gmp":
-        for p in range((spec.max_order + 1) // 2):
-            for m in range(spec.memory_depth + 1):
-                terms.append(BfTerm("aligned", 2 * p + 1, (m,)))
-        for p in range(1, (spec.max_order + 1) // 2):
-            for m in range(spec.memory_depth + 1):
-                for c in range(1, spec.cross_memory_depth + 1):
-                    terms.append(BfTerm("cross", 2 * p + 1, (m, m + c)))
-        for p in range(1, (spec.max_order + 1) // 2):
-            for m in range(spec.memory_depth + 1):
-                for c in range(1, spec.cross_memory_depth + 1):
-                    terms.append(BfTerm("cross", 2 * p + 1, (m, m - c)))
-    else:  # full_dual_input
+        for sign in ((1, -1) if spec.family == "gmp" else ()):  # lagging, then leading envelope
+            for p in range(1, (spec.max_order + 1) // 2):
+                for m in range(spec.memory_depth + 1):
+                    for c in range(1, spec.cross_memory_depth + 1):
+                        terms.append(BfTerm("cross", 2 * p + 1, (m, m + sign * c)))
+    else:
         p1, p2, p3 = spec.orders
         m1, _, m3, m4, m5, m6 = spec.memories
         for p in range((p1 + 1) // 2):

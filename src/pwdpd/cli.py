@@ -25,7 +25,7 @@ from .dpd import load_model, save_model, trace_to_csv
 from .errors import ConfigError, DegenerateRegionError, DemodulationError, DivergenceError
 from .metrics import aclr_single_direction
 from .partition import RegionPartition
-from .plant import load_plant, steer
+from .plant import array_forward, load_plant, observation_receive, steer
 from .presets import PLANT_PRESETS, load_plant_preset, preset_params
 from .scenarios import (METHODS, _base_spec, _partitions, _trp_angles, derive_partition,
                         evaluate, run_scenario, train_method)
@@ -127,10 +127,8 @@ def cmd_simulate(args) -> int:
     sig = read_iq(args.input)
     if args.drive_rms is not None:
         sig = sig.scaled_to_rms(args.drive_rms)
-    from .plant import array_forward, observation_receive
-    per_element, combined = array_forward(plant, sig)
     rng = np.random.default_rng(args.seed)
-    z = observation_receive(plant, per_element, args.noise_floor, rng)
+    z = observation_receive(plant, array_forward(plant, sig), args.noise_floor, rng)
     write_iq(Path(args.output), z)
     print(f"wrote {args.output}.iq ({len(z)} samples)")
     bw = params["channel_bw"] if args.channel_bw is None and params else args.channel_bw

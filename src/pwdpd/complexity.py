@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 
 CONFIGS = ("pw_ila", "cl_self_orth", "cl_orth_bfs", "pwcl_self_orth", "pwcl_orth_pruned")
 
@@ -48,7 +48,7 @@ class ComplexityParams:
         for name, value in self.__dict__.items():
             if value is None and name == "n_pw_pruned":
                 continue
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+            if not is_int(value) or value <= 0:
                 raise ConfigError(f"complexity params: {name} must be an integer > 0, "
                                   f"got {value!r}")
         if self.n_pw_pruned is not None and self.n_pw_pruned > self.n_pw:

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, is_number
 from .signals import IqSignal
 
 @dataclass
@@ -270,8 +270,7 @@ def _check_header(header, path: Path) -> None:
         value = header.get(key)
         if not isinstance(value, kind) or (kind is int and (isinstance(value, bool) or value < 0)):
             raise ConfigError(f"{path}: header field {key!r} is missing or not a {kind.__name__}")
-    if len(header["ghat"]) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                           and np.isfinite(v) for v in header["ghat"]):
+    if len(header["ghat"]) != 2 or not all(map(is_number, header["ghat"])):
         raise ConfigError(f"{path}: header field 'ghat' must be [real, imag], both finite")
 
 

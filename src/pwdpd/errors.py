@@ -1,8 +1,11 @@
-"""Exception types shared across the workbench.
+"""Exception types shared across the workbench, and the two value tests its
+file and config readers refuse with.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
 DegenerateRegionError -> 3, DivergenceError -> 4.
 """
+
+import math
 
 
 class ConfigError(ValueError):
@@ -27,3 +30,13 @@ class DivergenceError(RuntimeError):
 
 class DemodulationError(RuntimeError):
     """Received signal could not be demodulated against the expected framing."""
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON true and false read as Python bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite int or float, not a bool; Python's json also reads NaN and +-Infinity."""
+    return is_int(value) or (isinstance(value, float) and math.isfinite(value))

@@ -153,10 +153,8 @@ class AngleSweepResult:
     adjacent_power_high: np.ndarray
 
     def __post_init__(self):
-        self.angles_deg = np.asarray(self.angles_deg, dtype=float)
-        self.inband_power = np.asarray(self.inband_power, dtype=float)
-        self.adjacent_power_low = np.asarray(self.adjacent_power_low, dtype=float)
-        self.adjacent_power_high = np.asarray(self.adjacent_power_high, dtype=float)
+        for name in ("angles_deg", "inband_power", "adjacent_power_low", "adjacent_power_high"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.angles_deg.size
         for arr in (self.inband_power, self.adjacent_power_low, self.adjacent_power_high):
             if arr.size != n:

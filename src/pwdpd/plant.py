@@ -1,9 +1,10 @@
 """Simulated nonlinear active-array transmitter.
 
 The plant models L power-amplifier branches behind phase-only beamforming
-weights, nearest-neighbor antenna coupling (a load-modulation stand-in),
-over-the-air combining toward an aligned receiver, and the phase-aligned
-observation combiner used for learning.
+weights and nearest-neighbor antenna coupling (a load-modulation stand-in).
+observation_receive is the one main-beam combination of the element outputs:
+the phase-aligned sum an over-the-air receiver in the steered direction sees,
+and the observation the learners read.
 
 PA kinds:
 
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int, is_number
 from .signals import IqSignal
 
 # the named coefficient tables and scalar settings of each PA kind, with their
@@ -54,24 +55,25 @@ _TABLE_KEYS = {"table": (2, 1), "main": (2, 1), "aux": (2, 1), "alpha": (2, 1),
                "beta0": (1, None), "beta": (3, 1), "zeta": (3, 3)}
 
 # each scalar setting's test and what it asks for
-_SCALAR_RULES = {"crossover": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-                 "blend_width": (lambda v: 0 < v < math.inf, "a finite number > 0")}
+_SCALAR_RULES = {"crossover": (lambda v: v >= 0, "a finite number >= 0"),
+                 "blend_width": (lambda v: v > 0, "a finite number > 0")}
 
 # |x|/sat above which the limiter's (1 + r^4)^(1/4) is r to double precision
 _LIMIT_FLAT = 2.0 ** 14
 
 
 def _check_table(name: str, table) -> dict:
-    """table with int keys and complex values; ConfigError unless each key has
-    the table's length, an odd order no less than its least, and taps >= 0."""
+    """table with complex values; ConfigError unless each key holds the table's
+    number of ints (bools refused), an odd order no less than its least, and taps >= 0."""
     size, least = _TABLE_KEYS[name]
     if not isinstance(table, dict):
         raise ConfigError(f"coefficient table {name!r} must be a dict, got {table!r}")
     out = {}
     for key, coef in table.items():
-        ints = tuple(map(int, key if isinstance(key, tuple) else (key,)))
+        ints = key if isinstance(key, tuple) else (key,)
         order, taps = (ints[0] if least and ints else 1), ints[1 if least else 0:]
-        if len(ints) != size or order % 2 == 0 or order < (least or 1) or min(taps) < 0:
+        if (len(ints) != size or not all(map(is_int, ints)) or order % 2 == 0
+                or order < (least or 1) or min(taps) < 0):
             form = (f"{size} integers, an odd order >= {least} and then taps >= 0" if least
                     else "a tap >= 0")
             raise ConfigError(f"coefficient table {name!r} keys are {form}, got {key!r}")
@@ -80,9 +82,9 @@ def _check_table(name: str, table) -> dict:
 
 
 def _check_scalar(name: str, value):
-    """value, unless it is not a number passing the setting's _SCALAR_RULES test."""
+    """value, unless it is not a finite number passing the setting's _SCALAR_RULES test."""
     fits, wanted = _SCALAR_RULES[name]
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool) and fits(value)):
+    if not (is_number(value) and fits(value)):
         raise ConfigError(f"PA setting {name!r} must be {wanted}, got {value!r}")
     return value
 
@@ -102,9 +104,10 @@ class PaModel:
     def __post_init__(self):
         if self.kind not in _KIND_FIELDS:
             raise ConfigError(f"unknown PA kind {self.kind!r}")
-        if not self.saturation_level > 0:  # NaN too, which would switch the limiter off
-            raise ConfigError(f"PA setting 'saturation_level' must be > 0 (inf: no limiter), "
-                              f"got {self.saturation_level!r}")
+        sat = self.saturation_level  # NaN would switch the limiter off
+        if not (sat == math.inf or is_number(sat) and sat > 0):
+            raise ConfigError(f"PA setting 'saturation_level' must be a number > 0 "
+                              f"(inf: no limiter), got {sat!r}")
         fields, given = _KIND_FIELDS[self.kind], self.coefficients
         if "table" in fields and "table" not in given:
             given = {"table": given}
@@ -213,7 +216,7 @@ def _doherty(u: np.ndarray, coeffs: dict, sat: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayPlant:
-    """L-element transmit array with coupling and an aligned LOS channel.
+    """L-element transmit array with coupling.
 
     coupling holds per-pair FIR impulse responses (L x L x taps) whose
     diagonal is the identity pulse; off-diagonal entries are scaled by
@@ -225,33 +228,27 @@ class ArrayPlant:
     weights: np.ndarray
     coupling: np.ndarray
     branch_filters: np.ndarray
-    channel: np.ndarray
     coupling_strength: float = 0.0
     steer_angle_deg: float = 0.0
     angle_coupling_slope: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.complex128))
-        object.__setattr__(self, "coupling", np.asarray(self.coupling, dtype=np.complex128))
-        object.__setattr__(self, "branch_filters", np.asarray(self.branch_filters, dtype=np.complex128))
-        object.__setattr__(self, "channel", np.asarray(self.channel, dtype=np.complex128))
+        for name in ("weights", "coupling", "branch_filters"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
         L = len(self.elements)
         if L < 1:
             raise ConfigError("plant needs at least one element")
-        if self.weights.shape != (L,) or self.channel.shape != (L,):
-            raise ConfigError("weights and channel must have one entry per element")
+        if self.weights.shape != (L,):
+            raise ConfigError("weights must have one entry per element")
         if self.coupling.shape[:2] != (L, L):
             raise ConfigError("coupling must be L x L x taps")
         if self.branch_filters.shape[0] != L:
             raise ConfigError("branch_filters must have one row per element")
-        ident = np.zeros(self.coupling.shape[2], dtype=np.complex128)
-        ident[0] = 1.0
-        for i in range(L):
-            if not np.allclose(self.coupling[i, i], ident):
-                raise ConfigError("coupling diagonal must be the identity pulse")
+        if not np.allclose(self.coupling[range(L), range(L)], np.eye(1, self.coupling.shape[2])):
+            raise ConfigError("coupling diagonal must be the identity pulse")
         for name in ("coupling_strength", "steer_angle_deg", "angle_coupling_slope"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise ConfigError(f"plant field {name!r} must be a finite number, "
                                   f"got {getattr(self, name)!r}")
         if self.coupling_strength < 0:
@@ -302,7 +299,6 @@ class ArrayPlant:
             "weights": c2l(self.weights),
             "coupling": {"shape": list(self.coupling.shape), "values": c2l(self.coupling)},
             "branch_filters": {"shape": list(self.branch_filters.shape), "values": c2l(self.branch_filters)},
-            "channel": c2l(self.channel),
             "coupling_strength": self.coupling_strength,
             "steer_angle_deg": self.steer_angle_deg,
             "angle_coupling_slope": self.angle_coupling_slope,
@@ -310,12 +306,13 @@ class ArrayPlant:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArrayPlant":
+        """Inverse of to_dict; a "channel" key that earlier plant files carried is not read."""
         def l2c(pairs, shape=None):
             arr = np.asarray([complex(re, im) for re, im in pairs])
             return arr.reshape(shape) if shape else arr
 
         def sat(level):
-            return math.inf if level is None else float(level)
+            return math.inf if level is None else level
 
         return cls(
             elements=tuple(PaModel(e["kind"], _decode_coefficients(e["coefficients"]),
@@ -323,7 +320,6 @@ class ArrayPlant:
             weights=l2c(d["weights"]),
             coupling=l2c(d["coupling"]["values"], tuple(d["coupling"]["shape"])),
             branch_filters=l2c(d["branch_filters"]["values"], tuple(d["branch_filters"]["shape"])),
-            channel=l2c(d["channel"]),
             coupling_strength=d.get("coupling_strength", 0.0),
             steer_angle_deg=d.get("steer_angle_deg", 0.0),
             angle_coupling_slope=d.get("angle_coupling_slope", 1.0),
@@ -338,9 +334,14 @@ def _encode_coefficients(named: dict) -> dict:
 
 
 def _decode_coefficients(named: dict) -> dict:
-    """Inverse of _encode_coefficients: a one-element key is a beta0 tap."""
-    return {name: {tuple(key) if len(key) > 1 else key[0]: complex(*coef) for key, coef in value}
-            if isinstance(value, list) else value for name, value in named.items()}
+    """Inverse of _encode_coefficients: a one-element key is a beta0 tap; a
+    table that lists a key twice is refused."""
+    out = {name: {tuple(key) if len(key) > 1 else key[0]: complex(*coef) for key, coef in value}
+           if isinstance(value, list) else value for name, value in named.items()}
+    for name, value in named.items():
+        if isinstance(value, list) and len(out[name]) != len(value):
+            raise ConfigError(f"coefficient table {name!r} lists a key twice")
+    return out
 
 
 def save_plant(plant: ArrayPlant, path: str | Path) -> None:
@@ -371,29 +372,20 @@ def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,
             + _lagged_poly(np.conj(f), env2, zeta, v=a * a))
 
 
-def _pa_outputs(plant: ArrayPlant, a1: np.ndarray) -> list[np.ndarray]:
-    """Output wave of each PA branch; the one dispatch on PA kind."""
+def array_forward(plant: ArrayPlant, a1: IqSignal) -> list[IqSignal]:
+    """Output wave of each PA branch, by the one dispatch on PA kind;
+    observation_receive combines them."""
     outs = []
     for i, pa in enumerate(plant.elements):
         if pa.kind == "dual_input_lumped":
-            outs.append(_dual_input_forward(pa, plant, i, a1))
+            outs.append(_dual_input_forward(pa, plant, i, a1.samples))
             continue
-        u = _soft_limit(plant.drive_signal(a1, i), pa.saturation_level)
+        u = _soft_limit(plant.drive_signal(a1.samples, i), pa.saturation_level)
         if pa.kind == "doherty_like":
             outs.append(_doherty(u, pa.coefficients, pa.saturation_level))
         else:
             outs.append(_poly_memory(u, _power(u), pa.coefficients["table"]))
-    return outs
-
-
-def array_forward(plant: ArrayPlant, a1: IqSignal) -> tuple[list[IqSignal], IqSignal]:
-    """All PA outputs plus the OTA-combined signal sum_i h_i b_i."""
-    outs = _pa_outputs(plant, a1.samples)
-    per_element = [a1.with_samples(b) for b in outs]
-    combined = np.zeros(len(a1), dtype=np.complex128)
-    for i, sig in enumerate(per_element):
-        combined += plant.channel[i] * sig.samples
-    return per_element, a1.with_samples(combined)
+    return [a1.with_samples(b) for b in outs]
 
 
 def observation_receive(plant: ArrayPlant, per_element: list[IqSignal],
@@ -401,6 +393,7 @@ def observation_receive(plant: ArrayPlant, per_element: list[IqSignal],
                         rng: np.random.Generator | None = None) -> IqSignal:
     """Phase-aligned combining of the PA outputs, optionally with receiver noise.
 
+    This is the main beam, as a receiver in the steered direction sees it.
     Noise is circular Gaussian at noise_floor_dbc relative to the combined
     signal power.
     """
@@ -418,11 +411,10 @@ def observation_receive(plant: ArrayPlant, per_element: list[IqSignal],
 
 
 def steer(plant: ArrayPlant, angle_deg: float) -> ArrayPlant:
-    """Re-point the array: phase-only weights for a half-wavelength ULA, with
-    the LOS channel re-aligned so the main beam tracks the receiver."""
+    """Re-point the array: phase-only weights for a half-wavelength ULA, so the
+    main beam (observation_receive) points at angle_deg."""
     if not abs(angle_deg) <= 90:
         raise ConfigError(f"steering angle must satisfy |angle| <= 90 degrees, got {angle_deg!r}")
     idx = np.arange(plant.n_elements)
     weights = np.exp(-1j * np.pi * idx * math.sin(math.radians(angle_deg)))
-    channel = np.conj(weights)
-    return replace(plant, weights=weights, channel=channel, steer_angle_deg=angle_deg)
+    return replace(plant, weights=weights, steer_angle_deg=angle_deg)

@@ -25,7 +25,7 @@ from .basis import BasisSpec
 from .basis import descriptors_json as basis_descriptors_json
 from .dpd import (DpdModel, LearnConfig, estimate_gain, learn, predistort, save_model,
                   trace_to_csv)
-from .errors import ConfigError
+from .errors import ConfigError, is_int, is_number
 from .ila import ila_learn
 from .metrics import (aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd)
 from .partition import RegionPartition, fit_amam, kmeans_partition, partition_regions
@@ -99,9 +99,8 @@ class SimulatedLoop:
         return self.make_block(n, self.seed + self._counter)
 
     def transmit(self, x: IqSignal) -> IqSignal:
-        per_element, _ = array_forward(self.plant, x)
-        return observation_receive(self.plant, per_element, self.preset["noise_floor_dbc"],
-                                   self._noise_rng)
+        return observation_receive(self.plant, array_forward(self.plant, x),
+                                   self.preset["noise_floor_dbc"], self._noise_rng)
 
 
 def ramp_probe(amax: float, sample_rate: float) -> IqSignal:
@@ -136,8 +135,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "
     amax = float(env.max())
     if method == "taylor":
         probe = ramp_probe(amax, a1.sample_rate)
-        per_element, _ = array_forward(plant, probe)
-        zp = observation_receive(plant, per_element)
+        zp = observation_receive(plant, array_forward(plant, probe))
         ghat = estimate_gain(probe, zp)
         model = fit_amam(probe, zp.with_samples(zp.samples / ghat), FIT_ORDER)
         part = partition_regions(model, model.a_max, order, target_error)
@@ -145,7 +143,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "
     elif method == "kmeans":
         if n_regions is None:
             raise ConfigError("kmeans partitioning needs n_regions")
-        z = observation_receive(plant, array_forward(plant, a1)[0])
+        z = observation_receive(plant, array_forward(plant, a1))
         ghat = estimate_gain(a1, z)
         part = kmeans_partition(a1, n_regions)
         fit_residual = 0.0
@@ -178,7 +176,7 @@ def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
     """Fresh-data evaluation of one DPD model (or the no-DPD reference)."""
     a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
     x = predistort(model, a1) if model is not None else a1
-    per_element, _ = array_forward(plant, x)
+    per_element = array_forward(plant, x)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
     z = observation_receive(plant, per_element, noise_floor_dbc, rng)
     ghat = estimate_gain(a1, z)
@@ -274,8 +272,8 @@ def _partitions(plant: ArrayPlant, preset: dict, config: dict, seed: int, kinds)
 
 def _trp_angles(trp) -> np.ndarray | None:
     """Angle grid of an "eval" section's trp_angles: an object of start, stop
-    and step in degrees (stop included), true for -50..50 in 2-degree steps,
-    or null/false for no TRP sweep."""
+    and step in degrees (stop included, both within [-90, 90]), true for
+    -50..50 in 2-degree steps, or null/false for no TRP sweep."""
     if trp is True:
         trp = {"start": -50.0, "stop": 50.0, "step": 2.0}
     if trp is None or trp is False:
@@ -284,13 +282,13 @@ def _trp_angles(trp) -> np.ndarray | None:
         raise ConfigError(f"eval.trp_angles must be true, false, null or an object with "
                           f"start, stop and step; got {trp!r}")
     for field, value in trp.items():
-        if not _is_number(value):
+        if not is_number(value):
             raise ConfigError(f"eval.trp_angles {field!r} must be a finite number, got {value!r}")
     if not trp["step"] > 0:
         raise ConfigError(f"eval.trp_angles step must be positive, got {trp['step']!r}")
-    if trp["stop"] < trp["start"]:
-        raise ConfigError(f"eval.trp_angles 'stop' ({trp['stop']!r}) must not be below "
-                          f"'start' ({trp['start']!r})")
+    if not -90 <= trp["start"] <= trp["stop"] <= 90:  # beyond +-90, sin repeats an angle
+        raise ConfigError(f"eval.trp_angles needs -90 <= 'start' <= 'stop' <= 90 degrees, as "
+                          f"steering angles do; got {trp['start']!r} and {trp['stop']!r}")
     return np.arange(trp["start"], trp["stop"] + 1e-9, trp["step"])
 
 
@@ -506,32 +504,26 @@ SHARED = {"kind": None, "schema_version": 1, "preset": "array8-deep", "seed": 1,
           "coupling_strength": None}
 
 
-def _is_number(value) -> bool:
-    """A finite int or float; Python's json also reads NaN and +-Infinity."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
-
-
 # (test, description) of the values a config key takes, by the type of the
 # default they replace (bool first, since a bool is an int); a None default
 # is a stage that null turns off. An array's elements must pass the rule of
 # the default's first element
 _VALUE_TYPES = (
     (bool, (lambda v: isinstance(v, bool), "true or false")),
-    (int, (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")),
-    (float, (_is_number, "a finite number")),
+    (int, (is_int, "an integer")),
+    (float, (is_number, "a finite number")),
     (str, (lambda v: isinstance(v, str), "a string")),
     (dict, (lambda v: isinstance(v, dict), "an object")),
     ((list, tuple), (lambda v: isinstance(v, list), "an array")),
-    (type(None), (lambda v: v is None or _is_number(v), "a finite number or null")),
+    (type(None), (lambda v: v is None or is_number(v), "a finite number or null")),
 )
 
 # the same by key name, for the keys whose default does not give their type;
 # these win over _VALUE_TYPES (_trp_angles checks the object's fields)
 _KEY_TYPES = {
     "kind": (lambda v: isinstance(v, str), "a string"),
-    "drive_rms": (lambda v: _is_number(v) and v > 0, "a positive finite number"),
-    "coupling_strength": (_is_number, "a finite number"),
+    "drive_rms": (lambda v: is_number(v) and v > 0, "a positive finite number"),
+    "coupling_strength": (is_number, "a finite number"),
     "params": (lambda v: isinstance(v, (str, dict)), "\"reference\" or an object"),
     "trp_angles": (lambda v: v is None or isinstance(v, (bool, dict)),
                    "true, false, null or an object"),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int, is_number
 
 
 @dataclass
@@ -57,6 +57,12 @@ class IqSignal:
         return IqSignal(samples, self.sample_rate, self.seed)
 
 
+# each sidecar field's test and what it asks for; a missing seed reads as null
+_SIDECAR_FIELDS = {"length": (lambda v: is_int(v) and v >= 0, "an int >= 0"),
+                   "sample_rate": (is_number, "a finite number"),
+                   "seed": (lambda v: v is None or is_int(v), "an int or null")}
+
+
 def write_iq(stem: str | Path, sig: IqSignal) -> tuple[Path, Path]:
     """Write signal to <stem>.iq (+ JSON sidecar); returns both paths."""
     stem = Path(stem)
@@ -82,10 +88,13 @@ def read_iq(stem: str | Path) -> IqSignal:
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"missing IQ file or sidecar for {path}")
     meta = json.loads(meta_path.read_text())
-    try:
-        length, sample_rate = int(meta["length"]), float(meta["sample_rate"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed IQ sidecar {meta_path}: {exc!r}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"IQ sidecar {meta_path} does not hold a JSON object")
+    for name, (fits, wanted) in _SIDECAR_FIELDS.items():
+        if not fits(meta.get(name)):
+            raise ConfigError(f"IQ sidecar {meta_path}: field {name!r} must be {wanted}, "
+                              f"got {meta.get(name)!r}")
+    length, sample_rate = meta["length"], float(meta["sample_rate"])
     n_bytes = path.stat().st_size
     if n_bytes != 16 * length:  # fromfile would drop a trailing partial sample
         raise ConfigError(f"IQ payload of {n_bytes} bytes does not hold the sidecar's "

@@ -16,8 +16,7 @@ def identity_coupling(n, taps=1):
 def single_element_plant(table, kind="memoryless_poly", sat=np.inf, coupling_strength=0.0):
     pa = PaModel(kind, table, saturation_level=sat)
     return ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
-                      np.ones((1, 1), dtype=complex), np.ones(1, dtype=complex),
-                      coupling_strength=coupling_strength)
+                      np.ones((1, 1), dtype=complex), coupling_strength=coupling_strength)
 
 
 def random_signal(n, rms=0.5, seed=0, sample_rate=1.0):
@@ -63,8 +62,7 @@ class PlantLoop:
 
     def transmit(self, x):
         from pwdpd.plant import array_forward, observation_receive
-        per, _ = array_forward(self.plant, x)
-        return observation_receive(self.plant, per)
+        return observation_receive(self.plant, array_forward(self.plant, x))
 
 
 @pytest.fixture

@@ -171,6 +171,20 @@ def _dense_whitener(header, payload):
     return payload + bytes(16 * 9)
 
 
+def _spec_with(key, value):
+    """The spec's key set to value; the error must name the key."""
+    def corrupt(header, payload):
+        header["spec"][key] = value
+        return payload
+    corrupt.names = repr(key)
+    return corrupt
+
+
+_SPEC_NOT_INT = [("max_order", 5.0), ("max_order", True), ("memory_depth", 1.5),
+                 ("cross_memory_depth", "1"), ("orders", [5, 5.0, 5]),
+                 ("memories", [0, 0, 0, 0, 0, True])]
+
+
 def _n_off_spec(header, payload):
     """n_coefficients and payload size agree with each other but not with the spec."""
     header["n_coefficients"] = 4
@@ -189,10 +203,12 @@ def _n_off_spec(header, payload):
     _with("spec", {"max_order": 5}),
     _n_off_spec,
     _dense_whitener,
+    *(_spec_with(key, value) for key, value in _SPEC_NOT_INT),
 ], ids=["truncated", "odd-length", "ragged", "trailing",
         *(f"no-{key}" for key in _HEADER_KEYS),
         "n-as-string", "short-ghat", "nan-ghat", "spec-without-family",
-        "n-disagrees-with-spec", "dense-whitener-layout"])
+        "n-disagrees-with-spec", "dense-whitener-layout",
+        *(f"spec-{key}={value!r}" for key, value in _SPEC_NOT_INT)])
 def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
     from pwdpd.dpd import DpdModel, load_model, save_model
 
@@ -205,7 +221,7 @@ def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
     header = json.loads(header_path.read_text())
     payload.write_bytes(corrupt(header, intact))
     header_path.write_text(json.dumps(header))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=getattr(corrupt, "names", None)):
         load_model(tmp_path / "m")
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
 
@@ -557,8 +573,11 @@ def test_ill_typed_kind_without_name_exit_code(tmp_path):
     assert record["error"] == "ConfigError" and "'kind'" in record["message"]
 
 
-@pytest.mark.parametrize("trp", [{"start": -10, "stop": 10}, {"start": -10, "stop": 10, "step": 0}],
-                         ids=["no-step", "zero-step"])
+@pytest.mark.parametrize("trp", [{"start": -10, "stop": 10}, {"start": -10, "stop": 10, "step": 0},
+                                 {"start": -180, "stop": 180, "step": 2},
+                                 {"start": -91, "stop": 0, "step": 1},
+                                 {"start": 0, "stop": 90.5, "step": 0.5}],
+                         ids=["no-step", "zero-step", "full-circle", "below-minus-90", "above-90"])
 def test_malformed_trp_angles_exit_code(tmp_path, trp):
     assert _scenario_exit_code(tmp_path, eval={"trp_angles": trp}) == 2
     assert "trp_angles" in json.loads((tmp_path / "x" / "error.json").read_text())["message"]
@@ -831,19 +850,71 @@ def _set_plant_field(plant, field, value):
 _PLANT_SCALARS = [("saturation_level", math.nan), ("coupling_strength", math.nan),
                   ("coupling_strength", math.inf), ("steer_angle_deg", math.nan),
                   ("steer_angle_deg", -math.inf), ("angle_coupling_slope", math.nan),
-                  ("angle_coupling_slope", math.inf)]
+                  ("angle_coupling_slope", math.inf), ("saturation_level", "1.2"),
+                  ("saturation_level", True), ("coupling_strength", True),
+                  ("steer_angle_deg", "0"), ("angle_coupling_slope", False)]
 
 
 @pytest.mark.parametrize("field, value", _PLANT_SCALARS,
-                         ids=[f"{f}={v}" for f, v in _PLANT_SCALARS])
+                         ids=[f"{f}={v!r}" for f, v in _PLANT_SCALARS])
 def test_plant_file_non_finite_scalar_exit_code(tmp_path, capsys, field, value):
-    """A non-finite plant scalar is refused with exit 2 naming it; a NaN
-    saturation_level would otherwise switch the limiter off."""
+    """A plant scalar that is not a finite JSON number is refused with exit 2
+    naming it; a NaN saturation_level would otherwise switch the limiter off,
+    and a string or bool would be read as a number."""
     write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     plant = load_plant_preset("array8-deep").to_dict()
     _set_plant_field(plant, field, value)
     plant_file = _json_file(tmp_path / "p.json", plant)
     assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z")]) == 2
+    assert repr(field) in capsys.readouterr().err
+    assert not (tmp_path / "z.iq").exists()
+
+
+@pytest.mark.parametrize("row", [[[1, 0], [0.5, 0.0]], [[3.5, 1], [0.1, 0.0]],
+                                 [[True, 0], [0.1, 0.0]]],
+                         ids=["key-twice", "float-order", "bool-order"])
+def test_plant_file_table_key_exit_code(tmp_path, capsys, row):
+    """A coefficient table's keys are JSON integers, each listed once; any
+    other row exits 2 naming the table instead of being rounded or overwritten."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    plant = load_plant_preset("array8-deep").to_dict()
+    plant["elements"][0]["coefficients"]["table"].append(row)
+    plant_file = _json_file(tmp_path / "p.json", plant)
+    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z")]) == 2
+    assert "'table'" in capsys.readouterr().err
+    assert not (tmp_path / "z.iq").exists()
+
+
+def test_plant_file_channel_key_not_read(tmp_path):
+    """A plant file that still holds the channel key earlier files carried
+    loads, and the key does not change what simulate writes."""
+    write_iq(tmp_path / "wave", random_signal(256, rms=0.4, seed=5))
+    plant = steer(load_plant_preset("array8-deep"), 20.0).to_dict()
+    assert "channel" not in plant
+    outputs = []
+    for name, extra in (("without", {}), ("with", {"channel": [[0.3, -0.1]] * 8})):
+        plant_file = _json_file(tmp_path / f"{name}.json", dict(plant, **extra))
+        assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                     "--output", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / f"{name}.iq").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+_SIDECAR_VALUES = [("length", "4096"), ("length", 4096.0), ("length", True),
+                   ("sample_rate", "2e9"), ("sample_rate", True),
+                   ("seed", {"x": 1}), ("seed", 2.5)]
+
+
+@pytest.mark.parametrize("field, value", _SIDECAR_VALUES,
+                         ids=[f"{f}={v!r}" for f, v in _SIDECAR_VALUES])
+def test_iq_sidecar_field_type_exit_code(tmp_path, capsys, field, value):
+    """length is an int >= 0, sample_rate a finite number and seed an int or
+    null; a string, bool or float in their place exits 2 naming the field."""
+    _, sidecar = write_iq(tmp_path / "wave", random_signal(4096, rms=0.3, seed=3, sample_rate=2e9))
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{field: value})))
+    assert main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
                  "--output", str(tmp_path / "z")]) == 2
     assert repr(field) in capsys.readouterr().err
     assert not (tmp_path / "z.iq").exists()

@@ -138,7 +138,7 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
             return blk
 
         def transmit(self, x):
-            per, _ = array_forward(cubic_plant, x)
+            per = array_forward(cubic_plant, x)
             return observation_receive(cubic_plant, per)
 
     for spec in (BasisSpec("memoryless", 5),

@@ -79,7 +79,7 @@ def test_ila_model_predistorts_toward_inverse():
     probe = random_signal(4000, rms=0.25, seed=7)
     x = predistort(model, probe)
     from pwdpd.plant import array_forward, observation_receive
-    per, _ = array_forward(plant, x)
+    per = array_forward(plant, x)
     z = observation_receive(plant, per)
     from pwdpd.dpd import estimate_gain, error_signal
     g = estimate_gain(probe, z)
@@ -102,7 +102,7 @@ def test_regularized_lstsq_on_array8_deep_region_blocks():
     part, _ = derive_partition(plant, params, seed=7017)
     loop = SimulatedLoop(plant, params, seed=701)
     a1 = loop.next_block(20000)
-    z = observation_receive(plant, array_forward(plant, a1)[0])  # noise-free
+    z = observation_receive(plant, array_forward(plant, a1))  # noise-free
     y = z.samples / estimate_gain(a1, z)
     scale = np.max(np.abs(y)) / part.a_max
     spec = BasisSpec("full_dual_input", 9, 3, partition=RegionPartition(part.edges * scale))

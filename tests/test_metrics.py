@@ -141,7 +141,7 @@ def test_aclr_trp_cases():
 def _linear_array(n):
     pa = PaModel("memoryless_poly", {(1, 0): 1.0})
     return ArrayPlant((pa,) * n, np.ones(n, dtype=complex), identity_coupling(n),
-                      np.ones((n, 1), dtype=complex), np.ones(n, dtype=complex))
+                      np.ones((n, 1), dtype=complex))
 
 
 def band_limited_signal(n=1 << 15, fs=10.0, seed=11):
@@ -155,7 +155,7 @@ def band_limited_signal(n=1 << 15, fs=10.0, seed=11):
 
 def test_beam_pattern_single_element_flat():
     sig = band_limited_signal()
-    per_element, _ = array_forward(_linear_array(1), sig)
+    per_element = array_forward(_linear_array(1), sig)
     sweep = beam_pattern(per_element, np.arange(-60, 61, 10), 2.0)
     assert np.max(sweep.inband_power) / np.min(sweep.inband_power) == pytest.approx(1.0, rel=1e-9)
 
@@ -164,7 +164,7 @@ def test_beam_pattern_matches_array_factor():
     n = 8
     sig = band_limited_signal()
     angles = np.array([-40.0, -20.0, -10.0, 0.0, 10.0, 20.0, 40.0])
-    per_element, _ = array_forward(_linear_array(n), sig)
+    per_element = array_forward(_linear_array(n), sig)
     sweep = beam_pattern(per_element, angles, 2.0)
     idx = np.arange(n)
     af = np.array([np.abs(np.sum(np.exp(1j * np.pi * idx * math.sin(math.radians(a))))) ** 2
@@ -180,7 +180,7 @@ def test_one_point_sweep_equals_single_direction():
     plant = _linear_array(n)
     sig = band_limited_signal(seed=12)
     angle = 15.0
-    per_element, _ = array_forward(plant, sig)
+    per_element = array_forward(plant, sig)
     sweep = beam_pattern(per_element, [angle], 2.0)
     outputs = np.stack([s.samples for s in per_element])
     af = np.exp(1j * np.pi * np.arange(n) * math.sin(math.radians(angle)))

@@ -63,7 +63,7 @@ def test_fit_amam_linear():
 def test_fit_amam_known_plant_recovery():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     sig = random_signal(40000, rms=0.5, seed=7)
-    per, _ = array_forward(plant, sig)
+    per = array_forward(plant, sig)
     z = observation_receive(plant, per)
     model = fit_amam(sig, z, fit_order=5)
     coeffs = model.coefficients
@@ -74,7 +74,7 @@ def test_fit_amam_known_plant_recovery():
 def test_fit_amam_noise_robustness():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     sig = random_signal(60000, rms=0.5, seed=17)
-    per, _ = array_forward(plant, sig)
+    per = array_forward(plant, sig)
     clean = observation_receive(plant, per)
     ref = fit_amam(sig, clean, fit_order=3).coefficients
     rng = np.random.default_rng(23)
@@ -139,7 +139,7 @@ def test_partition_doherty_width_ordering():
     from pwdpd.dpd import estimate_gain
     plant = load_plant_preset("doherty-n3")
     probe = ramp_probe(1.1, 1.0)
-    per, _ = array_forward(plant, probe)
+    per = array_forward(plant, probe)
     z = observation_receive(plant, per)
     g = estimate_gain(probe, z)
     model = fit_amam(probe, z.with_samples(z.samples / g), fit_order=9)

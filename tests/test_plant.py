@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pwdpd.errors import ConfigError
+from pwdpd.metrics import beam_pattern
 from pwdpd.plant import (ArrayPlant, PaModel, _soft_limit, array_forward, load_plant,
                          observation_receive, save_plant, steer)
 from pwdpd.signals import IqSignal
@@ -16,22 +17,22 @@ from conftest import identity_coupling, random_signal, single_element_plant
 def test_linear_pa_exact():
     plant = single_element_plant({(1, 0): 2.5 - 0.5j})
     plant = ArrayPlant(plant.elements, np.array([np.exp(0.7j)]), plant.coupling,
-                       plant.branch_filters, plant.channel)
+                       plant.branch_filters)
     sig = random_signal(256, seed=1)
-    out = array_forward(plant, sig)[0][0]
+    out = array_forward(plant, sig)[0]
     np.testing.assert_allclose(out.samples, (2.5 - 0.5j) * np.exp(0.7j) * sig.samples, rtol=1e-14)
 
 
 def test_memoryless_hand_value():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     sig = IqSignal(np.array([0.5], dtype=complex), 1.0)
-    out = array_forward(plant, sig)[0][0]
+    out = array_forward(plant, sig)[0]
     assert out.samples[0] == pytest.approx(0.5 - 0.1 * 0.5 * 0.25, abs=1e-15)
 
 
 def test_memory_tap_hand_convolution():
     plant = single_element_plant({(1, 0): 1.0, (1, 1): 0.2}, kind="memory_poly")
-    out = array_forward(plant, IqSignal(np.array([1.0, 1.0], dtype=complex), 1.0))[0][0]
+    out = array_forward(plant, IqSignal(np.array([1.0, 1.0], dtype=complex), 1.0))[0]
     np.testing.assert_allclose(out.samples, [1.0, 1.2], rtol=1e-14)
 
 
@@ -80,10 +81,10 @@ def test_dual_input_against_scalar_oracle():
     branch = np.zeros((2, 2), dtype=complex)
     branch[:, 0] = 1.0
     branch[:, 1] = 0.1
-    plant = ArrayPlant((pa, pa), w, coupling, branch, np.conj(w), coupling_strength=0.5)
+    plant = ArrayPlant((pa, pa), w, coupling, branch, coupling_strength=0.5)
     sig = random_signal(64, rms=0.4, seed=5)
     for element in (0, 1):
-        got = array_forward(plant, sig)[0][element]
+        got = array_forward(plant, sig)[element]
         f = plant.branch_response(element)
         expected = _oracle_dual_input(pa, w[element], f, sig.samples)
         np.testing.assert_allclose(got.samples, expected, rtol=1e-10, atol=1e-14)
@@ -104,10 +105,10 @@ def test_dual_input_constant_envelope_terms_against_scalar_oracle():
     coupling[1, 0, 1] = 0.25 - 0.1j
     branch = np.ones((2, 2), dtype=complex)
     branch[:, 1] = 0.15j
-    plant = ArrayPlant((pa, pa), w, coupling, branch, np.conj(w), coupling_strength=0.4)
+    plant = ArrayPlant((pa, pa), w, coupling, branch, coupling_strength=0.4)
     sig = random_signal(48, rms=0.5, seed=23)
     a = _soft_limit(sig.samples, 1.3)
-    per, _ = array_forward(plant, sig)
+    per = array_forward(plant, sig)
     for element in (0, 1):
         expected = _oracle_dual_input(pa, w[element], plant.branch_response(element), a)
         np.testing.assert_allclose(per[element].samples, expected, rtol=1e-10, atol=1e-14)
@@ -121,6 +122,9 @@ _BAD_DUAL_TABLES = {
     "short-beta-key": {"beta": {(3, 0): 0.1}},
     "unknown-table": {"gamma": {(1, 0): 0.1}},
     "table-not-a-dict": {"beta0": [0.1]},
+    "float-order-key": {"alpha": {(1, 0): 1.0, (3.5, 1): 0.1}},
+    "bool-order-key": {"beta": {(True, 0, 0): 0.1}},
+    "float-tap-key": {"beta0": {1.0: 0.1}},
 }
 
 
@@ -131,63 +135,77 @@ def test_dual_input_table_validation(tables):
 
 
 def test_array_forward_coherent_combining():
+    """The main-beam observation adds the element outputs in phase."""
     n = 4
     pa = PaModel("memoryless_poly", {(1, 0): 3.0 + 0j})
     w = np.exp(1j * np.array([0.1, -0.5, 1.2, 2.0]))
-    plant = ArrayPlant((pa,) * n, w, identity_coupling(n), np.ones((n, 1), dtype=complex),
-                       np.conj(w))
+    plant = ArrayPlant((pa,) * n, w, identity_coupling(n), np.ones((n, 1), dtype=complex))
     sig = random_signal(128, seed=2)
-    _, combined = array_forward(plant, sig)
-    np.testing.assert_allclose(combined.samples, n * 3.0 * sig.samples, rtol=1e-12)
+    z = observation_receive(plant, array_forward(plant, sig))
+    np.testing.assert_allclose(z.samples, n * 3.0 * sig.samples, rtol=1e-12)
 
 
 def test_array_forward_zero_gain_element():
     live = PaModel("memoryless_poly", {(1, 0): 1.0, (3, 0): -0.1})
     dead = PaModel("memoryless_poly", {(1, 0): 0.0})
     plant = ArrayPlant((live, dead), np.ones(2, dtype=complex), identity_coupling(2),
-                       np.ones((2, 1), dtype=complex), np.ones(2, dtype=complex))
+                       np.ones((2, 1), dtype=complex))
     sig = random_signal(64, seed=3)
-    per, combined = array_forward(plant, sig)
-    np.testing.assert_allclose(combined.samples, per[0].samples, atol=1e-15)
+    per = array_forward(plant, sig)
+    assert not np.any(per[1].samples)
+    z = observation_receive(plant, per)
+    np.testing.assert_allclose(z.samples, per[0].samples, atol=1e-15)
 
 
 def test_array_forward_third_order_symbolic():
+    # non-unit gains h weight the element outputs, so the sum is formed here
     alphas = [-0.1 + 0.02j, -0.15 - 0.01j]
     pas = tuple(PaModel("memoryless_poly", {(1, 0): 1.0, (3, 0): a}) for a in alphas)
     w = np.exp(1j * np.array([0.3, -1.1]))
     h = np.conj(w) * np.array([0.9, 1.2])
-    plant = ArrayPlant(pas, w, identity_coupling(2), np.ones((2, 1), dtype=complex), h)
+    plant = ArrayPlant(pas, w, identity_coupling(2), np.ones((2, 1), dtype=complex))
     sig = random_signal(64, seed=4)
-    _, combined = array_forward(plant, sig)
+    combined = sum(h_i * b.samples for h_i, b in zip(h, array_forward(plant, sig)))
     a = sig.samples
     expected = sum(h[i] * (w[i] * a + alphas[i] * w[i] * abs(w[i]) ** 2 * a * np.abs(a) ** 2)
                    for i in range(2))
-    np.testing.assert_allclose(combined.samples, expected, rtol=1e-12)
+    np.testing.assert_allclose(combined, expected, rtol=1e-12)
 
 
-def test_observation_trivial_and_los_equivalence():
+def test_observation_trivial_and_beam_pattern_equivalence():
     pa = PaModel("memoryless_poly", {(1, 0): 1.0, (3, 0): -0.2})
-    w = np.ones(3, dtype=complex)
-    plant = ArrayPlant((pa,) * 3, w, identity_coupling(3), np.ones((3, 1), dtype=complex),
-                       np.conj(w))
+    plant = ArrayPlant((pa,) * 3, np.ones(3, dtype=complex), identity_coupling(3),
+                       np.ones((3, 1), dtype=complex))
     sig = random_signal(200, seed=6)
-    per, combined = array_forward(plant, sig)
+    per = array_forward(plant, sig)
     z = observation_receive(plant, per)
     np.testing.assert_allclose(z.samples, sum(p.samples for p in per), atol=1e-15)
 
-    # pure LOS with unit |h|: the aligned sum equals the OTA combination
-    steered = steer(plant, 25.0)
-    per2, combined2 = array_forward(steered, sig)
-    z2 = observation_receive(steered, per2)
-    np.testing.assert_allclose(z2.samples, combined2.samples, rtol=1e-12)
+    # the two main-beam combiners agree: beam_pattern at the steering angle and
+    # a one-angle sweep of the noise-free observation (one element at 0 degrees)
+    n, angle, channel_bw = 8, 25.0, 0.2
+    rng = np.random.default_rng(24)
+    coupling = identity_coupling(n, taps=2)
+    off = ~np.eye(n, dtype=bool)
+    coupling[off] = 0.05 * (rng.standard_normal((n * (n - 1), 2))
+                            + 1j * rng.standard_normal((n * (n - 1), 2)))
+    pas = tuple(PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.2 + 0.03j * i, (3, 1): 0.02})
+                for i in range(n))
+    steered = steer(ArrayPlant(pas, np.ones(n, dtype=complex), coupling,
+                               np.ones((n, 1), dtype=complex), coupling_strength=0.3), angle)
+    per = array_forward(steered, random_signal(16384, rms=0.5, seed=25))
+    beam = beam_pattern(per, [angle], channel_bw)
+    main = beam_pattern([observation_receive(steered, per)], [0.0], channel_bw)
+    for field in ("inband_power", "adjacent_power_low", "adjacent_power_high"):
+        np.testing.assert_allclose(getattr(beam, field), getattr(main, field), rtol=1e-9)
 
 
 def test_observation_noise_floor_level():
     pa = PaModel("memoryless_poly", {(1, 0): 1.0})
     plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
-                       np.ones((1, 1), dtype=complex), np.ones(1, dtype=complex))
+                       np.ones((1, 1), dtype=complex))
     sig = random_signal(200000, seed=9)
-    per, _ = array_forward(plant, sig)
+    per = array_forward(plant, sig)
     clean = observation_receive(plant, per)
     noisy = observation_receive(plant, per, noise_floor_dbc=-54.0,
                                 rng=np.random.default_rng(12))
@@ -198,7 +216,7 @@ def test_observation_noise_floor_level():
 def test_steer_geometry():
     pa = PaModel("memoryless_poly", {(1, 0): 1.0})
     plant = ArrayPlant((pa,) * 4, np.ones(4, dtype=complex), identity_coupling(4),
-                       np.ones((4, 1), dtype=complex), np.ones(4, dtype=complex))
+                       np.ones((4, 1), dtype=complex))
     flat = steer(plant, 0.0)
     np.testing.assert_allclose(flat.weights, np.ones(4))
     plus = steer(plant, 30.0)
@@ -213,35 +231,36 @@ def test_steer_geometry():
 def test_zero_coupling_angle_invariance():
     pa = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.2 + 0.05j, (3, 1): 0.02})
     plant = ArrayPlant((pa,) * 4, np.ones(4, dtype=complex), identity_coupling(4),
-                       np.ones((4, 1), dtype=complex), np.ones(4, dtype=complex),
-                       coupling_strength=0.0)
+                       np.ones((4, 1), dtype=complex), coupling_strength=0.0)
     sig = random_signal(256, seed=10)
-    _, ref = array_forward(steer(plant, 0.0), sig)
+
+    def main_beam(angle):
+        steered = steer(plant, angle)
+        return observation_receive(steered, array_forward(steered, sig)).samples
+
+    ref = main_beam(0.0)
     for angle in (15.0, -40.0, 60.0):
-        _, out = array_forward(steer(plant, angle), sig)
-        np.testing.assert_allclose(out.samples, ref.samples, rtol=1e-12)
+        np.testing.assert_allclose(main_beam(angle), ref, rtol=1e-12)
 
 
 def test_linearity_superposition():
     pa = PaModel("memory_poly", {(1, 0): 1.0, (1, 1): 0.3 - 0.2j})
     plant = ArrayPlant((pa,) * 3, np.exp(1j * np.arange(3)), identity_coupling(3),
-                       np.ones((3, 1), dtype=complex), np.ones(3, dtype=complex))
+                       np.ones((3, 1), dtype=complex))
     x = random_signal(300, seed=11)
     y = random_signal(300, seed=12)
-    _, fx = array_forward(plant, x)
-    _, fy = array_forward(plant, y)
     both = x.with_samples(x.samples + y.samples)
-    _, fxy = array_forward(plant, both)
-    np.testing.assert_allclose(fxy.samples, fx.samples + fy.samples, rtol=1e-12, atol=1e-14)
+    for fx, fy, fxy in zip(*(array_forward(plant, s) for s in (x, y, both))):
+        np.testing.assert_allclose(fxy.samples, fx.samples + fy.samples, rtol=1e-12, atol=1e-14)
 
 
 def test_saturation_bounds_output():
     pa = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.3, (3, 1): 0.05j},
                  saturation_level=0.8)
     plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
-                       np.ones((1, 1), dtype=complex), np.ones(1, dtype=complex))
+                       np.ones((1, 1), dtype=complex))
     huge = random_signal(500, rms=50.0, seed=13)
-    out = array_forward(plant, huge)[0][0]
+    out = array_forward(plant, huge)[0]
     ceiling = pa.output_ceiling()
     assert np.max(np.abs(out.samples)) <= ceiling + 1e-12
     with pytest.raises(ConfigError):
@@ -279,7 +298,7 @@ def _dual_input_plant():
     coupling = identity_coupling(2, taps=2)
     coupling[0, 1, 1] = 0.3
     w = np.exp(0.4j) * np.ones(2)
-    return ArrayPlant((pa, pa), w, coupling, np.ones((2, 1), dtype=complex), np.conj(w),
+    return ArrayPlant((pa, pa), w, coupling, np.ones((2, 1), dtype=complex),
                       coupling_strength=0.5)
 
 
@@ -306,10 +325,9 @@ def test_plant_json_roundtrip(tmp_path):
         assert back.coupling_strength == plant.coupling_strength
         np.testing.assert_array_equal(back.weights, plant.weights)
         np.testing.assert_array_equal(back.coupling, plant.coupling)
-        _, a = array_forward(plant, sig)
-        _, b = array_forward(back, sig)
         # a dual-input table read back is in sorted order, so its terms sum in another order
-        np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12)
+        for a, b in zip(array_forward(plant, sig), array_forward(back, sig)):
+            np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12)
 
 
 def test_coupled_drive_against_per_pair_oracle():
@@ -325,7 +343,7 @@ def test_coupled_drive_against_per_pair_oracle():
     branch = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     pa = PaModel("memoryless_poly", {(1, 0): 1.0})
     plant = steer(ArrayPlant((pa,) * n, np.ones(n, dtype=complex), coupling, branch,
-                             np.ones(n, dtype=complex), coupling_strength=0.3), 25.0)
+                             coupling_strength=0.3), 25.0)
     a1 = random_signal(256, seed=16).samples
     w, scale = plant.weights, 0.3 * plant.angle_factor
     for i in range(n):
@@ -423,11 +441,11 @@ def test_simple_kinds_against_convolve_pow_oracle(kind, coupling_strength, sat):
     table = _MEMORY_TABLE if kind == "memory_poly" else _DOHERTY
     pas = tuple(PaModel(kind, table, saturation_level=sat) for _ in range(n))
     plant = steer(ArrayPlant(pas, np.ones(n, dtype=complex), coupling, branch,
-                             np.ones(n, dtype=complex), coupling_strength=coupling_strength), 20.0)
+                             coupling_strength=coupling_strength), 20.0)
     sig = random_signal(3000, rms=0.6, seed=22)
-    per, combined = array_forward(plant, sig)
+    per = array_forward(plant, sig)
     expected = _oracle_simple_forward(plant, sig.samples)
     for got, want in zip(per, expected):
         np.testing.assert_allclose(got.samples, want, rtol=1e-12)
-    np.testing.assert_allclose(combined.samples, sum(h * b for h, b in zip(plant.channel, expected)),
-                               rtol=1e-12)
+    main_beam = sum(np.conj(w) * b for w, b in zip(plant.weights, expected))
+    np.testing.assert_allclose(observation_receive(plant, per).samples, main_beam, rtol=1e-12)
