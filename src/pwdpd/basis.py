@@ -7,12 +7,14 @@ Each basis function is one of three shapes over the complex baseband signal x:
   conj     x*(n-mc) x(n-mq)^2 |x(n-mq)|^(q-3)       lags=(mc, mq), mc != mq
 
 with q the odd nonlinearity order. Families enumerate deterministic ordered
-subsets of these; the aligned order-1 lag-0 term (x itself) is always index 0,
-which the learners rely on. Piecewise specs replicate the set per region and
-zero every row outside the region owning that sample's envelope, so the Gram
-matrix is exactly block-diagonal by region. That masked matrix is never
-formed: region_blocks yields each region's rows chunk by chunk, and the Gram,
-filter and correlation passes accumulate over those blocks.
+subsets of these up to one max_order and over the lags 0..memory_depth (gmp
+also shifts its envelope by up to cross_memory_depth); the aligned order-1
+lag-0 term (x itself) is always index 0, which the learners rely on.
+Piecewise specs replicate the set per region and zero every row outside the
+region owning that sample's envelope, so the Gram matrix is exactly
+block-diagonal by region. That masked matrix is never formed: region_blocks
+yields each region's rows chunk by chunk, and the Gram, filter and
+correlation passes accumulate over those blocks.
 """
 
 from __future__ import annotations
@@ -62,30 +64,28 @@ class BasisSpec:
     memory_depth: int = 0
     cross_memory_depth: int = 0
     partition: RegionPartition | None = None
-    # full_dual_input only: per-term-family orders (P1,P2,P3) and memories (M1..M6)
-    orders: tuple[int, int, int] | None = None
-    memories: tuple[int, int, int, int, int, int] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown basis family {self.family!r}")
-        for name in ("max_order", "memory_depth", "cross_memory_depth", "orders", "memories"):
-            value = getattr(self, name)
-            values = value if name in ("orders", "memories") else (value,)
-            if not all(map(is_int, values or ())):
-                raise ConfigError(f"basis spec field {name!r} must hold integers, got {value!r}")
-        for q in (self.max_order,) + tuple(self.orders or ()):
-            if q < 1 or q % 2 == 0:
-                raise ConfigError(f"nonlinearity orders must be odd and >= 1, got {q}")
+        for name in ("max_order", "memory_depth", "cross_memory_depth"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"basis spec field {name!r} must be an integer, "
+                                  f"got {getattr(self, name)!r}")
+        if self.max_order < 1 or self.max_order % 2 == 0:
+            raise ConfigError(f"max_order must be odd and >= 1, got {self.max_order}")
         if self.memory_depth < 0 or self.cross_memory_depth < 0:
             raise ConfigError("memory depths must be non-negative")
-        if self.family == "full_dual_input":
-            if self.orders is None:
-                object.__setattr__(self, "orders", (self.max_order,) * 3)
-            if self.memories is None:
-                object.__setattr__(self, "memories", (self.memory_depth,) * 6)
-            if len(self.orders) != 3 or len(self.memories) != 6:
-                raise ConfigError("full_dual_input needs 3 orders and 6 memory depths")
+
+    # full_dual_input's per-family orders (P1..P3) and memories (M1..M6), all
+    # max_order and memory_depth; None for the other families
+    @property
+    def orders(self) -> tuple[int, ...] | None:
+        return (self.max_order,) * 3 if self.family == "full_dual_input" else None
+
+    @property
+    def memories(self) -> tuple[int, ...] | None:
+        return (self.memory_depth,) * 6 if self.family == "full_dual_input" else None
 
     @property
     def n_regions(self) -> int:
@@ -103,9 +103,6 @@ class BasisSpec:
     def n_instantaneous_single(self) -> int:
         return sum(term.instantaneous for term in enumerate_bfs(self))
 
-    def without_partition(self) -> "BasisSpec":
-        return replace(self, partition=None)
-
     def with_partition(self, partition: RegionPartition | None) -> "BasisSpec":
         return replace(self, partition=partition)
 
@@ -115,60 +112,52 @@ class BasisSpec:
             "max_order": self.max_order,
             "memory_depth": self.memory_depth,
             "cross_memory_depth": self.cross_memory_depth,
-            "orders": list(self.orders) if self.orders else None,
-            "memories": list(self.memories) if self.memories else None,
             "partition": self.partition.to_dict() if self.partition is not None else None,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
+        """Inverse of to_dict. The "orders" and "memories" that earlier headers
+        carried load when null or equal to the derived values, else ConfigError."""
         part = d.get("partition")
-        return cls(
+        spec = cls(
             family=d["family"],
             max_order=d["max_order"],
             memory_depth=d.get("memory_depth", 0),
             cross_memory_depth=d.get("cross_memory_depth", 0),
             partition=RegionPartition.from_dict(part) if part else None,
-            orders=tuple(d["orders"]) if d.get("orders") else None,
-            memories=tuple(d["memories"]) if d.get("memories") else None,
         )
+        for name in ("orders", "memories"):
+            given, derived = d.get(name), getattr(spec, name)
+            want = None if derived is None else list(derived)
+            if given is not None and not (isinstance(given, list) and all(map(is_int, given))
+                                          and given == want):
+                raise ConfigError(f"basis spec field {name!r} is derived as {want}, got {given!r}")
+        return spec
 
 
 def enumerate_bfs(spec: BasisSpec) -> list[BfTerm]:
     """Deterministic ordered basis-function list for one region of the spec.
 
-    The full_dual_input family drops the pure-delay beta^0 terms and the
+    Every family starts with the aligned terms, order by order and tap by tap;
+    gmp adds its lagging-, then leading-envelope cross terms. full_dual_input
+    adds every cross, then every conj, term of order 3..max_order over the
+    lags 0..memory_depth, dropping the pure-delay beta^0 terms and the
     equal-lag cross/conj terms, which coincide with aligned terms once the
-    beam weights are lumped into the coefficients; with all orders 9 and
-    memories 3 the surviving set has 116 entries.
+    beam weights are lumped into the coefficients; at max_order 9 and
+    memory_depth 3 that set has 116 entries.
     """
-    terms: list[BfTerm] = []
-    if spec.family != "full_dual_input":
-        depth = 0 if spec.family == "memoryless" else spec.memory_depth
-        for p in range((spec.max_order + 1) // 2):
-            for m in range(depth + 1):
-                terms.append(BfTerm("aligned", 2 * p + 1, (m,)))
-        for sign in ((1, -1) if spec.family == "gmp" else ()):  # lagging, then leading envelope
-            for p in range(1, (spec.max_order + 1) // 2):
-                for m in range(spec.memory_depth + 1):
-                    for c in range(1, spec.cross_memory_depth + 1):
-                        terms.append(BfTerm("cross", 2 * p + 1, (m, m + sign * c)))
-    else:
-        p1, p2, p3 = spec.orders
-        m1, _, m3, m4, m5, m6 = spec.memories
-        for p in range((p1 + 1) // 2):
-            for m in range(m1 + 1):
-                terms.append(BfTerm("aligned", 2 * p + 1, (m,)))
-        for p in range(1, (p2 + 1) // 2):
-            for ms in range(m3 + 1):
-                for me in range(m4 + 1):
-                    if ms != me:
-                        terms.append(BfTerm("cross", 2 * p + 1, (ms, me)))
-        for p in range(1, (p3 + 1) // 2):
-            for mc in range(m5 + 1):
-                for mq in range(m6 + 1):
-                    if mc != mq:
-                        terms.append(BfTerm("conj", 2 * p + 1, (mc, mq)))
+    taps = range((0 if spec.family == "memoryless" else spec.memory_depth) + 1)
+    terms = [BfTerm("aligned", q, (m,)) for q in range(1, spec.max_order + 1, 2) for m in taps]
+    orders = range(3, spec.max_order + 1, 2)
+    if spec.family == "gmp":
+        for sign in (1, -1):  # lagging, then leading envelope
+            terms += [BfTerm("cross", q, (m, m + sign * c)) for q in orders for m in taps
+                      for c in range(1, spec.cross_memory_depth + 1)]
+    elif spec.family == "full_dual_input":
+        for shape in ("cross", "conj"):
+            terms += [BfTerm(shape, q, (m1, m2)) for q in orders for m1 in taps for m2 in taps
+                      if m1 != m2]
     return terms
 
 
@@ -244,16 +233,14 @@ def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
     return blocks
 
 
-def region_blocks(spec: BasisSpec, x: np.ndarray, start: int = 0, stop: int | None = None,
-                  chunk: int = CHUNK):
-    """Yield (k, rows, psi) per non-empty region of each chunk of x[start:stop].
+def region_blocks(spec: BasisSpec, x: np.ndarray, chunk: int = CHUNK):
+    """Yield (k, rows, psi) per non-empty region of each chunk of x.
 
     This is the one place basis rows are built: one base_matrix call per
     chunk, whose per-region blocks are yielded as they are.
     """
-    stop = x.size if stop is None else stop
-    for lo in range(start, stop, chunk):
-        yield from base_matrix(spec, x, lo, min(chunk, stop - lo))
+    for lo in range(0, x.size, chunk):
+        yield from base_matrix(spec, x, lo, min(chunk, x.size - lo))
 
 
 def block_cholesky(gram: np.ndarray) -> np.ndarray:

@@ -77,7 +77,7 @@ def load_params(source) -> ComplexityParams:
 def params_from_spec(spec, b_cl: int, i_cl: int, b_ila: int, i_ila: int,
                      n_pw_pruned: int | None = None) -> ComplexityParams:
     """Derive the cardinalities from a BasisSpec with a partition."""
-    single = spec.without_partition()
+    single = spec.with_partition(None)
     n_sp = single.n_basis_single
     n_isp = single.n_instantaneous_single
     k = spec.n_regions

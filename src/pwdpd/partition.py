@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_number
 from .signals import IqSignal
 
 # derivative_max's grid points and the cap on K-means iterations
@@ -75,9 +75,8 @@ class RegionPartition:
         if not isinstance(d, dict) or "edges" not in d:
             raise ConfigError("a partition must be a JSON object with an 'edges' list")
         edges = d["edges"]
-        if not (isinstance(edges, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in edges)):
-            raise ConfigError(f"partition field 'edges' must be a list of numbers, got {edges!r}")
+        if not (isinstance(edges, list) and all(map(is_number, edges))):
+            raise ConfigError(f"partition field 'edges' must be a list of finite numbers, got {edges!r}")
         return cls(np.asarray(edges, dtype=float))
 
     def save(self, path: str | Path) -> None:

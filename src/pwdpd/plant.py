@@ -15,9 +15,10 @@ PA kinds:
   dual_input_lumped four-term dual-wave model on the limited incident wave a
                     and the branch wave f = f_i * a, f_i = sum_l w_l lambda_il * mu_l:
                     b(n) = sum alpha_{q,m} w|w|^(q-1) a(n-m)|a(n-m)|^(q-1)
-                         + sum beta0_m f(n-m)
                          + sum beta_{q,m,k} |w|^(q-1) f(n-m)|a(n-k)|^(q-1)
                          + sum zeta_{q,m,k} w^2|w|^((q-3)/2) f*(n-m) a(n-k)^2|a(n-k)|^(q-3)
+                    where an order-1 beta term is the pure-delay beta^0 f(n-m)
+                    (its envelope lag k is not read)
 
 For the three simple kinds, the drive u is the incident wave w_i * a1 plus
 the coupled neighbor wave scaled by coupling_strength and the steering-angle
@@ -28,8 +29,9 @@ hence the output, for every drive whose |u| / saturation_level is finite;
 saturation_level = inf disables it.
 
 Every kind's terms come from one evaluator, _lagged_poly. A coefficient table
-is a dict keyed by (order, tap...), a bare tap for beta0; plant JSON stores it
-as sorted [[key...], [re, im]] rows, a polynomial kind's one table as "table".
+is a dict keyed by (order, tap...); plant JSON stores it as sorted
+[[key...], [re, im]] rows, a polynomial kind's one table as "table". Every
+complex number in a plant file is an [re, im] pair of finite JSON numbers.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ from .signals import IqSignal
 # defaults (None: required)
 _KIND_FIELDS = {"memoryless_poly": {"table": None}, "memory_poly": {"table": None},
                 "doherty_like": {"main": None, "aux": None, "crossover": 0.5, "blend_width": 0.1},
-                "dual_input_lumped": {"alpha": {}, "beta0": {}, "beta": {}, "zeta": {}}}
+                "dual_input_lumped": {"alpha": {}, "beta": {}, "zeta": {}}}
 
-# each table's key length and least order; a beta0 key is a bare tap
+# each table's key length and least order
 _TABLE_KEYS = {"table": (2, 1), "main": (2, 1), "aux": (2, 1), "alpha": (2, 1),
-               "beta0": (1, None), "beta": (3, 1), "zeta": (3, 3)}
+               "beta": (3, 1), "zeta": (3, 3)}
 
 # each scalar setting's test and what it asks for
 _SCALAR_RULES = {"crossover": (lambda v: v >= 0, "a finite number >= 0"),
@@ -70,14 +72,11 @@ def _check_table(name: str, table) -> dict:
         raise ConfigError(f"coefficient table {name!r} must be a dict, got {table!r}")
     out = {}
     for key, coef in table.items():
-        ints = key if isinstance(key, tuple) else (key,)
-        order, taps = (ints[0] if least and ints else 1), ints[1 if least else 0:]
-        if (len(ints) != size or not all(map(is_int, ints)) or order % 2 == 0
-                or order < (least or 1) or min(taps) < 0):
-            form = (f"{size} integers, an odd order >= {least} and then taps >= 0" if least
-                    else "a tap >= 0")
-            raise ConfigError(f"coefficient table {name!r} keys are {form}, got {key!r}")
-        out[ints if size > 1 else ints[0]] = complex(coef)
+        if (not isinstance(key, tuple) or len(key) != size or not all(map(is_int, key))
+                or key[0] % 2 == 0 or key[0] < least or min(key[1:]) < 0):
+            raise ConfigError(f"coefficient table {name!r} keys are {size} integers, an odd "
+                              f"order >= {least} and then taps >= 0, got {key!r}")
+        out[key] = complex(coef)
     return out
 
 
@@ -307,8 +306,8 @@ class ArrayPlant:
     @classmethod
     def from_dict(cls, d: dict) -> "ArrayPlant":
         """Inverse of to_dict; a "channel" key that earlier plant files carried is not read."""
-        def l2c(pairs, shape=None):
-            arr = np.asarray([complex(re, im) for re, im in pairs])
+        def l2c(name, pairs, shape=None):
+            arr = np.asarray([_read_pair(v, f"plant field {name!r}") for v in pairs])
             return arr.reshape(shape) if shape else arr
 
         def sat(level):
@@ -317,26 +316,34 @@ class ArrayPlant:
         return cls(
             elements=tuple(PaModel(e["kind"], _decode_coefficients(e["coefficients"]),
                                    sat(e.get("saturation_level"))) for e in d["elements"]),
-            weights=l2c(d["weights"]),
-            coupling=l2c(d["coupling"]["values"], tuple(d["coupling"]["shape"])),
-            branch_filters=l2c(d["branch_filters"]["values"], tuple(d["branch_filters"]["shape"])),
+            weights=l2c("weights", d["weights"]),
+            coupling=l2c("coupling", d["coupling"]["values"], tuple(d["coupling"]["shape"])),
+            branch_filters=l2c("branch_filters", d["branch_filters"]["values"],
+                               tuple(d["branch_filters"]["shape"])),
             coupling_strength=d.get("coupling_strength", 0.0),
             steer_angle_deg=d.get("steer_angle_deg", 0.0),
             angle_coupling_slope=d.get("angle_coupling_slope", 1.0),
         )
 
 
+def _read_pair(value, what: str) -> complex:
+    """The complex number of an [re, im] pair of finite JSON numbers (no bools);
+    ConfigError naming what holds it otherwise."""
+    if not (isinstance(value, list) and len(value) == 2 and all(map(is_number, value))):
+        raise ConfigError(f"{what} holds {value!r}, not an [re, im] pair of finite numbers")
+    return complex(*value)
+
+
 def _encode_coefficients(named: dict) -> dict:
     """Plant-JSON form of named coefficients: tables as sorted [[key...], [re, im]] rows."""
-    return {name: [[list(key) if isinstance(key, tuple) else [key], [coef.real, coef.imag]]
-                   for key, coef in sorted(value.items())] if isinstance(value, dict) else value
-            for name, value in named.items()}
+    return {name: [[list(key), [coef.real, coef.imag]] for key, coef in sorted(value.items())]
+            if isinstance(value, dict) else value for name, value in named.items()}
 
 
 def _decode_coefficients(named: dict) -> dict:
-    """Inverse of _encode_coefficients: a one-element key is a beta0 tap; a
-    table that lists a key twice is refused."""
-    out = {name: {tuple(key) if len(key) > 1 else key[0]: complex(*coef) for key, coef in value}
+    """Inverse of _encode_coefficients; a table that lists a key twice is refused."""
+    out = {name: {tuple(key): _read_pair(coef, f"coefficient table {name!r}")
+                  for key, coef in value}
            if isinstance(value, list) else value for name, value in named.items()}
     for name, value in named.items():
         if isinstance(value, list) and len(out[name]) != len(value):
@@ -363,8 +370,8 @@ def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,
     f = _causal_fir(a, plant.branch_response(element))
     w, g, c = plant.weights[element], abs(plant.weights[element]), pa.coefficients
     alpha = [((m, m), {q // 2: cf * w * g ** (q - 1)}) for (q, m), cf in c["alpha"].items()]
-    beta = [((m, m), {0: cf}) for m, cf in c["beta0"].items()] + [
-        ((m, k if q > 1 else m), {q // 2: cf * g ** (q - 1)}) for (q, m, k), cf in c["beta"].items()]
+    beta = [((m, k if q > 1 else m), {q // 2: cf * g ** (q - 1)})
+            for (q, m, k), cf in c["beta"].items()]
     zeta = [((m, k), {q // 2 - 1: cf * w ** 2 * g ** (q // 2 - 1)})
             for (q, m, k), cf in c["zeta"].items()]
     env2 = _power(a)

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -75,8 +77,26 @@ def test_full_dual_input_counts():
 def test_even_order_rejected():
     with pytest.raises(ConfigError):
         BasisSpec("memoryless", 4)
-    with pytest.raises(ConfigError):
-        BasisSpec("full_dual_input", 9, 3, orders=(9, 8, 9))
+    with pytest.raises(ConfigError, match="'orders'"):
+        BasisSpec.from_dict({"family": "full_dual_input", "max_order": 9, "memory_depth": 3,
+                             "orders": [9, 8, 9]})
+
+
+# sha256 of the JSON [family, order, lags] list of enumerate_bfs, frozen from
+# the shipped bases: a model file's gamma layout follows this term order
+_TERM_ORDER_SHA256 = {
+    ("full_dual_input", 9, 3, 0): (116, "88e450603506f2a5fa6c4fa194f6243c"
+                                        "f6b6cea09684682756e4cd414ab3574c"),
+    ("gmp", 5, 3, 2): (44, "9161b1ab41b2ce5f613319fb67b6c9dd"
+                           "bf232834e9a6d484f4737543273b5b8b"),  # doherty-n3
+}
+
+
+@pytest.mark.parametrize("key", list(_TERM_ORDER_SHA256), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_shipped_basis_term_order(key):
+    terms = [[t.family, t.order, list(t.lags)] for t in enumerate_bfs(BasisSpec(*key))]
+    digest = hashlib.sha256(json.dumps(terms).encode()).hexdigest()
+    assert (len(terms), digest) == _TERM_ORDER_SHA256[key]
 
 
 def test_single_region_identical_to_dense():

@@ -262,6 +262,49 @@ def test_model_file_with_active_mask_loads(tmp_path):
                  "--symbols", "1"]) == 0
 
 
+def test_model_header_with_derived_orders_and_memories_loads(tmp_path):
+    """save_model writes no orders or memories. A header of earlier files that
+    carries them as the spec derives them (null for the other families) loads
+    with the same spec and gamma."""
+    from pwdpd.dpd import DpdModel, load_model, save_model
+
+    rng = np.random.default_rng(9)
+    for spec, derived in ((BasisSpec("full_dual_input", 9, 3),
+                           {"orders": [9] * 3, "memories": [3] * 6}),
+                          (BasisSpec("gmp", 5, 3, 2), {"orders": None, "memories": None})):
+        gamma = rng.standard_normal(spec.n_basis_total) + 1j
+        header_path, _ = save_model(DpdModel(gamma, spec), tmp_path / "m")
+        header = json.loads(header_path.read_text())
+        assert not {"orders", "memories"} & set(header["spec"])
+        header_path.write_text(json.dumps(dict(header, spec=dict(header["spec"], **derived))))
+        back = load_model(tmp_path / "m")
+        assert back.spec == spec
+        np.testing.assert_array_equal(back.gamma, gamma)
+
+
+_OTHER_SPEC_FIELDS = [("orders", [9, 7, 11]), ("orders", [9, 8, 9]), ("orders", [9, 9.0, 9]),
+                      ("memories", [3, 3, 3, 3, 3, -1]), ("memories", [3, 3, 3, True, 3, 3]),
+                      ("memories", [3] * 5)]
+
+
+@pytest.mark.parametrize("key, value", _OTHER_SPEC_FIELDS,
+                         ids=[f"{k}={v!r}" for k, v in _OTHER_SPEC_FIELDS])
+def test_model_header_other_orders_or_memories_exit_code(tmp_path, key, value):
+    """A full_dual_input header whose orders or memories differ from the values
+    its spec derives exits 2 naming the key, even when the basis they would
+    describe has as many functions."""
+    from pwdpd.dpd import DpdModel, load_model, save_model
+
+    header_path, _ = save_model(DpdModel(np.ones(116, dtype=complex),
+                                         BasisSpec("full_dual_input", 9, 3)), tmp_path / "m")
+    header = json.loads(header_path.read_text())
+    header["spec"][key] = value
+    header_path.write_text(json.dumps(header))
+    with pytest.raises(ConfigError, match=repr(key)):
+        load_model(tmp_path / "m")
+    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+
+
 def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
     """A model file of the earlier two-domain format holds whitened coefficients when
     has_whitener is set: gamma in the whitened domain, then K blocks of B1 x B1. Its
@@ -760,7 +803,8 @@ def test_train_non_finite_partition_file_exit_code(tmp_path, capsys, edge):
     argv = _partition_file(tmp_path, broken=False)
     (tmp_path / "part.json").write_text(json.dumps({"edges": [0.0, edge, 2.0]}))
     assert main(argv) == 2
-    assert "edges must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'edges'" in err and "finite numbers" in err
     assert not (tmp_path / "m.dpd.json").exists()
 
 
@@ -828,13 +872,16 @@ def test_non_positive_scenario_drive_exit_code(tmp_path, drive_rms):
     assert not (tmp_path / "x" / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("beta0_tap, code", [(1, 0), (-1, 2)], ids=["valid", "negative-tap"])
-def test_simulate_dual_input_plant_file(tmp_path, beta0_tap, code):
-    """A dual-input plant file runs; one with an invalid table exits 2."""
+@pytest.mark.parametrize("table, key, code", [("beta", [1, 1, 1], 0), ("beta", [1, -1, -1], 2),
+                                              ("beta0", [1], 2)],
+                         ids=["valid", "negative-tap", "beta0-table"])
+def test_simulate_dual_input_plant_file(tmp_path, table, key, code):
+    """A dual-input plant file runs; one with an invalid table exits 2. A
+    pure-delay beta^0 term is an order-1 beta row; there is no beta0 table."""
     write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     plant = load_plant_preset("doherty-n3").to_dict()
     plant["elements"][0] = {"kind": "dual_input_lumped", "saturation_level": None, "coefficients": {
-        "alpha": [[[1, 0], [1.0, 0.0]]], "beta0": [[[beta0_tap], [0.1, 0.0]]]}}
+        "alpha": [[[1, 0], [1.0, 0.0]]], table: [[key, [0.1, 0.0]]]}}
     plant_file = _json_file(tmp_path / "p.json", plant)
     assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
                  "--output", str(tmp_path / "z")]) == code
@@ -884,6 +931,37 @@ def test_plant_file_table_key_exit_code(tmp_path, capsys, row):
     assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
                  "--output", str(tmp_path / "z")]) == 2
     assert "'table'" in capsys.readouterr().err
+    assert not (tmp_path / "z.iq").exists()
+
+
+def _set_first_pair(plant, field, value):
+    """Put value in place of the first [re, im] pair of a plant dict's weights,
+    coupling or branch_filters, or of its first element's main table."""
+    if field == "main":
+        plant["elements"][0]["coefficients"]["main"][0][1] = value
+    else:
+        (plant[field] if field == "weights" else plant[field]["values"])[0] = value
+
+
+_PLANT_PAIRS = [("weights", [True, False]), ("weights", [math.nan, 0.0]), ("weights", ["1", 0.0]),
+                ("branch_filters", [1.0, math.nan]), ("coupling", [1.0]),
+                ("main", [math.nan, 0.0]), ("main", [math.inf, 0.0]), ("main", [1.0]),
+                ("main", [True, 0.0])]
+
+
+@pytest.mark.parametrize("field, value", _PLANT_PAIRS,
+                         ids=[f"{f}={v!r}" for f, v in _PLANT_PAIRS])
+def test_plant_file_complex_pair_exit_code(tmp_path, capsys, field, value):
+    """Every complex number in a plant file (weights, coupling, branch filters,
+    coefficient rows) is an [re, im] pair of finite JSON numbers; anything else
+    exits 2 naming the field or table instead of loading as a number."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    plant = load_plant_preset("doherty-n3").to_dict()
+    _set_first_pair(plant, field, value)
+    plant_file = _json_file(tmp_path / "p.json", plant)
+    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z")]) == 2
+    assert repr(field) in capsys.readouterr().err
     assert not (tmp_path / "z.iq").exists()
 
 

@@ -26,7 +26,7 @@ def test_region_partition_validation():
         with pytest.raises(ConfigError, match="edges"):
             RegionPartition.from_dict(malformed)
     # edges of the wrong JSON type name the field rather than fail in numpy
-    for value in ([0, "x", 2], "0 1", [0, True, 2]):
+    for value in ([0, "x", 2], "0 1", [0, True, 2], [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
         with pytest.raises(ConfigError, match="'edges'"):
             RegionPartition.from_dict({"edges": value})
 

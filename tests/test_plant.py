@@ -51,8 +51,6 @@ def _oracle_dual_input(pa, w, f, a):
             p = (order - 1) // 2
             x = lag(a, m1, i)
             acc += coef * w * abs(w) ** (2 * p) * x * abs(x) ** (2 * p)
-        for m2, coef in pa.coefficients["beta0"].items():
-            acc += coef * lag(fc, m2, i)
         for (order, m3, m4), coef in pa.coefficients["beta"].items():
             p = (order - 1) // 2
             acc += coef * abs(w) ** (2 * p) * lag(fc, m3, i) * abs(lag(a, m4, i)) ** (2 * p)
@@ -69,8 +67,8 @@ def test_dual_input_against_scalar_oracle():
     rng = np.random.default_rng(8)
     tables = {
         "alpha": {(1, 0): 1.0 + 0j, (3, 1): -0.2 + 0.05j, (5, 0): 0.03j},
-        "beta0": {0: 0.1 - 0.02j, 2: 0.01j},
-        "beta": {(3, 0, 1): 0.05 + 0.01j, (5, 1, 0): -0.008},
+        "beta": {(1, 0, 0): 0.1 - 0.02j, (1, 2, 2): 0.01j, (3, 0, 1): 0.05 + 0.01j,
+                 (5, 1, 0): -0.008},
         "zeta": {(3, 0, 1): 0.02 - 0.01j, (5, 2, 0): 0.004j},
     }
     pa = PaModel("dual_input_lumped", tables)
@@ -92,11 +90,11 @@ def test_dual_input_against_scalar_oracle():
 
 def test_dual_input_constant_envelope_terms_against_scalar_oracle():
     # an order-1 beta term multiplies |a(n-k)|^0 = 1, so it is live from n = m
-    # even when its envelope lag k is longer; beta0 and beta share the wave f
+    # even when its envelope lag k is longer
     tables = {
         "alpha": {(1, 2): 0.9 - 0.1j, (3, 2): -0.1j},
-        "beta0": {1: 0.2 + 0.1j},
-        "beta": {(1, 0, 3): 0.07 - 0.02j, (1, 1, 1): 0.05j, (1, 2, 0): -0.04, (3, 1, 2): 0.03},
+        "beta": {(1, 0, 3): 0.07 - 0.02j, (1, 1, 1): 0.2 + 0.15j, (1, 2, 0): -0.04,
+                 (3, 1, 2): 0.03},
         "zeta": {(3, 0, 2): 0.02 + 0.01j, (3, 2, 1): -0.01j, (7, 1, 3): 0.005},
     }
     pa = PaModel("dual_input_lumped", tables, saturation_level=1.3)
@@ -115,16 +113,18 @@ def test_dual_input_constant_envelope_terms_against_scalar_oracle():
 
 
 _BAD_DUAL_TABLES = {
-    "negative-beta0-tap": {"beta0": {-1: 0.1}},
+    "beta0-table": {"beta0": {1: 0.1}},
+    "negative-beta0-tap": {"beta": {(1, -1, -1): 0.1}},  # an order-1 beta row
     "even-alpha-order": {"alpha": {(1, 0): 1.0, (2, 0): 0.1}},
     "first-order-zeta": {"zeta": {(1, 0, 0): 0.1}},
     "negative-beta-tap": {"beta": {(3, 0, -1): 0.1}},
     "short-beta-key": {"beta": {(3, 0): 0.1}},
     "unknown-table": {"gamma": {(1, 0): 0.1}},
-    "table-not-a-dict": {"beta0": [0.1]},
+    "table-not-a-dict": {"beta": [0.1]},
     "float-order-key": {"alpha": {(1, 0): 1.0, (3.5, 1): 0.1}},
     "bool-order-key": {"beta": {(True, 0, 0): 0.1}},
-    "float-tap-key": {"beta0": {1.0: 0.1}},
+    "float-tap-key": {"beta": {(1, 1.0, 1): 0.1}},
+    "bare-tap-key": {"beta": {1: 0.1}},
 }
 
 
@@ -292,8 +292,10 @@ def test_pa_validation():
 
 def _dual_input_plant():
     # keys out of order: the file lists each table's rows sorted
-    tables = {"alpha": {(3, 1): -0.2 + 0.05j, (1, 0): 1.0 + 0j}, "beta0": {2: 0.01j, 0: 0.1},
-              "beta": {(3, 0, 1): 0.05 + 0.01j, (1, 0, 2): 0.03}, "zeta": {(3, 1, 0): 0.02 - 0.01j}}
+    tables = {"alpha": {(3, 1): -0.2 + 0.05j, (1, 0): 1.0 + 0j},
+              "beta": {(3, 0, 1): 0.05 + 0.01j, (1, 2, 2): 0.01j, (1, 0, 2): 0.03,
+                       (1, 0, 0): 0.1},
+              "zeta": {(3, 1, 0): 0.02 - 0.01j}}
     pa = PaModel("dual_input_lumped", tables, saturation_level=1.2)
     coupling = identity_coupling(2, taps=2)
     coupling[0, 1, 1] = 0.3
