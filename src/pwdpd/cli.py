@@ -27,14 +27,17 @@ from .metrics import aclr_single_direction
 from .partition import RegionPartition
 from .plant import array_forward, load_plant, observation_receive, steer
 from .presets import PLANT_PRESETS, load_plant_preset, preset_params
-from .scenarios import (METHODS, _base_spec, _partitions, _trp_angles, derive_partition,
-                        evaluate, run_scenario, train_method)
+from .scenarios import (METHODS, _base_spec, _partitions, derive_partition, evaluate,
+                        run_scenario, train_method)
 from .signals import read_iq, write_iq
 from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_ccdf
 
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
+
+# the steering angles in degrees of `pwdpd evaluate --trp`'s TRP sweep
+TRP_ANGLES = np.arange(-50.0, 50.0 + 1e-9, 2.0)
 
 
 def finite_float(text: str) -> float:
@@ -141,17 +144,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    if args.method == "kmeans":
-        _refuse("is not read by --method kmeans", order=args.order,
-                target_error=args.target_error)
-    else:
-        _refuse("is read only by --method kmeans", regions=args.regions)
+    if args.regions is not None:
+        _refuse("sets the Taylor partition and is not read with --regions (K-means)",
+                order=args.order, target_error=args.target_error)
     plant, params = _resolve_plant(args.plant)
     if params is None:
         raise ConfigError("partition needs a named preset (drive level and waveform)")
     part, info = derive_partition(plant, params, args.seed,
-                                  **_given(method=args.method, order=args.order,
-                                           target_error=args.target_error,
+                                  **_given(order=args.order, target_error=args.target_error,
                                            n_regions=args.regions))
     if args.output:
         part.save(args.output)
@@ -202,8 +202,7 @@ def cmd_evaluate(args) -> int:
     if params is None:
         raise ConfigError("evaluate needs a named preset")
     model = load_model(args.model) if args.model else None
-    res = evaluate(plant, params, model, args.seed, trp_angles=_trp_angles(args.trp),
-                   noise_floor_dbc=params["noise_floor_dbc"],
+    res = evaluate(plant, params, model, args.seed, trp_angles=TRP_ANGLES if args.trp else None,
                    **_given(num_symbols=args.symbols))
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
@@ -275,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="derive an amplitude partition")
     p.add_argument("--plant", required=True)
-    p.add_argument("--method", choices=["taylor", "kmeans"], default=None)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--target-error", type=finite_float, default=None)
-    p.add_argument("--regions", type=int, default=None, help="K for kmeans")
+    p.add_argument("--regions", type=int, default=None,
+                   help="K: a K-means partition of K regions instead of the Taylor one")
     p.add_argument("--seed", type=int, default=17)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_partition)

@@ -308,7 +308,12 @@ class ArrayPlant:
         """Inverse of to_dict; a "channel" key that earlier plant files carried is not read."""
         def l2c(name, pairs, shape=None):
             arr = np.asarray([_read_pair(v, f"plant field {name!r}") for v in pairs])
-            return arr.reshape(shape) if shape else arr
+            if shape is None:
+                return arr
+            if not (isinstance(shape, list) and all(is_int(n) and n >= 1 for n in shape)):
+                raise ConfigError(f"plant field {name!r} shape must be a list of integers >= 1, "
+                                  f"got {shape!r}")
+            return arr.reshape(shape)
 
         def sat(level):
             return math.inf if level is None else level
@@ -317,9 +322,9 @@ class ArrayPlant:
             elements=tuple(PaModel(e["kind"], _decode_coefficients(e["coefficients"]),
                                    sat(e.get("saturation_level"))) for e in d["elements"]),
             weights=l2c("weights", d["weights"]),
-            coupling=l2c("coupling", d["coupling"]["values"], tuple(d["coupling"]["shape"])),
+            coupling=l2c("coupling", d["coupling"]["values"], d["coupling"]["shape"]),
             branch_filters=l2c("branch_filters", d["branch_filters"]["values"],
-                               tuple(d["branch_filters"]["shape"])),
+                               d["branch_filters"]["shape"]),
             coupling_strength=d.get("coupling_strength", 0.0),
             steer_angle_deg=d.get("steer_angle_deg", 0.0),
             angle_coupling_slope=d.get("angle_coupling_slope", 1.0),

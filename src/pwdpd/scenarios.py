@@ -115,10 +115,12 @@ def ramp_probe(amax: float, sample_rate: float) -> IqSignal:
     return IqSignal(env * phase, sample_rate)
 
 
-def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "taylor",
-                     order: int = 5, target_error: float = 0.01,
+def derive_partition(plant: ArrayPlant, preset: dict, seed: int, order: int = 5,
+                     target_error: float = 0.01,
                      n_regions: int | None = None) -> tuple[RegionPartition, dict]:
-    """Amplitude partition from a characterization pass.
+    """Amplitude partition from a characterization pass: the Taylor partition
+    of order and target_error, or K-means into n_regions regions when that is
+    given.
 
     An OFDM block sets the amplitude range and the per-region sample shares;
     the amplitude response itself is extracted from a slow full-scale ramp
@@ -133,27 +135,23 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, method: str = "
     a1 = loop.next_block(PARTITION_BLOCK)
     env = np.abs(a1.samples)
     amax = float(env.max())
-    if method == "taylor":
+    if n_regions is None:
         probe = ramp_probe(amax, a1.sample_rate)
         zp = observation_receive(plant, array_forward(plant, probe))
         ghat = estimate_gain(probe, zp)
         model = fit_amam(probe, zp.with_samples(zp.samples / ghat), FIT_ORDER)
         part = partition_regions(model, model.a_max, order, target_error)
         fit_residual = model.fit_residual
-    elif method == "kmeans":
-        if n_regions is None:
-            raise ConfigError("kmeans partitioning needs n_regions")
+    else:
         z = observation_receive(plant, array_forward(plant, a1))
         ghat = estimate_gain(a1, z)
         part = kmeans_partition(a1, n_regions)
         fit_residual = 0.0
-    else:
-        raise ConfigError(f"unknown partition method {method!r}")
     while part.n_regions > 1 and float(np.mean(part.region_index(env) == part.n_regions - 1)) < MIN_SHARE:
         part = RegionPartition(np.delete(part.edges, part.n_regions - 1))
     shares = [float(np.mean(part.region_index(env) == k)) for k in range(part.n_regions)]
     info = {
-        "method": method,
+        "method": "taylor" if n_regions is None else "kmeans",
         "edges": part.edges.tolist(),
         "sample_share": shares,
         "fit_residual": fit_residual,
@@ -171,14 +169,14 @@ class EvalResult:
 
 
 def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
-             num_symbols: int = 4, trp_angles: np.ndarray | None = None,
-             noise_floor_dbc: float | None = None) -> EvalResult:
-    """Fresh-data evaluation of one DPD model (or the no-DPD reference)."""
+             num_symbols: int = 4, trp_angles: np.ndarray | None = None) -> EvalResult:
+    """Fresh-data evaluation of one DPD model (or the no-DPD reference), with
+    receiver noise at the preset's noise_floor_dbc (none when it is null)."""
     a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
     x = predistort(model, a1) if model is not None else a1
     per_element = array_forward(plant, x)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-    z = observation_receive(plant, per_element, noise_floor_dbc, rng)
+    z = observation_receive(plant, per_element, preset["noise_floor_dbc"], rng)
     ghat = estimate_gain(a1, z)
     y = z.with_samples(z.samples / ghat)
 
@@ -266,21 +264,19 @@ def _partitions(plant: ArrayPlant, preset: dict, config: dict, seed: int, kinds)
     partitions = {"taylor": taylor}
     if "kmeans" in kinds:
         partitions["kmeans"] = derive_partition(plant, preset, seed=seed * 1000 + 17,
-                                                method="kmeans", n_regions=taylor[0].n_regions)
+                                                n_regions=taylor[0].n_regions)
     return partitions
 
 
 def _trp_angles(trp) -> np.ndarray | None:
     """Angle grid of an "eval" section's trp_angles: an object of start, stop
-    and step in degrees (stop included, both within [-90, 90]), true for
-    -50..50 in 2-degree steps, or null/false for no TRP sweep."""
-    if trp is True:
-        trp = {"start": -50.0, "stop": 50.0, "step": 2.0}
-    if trp is None or trp is False:
+    and step in degrees (stop included, both within [-90, 90]), or null for no
+    TRP sweep."""
+    if trp is None:
         return None
     if not isinstance(trp, dict) or set(trp) != {"start", "stop", "step"}:
-        raise ConfigError(f"eval.trp_angles must be true, false, null or an object with "
-                          f"start, stop and step; got {trp!r}")
+        raise ConfigError(f"eval.trp_angles must be null or an object with start, stop and "
+                          f"step; got {trp!r}")
     for field, value in trp.items():
         if not is_number(value):
             raise ConfigError(f"eval.trp_angles {field!r} must be a finite number, got {value!r}")
@@ -308,7 +304,8 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
     are derived up front when a piecewise method needs them. Each model is
     evaluated on fresh data at seed*100+7 with the config's "eval" settings:
     on the plant at the preset noise floor or, when angles are given, trained
-    on the plant steered to 0 degrees and evaluated noise-free at each angle.
+    on the plant steered to 0 degrees and evaluated at each angle with the
+    preset's noise floor set to null.
     The runs are trained lazily as the caller iterates, so a caller can write
     each run's files before the next one trains.
     """
@@ -319,12 +316,11 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}; have {tuple(METHODS)}")
     if angles is None:
-        train_plant, noise = plant, preset.get("noise_floor_dbc")
-        eval_plants = [plant]
+        train_plant, eval_preset, eval_plants = plant, preset, [plant]
     else:
-        train_plant, noise = steer(plant, 0.0), None
+        train_plant, eval_preset = steer(plant, 0.0), dict(preset, noise_floor_dbc=None)
         eval_plants = [steer(plant, float(a)) for a in angles]
-    eval_kw = dict(config_section(config, "eval"), noise_floor_dbc=noise)
+    eval_kw = dict(config_section(config, "eval"))
     eval_kw["trp_angles"] = _trp_angles(eval_kw.get("trp_angles"))
     partitions = _partitions(train_plant, preset, config, seed,
                              {METHODS[method][0] for _, method, _, _ in runs} - {None})
@@ -338,7 +334,8 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
             run_spec = spec if kind is None else spec.with_partition(partitions[kind][0])
             model, trace = train_method(method, train_plant, preset, run_config, run_spec,
                                         seed=train_seed)
-            evals = [evaluate(p, preset, model, seed * 100 + 7, **eval_kw) for p in eval_plants]
+            evals = [evaluate(p, eval_preset, model, seed * 100 + 7, **eval_kw)
+                     for p in eval_plants]
             yield label, model, trace, evals
 
     return _Pipeline(plant, spec, partitions, trained())
@@ -419,15 +416,6 @@ def run_anglesweep(config: dict, outdir: Path, seed: int,
             "rows": [{"angle_deg": a, "aclr_dbc": b, "evm_percent": c} for a, b, c in rows]}
 
 
-def run_partition_demo(config: dict, outdir: Path, seed: int) -> dict:
-    plant, preset = load_scenario_plant(config)
-    partitions = _partitions(plant, preset, config, seed, {"taylor", "kmeans"})
-    (taylor, taylor_info), (km, km_info) = partitions["taylor"], partitions["kmeans"]
-    taylor.save(outdir / "partition_taylor.json")
-    km.save(outdir / "partition_kmeans.json")
-    return {"kind": "partition", "taylor": taylor_info, "kmeans": km_info}
-
-
 def run_pruning_study(config: dict, outdir: Path, seed: int,
                       prune_threshold_db: float = -40.0) -> dict:
     runs = [(label, "pwcl_orth", seed * 100, {"prune_threshold_db": th})
@@ -466,22 +454,14 @@ def run_pruning_study(config: dict, outdir: Path, seed: int,
     }
 
 
-def run_complexity(config: dict, outdir: Path, params: str | dict = "reference",
-                   exact_division: bool = False) -> dict:
-    params = complexity_mod.load_params(params)
-    ledger = complexity_mod.full_ledger(params, exact_division=exact_division)
-    (outdir / "ledger.txt").write_text(complexity_mod.format_ledger(ledger) + "\n")
-    return {"kind": "complexity", "params": params.__dict__, "ledger": ledger}
-
-
 # config section -> (the function or dataclass whose keyword defaults the
 # section overrides, the keywords the pipeline sets itself)
 SECTIONS = {
     "basis": (_base_spec, ()),
-    "partition": (derive_partition, ("method", "n_regions")),
+    "partition": (derive_partition, ("n_regions",)),
     "learn": (LearnConfig, ()),
     "ila": (ila_learn, ()),
-    "eval": (evaluate, ("noise_floor_dbc",)),
+    "eval": (evaluate, ()),
 }
 
 # scenario kind -> runner(config, outdir, ...); its keyword parameters with
@@ -491,9 +471,7 @@ RUNNERS = {
     "linearization": run_linearization,
     "powersweep": run_powersweep,
     "anglesweep": run_anglesweep,
-    "partition": run_partition_demo,
     "pruning": run_pruning_study,
-    "complexity": run_complexity,
 }
 
 # top-level keys every kind takes besides the section names, with their
@@ -524,9 +502,7 @@ _KEY_TYPES = {
     "kind": (lambda v: isinstance(v, str), "a string"),
     "drive_rms": (lambda v: is_number(v) and v > 0, "a positive finite number"),
     "coupling_strength": (is_number, "a finite number"),
-    "params": (lambda v: isinstance(v, (str, dict)), "\"reference\" or an object"),
-    "trp_angles": (lambda v: v is None or isinstance(v, (bool, dict)),
-                   "true, false, null or an object"),
+    "trp_angles": (lambda v: v is None or isinstance(v, dict), "null or an object"),
 }
 
 

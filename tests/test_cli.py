@@ -85,12 +85,14 @@ def _json_file(path, value):
     return str(path)
 
 
+# a no-DPD doherty-n3 linearization bundle, the quickest scenario config
+_NO_DPD_CONFIG = {"kind": "linearization", "preset": "doherty-n3", "seed": 3, "methods": ["none"]}
+
+
 @pytest.mark.parametrize("make_argv", [
     lambda d: ["complexity", "--params", _json_file(d / "p.json", {"n_isp": 5, "bogus": 1})],
-    lambda d: ["scenario", "--out", str(d), "--config",
-               _json_file(d / "c.json", {"kind": "complexity", "seed": 0, "params": "refrence"})],
     lambda d: ["complexity", "--preset", "reference"],
-], ids=["unknown-field", "scenario-params-typo", "preset-flag-gone"])
+], ids=["unknown-field", "preset-flag-gone"])
 def test_complexity_bad_params_exit_code(tmp_path, make_argv):
     try:
         rc = main(make_argv(tmp_path))
@@ -99,20 +101,12 @@ def test_complexity_bad_params_exit_code(tmp_path, make_argv):
     assert rc == 2
 
 
-def _complexity_argv(d, params, via):
-    if via == "cli":
-        return ["complexity", "--params", _json_file(d / "p.json", params)]
-    config = {"kind": "complexity", "seed": 0, "params": params}
-    return ["scenario", "--out", str(d), "--name", "led",
-            "--config", _json_file(d / "c.json", config)]
-
-
-@pytest.mark.parametrize("via", ["cli", "scenario"])
+@pytest.mark.parametrize("via", ["cli"])  # the one front end that reads a params file
 @pytest.mark.parametrize("value", [math.nan, 1.5, True, "3"], ids=["nan", "1.5", "true", "str"])
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ComplexityParams)])
 def test_complexity_params_must_be_positive_integers(tmp_path, capsys, name, value, via):
     params = {**reference_params().__dict__, name: value}
-    assert main(_complexity_argv(tmp_path, params, via)) == 2
+    assert main(["complexity", "--params", _json_file(tmp_path / "p.json", params)]) == 2
     assert f"{name} must be an integer > 0" in capsys.readouterr().err
 
 
@@ -145,7 +139,7 @@ def test_divergence_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"kind": "complexity", "seed": 0}))
+    cfg.write_text(json.dumps({"kind": "linearization", "seed": 0}))
     assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 
@@ -335,8 +329,8 @@ def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
 
 
 def test_scenario_preset_loader():
-    cfg = scenario_preset("complexity-ledger")
-    assert cfg["kind"] == "complexity"
+    cfg = scenario_preset("doherty-n3")
+    assert cfg["kind"] == "linearization" and cfg["preset"] == "doherty-n3"
     with pytest.raises(ConfigError):
         scenario_preset("not-there")
 
@@ -374,9 +368,11 @@ def test_descriptor_export_round_trip():
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("PWDPD_OUT", str(tmp_path))
-    assert main(["scenario", "--preset", "complexity-ledger", "--name", "led"]) == 0
-    assert (tmp_path / "led" / "metrics.json").exists()
+    monkeypatch.setenv("PWDPD_OUT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["scenario", "--config", _json_file(tmp_path / "c.json", _NO_DPD_CONFIG),
+                 "--name", "x"]) == 0
+    assert (tmp_path / "root" / "x" / "metrics.json").exists()
 
 
 def test_powersweep_rows_follow_offsets_db(tmp_path):
@@ -391,14 +387,17 @@ def test_powersweep_rows_follow_offsets_db(tmp_path):
     assert [r["offset_db"] for r in rows] == [-1.0, 0.0]
 
 
-def test_partition_demo_scenario(tmp_path):
-    assert main(["scenario", "--preset", "partition-demo",
-                 "--out", str(tmp_path), "--name", "pd"]) == 0
-    metrics = json.loads((tmp_path / "pd" / "metrics.json").read_text())
-    assert metrics["taylor"]["method"] == "taylor"
-    assert metrics["kmeans"]["method"] == "kmeans"
-    assert len(metrics["taylor"]["edges"]) == len(metrics["kmeans"]["edges"])
-    assert (tmp_path / "pd" / "partition_taylor.json").exists()
+def test_scenario_taylor_and_kmeans_partitions():
+    """A bundle's K-means partition has as many regions as its Taylor one, and
+    each partition's info names its method."""
+    from pwdpd.scenarios import _partitions, load_scenario_plant
+
+    cfg = scenario_preset("doherty-n3")
+    plant, preset = load_scenario_plant(cfg)
+    partitions = _partitions(plant, preset, cfg, 13, {"taylor", "kmeans"})
+    (taylor, taylor_info), (km, km_info) = partitions["taylor"], partitions["kmeans"]
+    assert taylor.n_regions == km.n_regions
+    assert taylor_info["method"] == "taylor" and km_info["method"] == "kmeans"
 
 
 def test_scenario_failure_writes_error_record(tmp_path):
@@ -493,9 +492,7 @@ def test_shipped_scenario_presets_are_well_formed():
 
 def _scenario_exit_code(tmp_path, **config):
     """Exit code of a no-DPD doherty-n3 linearization bundle with the given config keys."""
-    cfg = _json_file(tmp_path / "c.json", dict(
-        {"kind": "linearization", "preset": "doherty-n3", "seed": 3, "methods": ["none"]},
-        **config))
+    cfg = _json_file(tmp_path / "c.json", dict(_NO_DPD_CONFIG, **config))
     return main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"])
 
 
@@ -510,9 +507,8 @@ def test_misspelled_section_key_exit_code(tmp_path, section):
 @pytest.mark.parametrize("kind, key, value", [("linearization", "method", ["none"]),
                                              ("powersweep", "offset_db", [0.0]),
                                              ("anglesweep", "angle", [0]),
-                                             ("pruning", "prune_threshold", -30.0),
-                                             ("complexity", "exact_divison", True)],
-                         ids=["linearization", "powersweep", "anglesweep", "pruning", "complexity"])
+                                             ("pruning", "prune_threshold", -30.0)],
+                         ids=["linearization", "powersweep", "anglesweep", "pruning"])
 def test_misspelled_top_level_key_exit_code(tmp_path, kind, key, value):
     cfg = _json_file(tmp_path / "c.json", {"kind": kind, key: value})
     assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
@@ -608,6 +604,16 @@ def test_ill_typed_value_exit_code(tmp_path, kind, config, key):
     assert not (tmp_path / "x" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["partition", "complexity"])
+def test_removed_scenario_kind_exit_code(tmp_path, kind):
+    """The partition and the FLOP ledger have one front end each, pwdpd
+    partition and pwdpd complexity; a config of either kind exits 2 naming 'kind'."""
+    cfg = _json_file(tmp_path / "c.json", {"kind": kind})
+    assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and "'kind'" in record["message"]
+
+
 def test_ill_typed_kind_without_name_exit_code(tmp_path):
     """The bundle directory falls back to "scenario" when kind cannot name it."""
     cfg = _json_file(tmp_path / "c.json", {"kind": ["x"]})
@@ -619,8 +625,9 @@ def test_ill_typed_kind_without_name_exit_code(tmp_path):
 @pytest.mark.parametrize("trp", [{"start": -10, "stop": 10}, {"start": -10, "stop": 10, "step": 0},
                                  {"start": -180, "stop": 180, "step": 2},
                                  {"start": -91, "stop": 0, "step": 1},
-                                 {"start": 0, "stop": 90.5, "step": 0.5}],
-                         ids=["no-step", "zero-step", "full-circle", "below-minus-90", "above-90"])
+                                 {"start": 0, "stop": 90.5, "step": 0.5}, True, False],
+                         ids=["no-step", "zero-step", "full-circle", "below-minus-90", "above-90",
+                              "true", "false"])
 def test_malformed_trp_angles_exit_code(tmp_path, trp):
     assert _scenario_exit_code(tmp_path, eval={"trp_angles": trp}) == 2
     assert "trp_angles" in json.loads((tmp_path / "x" / "error.json").read_text())["message"]
@@ -668,17 +675,21 @@ def test_readme_library_layout_names():
     assert unresolved == set()
 
 
+def _readme_table(readme, header):
+    """The rows below the README table header line `header` (the separator
+    row skipped), each a list of its cells."""
+    table = readme.split(header + "\n")[1].split("\n\n")[0]
+    return [line.strip("| ").split(" | ") for line in table.splitlines()[1:]]
+
+
 def test_readme_method_table():
     """The README's method table has one row per METHODS entry, with its
     partition and learner."""
     from pathlib import Path
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("| method | partition | learner |\n| --- | --- | --- |\n")[1]
-    rows = {}
-    for line in table.split("\n\n")[0].splitlines():
-        method, *cells = line.strip("| ").split(" | ")
-        rows[method.strip("`")] = cells
+    rows = {method.strip("`"): cells
+            for method, *cells in _readme_table(readme, "| method | partition | learner |")}
     assert list(rows) == list(METHODS)
     names = {"taylor": "Taylor", "kmeans": "K-means", None: "none"}
     for method, (kind, learner) in METHODS.items():
@@ -686,6 +697,32 @@ def test_readme_method_table():
         assert partition.startswith(names[kind]), method
         assert (f"(`{learner}`)" in learner_cell if learner
                 else learner_cell.startswith("no DPD")), method
+
+
+def test_readme_scenario_tables():
+    """The README's preset table lists exactly the shipped scenario presets,
+    and its kind table exactly the RUNNERS kinds, each with its runner's own
+    keys and defaults."""
+    import re
+    from importlib import resources
+    from pathlib import Path
+
+    from pwdpd.scenarios import RUNNERS, accepted_settings
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    presets = [name.strip("`") for name, _ in _readme_table(readme, "| preset | what it does |")]
+    shipped = resources.files("pwdpd").joinpath("presets/scenarios").iterdir()
+    assert sorted(presets) == sorted(p.name[:-5] for p in shipped)
+
+    kinds = {kind.strip("`"): keys
+             for kind, keys in _readme_table(readme, "| kind | own keys (default) |")}
+    assert list(kinds) == list(RUNNERS)
+    for kind, runner in RUNNERS.items():
+        documented = {key: json.loads(default.strip("`"))
+                      for key, default in re.findall(r"`(\w+)` \(([^)]*)\)", kinds[kind])}
+        defaults = {key: list(value) if isinstance(value, tuple) else value
+                    for key, value in accepted_settings(runner, ()).items()}
+        assert documented == defaults, kind
 
 
 # (method, exit code, partition the saved model carries)
@@ -761,16 +798,19 @@ def test_train_ila_refuses_closed_loop_flags(tmp_path, capsys, method, flag, val
 
 
 _UNREAD_PARTITION_FLAGS = [
-    (["--regions", "4"], "--regions"),
-    (["--method", "taylor", "--regions", "4"], "--regions"),
-    (["--method", "kmeans", "--regions", "4", "--order", "3"], "--order"),
-    (["--method", "kmeans", "--regions", "4", "--target-error", "0.5"], "--target-error"),
+    (["--method", "kmeans", "--regions", "4"], "--method"),
+    (["--method", "taylor", "--regions", "4"], "--method"),
+    (["--regions", "4", "--order", "3"], "--order"),
+    (["--regions", "4", "--target-error", "0.5"], "--target-error"),
 ]
 
 
 @pytest.mark.parametrize("flags, named", _UNREAD_PARTITION_FLAGS,
-                         ids=["regions", "taylor-regions", "kmeans-order", "kmeans-target-error"])
+                         ids=["method-kmeans", "taylor-regions", "kmeans-order",
+                              "kmeans-target-error"])
 def test_partition_refuses_flags_its_method_does_not_read(tmp_path, capsys, flags, named):
+    """--regions K alone selects K-means, which reads neither Taylor flag; there
+    is no --method flag, so giving one is a usage error."""
     part = tmp_path / "part.json"
     assert main(["partition", "--plant", "doherty-n3", *flags, "--output", str(part)]) == 2
     assert named in capsys.readouterr().err
@@ -965,6 +1005,25 @@ def test_plant_file_complex_pair_exit_code(tmp_path, capsys, field, value):
     assert not (tmp_path / "z.iq").exists()
 
 
+_PLANT_SHAPES = [("coupling", [1, -1, 1]), ("coupling", [1, 1.0, 1]),
+                 ("branch_filters", [1, -1]), ("branch_filters", [1, True])]
+
+
+@pytest.mark.parametrize("field, shape", _PLANT_SHAPES,
+                         ids=[f"{f}={s!r}" for f, s in _PLANT_SHAPES])
+def test_plant_file_shape_exit_code(tmp_path, capsys, field, shape):
+    """A coupling or branch_filters shape is a list of integers >= 1; a -1
+    (which reshape would infer), a float or a bool exits 2 naming the field."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    plant = load_plant_preset("doherty-n3").to_dict()
+    plant[field]["shape"] = shape
+    plant_file = _json_file(tmp_path / "p.json", plant)
+    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
+                 "--output", str(tmp_path / "z")]) == 2
+    assert repr(field) in capsys.readouterr().err
+    assert not (tmp_path / "z.iq").exists()
+
+
 def test_plant_file_channel_key_not_read(tmp_path):
     """A plant file that still holds the channel key earlier files carried
     loads, and the key does not change what simulate writes."""
@@ -1091,7 +1150,7 @@ def _partition_with(**fields):
 
 
 def _scenario_config(tmp_path, broken):
-    config = {"kind": "complexity", "seed": 0}
+    config = _NO_DPD_CONFIG
     (tmp_path / "c.json").write_text(json.dumps([config] if broken else config))
     return ["scenario", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
 
