@@ -38,6 +38,9 @@ EXIT_DIVERGED = 4
 
 # the steering angles in degrees of `pwdpd evaluate --trp`'s TRP sweep
 TRP_ANGLES = np.arange(-50.0, 50.0 + 1e-9, 2.0)
+# the plant preset whose OFDM numerology and CFR iterations fill the flags
+# `pwdpd generate` is not given
+GENERATE_PRESET = "array8-deep"
 
 
 def finite_float(text: str) -> float:
@@ -78,14 +81,16 @@ def _load_config(args) -> dict:
 
 
 def cmd_generate(args) -> int:
-    cfg = OfdmConfig(
+    preset = preset_params(GENERATE_PRESET)
+    ofdm = dict(preset["ofdm"], **_given(
         subcarrier_spacing=args.scs, fft_size=args.fft, active_subcarriers=args.active,
-        oversampling=args.oversampling, num_symbols=args.symbols,
-        constellation=args.constellation, cp_fraction=args.cp_fraction,
-        wola_taper_samples=args.wola, seed=args.seed)
+        oversampling=args.oversampling, constellation=args.constellation,
+        cp_fraction=args.cp_fraction, wola_taper_samples=args.wola))
+    cfg = OfdmConfig(num_symbols=args.symbols, seed=args.seed, **ofdm)
     sig, grid = generate_ofdm(cfg)
     if args.cfr_target is not None:
-        sig = crest_factor_reduce(sig, args.cfr_target, args.cfr_iterations,
+        iterations = preset["cfr_iterations"] if args.cfr_iterations is None else args.cfr_iterations
+        sig = crest_factor_reduce(sig, args.cfr_target, iterations,
                                   occupied_bandwidth=cfg.occupied_bandwidth)
     stem = Path(args.output)
     write_iq(stem, sig)
@@ -212,9 +217,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    source = json.loads(Path(args.params).read_text()) if args.params else "reference"
-    params = complexity_mod.load_params(source)
-    ledger = complexity_mod.full_ledger(params, exact_division=args.exact_division)
+    params = (complexity_mod.load_params(json.loads(Path(args.params).read_text()))
+              if args.params else complexity_mod.reference_params())
+    ledger = complexity_mod.full_ledger(params)
     print(complexity_mod.format_ledger(ledger))
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
@@ -245,18 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="piecewise closed-loop DPD workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate an OFDM excitation")
-    p.add_argument("--scs", type=finite_float, default=120e3)
-    p.add_argument("--fft", type=int, default=4096)
-    p.add_argument("--active", type=int, default=3168)
-    p.add_argument("--oversampling", type=int, default=5)
+    p = sub.add_parser("generate", help="generate an OFDM excitation (unset waveform "
+                       f"flags take the {GENERATE_PRESET} preset's values)")
+    p.add_argument("--scs", type=finite_float, default=None)
+    p.add_argument("--fft", type=int, default=None)
+    p.add_argument("--active", type=int, default=None)
+    p.add_argument("--oversampling", type=int, default=None)
     p.add_argument("--symbols", type=int, default=1)
-    p.add_argument("--constellation", default="64QAM")
-    p.add_argument("--cp-fraction", type=finite_float, default=0.07)
-    p.add_argument("--wola", type=int, default=256)
+    p.add_argument("--constellation", default=None)
+    p.add_argument("--cp-fraction", type=finite_float, default=None)
+    p.add_argument("--wola", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cfr-target", type=finite_float, default=None, help="PAPR target in dB")
-    p.add_argument("--cfr-iterations", type=int, default=10)
+    p.add_argument("--cfr-iterations", type=int, default=None)
     p.add_argument("--output", required=True, help="output stem")
     p.set_defaults(func=cmd_generate)
 
@@ -310,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexity", help="print the FLOP ledger")
     p.add_argument("--params", default=None,
                    help="JSON file with ComplexityParams fields (default: the reference set)")
-    p.add_argument("--exact-division", action="store_true",
-                   help="evaluate pruned cells without per-region ceilings")
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_complexity)
 

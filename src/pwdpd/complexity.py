@@ -28,15 +28,13 @@ CONFIGS = ("pw_ila", "cl_self_orth", "cl_orth_bfs", "pwcl_self_orth", "pwcl_orth
 class ComplexityParams:
     """Basis-set cardinalities and learning schedule.
 
-    n_isp / n_ipw: instantaneous (lag-0) BF counts for the single-polynomial
-    and piecewise structures; n_sp / n_pw: full BF counts; n_pw_pruned: the
-    piecewise count survived by pruning.
+    n_isp / n_sp: instantaneous (lag-0) and full BF counts of one basis, the
+    single polynomial's and also each of the k regions' (every region takes
+    the same basis); n_pw_pruned: the piecewise count survived by pruning.
     """
 
     n_isp: int
-    n_ipw: int
     n_sp: int
-    n_pw: int
     k: int
     b_cl: int
     i_cl: int
@@ -54,20 +52,23 @@ class ComplexityParams:
         if self.n_pw_pruned is not None and self.n_pw_pruned > self.n_pw:
             raise ConfigError("complexity params: n_pw_pruned must lie in (0, n_pw]")
 
+    @property
+    def n_pw(self) -> int:
+        """Full BF count of the piecewise structure."""
+        return self.k * self.n_sp
+
 
 def reference_params() -> ComplexityParams:
     """Parameter set of the reference numeric ledger."""
-    return ComplexityParams(n_isp=5, n_ipw=15, n_sp=116, n_pw=348, k=3,
-                            b_cl=20000, i_cl=10, b_ila=50000, i_ila=4, n_pw_pruned=96)
+    return ComplexityParams(n_isp=5, n_sp=116, k=3, b_cl=20000, i_cl=10, b_ila=50000,
+                            i_ila=4, n_pw_pruned=96)
 
 
-def load_params(source) -> ComplexityParams:
-    """ComplexityParams from "reference" or a dict of its fields; ConfigError otherwise."""
-    if source == "reference":
-        return reference_params()
+def load_params(source: dict) -> ComplexityParams:
+    """ComplexityParams from a dict of its fields; ConfigError otherwise."""
     if not isinstance(source, dict):
-        raise ConfigError(f"complexity params must be \"reference\" or an object of "
-                          f"ComplexityParams fields, not {source!r}")
+        raise ConfigError(f"complexity params must be an object of ComplexityParams "
+                          f"fields, not {source!r}")
     try:
         return ComplexityParams(**source)
     except TypeError as exc:
@@ -78,11 +79,8 @@ def params_from_spec(spec, b_cl: int, i_cl: int, b_ila: int, i_ila: int,
                      n_pw_pruned: int | None = None) -> ComplexityParams:
     """Derive the cardinalities from a BasisSpec with a partition."""
     single = spec.with_partition(None)
-    n_sp = single.n_basis_single
-    n_isp = single.n_instantaneous_single
-    k = spec.n_regions
-    return ComplexityParams(n_isp=n_isp, n_ipw=k * n_isp, n_sp=n_sp, n_pw=k * n_sp,
-                            k=k, b_cl=b_cl, i_cl=i_cl, b_ila=b_ila, i_ila=i_ila,
+    return ComplexityParams(n_isp=single.n_instantaneous_single, n_sp=single.n_basis_single,
+                            k=spec.n_regions, b_cl=b_cl, i_cl=i_cl, b_ila=b_ila, i_ila=i_ila,
                             n_pw_pruned=n_pw_pruned)
 
 
@@ -90,68 +88,49 @@ def _ceil(x: float) -> int:
     return int(math.ceil(x - 1e-12))
 
 
-def flops(config: str, p: ComplexityParams, exact_division: bool = False) -> dict:
+def flops(config: str, p: ComplexityParams) -> dict:
     """Per-sample FLOP ledger for one DPD configuration.
 
-    exact_division evaluates the pruned Filt/Orth cells without the
-    per-region ceilings (the reference numeric ledger appears to reflect
-    unequal per-region pruned counts; both readings agree when the pruned
-    count divides evenly by K).
+    The pruned cells take the per-region pruned count rounded up,
+    ceil(n_pw_pruned / k); the reference numeric ledger appears to reflect
+    unequal per-region pruned counts, and its Filt/Orth cells lie within 5 %
+    of these.
     """
     if config not in CONFIGS:
         raise ConfigError(f"config must be one of {CONFIGS}")
     flags: list[str] = []
     k = p.k
-    ipw_k = _ceil(p.n_ipw / k)
-    pw_k = _ceil(p.n_pw / k)
     cl_samples = p.i_cl * p.b_cl
-    ila_samples = p.i_ila * p.b_ila
+    # every region takes the single polynomial's basis, so an unpruned
+    # piecewise row costs per sample what its single-polynomial row does
+    bf_gen = 2 * p.n_isp - 1
+    filt = 8 * p.n_sp - 2
+    orth = 0.0
+    learn_bf_gen = 0.0
 
     if config == "pw_ila":
-        bf_gen = 2 * ipw_k - 1
-        filt = 8 * pw_k - 2
-        orth = 0.0
-        learn_bf_gen = ila_samples * (2 * ipw_k + 1) / ila_samples
-        learn_est = (4 * p.i_ila * k * pw_k ** 2
-                     * (_ceil(p.b_ila / k) + _ceil(p.n_pw / (3 * k)))) / ila_samples
+        learn_bf_gen = 2 * p.n_isp + 1
+        learn_est = (4 * p.i_ila * k * p.n_sp ** 2 * (_ceil(p.b_ila / k) + _ceil(p.n_sp / 3))
+                     / (p.i_ila * p.b_ila))
         flags.append(
             "learning entries are per-sample normalized; the widely quoted 2.7e9 "
             "figure for this column is not derivable from the symbolic formula "
             "with these parameters (it appears un-normalized)")
         flags.append("learning BF-gen formula gives 11/sample where the numeric "
                      "table prints 9")
-    elif config == "cl_self_orth":
-        bf_gen = 2 * p.n_isp - 1
-        filt = 8 * p.n_sp - 2
-        orth = 0.0
-        learn_bf_gen = 0.0
-        learn_est = (p.i_cl * p.b_cl * p.n_sp * (4 * p.n_sp + 6)) / cl_samples
+    elif config in ("cl_self_orth", "pwcl_self_orth"):
+        learn_est = p.n_sp * (4 * p.n_sp + 6)
     elif config == "cl_orth_bfs":
-        bf_gen = 2 * p.n_isp - 1
-        filt = 8 * p.n_sp - 2
         orth = 2 * p.n_sp ** 2
-        learn_bf_gen = 0.0
         learn_est = (p.i_cl * p.n_sp * (8 * p.b_cl + 2)) / cl_samples
-    elif config == "pwcl_self_orth":
-        bf_gen = 2 * ipw_k - 1
-        filt = 8 * pw_k - 2
-        orth = 0.0
-        learn_bf_gen = 0.0
-        learn_est = (p.i_cl * p.b_cl * pw_k * (4 * p.n_pw / k + 6)) / cl_samples
     else:  # pwcl_orth_pruned
         if p.n_pw_pruned is None:
             raise ConfigError("pwcl_orth_pruned requires n_pw_pruned")
         pr_k = _ceil(p.n_pw_pruned / k)
-        pr_k_exact = p.n_pw_pruned / k
         bf_gen = 2 * pr_k - 1
-        if exact_division:
-            filt = 8 * pr_k_exact - 2
-            orth = 2 * pr_k_exact ** 2
-        else:
-            filt = 8 * pr_k - 2
-            orth = 2 * _ceil(pr_k_exact ** 2)
-        learn_bf_gen = 0.0
-        learn_est = (8 * p.b_cl * pw_k + 2 * pr_k * p.i_cl
+        filt = 8 * pr_k - 2
+        orth = 2 * _ceil((p.n_pw_pruned / k) ** 2)
+        learn_est = (8 * p.b_cl * p.n_sp + 2 * pr_k * p.i_cl
                      + 8 * pr_k * p.b_cl * (p.i_cl - 1)) / cl_samples
 
     return {
@@ -167,13 +146,13 @@ def flops(config: str, p: ComplexityParams, exact_division: bool = False) -> dic
     }
 
 
-def full_ledger(p: ComplexityParams, exact_division: bool = False) -> dict:
+def full_ledger(p: ComplexityParams) -> dict:
     """Ledger rows for every configuration (pruned column only when counts given)."""
     rows = {}
     for config in CONFIGS:
         if config == "pwcl_orth_pruned" and p.n_pw_pruned is None:
             continue
-        rows[config] = flops(config, p, exact_division)
+        rows[config] = flops(config, p)
     return rows
 
 

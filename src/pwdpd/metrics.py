@@ -3,7 +3,7 @@ TRP-based), NMSE, and far-field beam patterns.
 
 ACLR convention: adjacent channels sit at exactly +-channel_bw offsets; the
 measurement bandwidth is the band holding 99% of the in-channel power (on a
-2048-bin Welch spectrum), and the same bandwidth is used for the adjacent
+WELCH_BINS-bin Welch spectrum), and the same bandwidth is used for the adjacent
 channels. Only the worse adjacent channel enters the ratio.
 """
 
@@ -28,6 +28,8 @@ ACLR_REQUIREMENTS_DBC = (
 )
 
 NMSE_FLOOR_DB = -300.0
+# Welch segment length (frequency bins) of the PSD, ACLR and beam-pattern spectra
+WELCH_BINS = 2048
 
 
 def aclr_requirement(carrier_hz: float) -> float:
@@ -90,7 +92,7 @@ def _welch(samples: np.ndarray, sample_rate: float, nperseg: int) -> tuple[np.nd
     return freqs, pxx
 
 
-def psd(sig: IqSignal, resolution_bins: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+def psd(sig: IqSignal, resolution_bins: int = WELCH_BINS) -> tuple[np.ndarray, np.ndarray]:
     """Welch PSD estimate; returns (freqs, dB/Hz)."""
     if len(sig) < 4 * resolution_bins:
         raise ConfigError("signal must be at least 4 x resolution_bins long")
@@ -135,7 +137,7 @@ def aclr_single_direction(sig: IqSignal, channel_bw: float) -> float:
     if sig.sample_rate < 3 * channel_bw:
         raise ConfigError(
             f"sample rate {sig.sample_rate:.3g} < 3 x channel bandwidth; adjacent channels not in view")
-    freqs, pxx = _welch(sig.samples, sig.sample_rate, 2048)
+    freqs, pxx = _welch(sig.samples, sig.sample_rate, WELCH_BINS)
     (p_ch, p_low, p_high), = _channel_powers(freqs, [pxx], channel_bw)
     p_adj = max(p_low, p_high)
     if p_adj <= 0:
@@ -187,7 +189,7 @@ def beam_pattern(per_element: list[IqSignal], angles_deg, channel_bw: float) -> 
 
     array_forward's element outputs are combined with the half-wavelength ULA
     array response exp(j pi i sin(angle)) per angle; powers integrate the
-    Welch spectrum (2048 bins) over the measurement bandwidth centered on the
+    Welch spectrum (WELCH_BINS bins) over the measurement bandwidth centered on the
     channel and the +-channel_bw adjacent offsets. The measurement bandwidth
     is the occupied-99% band of the angle with the strongest in-channel power,
     the rule of aclr_single_direction, so a one-point sweep reproduces that
@@ -202,6 +204,6 @@ def beam_pattern(per_element: list[IqSignal], angles_deg, channel_bw: float) -> 
     freqs = None
     for ang in angles_deg:
         af = np.exp(1j * np.pi * idx * math.sin(math.radians(ang)))
-        freqs, pxx = _welch(af @ outputs, per_element[0].sample_rate, 2048)
+        freqs, pxx = _welch(af @ outputs, per_element[0].sample_rate, WELCH_BINS)
         spectra.append(pxx)
     return AngleSweepResult(angles_deg, *_channel_powers(freqs, spectra, channel_bw).T)

@@ -17,8 +17,10 @@ import numpy as np
 from .errors import ConfigError, is_number
 from .signals import IqSignal
 
-# derivative_max's grid points and the cap on K-means iterations
+# derivative_max's grid points, partition_regions' width tolerance as a
+# fraction of a_max, and the cap on K-means iterations
 DERIVATIVE_GRID = 1000
+WIDTH_TOLERANCE = 1e-4
 KMEANS_MAX_ITER = 100
 
 
@@ -132,8 +134,8 @@ class AmAmModel:
         return float(np.max(np.abs(self.derivative_values(a, order))))
 
 
-def fit_amam(a1: IqSignal, z: IqSignal, fit_order: int = 9) -> AmAmModel:
-    """Least-squares polynomial fit of |z| versus |a1|.
+def fit_amam(a1: IqSignal, z: IqSignal, fit_order: int) -> AmAmModel:
+    """Least-squares degree-``fit_order`` polynomial fit of |z| versus |a1|.
 
     Both even and odd powers (plus a constant) are admitted since the fit is
     over the amplitude domain. |a1| should span [0, max |a1|], as the
@@ -157,10 +159,12 @@ def fit_amam(a1: IqSignal, z: IqSignal, fit_order: int = 9) -> AmAmModel:
     return AmAmModel(coeffs, a_max, fit_residual=residual)
 
 
-def _converge_width(model: AmAmModel, u: float, a_max: float, order: int,
-                    target: float, delta: float, deriv_tiny: float) -> float:
+def _converge_width(model: AmAmModel, u: float, order: int, target: float,
+                    deriv_tiny: float) -> float:
     """Fixed-point iteration for one region's width starting from the
-    conservative interval [u, a_max]."""
+    conservative interval [u, model.a_max]; stops when the width changes by
+    at most WIDTH_TOLERANCE * model.a_max."""
+    a_max = model.a_max
     width_prev = 0.0
     hi = a_max
     width = a_max - u
@@ -173,43 +177,38 @@ def _converge_width(model: AmAmModel, u: float, a_max: float, order: int,
         if j > 20:
             width = 0.5 * (width + width_prev)
         hi = min(u + width, a_max)
-        if abs(width - width_prev) <= delta:
+        if abs(width - width_prev) <= WIDTH_TOLERANCE * a_max:
             break
         width_prev = width
     return width
 
 
-def partition_regions(model: AmAmModel, a_max: float, order: int, target_error: float,
-                      delta: float | None = None) -> RegionPartition:
-    """Greedy left-to-right Taylor-remainder partitioning.
+def partition_regions(model: AmAmModel, order: int, target_error: float) -> RegionPartition:
+    """Greedy left-to-right Taylor-remainder partitioning of [0, model.a_max].
 
     Each region is the widest interval on which a degree-``order`` polynomial
     approximates the fitted amplitude response within ``target_error``
     (Lagrange remainder bound, derivative maximum by dense grid search). The
     per-region width iteration starts from the conservative interval
-    reaching a_max and stops when it changes by less than ``delta``. The
-    last region is clipped at a_max and may be narrow; whether it holds
-    enough samples depends on the waveform, so merging sparse regions is left
-    to the caller that has one (``scenarios.derive_partition``).
+    reaching a_max and stops when it changes by at most
+    WIDTH_TOLERANCE * a_max. The last region is clipped at a_max and may be
+    narrow; whether it holds enough samples depends on the waveform, so
+    merging sparse regions is left to the caller that has one
+    (``scenarios.derive_partition``).
     """
     if order < 1:
         raise ConfigError("order must be >= 1")
     if target_error <= 0:
         raise ConfigError("target_error must be positive")
-    if a_max <= 0:
-        raise ConfigError("a_max must be positive")
-    if delta is None:
-        delta = 1e-4 * a_max
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
 
+    a_max = model.a_max
     scale = max(1.0, float(np.max(np.abs(model.scaled_coeffs))))
     deriv_tiny = 1e4 * np.finfo(float).eps * scale
 
     edges = [0.0]
     while edges[-1] < a_max - 1e-12 * a_max:
         u = edges[-1]
-        width = _converge_width(model, u, a_max, order, target_error, delta, deriv_tiny)
+        width = _converge_width(model, u, order, target_error, deriv_tiny)
         edges.append(min(u + width, a_max))
         if len(edges) > 257:
             raise ConfigError("partition produced more than 256 regions; "

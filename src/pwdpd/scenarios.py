@@ -140,7 +140,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, order: int = 5,
         zp = observation_receive(plant, array_forward(plant, probe))
         ghat = estimate_gain(probe, zp)
         model = fit_amam(probe, zp.with_samples(zp.samples / ghat), FIT_ORDER)
-        part = partition_regions(model, model.a_max, order, target_error)
+        part = partition_regions(model, order, target_error)
         fit_residual = model.fit_residual
     else:
         z = observation_receive(plant, array_forward(plant, a1))

@@ -18,7 +18,7 @@ from pwdpd.cli import scenario_preset
 from pwdpd.complexity import flops, reference_params
 from pwdpd.dpd import DpdModel, distortion_power_identity, predistort
 from pwdpd.metrics import aclr_requirement, psd
-from pwdpd.partition import AmAmModel, RegionPartition, partition_regions
+from pwdpd.partition import WIDTH_TOLERANCE, AmAmModel, RegionPartition, partition_regions
 from pwdpd.scenarios import run_scenario
 from pwdpd.signals import IqSignal
 from pwdpd.waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_ccdf
@@ -82,15 +82,15 @@ def test_criterion_1_complexity_reproduction():
         "pruned_learn": (round(flops("pwcl_orth_pruned", p)["learn_est"], 1), 323.2),
     }
     exact_ok = all(got == want for got, want in checks.values())
-    compat = flops("pwcl_orth_pruned", p, exact_division=True)
-    near_ok = (abs(compat["filt"] - 249) / 249 < 0.05
-               and abs(compat["orth"] - 1964) / 1964 < 0.05)
+    pruned = flops("pwcl_orth_pruned", p)
+    near_ok = (abs(pruned["filt"] - 249) / 249 < 0.05
+               and abs(pruned["orth"] - 1964) / 1964 < 0.05)
     flagged = bool(flops("pw_ila", p)["flags"])
     elapsed = time.monotonic() - started
     _report("criterion-1 complexity",
             exact_ok and near_ok and flagged and elapsed < 1.0,
             f"exact cells {'ok' if exact_ok else checks}, pruned filt/orth "
-            f"{compat['filt']:.0f}/{compat['orth']:.0f} within 5% of 249/1964, "
+            f"{pruned['filt']:.0f}/{pruned['orth']:.0f} within 5% of 249/1964, "
             f"ILA learning cell flagged, runtime {elapsed:.3f}s")
 
 
@@ -199,7 +199,7 @@ def test_criterion_3_invariant_suites():
             coeffs[q] = rng.normal(scale=0.3 / q)
         a_max = float(rng.uniform(0.5, 2.0))
         model = AmAmModel.from_coefficients(coeffs, a_max)
-        part = partition_regions(model, a_max, order=int(rng.integers(2, 6)),
+        part = partition_regions(model, order=int(rng.integers(2, 6)),
                                  target_error=float(rng.uniform(0.003, 0.05)))
         edges = part.edges
         if not (edges[0] == 0.0 and edges[-1] == pytest.approx(a_max)
@@ -294,8 +294,8 @@ def test_criterion_4_waveform_statistics():
 
 def test_criterion_5_closed_form_partition():
     model = AmAmModel.from_coefficients([0.0, 1.0, 0.0, 0.1], a_max=1.0)
-    delta = 1e-4
-    part = partition_regions(model, 1.0, order=2, target_error=0.01, delta=delta)
+    delta = WIDTH_TOLERANCE * model.a_max
+    part = partition_regions(model, order=2, target_error=0.01)
     expected = (math.factorial(3) * 0.01 / 0.6) ** (1 / 3)
     ok = abs(part.edges[1] - expected) <= 2 * delta
     _report("criterion-5 closed-form partition", ok,

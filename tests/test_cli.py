@@ -67,7 +67,7 @@ def test_complexity_subcommand(tmp_path, capsys):
 def test_complexity_params_file_wins(tmp_path):
     from pwdpd import complexity
 
-    fields = dict(complexity.reference_params().__dict__, k=6, n_ipw=30, n_pw=696)
+    fields = dict(complexity.reference_params().__dict__, k=6)
     (tmp_path / "p.json").write_text(json.dumps(fields))
     assert main(["complexity", "--params", str(tmp_path / "p.json"),
                  "--json-out", str(tmp_path / "ledger.json")]) == 0
@@ -92,13 +92,23 @@ _NO_DPD_CONFIG = {"kind": "linearization", "preset": "doherty-n3", "seed": 3, "m
 @pytest.mark.parametrize("make_argv", [
     lambda d: ["complexity", "--params", _json_file(d / "p.json", {"n_isp": 5, "bogus": 1})],
     lambda d: ["complexity", "--preset", "reference"],
-], ids=["unknown-field", "preset-flag-gone"])
+    lambda d: ["complexity", "--exact-division"],
+], ids=["unknown-field", "preset-flag-gone", "exact-division-flag-gone"])
 def test_complexity_bad_params_exit_code(tmp_path, make_argv):
     try:
         rc = main(make_argv(tmp_path))
     except SystemExit as exc:  # argparse refuses the value before main's handlers
         rc = exc.code
     assert rc == 2
+
+
+@pytest.mark.parametrize("key, value", [("n_ipw", 15), ("n_pw", 348)])
+def test_complexity_params_derived_count_refused(tmp_path, capsys, key, value):
+    """The piecewise counts are k times n_isp and n_sp; a params file that
+    still gives one is refused, naming the key."""
+    params = {**reference_params().__dict__, key: value}
+    assert main(["complexity", "--params", _json_file(tmp_path / "p.json", params)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("via", ["cli"])  # the one front end that reads a params file
@@ -697,6 +707,15 @@ def test_readme_method_table():
         assert partition.startswith(names[kind]), method
         assert (f"(`{learner}`)" in learner_cell if learner
                 else learner_cell.startswith("no DPD")), method
+
+
+def test_readme_params_fields():
+    """The README's params-file table lists exactly the ComplexityParams fields."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [field.strip("`") for field, *_ in _readme_table(readme, "| params field | meaning |")]
+    assert rows == [f.name for f in dataclasses.fields(ComplexityParams)]
 
 
 def test_readme_scenario_tables():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pwdpd.errors import ConfigError
-from pwdpd.partition import (DERIVATIVE_GRID, AmAmModel, RegionPartition, fit_amam,
-                             kmeans_partition, partition_regions)
+from pwdpd.partition import (DERIVATIVE_GRID, WIDTH_TOLERANCE, AmAmModel, RegionPartition,
+                             fit_amam, kmeans_partition, partition_regions)
 from pwdpd.plant import array_forward, observation_receive
 from pwdpd.signals import IqSignal
 
@@ -88,7 +88,7 @@ def test_fit_amam_noise_robustness():
 
 def test_partition_linear_single_region():
     model = AmAmModel.from_coefficients([0.0, 1.0], a_max=1.0)
-    part = partition_regions(model, 1.0, order=2, target_error=0.01)
+    part = partition_regions(model, order=2, target_error=0.01)
     assert part.n_regions == 1
     np.testing.assert_allclose(part.edges, [0.0, 1.0])
 
@@ -97,8 +97,8 @@ def test_partition_cubic_closed_form():
     # f = a + 0.1 a^3, Q=2: f''' = 0.6 everywhere, so every region width is
     # (3! * 0.01 / 0.6)^(1/3) = 0.1^(1/3)
     model = AmAmModel.from_coefficients([0.0, 1.0, 0.0, 0.1], a_max=1.0)
-    delta = 1e-4
-    part = partition_regions(model, 1.0, order=2, target_error=0.01, delta=delta)
+    delta = WIDTH_TOLERANCE * model.a_max
+    part = partition_regions(model, order=2, target_error=0.01)
     width = (6 * 0.01 / 0.6) ** (1 / 3)
     assert part.n_regions == 3
     assert part.edges[1] == pytest.approx(width, abs=2 * delta)
@@ -116,16 +116,16 @@ def test_partition_grid_refinement_stable():
 
 def test_partition_monotone_in_target_error():
     model = AmAmModel.from_coefficients([0.0, 1.0, 0.0, 0.1], a_max=1.0)
-    loose = partition_regions(model, 1.0, 2, 0.01)
-    tight = partition_regions(model, 1.0, 2, 0.004)
+    loose = partition_regions(model, 2, 0.01)
+    tight = partition_regions(model, 2, 0.004)
     assert tight.edges[1] <= loose.edges[1] + 1e-9
     assert tight.n_regions >= loose.n_regions
 
 
 def test_partition_monotone_in_order_cubic():
     model = AmAmModel.from_coefficients([0.0, 1.0, 0.0, 0.1], a_max=1.0)
-    q2 = partition_regions(model, 1.0, 2, 0.01)
-    q3 = partition_regions(model, 1.0, 3, 0.01)  # f'''' = 0: single region
+    q2 = partition_regions(model, 2, 0.01)
+    q3 = partition_regions(model, 3, 0.01)  # f'''' = 0: single region
     assert q3.edges[1] >= q2.edges[1] - 1e-9
 
 
@@ -144,7 +144,7 @@ def test_partition_doherty_width_ordering():
     g = estimate_gain(probe, z)
     model = fit_amam(probe, z.with_samples(z.samples / g), fit_order=9)
     q = 5
-    part = partition_regions(model, model.a_max, q, 0.01)
+    part = partition_regions(model, q, 0.01)
     assert part.n_regions > 3  # strongly local nonlinearity splits finely
     # width/derivative consistency (all regions except the clipped last one)
     for k in range(part.n_regions - 1):
@@ -159,9 +159,9 @@ def test_partition_doherty_width_ordering():
 def test_partition_validation_errors():
     model = AmAmModel.from_coefficients([0.0, 1.0], a_max=1.0)
     with pytest.raises(ConfigError):
-        partition_regions(model, 1.0, 0, 0.01)
+        partition_regions(model, 0, 0.01)
     with pytest.raises(ConfigError):
-        partition_regions(model, 1.0, 2, -1.0)
+        partition_regions(model, 2, -1.0)
 
 
 def test_kmeans_single_region():
