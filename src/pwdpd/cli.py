@@ -36,8 +36,6 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
 
-# the steering angles in degrees of `pwdpd evaluate --trp`'s TRP sweep
-TRP_ANGLES = np.arange(-50.0, 50.0 + 1e-9, 2.0)
 # the plant preset whose OFDM numerology and CFR iterations fill the flags
 # `pwdpd generate` is not given
 GENERATE_PRESET = "array8-deep"
@@ -49,6 +47,15 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of every --seed: a usage error (exit 2) naming the flag
+    for a negative value or anything int() does not read."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -192,7 +199,7 @@ def cmd_train(args) -> int:
     if args.partition:
         spec = spec.with_partition(RegionPartition.load(args.partition))
     elif kind is not None:
-        spec = spec.with_partition(_partitions(plant, params, config, args.seed, {kind})[kind][0])
+        spec = spec.with_partition(_partitions(plant, params, args.seed, {kind})[kind][0])
     model, trace = train_method(args.method, plant, params, config, spec, seed=args.seed)
     save_model(model, args.output)
     trace_to_csv(trace, str(args.output) + ".trace.csv")
@@ -207,7 +214,7 @@ def cmd_evaluate(args) -> int:
     if params is None:
         raise ConfigError("evaluate needs a named preset")
     model = load_model(args.model) if args.model else None
-    res = evaluate(plant, params, model, args.seed, trp_angles=TRP_ANGLES if args.trp else None,
+    res = evaluate(plant, params, model, args.seed, trp=args.trp,
                    **_given(num_symbols=args.symbols))
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constellation", default=None)
     p.add_argument("--cp-fraction", type=finite_float, default=None)
     p.add_argument("--wola", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--cfr-target", type=finite_float, default=None, help="PAPR target in dB")
     p.add_argument("--cfr-iterations", type=int, default=None)
     p.add_argument("--output", required=True, help="output stem")
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling-strength", type=finite_float, default=None)
     p.add_argument("--noise-floor", type=finite_float, default=None, help="dBc")
     p.add_argument("--channel-bw", type=finite_float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("partition", help="derive an amplitude partition")
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-error", type=finite_float, default=None)
     p.add_argument("--regions", type=int, default=None,
                    help="K: a K-means partition of K regions instead of the Taylor one")
-    p.add_argument("--seed", type=int, default=17)
+    p.add_argument("--seed", type=non_negative_int, default=17)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_partition)
 
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--prune", type=finite_float, default=None, help="threshold in dB")
     p.add_argument("--partition", default=None, help="partition JSON path")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=non_negative_int, default=7)
     p.add_argument("--output", required=True, help="model stem")
     p.set_defaults(func=cmd_train)
 
@@ -309,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="model stem from train")
     p.add_argument("--symbols", type=int, default=None)
     p.add_argument("--trp", action="store_true", help="include the TRP angle sweep")
-    p.add_argument("--seed", type=int, default=777)
+    p.add_argument("--seed", type=non_negative_int, default=777)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_evaluate)
 

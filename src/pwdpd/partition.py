@@ -18,10 +18,12 @@ from .errors import ConfigError, is_number
 from .signals import IqSignal
 
 # derivative_max's grid points, partition_regions' width tolerance as a
-# fraction of a_max, and the cap on K-means iterations
+# fraction of a_max, the cap on K-means iterations, and the most regions
+# either partitioner makes
 DERIVATIVE_GRID = 1000
 WIDTH_TOLERANCE = 1e-4
 KMEANS_MAX_ITER = 100
+MAX_REGIONS = 256
 
 
 @dataclass
@@ -210,8 +212,8 @@ def partition_regions(model: AmAmModel, order: int, target_error: float) -> Regi
         u = edges[-1]
         width = _converge_width(model, u, order, target_error, deriv_tiny)
         edges.append(min(u + width, a_max))
-        if len(edges) > 257:
-            raise ConfigError("partition produced more than 256 regions; "
+        if len(edges) > MAX_REGIONS + 1:
+            raise ConfigError(f"partition produced more than {MAX_REGIONS} regions; "
                               "raise target_error or lower the fit order")
     edges[-1] = a_max
     return RegionPartition(np.asarray(edges))
@@ -221,10 +223,11 @@ def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
     """1-D K-means over the envelope; boundaries at midpoints between centroids.
 
     Deterministic: centroids are seeded at the (i+0.5)/K quantiles of the
-    sorted amplitudes.
+    sorted amplitudes. K is at most MAX_REGIONS, which also bounds the
+    samples x K distance matrix of the assignment step.
     """
-    if n_regions < 1:
-        raise ConfigError("n_regions must be >= 1")
+    if not 1 <= n_regions <= MAX_REGIONS:
+        raise ConfigError(f"n_regions must be between 1 and {MAX_REGIONS}, got {n_regions}")
     env = np.abs(a1.samples)
     distinct = np.unique(env)
     if n_regions > distinct.size:

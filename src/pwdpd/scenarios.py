@@ -58,6 +58,16 @@ RAMP_PHASE_RATE = 1e-3
 PARTITION_BLOCK = 40000
 MIN_SHARE = 0.025
 
+# the steering angles in degrees of the TRP sweep (eval.trp, pwdpd evaluate --trp)
+TRP_ANGLES = np.arange(-50.0, 50.0 + 1e-9, 2.0)
+# the powersweep's methods and drive offsets in dB, the anglesweep's steering
+# angles in degrees and method, and the pruning study's threshold in dB
+POWERSWEEP_METHODS = ("none", "pwcl_orth", "pw_ila")
+POWERSWEEP_OFFSETS_DB = (-2.0, -1.6, -1.2, -0.8, -0.4, 0.0)
+ANGLESWEEP_ANGLES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+ANGLESWEEP_METHOD = "pwcl_orth"
+PRUNE_THRESHOLD_DB = -40.0
+
 
 def preset_waveform(preset: dict, num_symbols: int,
                     seed: int) -> tuple[IqSignal, np.ndarray, OfdmConfig]:
@@ -88,15 +98,13 @@ class SimulatedLoop:
         self._counter = 0
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEED]))
 
-    def make_block(self, n: int, seed: int) -> IqSignal:
+    def next_block(self, n: int) -> IqSignal:
+        self._counter += 1
+        seed = self.seed + self._counter
         ofdm = OfdmConfig(**self.preset["ofdm"])
         symbols = max(1, math.ceil((n - ofdm.wola_taper_samples) / ofdm.symbol_stride))
         sig, _, _ = preset_waveform(self.preset, symbols, seed)
         return IqSignal(sig.samples[:n], sig.sample_rate, seed)
-
-    def next_block(self, n: int) -> IqSignal:
-        self._counter += 1
-        return self.make_block(n, self.seed + self._counter)
 
     def transmit(self, x: IqSignal) -> IqSignal:
         return observation_receive(self.plant, array_forward(self.plant, x),
@@ -169,9 +177,10 @@ class EvalResult:
 
 
 def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
-             num_symbols: int = 4, trp_angles: np.ndarray | None = None) -> EvalResult:
+             num_symbols: int = 4, trp: bool = False) -> EvalResult:
     """Fresh-data evaluation of one DPD model (or the no-DPD reference), with
-    receiver noise at the preset's noise_floor_dbc (none when it is null)."""
+    receiver noise at the preset's noise_floor_dbc (none when it is null);
+    trp adds the beam pattern and TRP ACLR over TRP_ANGLES."""
     a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
     x = predistort(model, a1) if model is not None else a1
     per_element = array_forward(plant, x)
@@ -190,8 +199,8 @@ def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
         "drive_rms": preset["drive_rms"],
     }
     beam = None
-    if trp_angles is not None:
-        beam = beam_pattern(per_element, trp_angles, channel_bw)
+    if trp:
+        beam = beam_pattern(per_element, TRP_ANGLES, channel_bw)
         metrics["aclr_trp_dbc"] = aclr_trp(beam)
     freqs, db = psd(z)
     return EvalResult(metrics, freqs, db, beam)
@@ -205,11 +214,9 @@ def _base_spec(family: str = "full_dual_input", max_order: int = 9, memory_depth
 
 def load_scenario_plant(config: dict) -> tuple[ArrayPlant, dict]:
     """The config's plant preset and its parameters, with the config's
-    top-level drive, CFR target, noise floor and coupling overrides."""
+    top-level coupling override."""
     name = config.get("preset", SHARED["preset"])
     plant, preset = load_plant_preset(name), preset_params(name)
-    preset.update((key, config[key]) for key in ("drive_rms", "cfr_target_papr_db",
-                                                 "noise_floor_dbc") if key in config)
     if "coupling_strength" in config:
         plant = replace(plant, coupling_strength=config["coupling_strength"])
     return plant, preset
@@ -252,40 +259,19 @@ def write_manifest(outdir: Path, config: dict) -> Path:
     return path
 
 
-def _partitions(plant: ArrayPlant, preset: dict, config: dict, seed: int, kinds) -> dict:
+def _partitions(plant: ArrayPlant, preset: dict, seed: int, kinds) -> dict:
     """The partition kinds asked for, each derived at seed*1000+17; maps
-    "taylor"/"kmeans" to (RegionPartition, info). Taylor, from the config's
-    "partition" section, is derived whenever any kind is asked for, since
+    "taylor"/"kmeans" to (RegionPartition, info). Taylor, at derive_partition's
+    order and target error, is derived whenever any kind is asked for, since
     K-means takes its number of regions."""
     if not kinds:
         return {}
-    taylor = derive_partition(plant, preset, seed=seed * 1000 + 17,
-                              **config_section(config, "partition"))
+    taylor = derive_partition(plant, preset, seed=seed * 1000 + 17)
     partitions = {"taylor": taylor}
     if "kmeans" in kinds:
         partitions["kmeans"] = derive_partition(plant, preset, seed=seed * 1000 + 17,
                                                 n_regions=taylor[0].n_regions)
     return partitions
-
-
-def _trp_angles(trp) -> np.ndarray | None:
-    """Angle grid of an "eval" section's trp_angles: an object of start, stop
-    and step in degrees (stop included, both within [-90, 90]), or null for no
-    TRP sweep."""
-    if trp is None:
-        return None
-    if not isinstance(trp, dict) or set(trp) != {"start", "stop", "step"}:
-        raise ConfigError(f"eval.trp_angles must be null or an object with start, stop and "
-                          f"step; got {trp!r}")
-    for field, value in trp.items():
-        if not is_number(value):
-            raise ConfigError(f"eval.trp_angles {field!r} must be a finite number, got {value!r}")
-    if not trp["step"] > 0:
-        raise ConfigError(f"eval.trp_angles step must be positive, got {trp['step']!r}")
-    if not -90 <= trp["start"] <= trp["stop"] <= 90:  # beyond +-90, sin repeats an angle
-        raise ConfigError(f"eval.trp_angles needs -90 <= 'start' <= 'stop' <= 90 degrees, as "
-                          f"steering angles do; got {trp['start']!r} and {trp['stop']!r}")
-    return np.arange(trp["start"], trp["stop"] + 1e-9, trp["step"])
 
 
 @dataclass
@@ -320,9 +306,8 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
     else:
         train_plant, eval_preset = steer(plant, 0.0), dict(preset, noise_floor_dbc=None)
         eval_plants = [steer(plant, float(a)) for a in angles]
-    eval_kw = dict(config_section(config, "eval"))
-    eval_kw["trp_angles"] = _trp_angles(eval_kw.get("trp_angles"))
-    partitions = _partitions(train_plant, preset, config, seed,
+    eval_kw = config_section(config, "eval")
+    partitions = _partitions(train_plant, preset, seed,
                              {METHODS[method][0] for _, method, _, _ in runs} - {None})
 
     def trained():
@@ -382,13 +367,13 @@ def run_linearization(config: dict, outdir: Path, seed: int,
     return {"kind": "linearization", "partition": part_info, "methods": results}
 
 
-def run_powersweep(config: dict, outdir: Path, seed: int,
-                   methods: tuple = ("none", "pwcl_orth", "pw_ila"),
-                   offsets_db: tuple = (-10.0, -8.0, -6.0, -4.0, -2.0, 0.0)) -> dict:
+def run_powersweep(config: dict, outdir: Path, seed: int) -> dict:
+    """POWERSWEEP_METHODS at each drive offset of POWERSWEEP_OFFSETS_DB."""
     rows = []
-    for i, offset_db in enumerate(map(float, offsets_db)):
+    for i, offset_db in enumerate(POWERSWEEP_OFFSETS_DB):
         point_seed = seed + 31 * i
-        out = _pipeline(config, [(m, m, point_seed * 100 + j, {}) for j, m in enumerate(methods)],
+        out = _pipeline(config, [(m, m, point_seed * 100 + j, {})
+                                 for j, m in enumerate(POWERSWEEP_METHODS)],
                         point_seed, drive_offset_db=offset_db)
         row = {"offset_db": offset_db}
         for method, _, _, (res,) in out.runs:
@@ -397,29 +382,29 @@ def run_powersweep(config: dict, outdir: Path, seed: int,
         rows.append(row)
     csv_rows = []
     for row in rows:
-        for m in methods:
+        for m in POWERSWEEP_METHODS:
             csv_rows.append((row["offset_db"], m, row[m]["aclr_dbc"], row[m]["evm_percent"]))
     _write_csv(outdir / "powersweep.csv", "offset_db,method,aclr_dbc,evm_percent", csv_rows)
-    return {"kind": "powersweep", "offsets_db": list(offsets_db), "rows": rows}
+    return {"kind": "powersweep", "offsets_db": list(POWERSWEEP_OFFSETS_DB), "rows": rows}
 
 
-def run_anglesweep(config: dict, outdir: Path, seed: int,
-                   angles: tuple = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0),
-                   method: str = "pwcl_orth") -> dict:
-    """Train at 0 degrees, evaluate the frozen model across steering angles."""
-    out = _pipeline(config, [(method, method, seed * 100, {})], seed, angles=angles)
+def run_anglesweep(config: dict, outdir: Path, seed: int) -> dict:
+    """Train ANGLESWEEP_METHOD at 0 degrees, evaluate the frozen model at each
+    steering angle of ANGLESWEEP_ANGLES."""
+    out = _pipeline(config, [(ANGLESWEEP_METHOD, ANGLESWEEP_METHOD, seed * 100, {})], seed,
+                    angles=ANGLESWEEP_ANGLES)
     (_, _, _, evals), = out.runs
-    rows = [(float(a), res.metrics["aclr_dbc"], res.metrics["evm_percent"])
-            for a, res in zip(angles, evals)]
+    rows = [(a, res.metrics["aclr_dbc"], res.metrics["evm_percent"])
+            for a, res in zip(ANGLESWEEP_ANGLES, evals)]
     _write_csv(outdir / "angle_sweep.csv", "angle_deg,aclr_dbc,evm_percent", rows)
     return {"kind": "anglesweep", "coupling_strength": out.plant.coupling_strength,
             "rows": [{"angle_deg": a, "aclr_dbc": b, "evm_percent": c} for a, b, c in rows]}
 
 
-def run_pruning_study(config: dict, outdir: Path, seed: int,
-                      prune_threshold_db: float = -40.0) -> dict:
+def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
+    """pwcl_orth unpruned and pruned at PRUNE_THRESHOLD_DB."""
     runs = [(label, "pwcl_orth", seed * 100, {"prune_threshold_db": th})
-            for label, th in (("unpruned", None), ("pruned", prune_threshold_db))]
+            for label, th in (("unpruned", None), ("pruned", PRUNE_THRESHOLD_DB))]
     out = _pipeline(config, runs, seed)
     partition_obj, part_info = out.partitions["taylor"]
     results = {}
@@ -446,7 +431,7 @@ def run_pruning_study(config: dict, outdir: Path, seed: int,
     return {
         "kind": "pruning",
         "partition": part_info,
-        "threshold_db": prune_threshold_db,
+        "threshold_db": PRUNE_THRESHOLD_DB,
         "unpruned": results["unpruned"],
         "pruned": results["pruned"],
         "learn_flops_per_sample": {"unpruned": unpruned_cost, "pruned": pruned_cost,
@@ -458,7 +443,6 @@ def run_pruning_study(config: dict, outdir: Path, seed: int,
 # section overrides, the keywords the pipeline sets itself)
 SECTIONS = {
     "basis": (_base_spec, ()),
-    "partition": (derive_partition, ("n_regions",)),
     "learn": (LearnConfig, ()),
     "ila": (ila_learn, ()),
     "eval": (evaluate, ()),
@@ -475,10 +459,9 @@ RUNNERS = {
 }
 
 # top-level keys every kind takes besides the section names, with their
-# defaults; kind is checked against RUNNERS, and None marks an override whose
-# default the preset supplies
+# defaults; kind is checked against RUNNERS, and coupling_strength's default
+# is the plant preset's
 SHARED = {"kind": None, "schema_version": 1, "preset": "array8-deep", "seed": 1,
-          "drive_rms": None, "cfr_target_papr_db": None, "noise_floor_dbc": None,
           "coupling_strength": None}
 
 
@@ -496,13 +479,12 @@ _VALUE_TYPES = (
     (type(None), (lambda v: v is None or is_number(v), "a finite number or null")),
 )
 
-# the same by key name, for the keys whose default does not give their type;
-# these win over _VALUE_TYPES (_trp_angles checks the object's fields)
+# the same by key name, for the keys whose default does not give their type
+# or admits values the key cannot take; these win over _VALUE_TYPES
 _KEY_TYPES = {
     "kind": (lambda v: isinstance(v, str), "a string"),
-    "drive_rms": (lambda v: is_number(v) and v > 0, "a positive finite number"),
+    "seed": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
     "coupling_strength": (is_number, "a finite number"),
-    "trp_angles": (lambda v: v is None or isinstance(v, dict), "null or an object"),
 }
 
 

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 
@@ -10,7 +11,7 @@ from pwdpd.basis import BasisSpec
 from pwdpd.cli import build_parser, finite_float, main, scenario_preset
 from pwdpd.complexity import ComplexityParams, reference_params
 from pwdpd.errors import ConfigError, DivergenceError
-from pwdpd.partition import RegionPartition
+from pwdpd.partition import MAX_REGIONS, RegionPartition
 from pwdpd.plant import save_plant, steer
 from pwdpd.presets import load_plant_preset
 from pwdpd.scenarios import METHODS
@@ -385,12 +386,13 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "x" / "metrics.json").exists()
 
 
-def test_powersweep_rows_follow_offsets_db(tmp_path):
-    cfg = scenario_preset("powersweep")
-    cfg["offsets_db"] = [-1.0, 0.0]
-    cfg["methods"] = ["none"]
+def test_powersweep_rows_follow_offsets_db(tmp_path, monkeypatch):
+    import pwdpd.scenarios as scenarios
+
+    monkeypatch.setattr(scenarios, "POWERSWEEP_OFFSETS_DB", (-1.0, 0.0))
+    monkeypatch.setattr(scenarios, "POWERSWEEP_METHODS", ("none",))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(scenario_preset("powersweep")))
     assert main(["scenario", "--config", str(cfg_path), "--out", str(tmp_path),
                  "--name", "sweep"]) == 0
     rows = json.loads((tmp_path / "sweep" / "metrics.json").read_text())["rows"]
@@ -404,7 +406,7 @@ def test_scenario_taylor_and_kmeans_partitions():
 
     cfg = scenario_preset("doherty-n3")
     plant, preset = load_scenario_plant(cfg)
-    partitions = _partitions(plant, preset, cfg, 13, {"taylor", "kmeans"})
+    partitions = _partitions(plant, preset, 13, {"taylor", "kmeans"})
     (taylor, taylor_info), (km, km_info) = partitions["taylor"], partitions["kmeans"]
     assert taylor.n_regions == km.n_regions
     assert taylor_info["method"] == "taylor" and km_info["method"] == "kmeans"
@@ -457,33 +459,35 @@ class _PartitionReached(Exception):
 
 
 @pytest.mark.parametrize("kind, own", [("linearization", {"methods": ["pwcl_orth"]}),
-                                       ("powersweep", {"methods": ["pwcl_orth"]}),
-                                       ("anglesweep", {"method": "pwcl_orth"}),
-                                       ("pruning", {})],
+                                       ("powersweep", {}), ("anglesweep", {}), ("pruning", {})],
                          ids=["linearization", "powersweep", "anglesweep", "pruning"])
 def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind, own):
+    """Every trained kind derives its Taylor partition at order 5 and target
+    error 0.01, the settings all shipped presets use."""
     import pwdpd.scenarios as scenarios
 
+    signature = inspect.signature(scenarios.derive_partition)
     seen = []
 
     def record(*args, **kwargs):
-        seen.append(kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments)
         raise _PartitionReached
 
     monkeypatch.setattr(scenarios, "derive_partition", record)
-    config = {"kind": kind, "preset": "doherty-n3", "seed": 3,
-              "partition": {"order": 3, "target_error": 0.05}, **own}
+    config = {"kind": kind, "preset": "doherty-n3", "seed": 3, **own}
     with pytest.raises(_PartitionReached):
         scenarios.run_scenario(config, tmp_path)
-    assert seen[0].get("order") == 3
-    assert seen[0].get("target_error") == 0.05
+    assert seen[0].get("order") == 5
+    assert seen[0].get("target_error") == 0.01
 
 
 def test_shipped_scenario_presets_are_well_formed():
     from importlib import resources
 
     from pwdpd.dpd import LearnConfig
-    from pwdpd.scenarios import (METHODS, RUNNERS, _base_spec, _trp_angles, config_section,
+    from pwdpd.scenarios import (METHODS, RUNNERS, _base_spec, config_section,
                                  load_scenario_plant, scenario_settings)
 
     names = [p.name[:-5] for p in resources.files("pwdpd").joinpath("presets/scenarios").iterdir()]
@@ -497,7 +501,7 @@ def test_shipped_scenario_presets_are_well_formed():
         scenario_settings(cfg)  # the whole top level and every section
         _base_spec(**config_section(cfg, "basis"))
         LearnConfig(**config_section(cfg, "learn"))
-        _trp_angles(config_section(cfg, "eval").get("trp_angles"))
+        assert isinstance(config_section(cfg, "eval").get("trp", False), bool), name
 
 
 def _scenario_exit_code(tmp_path, **config):
@@ -506,7 +510,7 @@ def _scenario_exit_code(tmp_path, **config):
     return main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"])
 
 
-@pytest.mark.parametrize("section", ["learn", "ila", "partition", "basis", "eval"])
+@pytest.mark.parametrize("section", ["learn", "ila", "basis", "eval"])
 def test_misspelled_section_key_exit_code(tmp_path, section):
     assert _scenario_exit_code(tmp_path, **{section: {"iteratons": 1}}) == 2
     record = json.loads((tmp_path / "x" / "error.json").read_text())
@@ -569,9 +573,9 @@ _NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 def _non_finite_cases():
     """(kind, config keys, key) putting NaN, Infinity and -Infinity in every
     number key a scenario config takes (SHARED, each section's keys and each
-    runner's keys), in the first element of every array of numbers and in each
-    eval.trp_angles field, keyed by a test id. A key is a number key when its
-    type check takes 1 or 0.5, so a key added later is covered without a new row."""
+    runner's keys) and in the first element of every array of numbers, keyed
+    by a test id. A key is a number key when its type check takes 1 or 0.5,
+    so a key added later is covered without a new row."""
     from pwdpd.scenarios import RUNNERS, SECTIONS, SHARED, accepted_settings, check_settings
 
     def takes(accepted, key, value):
@@ -594,11 +598,6 @@ def _non_finite_cases():
                     keys = {key: wrap(value)}
                     cases[f"{section or kind}.{key}{suffix}={label}"] = (
                         kind, {section: keys} if section else keys, key)
-    for field in ("start", "stop", "step"):
-        for label, value in _NON_FINITE.items():
-            trp = dict({"start": -10.0, "stop": 10.0, "step": 2.0}, **{field: value})
-            cases[f"eval.trp_angles.{field}={label}"] = (
-                "linearization", {"methods": ["none"], "eval": {"trp_angles": trp}}, field)
     return cases
 
 
@@ -624,6 +623,45 @@ def test_removed_scenario_kind_exit_code(tmp_path, kind):
     assert record["error"] == "ConfigError" and "'kind'" in record["message"]
 
 
+# (kind, config keys, key) of each key a scenario config no longer takes, in
+# its place and with a value it took before: the preset supplies the drive,
+# CFR target and noise floor, derive_partition's defaults the Taylor
+# partition, eval.trp the TRP sweep and module constants the runners' settings
+_REMOVED_KEYS = {
+    "drive_rms": ("linearization", {"methods": ["none"], "drive_rms": 0.25}, "drive_rms"),
+    "cfr_target_papr_db": ("linearization", {"methods": ["none"], "cfr_target_papr_db": 7.5},
+                           "cfr_target_papr_db"),
+    "noise_floor_dbc": ("linearization", {"methods": ["none"], "noise_floor_dbc": None},
+                        "noise_floor_dbc"),
+    "partition": ("linearization", {"methods": ["none"],
+                                    "partition": {"order": 5, "target_error": 0.01}}, "partition"),
+    "eval.trp_angles": ("linearization", {"methods": ["none"], "eval": {"trp_angles": None}},
+                        "trp_angles"),
+    "anglesweep.angles": ("anglesweep", {"angles": [0]}, "angles"),
+    "anglesweep.method": ("anglesweep", {"method": "pwcl_orth"}, "method"),
+    "powersweep.methods": ("powersweep", {"methods": ["none"]}, "methods"),
+    "powersweep.offsets_db": ("powersweep", {"offsets_db": [0.0]}, "offsets_db"),
+    "pruning.prune_threshold_db": ("pruning", {"prune_threshold_db": -40.0}, "prune_threshold_db"),
+}
+
+
+@pytest.mark.parametrize("kind, config, key", list(_REMOVED_KEYS.values()), ids=list(_REMOVED_KEYS))
+def test_removed_scenario_key_exit_code(tmp_path, kind, config, key):
+    """A config that still holds a removed key exits 2 naming it, before any run."""
+    cfg = _json_file(tmp_path / "c.json", {"kind": kind, "preset": "doherty-n3", **config})
+    assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and f"unknown key {key!r}" in record["message"]
+    assert sorted(p.name for p in (tmp_path / "x").iterdir()) == ["error.json"]
+
+
+def test_negative_scenario_seed_exit_code(tmp_path):
+    """A seed is a non-negative integer, as numpy's SeedSequence asks."""
+    assert _scenario_exit_code(tmp_path, seed=-1) == 2
+    record = json.loads((tmp_path / "x" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and "'seed'" in record["message"]
+
+
 def test_ill_typed_kind_without_name_exit_code(tmp_path):
     """The bundle directory falls back to "scenario" when kind cannot name it."""
     cfg = _json_file(tmp_path / "c.json", {"kind": ["x"]})
@@ -639,6 +677,8 @@ def test_ill_typed_kind_without_name_exit_code(tmp_path):
                          ids=["no-step", "zero-step", "full-circle", "below-minus-90", "above-90",
                               "true", "false"])
 def test_malformed_trp_angles_exit_code(tmp_path, trp):
+    """eval.trp_angles is refused, naming it, whatever grid it holds: the TRP
+    sweep is eval.trp over the one grid TRP_ANGLES."""
     assert _scenario_exit_code(tmp_path, eval={"trp_angles": trp}) == 2
     assert "trp_angles" in json.loads((tmp_path / "x" / "error.json").read_text())["message"]
 
@@ -874,13 +914,15 @@ def _float_flags():
             for action in parser._actions if action.type in (float, finite_float)]
 
 
-# the required flags of each subcommand with a float flag, for an output root d
+# the required flags of each subcommand with a float flag or a --seed, for an
+# output root d
 _REQUIRED_FLAGS = {
     "generate": lambda d: ["--output", str(d / "out")],
     "simulate": lambda d: ["--plant", "doherty-n3", "--input", str(d / "wave"),
                            "--output", str(d / "z")],
     "partition": lambda d: ["--plant", "doherty-n3", "--output", str(d / "part.json")],
     "train": lambda d: ["--plant", "doherty-n3", "--output", str(d / "m")],
+    "evaluate": lambda d: ["--plant", "doherty-n3", "--output", str(d / "metrics.json")],
 }
 
 
@@ -894,6 +936,34 @@ def test_non_finite_float_flag_exit_code(tmp_path, capsys, command, flag, value)
     assert main([command, *_REQUIRED_FLAGS[command](tmp_path), flag, value]) == 2
     assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _seed_commands():
+    """Every subcommand of build_parser() that takes --seed."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [name for name, parser in sub.choices.items()
+            if any("--seed" in action.option_strings for action in parser._actions)]
+
+
+@pytest.mark.parametrize("command", _seed_commands())
+def test_negative_seed_flag_exit_code(tmp_path, capsys, command):
+    """Every --seed is a non_negative_int: a negative seed is a usage error
+    naming the flag, not a traceback from numpy's seeding."""
+    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *_REQUIRED_FLAGS[command](tmp_path), "--seed", "-1"]) == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_partition_region_cap_exit_code(tmp_path, capsys):
+    """K-means refuses more than MAX_REGIONS regions before it clusters, since
+    its assignment step holds a samples x K distance matrix."""
+    part = tmp_path / "part.json"
+    assert main(["partition", "--plant", "doherty-n3", "--regions", str(MAX_REGIONS + 1),
+                 "--output", str(part)]) == 2
+    assert f"between 1 and {MAX_REGIONS}" in capsys.readouterr().err
+    assert not part.exists()
 
 
 def test_simulate_without_aclr_view_still_succeeds(tmp_path, capsys):
@@ -925,6 +995,8 @@ def test_simulate_bad_channel_bw_exit_code(tmp_path, channel_bw):
 
 @pytest.mark.parametrize("drive_rms", [-0.25, 0])
 def test_non_positive_scenario_drive_exit_code(tmp_path, drive_rms):
+    """The drive comes from the plant preset: a drive_rms in the config exits 2
+    naming it before any run."""
     assert _scenario_exit_code(tmp_path, drive_rms=drive_rms) == 2
     record = json.loads((tmp_path / "x" / "error.json").read_text())
     assert record["error"] == "ConfigError" and "'drive_rms'" in record["message"]
@@ -1088,20 +1160,6 @@ def test_plant_file_unlimited_saturation_level(tmp_path):
                      "--output", str(tmp_path / name)]) == 0
         outputs.append(read_iq(tmp_path / name).samples)
     np.testing.assert_array_equal(*outputs)
-
-
-def test_reversed_trp_angles_refused_before_partition(tmp_path):
-    """A trp_angles grid with stop below start exits 2 naming the field before
-    any partition or training work."""
-    cfg = _json_file(tmp_path / "c.json", {
-        "kind": "linearization", "preset": "doherty-n3", "seed": 3,
-        "methods": ["none", "pwcl_orth"],
-        "eval": {"trp_angles": {"start": 50, "stop": -50, "step": 2}}})
-    assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
-    record = json.loads((tmp_path / "x" / "error.json").read_text())
-    assert record["error"] == "ConfigError"
-    assert "trp_angles" in record["message"] and "'stop'" in record["message"]
-    assert not (tmp_path / "x" / "partition.json").exists()
 
 
 def test_simulate_angle_zero_resteers(tmp_path):

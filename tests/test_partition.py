@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from pwdpd.errors import ConfigError
-from pwdpd.partition import (DERIVATIVE_GRID, WIDTH_TOLERANCE, AmAmModel, RegionPartition,
-                             fit_amam, kmeans_partition, partition_regions)
+from pwdpd import partition
+from pwdpd.partition import (DERIVATIVE_GRID, MAX_REGIONS, WIDTH_TOLERANCE, AmAmModel,
+                             RegionPartition, fit_amam, kmeans_partition, partition_regions)
 from pwdpd.plant import array_forward, observation_receive
 from pwdpd.signals import IqSignal
 
@@ -208,3 +209,21 @@ def test_kmeans_too_many_regions():
     sig = IqSignal(np.array([1.0, 1.0, 2.0], dtype=complex), 1.0)
     with pytest.raises(ConfigError):
         kmeans_partition(sig, 3)
+
+
+def test_kmeans_region_cap():
+    """K-means refuses more than MAX_REGIONS regions however many distinct
+    amplitudes the signal holds."""
+    sig = random_signal(4 * MAX_REGIONS)
+    assert kmeans_partition(sig, MAX_REGIONS).n_regions == MAX_REGIONS
+    with pytest.raises(ConfigError, match=f"between 1 and {MAX_REGIONS}"):
+        kmeans_partition(sig, MAX_REGIONS + 1)
+
+
+def test_taylor_region_cap(monkeypatch):
+    """The Taylor partitioner refuses to make more than MAX_REGIONS regions."""
+    model = AmAmModel.from_coefficients([0.0, 1.0, 0.0, -0.12], 1.0)
+    assert partition_regions(model, 1, 1e-3).n_regions > 2
+    monkeypatch.setattr(partition, "MAX_REGIONS", 2)
+    with pytest.raises(ConfigError, match="more than 2 regions"):
+        partition_regions(model, 1, 1e-3)

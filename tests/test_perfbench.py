@@ -93,3 +93,23 @@ def test_predistort_counter_runs_on_a_piecewise_model():
     model = DpdModel(np.ones(spec.n_basis_total), spec)
     assert tracer._predistort_counts((), {"model": model, "a1": a1}) == {
         "samples": 8, "ledger_samples": 8, "ledger_flops": 8 * per_sample}
+
+
+def _bundle_imports():
+    """(module, name) of every `from pwdpd.... import name` in bundle.py."""
+    tree = ast.parse((PERFBENCH / "bundle.py").read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pwdpd.")
+            for alias in node.names]
+
+
+def test_bundle_entry_points_exist():
+    """bundle.py's pwdpd imports resolve, and load_scenario_plant takes the
+    config as its one positional argument, as bundle.py calls it."""
+    imports = _bundle_imports()
+    assert ("pwdpd.scenarios", "load_scenario_plant") in imports
+    for module, name in imports:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    params = inspect.signature(importlib.import_module("pwdpd.scenarios").load_scenario_plant
+                               ).parameters.values()
+    assert [p.name for p in params if p.default is p.empty] == ["config"]
