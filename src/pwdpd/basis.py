@@ -219,7 +219,7 @@ def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
     lo, hi = start - max_lag, start + n + max_lead
     window = np.pad(x[max(lo, 0):hi].astype(np.complex128), (max(-lo, 0), max(hi - x.size, 0)))
     ridx = (np.zeros(n, dtype=np.intp) if spec.partition is None
-            else spec.partition.region_index(np.abs(x[start:start + n])))
+            else spec.partition.region_index(x[start:start + n]))
     blocks = []
     for k in range(spec.n_regions):
         sel = np.flatnonzero(ridx == k)

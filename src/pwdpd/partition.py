@@ -61,13 +61,11 @@ class RegionPartition:
     def a_max(self) -> float:
         return float(self.edges[-1])
 
-    def region_index(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Region index per amplitude; values above the top edge clamp to the last region."""
-        amplitudes = np.asarray(amplitudes, dtype=float)
-        return np.minimum(
-            np.searchsorted(self.edges[1:-1], amplitudes, side="right"),
-            self.n_regions - 1,
-        )
+    def region_index(self, samples: np.ndarray) -> np.ndarray:
+        """Region index per sample, by its instantaneous envelope |x|; envelopes
+        above the top edge clamp to the last region."""
+        return np.minimum(np.searchsorted(self.edges[1:-1], np.abs(samples), side="right"),
+                          self.n_regions - 1)
 
     def to_dict(self) -> dict:
         return {"edges": self.edges.tolist()}
@@ -219,6 +217,12 @@ def partition_regions(model: AmAmModel, order: int, target_error: float) -> Regi
     return RegionPartition(np.asarray(edges))
 
 
+def check_region_count(n_regions: int) -> None:
+    """A ConfigError unless a K-means partition can have n_regions regions."""
+    if not 1 <= n_regions <= MAX_REGIONS:
+        raise ConfigError(f"n_regions must be between 1 and {MAX_REGIONS}, got {n_regions}")
+
+
 def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
     """1-D K-means over the envelope; boundaries at midpoints between centroids.
 
@@ -226,8 +230,7 @@ def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
     sorted amplitudes. K is at most MAX_REGIONS, which also bounds the
     samples x K distance matrix of the assignment step.
     """
-    if not 1 <= n_regions <= MAX_REGIONS:
-        raise ConfigError(f"n_regions must be between 1 and {MAX_REGIONS}, got {n_regions}")
+    check_region_count(n_regions)
     env = np.abs(a1.samples)
     distinct = np.unique(env)
     if n_regions > distinct.size:

@@ -28,7 +28,8 @@ from .dpd import (DpdModel, LearnConfig, estimate_gain, learn, predistort, save_
 from .errors import ConfigError, is_int, is_number
 from .ila import ila_learn
 from .metrics import (aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd)
-from .partition import RegionPartition, fit_amam, kmeans_partition, partition_regions
+from .partition import (RegionPartition, check_region_count, fit_amam, kmeans_partition,
+                        partition_regions)
 from .plant import ArrayPlant, array_forward, observation_receive, steer
 from .presets import load_plant_preset, preset_params
 from .signals import IqSignal
@@ -137,12 +138,14 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, order: int = 5,
     OFDM block's envelope directly. For either method, a trailing region
     holding less than MIN_SHARE of the waveform samples is merged into its
     neighbor: such a region cannot support the per-region coefficient
-    estimation downstream.
+    estimation downstream. An n_regions K-means cannot take is refused before
+    the block is drawn.
     """
+    if n_regions is not None:
+        check_region_count(n_regions)
     loop = SimulatedLoop(plant, preset, seed)
     a1 = loop.next_block(PARTITION_BLOCK)
-    env = np.abs(a1.samples)
-    amax = float(env.max())
+    amax = float(np.abs(a1.samples).max())
     if n_regions is None:
         probe = ramp_probe(amax, a1.sample_rate)
         zp = observation_receive(plant, array_forward(plant, probe))
@@ -155,13 +158,14 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, order: int = 5,
         ghat = estimate_gain(a1, z)
         part = kmeans_partition(a1, n_regions)
         fit_residual = 0.0
-    while part.n_regions > 1 and float(np.mean(part.region_index(env) == part.n_regions - 1)) < MIN_SHARE:
-        part = RegionPartition(np.delete(part.edges, part.n_regions - 1))
-    shares = [float(np.mean(part.region_index(env) == k)) for k in range(part.n_regions)]
+    counts = np.bincount(part.region_index(a1.samples), minlength=part.n_regions)
+    while counts.size > 1 and counts[-1] / PARTITION_BLOCK < MIN_SHARE:
+        counts = np.append(counts[:-2], counts[-2] + counts[-1])
+    part = RegionPartition(np.append(part.edges[:counts.size], part.a_max))
     info = {
         "method": "taylor" if n_regions is None else "kmeans",
         "edges": part.edges.tolist(),
-        "sample_share": shares,
+        "sample_share": (counts / PARTITION_BLOCK).tolist(),
         "fit_residual": fit_residual,
         "ghat_abs": abs(ghat),
     }
@@ -298,9 +302,6 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
     plant, preset = load_scenario_plant(config)
     preset["drive_rms"] *= 10 ** (drive_offset_db / 20)
     spec = _base_spec(**config_section(config, "basis"))
-    for _, method, _, _ in runs:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; have {tuple(METHODS)}")
     if angles is None:
         train_plant, eval_preset, eval_plants = plant, preset, [plant]
     else:
@@ -419,7 +420,7 @@ def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
 
     spec = out.spec.with_partition(partition_obj)
     _write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
-    learn_cfg, ila_cfg = ({**accepted_settings(*SECTIONS[name]), **config_section(config, name)}
+    learn_cfg, ila_cfg = ({**accepted_settings(SECTIONS[name]), **config_section(config, name)}
                           for name in ("learn", "ila"))
     params = complexity_mod.params_from_spec(
         spec, b_cl=learn_cfg["block_size"], i_cl=learn_cfg["iterations"],
@@ -439,13 +440,13 @@ def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
     }
 
 
-# config section -> (the function or dataclass whose keyword defaults the
-# section overrides, the keywords the pipeline sets itself)
+# config section -> the function or dataclass whose keyword defaults the
+# section overrides
 SECTIONS = {
-    "basis": (_base_spec, ()),
-    "learn": (LearnConfig, ()),
-    "ila": (ila_learn, ()),
-    "eval": (evaluate, ()),
+    "basis": _base_spec,
+    "learn": LearnConfig,
+    "ila": ila_learn,
+    "eval": evaluate,
 }
 
 # scenario kind -> runner(config, outdir, ...); its keyword parameters with
@@ -467,15 +468,13 @@ SHARED = {"kind": None, "schema_version": 1, "preset": "array8-deep", "seed": 1,
 
 # (test, description) of the values a config key takes, by the type of the
 # default they replace (bool first, since a bool is an int); a None default
-# is a stage that null turns off. An array's elements must pass the rule of
-# the default's first element
+# is a stage that null turns off. An array key is typed by name in _KEY_TYPES
 _VALUE_TYPES = (
     (bool, (lambda v: isinstance(v, bool), "true or false")),
     (int, (is_int, "an integer")),
     (float, (is_number, "a finite number")),
     (str, (lambda v: isinstance(v, str), "a string")),
     (dict, (lambda v: isinstance(v, dict), "an object")),
-    ((list, tuple), (lambda v: isinstance(v, list), "an array")),
     (type(None), (lambda v: v is None or is_number(v), "a finite number or null")),
 )
 
@@ -485,41 +484,33 @@ _KEY_TYPES = {
     "kind": (lambda v: isinstance(v, str), "a string"),
     "seed": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
     "coupling_strength": (is_number, "a finite number"),
+    "methods": (lambda v: isinstance(v, list)
+                and all(isinstance(m, str) and m in METHODS for m in v),
+                f"an array of method names from {tuple(METHODS)}"),
 }
 
 
 def _value_rule(default) -> tuple:
     """(test, description) for the values that may replace `default`."""
-    for default_type, rule in _VALUE_TYPES:
-        if isinstance(default, default_type):
-            return rule
-    return (lambda v: True), "any value"
+    return next(rule for default_type, rule in _VALUE_TYPES if isinstance(default, default_type))
 
 
-def accepted_settings(consumer, fixed: tuple) -> dict:
-    """The keyword parameters of `consumer` a config may set, each with its
-    default; `fixed` names those its caller sets itself."""
+def accepted_settings(consumer) -> dict:
+    """The keyword parameters of `consumer` a config may set, each with its default."""
     return {p.name: p.default for p in inspect.signature(consumer).parameters.values()
-            if p.default is not p.empty and p.name not in fixed}
+            if p.default is not p.empty}
 
 
 def check_settings(values: dict, accepted: dict, where: str) -> dict:
-    """values, once each key is one of `accepted` and each value, and each
-    element of an array, has the type its default asks for (see _VALUE_TYPES
-    and _KEY_TYPES); otherwise a ConfigError that names `where` and the key."""
+    """values, once each key is one of `accepted` and each value passes its
+    one rule (see _KEY_TYPES and _VALUE_TYPES); otherwise a ConfigError that
+    names `where` and the key."""
     for key, value in values.items():
         if key not in accepted:
             raise ConfigError(f"{where} has unknown key {key!r}; it takes {sorted(accepted)}")
-        default = accepted[key]
-        fits, wanted = _KEY_TYPES.get(key) or _value_rule(default)
+        fits, wanted = _KEY_TYPES.get(key) or _value_rule(accepted[key])
         if not fits(value):
             raise ConfigError(f"{where} key {key!r} must be {wanted}, got {value!r}")
-        if isinstance(default, (list, tuple)) and default:
-            fits, wanted = _value_rule(default[0])
-            for element in value:
-                if not fits(element):
-                    raise ConfigError(f"{where} key {key!r} elements must each be {wanted}, "
-                                      f"got {element!r}")
     return values
 
 
@@ -529,7 +520,7 @@ def config_section(config: dict, name: str) -> dict:
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    return check_settings(section, accepted_settings(*SECTIONS[name]), f"config section {name!r}")
+    return check_settings(section, accepted_settings(SECTIONS[name]), f"config section {name!r}")
 
 
 def scenario_settings(config: dict) -> dict:
@@ -544,7 +535,7 @@ def scenario_settings(config: dict) -> dict:
         raise ConfigError(f"scenario config key 'kind' must name one of {tuple(RUNNERS)}, "
                           f"got {kind!r}")
     accepted = {**SHARED, **{name: {} for name in SECTIONS},
-                **accepted_settings(RUNNERS[kind], ())}
+                **accepted_settings(RUNNERS[kind])}
     settings = {**accepted, **check_settings(config, accepted, f"{kind!r} scenario config")}
     if settings["schema_version"] != 1:
         raise ConfigError("unsupported scenario schema_version")

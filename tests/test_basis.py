@@ -140,7 +140,7 @@ def test_linear_term_is_index_zero_per_region():
     b1 = spec.n_basis_single
     for k in range(2):
         col = values[:, k * b1]
-        rows = part.region_index(env) == k
+        rows = part.region_index(sig.samples) == k
         np.testing.assert_array_equal(col[rows], sig.samples[rows])
         assert np.all(col[~rows] == 0)
 
@@ -344,7 +344,7 @@ def test_region_blocks_against_docstring_formulas(spec):
     spec = spec.with_partition(part)
     assert any(t.family == "conj" or min(t.lags) < 0 for t in enumerate_bfs(spec))
     dense = np.stack([_docstring_column(t, x) for t in enumerate_bfs(spec)], axis=1)
-    ridx = part.region_index(np.abs(x))
+    ridx = part.region_index(x)
 
     per_chunk = {}
     for k, rows, psi in basis_mod.region_blocks(spec, x):
@@ -376,6 +376,15 @@ def test_only_region_blocks_builds_basis_rows():
     owners = {(path.name, owner) for path in sorted(package.glob("*.py"))
               for owner in _owners(ast.parse(path.read_text()), "base_matrix")}
     assert owners == {("basis.py", "region_blocks")}
+
+
+def test_only_base_matrix_and_derive_partition_assign_regions():
+    """RegionPartition.region_index is the one rule of a sample's region; in
+    the package only base_matrix and derive_partition call it."""
+    package = Path(basis_mod.__file__).parent
+    owners = {(path.name, owner) for path in sorted(package.glob("*.py"))
+              for owner in _owners(ast.parse(path.read_text()), "region_index")}
+    assert owners == {("basis.py", "base_matrix"), ("scenarios.py", "derive_partition")}
 
 
 def test_package_calls_no_matrix_inverse():

@@ -552,13 +552,13 @@ def _ill_typed_cases():
     top = {**SHARED, **{name: {} for name in SECTIONS}}
     for key in top:
         cases[key] = ("linearization", {key: rejected(top, key, values)}, key)
-    for name, (consumer, fixed) in SECTIONS.items():
-        accepted = accepted_settings(consumer, fixed)
+    for name, consumer in SECTIONS.items():
+        accepted = accepted_settings(consumer)
         for key in accepted:
             cases[f"{name}.{key}"] = ("linearization",
                                       {name: {key: rejected(accepted, key, values)}}, key)
     for kind, runner in RUNNERS.items():
-        accepted = accepted_settings(runner, ())
+        accepted = accepted_settings(runner)
         for key, default in accepted.items():
             cases[f"{kind}.{key}"] = (kind, {key: rejected(accepted, key, values)}, key)
             if isinstance(default, (list, tuple)):
@@ -586,8 +586,8 @@ def _non_finite_cases():
         return True
 
     tables = [("linearization", None, {**SHARED, **{name: {} for name in SECTIONS}})]
-    tables += [("linearization", name, accepted_settings(*SECTIONS[name])) for name in SECTIONS]
-    tables += [(kind, None, accepted_settings(runner, ())) for kind, runner in RUNNERS.items()]
+    tables += [("linearization", name, accepted_settings(SECTIONS[name])) for name in SECTIONS]
+    tables += [(kind, None, accepted_settings(runner)) for kind, runner in RUNNERS.items()]
     cases = {}
     for kind, section, accepted in tables:
         for key in accepted:
@@ -601,7 +601,12 @@ def _non_finite_cases():
     return cases
 
 
-_ILL_TYPED = {**_ill_typed_cases(), **_non_finite_cases()}
+# linearization.methods names METHODS entries only; an element that is no
+# name, or cannot be hashed, is refused as well
+_BAD_METHODS = {f"linearization.methods={label}": ("linearization", {"methods": value}, "methods")
+                for label, value in (("bogus", ["bogus"]), ("number", [3]),
+                                     ("object", [{"a": 1}]))}
+_ILL_TYPED = {**_ill_typed_cases(), **_non_finite_cases(), **_BAD_METHODS}
 
 
 @pytest.mark.parametrize("kind, config, key", list(_ILL_TYPED.values()), ids=list(_ILL_TYPED))
@@ -610,7 +615,25 @@ def test_ill_typed_value_exit_code(tmp_path, kind, config, key):
     assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "x"]) == 2
     record = json.loads((tmp_path / "x" / "error.json").read_text())
     assert record["error"] == "ConfigError" and repr(key) in record["message"]
-    assert not (tmp_path / "x" / "metrics.json").exists()
+    assert sorted(p.name for p in (tmp_path / "x").iterdir()) == ["error.json"]
+
+
+def test_every_scenario_key_has_one_rule():
+    """Every default a scenario config may replace (SHARED and the section
+    names, each SECTIONS consumer's and each RUNNERS runner's keywords) is
+    typed by _KEY_TYPES or by a _VALUE_TYPES row, and every array default by
+    _KEY_TYPES, which checks its elements."""
+    from pwdpd.scenarios import (_KEY_TYPES, _VALUE_TYPES, RUNNERS, SECTIONS, SHARED,
+                                 accepted_settings)
+
+    tables = [{**SHARED, **{name: {} for name in SECTIONS}}]
+    tables += [accepted_settings(consumer) for consumer in SECTIONS.values()]
+    tables += [accepted_settings(runner) for runner in RUNNERS.values()]
+    for accepted in tables:
+        for key, default in accepted.items():
+            if isinstance(default, (list, tuple)):
+                assert key in _KEY_TYPES, key
+            assert key in _KEY_TYPES or any(isinstance(default, t) for t, _ in _VALUE_TYPES), key
 
 
 @pytest.mark.parametrize("kind", ["partition", "complexity"])
@@ -780,7 +803,7 @@ def test_readme_scenario_tables():
         documented = {key: json.loads(default.strip("`"))
                       for key, default in re.findall(r"`(\w+)` \(([^)]*)\)", kinds[kind])}
         defaults = {key: list(value) if isinstance(value, tuple) else value
-                    for key, value in accepted_settings(runner, ()).items()}
+                    for key, value in accepted_settings(runner).items()}
         assert documented == defaults, kind
 
 
@@ -956,14 +979,22 @@ def test_negative_seed_flag_exit_code(tmp_path, capsys, command):
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_partition_region_cap_exit_code(tmp_path, capsys):
-    """K-means refuses more than MAX_REGIONS regions before it clusters, since
-    its assignment step holds a samples x K distance matrix."""
+def test_partition_region_cap_exit_code(tmp_path, capsys, monkeypatch):
+    """K-means refuses fewer than 1 or more than MAX_REGIONS regions, since its
+    assignment step holds a samples x K distance matrix, and does so before
+    the preset's OFDM block is drawn and crest-factor reduced."""
+    import pwdpd.scenarios as scenarios
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("waveform drawn before --regions was checked")
+
+    monkeypatch.setattr(scenarios, "preset_waveform", drawn)
     part = tmp_path / "part.json"
-    assert main(["partition", "--plant", "doherty-n3", "--regions", str(MAX_REGIONS + 1),
-                 "--output", str(part)]) == 2
-    assert f"between 1 and {MAX_REGIONS}" in capsys.readouterr().err
-    assert not part.exists()
+    for regions in (0, MAX_REGIONS + 1):
+        assert main(["partition", "--plant", "doherty-n3", "--regions", str(regions),
+                     "--output", str(part)]) == 2
+        assert f"between 1 and {MAX_REGIONS}, got {regions}" in capsys.readouterr().err
+        assert not part.exists()
 
 
 def test_simulate_without_aclr_view_still_succeeds(tmp_path, capsys):

@@ -36,6 +36,9 @@ def test_region_index_clamps_top():
     part = RegionPartition([0.0, 0.5, 1.0])
     idx = part.region_index(np.array([0.1, 0.5, 0.99, 1.7]))
     np.testing.assert_array_equal(idx, [0, 1, 1, 1])
+    # complex samples fall by their envelope
+    samples = np.array([-0.1, 0.5j, 0.99 * np.exp(2j), -1.7j])
+    np.testing.assert_array_equal(part.region_index(samples), [0, 1, 1, 1])
 
 
 def test_partition_json_roundtrip(tmp_path):
