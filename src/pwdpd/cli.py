@@ -124,16 +124,16 @@ def _refuse(reason: str, **flags) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} {reason}")
 
 
-def _resolve_plant(spec: str):
-    if spec in PLANT_PRESETS:
-        return load_plant_preset(spec), preset_params(spec)
-    return load_plant(spec), None
-
-
 def cmd_simulate(args) -> int:
     if args.channel_bw is not None and not args.channel_bw > 0:
         raise ConfigError(f"--channel-bw must be a positive bandwidth, got {args.channel_bw}")
-    plant, params = _resolve_plant(args.plant)
+    bw = args.channel_bw
+    if args.plant in PLANT_PRESETS:
+        plant = load_plant_preset(args.plant)
+        if bw is None:
+            bw = preset_params(args.plant)["channel_bw"]
+    else:
+        plant = load_plant(args.plant)
     if args.coupling_strength is not None:
         from dataclasses import replace
         plant = replace(plant, coupling_strength=args.coupling_strength)
@@ -146,7 +146,6 @@ def cmd_simulate(args) -> int:
     z = observation_receive(plant, array_forward(plant, sig), args.noise_floor, rng)
     write_iq(Path(args.output), z)
     print(f"wrote {args.output}.iq ({len(z)} samples)")
-    bw = params["channel_bw"] if args.channel_bw is None and params else args.channel_bw
     if bw is not None:
         try:  # a short or narrowband signal still got written; the ACLR line is optional
             print(f"observation ACLR: {aclr_single_direction(z, bw):.2f} dBc")
@@ -159,9 +158,7 @@ def cmd_partition(args) -> int:
     if args.regions is not None:
         _refuse("sets the Taylor partition and is not read with --regions (K-means)",
                 order=args.order, target_error=args.target_error)
-    plant, params = _resolve_plant(args.plant)
-    if params is None:
-        raise ConfigError("partition needs a named preset (drive level and waveform)")
+    plant, params = load_plant_preset(args.plant), preset_params(args.plant)
     part, info = derive_partition(plant, params, args.seed,
                                   **_given(order=args.order, target_error=args.target_error,
                                            n_regions=args.regions))
@@ -186,9 +183,7 @@ def cmd_train(args) -> int:
     if learner == "ila":
         _refuse(f"is read only by a closed-loop method, not {args.method!r}",
                 mu=args.mu, prune=args.prune)
-    plant, params = _resolve_plant(args.plant)
-    if params is None:
-        raise ConfigError("train needs a named preset")
+    plant, params = load_plant_preset(args.plant), preset_params(args.plant)
     config = {
         "learn": _given(mu=args.mu, block_size=args.block_size, iterations=args.iterations,
                         prune_threshold_db=args.prune),
@@ -210,9 +205,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    plant, params = _resolve_plant(args.plant)
-    if params is None:
-        raise ConfigError("evaluate needs a named preset")
+    plant, params = load_plant_preset(args.plant), preset_params(args.plant)
     model = load_model(args.model) if args.model else None
     res = evaluate(plant, params, model, args.seed, trp=args.trp,
                    **_given(num_symbols=args.symbols))
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("partition", help="derive an amplitude partition")
-    p.add_argument("--plant", required=True)
+    p.add_argument("--plant", required=True, help="plant preset name")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--target-error", type=finite_float, default=None)
     p.add_argument("--regions", type=int, default=None,
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("train", help="train a DPD model against a preset plant")
-    p.add_argument("--plant", required=True)
+    p.add_argument("--plant", required=True, help="plant preset name")
     p.add_argument("--method", default="pwcl_orth")
     p.add_argument("--family", default=None)
     p.add_argument("--order", type=int, default=None)
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a model (or the bare plant)")
-    p.add_argument("--plant", required=True)
+    p.add_argument("--plant", required=True, help="plant preset name")
     p.add_argument("--model", default=None, help="model stem from train")
     p.add_argument("--symbols", type=int, default=None)
     p.add_argument("--trp", action="store_true", help="include the TRP angle sweep")

@@ -8,30 +8,24 @@ and the observation the learners read.
 
 PA kinds:
 
-  memoryless_poly   b(n) = sum_q c_q u(n)|u(n)|^(q-1)
-  memory_poly       b(n) = sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1)
-  doherty_like      two memory-polynomial branches blended across an
-                    amplitude crossover, producing strongly local nonlinearity
-  dual_input_lumped four-term dual-wave model on the limited incident wave a
-                    and the branch wave f = f_i * a, f_i = sum_l w_l lambda_il * mu_l:
-                    b(n) = sum alpha_{q,m} w|w|^(q-1) a(n-m)|a(n-m)|^(q-1)
-                         + sum beta_{q,m,k} |w|^(q-1) f(n-m)|a(n-k)|^(q-1)
-                         + sum zeta_{q,m,k} w^2|w|^((q-3)/2) f*(n-m) a(n-k)^2|a(n-k)|^(q-3)
-                    where an order-1 beta term is the pure-delay beta^0 f(n-m)
-                    (its envelope lag k is not read)
+  memory_poly   b(n) = sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1); a memoryless
+                PA is a table whose every tap m is 0
+  doherty_like  two memory-polynomial branches blended across an amplitude
+                crossover, producing strongly local nonlinearity
 
-For the three simple kinds, the drive u is the incident wave w_i * a1 plus
-the coupled neighbor wave scaled by coupling_strength and the steering-angle
-factor; with coupling_strength = 0 the nonlinear response is exactly
-steering-invariant. A smooth envelope limiter at saturation_level bounds the
-drive to |u| <= saturation_level * (1 + 4 eps) (eps the float64 epsilon), and
-hence the output, for every drive whose |u| / saturation_level is finite;
+The drive u is the incident wave w_i * a1 plus the coupled neighbor wave
+scaled by coupling_strength and the steering-angle factor; with
+coupling_strength = 0 the nonlinear response is exactly steering-invariant.
+A smooth envelope limiter at saturation_level bounds the drive to
+|u| <= saturation_level * (1 + 4 eps) (eps the float64 epsilon), and hence
+the output, for every drive whose |u| / saturation_level is finite;
 saturation_level = inf disables it.
 
-Every kind's terms come from one evaluator, _lagged_poly. A coefficient table
-is a dict keyed by (order, tap...); plant JSON stores it as sorted
-[[key...], [re, im]] rows, a polynomial kind's one table as "table". Every
-complex number in a plant file is an [re, im] pair of finite JSON numbers.
+Every kind's terms come from one per-tap evaluator, _poly_memory. A
+coefficient table is a dict keyed by (order, tap); plant JSON stores it as
+sorted [[order, tap], [re, im]] rows, a memory_poly's one table as "table".
+Every complex number in a plant file is an [re, im] pair of finite JSON
+numbers.
 """
 
 from __future__ import annotations
@@ -48,13 +42,11 @@ from .signals import IqSignal
 
 # the named coefficient tables and scalar settings of each PA kind, with their
 # defaults (None: required)
-_KIND_FIELDS = {"memoryless_poly": {"table": None}, "memory_poly": {"table": None},
-                "doherty_like": {"main": None, "aux": None, "crossover": 0.5, "blend_width": 0.1},
-                "dual_input_lumped": {"alpha": {}, "beta": {}, "zeta": {}}}
+_KIND_FIELDS = {"memory_poly": {"table": None},
+                "doherty_like": {"main": None, "aux": None, "crossover": 0.5, "blend_width": 0.1}}
 
-# each table's key length and least order
-_TABLE_KEYS = {"table": (2, 1), "main": (2, 1), "aux": (2, 1), "alpha": (2, 1),
-               "beta": (3, 1), "zeta": (3, 3)}
+# the fields that are coefficient tables, each keyed by (order, tap)
+_TABLES = ("table", "main", "aux")
 
 # each scalar setting's test and what it asks for
 _SCALAR_RULES = {"crossover": (lambda v: v >= 0, "a finite number >= 0"),
@@ -65,17 +57,16 @@ _LIMIT_FLAT = 2.0 ** 14
 
 
 def _check_table(name: str, table) -> dict:
-    """table with complex values; ConfigError unless each key holds the table's
-    number of ints (bools refused), an odd order no less than its least, and taps >= 0."""
-    size, least = _TABLE_KEYS[name]
+    """table with complex values; ConfigError unless each key is two ints (bools
+    refused), an odd order >= 1 and a tap >= 0."""
     if not isinstance(table, dict):
         raise ConfigError(f"coefficient table {name!r} must be a dict, got {table!r}")
     out = {}
     for key, coef in table.items():
-        if (not isinstance(key, tuple) or len(key) != size or not all(map(is_int, key))
-                or key[0] % 2 == 0 or key[0] < least or min(key[1:]) < 0):
-            raise ConfigError(f"coefficient table {name!r} keys are {size} integers, an odd "
-                              f"order >= {least} and then taps >= 0, got {key!r}")
+        if (not isinstance(key, tuple) or len(key) != 2 or not all(map(is_int, key))
+                or key[0] < 1 or key[0] % 2 == 0 or key[1] < 0):
+            raise ConfigError(f"coefficient table {name!r} keys are two integers, an odd "
+                              f"order >= 1 and a tap >= 0, got {key!r}")
         out[key] = complex(coef)
     return out
 
@@ -93,7 +84,7 @@ class PaModel:
     """Behavioral PA model for one array element.
 
     coefficients holds the kind's named tables and settings (_KIND_FIELDS); a
-    polynomial kind may be given its one table bare, and stores it as "table".
+    memory_poly may be given its one table bare, and stores it as "table".
     """
 
     kind: str
@@ -102,7 +93,7 @@ class PaModel:
 
     def __post_init__(self):
         if self.kind not in _KIND_FIELDS:
-            raise ConfigError(f"unknown PA kind {self.kind!r}")
+            raise ConfigError(f"unknown PA kind {self.kind!r}; have {sorted(_KIND_FIELDS)}")
         sat = self.saturation_level  # NaN would switch the limiter off
         if not (sat == math.inf or is_number(sat) and sat > 0):
             raise ConfigError(f"PA setting 'saturation_level' must be a number > 0 "
@@ -115,19 +106,15 @@ class PaModel:
         c = {}
         for name, default in fields.items():  # a missing required table is None
             value = given.get(name, default)
-            c[name] = (_check_table if name in _TABLE_KEYS else _check_scalar)(name, value)
-        if self.kind == "memoryless_poly" and any(tap for _, tap in c["table"]):
-            raise ConfigError(f"memoryless_poly taps must be 0, got {given['table']!r}")
+            c[name] = (_check_table if name in _TABLES else _check_scalar)(name, value)
         object.__setattr__(self, "coefficients", c)
 
     def output_ceiling(self) -> float:
-        """Worst-case |b| bound under the envelope limiter (simple kinds)."""
+        """Worst-case |b| bound under the envelope limiter."""
         sat = self.saturation_level
         if not math.isfinite(sat):
             raise ConfigError("output ceiling undefined without a finite saturation_level")
-        if self.kind == "dual_input_lumped":
-            raise ConfigError("output ceiling is only defined for the simple PA kinds")
-        tables = [t for name, t in self.coefficients.items() if name in _TABLE_KEYS]
+        tables = [t for name, t in self.coefficients.items() if name in _TABLES]
         return max(sum(abs(c) * sat ** q for (q, _), c in t.items()) for t in tables)
 
 
@@ -176,31 +163,21 @@ def _envelope_poly(env2: np.ndarray, coefs: dict):
     return g
 
 
-def _lagged_poly(u: np.ndarray, env2: np.ndarray, terms, v: np.ndarray | None = None) -> np.ndarray:
-    """sum over terms ((m_u, m_e), {p: c_p}) of u(n-m_u) [v(n-m_e)] sum_p c_p env2(n-m_e)^p,
-    each term zero before n = max(m_u, m_e): a constant polynomial with m_e > m_u
-    belongs at (m_u, m_u)."""
+def _poly_memory(u: np.ndarray, env2: np.ndarray, table: dict) -> np.ndarray:
+    """sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1) given env2 = |u|^2: per tap m, in
+    the order the taps first appear in table, u(n-m) times one polynomial in
+    env2(n-m), zero before n = m."""
+    per_tap: dict[int, dict[int, complex]] = {}
+    for (order, tap), coef in table.items():
+        per_tap.setdefault(tap, {})[order // 2] = coef
     n = u.size
     out = np.zeros_like(u)
-    for (m_u, m_e), coefs in terms:
-        start = max(m_u, m_e)
-        if start < n:
-            wave, lag = u[start - m_u:n - m_u], slice(start - m_e, n - m_e)
-            if v is not None:
-                wave = wave * v[lag]
+    for m, coefs in per_tap.items():
+        if m < n:
             # one expression, so numpy may write the product into the
             # polynomial's temporary: operand order fixes the last bit
-            out[start:] += wave * _envelope_poly(env2[lag], coefs)
+            out[m:] += u[:n - m] * _envelope_poly(env2[:n - m], coefs)
     return out
-
-
-def _poly_memory(u: np.ndarray, env2: np.ndarray, table: dict) -> np.ndarray:
-    """sum_{q,m} c_{q,m} u(n-m)|u(n-m)|^(q-1) given env2 = |u|^2: per tap m,
-    u(n-m) times one polynomial in env2(n-m)."""
-    terms: dict[tuple[int, int], dict[int, complex]] = {}
-    for (order, tap), coef in table.items():
-        terms.setdefault((tap, tap), {})[order // 2] = coef
-    return _lagged_poly(u, env2, terms.items())
 
 
 def _doherty(u: np.ndarray, coeffs: dict, sat: float) -> np.ndarray:
@@ -261,29 +238,21 @@ class ArrayPlant:
     def angle_factor(self) -> float:
         return 1.0 + self.angle_coupling_slope * abs(math.sin(math.radians(self.steer_angle_deg)))
 
-    def _neighbor_fir(self, element: int) -> np.ndarray:
-        """Composite FIR sum_{l != i} w_l lambda_il * mu_l of element i, unscaled."""
-        taps = self.coupling.shape[2] + self.branch_filters.shape[1] - 1
-        f = np.zeros(taps, dtype=np.complex128)
+    def drive_signal(self, a1: np.ndarray, element: int) -> np.ndarray:
+        """PA input of element i: incident wave w_i a1 plus the coupled wave, a1
+        through one composite FIR sum_{l != i} w_l lambda_il * mu_l scaled as
+        the class docstring says."""
+        if self.coupling_strength == 0.0:
+            return self.weights[element] * a1
+        f = np.zeros(self.coupling.shape[2] + self.branch_filters.shape[1] - 1,
+                     dtype=np.complex128)
         for l in range(self.n_elements):
             if l != element:
                 f += self.weights[l] * np.convolve(self.coupling[element, l],
                                                    self.branch_filters[l])
-        return f
-
-    def drive_signal(self, a1: np.ndarray, element: int) -> np.ndarray:
-        """PA input of one element: incident wave w_i a1 plus the scaled coupled wave."""
-        if self.coupling_strength == 0.0:
-            return self.weights[element] * a1
-        taps = self.coupling_strength * self.angle_factor * self._neighbor_fir(element)
+        taps = self.coupling_strength * self.angle_factor * f
         taps[0] += self.weights[element]
         return _causal_fir(a1, taps)
-
-    def branch_response(self, element: int) -> np.ndarray:
-        """f_i = sum_l w_l lambda_il * mu_l with the scaled off-diagonal coupling."""
-        scale = self.coupling_strength * self.angle_factor
-        own = np.convolve(self.coupling[element, element], self.branch_filters[element])
-        return self.weights[element] * own + scale * self._neighbor_fir(element)
 
     def to_dict(self) -> dict:
         def c2l(arr):
@@ -369,29 +338,11 @@ def load_plant(path: str | Path) -> ArrayPlant:
         raise ConfigError(f"malformed plant file {path}: {exc!r}") from None
 
 
-def _dual_input_forward(pa: PaModel, plant: ArrayPlant, element: int,
-                        a1: np.ndarray) -> np.ndarray:
-    a = _soft_limit(a1, pa.saturation_level)
-    f = _causal_fir(a, plant.branch_response(element))
-    w, g, c = plant.weights[element], abs(plant.weights[element]), pa.coefficients
-    alpha = [((m, m), {q // 2: cf * w * g ** (q - 1)}) for (q, m), cf in c["alpha"].items()]
-    beta = [((m, k if q > 1 else m), {q // 2: cf * g ** (q - 1)})
-            for (q, m, k), cf in c["beta"].items()]
-    zeta = [((m, k), {q // 2 - 1: cf * w ** 2 * g ** (q // 2 - 1)})
-            for (q, m, k), cf in c["zeta"].items()]
-    env2 = _power(a)
-    return (_lagged_poly(a, env2, alpha) + _lagged_poly(f, env2, beta)
-            + _lagged_poly(np.conj(f), env2, zeta, v=a * a))
-
-
 def array_forward(plant: ArrayPlant, a1: IqSignal) -> list[IqSignal]:
     """Output wave of each PA branch, by the one dispatch on PA kind;
     observation_receive combines them."""
     outs = []
     for i, pa in enumerate(plant.elements):
-        if pa.kind == "dual_input_lumped":
-            outs.append(_dual_input_forward(pa, plant, i, a1.samples))
-            continue
         u = _soft_limit(plant.drive_signal(a1.samples, i), pa.saturation_level)
         if pa.kind == "doherty_like":
             outs.append(_doherty(u, pa.coefficients, pa.saturation_level))

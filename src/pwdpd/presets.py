@@ -8,8 +8,10 @@ landing at K=3); its per-element coefficients were drawn with a +-10 %
 spread around one memory polynomial (numpy default_rng seed 2024).
 "doherty-n3" is a single strongly amplitude-dependent two-branch PA on a
 20 MHz carrier where single-polynomial DPD visibly underperforms. "linear8"
-is an ideal 8-element linear array (the sanity plant) on the array8-deep
-waveform, at a low drive with neither CFR nor receiver noise.
+is an ideal 8-element linear array (the sanity plant): each element a
+memory_poly table holding the one unit term at order 1, tap 0, with no
+limiter and no coupling. It runs on the array8-deep waveform, at a low drive
+with neither CFR nor receiver noise.
 """
 
 from __future__ import annotations

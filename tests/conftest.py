@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from pwdpd.basis import region_blocks
-from pwdpd.plant import ArrayPlant, PaModel
+from pwdpd.dpd import DpdModel, estimate_gain
+from pwdpd.ila import _postinverse_fit
+from pwdpd.plant import ArrayPlant, PaModel, array_forward, observation_receive
+from pwdpd.presets import load_plant_preset, preset_params
+from pwdpd.scenarios import SimulatedLoop, _base_spec, derive_partition, evaluate
 from pwdpd.signals import IqSignal
 
 
@@ -13,7 +17,7 @@ def identity_coupling(n, taps=1):
     return c
 
 
-def single_element_plant(table, kind="memoryless_poly", sat=np.inf, coupling_strength=0.0):
+def single_element_plant(table, kind="memory_poly", sat=np.inf, coupling_strength=0.0):
     pa = PaModel(kind, table, saturation_level=sat)
     return ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
                       np.ones((1, 1), dtype=complex), coupling_strength=coupling_strength)
@@ -42,6 +46,37 @@ def whiten(dense, factor):
     n, k = dense.shape[0], factor.shape[0]
     cols = dense.reshape(n, k, -1).transpose(1, 2, 0)  # K x B1 x N, region k's Psi_k^T
     return np.linalg.solve(factor.conj(), cols).transpose(2, 0, 1).reshape(n, -1)
+
+
+def ilc_oracle_aclr(seed, block=60000, passes=60, mu=0.3):
+    """Learner-free yardstick of what each basis can reach on array8-deep at
+    bundle seed `seed`; a test oracle with no package counterpart.
+
+    Iterative learning control (Chani-Cahuana, Landin, Fager and Eriksson,
+    IEEE TMTT 2016) finds the ideal PA input u* of one noise-free block of the
+    PW-CL training draw (seed*100+1) with no model: u <- u - mu e / ghat, with
+    e = z - ghat a1 and ghat re-estimated on each pass. Loaded per-region least
+    squares (ila._postinverse_fit) then fits the basis on a1 to u* - a1, and
+    scenarios.evaluate scores that gamma on fresh data at seed*100+7. Returns
+    the ACLR in dBc of the PW (Taylor partition) and the single-polynomial
+    basis, and the last pass's error power relative to ghat a1 in dB."""
+    plant, preset = load_plant_preset("array8-deep"), preset_params("array8-deep")
+    a1 = SimulatedLoop(plant, preset, seed * 100 + 1).next_block(block)
+    u = a1.samples
+    for _ in range(passes):
+        z = observation_receive(plant, array_forward(plant, a1.with_samples(u)))
+        ghat = estimate_gain(a1, z)
+        e = z.samples - ghat * a1.samples
+        u = u - mu * e / ghat
+    residual_db = 10 * np.log10(np.mean(np.abs(e) ** 2) / (abs(ghat) ** 2 * a1.power))
+    spec = _base_spec()
+    part = derive_partition(plant, preset, seed * 1000 + 17)[0]
+    aclr = {}
+    for name, fit_spec in (("pw", spec.with_partition(part)), ("single", spec)):
+        gamma = _postinverse_fit(fit_spec, a1.samples, u - a1.samples)
+        aclr[name] = evaluate(plant, preset, DpdModel(gamma, fit_spec),
+                              seed * 100 + 7).metrics["aclr_dbc"]
+    return aclr["pw"], aclr["single"], residual_db
 
 
 class PlantLoop:

@@ -13,7 +13,7 @@ from pwdpd.complexity import ComplexityParams, reference_params
 from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import MAX_REGIONS, RegionPartition
 from pwdpd.plant import save_plant, steer
-from pwdpd.presets import load_plant_preset
+from pwdpd.presets import PLANT_PRESETS, load_plant_preset
 from pwdpd.scenarios import METHODS
 from pwdpd.signals import read_iq, write_iq
 
@@ -121,13 +121,20 @@ def test_complexity_params_must_be_positive_integers(tmp_path, capsys, name, val
     assert f"{name} must be an integer > 0" in capsys.readouterr().err
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "nonsense", "seed": 1}))
     assert main(["scenario", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["scenario", "--preset", "missing-preset", "--out", str(tmp_path)]) == 2
     assert main(["train", "--plant", "not-a-preset.json", "--output",
                  str(tmp_path / "m")]) == 2
+    # partition, train and evaluate take a preset name: a saved plant file is
+    # refused by the preset lookup, which lists the presets
+    save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
+    capsys.readouterr()
+    for argv in (["partition"], ["evaluate"]):
+        assert main(argv + ["--plant", str(tmp_path / "p.json")]) == 2
+        assert str(PLANT_PRESETS) in capsys.readouterr().err
 
 
 def test_degenerate_region_exit_code(tmp_path):
@@ -1034,20 +1041,26 @@ def test_non_positive_scenario_drive_exit_code(tmp_path, drive_rms):
     assert not (tmp_path / "x" / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("table, key, code", [("beta", [1, 1, 1], 0), ("beta", [1, -1, -1], 2),
-                                              ("beta0", [1], 2)],
-                         ids=["valid", "negative-tap", "beta0-table"])
-def test_simulate_dual_input_plant_file(tmp_path, table, key, code):
-    """A dual-input plant file runs; one with an invalid table exits 2. A
-    pure-delay beta^0 term is an order-1 beta row; there is no beta0 table."""
+_REMOVED_PA_KINDS = {
+    "dual_input_lumped": {"alpha": [[[1, 0], [1.0, 0.0]]], "beta": [[[1, 1, 1], [0.1, 0.0]]]},
+    "memoryless_poly": {"table": [[[1, 0], [1.0, 0.0]]]},
+}
+
+
+@pytest.mark.parametrize("kind", list(_REMOVED_PA_KINDS))
+def test_simulate_removed_pa_kind_exit_code(tmp_path, capsys, kind):
+    """A plant file naming a removed PA kind exits 2 naming it: a memoryless
+    PA is a memory_poly table with tap 0 only, and no preset runs a dual-input
+    PA."""
     write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     plant = load_plant_preset("doherty-n3").to_dict()
-    plant["elements"][0] = {"kind": "dual_input_lumped", "saturation_level": None, "coefficients": {
-        "alpha": [[[1, 0], [1.0, 0.0]]], table: [[key, [0.1, 0.0]]]}}
+    plant["elements"][0] = {"kind": kind, "saturation_level": None,
+                            "coefficients": _REMOVED_PA_KINDS[kind]}
     plant_file = _json_file(tmp_path / "p.json", plant)
     assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z")]) == code
-    assert (tmp_path / "z.iq").exists() == (code == 0)
+                 "--output", str(tmp_path / "z")]) == 2
+    assert f"unknown PA kind {kind!r}" in capsys.readouterr().err
+    assert not (tmp_path / "z.iq").exists()
 
 
 def _set_plant_field(plant, field, value):

@@ -139,7 +139,7 @@ def test_aclr_trp_cases():
 
 
 def _linear_array(n):
-    pa = PaModel("memoryless_poly", {(1, 0): 1.0})
+    pa = PaModel("memory_poly", {(1, 0): 1.0})
     return ArrayPlant((pa,) * n, np.ones(n, dtype=complex), identity_coupling(n),
                       np.ones((n, 1), dtype=complex))
 

@@ -36,108 +36,55 @@ def test_memory_tap_hand_convolution():
     np.testing.assert_allclose(out.samples, [1.0, 1.2], rtol=1e-14)
 
 
-def _oracle_dual_input(pa, w, f, a):
-    """Naive per-sample evaluation of the four-term dual-wave model."""
-    n = a.size
-    fc = np.convolve(a, f)[:n]
-    out = np.zeros(n, dtype=complex)
-
-    def lag(arr, m, i):
-        return arr[i - m] if i - m >= 0 else 0.0
-
-    for i in range(n):
-        acc = 0.0 + 0.0j
-        for (order, m1), coef in pa.coefficients["alpha"].items():
-            p = (order - 1) // 2
-            x = lag(a, m1, i)
-            acc += coef * w * abs(w) ** (2 * p) * x * abs(x) ** (2 * p)
-        for (order, m3, m4), coef in pa.coefficients["beta"].items():
-            p = (order - 1) // 2
-            acc += coef * abs(w) ** (2 * p) * lag(fc, m3, i) * abs(lag(a, m4, i)) ** (2 * p)
-        for (order, m5, m6), coef in pa.coefficients["zeta"].items():
-            p = (order - 1) // 2
-            x6 = lag(a, m6, i)
-            acc += (coef * w ** 2 * abs(w) ** (p - 1)
-                    * np.conj(lag(fc, m5, i)) * x6 ** 2 * abs(x6) ** (2 * (p - 1)))
-        out[i] = acc
-    return out
-
-
-def test_dual_input_against_scalar_oracle():
-    rng = np.random.default_rng(8)
-    tables = {
-        "alpha": {(1, 0): 1.0 + 0j, (3, 1): -0.2 + 0.05j, (5, 0): 0.03j},
-        "beta": {(1, 0, 0): 0.1 - 0.02j, (1, 2, 2): 0.01j, (3, 0, 1): 0.05 + 0.01j,
-                 (5, 1, 0): -0.008},
-        "zeta": {(3, 0, 1): 0.02 - 0.01j, (5, 2, 0): 0.004j},
-    }
-    pa = PaModel("dual_input_lumped", tables)
-    w = np.exp(0.4j) * np.array([1.0, 1.0])
-    coupling = identity_coupling(2, taps=2)
-    coupling[0, 1, 0] = 0.3
-    coupling[1, 0, 1] = 0.2j
-    branch = np.zeros((2, 2), dtype=complex)
-    branch[:, 0] = 1.0
-    branch[:, 1] = 0.1
-    plant = ArrayPlant((pa, pa), w, coupling, branch, coupling_strength=0.5)
-    sig = random_signal(64, rms=0.4, seed=5)
-    for element in (0, 1):
-        got = array_forward(plant, sig)[element]
-        f = plant.branch_response(element)
-        expected = _oracle_dual_input(pa, w[element], f, sig.samples)
-        np.testing.assert_allclose(got.samples, expected, rtol=1e-10, atol=1e-14)
-
-
-def test_dual_input_constant_envelope_terms_against_scalar_oracle():
-    # an order-1 beta term multiplies |a(n-k)|^0 = 1, so it is live from n = m
-    # even when its envelope lag k is longer
-    tables = {
-        "alpha": {(1, 2): 0.9 - 0.1j, (3, 2): -0.1j},
-        "beta": {(1, 0, 3): 0.07 - 0.02j, (1, 1, 1): 0.2 + 0.15j, (1, 2, 0): -0.04,
-                 (3, 1, 2): 0.03},
-        "zeta": {(3, 0, 2): 0.02 + 0.01j, (3, 2, 1): -0.01j, (7, 1, 3): 0.005},
-    }
-    pa = PaModel("dual_input_lumped", tables, saturation_level=1.3)
-    w = np.exp(-0.7j) * np.array([1.0, 0.8])
-    coupling = identity_coupling(2, taps=2)
-    coupling[1, 0, 1] = 0.25 - 0.1j
-    branch = np.ones((2, 2), dtype=complex)
-    branch[:, 1] = 0.15j
-    plant = ArrayPlant((pa, pa), w, coupling, branch, coupling_strength=0.4)
-    sig = random_signal(48, rms=0.5, seed=23)
-    a = _soft_limit(sig.samples, 1.3)
-    per = array_forward(plant, sig)
-    for element in (0, 1):
-        expected = _oracle_dual_input(pa, w[element], plant.branch_response(element), a)
-        np.testing.assert_allclose(per[element].samples, expected, rtol=1e-10, atol=1e-14)
-
-
-_BAD_DUAL_TABLES = {
-    "beta0-table": {"beta0": {1: 0.1}},
-    "negative-beta0-tap": {"beta": {(1, -1, -1): 0.1}},  # an order-1 beta row
-    "even-alpha-order": {"alpha": {(1, 0): 1.0, (2, 0): 0.1}},
-    "first-order-zeta": {"zeta": {(1, 0, 0): 0.1}},
-    "negative-beta-tap": {"beta": {(3, 0, -1): 0.1}},
-    "short-beta-key": {"beta": {(3, 0): 0.1}},
-    "unknown-table": {"gamma": {(1, 0): 0.1}},
-    "table-not-a-dict": {"beta": [0.1]},
-    "float-order-key": {"alpha": {(1, 0): 1.0, (3.5, 1): 0.1}},
-    "bool-order-key": {"beta": {(True, 0, 0): 0.1}},
-    "float-tap-key": {"beta": {(1, 1.0, 1): 0.1}},
-    "bare-tap-key": {"beta": {1: 0.1}},
+_BAD_TABLES = {
+    "even-order": {(1, 0): 1.0, (2, 0): 0.1},
+    "order-0": {(0, 0): 0.1},
+    "negative-order": {(-1, 0): 0.1},
+    "negative-tap": {(3, -1): 0.1},
+    "one-int-key": {(3,): 0.1},
+    "three-int-key": {(3, 0, 1): 0.1},
+    "bare-tap-key": {1: 0.1},
+    "float-order-key": {(1, 0): 1.0, (3.5, 1): 0.1},
+    "bool-order-key": {(True, 0): 0.1},
+    "float-tap-key": {(1, 1.0): 0.1},
+    "table-not-a-dict": [0.1],
 }
 
 
-@pytest.mark.parametrize("tables", list(_BAD_DUAL_TABLES.values()), ids=list(_BAD_DUAL_TABLES))
-def test_dual_input_table_validation(tables):
-    with pytest.raises(ConfigError):
-        PaModel("dual_input_lumped", {"alpha": {(1, 0): 1.0}, **tables})
+@pytest.mark.parametrize("table", list(_BAD_TABLES.values()), ids=list(_BAD_TABLES))
+def test_table_key_validation(table):
+    """Every table of every kind is keyed by (order, tap): two ints, an odd
+    order >= 1 and a tap >= 0."""
+    with pytest.raises(ConfigError, match="'table'"):
+        PaModel("memory_poly", {"table": table})
+    with pytest.raises(ConfigError, match="'aux'"):
+        PaModel("doherty_like", {"main": {(1, 0): 1.0}, "aux": table})
+
+
+def test_removed_pa_kinds_and_tables_refused():
+    """memoryless_poly is a memory_poly table with tap 0 only, and the
+    dual-input kind and its tables are gone: each is refused by name."""
+    for kind in ("memoryless_poly", "dual_input_lumped"):
+        with pytest.raises(ConfigError, match=f"unknown PA kind {kind!r}"):
+            PaModel(kind, {(1, 0): 1.0})
+    for table in ("alpha", "beta", "zeta", "beta0"):
+        with pytest.raises(ConfigError, match=table):
+            PaModel("memory_poly", {"table": {(1, 0): 1.0}, table: {(1, 0): 0.1}})
+
+
+def test_shipped_plants_run_every_pa_kind():
+    """The PA kinds of the shipped plant presets are exactly the kinds the
+    plant knows, so a kind no preset runs fails here."""
+    from pwdpd.plant import _KIND_FIELDS
+    from pwdpd.presets import PLANT_PRESETS, load_plant_preset
+    kinds = {pa.kind for name in PLANT_PRESETS for pa in load_plant_preset(name).elements}
+    assert kinds == set(_KIND_FIELDS)
 
 
 def test_array_forward_coherent_combining():
     """The main-beam observation adds the element outputs in phase."""
     n = 4
-    pa = PaModel("memoryless_poly", {(1, 0): 3.0 + 0j})
+    pa = PaModel("memory_poly", {(1, 0): 3.0 + 0j})
     w = np.exp(1j * np.array([0.1, -0.5, 1.2, 2.0]))
     plant = ArrayPlant((pa,) * n, w, identity_coupling(n), np.ones((n, 1), dtype=complex))
     sig = random_signal(128, seed=2)
@@ -146,8 +93,8 @@ def test_array_forward_coherent_combining():
 
 
 def test_array_forward_zero_gain_element():
-    live = PaModel("memoryless_poly", {(1, 0): 1.0, (3, 0): -0.1})
-    dead = PaModel("memoryless_poly", {(1, 0): 0.0})
+    live = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.1})
+    dead = PaModel("memory_poly", {(1, 0): 0.0})
     plant = ArrayPlant((live, dead), np.ones(2, dtype=complex), identity_coupling(2),
                        np.ones((2, 1), dtype=complex))
     sig = random_signal(64, seed=3)
@@ -160,7 +107,7 @@ def test_array_forward_zero_gain_element():
 def test_array_forward_third_order_symbolic():
     # non-unit gains h weight the element outputs, so the sum is formed here
     alphas = [-0.1 + 0.02j, -0.15 - 0.01j]
-    pas = tuple(PaModel("memoryless_poly", {(1, 0): 1.0, (3, 0): a}) for a in alphas)
+    pas = tuple(PaModel("memory_poly", {(1, 0): 1.0, (3, 0): a}) for a in alphas)
     w = np.exp(1j * np.array([0.3, -1.1]))
     h = np.conj(w) * np.array([0.9, 1.2])
     plant = ArrayPlant(pas, w, identity_coupling(2), np.ones((2, 1), dtype=complex))
@@ -173,7 +120,7 @@ def test_array_forward_third_order_symbolic():
 
 
 def test_observation_trivial_and_beam_pattern_equivalence():
-    pa = PaModel("memoryless_poly", {(1, 0): 1.0, (3, 0): -0.2})
+    pa = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.2})
     plant = ArrayPlant((pa,) * 3, np.ones(3, dtype=complex), identity_coupling(3),
                        np.ones((3, 1), dtype=complex))
     sig = random_signal(200, seed=6)
@@ -201,7 +148,7 @@ def test_observation_trivial_and_beam_pattern_equivalence():
 
 
 def test_observation_noise_floor_level():
-    pa = PaModel("memoryless_poly", {(1, 0): 1.0})
+    pa = PaModel("memory_poly", {(1, 0): 1.0})
     plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
                        np.ones((1, 1), dtype=complex))
     sig = random_signal(200000, seed=9)
@@ -214,7 +161,7 @@ def test_observation_noise_floor_level():
 
 
 def test_steer_geometry():
-    pa = PaModel("memoryless_poly", {(1, 0): 1.0})
+    pa = PaModel("memory_poly", {(1, 0): 1.0})
     plant = ArrayPlant((pa,) * 4, np.ones(4, dtype=complex), identity_coupling(4),
                        np.ones((4, 1), dtype=complex))
     flat = steer(plant, 0.0)
@@ -264,16 +211,14 @@ def test_saturation_bounds_output():
     ceiling = pa.output_ceiling()
     assert np.max(np.abs(out.samples)) <= ceiling + 1e-12
     with pytest.raises(ConfigError):
-        PaModel("memoryless_poly", {(1, 0): 1.0}).output_ceiling()  # needs finite sat
+        PaModel("memory_poly", {(1, 0): 1.0}).output_ceiling()  # needs finite sat
 
 
 def test_pa_validation():
     with pytest.raises(ConfigError):
-        PaModel("memoryless_poly", {(2, 0): 1.0})
-    with pytest.raises(ConfigError, match="memoryless_poly taps must be 0"):
-        PaModel("memoryless_poly", {(1, 0): 1.0, (3, 2): 0.5})
+        PaModel("memory_poly", {(2, 0): 1.0})
     with pytest.raises(ConfigError):
-        PaModel("memoryless_poly", {(1, 0): 1.0}, saturation_level=0.0)
+        PaModel("memory_poly", {(1, 0): 1.0}, saturation_level=0.0)
     with pytest.raises(ConfigError):
         PaModel("unknown", {})
     with pytest.raises(ConfigError):
@@ -290,17 +235,17 @@ def test_pa_validation():
     PaModel("doherty_like", dict(branches, crossover=0, blend_width=1))
 
 
-def _dual_input_plant():
+def _two_kind_plant():
     # keys out of order: the file lists each table's rows sorted
-    tables = {"alpha": {(3, 1): -0.2 + 0.05j, (1, 0): 1.0 + 0j},
-              "beta": {(3, 0, 1): 0.05 + 0.01j, (1, 2, 2): 0.01j, (1, 0, 2): 0.03,
-                       (1, 0, 0): 0.1},
-              "zeta": {(3, 1, 0): 0.02 - 0.01j}}
-    pa = PaModel("dual_input_lumped", tables, saturation_level=1.2)
+    memory = PaModel("memory_poly", {(3, 1): -0.2 + 0.05j, (1, 0): 1.0 + 0j, (5, 0): 0.03j,
+                                     (1, 2): 0.01 - 0.02j}, saturation_level=1.2)
+    doherty = PaModel("doherty_like", {"main": {(3, 0): -0.05 + 0.02j, (1, 0): 1.0},
+                                       "aux": {(1, 1): 0.03j, (1, 0): 1.2, (3, 0): -0.3},
+                                       "crossover": 0.45, "blend_width": 0.08})
     coupling = identity_coupling(2, taps=2)
     coupling[0, 1, 1] = 0.3
     w = np.exp(0.4j) * np.ones(2)
-    return ArrayPlant((pa, pa), w, coupling, np.ones((2, 1), dtype=complex),
+    return ArrayPlant((memory, doherty), w, coupling, np.ones((2, 1), dtype=complex),
                       coupling_strength=0.5)
 
 
@@ -311,7 +256,7 @@ def test_plant_json_roundtrip(tmp_path):
 
     from pwdpd.presets import PLANT_PRESETS, load_plant_preset
     plants = {name: load_plant_preset(name) for name in PLANT_PRESETS}
-    plants["dual-input"] = _dual_input_plant()
+    plants["two-kind"] = _two_kind_plant()
     sig = random_signal(128, rms=0.4, seed=14)
     for name, plant in plants.items():
         save_plant(plant, tmp_path / "p.json")
@@ -327,14 +272,14 @@ def test_plant_json_roundtrip(tmp_path):
         assert back.coupling_strength == plant.coupling_strength
         np.testing.assert_array_equal(back.weights, plant.weights)
         np.testing.assert_array_equal(back.coupling, plant.coupling)
-        # a dual-input table read back is in sorted order, so its terms sum in another order
+        # a table read back is in sorted order, so its taps sum in another order
         for a, b in zip(array_forward(plant, sig), array_forward(back, sig)):
             np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12)
 
 
 def test_coupled_drive_against_per_pair_oracle():
-    # the coupled drive and branch_response come from one composite FIR per
-    # element; the oracle filters each neighbor's wave pair by pair
+    # the coupled drive comes from one composite FIR per element; the oracle
+    # filters each neighbor's wave pair by pair
     rng = np.random.default_rng(15)
     n, taps = 4, 3
     coupling = identity_coupling(n, taps)
@@ -343,21 +288,18 @@ def test_coupled_drive_against_per_pair_oracle():
                            + 1j * rng.standard_normal((n * (n - 1), taps)))
     coupling[0, 2] = 0.0  # an uncoupled pair
     branch = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    pa = PaModel("memoryless_poly", {(1, 0): 1.0})
+    pa = PaModel("memory_poly", {(1, 0): 1.0})
     plant = steer(ArrayPlant((pa,) * n, np.ones(n, dtype=complex), coupling, branch,
                              coupling_strength=0.3), 25.0)
     a1 = random_signal(256, seed=16).samples
     w, scale = plant.weights, 0.3 * plant.angle_factor
     for i in range(n):
         expected = w[i] * a1
-        f = w[i] * np.convolve(coupling[i, i], branch[i])
         for l in range(n):
             if l != i:
                 mu = np.convolve(a1, branch[l])[:a1.size]
                 expected = expected + scale * w[l] * np.convolve(mu, coupling[i, l])[:a1.size]
-                f = f + w[l] * np.convolve(scale * coupling[i, l], branch[l])
         np.testing.assert_allclose(plant.drive_signal(a1, i), expected, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(plant.branch_response(i), f, rtol=1e-12, atol=1e-15)
 
 
 def test_soft_limit_bounded_and_monotone_without_overflow():
