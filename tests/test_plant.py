@@ -67,9 +67,17 @@ def test_removed_pa_kinds_and_tables_refused():
     for kind in ("memoryless_poly", "dual_input_lumped"):
         with pytest.raises(ConfigError, match=f"unknown PA kind {kind!r}"):
             PaModel(kind, {(1, 0): 1.0})
-    for table in ("alpha", "beta", "zeta", "beta0"):
+    for table in ("alpha", "beta", "zeta"):
         with pytest.raises(ConfigError, match=table):
             PaModel("memory_poly", {"table": {(1, 0): 1.0}, table: {(1, 0): 0.1}})
+
+
+@pytest.mark.parametrize("name", ["beta0", "gamma"], ids=["beta0-table", "unknown-table"])
+def test_dual_input_table_validation(name):
+    """A table name no kind takes, such as the beta0 table of the removed
+    dual-input kind, is refused by name."""
+    with pytest.raises(ConfigError, match=name):
+        PaModel("memory_poly", {"table": {(1, 0): 1.0}, name: {(1, 0): 0.1}})
 
 
 def test_shipped_plants_run_every_pa_kind():
