@@ -15,6 +15,11 @@ region owning that sample's envelope, so the Gram matrix is exactly
 block-diagonal by region. That masked matrix is never formed: region_blocks
 yields each region's rows chunk by chunk, and the Gram, filter and
 correlation passes accumulate over those blocks.
+
+Memory rule: a pass holds one chunk's region blocks at a time, all cut from
+one allocation, and drops them before the next chunk is built; products
+Psi^H Psi are formed over PANEL-row panels, so no conjugated copy larger
+than one panel is made.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ STATS_LOADING = 1e-5
 
 # rows per base_matrix call in the chunked passes (Gram, filter, correlation)
 CHUNK = 16384
+
+# rows per panel of a Psi^H Psi product (gram_matrix, regularized_lstsq)
+PANEL = 2048
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,9 @@ def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
 
     rows are the positions in x whose instantaneous envelope falls in region
     k (all n of them for an unpartitioned spec) and psi the matching base-set
-    rows, a preallocated F-order len(rows) x B1 block filled column by column.
+    rows, an F-order len(rows) x B1 block filled column by column. The blocks
+    are cut from one n x B1 allocation, so a caller holding any one of them
+    holds all of this call's rows.
     """
     terms = enumerate_bfs(spec)
     lags = [m for t in terms for m in t.lags]  # negative lags are the GMP cross-term leads
@@ -220,13 +230,16 @@ def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
     window = np.pad(x[max(lo, 0):hi].astype(np.complex128), (max(-lo, 0), max(hi - x.size, 0)))
     ridx = (np.zeros(n, dtype=np.intp) if spec.partition is None
             else spec.partition.region_index(x[start:start + n]))
-    blocks = []
+    buf = np.empty(n * len(terms), dtype=np.complex128)
+    blocks, used = [], 0
     for k in range(spec.n_regions):
         sel = np.flatnonzero(ridx == k)
         if sel.size:
             # rebinding frees the previous region's gathered lags before new ones are made
             cache = _LagCache(window, sel + max_lag)
-            psi = np.empty((sel.size, len(terms)), dtype=np.complex128, order="F")
+            size = sel.size * len(terms)
+            psi = buf[used:used + size].reshape((sel.size, len(terms)), order="F")
+            used += size
             for j, term in enumerate(terms):
                 _write_column(term, cache, psi[:, j])
             blocks.append((k, start + sel, psi))
@@ -237,7 +250,9 @@ def region_blocks(spec: BasisSpec, x: np.ndarray, chunk: int = CHUNK):
     """Yield (k, rows, psi) per non-empty region of each chunk of x.
 
     This is the one place basis rows are built: one base_matrix call per
-    chunk, whose per-region blocks are yielded as they are.
+    chunk, whose per-region blocks are yielded as they are. A caller drops
+    its references to a chunk's blocks before asking for the next chunk's,
+    so that one chunk is held at a time.
     """
     for lo in range(0, x.size, chunk):
         yield from base_matrix(spec, x, lo, min(chunk, x.size - lo))
@@ -273,16 +288,26 @@ def block_solve(factor: np.ndarray, v: np.ndarray, adjoint: bool = False) -> np.
     return np.linalg.solve(factor, v.reshape(k, b1, 1)).ravel()
 
 
+def _self_product(a: np.ndarray, out: np.ndarray) -> None:
+    """Add a^H a into out over PANEL-row panels of a, so that no conjugated
+    copy larger than one panel is made."""
+    for lo in range(0, a.shape[0], PANEL):
+        panel = a[lo:lo + PANEL]
+        out += panel.conj().T @ panel
+
+
 def gram_matrix(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     """Sample Gram Psi^H Psi / N as its K x B1 x B1 region blocks, accumulated chunk-wise.
 
-    The off-diagonal blocks are exactly zero (regions have disjoint rows), so
-    they are not stored.
+    One chunk's blocks are held at a time, and each block's product is formed
+    over PANEL-row panels. The off-diagonal blocks are exactly zero (regions
+    have disjoint rows), so they are not stored.
     """
     b1 = spec.n_basis_single
     gram = np.zeros((spec.n_regions, b1, b1), dtype=np.complex128)
     for k, _, psi in region_blocks(spec, x):
-        gram[k] += psi.conj().T @ psi
+        _self_product(psi, gram[k])
+        del psi  # frees the chunk before region_blocks builds the next
     return gram / x.size
 
 
@@ -311,6 +336,7 @@ def apply_gamma(spec: BasisSpec, x: np.ndarray, gamma: np.ndarray) -> np.ndarray
     per_region = gamma.reshape(spec.n_regions, -1)
     for k, rows, psi in region_blocks(spec, x):
         out[rows] = psi @ per_region[k]
+        del psi  # frees the chunk before region_blocks builds the next
     return out
 
 
@@ -319,6 +345,7 @@ def cross_correlation(spec: BasisSpec, x: np.ndarray, err: np.ndarray) -> np.nda
     acc = np.zeros((spec.n_regions, spec.n_basis_single), dtype=np.complex128)
     for k, rows, psi in region_blocks(spec, x):
         acc[k] += (err[rows].conj() @ psi).conj()
+        del psi  # frees the chunk before region_blocks builds the next
     return acc.ravel() / x.size
 
 
@@ -331,14 +358,14 @@ def regularized_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Cholesky. The loaded system is column-equilibrated, D (G + lam I) D u =
     D a^H b with D = diag(G + lam I)^-1/2, before it is factored, and c = D u.
     Forming G squares the conditioning of a, so one refinement step on the
-    residual b - a c (two matrix-vector products) follows. Raises LinAlgError
-    when a has no power or the factorization fails.
+    residual b - a c (two matrix-vector products) follows. G is formed over
+    PANEL-row panels and a^H v as (v^H a)^H, so beyond a the fit allocates a
+    few percent of its size. Raises LinAlgError when a has no power or the
+    factorization fails.
     """
-    rows, cols = a.shape
+    cols = a.shape[1]
     loaded = np.zeros((cols, cols), dtype=a.dtype)
-    for lo in range(0, rows, CHUNK):  # a^H a without a conjugated copy of all of a
-        blk = a[lo:lo + CHUNK]
-        loaded += blk.conj().T @ blk
+    _self_product(a, loaded)
     lam = COVARIANCE_LOADING * np.trace(loaded).real / cols
     if not lam > 0:
         raise np.linalg.LinAlgError("least-squares system matrix has no power")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import complexity as complexity_mod
 from .basis import BasisSpec
 from .basis import descriptors_json as basis_descriptors_json
@@ -251,13 +252,17 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def write_manifest(outdir: Path, config: dict) -> Path:
+    """manifest.json: the config, the package and numpy versions that ran it,
+    and each artifact's name, sha256 and size."""
     entries = []
     for path in sorted(outdir.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             entries.append({"name": str(path.relative_to(outdir)),
                             "sha256": digest, "bytes": path.stat().st_size})
-    manifest = {"schema_version": 1, "config": config, "artifacts": entries}
+    manifest = {"schema_version": 1, "config": config,
+                "versions": {"pwdpd": __version__, "numpy": np.__version__},
+                "artifacts": entries}
     path = outdir / "manifest.json"
     _write_json(path, manifest)
     return path

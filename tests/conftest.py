@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def random_signal(n, rms=0.5, seed=0, sample_rate=1.0):
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rms / np.sqrt(2))
     return IqSignal(x, sample_rate)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn(*args) runs, as tracemalloc counts them
+    (numpy buffers included); what was live before the call is not counted."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_basis(spec, x):

@@ -10,11 +10,12 @@ import pytest
 from pwdpd import basis as basis_mod
 import pwdpd
 from pwdpd.basis import (CHUNK, STATS_LOADING, BasisSpec, apply_gamma, block_cholesky,
-                         cross_correlation, enumerate_bfs, gram_matrix, precompute_covariance)
+                         cross_correlation, enumerate_bfs, gram_matrix, precompute_covariance,
+                         regularized_lstsq)
 from pwdpd.errors import ConfigError, DegenerateRegionError
 from pwdpd.partition import RegionPartition
 
-from conftest import dense_basis, ilc_oracle_aclr, random_signal, whiten
+from conftest import dense_basis, ilc_oracle_aclr, random_signal, traced_peak, whiten
 
 
 def rayleigh_signal(n=30000, seed=2):
@@ -351,11 +352,47 @@ def test_region_blocks_against_docstring_formulas(spec):
         assert psi.shape == (rows.size, spec.n_basis_single) and psi.flags.f_contiguous
         assert np.all(ridx[rows] == k)
         np.testing.assert_allclose(psi, dense[rows], rtol=1e-12, atol=0)
-        per_chunk.setdefault(rows[0] // CHUNK, []).append((k, rows))
-    assert [[k for k, _ in per_chunk[c]] for c in range(3)] == [[0, 1, 2], [0, 2], [0, 1, 2]]
+        per_chunk.setdefault(rows[0] // CHUNK, []).append((k, rows, psi))
+    assert [[k for k, _, _ in per_chunk[c]] for c in range(3)] == [[0, 1, 2], [0, 2], [0, 1, 2]]
     for c, blocks in per_chunk.items():
-        rows = np.sort(np.concatenate([r for _, r in blocks]))
+        rows = np.sort(np.concatenate([r for _, r, _ in blocks]))
         np.testing.assert_array_equal(rows, np.arange(c * CHUNK, min((c + 1) * CHUNK, x.size)))
+        # one allocation per chunk, tiled by its region blocks
+        owner = blocks[0][2].base
+        assert owner is not None and owner.size == sum(psi.size for _, _, psi in blocks)
+        assert all(np.shares_memory(owner, psi) for _, _, psi in blocks)
+
+
+def _memory_case(n):
+    """The 116-term dual-input basis on one region and n rows, with a gamma and
+    an error signal, and the bytes of one CHUNK-row block of it."""
+    spec = BasisSpec("full_dual_input", 9, 3)
+    rng = np.random.default_rng(5)
+    x, err = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))) * 0.5
+    gamma = rng.standard_normal(spec.n_basis_total) + 0j
+    return spec, x, gamma, err, CHUNK * spec.n_basis_single * 16
+
+
+def test_chunked_passes_hold_one_chunk_at_a_time():
+    """Over 3 CHUNK + 1000 rows each pass peaks near one chunk's block plus
+    the lag cache and a PANEL-row conjugated panel. Measured peak / block:
+    gram_matrix 1.18, apply_gamma 1.20, cross_correlation 1.17. A pass that
+    still held the previous chunk's block while the next one was built
+    measured 2.18, 2.20 and 2.17."""
+    spec, x, gamma, err, block = _memory_case(3 * CHUNK + 1000)
+    for fn, args in ((gram_matrix, (spec, x)), (apply_gamma, (spec, x, gamma)),
+                     (cross_correlation, (spec, x, err))):
+        assert traced_peak(fn, *args) < 1.3 * block, fn.__name__
+
+
+def test_regularized_lstsq_allocates_a_few_percent_beyond_a():
+    """An ILA-sized fit (50000 x 116, one F-order block) allocates 0.046 of
+    a.nbytes beyond a, with a^H a formed over PANEL-row panels; conjugated
+    16384-row slices measured 0.33."""
+    spec, x, _, target, _ = _memory_case(50000)
+    ((_, _, a),) = basis_mod.region_blocks(spec, x, chunk=x.size)
+    assert a.flags.f_contiguous
+    assert traced_peak(regularized_lstsq, a, target) < 0.1 * a.nbytes
 
 
 def _owners(node, name, owner="<module>"):

@@ -14,7 +14,8 @@ from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import MAX_REGIONS, RegionPartition
 from pwdpd.plant import save_plant, steer
 from pwdpd.presets import PLANT_PRESETS, load_plant_preset
-from pwdpd.scenarios import METHODS
+import pwdpd
+from pwdpd.scenarios import METHODS, write_manifest
 from pwdpd.signals import read_iq, write_iq
 
 from conftest import random_signal
@@ -363,6 +364,15 @@ def test_scenario_bit_reproducibility(tmp_path):
     assert m_a["artifacts"] == m_b["artifacts"]
     assert len(m_a["artifacts"]) >= 5
     assert cfg == m_a["config"]
+
+
+def test_manifest_records_versions(tmp_path):
+    """manifest.json names the package and numpy versions beside the
+    artifacts, whose own bytes (and so sha256s) do not depend on them."""
+    (tmp_path / "metrics.json").write_text("{}")
+    manifest = json.loads(write_manifest(tmp_path, {"kind": "x"}).read_text())
+    assert manifest["versions"] == {"pwdpd": pwdpd.__version__, "numpy": np.__version__}
+    assert [e["name"] for e in manifest["artifacts"]] == ["metrics.json"]
 
 
 def test_linear_sanity_scenario_results(tmp_path):
