@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRegionError, is_int
+from .errors import ConfigError, DegenerateRegionError, check_fields, is_int
 from .partition import RegionPartition
 from .signals import IqSignal
 
@@ -74,16 +74,7 @@ class BasisSpec:
     partition: RegionPartition | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown basis family {self.family!r}")
-        for name in ("max_order", "memory_depth", "cross_memory_depth"):
-            if not is_int(getattr(self, name)):
-                raise ConfigError(f"basis spec field {name!r} must be an integer, "
-                                  f"got {getattr(self, name)!r}")
-        if self.max_order < 1 or self.max_order % 2 == 0:
-            raise ConfigError(f"max_order must be odd and >= 1, got {self.max_order}")
-        if self.memory_depth < 0 or self.cross_memory_depth < 0:
-            raise ConfigError("memory depths must be non-negative")
+        check_fields(vars(self), _SPEC_RULES, "basis spec")
 
     # full_dual_input's per-family orders (P1..P3) and memories (M1..M6), all
     # max_order and memory_depth; None for the other families
@@ -125,23 +116,19 @@ class BasisSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
-        """Inverse of to_dict. The "orders" and "memories" that earlier headers
-        carried load when null or equal to the derived values, else ConfigError."""
+        """Inverse of to_dict; a missing family or max_order is refused by name."""
         part = d.get("partition")
-        spec = cls(
-            family=d["family"],
-            max_order=d["max_order"],
-            memory_depth=d.get("memory_depth", 0),
-            cross_memory_depth=d.get("cross_memory_depth", 0),
-            partition=RegionPartition.from_dict(part) if part else None,
-        )
-        for name in ("orders", "memories"):
-            given, derived = d.get(name), getattr(spec, name)
-            want = None if derived is None else list(derived)
-            if given is not None and not (isinstance(given, list) and all(map(is_int, given))
-                                          and given == want):
-                raise ConfigError(f"basis spec field {name!r} is derived as {want}, got {given!r}")
-        return spec
+        return cls(family=d.get("family"), max_order=d.get("max_order"),
+                   memory_depth=d.get("memory_depth", 0),
+                   cross_memory_depth=d.get("cross_memory_depth", 0),
+                   partition=RegionPartition.from_dict(part) if part else None)
+
+
+# each BasisSpec field's test and what it asks for
+_SPEC_RULES = {"family": (lambda v: v in FAMILIES, f"one of {FAMILIES}"),
+               "max_order": (lambda v: is_int(v) and v >= 1 and v % 2 == 1, "an odd integer >= 1"),
+               "memory_depth": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+               "cross_memory_depth": (lambda v: is_int(v) and v >= 0, "an integer >= 0")}
 
 
 def enumerate_bfs(spec: BasisSpec) -> list[BfTerm]:

@@ -198,7 +198,7 @@ def cmd_train(args) -> int:
     model, trace = train_method(args.method, plant, params, config, spec, seed=args.seed)
     save_model(model, args.output)
     trace_to_csv(trace, str(args.output) + ".trace.csv")
-    print(f"wrote {args.output}.dpd.json/.bin "
+    print(f"wrote {args.output}.dpd.json "
           f"({trace[0].active_count}/{model.gamma.size} active coefficients)")
     print(f"final error power: {trace[-1].error_power_dbc:.2f} dBc")
     return 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, is_int
+from .errors import ConfigError, check_fields, is_int
 
 CONFIGS = ("pw_ila", "cl_self_orth", "cl_orth_bfs", "pwcl_self_orth", "pwcl_orth_pruned")
 
@@ -43,14 +43,11 @@ class ComplexityParams:
     n_pw_pruned: int | None = None
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if value is None and name == "n_pw_pruned":
-                continue
-            if not is_int(value) or value <= 0:
-                raise ConfigError(f"complexity params: {name} must be an integer > 0, "
-                                  f"got {value!r}")
-        if self.n_pw_pruned is not None and self.n_pw_pruned > self.n_pw:
-            raise ConfigError("complexity params: n_pw_pruned must lie in (0, n_pw]")
+        # n_pw_pruned, the last field, is tested once k and n_sp have passed
+        rules = {name: (lambda v: is_int(v) and v > 0, "an integer > 0") for name in vars(self)}
+        rules["n_pw_pruned"] = (lambda v: v is None or is_int(v) and 0 < v <= self.n_pw,
+                                "an integer > 0 and <= n_pw, or null")
+        check_fields(vars(self), rules, "complexity params")
 
     @property
     def n_pw(self) -> int:

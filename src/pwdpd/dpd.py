@@ -54,7 +54,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import ConfigError, DivergenceError, is_number
+from .errors import ConfigError, DivergenceError, check_fields, read_pair
 from .signals import IqSignal
 
 @dataclass
@@ -245,62 +245,33 @@ def trace_to_csv(trace: list[TraceRecord], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def save_model(model: DpdModel, stem: str | Path) -> tuple[Path, Path]:
-    """Write <stem>.dpd.json (header) and <stem>.dpd.bin (payload).
-
-    Payload layout: the native gamma as interleaved float64 re/im.
-    """
-    stem = Path(stem)
-    header_path = stem.with_suffix(".dpd.json")
-    payload_path = stem.with_suffix(".dpd.bin")
-    header = {
-        "spec": model.spec.to_dict(),
-        "ghat": [model.ghat.real, model.ghat.imag],
-        "n_coefficients": int(model.gamma.size),
-    }
-    header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-    model.gamma.astype("<c16").tofile(payload_path)
-    return header_path, payload_path
+def save_model(model: DpdModel, stem: str | Path) -> Path:
+    """Write <stem>.dpd.json: the basis spec, the linear gain ghat and the native
+    gamma, each complex value an [re, im] pair of floats, which read back bit
+    for bit."""
+    path = Path(stem).with_suffix(".dpd.json")
+    fields = {"spec": model.spec.to_dict(), "ghat": [model.ghat.real, model.ghat.imag],
+              "gamma": [[v.real, v.imag] for v in model.gamma.tolist()]}
+    path.write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-# model header field -> the JSON type it must hold
-_HEADER_TYPES = {"spec": dict, "ghat": list, "n_coefficients": int}
-
-
-def _check_header(header, path: Path) -> None:
-    """Raise ConfigError unless every header field is present and well typed."""
-    if not isinstance(header, dict):
-        raise ConfigError(f"{path} does not hold a JSON object")
-    for key, kind in _HEADER_TYPES.items():
-        value = header.get(key)
-        if not isinstance(value, kind) or (kind is int and (isinstance(value, bool) or value < 0)):
-            raise ConfigError(f"{path}: header field {key!r} is missing or not a {kind.__name__}")
-    if len(header["ghat"]) != 2 or not all(map(is_number, header["ghat"])):
-        raise ConfigError(f"{path}: header field 'ghat' must be [real, imag], both finite")
+# each model field's test and what it asks for; read_pair reads ghat and every
+# gamma entry
+_MODEL_FIELDS = {"spec": (lambda v: isinstance(v, dict), "an object"),
+                 "gamma": (lambda v: isinstance(v, list), "a list of [re, im] pairs")}
 
 
 def load_model(stem: str | Path) -> DpdModel:
-    stem = Path(stem)
-    header_path = stem.with_suffix(".dpd.json")
-    payload_path = stem.with_suffix(".dpd.bin")
-    if not header_path.exists() or not payload_path.exists():
-        raise ConfigError(f"missing model files for {stem}")
-    header = json.loads(header_path.read_text())
-    _check_header(header, header_path)
+    """Read a model written by save_model; ConfigError naming the file and the
+    field otherwise."""
+    path = Path(stem).with_suffix(".dpd.json")
+    if not path.exists():
+        raise ConfigError(f"missing model file {path}")
+    fields = check_fields(json.loads(path.read_text()), _MODEL_FIELDS, str(path))
     try:
-        spec = BasisSpec.from_dict(header["spec"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{header_path}: malformed basis spec ({exc!r})") from exc
-    n = header["n_coefficients"]
-    if n != spec.n_basis_total:
-        raise ConfigError(f"{header_path}: n_coefficients {n} != {spec.n_basis_total} "
-                          "coefficients of its basis spec")
-    n_bytes = payload_path.stat().st_size
-    if n_bytes != 16 * n:
-        raise ConfigError(f"{payload_path} holds {n_bytes} bytes; the header needs "
-                          f"{n} complex float64 values ({16 * n} bytes)")
-    try:
-        return DpdModel(np.fromfile(payload_path, dtype="<c16"), spec,
-                        ghat=complex(*header["ghat"]))
+        return DpdModel([read_pair(v, f"gamma[{i}]") for i, v in enumerate(fields["gamma"])],
+                        BasisSpec.from_dict(fields["spec"]),
+                        ghat=read_pair(fields.get("ghat"), "'ghat'"))
     except ConfigError as exc:
-        raise ConfigError(f"{payload_path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None

@@ -1,5 +1,5 @@
-"""Exception types shared across the workbench, and the two value tests its
-file and config readers refuse with.
+"""Exception types shared across the workbench, and the one reader rule of its
+files and configs: the two value tests, check_fields and read_pair.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
 DegenerateRegionError -> 3, DivergenceError -> 4.
@@ -40,3 +40,27 @@ def is_int(value) -> bool:
 def is_number(value) -> bool:
     """A finite int or float, not a bool; Python's json also reads NaN and +-Infinity."""
     return is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def check_fields(values, rules: dict, where: str):
+    """values, a dict whose every field in rules passes its test (a missing field
+    reads as None); otherwise one ConfigError naming `where` and the field.
+
+    rules maps each field name to (test, wanted), wanted saying what the test
+    asks for.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} does not hold a JSON object")
+    for name, (fits, wanted) in rules.items():
+        value = values.get(name)
+        if not fits(value):
+            raise ConfigError(f"{where}: {name!r} must be {wanted}, got {value!r}")
+    return values
+
+
+def read_pair(value, what: str) -> complex:
+    """The complex number of an [re, im] pair of finite JSON numbers (no bools);
+    ConfigError naming what holds it otherwise."""
+    if not (isinstance(value, list) and len(value) == 2 and all(map(is_number, value))):
+        raise ConfigError(f"{what} holds {value!r}, not an [re, im] pair of finite numbers")
+    return complex(*value)

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, is_int, is_number
+from .errors import ConfigError, check_fields, is_int, is_number, read_pair
 from .signals import IqSignal
 
 # the named coefficient tables and scalar settings of each PA kind, with their
@@ -48,19 +48,27 @@ _KIND_FIELDS = {"memory_poly": {"table": None},
 # the fields that are coefficient tables, each keyed by (order, tap)
 _TABLES = ("table", "main", "aux")
 
-# each scalar setting's test and what it asks for
-_SCALAR_RULES = {"crossover": (lambda v: v >= 0, "a finite number >= 0"),
-                 "blend_width": (lambda v: v > 0, "a finite number > 0")}
+# each PA setting's test and what it asks for: every kind's saturation_level
+# and the scalar settings of _KIND_FIELDS
+_SETTINGS = {"saturation_level": (lambda v: v == math.inf or is_number(v) and v > 0,
+                                  "a number > 0 (inf: no limiter)"),
+             "crossover": (lambda v: is_number(v) and v >= 0, "a finite number >= 0"),
+             "blend_width": (lambda v: is_number(v) and v > 0, "a finite number > 0")}
+
+# each ArrayPlant scalar's test and what it asks for
+_PLANT_SCALARS = {"coupling_strength": (lambda v: is_number(v) and v >= 0, "a finite number >= 0"),
+                  "steer_angle_deg": (is_number, "a finite number"),
+                  "angle_coupling_slope": (is_number, "a finite number")}
 
 # |x|/sat above which the limiter's (1 + r^4)^(1/4) is r to double precision
 _LIMIT_FLAT = 2.0 ** 14
 
 
 def _check_table(name: str, table) -> dict:
-    """table with complex values; ConfigError unless each key is two ints (bools
-    refused), an odd order >= 1 and a tap >= 0."""
-    if not isinstance(table, dict):
-        raise ConfigError(f"coefficient table {name!r} must be a dict, got {table!r}")
+    """table with complex values; ConfigError unless it has a row and each key is
+    two ints (bools refused), an odd order >= 1 and a tap >= 0."""
+    if not (isinstance(table, dict) and table):
+        raise ConfigError(f"coefficient table {name!r} must be a non-empty dict, got {table!r}")
     out = {}
     for key, coef in table.items():
         if (not isinstance(key, tuple) or len(key) != 2 or not all(map(is_int, key))
@@ -69,14 +77,6 @@ def _check_table(name: str, table) -> dict:
                               f"order >= 1 and a tap >= 0, got {key!r}")
         out[key] = complex(coef)
     return out
-
-
-def _check_scalar(name: str, value):
-    """value, unless it is not a finite number passing the setting's _SCALAR_RULES test."""
-    fits, wanted = _SCALAR_RULES[name]
-    if not (is_number(value) and fits(value)):
-        raise ConfigError(f"PA setting {name!r} must be {wanted}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,18 @@ class PaModel:
     def __post_init__(self):
         if self.kind not in _KIND_FIELDS:
             raise ConfigError(f"unknown PA kind {self.kind!r}; have {sorted(_KIND_FIELDS)}")
-        sat = self.saturation_level  # NaN would switch the limiter off
-        if not (sat == math.inf or is_number(sat) and sat > 0):
-            raise ConfigError(f"PA setting 'saturation_level' must be a number > 0 "
-                              f"(inf: no limiter), got {sat!r}")
         fields, given = _KIND_FIELDS[self.kind], self.coefficients
         if "table" in fields and "table" not in given:
             given = {"table": given}
         if not isinstance(given, dict) or not set(given) <= set(fields):
             raise ConfigError(f"{self.kind} coefficients take {sorted(fields)}, got {given!r}")
-        c = {}
-        for name, default in fields.items():  # a missing required table is None
-            value = given.get(name, default)
-            c[name] = (_check_table if name in _TABLES else _check_scalar)(name, value)
+        # a missing required table is None; a NaN saturation_level would switch
+        # the limiter off
+        c = {name: _check_table(name, given.get(name)) if name in _TABLES
+             else given.get(name, default) for name, default in fields.items()}
+        settings = {"saturation_level": self.saturation_level, **c}
+        check_fields(settings, {name: _SETTINGS[name] for name in settings if name in _SETTINGS},
+                     f"{self.kind} PA")
         object.__setattr__(self, "coefficients", c)
 
     def output_ceiling(self) -> float:
@@ -194,10 +193,10 @@ def _doherty(u: np.ndarray, coeffs: dict, sat: float) -> np.ndarray:
 class ArrayPlant:
     """L-element transmit array with coupling.
 
-    coupling holds per-pair FIR impulse responses (L x L x taps) whose
-    diagonal is the identity pulse; off-diagonal entries are scaled by
-    coupling_strength * (1 + angle_coupling_slope * |sin(steer angle)|) when
-    the coupled drive is formed.
+    coupling holds per-pair FIR impulse responses (L x L x taps); entry
+    [i, l] couples element l into element i, scaled by coupling_strength *
+    (1 + angle_coupling_slope * |sin(steer angle)|) when the coupled drive is
+    formed. The diagonal [i, i] is not read.
     """
 
     elements: tuple[PaModel, ...]
@@ -215,20 +214,14 @@ class ArrayPlant:
         L = len(self.elements)
         if L < 1:
             raise ConfigError("plant needs at least one element")
-        if self.weights.shape != (L,):
-            raise ConfigError("weights must have one entry per element")
-        if self.coupling.shape[:2] != (L, L):
-            raise ConfigError("coupling must be L x L x taps")
-        if self.branch_filters.shape[0] != L:
-            raise ConfigError("branch_filters must have one row per element")
-        if not np.allclose(self.coupling[range(L), range(L)], np.eye(1, self.coupling.shape[2])):
-            raise ConfigError("coupling diagonal must be the identity pulse")
-        for name in ("coupling_strength", "steer_angle_deg", "angle_coupling_slope"):
-            if not is_number(getattr(self, name)):
-                raise ConfigError(f"plant field {name!r} must be a finite number, "
-                                  f"got {getattr(self, name)!r}")
-        if self.coupling_strength < 0:
-            raise ConfigError("coupling_strength must be non-negative")
+        shapes = {name: getattr(self, name).shape
+                  for name in ("weights", "coupling", "branch_filters")}
+        check_fields(shapes, {
+            "weights": (lambda s: s == (L,), f"of shape ({L},)"),
+            "coupling": (lambda s: len(s) == 3 and s[:2] == (L, L), f"of shape ({L}, {L}, taps)"),
+            "branch_filters": (lambda s: len(s) == 2 and s[0] == L, f"of shape ({L}, taps)"),
+        }, "plant")
+        check_fields(vars(self), _PLANT_SCALARS, "plant")
 
     @property
     def n_elements(self) -> int:
@@ -276,12 +269,13 @@ class ArrayPlant:
     def from_dict(cls, d: dict) -> "ArrayPlant":
         """Inverse of to_dict; a "channel" key that earlier plant files carried is not read."""
         def l2c(name, pairs, shape=None):
-            arr = np.asarray([_read_pair(v, f"plant field {name!r}") for v in pairs])
+            arr = np.asarray([read_pair(v, f"plant field {name!r}") for v in pairs])
             if shape is None:
                 return arr
-            if not (isinstance(shape, list) and all(is_int(n) and n >= 1 for n in shape)):
-                raise ConfigError(f"plant field {name!r} shape must be a list of integers >= 1, "
-                                  f"got {shape!r}")
+            if not (isinstance(shape, list) and all(is_int(n) and n >= 1 for n in shape)
+                    and math.prod(shape) == arr.size):
+                raise ConfigError(f"plant field {name!r} shape must be a list of integers >= 1 "
+                                  f"with product {arr.size}, its value count; got {shape!r}")
             return arr.reshape(shape)
 
         def sat(level):
@@ -300,14 +294,6 @@ class ArrayPlant:
         )
 
 
-def _read_pair(value, what: str) -> complex:
-    """The complex number of an [re, im] pair of finite JSON numbers (no bools);
-    ConfigError naming what holds it otherwise."""
-    if not (isinstance(value, list) and len(value) == 2 and all(map(is_number, value))):
-        raise ConfigError(f"{what} holds {value!r}, not an [re, im] pair of finite numbers")
-    return complex(*value)
-
-
 def _encode_coefficients(named: dict) -> dict:
     """Plant-JSON form of named coefficients: tables as sorted [[key...], [re, im]] rows."""
     return {name: [[list(key), [coef.real, coef.imag]] for key, coef in sorted(value.items())]
@@ -316,7 +302,7 @@ def _encode_coefficients(named: dict) -> dict:
 
 def _decode_coefficients(named: dict) -> dict:
     """Inverse of _encode_coefficients; a table that lists a key twice is refused."""
-    out = {name: {tuple(key): _read_pair(coef, f"coefficient table {name!r}")
+    out = {name: {tuple(key): read_pair(coef, f"coefficient table {name!r}")
                   for key, coef in value}
            if isinstance(value, list) else value for name, value in named.items()}
     for name, value in named.items():

@@ -26,7 +26,7 @@ from .basis import BasisSpec
 from .basis import descriptors_json as basis_descriptors_json
 from .dpd import (DpdModel, LearnConfig, estimate_gain, learn, predistort, save_model,
                   trace_to_csv)
-from .errors import ConfigError, is_int, is_number
+from .errors import ConfigError, check_fields, is_int, is_number
 from .ila import ila_learn
 from .metrics import (aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd)
 from .partition import (RegionPartition, check_region_count, fit_amam, kmeans_partition,
@@ -510,13 +510,11 @@ def check_settings(values: dict, accepted: dict, where: str) -> dict:
     """values, once each key is one of `accepted` and each value passes its
     one rule (see _KEY_TYPES and _VALUE_TYPES); otherwise a ConfigError that
     names `where` and the key."""
-    for key, value in values.items():
+    for key in values:
         if key not in accepted:
             raise ConfigError(f"{where} has unknown key {key!r}; it takes {sorted(accepted)}")
-        fits, wanted = _KEY_TYPES.get(key) or _value_rule(accepted[key])
-        if not fits(value):
-            raise ConfigError(f"{where} key {key!r} must be {wanted}, got {value!r}")
-    return values
+    return check_fields(values, {key: _KEY_TYPES.get(key) or _value_rule(accepted[key])
+                                 for key in values}, where)
 
 
 def config_section(config: dict, name: str) -> dict:

@@ -2,7 +2,9 @@
 
 An IqSignal on disk is a pair of files: ``<stem>.iq`` holding little-endian
 interleaved float64 I/Q pairs, and a JSON sidecar ``<stem>.iq.json`` with
-sample_rate, length and the generating seed (if any).
+sample_rate, length and the generating seed (if any). The samples stay
+binary because a waveform runs to 1e4-1e6 of them; a DPD model, with its
+K x B1 coefficients, is one JSON file (dpd.save_model).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, is_int, is_number
+from .errors import ConfigError, check_fields, is_int, is_number
 
 
 @dataclass
@@ -87,13 +89,8 @@ def read_iq(stem: str | Path) -> IqSignal:
     meta_path = Path(str(path) + ".json")
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"missing IQ file or sidecar for {path}")
-    meta = json.loads(meta_path.read_text())
-    if not isinstance(meta, dict):
-        raise ConfigError(f"IQ sidecar {meta_path} does not hold a JSON object")
-    for name, (fits, wanted) in _SIDECAR_FIELDS.items():
-        if not fits(meta.get(name)):
-            raise ConfigError(f"IQ sidecar {meta_path}: field {name!r} must be {wanted}, "
-                              f"got {meta.get(name)!r}")
+    meta = check_fields(json.loads(meta_path.read_text()), _SIDECAR_FIELDS,
+                        f"IQ sidecar {meta_path}")
     length, sample_rate = meta["length"], float(meta["sample_rate"])
     n_bytes = path.stat().st_size
     if n_bytes != 16 * length:  # fromfile would drop a trailing partial sample

@@ -119,7 +119,7 @@ def test_complexity_params_derived_count_refused(tmp_path, capsys, key, value):
 def test_complexity_params_must_be_positive_integers(tmp_path, capsys, name, value, via):
     params = {**reference_params().__dict__, name: value}
     assert main(["complexity", "--params", _json_file(tmp_path / "p.json", params)]) == 2
-    assert f"{name} must be an integer > 0" in capsys.readouterr().err
+    assert f"{name!r} must be an integer > 0" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -162,110 +162,82 @@ def test_divergence_exit_code(tmp_path, monkeypatch):
     assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
 
-def _without(key):
-    def corrupt(header, payload):
-        del header[key]
-        return payload
-    return corrupt
+def _edit(edit, names):
+    """A model-file fault: edit changes the file's JSON object in place, and the
+    refusal must match the regex names."""
+    edit.names = names
+    return edit
 
 
-def _with(key, value):
-    def corrupt(header, payload):
-        header[key] = value
-        return payload
-    return corrupt
-
-
-_HEADER_KEYS = ("spec", "ghat", "n_coefficients")
-
-
-def _dense_whitener(header, payload):
-    """gamma followed by an n x n whitener, as earlier orthogonal models stored it."""
-    return payload + bytes(16 * 9)
-
-
-def _spec_with(key, value):
-    """The spec's key set to value; the error must name the key."""
-    def corrupt(header, payload):
-        header["spec"][key] = value
-        return payload
-    corrupt.names = repr(key)
-    return corrupt
-
+_MODEL_KEYS = ("spec", "ghat", "gamma")
 
 _SPEC_NOT_INT = [("max_order", 5.0), ("max_order", True), ("memory_depth", 1.5),
-                 ("cross_memory_depth", "1"), ("orders", [5, 5.0, 5]),
-                 ("memories", [0, 0, 0, 0, 0, True])]
+                 ("cross_memory_depth", "1")]
 
 
-def _n_off_spec(header, payload):
-    """n_coefficients and payload size agree with each other but not with the spec."""
-    header["n_coefficients"] = 4
-    return payload + bytes(16)
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda h, b: b[:32],            # truncated inside gamma
-    lambda h, b: b[:-8],            # odd float64 count: a real part without its imaginary part
-    lambda h, b: b[:-3],            # not a whole number of float64s
-    lambda h, b: b + bytes(16),     # trailing bytes after gamma
-    *(_without(key) for key in _HEADER_KEYS),
-    _with("n_coefficients", "3"),
-    _with("ghat", [1.0]),
-    _with("ghat", [math.nan, 0.0]),
-    _with("spec", {"max_order": 5}),
-    _n_off_spec,
-    _dense_whitener,
-    *(_spec_with(key, value) for key, value in _SPEC_NOT_INT),
+@pytest.mark.parametrize("edit", [
+    _edit(lambda f: f["gamma"].pop(), "gamma length 2 != basis size 3"),  # one short of its spec
+    # a real part without its imaginary part, and a triple
+    _edit(lambda f: f["gamma"].__setitem__(1, [1.0]), r"gamma\[1\]"),
+    _edit(lambda f: f["gamma"].__setitem__(1, [1.0, 2.0, 3.0]), r"gamma\[1\]"),
+    _edit(lambda f: f["gamma"].append([0.0, 0.0]), "gamma length 4 != basis size 3"),
+    *(_edit(lambda f, key=key: f.pop(key), repr(key)) for key in _MODEL_KEYS),
+    _edit(lambda f: f.update(ghat=[1.0]), "'ghat'"),
+    _edit(lambda f: f.update(ghat=[math.nan, 0.0]), "'ghat'"),
+    _edit(lambda f: f.update(ghat=[1, True]), "'ghat'"),
+    _edit(lambda f: f["spec"].pop("family"), "'family'"),
+    # gamma followed by an n x n whitener, as earlier orthogonal models stored it
+    _edit(lambda f: f["gamma"].extend([[0.0, 0.0]] * 9), "gamma length 12 != basis size 3"),
+    *(_edit(lambda f, key=key, value=value: f["spec"].update({key: value}), repr(key))
+      for key, value in _SPEC_NOT_INT),
 ], ids=["truncated", "odd-length", "ragged", "trailing",
-        *(f"no-{key}" for key in _HEADER_KEYS),
-        "n-as-string", "short-ghat", "nan-ghat", "spec-without-family",
-        "n-disagrees-with-spec", "dense-whitener-layout",
+        *(f"no-{key}" for key in _MODEL_KEYS),
+        "short-ghat", "nan-ghat", "bool-ghat", "spec-without-family", "dense-whitener-layout",
         *(f"spec-{key}={value!r}" for key, value in _SPEC_NOT_INT)])
-def test_corrupt_model_payload_exit_code(tmp_path, corrupt):
+def test_corrupt_model_payload_exit_code(tmp_path, edit):
+    """A model file is one JSON object of spec, ghat and gamma; a field that is
+    missing, ill-typed or the wrong length exits 2 naming it."""
     from pwdpd.dpd import DpdModel, load_model, save_model
 
-    spec = BasisSpec("memoryless", 5)
-    model = DpdModel(np.arange(3) + 1j, spec)
-    header_path, payload = save_model(model, tmp_path / "m")
-    intact = payload.read_bytes()
-    assert len(intact) == 48  # 3 coefficients, complex float64
+    model = DpdModel(np.arange(3) + 1j, BasisSpec("memoryless", 5))
+    path = save_model(model, tmp_path / "m")
+    assert path == tmp_path / "m.dpd.json" and sorted(tmp_path.iterdir()) == [path]
     np.testing.assert_array_equal(load_model(tmp_path / "m").gamma, model.gamma)
-    header = json.loads(header_path.read_text())
-    payload.write_bytes(corrupt(header, intact))
-    header_path.write_text(json.dumps(header))
-    with pytest.raises(ConfigError, match=getattr(corrupt, "names", None)):
+    fields = json.loads(path.read_text())
+    assert sorted(fields) == sorted(_MODEL_KEYS) and len(fields["gamma"]) == 3
+    edit(fields)
+    path.write_text(json.dumps(fields))
+    with pytest.raises(ConfigError, match=edit.names):
         load_model(tmp_path / "m")
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
 
 
 def test_non_finite_model_coefficient_exit_code(tmp_path, capsys):
-    """A NaN in the payload is refused where it is read, naming the file and the coefficient."""
+    """A NaN coefficient is refused where it is read, naming the file and the coefficient."""
     from pwdpd.dpd import DpdModel, save_model
 
-    _, payload = save_model(DpdModel(np.arange(3) + 1j, BasisSpec("memoryless", 5)),
-                            tmp_path / "m")
-    values = np.fromfile(payload, dtype="<c16")
-    values[1] = complex(np.nan, 0.0)
-    values.tofile(payload)
+    path = save_model(DpdModel(np.arange(3) + 1j, BasisSpec("memoryless", 5)), tmp_path / "m")
+    fields = json.loads(path.read_text())
+    fields["gamma"][1] = [math.nan, 0.0]
+    path.write_text(json.dumps(fields))
     assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
-    assert str(payload) in err and "gamma[1] is not finite" in err
+    assert str(path) in err and "gamma[1] holds [nan, 0.0]" in err
 
 
 def test_model_file_with_active_mask_loads(tmp_path):
-    """A header that still carries the active mask earlier files wrote loads, and
-    the model predistorts as the one saved; the mask is not read."""
+    """A model file that still carries the active mask earlier files wrote loads,
+    and the model predistorts as the one saved; the mask is not read."""
     from pwdpd.dpd import DpdModel, load_model, predistort, save_model
 
     spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
     rng = np.random.default_rng(6)
     model = DpdModel(0.01 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)), spec,
                      ghat=0.9 - 0.1j)
-    header_path, _ = save_model(model, tmp_path / "m")
-    header = json.loads(header_path.read_text())
-    assert "active_mask" not in header
-    header_path.write_text(json.dumps({**header, "active_mask": [1, 0, 1, 1, 0, 0]}))
+    path = save_model(model, tmp_path / "m")
+    fields = json.loads(path.read_text())
+    assert "active_mask" not in fields
+    path.write_text(json.dumps({**fields, "active_mask": [1, 0, 1, 1, 0, 0]}))
     back = load_model(tmp_path / "m")
     np.testing.assert_array_equal(back.gamma, model.gamma)
     assert back.ghat == model.ghat
@@ -276,9 +248,9 @@ def test_model_file_with_active_mask_loads(tmp_path):
 
 
 def test_model_header_with_derived_orders_and_memories_loads(tmp_path):
-    """save_model writes no orders or memories. A header of earlier files that
-    carries them as the spec derives them (null for the other families) loads
-    with the same spec and gamma."""
+    """save_model writes no orders or memories. A spec that carries them as
+    earlier headers did (null for the other families) loads with the same spec
+    and gamma."""
     from pwdpd.dpd import DpdModel, load_model, save_model
 
     rng = np.random.default_rng(9)
@@ -286,10 +258,10 @@ def test_model_header_with_derived_orders_and_memories_loads(tmp_path):
                            {"orders": [9] * 3, "memories": [3] * 6}),
                           (BasisSpec("gmp", 5, 3, 2), {"orders": None, "memories": None})):
         gamma = rng.standard_normal(spec.n_basis_total) + 1j
-        header_path, _ = save_model(DpdModel(gamma, spec), tmp_path / "m")
-        header = json.loads(header_path.read_text())
-        assert not {"orders", "memories"} & set(header["spec"])
-        header_path.write_text(json.dumps(dict(header, spec=dict(header["spec"], **derived))))
+        path = save_model(DpdModel(gamma, spec), tmp_path / "m")
+        fields = json.loads(path.read_text())
+        assert not {"orders", "memories"} & set(fields["spec"])
+        path.write_text(json.dumps(dict(fields, spec=dict(fields["spec"], **derived))))
         back = load_model(tmp_path / "m")
         assert back.spec == spec
         np.testing.assert_array_equal(back.gamma, gamma)
@@ -302,28 +274,30 @@ _OTHER_SPEC_FIELDS = [("orders", [9, 7, 11]), ("orders", [9, 8, 9]), ("orders", 
 
 @pytest.mark.parametrize("key, value", _OTHER_SPEC_FIELDS,
                          ids=[f"{k}={v!r}" for k, v in _OTHER_SPEC_FIELDS])
-def test_model_header_other_orders_or_memories_exit_code(tmp_path, key, value):
-    """A full_dual_input header whose orders or memories differ from the values
-    its spec derives exits 2 naming the key, even when the basis they would
-    describe has as many functions."""
+def test_model_spec_other_orders_or_memories_not_read(tmp_path, key, value):
+    """A spec's orders and memories are not read, whatever they hold: every
+    full_dual_input term family takes max_order and memory_depth, and the model
+    loads with the spec and gamma it was saved with."""
     from pwdpd.dpd import DpdModel, load_model, save_model
 
-    header_path, _ = save_model(DpdModel(np.ones(116, dtype=complex),
-                                         BasisSpec("full_dual_input", 9, 3)), tmp_path / "m")
-    header = json.loads(header_path.read_text())
-    header["spec"][key] = value
-    header_path.write_text(json.dumps(header))
-    with pytest.raises(ConfigError, match=repr(key)):
-        load_model(tmp_path / "m")
-    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+    spec = BasisSpec("full_dual_input", 9, 3)
+    gamma = np.arange(116) + 1j
+    path = save_model(DpdModel(gamma, spec), tmp_path / "m")
+    fields = json.loads(path.read_text())
+    fields["spec"][key] = value
+    path.write_text(json.dumps(fields))
+    back = load_model(tmp_path / "m")
+    assert back.spec == spec
+    np.testing.assert_array_equal(back.gamma, gamma)
 
 
 def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
-    """A model file of the earlier two-domain format holds whitened coefficients when
-    has_whitener is set: gamma in the whitened domain, then K blocks of B1 x B1. Its
-    payload size refuses it, so a whitened gamma is never applied as a native one; a
-    file of that format without a whitener already held the native gamma and loads."""
-    from pwdpd.dpd import DpdModel, load_model, save_model
+    """A model of the earlier two-file format (a .dpd.json header of spec, ghat
+    and n_coefficients, the coefficients in a .dpd.bin payload) has no gamma and
+    exits 2 naming it. That holds for the orthogonal models of that format too,
+    whose payload held whitened coefficients and K blocks of B1 x B1, so a
+    whitened gamma is never applied as a native one."""
+    from pwdpd.dpd import load_model
 
     spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 0.6, 2.0]))
     n, k, b1 = spec.n_basis_total, spec.n_regions, spec.n_basis_single
@@ -331,20 +305,15 @@ def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
     rng = np.random.default_rng(4)
     gamma = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     whitener = np.tril(rng.standard_normal((k, b1, b1)) + 1j * rng.standard_normal((k, b1, b1)))
-    header_path, payload = save_model(DpdModel(gamma, spec), tmp_path / "m")
-    header = json.loads(header_path.read_text())
-
-    header_path.write_text(json.dumps({**header, "orthogonal_domain": False,
-                                       "has_whitener": False}))
-    np.testing.assert_array_equal(load_model(tmp_path / "m").gamma, gamma)
-
-    header_path.write_text(json.dumps({**header, "orthogonal_domain": True,
-                                       "has_whitener": True}))
-    np.concatenate([gamma, whitener.ravel()]).astype("<c16").tofile(payload)
-    with pytest.raises(ConfigError, match=rf"\({16 * n} bytes\)"):
-        load_model(tmp_path / "m")
-    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
-    assert f"needs {n} complex float64 values ({16 * n} bytes)" in capsys.readouterr().err
+    header = {"spec": spec.to_dict(), "ghat": [1.0, 0.0], "n_coefficients": n}
+    for whitened, payload in ((False, gamma), (True, np.concatenate([gamma, whitener.ravel()]))):
+        (tmp_path / "m.dpd.json").write_text(json.dumps({**header, "orthogonal_domain": whitened,
+                                                          "has_whitener": whitened}))
+        payload.astype("<c16").tofile(tmp_path / "m.dpd.bin")
+        with pytest.raises(ConfigError, match="'gamma'"):
+            load_model(tmp_path / "m")
+        assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+        assert "'gamma' must be a list of [re, im] pairs" in capsys.readouterr().err
 
 
 def test_scenario_preset_loader():
@@ -880,9 +849,7 @@ def test_train_partition_file_with_orders_and_target_error(tmp_path):
                      "--partition", str(tmp_path / f"{name}.json"), "--family", "memoryless",
                      "--order", "5", "--block-size", "2000", "--iterations", "1",
                      "--output", str(tmp_path / name)]) == 0
-    for suffix in (".dpd.bin", ".dpd.json"):
-        assert ((tmp_path / f"with{suffix}").read_bytes()
-                == (tmp_path / f"without{suffix}").read_bytes())
+    assert (tmp_path / "with.dpd.json").read_bytes() == (tmp_path / "without.dpd.json").read_bytes()
 
 
 @pytest.mark.parametrize("method", ["ila", "pw_ila"])
@@ -920,16 +887,18 @@ def test_partition_refuses_flags_its_method_does_not_read(tmp_path, capsys, flag
                                           ("cl_selforth", "cl_orth")])
 def test_train_selforth_prunes_like_orth(tmp_path, capsys, method, twin):
     """Every closed-loop method prunes, and a *_selforth method writes the same
-    model bytes as its *_orth twin at the same seed, since one update serves both
+    gamma as its *_orth twin at the same seed, since one update serves both
     rules; the summary line counts the coefficients the pruned learner updates."""
+    from pwdpd.dpd import load_model
+
     payloads = {}
     for name in (method, twin):
         stem = tmp_path / name
         assert main(["train", "--plant", "doherty-n3", "--method", name, "--prune", "-40",
                      "--family", "memoryless", "--order", "9", "--block-size", "2000",
                      "--iterations", "3", "--output", str(stem)]) == 0
-        payloads[name] = (tmp_path / f"{name}.dpd.bin").read_bytes()
-        n = json.loads((tmp_path / f"{name}.dpd.json").read_text())["n_coefficients"]
+        payloads[name] = load_model(stem).gamma.tobytes()
+        n = len(payloads[name]) // 16
         rows = (tmp_path / f"{name}.trace.csv").read_text().splitlines()
         active = int(rows[1].split(",")[2])
         assert active < n
@@ -1150,15 +1119,18 @@ def test_plant_file_complex_pair_exit_code(tmp_path, capsys, field, value):
     assert not (tmp_path / "z.iq").exists()
 
 
-_PLANT_SHAPES = [("coupling", [1, -1, 1]), ("coupling", [1, 1.0, 1]),
-                 ("branch_filters", [1, -1]), ("branch_filters", [1, True])]
+_PLANT_SHAPES = [("coupling", [1, -1, 1]), ("coupling", [1, 1.0, 1]), ("coupling", [1, 1]),
+                 ("coupling", [1, 1, 2]), ("branch_filters", [1, -1]),
+                 ("branch_filters", [1, True]), ("branch_filters", [1])]
 
 
 @pytest.mark.parametrize("field, shape", _PLANT_SHAPES,
                          ids=[f"{f}={s!r}" for f, s in _PLANT_SHAPES])
 def test_plant_file_shape_exit_code(tmp_path, capsys, field, shape):
-    """A coupling or branch_filters shape is a list of integers >= 1; a -1
-    (which reshape would infer), a float or a bool exits 2 naming the field."""
+    """A coupling or branch_filters shape is a list of integers >= 1, three for
+    coupling and two for branch_filters, whose product is the field's value
+    count; a -1 (which reshape would infer), a float, a bool, a missing axis or
+    a shape the values do not fill exits 2 naming the field."""
     write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     plant = load_plant_preset("doherty-n3").to_dict()
     plant[field]["shape"] = shape
@@ -1280,18 +1252,35 @@ def _partition_with(**fields):
     return make_argv
 
 
+def _plant_with(preset, edit):
+    """A saved plant preset, or with broken set, that plant's JSON changed by edit."""
+    def make_argv(tmp_path, broken):
+        write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+        plant = load_plant_preset(preset).to_dict()
+        if broken:
+            edit(plant)
+        return ["simulate", "--plant", _json_file(tmp_path / "p.json", plant),
+                "--input", str(tmp_path / "wave"), "--output", str(tmp_path / "z")]
+    return make_argv
+
+
 def _scenario_config(tmp_path, broken):
     config = _NO_DPD_CONFIG
     (tmp_path / "c.json").write_text(json.dumps([config] if broken else config))
     return ["scenario", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
 
 
-@pytest.mark.parametrize("make_argv", [_plant_file, _doherty_blend_width, _iq_sidecar,
-                                       _scenario_config, _partition_file,
-                                       _partition_with(edges=[0, "x", 2])],
-                         ids=["plant-without-weights", "doherty-blend-width-zero",
-                              "sidecar-without-length", "config-as-list",
-                              "partition-without-edges", "partition-edge-string"])
-def test_malformed_input_file_exit_code(tmp_path, make_argv):
+@pytest.mark.parametrize("make_argv", [
+    _plant_file, _doherty_blend_width, _iq_sidecar, _scenario_config, _partition_file,
+    _partition_with(edges=[0, "x", 2]),
+    _plant_with("array8-deep", lambda p: p["branch_filters"].update(shape=[16])),
+    _plant_with("array8-deep", lambda p: p["coupling"].update(shape=[64, 2])),
+    _plant_with("array8-deep", lambda p: p["elements"][0]["coefficients"].update(table=[])),
+], ids=["plant-without-weights", "doherty-blend-width-zero", "sidecar-without-length",
+        "config-as-list", "partition-without-edges", "partition-edge-string",
+        "branch-filters-1d", "coupling-2d", "empty-table"])
+def test_malformed_input_file_exit_code(tmp_path, capsys, make_argv):
     assert main(make_argv(tmp_path, broken=False)) == 0
+    capsys.readouterr()
     assert main(make_argv(tmp_path, broken=True)) == 2
+    assert "configuration error" in capsys.readouterr().err

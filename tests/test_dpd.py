@@ -311,6 +311,19 @@ def test_piecewise_continuity_after_convergence(cubic_plant):
     assert jump < 0.01 * curve.max()
 
 
+def test_model_file_keeps_every_bit(tmp_path):
+    """The one JSON model file writes each float as its shortest repr, which
+    reads back to the same bits: signed zeros, subnormals and extremes too."""
+    spec = BasisSpec("memoryless", 9)
+    gamma = np.array([-0.0 + 5e-324j, 1.7976931348623157e308 - 2.2250738585072014e-308j,
+                      0.1 + 1 / 3 * 1j, -1e-300 + 0.0j, np.pi - np.e * 1j])
+    model = DpdModel(gamma, spec, ghat=complex(np.nextafter(1.0, 2.0), -0.0))
+    assert save_model(model, tmp_path / "m") == tmp_path / "m.dpd.json"
+    back = load_model(tmp_path / "m")
+    assert back.gamma.tobytes() == gamma.tobytes() and back.spec == spec
+    assert np.array([back.ghat]).tobytes() == np.array([model.ghat]).tobytes()
+
+
 def test_model_save_load_roundtrip(tmp_path, cubic_plant):
     part = RegionPartition([0.0, 0.3, 2.0])
     spec = BasisSpec("memoryless", 5, partition=part)
@@ -319,7 +332,7 @@ def test_model_save_load_roundtrip(tmp_path, cubic_plant):
     model, trace = learn(PlantLoop(cubic_plant, rms=0.25, seed=21), spec, cfg)
     save_model(model, tmp_path / "m")
     back = load_model(tmp_path / "m")
-    np.testing.assert_array_equal(back.gamma, model.gamma)
+    assert back.gamma.tobytes() == model.gamma.tobytes()
     assert back.gamma.flags.writeable
     assert back.ghat == model.ghat
     sig = random_signal(1000, rms=0.25, seed=22)

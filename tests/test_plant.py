@@ -48,13 +48,14 @@ _BAD_TABLES = {
     "bool-order-key": {(True, 0): 0.1},
     "float-tap-key": {(1, 1.0): 0.1},
     "table-not-a-dict": [0.1],
+    "empty-table": {},
 }
 
 
 @pytest.mark.parametrize("table", list(_BAD_TABLES.values()), ids=list(_BAD_TABLES))
 def test_table_key_validation(table):
-    """Every table of every kind is keyed by (order, tap): two ints, an odd
-    order >= 1 and a tap >= 0."""
+    """Every table of every kind has a row and is keyed by (order, tap): two
+    ints, an odd order >= 1 and a tap >= 0."""
     with pytest.raises(ConfigError, match="'table'"):
         PaModel("memory_poly", {"table": table})
     with pytest.raises(ConfigError, match="'aux'"):
@@ -87,6 +88,24 @@ def test_shipped_plants_run_every_pa_kind():
     from pwdpd.presets import PLANT_PRESETS, load_plant_preset
     kinds = {pa.kind for name in PLANT_PRESETS for pa in load_plant_preset(name).elements}
     assert kinds == set(_KIND_FIELDS)
+
+
+def test_coupling_diagonal_not_read():
+    """drive_signal reads only the pairs l != i of the coupling, so zeroing
+    array8-deep's coupling diagonal leaves array_forward bit-identical."""
+    from dataclasses import replace
+
+    from pwdpd.presets import load_plant_preset
+
+    plant = load_plant_preset("array8-deep")
+    diagonal = range(plant.n_elements)
+    coupling = plant.coupling.copy()
+    assert plant.coupling_strength > 0 and np.any(coupling[diagonal, diagonal])
+    coupling[diagonal, diagonal] = 0
+    sig = random_signal(512, rms=0.4, seed=8)
+    for ours, zeroed in zip(array_forward(plant, sig),
+                            array_forward(replace(plant, coupling=coupling), sig)):
+        np.testing.assert_array_equal(ours.samples, zeroed.samples)
 
 
 def test_array_forward_coherent_combining():
