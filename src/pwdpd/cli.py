@@ -28,17 +28,13 @@ from .partition import RegionPartition
 from .plant import array_forward, load_plant, observation_receive, steer
 from .presets import PLANT_PRESETS, load_plant_preset, preset_params
 from .scenarios import (METHODS, _base_spec, _partitions, derive_partition, evaluate,
-                        run_scenario, train_method)
+                        preset_waveform, run_scenario, train_method)
 from .signals import read_iq, write_iq
-from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_ccdf
+from .waveform import papr_ccdf
 
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
-
-# the plant preset whose OFDM numerology and CFR iterations fill the flags
-# `pwdpd generate` is not given
-GENERATE_PRESET = "array8-deep"
 
 
 def finite_float(text: str) -> float:
@@ -88,24 +84,13 @@ def _load_config(args) -> dict:
 
 
 def cmd_generate(args) -> int:
-    preset = preset_params(GENERATE_PRESET)
-    ofdm = dict(preset["ofdm"], **_given(
-        subcarrier_spacing=args.scs, fft_size=args.fft, active_subcarriers=args.active,
-        oversampling=args.oversampling, constellation=args.constellation,
-        cp_fraction=args.cp_fraction, wola_taper_samples=args.wola))
-    cfg = OfdmConfig(num_symbols=args.symbols, seed=args.seed, **ofdm)
-    sig, grid = generate_ofdm(cfg)
-    if args.cfr_target is not None:
-        iterations = preset["cfr_iterations"] if args.cfr_iterations is None else args.cfr_iterations
-        sig = crest_factor_reduce(sig, args.cfr_target, iterations,
-                                  occupied_bandwidth=cfg.occupied_bandwidth)
+    sig, grid, cfg = preset_waveform(preset_params(args.plant), args.symbols, args.seed)
     stem = Path(args.output)
     write_iq(stem, sig)
     np.save(str(stem) + ".grid.npy", grid)
-    stats = papr_ccdf(sig, [0.01, 0.0001])
     print(f"wrote {stem}.iq ({len(sig)} samples at {sig.sample_rate / 1e6:.2f} MHz, "
-          f"occupied {cfg.occupied_bandwidth / 1e6:.2f} MHz)")
-    for p, level in stats:
+          f"RMS {sig.rms:.2f}, occupied {cfg.occupied_bandwidth / 1e6:.2f} MHz)")
+    for p, level in papr_ccdf(sig, [0.01, 0.0001]):
         print(f"PAPR @ {p:g}: {level:.2f} dB")
     return 0
 
@@ -250,19 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="piecewise closed-loop DPD workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate an OFDM excitation (unset waveform "
-                       f"flags take the {GENERATE_PRESET} preset's values)")
-    p.add_argument("--scs", type=finite_float, default=None)
-    p.add_argument("--fft", type=int, default=None)
-    p.add_argument("--active", type=int, default=None)
-    p.add_argument("--oversampling", type=int, default=None)
+    p = sub.add_parser("generate", help="write a plant preset's OFDM waveform: its "
+                       "numerology, CFR and drive level")
+    p.add_argument("--plant", required=True, help="plant preset name")
     p.add_argument("--symbols", type=int, default=1)
-    p.add_argument("--constellation", default=None)
-    p.add_argument("--cp-fraction", type=finite_float, default=None)
-    p.add_argument("--wola", type=int, default=None)
     p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--cfr-target", type=finite_float, default=None, help="PAPR target in dB")
-    p.add_argument("--cfr-iterations", type=int, default=None)
     p.add_argument("--output", required=True, help="output stem")
     p.set_defaults(func=cmd_generate)
 

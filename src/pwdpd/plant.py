@@ -320,6 +320,8 @@ def load_plant(path: str | Path) -> ArrayPlant:
     d = json.loads(Path(path).read_text())
     try:
         return ArrayPlant.from_dict(d)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed plant file {path}: {exc!r}") from None
 

@@ -13,9 +13,9 @@ from pwdpd.complexity import ComplexityParams, reference_params
 from pwdpd.errors import ConfigError, DivergenceError
 from pwdpd.partition import MAX_REGIONS, RegionPartition
 from pwdpd.plant import save_plant, steer
-from pwdpd.presets import PLANT_PRESETS, load_plant_preset
+from pwdpd.presets import PLANT_PRESETS, load_plant_preset, preset_params
 import pwdpd
-from pwdpd.scenarios import METHODS, write_manifest
+from pwdpd.scenarios import METHODS, preset_waveform, write_manifest
 from pwdpd.signals import read_iq, write_iq
 
 from conftest import random_signal
@@ -23,28 +23,59 @@ from conftest import random_signal
 
 def test_generate_writes_bundle(tmp_path, capsys):
     stem = tmp_path / "wave"
-    rc = main(["generate", "--fft", "256", "--active", "180", "--scs", "15000",
-               "--oversampling", "2", "--symbols", "2", "--seed", "5",
-               "--cfr-target", "6.5", "--output", str(stem)])
-    assert rc == 0
+    assert main(["generate", "--plant", "doherty-n3", "--symbols", "2", "--seed", "5",
+                 "--output", str(stem)]) == 0
     sig = read_iq(stem)
-    assert sig.sample_rate == pytest.approx(256 * 15000 * 2)
+    assert sig.sample_rate == pytest.approx(2048 * 15e3 * 4)
+    assert sig.rms == pytest.approx(preset_params("doherty-n3")["drive_rms"])
     grid = np.load(str(stem) + ".grid.npy")
-    assert grid.shape == (2, 180)
-    assert "PAPR" in capsys.readouterr().out
+    assert grid.shape == (2, 1272)
+    out = capsys.readouterr().out
+    assert "RMS 0.52" in out and "PAPR" in out
 
 
 def test_generate_then_simulate_and_evaluate(tmp_path, capsys):
+    """generate writes the preset's drive level, so simulate needs no --drive-rms."""
     stem = tmp_path / "w"
-    assert main(["generate", "--fft", "256", "--active", "180", "--scs", "120000",
-                 "--oversampling", "4", "--symbols", "16", "--output", str(stem)]) == 0
-    rc = main(["simulate", "--plant", "array8-deep", "--input", str(stem),
-               "--output", str(tmp_path / "z"), "--drive-rms", "0.56",
-               "--channel-bw", "40e6".replace("e6", "000000")])
-    assert rc == 0
-    z = read_iq(tmp_path / "z")
-    assert len(z) == len(read_iq(stem))
-    assert "ACLR" in capsys.readouterr().out
+    assert main(["generate", "--plant", "array8-deep", "--symbols", "2",
+                 "--output", str(stem)]) == 0
+    outputs = {}
+    for name, argv in (("z", []), ("z056", ["--drive-rms", "0.56"])):
+        assert main(["simulate", "--plant", "array8-deep", "--input", str(stem),
+                     "--output", str(tmp_path / name), *argv]) == 0
+        assert "ACLR" in capsys.readouterr().out
+        outputs[name] = read_iq(tmp_path / name).samples
+    assert len(outputs["z"]) == len(read_iq(stem))
+    np.testing.assert_allclose(outputs["z"], outputs["z056"], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("plant", PLANT_PRESETS)
+def test_generate_writes_the_preset_waveform(tmp_path, plant):
+    """generate writes, bit for bit, the samples and grid the bundles draw."""
+    stem = tmp_path / "w"
+    assert main(["generate", "--plant", plant, "--symbols", "2", "--seed", "5",
+                 "--output", str(stem)]) == 0
+    sig, grid, _ = preset_waveform(preset_params(plant), 2, 5)
+    got = read_iq(stem)
+    assert got.samples.tobytes() == sig.samples.tobytes()
+    assert got.sample_rate == sig.sample_rate
+    assert np.load(str(stem) + ".grid.npy").tobytes() == grid.tobytes()
+
+
+# the numerology and CFR flags generate took before it wrote a preset's waveform
+_REMOVED_GENERATE_FLAGS = [("--scs", "120000"), ("--fft", "256"), ("--active", "180"),
+                           ("--oversampling", "2"), ("--constellation", "16QAM"),
+                           ("--cp-fraction", "0.07"), ("--wola", "100000"),
+                           ("--cfr-target", "6.5"), ("--cfr-iterations", "3")]
+
+
+@pytest.mark.parametrize("flag, value", _REMOVED_GENERATE_FLAGS,
+                         ids=[f for f, _ in _REMOVED_GENERATE_FLAGS])
+def test_generate_removed_flag_exit_code(tmp_path, capsys, flag, value):
+    assert main(["generate", "--plant", "linear8", "--output", str(tmp_path / "w"),
+                 flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_partition_subcommand(tmp_path, capsys):
@@ -129,11 +160,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["scenario", "--preset", "missing-preset", "--out", str(tmp_path)]) == 2
     assert main(["train", "--plant", "not-a-preset.json", "--output",
                  str(tmp_path / "m")]) == 2
-    # partition, train and evaluate take a preset name: a saved plant file is
-    # refused by the preset lookup, which lists the presets
+    # generate, partition, train and evaluate take a preset name: a saved
+    # plant file is refused by the preset lookup, which lists the presets
     save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
     capsys.readouterr()
-    for argv in (["partition"], ["evaluate"]):
+    for argv in (["generate", "--output", str(tmp_path / "w")], ["partition"], ["evaluate"]):
         assert main(argv + ["--plant", str(tmp_path / "p.json")]) == 2
         assert str(PLANT_PRESETS) in capsys.readouterr().err
 
@@ -926,7 +957,7 @@ def _float_flags():
 # the required flags of each subcommand with a float flag or a --seed, for an
 # output root d
 _REQUIRED_FLAGS = {
-    "generate": lambda d: ["--output", str(d / "out")],
+    "generate": lambda d: ["--plant", "doherty-n3", "--output", str(d / "out")],
     "simulate": lambda d: ["--plant", "doherty-n3", "--input", str(d / "wave"),
                            "--output", str(d / "z")],
     "partition": lambda d: ["--plant", "doherty-n3", "--output", str(d / "part.json")],
@@ -1280,7 +1311,14 @@ def _scenario_config(tmp_path, broken):
         "config-as-list", "partition-without-edges", "partition-edge-string",
         "branch-filters-1d", "coupling-2d", "empty-table"])
 def test_malformed_input_file_exit_code(tmp_path, capsys, make_argv):
+    """Exit 2 with one message: a refused plant file is named once, and no
+    exception repr is wrapped inside it."""
     assert main(make_argv(tmp_path, broken=False)) == 0
     capsys.readouterr()
-    assert main(make_argv(tmp_path, broken=True)) == 2
-    assert "configuration error" in capsys.readouterr().err
+    argv = make_argv(tmp_path, broken=True)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "ConfigError(" not in err
+    plant = argv[argv.index("--plant") + 1] if "--plant" in argv else ""
+    if plant.endswith(".json"):
+        assert err.count(plant) == 1
