@@ -27,8 +27,9 @@ from .metrics import aclr_single_direction
 from .partition import RegionPartition
 from .plant import array_forward, load_plant, observation_receive, steer
 from .presets import PLANT_PRESETS, load_plant_preset, preset_params
-from .scenarios import (METHODS, _base_spec, _partitions, derive_partition, evaluate,
-                        preset_waveform, run_scenario, train_method)
+from .scenarios import (METHODS, _base_spec, _partitions, config_section, derive_partition,
+                        evaluate, load_scenario_plant, preset_waveform, run_scenario,
+                        scenario_settings, train_method)
 from .signals import read_iq, write_iq
 from .waveform import papr_ccdf
 
@@ -80,7 +81,7 @@ def _load_config(args) -> dict:
         return config
     if args.preset:
         return scenario_preset(args.preset)
-    raise ConfigError("a scenario needs --config FILE or --preset NAME")
+    raise ConfigError("give a scenario config: --config FILE or --preset NAME")
 
 
 def cmd_generate(args) -> int:
@@ -165,17 +166,10 @@ def cmd_train(args) -> int:
                           f"have {[m for m, (_, how) in METHODS.items() if how is not None]}")
     if kind is None:
         _refuse(f"needs a piecewise method, not {args.method!r}", partition=args.partition)
-    if learner == "ila":
-        _refuse(f"is read only by a closed-loop method, not {args.method!r}",
-                mu=args.mu, prune=args.prune)
-    plant, params = load_plant_preset(args.plant), preset_params(args.plant)
-    config = {
-        "learn": _given(mu=args.mu, block_size=args.block_size, iterations=args.iterations,
-                        prune_threshold_db=args.prune),
-        "ila": _given(iterations=args.iterations, block_size=args.block_size),
-    }
-    spec = _base_spec(**_given(family=args.family, max_order=args.order,
-                               memory_depth=args.memory, cross_memory_depth=args.cross_memory))
+    config = _load_config(args)
+    scenario_settings(config)
+    plant, params = load_scenario_plant(config)
+    spec = _base_spec(**config_section(config, "basis"))
     if args.partition:
         spec = spec.with_partition(RegionPartition.load(args.partition))
     elif kind is not None:
@@ -190,10 +184,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    plant, params = load_plant_preset(args.plant), preset_params(args.plant)
+    config = _load_config(args)
+    scenario_settings(config)
+    plant, params = load_scenario_plant(config)
     model = load_model(args.model) if args.model else None
-    res = evaluate(plant, params, model, args.seed, trp=args.trp,
-                   **_given(num_symbols=args.symbols))
+    res = evaluate(plant, params, model, args.seed, **config_section(config, "eval"))
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
     if args.output:
@@ -265,27 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("train", help="train a DPD model against a preset plant")
-    p.add_argument("--plant", required=True, help="plant preset name")
+    p = sub.add_parser("train", help="train a DPD model on a scenario config's plant, "
+                       "basis and learner settings")
+    p.add_argument("--config", default=None, help="scenario config JSON")
+    p.add_argument("--preset", default=None, help="shipped scenario preset name")
     p.add_argument("--method", default="pwcl_orth")
-    p.add_argument("--family", default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--memory", type=int, default=None)
-    p.add_argument("--cross-memory", type=int, default=None)
-    p.add_argument("--mu", type=finite_float, default=None)
-    p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--prune", type=finite_float, default=None, help="threshold in dB")
     p.add_argument("--partition", default=None, help="partition JSON path")
     p.add_argument("--seed", type=non_negative_int, default=7)
     p.add_argument("--output", required=True, help="model stem")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a model (or the bare plant)")
-    p.add_argument("--plant", required=True, help="plant preset name")
+    p = sub.add_parser("evaluate", help="evaluate a model (or the bare plant) with a "
+                       "scenario config's plant and eval settings")
+    p.add_argument("--config", default=None, help="scenario config JSON")
+    p.add_argument("--preset", default=None, help="shipped scenario preset name")
     p.add_argument("--model", default=None, help="model stem from train")
-    p.add_argument("--symbols", type=int, default=None)
-    p.add_argument("--trp", action="store_true", help="include the TRP angle sweep")
     p.add_argument("--seed", type=non_negative_int, default=777)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -314,7 +303,8 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ConfigError, DemodulationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, DemodulationError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateRegionError as exc:

@@ -79,23 +79,27 @@ class DpdModel:
         return cls(np.zeros(spec.n_basis_total, dtype=np.complex128), spec)
 
 
+# LearnConfig field -> (test, wanted): the values it takes, checked by
+# LearnConfig and, before any run starts, on a scenario config's learn section
+LEARN_RANGES = {
+    "mu": (lambda v: 0 < v < 2, "in (0, 2)"),
+    "block_size": (lambda v: v >= 1, "at least 1"),
+    "iterations": (lambda v: v >= 1, "at least 1"),
+    "prune_threshold_db": (lambda v: v is None or np.isfinite(v), "a finite number or null"),
+    "stats_blocks": (lambda v: v >= 1, "at least 1"),  # block multiples of the statistics pass
+}
+
+
 @dataclass
 class LearnConfig:
     mu: float = 1.0
     block_size: int = 20000
     iterations: int = 10
     prune_threshold_db: float | None = None
-    stats_blocks: int = 2  # block multiples for the precomputed statistics pass
+    stats_blocks: int = 2
 
     def __post_init__(self):
-        if not 0 < self.mu < 2:
-            raise ConfigError("mu must lie in (0, 2)")
-        if self.block_size < 1 or self.iterations < 1:
-            raise ConfigError("block_size and iterations must be positive")
-        if self.prune_threshold_db is not None and not np.isfinite(self.prune_threshold_db):
-            raise ConfigError(f"prune_threshold_db must be finite, got {self.prune_threshold_db}")
-        if self.stats_blocks < 1:
-            raise ConfigError("stats_blocks must be >= 1")
+        check_fields(vars(self), LEARN_RANGES, "LearnConfig")
 
 
 @dataclass

@@ -15,8 +15,16 @@ import numpy as np
 from . import basis as basis_mod
 from .basis import BasisSpec
 from .dpd import DpdModel, TraceRecord, estimate_gain, predistort
-from .errors import ConfigError, DegenerateRegionError
+from .errors import ConfigError, DegenerateRegionError, check_fields
 from .partition import RegionPartition
+
+# ila_learn keyword -> (test, wanted): the values it takes, checked by
+# ila_learn and, before any run starts, on a scenario config's ila section
+ILA_RANGES = {
+    "iterations": (lambda v: v >= 1, "at least 1"),
+    "block_size": (lambda v: v >= 1, "at least 1"),
+    "clip_headroom": (lambda v: v > 0, "greater than 0"),
+}
 
 
 def _postinverse_fit(spec: BasisSpec, regressor: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -53,10 +61,8 @@ def ila_learn(source, spec: BasisSpec, iterations: int = 4, block_size: int = 50
     extrapolates steeply beyond its fitted range, and without the clamp the
     full-replacement iteration compounds peak expansion until it diverges.
     """
-    if iterations < 1 or block_size < 1:
-        raise ConfigError("iterations and block_size must be positive")
-    if not clip_headroom > 0:
-        raise ConfigError(f"clip_headroom must be > 0, got {clip_headroom}")
+    check_fields({"iterations": iterations, "block_size": block_size,
+                  "clip_headroom": clip_headroom}, ILA_RANGES, "ila_learn")
     if block_size < 10 * spec.n_basis_total:
         raise ConfigError(
             f"block_size {block_size} < 10 x coefficient count {spec.n_basis_total}")

@@ -227,8 +227,9 @@ def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
     """1-D K-means over the envelope; boundaries at midpoints between centroids.
 
     Deterministic: centroids are seeded at the (i+0.5)/K quantiles of the
-    sorted amplitudes. K is at most MAX_REGIONS, which also bounds the
-    samples x K distance matrix of the assignment step.
+    sorted amplitudes. The assignment step finds each sample's nearest
+    centroid by a binary search of the midpoints between the distinct sorted
+    centroids, a tie (or a repeated centroid) going to the lowest index.
     """
     check_region_count(n_regions)
     env = np.abs(a1.samples)
@@ -239,7 +240,8 @@ def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
     a_max = float(env.max())
     centroids = np.quantile(env, (np.arange(n_regions) + 0.5) / n_regions)
     for _ in range(KMEANS_MAX_ITER):
-        assign = np.argmin(np.abs(env[:, None] - centroids[None, :]), axis=1)
+        levels, first = np.unique(centroids, return_index=True)
+        assign = first[np.searchsorted(0.5 * (levels[:-1] + levels[1:]), env, side="left")]
         new = centroids.copy()
         for k in range(n_regions):
             members = env[assign == k]

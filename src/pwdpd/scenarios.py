@@ -24,10 +24,10 @@ from . import __version__
 from . import complexity as complexity_mod
 from .basis import BasisSpec
 from .basis import descriptors_json as basis_descriptors_json
-from .dpd import (DpdModel, LearnConfig, estimate_gain, learn, predistort, save_model,
-                  trace_to_csv)
+from .dpd import (LEARN_RANGES, DpdModel, LearnConfig, estimate_gain, learn, predistort,
+                  save_model, trace_to_csv)
 from .errors import ConfigError, check_fields, is_int, is_number
-from .ila import ila_learn
+from .ila import ILA_RANGES, ila_learn
 from .metrics import (aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd)
 from .partition import (RegionPartition, check_region_count, fit_amam, kmeans_partition,
                         partition_regions)
@@ -60,7 +60,7 @@ RAMP_PHASE_RATE = 1e-3
 PARTITION_BLOCK = 40000
 MIN_SHARE = 0.025
 
-# the steering angles in degrees of the TRP sweep (eval.trp, pwdpd evaluate --trp)
+# the steering angles in degrees of the TRP sweep (eval.trp)
 TRP_ANGLES = np.arange(-50.0, 50.0 + 1e-9, 2.0)
 # the powersweep's methods and drive offsets in dB, the anglesweep's steering
 # angles in degrees and method, and the pruning study's threshold in dB
@@ -454,6 +454,16 @@ SECTIONS = {
     "eval": evaluate,
 }
 
+# config section -> key -> (test, wanted): the range of each value its
+# consumer refuses, so a config is refused before any waveform is drawn. The
+# block_size >= 10 x coefficient-count checks need the partition and stay
+# with dpd.learn and ila_learn
+SECTION_RANGES = {
+    "learn": LEARN_RANGES,
+    "ila": ILA_RANGES,
+    "eval": {"num_symbols": (lambda v: v >= 1, "at least 1")},
+}
+
 # scenario kind -> runner(config, outdir, ...); its keyword parameters with
 # defaults are the kind's own top-level keys, and run_scenario passes it every
 # setting it names (seed, for one)
@@ -519,11 +529,15 @@ def check_settings(values: dict, accepted: dict, where: str) -> dict:
 
 def config_section(config: dict, name: str) -> dict:
     """The config's section `name` (empty when absent), to be passed whole to
-    its consumer; checked by check_settings against the consumer's keywords."""
+    its consumer; checked by check_settings against the consumer's keywords,
+    then each value given against its SECTION_RANGES range."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    return check_settings(section, accepted_settings(SECTIONS[name]), f"config section {name!r}")
+    where = f"config section {name!r}"
+    check_settings(section, accepted_settings(SECTIONS[name]), where)
+    return check_fields(section, {key: rule for key, rule in SECTION_RANGES.get(name, {}).items()
+                                  if key in section}, where)
 
 
 def scenario_settings(config: dict) -> dict:

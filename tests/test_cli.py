@@ -121,6 +121,23 @@ def _json_file(path, value):
 # a no-DPD doherty-n3 linearization bundle, the quickest scenario config
 _NO_DPD_CONFIG = {"kind": "linearization", "preset": "doherty-n3", "seed": 3, "methods": ["none"]}
 
+# a doherty-n3 config that trains in about a second: a memoryless order-5
+# basis and one 2000-sample block per learner
+_QUICK_TRAIN_CONFIG = {"kind": "linearization", "preset": "doherty-n3",
+                       "basis": {"family": "memoryless", "max_order": 5},
+                       "learn": {"block_size": 2000, "iterations": 1},
+                       "ila": {"block_size": 2000, "iterations": 1}}
+
+
+def _train_argv(tmp_path, method, *flags, stem="m", **sections):
+    """pwdpd train of method on _QUICK_TRAIN_CONFIG, its sections updated by
+    sections, writing the model stem tmp_path/stem."""
+    config = dict(_QUICK_TRAIN_CONFIG)
+    for name, keys in sections.items():
+        config[name] = dict(config.get(name, {}), **keys)
+    return ["train", "--config", _json_file(tmp_path / "train.json", config), "--method", method,
+            *flags, "--output", str(tmp_path / stem)]
+
 
 @pytest.mark.parametrize("make_argv", [
     lambda d: ["complexity", "--params", _json_file(d / "p.json", {"n_isp": 5, "bogus": 1})],
@@ -158,14 +175,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps({"kind": "nonsense", "seed": 1}))
     assert main(["scenario", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["scenario", "--preset", "missing-preset", "--out", str(tmp_path)]) == 2
-    assert main(["train", "--plant", "not-a-preset.json", "--output",
-                 str(tmp_path / "m")]) == 2
-    # generate, partition, train and evaluate take a preset name: a saved
-    # plant file is refused by the preset lookup, which lists the presets
+    assert main(["train", "--preset", "not-a-preset", "--output", str(tmp_path / "m")]) == 2
+    # generate and partition take a preset name, and so does the "preset" of
+    # the config train and evaluate read: a saved plant file is refused by the
+    # preset lookup, which lists the presets
     save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
+    cfg = _json_file(tmp_path / "c.json", dict(_NO_DPD_CONFIG, preset=str(tmp_path / "p.json")))
     capsys.readouterr()
-    for argv in (["generate", "--output", str(tmp_path / "w")], ["partition"], ["evaluate"]):
-        assert main(argv + ["--plant", str(tmp_path / "p.json")]) == 2
+    for argv in (["generate", "--output", str(tmp_path / "w"), "--plant", str(tmp_path / "p.json")],
+                 ["partition", "--plant", str(tmp_path / "p.json")],
+                 ["train", "--config", cfg, "--output", str(tmp_path / "m")],
+                 ["evaluate", "--config", cfg]):
+        assert main(argv) == 2
         assert str(PLANT_PRESETS) in capsys.readouterr().err
 
 
@@ -174,11 +195,7 @@ def test_degenerate_region_exit_code(tmp_path):
     part = tmp_path / "part.json"
     part.write_text(json.dumps({"edges": [0.0, 0.9999999, 1.0], "orders": None,
                                 "target_error": None}))
-    rc = main(["train", "--plant", "doherty-n3", "--method", "pw_ila",
-               "--family", "memoryless", "--order", "5",
-               "--block-size", "2000", "--iterations", "1",
-               "--partition", str(part), "--output", str(tmp_path / "m")])
-    assert rc == 3
+    assert main(_train_argv(tmp_path, "pw_ila", "--partition", str(part))) == 3
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch):
@@ -240,7 +257,7 @@ def test_corrupt_model_payload_exit_code(tmp_path, edit):
     path.write_text(json.dumps(fields))
     with pytest.raises(ConfigError, match=edit.names):
         load_model(tmp_path / "m")
-    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+    assert main(["evaluate", "--preset", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
 
 
 def test_non_finite_model_coefficient_exit_code(tmp_path, capsys):
@@ -251,7 +268,7 @@ def test_non_finite_model_coefficient_exit_code(tmp_path, capsys):
     fields = json.loads(path.read_text())
     fields["gamma"][1] = [math.nan, 0.0]
     path.write_text(json.dumps(fields))
-    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+    assert main(["evaluate", "--preset", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "gamma[1] holds [nan, 0.0]" in err
 
@@ -274,8 +291,8 @@ def test_model_file_with_active_mask_loads(tmp_path):
     assert back.ghat == model.ghat
     sig = random_signal(1000, rms=0.25, seed=6)
     np.testing.assert_array_equal(predistort(back, sig).samples, predistort(model, sig).samples)
-    assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m"),
-                 "--symbols", "1"]) == 0
+    cfg = _json_file(tmp_path / "c.json", dict(_NO_DPD_CONFIG, eval={"num_symbols": 1}))
+    assert main(["evaluate", "--config", cfg, "--model", str(tmp_path / "m")]) == 0
 
 
 def test_model_header_with_derived_orders_and_memories_loads(tmp_path):
@@ -343,7 +360,7 @@ def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
         payload.astype("<c16").tofile(tmp_path / "m.dpd.bin")
         with pytest.raises(ConfigError, match="'gamma'"):
             load_model(tmp_path / "m")
-        assert main(["evaluate", "--plant", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
+        assert main(["evaluate", "--preset", "doherty-n3", "--model", str(tmp_path / "m")]) == 2
         assert "'gamma' must be a list of [re, im] pairs" in capsys.readouterr().err
 
 
@@ -842,11 +859,7 @@ _TRAIN_ROWS = [
                          ids=[row[0] for row in _TRAIN_ROWS])
 def test_train_method_table(tmp_path, method, code, partition):
     assert set(METHODS) <= {row[0] for row in _TRAIN_ROWS}
-    stem = tmp_path / "m"
-    rc = main(["train", "--plant", "doherty-n3", "--method", method,
-               "--family", "memoryless", "--order", "5", "--block-size", "2000",
-               "--iterations", "1", "--output", str(stem)])
-    assert rc == code
+    assert main(_train_argv(tmp_path, method)) == code
     header_path = tmp_path / "m.dpd.json"
     assert header_path.exists() == (code == 0)
     if code == 0:
@@ -862,10 +875,7 @@ def test_train_method_table(tmp_path, method, code, partition):
 def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, code):
     part = tmp_path / "part.json"
     assert main(["partition", "--plant", "doherty-n3", "--output", str(part)]) == 0
-    rc = main(["train", "--plant", "doherty-n3", "--method", method, "--partition", str(part),
-               "--family", "memoryless", "--order", "5", "--block-size", "2000",
-               "--iterations", "1", "--output", str(tmp_path / "m")])
-    assert rc == code
+    assert main(_train_argv(tmp_path, method, "--partition", str(part))) == code
     assert (tmp_path / "m.dpd.json").exists() == (code == 0)
     assert ("--partition" in capsys.readouterr().err) == (code == 2)
 
@@ -876,22 +886,119 @@ def test_train_partition_file_with_orders_and_target_error(tmp_path):
     files = {"with": {"orders": [5, 5], "target_error": [0.01, 0.01]}, "without": {}}
     for name, extra in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({"edges": [0.0, 0.5, 2.0], **extra}))
-        assert main(["train", "--plant", "doherty-n3", "--method", "pwcl_orth",
-                     "--partition", str(tmp_path / f"{name}.json"), "--family", "memoryless",
-                     "--order", "5", "--block-size", "2000", "--iterations", "1",
-                     "--output", str(tmp_path / name)]) == 0
+        assert main(_train_argv(tmp_path, "pwcl_orth", "--partition",
+                                str(tmp_path / f"{name}.json"), stem=name)) == 0
     assert (tmp_path / "with.dpd.json").read_bytes() == (tmp_path / "without.dpd.json").read_bytes()
 
 
 @pytest.mark.parametrize("method", ["ila", "pw_ila"])
 @pytest.mark.parametrize("flag, value", [("--mu", "0.5"), ("--prune", "-40")])
 def test_train_ila_refuses_closed_loop_flags(tmp_path, capsys, method, flag, value):
-    rc = main(["train", "--plant", "doherty-n3", "--method", method, flag, value,
-               "--family", "memoryless", "--order", "5", "--block-size", "2000",
-               "--iterations", "1", "--output", str(tmp_path / "m")])
-    assert rc == 2
+    """train takes the closed-loop step and pruning threshold from the config's
+    learn section only: --mu and --prune are usage errors for every method."""
+    assert main(_train_argv(tmp_path, method, flag, value)) == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "m.dpd.json").exists()
+
+
+# the flags train and evaluate took before they read a scenario config, each
+# with a value it took
+_REMOVED_FLAGS = [("train", "--plant", "doherty-n3"), ("train", "--family", "gmp"),
+                  ("train", "--order", "5"), ("train", "--memory", "3"),
+                  ("train", "--cross-memory", "2"), ("train", "--mu", "0.8"),
+                  ("train", "--block-size", "2000"), ("train", "--iterations", "1"),
+                  ("train", "--prune", "-40"), ("evaluate", "--plant", "doherty-n3"),
+                  ("evaluate", "--symbols", "8"), ("evaluate", "--trp")]
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, *f in _REMOVED_FLAGS],
+                         ids=[f"{c}{f}" for c, f, *_ in _REMOVED_FLAGS])
+def test_train_and_evaluate_removed_flag_exit_code(tmp_path, capsys, command, flag):
+    """train and evaluate take their plant, basis, learner and eval settings
+    from --preset or --config only; each flag that set one is a usage error."""
+    out = tmp_path / "out"
+    assert main([command, "--preset", "doherty-n3", "--output", str(out), *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_reads_the_preset_config(tmp_path):
+    """train --preset doherty-n3 trains that config's gmp 5/3/2 basis with its
+    learn section (mu 0.8, 3 statistics blocks), the gamma train_method gives
+    on the config's own sections, bit for bit."""
+    from pwdpd.dpd import load_model
+    from pwdpd.scenarios import _base_spec, config_section, load_scenario_plant, train_method
+
+    assert main(["train", "--preset", "doherty-n3", "--method", "pwcl_orth",
+                 "--output", str(tmp_path / "m")]) == 0
+    model = load_model(tmp_path / "m")
+    config = scenario_preset("doherty-n3")
+    spec = _base_spec(**config_section(config, "basis"))
+    assert spec == BasisSpec("gmp", 5, 3, 2) == dataclasses.replace(model.spec, partition=None)
+    want, _ = train_method("pwcl_orth", *load_scenario_plant(config), config,
+                           spec.with_partition(model.spec.partition), seed=7)
+    assert model.gamma.tobytes() == want.gamma.tobytes()
+
+
+def test_evaluate_reads_the_preset_config(tmp_path):
+    """evaluate --preset doherty-n3 demodulates the config's 8 symbols, as its bundle does."""
+    from pwdpd.scenarios import evaluate
+
+    assert main(["evaluate", "--preset", "doherty-n3", "--output", str(tmp_path / "e.json")]) == 0
+    want = evaluate(load_plant_preset("doherty-n3"), preset_params("doherty-n3"), None, 777,
+                    num_symbols=8).metrics
+    assert json.loads((tmp_path / "e.json").read_text()) == json.loads(json.dumps(want))
+
+
+_OUT_OF_RANGE = [("learn", "mu", 2.5), ("learn", "mu", 0), ("learn", "block_size", 0),
+                 ("learn", "iterations", 0), ("learn", "stats_blocks", 0),
+                 ("eval", "num_symbols", 0), ("ila", "iterations", 0), ("ila", "block_size", 0),
+                 ("ila", "clip_headroom", 0.0), ("ila", "clip_headroom", -1.0)]
+
+
+@pytest.mark.parametrize("section, key, value", _OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={v}" for s, k, v in _OUT_OF_RANGE])
+def test_out_of_range_section_value_exit_code(tmp_path, capsys, monkeypatch, section, key, value):
+    """A section value its consumer refuses exits 2 naming the section and the
+    key before any waveform is drawn, in a bundle and in train."""
+    import pwdpd.scenarios as scenarios
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("waveform drawn before the config was checked")
+
+    monkeypatch.setattr(scenarios, "preset_waveform", drawn)
+    named = f"config section {section!r}: {key!r} must be"
+    assert _scenario_exit_code(tmp_path, **{section: {key: value}}) == 2
+    assert named in json.loads((tmp_path / "x" / "error.json").read_text())["message"]
+    capsys.readouterr()
+    assert main(_train_argv(tmp_path, "pwcl_orth", **{section: {key: value}})) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "m.dpd.json").exists()
+
+
+def _not_utf8(path):
+    path.write_bytes(bytes(range(128, 256)))
+    return str(path)
+
+
+# argv reading a directory, or a file that is not UTF-8, for a scratch directory d
+_UNREADABLE = {
+    "scenario-config-dir": lambda d: ["scenario", "--config", str(d), "--out", str(d)],
+    "scenario-config-not-utf8": lambda d: ["scenario", "--config", _not_utf8(d / "c.json"),
+                                           "--out", str(d)],
+    "evaluate-model-not-utf8": lambda d: ["evaluate", "--preset", "doherty-n3", "--model",
+                                          _not_utf8(d / "m.dpd.json")[:-len(".dpd.json")]],
+    "partition-output-dir": lambda d: ["partition", "--plant", "doherty-n3", "--output", str(d)],
+}
+
+
+@pytest.mark.parametrize("make_argv", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
+def test_unreadable_input_file_exit_code(tmp_path, capsys, make_argv):
+    """A path that is a directory, or a file that is not UTF-8, is a
+    configuration error (exit 2), not a traceback."""
+    assert main(make_argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
 
 
 _UNREAD_PARTITION_FLAGS = [
@@ -925,9 +1032,8 @@ def test_train_selforth_prunes_like_orth(tmp_path, capsys, method, twin):
     payloads = {}
     for name in (method, twin):
         stem = tmp_path / name
-        assert main(["train", "--plant", "doherty-n3", "--method", name, "--prune", "-40",
-                     "--family", "memoryless", "--order", "9", "--block-size", "2000",
-                     "--iterations", "3", "--output", str(stem)]) == 0
+        assert main(_train_argv(tmp_path, name, stem=name, basis={"max_order": 9},
+                                learn={"iterations": 3, "prune_threshold_db": -40})) == 0
         payloads[name] = load_model(stem).gamma.tobytes()
         n = len(payloads[name]) // 16
         rows = (tmp_path / f"{name}.trace.csv").read_text().splitlines()
@@ -961,8 +1067,8 @@ _REQUIRED_FLAGS = {
     "simulate": lambda d: ["--plant", "doherty-n3", "--input", str(d / "wave"),
                            "--output", str(d / "z")],
     "partition": lambda d: ["--plant", "doherty-n3", "--output", str(d / "part.json")],
-    "train": lambda d: ["--plant", "doherty-n3", "--output", str(d / "m")],
-    "evaluate": lambda d: ["--plant", "doherty-n3", "--output", str(d / "metrics.json")],
+    "train": lambda d: ["--preset", "doherty-n3", "--output", str(d / "m")],
+    "evaluate": lambda d: ["--preset", "doherty-n3", "--output", str(d / "metrics.json")],
 }
 
 
@@ -997,9 +1103,8 @@ def test_negative_seed_flag_exit_code(tmp_path, capsys, command):
 
 
 def test_partition_region_cap_exit_code(tmp_path, capsys, monkeypatch):
-    """K-means refuses fewer than 1 or more than MAX_REGIONS regions, since its
-    assignment step holds a samples x K distance matrix, and does so before
-    the preset's OFDM block is drawn and crest-factor reduced."""
+    """K-means refuses fewer than 1 or more than MAX_REGIONS regions, and does
+    so before the preset's OFDM block is drawn and crest-factor reduced."""
     import pwdpd.scenarios as scenarios
 
     def drawn(*args, **kwargs):
@@ -1268,9 +1373,7 @@ def _partition_file(tmp_path, broken):
     RegionPartition([0.0, 0.5, 2.0]).save(tmp_path / "part.json")
     if broken:
         (tmp_path / "part.json").write_text(json.dumps({"orders": None}))
-    return ["train", "--plant", "doherty-n3", "--method", "pwcl_orth",
-            "--partition", str(tmp_path / "part.json"), "--family", "memoryless", "--order", "5",
-            "--block-size", "2000", "--iterations", "1", "--output", str(tmp_path / "m")]
+    return _train_argv(tmp_path, "pwcl_orth", "--partition", str(tmp_path / "part.json"))
 
 
 def _partition_with(**fields):

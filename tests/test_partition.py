@@ -11,7 +11,7 @@ from pwdpd.partition import (DERIVATIVE_GRID, MAX_REGIONS, WIDTH_TOLERANCE, AmAm
 from pwdpd.plant import array_forward, observation_receive
 from pwdpd.signals import IqSignal
 
-from conftest import random_signal, single_element_plant
+from conftest import random_signal, single_element_plant, traced_peak
 
 
 def test_region_partition_validation():
@@ -221,6 +221,13 @@ def test_kmeans_region_cap():
     assert kmeans_partition(sig, MAX_REGIONS).n_regions == MAX_REGIONS
     with pytest.raises(ConfigError, match=f"between 1 and {MAX_REGIONS}"):
         kmeans_partition(sig, MAX_REGIONS + 1)
+
+
+def test_kmeans_assignment_holds_no_distance_matrix():
+    """At K = MAX_REGIONS the assignment step allocates a few envelope-sized
+    arrays, not a samples x K distance matrix (128 x the samples' bytes)."""
+    sig = random_signal(20000, seed=4)
+    assert traced_peak(kmeans_partition, sig, MAX_REGIONS) < 8 * sig.samples.nbytes
 
 
 def test_taylor_region_cap(monkeypatch):
