@@ -28,8 +28,9 @@ from .partition import RegionPartition
 from .plant import array_forward, load_plant, observation_receive, steer
 from .presets import PLANT_PRESETS, load_plant_preset, preset_params
 from .scenarios import (METHODS, _base_spec, _partitions, config_section, derive_partition,
-                        evaluate, load_scenario_plant, preset_waveform, run_scenario,
-                        scenario_settings, train_method)
+                        evaluate, evaluation_seed, load_scenario_plant, partition_seed,
+                        preset_waveform, run_scenario, scenario_settings, section_settings,
+                        train_method)
 from .signals import read_iq, write_iq
 from .waveform import papr_ccdf
 
@@ -56,12 +57,6 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _out_root(args) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    return Path(os.environ.get("PWDPD_OUT", "."))
-
-
 def scenario_preset(name: str) -> dict:
     ref = resources.files("pwdpd").joinpath(f"presets/scenarios/{name}.json")
     if not ref.is_file():
@@ -84,8 +79,18 @@ def _load_config(args) -> dict:
     raise ConfigError("give a scenario config: --config FILE or --preset NAME")
 
 
+def _scenario(args) -> tuple:
+    """(config, seed, plant with the coupling override, plant preset parameters)
+    of the scenario config of --preset or --config, checked whole."""
+    config = _load_config(args)
+    seed = scenario_settings(config)["seed"]
+    return config, seed, *load_scenario_plant(config)
+
+
 def cmd_generate(args) -> int:
-    sig, grid, cfg = preset_waveform(preset_params(args.plant), args.symbols, args.seed)
+    config, seed, _, params = _scenario(args)
+    sig, grid, cfg = preset_waveform(params, section_settings(config, "eval")["num_symbols"],
+                                     evaluation_seed(seed))
     stem = Path(args.output)
     write_iq(stem, sig)
     np.save(str(stem) + ".grid.npy", grid)
@@ -144,8 +149,8 @@ def cmd_partition(args) -> int:
     if args.regions is not None:
         _refuse("sets the Taylor partition and is not read with --regions (K-means)",
                 order=args.order, target_error=args.target_error)
-    plant, params = load_plant_preset(args.plant), preset_params(args.plant)
-    part, info = derive_partition(plant, params, args.seed,
+    _, seed, plant, params = _scenario(args)
+    part, info = derive_partition(plant, params, partition_seed(seed),
                                   **_given(order=args.order, target_error=args.target_error,
                                            n_regions=args.regions))
     if args.output:
@@ -166,14 +171,12 @@ def cmd_train(args) -> int:
                           f"have {[m for m, (_, how) in METHODS.items() if how is not None]}")
     if kind is None:
         _refuse(f"needs a piecewise method, not {args.method!r}", partition=args.partition)
-    config = _load_config(args)
-    scenario_settings(config)
-    plant, params = load_scenario_plant(config)
+    config, seed, plant, params = _scenario(args)
     spec = _base_spec(**config_section(config, "basis"))
     if args.partition:
         spec = spec.with_partition(RegionPartition.load(args.partition))
     elif kind is not None:
-        spec = spec.with_partition(_partitions(plant, params, args.seed, {kind})[kind][0])
+        spec = spec.with_partition(_partitions(plant, params, seed, {kind})[kind][0])
     model, trace = train_method(args.method, plant, params, config, spec, seed=args.seed)
     save_model(model, args.output)
     trace_to_csv(trace, str(args.output) + ".trace.csv")
@@ -184,11 +187,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args)
-    scenario_settings(config)
-    plant, params = load_scenario_plant(config)
+    config, seed, plant, params = _scenario(args)
     model = load_model(args.model) if args.model else None
-    res = evaluate(plant, params, model, args.seed, **config_section(config, "eval"))
+    res = evaluate(plant, params, model, evaluation_seed(seed), **config_section(config, "eval"))
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
     if args.output:
@@ -209,14 +210,9 @@ def cmd_complexity(args) -> int:
 def cmd_scenario(args) -> int:
     config = _load_config(args)
     kind = config.get("kind")  # run_scenario reports a missing or ill-typed kind
-    outdir = _out_root(args) / (args.name or (kind if isinstance(kind, str) else "scenario"))
-    try:
-        payload = run_scenario(config, outdir)
-    except Exception as exc:  # leave a machine-readable error record, then fail as usual
-        outdir.mkdir(parents=True, exist_ok=True)
-        record = {"error": type(exc).__name__, "message": str(exc), "config": config}
-        (outdir / "error.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        raise
+    outdir = (Path(args.out or os.environ.get("PWDPD_OUT", "."))
+              / (args.name or (kind if isinstance(kind, str) else "scenario")))
+    payload = run_scenario(config, outdir)
     print(f"bundle written to {outdir}")
     summary = {"kind": payload.get("kind")}
     if "methods" in payload:
@@ -225,16 +221,19 @@ def cmd_scenario(args) -> int:
     return 0
 
 
+def _config_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", default=None, help="scenario config JSON")
+    parser.add_argument("--preset", default=None, help="shipped scenario preset name")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pwdpd",
                                      description="piecewise closed-loop DPD workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a plant preset's OFDM waveform: its "
-                       "numerology, CFR and drive level")
-    p.add_argument("--plant", required=True, help="plant preset name")
-    p.add_argument("--symbols", type=int, default=1)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p = sub.add_parser("generate", help="write the waveform a scenario config's "
+                       "evaluation scores, with its symbol grid")
+    _config_flags(p)
     p.add_argument("--output", required=True, help="output stem")
     p.set_defaults(func=cmd_generate)
 
@@ -250,32 +249,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("partition", help="derive an amplitude partition")
-    p.add_argument("--plant", required=True, help="plant preset name")
+    p = sub.add_parser("partition", help="derive the amplitude partition of a scenario "
+                       "config's plant")
+    _config_flags(p)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--target-error", type=finite_float, default=None)
     p.add_argument("--regions", type=int, default=None,
                    help="K: a K-means partition of K regions instead of the Taylor one")
-    p.add_argument("--seed", type=non_negative_int, default=17)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("train", help="train a DPD model on a scenario config's plant, "
                        "basis and learner settings")
-    p.add_argument("--config", default=None, help="scenario config JSON")
-    p.add_argument("--preset", default=None, help="shipped scenario preset name")
+    _config_flags(p)
     p.add_argument("--method", default="pwcl_orth")
     p.add_argument("--partition", default=None, help="partition JSON path")
-    p.add_argument("--seed", type=non_negative_int, default=7)
+    p.add_argument("--seed", type=non_negative_int, default=7, help="training-block seed")
     p.add_argument("--output", required=True, help="model stem")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a model (or the bare plant) with a "
                        "scenario config's plant and eval settings")
-    p.add_argument("--config", default=None, help="scenario config JSON")
-    p.add_argument("--preset", default=None, help="shipped scenario preset name")
+    _config_flags(p)
     p.add_argument("--model", default=None, help="model stem from train")
-    p.add_argument("--seed", type=non_negative_int, default=777)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_evaluate)
 
@@ -286,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("scenario", help="run a scenario bundle")
-    p.add_argument("--config", default=None, help="scenario config JSON")
-    p.add_argument("--preset", default=None, help="shipped scenario preset name")
+    _config_flags(p)
     p.add_argument("--out", default=None, help="output root (default $PWDPD_OUT or .)")
     p.add_argument("--name", default=None, help="bundle directory name")
     p.set_defaults(func=cmd_scenario)

@@ -252,6 +252,8 @@ def kmeans_partition(a1: IqSignal, n_regions: int) -> RegionPartition:
             centroids = new
             break
         centroids = new
-    mids = 0.5 * (centroids[:-1] + centroids[1:])
-    edges = np.concatenate([[0.0], mids, [a_max]])
+    edges = np.concatenate([[0.0], 0.5 * (centroids[:-1] + centroids[1:]), [a_max]])
+    if np.any(np.diff(edges) <= 0):
+        raise ConfigError(f"K-means found fewer than n_regions={n_regions} separate clusters "
+                          f"(centroids {centroids.tolist()}); lower n_regions")
     return RegionPartition(edges)

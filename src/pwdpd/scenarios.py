@@ -1,7 +1,10 @@
 """Config-driven experiment pipelines and their output bundles.
 
 Every scenario is deterministic given its seed: waveform seeds, learning
-block seeds, and observation noise all derive from the config. A run writes
+block seeds, and observation noise all derive from the config's seed by the
+three seed rules below (partition_seed, training_seed, evaluation_seed),
+which pwdpd generate, partition, train and evaluate read too, so each command
+rebuilds its piece of a bundle. A run writes
 its artifacts plus a manifest.json listing each file with a sha256 checksum,
 so identical configs produce identical bundles at a fixed BLAS thread count;
 across thread counts the learning and ILA solves round differently, and the
@@ -69,6 +72,21 @@ POWERSWEEP_OFFSETS_DB = (-2.0, -1.6, -1.2, -0.8, -0.4, 0.0)
 ANGLESWEEP_ANGLES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 ANGLESWEEP_METHOD = "pwcl_orth"
 PRUNE_THRESHOLD_DB = -40.0
+
+
+def partition_seed(seed: int) -> int:
+    """The seed of the partition pass of a config at seed `seed`."""
+    return seed * 1000 + 17
+
+
+def training_seed(seed: int, index: int) -> int:
+    """The seed of the training blocks of a config's method number `index`."""
+    return seed * 100 + index
+
+
+def evaluation_seed(seed: int) -> int:
+    """The seed of the fresh data every model of a config is evaluated on."""
+    return seed * 100 + 7
 
 
 def preset_waveform(preset: dict, num_symbols: int,
@@ -269,16 +287,16 @@ def write_manifest(outdir: Path, config: dict) -> Path:
 
 
 def _partitions(plant: ArrayPlant, preset: dict, seed: int, kinds) -> dict:
-    """The partition kinds asked for, each derived at seed*1000+17; maps
+    """The partition kinds asked for, each derived at partition_seed(seed); maps
     "taylor"/"kmeans" to (RegionPartition, info). Taylor, at derive_partition's
     order and target error, is derived whenever any kind is asked for, since
     K-means takes its number of regions."""
     if not kinds:
         return {}
-    taylor = derive_partition(plant, preset, seed=seed * 1000 + 17)
+    taylor = derive_partition(plant, preset, partition_seed(seed))
     partitions = {"taylor": taylor}
     if "kmeans" in kinds:
-        partitions["kmeans"] = derive_partition(plant, preset, seed=seed * 1000 + 17,
+        partitions["kmeans"] = derive_partition(plant, preset, partition_seed(seed),
                                                 n_regions=taylor[0].n_regions)
     return partitions
 
@@ -297,10 +315,10 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
 
     runs lists (label, method, training seed, learn overrides). The partitions
     are derived up front when a piecewise method needs them. Each model is
-    evaluated on fresh data at seed*100+7 with the config's "eval" settings:
-    on the plant at the preset noise floor or, when angles are given, trained
-    on the plant steered to 0 degrees and evaluated at each angle with the
-    preset's noise floor set to null.
+    evaluated on fresh data at evaluation_seed(seed) with the config's "eval"
+    settings: on the plant at the preset noise floor or, when angles are
+    given, trained on the plant steered to 0 degrees and evaluated at each
+    angle with the preset's noise floor set to null.
     The runs are trained lazily as the caller iterates, so a caller can write
     each run's files before the next one trains.
     """
@@ -325,7 +343,7 @@ def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
             run_spec = spec if kind is None else spec.with_partition(partitions[kind][0])
             model, trace = train_method(method, train_plant, preset, run_config, run_spec,
                                         seed=train_seed)
-            evals = [evaluate(p, eval_preset, model, seed * 100 + 7, **eval_kw)
+            evals = [evaluate(p, eval_preset, model, evaluation_seed(seed), **eval_kw)
                      for p in eval_plants]
             yield label, model, trace, evals
 
@@ -340,8 +358,8 @@ def _save_run(outdir: Path, label: str, model: DpdModel | None, trace: list) -> 
 
 def run_linearization(config: dict, outdir: Path, seed: int,
                       methods: tuple = ("none", "pwcl_orth")) -> dict:
-    out = _pipeline(config, [(m, m, seed * 100 + idx, {}) for idx, m in enumerate(methods)],
-                    seed)
+    out = _pipeline(config, [(m, m, training_seed(seed, idx), {})
+                             for idx, m in enumerate(methods)], seed)
 
     part_info = None
     if "taylor" in out.partitions:
@@ -378,7 +396,7 @@ def run_powersweep(config: dict, outdir: Path, seed: int) -> dict:
     rows = []
     for i, offset_db in enumerate(POWERSWEEP_OFFSETS_DB):
         point_seed = seed + 31 * i
-        out = _pipeline(config, [(m, m, point_seed * 100 + j, {})
+        out = _pipeline(config, [(m, m, training_seed(point_seed, j), {})
                                  for j, m in enumerate(POWERSWEEP_METHODS)],
                         point_seed, drive_offset_db=offset_db)
         row = {"offset_db": offset_db}
@@ -397,8 +415,8 @@ def run_powersweep(config: dict, outdir: Path, seed: int) -> dict:
 def run_anglesweep(config: dict, outdir: Path, seed: int) -> dict:
     """Train ANGLESWEEP_METHOD at 0 degrees, evaluate the frozen model at each
     steering angle of ANGLESWEEP_ANGLES."""
-    out = _pipeline(config, [(ANGLESWEEP_METHOD, ANGLESWEEP_METHOD, seed * 100, {})], seed,
-                    angles=ANGLESWEEP_ANGLES)
+    out = _pipeline(config, [(ANGLESWEEP_METHOD, ANGLESWEEP_METHOD, training_seed(seed, 0), {})],
+                    seed, angles=ANGLESWEEP_ANGLES)
     (_, _, _, evals), = out.runs
     rows = [(a, res.metrics["aclr_dbc"], res.metrics["evm_percent"])
             for a, res in zip(ANGLESWEEP_ANGLES, evals)]
@@ -409,7 +427,7 @@ def run_anglesweep(config: dict, outdir: Path, seed: int) -> dict:
 
 def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
     """pwcl_orth unpruned and pruned at PRUNE_THRESHOLD_DB."""
-    runs = [(label, "pwcl_orth", seed * 100, {"prune_threshold_db": th})
+    runs = [(label, "pwcl_orth", training_seed(seed, 0), {"prune_threshold_db": th})
             for label, th in (("unpruned", None), ("pruned", PRUNE_THRESHOLD_DB))]
     out = _pipeline(config, runs, seed)
     partition_obj, part_info = out.partitions["taylor"]
@@ -425,8 +443,7 @@ def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
 
     spec = out.spec.with_partition(partition_obj)
     _write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
-    learn_cfg, ila_cfg = ({**accepted_settings(SECTIONS[name]), **config_section(config, name)}
-                          for name in ("learn", "ila"))
+    learn_cfg, ila_cfg = (section_settings(config, name) for name in ("learn", "ila"))
     params = complexity_mod.params_from_spec(
         spec, b_cl=learn_cfg["block_size"], i_cl=learn_cfg["iterations"],
         b_ila=ila_cfg["block_size"], i_ila=ila_cfg["iterations"],
@@ -540,6 +557,12 @@ def config_section(config: dict, name: str) -> dict:
                                   if key in section}, where)
 
 
+def section_settings(config: dict, name: str) -> dict:
+    """Every setting of the config's section `name`: the config's value or the
+    default of the section's consumer."""
+    return {**accepted_settings(SECTIONS[name]), **config_section(config, name)}
+
+
 def scenario_settings(config: dict) -> dict:
     """Every top-level setting of a scenario config, the config's value or the
     default: the SHARED keys, the section names and the keyword parameters of
@@ -562,15 +585,26 @@ def scenario_settings(config: dict) -> dict:
 
 
 def run_scenario(config: dict, outdir: str | Path) -> dict:
-    """Dispatch a scenario config; writes metrics.json and the manifest and
-    returns the metrics payload."""
-    settings = scenario_settings(config)
-    runner = RUNNERS[config["kind"]]
-    kwargs = {name: settings[name] for name in inspect.signature(runner).parameters
-              if name in settings}
+    """Dispatch a scenario config into outdir, a directory that holds no files
+    yet (so the manifest lists this run's files only); writes metrics.json and
+    the manifest and returns the metrics payload. A run that fails leaves
+    error.json (the exception and the config) beside the files it finished."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    payload = runner(config, outdir, **kwargs)
-    _write_json(outdir / "metrics.json", payload)
-    write_manifest(outdir, config)
+    if outdir.is_dir() and any(outdir.iterdir()):
+        raise ConfigError(f"bundle directory {outdir} already holds files; "
+                          "give a new or empty one")
+    try:
+        settings = scenario_settings(config)
+        runner = RUNNERS[config["kind"]]
+        kwargs = {name: settings[name] for name in inspect.signature(runner).parameters
+                  if name in settings}
+        outdir.mkdir(parents=True, exist_ok=True)
+        payload = runner(config, outdir, **kwargs)
+        _write_json(outdir / "metrics.json", payload)
+        write_manifest(outdir, config)
+    except Exception as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_json(outdir / "error.json",
+                    {"error": type(exc).__name__, "message": str(exc), "config": config})
+        raise
     return payload

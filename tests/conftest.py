@@ -8,7 +8,8 @@ from pwdpd.dpd import DpdModel, estimate_gain
 from pwdpd.ila import _postinverse_fit
 from pwdpd.plant import ArrayPlant, PaModel, array_forward, observation_receive
 from pwdpd.presets import load_plant_preset, preset_params
-from pwdpd.scenarios import SimulatedLoop, _base_spec, derive_partition, evaluate
+from pwdpd.scenarios import (SimulatedLoop, _base_spec, derive_partition, evaluate,
+                             evaluation_seed, partition_seed, training_seed)
 from pwdpd.signals import IqSignal
 
 
@@ -68,14 +69,16 @@ def ilc_oracle_aclr(seed, block=60000, passes=60, mu=0.3):
 
     Iterative learning control (Chani-Cahuana, Landin, Fager and Eriksson,
     IEEE TMTT 2016) finds the ideal PA input u* of one noise-free block of the
-    PW-CL training draw (seed*100+1) with no model: u <- u - mu e / ghat, with
-    e = z - ghat a1 and ghat re-estimated on each pass. Loaded per-region least
-    squares (ila._postinverse_fit) then fits the basis on a1 to u* - a1, and
-    scenarios.evaluate scores that gamma on fresh data at seed*100+7. Returns
-    the ACLR in dBc of the PW (Taylor partition) and the single-polynomial
-    basis, and the last pass's error power relative to ghat a1 in dB."""
+    PW-CL training draw (training_seed(seed, 1)) with no model:
+    u <- u - mu e / ghat, with e = z - ghat a1 and ghat re-estimated on each
+    pass. Loaded per-region least squares (ila._postinverse_fit) then fits the
+    basis on a1 to u* - a1, on the bundle's Taylor partition, and
+    scenarios.evaluate scores that gamma on fresh data at evaluation_seed(seed).
+    Returns the ACLR in dBc of the PW (Taylor partition) and the
+    single-polynomial basis, and the last pass's error power relative to
+    ghat a1 in dB."""
     plant, preset = load_plant_preset("array8-deep"), preset_params("array8-deep")
-    a1 = SimulatedLoop(plant, preset, seed * 100 + 1).next_block(block)
+    a1 = SimulatedLoop(plant, preset, training_seed(seed, 1)).next_block(block)
     u = a1.samples
     for _ in range(passes):
         z = observation_receive(plant, array_forward(plant, a1.with_samples(u)))
@@ -84,12 +87,12 @@ def ilc_oracle_aclr(seed, block=60000, passes=60, mu=0.3):
         u = u - mu * e / ghat
     residual_db = 10 * np.log10(np.mean(np.abs(e) ** 2) / (abs(ghat) ** 2 * a1.power))
     spec = _base_spec()
-    part = derive_partition(plant, preset, seed * 1000 + 17)[0]
+    part = derive_partition(plant, preset, partition_seed(seed))[0]
     aclr = {}
     for name, fit_spec in (("pw", spec.with_partition(part)), ("single", spec)):
         gamma = _postinverse_fit(fit_spec, a1.samples, u - a1.samples)
         aclr[name] = evaluate(plant, preset, DpdModel(gamma, fit_spec),
-                              seed * 100 + 7).metrics["aclr_dbc"]
+                              evaluation_seed(seed)).metrics["aclr_dbc"]
     return aclr["pw"], aclr["single"], residual_db
 
 

@@ -15,21 +15,22 @@ from pwdpd.partition import MAX_REGIONS, RegionPartition
 from pwdpd.plant import save_plant, steer
 from pwdpd.presets import PLANT_PRESETS, load_plant_preset, preset_params
 import pwdpd
-from pwdpd.scenarios import METHODS, preset_waveform, write_manifest
+from pwdpd.scenarios import (METHODS, evaluation_seed, preset_waveform, training_seed,
+                             write_manifest)
 from pwdpd.signals import read_iq, write_iq
 
 from conftest import random_signal
 
 
 def test_generate_writes_bundle(tmp_path, capsys):
+    """generate --preset doherty-n3 writes the 8 symbols its config evaluates."""
     stem = tmp_path / "wave"
-    assert main(["generate", "--plant", "doherty-n3", "--symbols", "2", "--seed", "5",
-                 "--output", str(stem)]) == 0
+    assert main(["generate", "--preset", "doherty-n3", "--output", str(stem)]) == 0
     sig = read_iq(stem)
     assert sig.sample_rate == pytest.approx(2048 * 15e3 * 4)
     assert sig.rms == pytest.approx(preset_params("doherty-n3")["drive_rms"])
     grid = np.load(str(stem) + ".grid.npy")
-    assert grid.shape == (2, 1272)
+    assert grid.shape == (8, 1272)
     out = capsys.readouterr().out
     assert "RMS 0.52" in out and "PAPR" in out
 
@@ -37,8 +38,7 @@ def test_generate_writes_bundle(tmp_path, capsys):
 def test_generate_then_simulate_and_evaluate(tmp_path, capsys):
     """generate writes the preset's drive level, so simulate needs no --drive-rms."""
     stem = tmp_path / "w"
-    assert main(["generate", "--plant", "array8-deep", "--symbols", "2",
-                 "--output", str(stem)]) == 0
+    assert main(["generate", "--preset", "array8-deep", "--output", str(stem)]) == 0
     outputs = {}
     for name, argv in (("z", []), ("z056", ["--drive-rms", "0.56"])):
         assert main(["simulate", "--plant", "array8-deep", "--input", str(stem),
@@ -51,35 +51,40 @@ def test_generate_then_simulate_and_evaluate(tmp_path, capsys):
 
 @pytest.mark.parametrize("plant", PLANT_PRESETS)
 def test_generate_writes_the_preset_waveform(tmp_path, plant):
-    """generate writes, bit for bit, the samples and grid the bundles draw."""
+    """generate writes, bit for bit, the samples and grid a config's evaluation
+    scores: eval.num_symbols of its plant preset's waveform at the evaluation seed."""
     stem = tmp_path / "w"
-    assert main(["generate", "--plant", plant, "--symbols", "2", "--seed", "5",
+    config = {"kind": "linearization", "preset": plant, "seed": 5, "eval": {"num_symbols": 2}}
+    assert main(["generate", "--config", _json_file(tmp_path / "c.json", config),
                  "--output", str(stem)]) == 0
-    sig, grid, _ = preset_waveform(preset_params(plant), 2, 5)
+    sig, grid, _ = preset_waveform(preset_params(plant), 2, evaluation_seed(5))
     got = read_iq(stem)
     assert got.samples.tobytes() == sig.samples.tobytes()
     assert got.sample_rate == sig.sample_rate
     assert np.load(str(stem) + ".grid.npy").tobytes() == grid.tobytes()
 
 
-# the numerology and CFR flags generate took before it wrote a preset's waveform
+# the numerology and CFR flags generate took before it wrote a preset's
+# waveform, and the plant, symbol count and seed it took before it read a
+# scenario config
 _REMOVED_GENERATE_FLAGS = [("--scs", "120000"), ("--fft", "256"), ("--active", "180"),
                            ("--oversampling", "2"), ("--constellation", "16QAM"),
                            ("--cp-fraction", "0.07"), ("--wola", "100000"),
-                           ("--cfr-target", "6.5"), ("--cfr-iterations", "3")]
+                           ("--cfr-target", "6.5"), ("--cfr-iterations", "3"),
+                           ("--plant", "linear8"), ("--symbols", "2"), ("--seed", "5")]
 
 
 @pytest.mark.parametrize("flag, value", _REMOVED_GENERATE_FLAGS,
                          ids=[f for f, _ in _REMOVED_GENERATE_FLAGS])
 def test_generate_removed_flag_exit_code(tmp_path, capsys, flag, value):
-    assert main(["generate", "--plant", "linear8", "--output", str(tmp_path / "w"),
+    assert main(["generate", "--preset", "linear-sanity", "--output", str(tmp_path / "w"),
                  flag, value]) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
 def test_partition_subcommand(tmp_path, capsys):
-    rc = main(["partition", "--plant", "doherty-n3", "--output",
+    rc = main(["partition", "--preset", "doherty-n3", "--output",
                str(tmp_path / "part.json")])
     assert rc == 0
     out = capsys.readouterr().out
@@ -176,14 +181,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["scenario", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["scenario", "--preset", "missing-preset", "--out", str(tmp_path)]) == 2
     assert main(["train", "--preset", "not-a-preset", "--output", str(tmp_path / "m")]) == 2
-    # generate and partition take a preset name, and so does the "preset" of
-    # the config train and evaluate read: a saved plant file is refused by the
-    # preset lookup, which lists the presets
+    # the "preset" of the config generate, partition, train and evaluate read
+    # is a plant preset name: a saved plant file is refused by the preset
+    # lookup, which lists the presets
     save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
     cfg = _json_file(tmp_path / "c.json", dict(_NO_DPD_CONFIG, preset=str(tmp_path / "p.json")))
     capsys.readouterr()
-    for argv in (["generate", "--output", str(tmp_path / "w"), "--plant", str(tmp_path / "p.json")],
-                 ["partition", "--plant", str(tmp_path / "p.json")],
+    for argv in (["generate", "--config", cfg, "--output", str(tmp_path / "w")],
+                 ["partition", "--config", cfg],
                  ["train", "--config", cfg, "--output", str(tmp_path / "m")],
                  ["evaluate", "--config", cfg]):
         assert main(argv) == 2
@@ -488,8 +493,8 @@ def test_failed_bundle_keeps_finished_runs(tmp_path, monkeypatch):
     assert not (bundle / "metrics.json").exists()
 
 
-class _PartitionReached(Exception):
-    pass
+class _Stop(Exception):
+    """Raised by a stub to end a bundle at the call it stands in for."""
 
 
 @pytest.mark.parametrize("kind, own", [("linearization", {"methods": ["pwcl_orth"]}),
@@ -507,11 +512,11 @@ def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind, own)
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         seen.append(bound.arguments)
-        raise _PartitionReached
+        raise _Stop
 
     monkeypatch.setattr(scenarios, "derive_partition", record)
     config = {"kind": kind, "preset": "doherty-n3", "seed": 3, **own}
-    with pytest.raises(_PartitionReached):
+    with pytest.raises(_Stop):
         scenarios.run_scenario(config, tmp_path)
     assert seen[0].get("order") == 5
     assert seen[0].get("target_error") == 0.01
@@ -874,7 +879,7 @@ def test_train_method_table(tmp_path, method, code, partition):
                                           ("ila", 2)])
 def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, code):
     part = tmp_path / "part.json"
-    assert main(["partition", "--plant", "doherty-n3", "--output", str(part)]) == 0
+    assert main(["partition", "--preset", "doherty-n3", "--output", str(part)]) == 0
     assert main(_train_argv(tmp_path, method, "--partition", str(part))) == code
     assert (tmp_path / "m.dpd.json").exists() == (code == 0)
     assert ("--partition" in capsys.readouterr().err) == (code == 2)
@@ -901,14 +906,15 @@ def test_train_ila_refuses_closed_loop_flags(tmp_path, capsys, method, flag, val
     assert not (tmp_path / "m.dpd.json").exists()
 
 
-# the flags train and evaluate took before they read a scenario config, each
-# with a value it took
+# the flags train and evaluate took before they read a scenario config and its
+# seed, each with a value it took
 _REMOVED_FLAGS = [("train", "--plant", "doherty-n3"), ("train", "--family", "gmp"),
                   ("train", "--order", "5"), ("train", "--memory", "3"),
                   ("train", "--cross-memory", "2"), ("train", "--mu", "0.8"),
                   ("train", "--block-size", "2000"), ("train", "--iterations", "1"),
                   ("train", "--prune", "-40"), ("evaluate", "--plant", "doherty-n3"),
-                  ("evaluate", "--symbols", "8"), ("evaluate", "--trp")]
+                  ("evaluate", "--symbols", "8"), ("evaluate", "--trp"),
+                  ("evaluate", "--seed", "777")]
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, *f in _REMOVED_FLAGS],
@@ -941,13 +947,108 @@ def test_train_reads_the_preset_config(tmp_path):
 
 
 def test_evaluate_reads_the_preset_config(tmp_path):
-    """evaluate --preset doherty-n3 demodulates the config's 8 symbols, as its bundle does."""
+    """evaluate --preset doherty-n3 demodulates the config's 8 symbols at the
+    evaluation seed of the config's seed, as its bundle does."""
     from pwdpd.scenarios import evaluate
 
     assert main(["evaluate", "--preset", "doherty-n3", "--output", str(tmp_path / "e.json")]) == 0
-    want = evaluate(load_plant_preset("doherty-n3"), preset_params("doherty-n3"), None, 777,
-                    num_symbols=8).metrics
+    want = evaluate(load_plant_preset("doherty-n3"), preset_params("doherty-n3"), None,
+                    evaluation_seed(scenario_preset("doherty-n3")["seed"]), num_symbols=8).metrics
     assert json.loads((tmp_path / "e.json").read_text()) == json.loads(json.dumps(want))
+
+
+# the flags partition took before it read a scenario config, each with a value it took
+_REMOVED_PARTITION_FLAGS = [("--plant", "doherty-n3"), ("--seed", "17")]
+
+
+@pytest.mark.parametrize("flag, value", _REMOVED_PARTITION_FLAGS,
+                         ids=[f for f, _ in _REMOVED_PARTITION_FLAGS])
+def test_partition_removed_flag_exit_code(tmp_path, capsys, flag, value):
+    """partition takes its plant and seed from --preset or --config only."""
+    assert main(["partition", "--preset", "doherty-n3", "--output", str(tmp_path / "p.json"),
+                 flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_PARTITIONED_PRESETS = ["linear-sanity", "array8-deep", "doherty-n3", "pruning-study", "beamsweep"]
+
+
+@pytest.mark.parametrize("preset", _PARTITIONED_PRESETS)
+def test_partition_reproduces_the_bundle_partition(tmp_path, monkeypatch, preset):
+    """partition --preset NAME writes, byte for byte, the Taylor partition the
+    bundle of NAME trains on (and writes, when it writes one), and --regions K
+    at the Taylor K its K-means one. The bundle is stopped at its first
+    training call, by which point its partition files are written."""
+    import pwdpd.scenarios as scenarios
+
+    trained_on = []
+
+    def stop(method, plant, preset, config, spec, seed):
+        trained_on.append(spec.partition)
+        raise _Stop
+
+    monkeypatch.setattr(scenarios, "train_method", stop)
+    bundle = tmp_path / "bundle"
+    with pytest.raises(_Stop):
+        scenarios.run_scenario(scenario_preset(preset), bundle)
+    taylor = tmp_path / "taylor.json"
+    assert main(["partition", "--preset", preset, "--output", str(taylor)]) == 0
+    if trained_on[0] is not None:
+        trained_on[0].save(tmp_path / "trained_on.json")
+        assert (tmp_path / "trained_on.json").read_bytes() == taylor.read_bytes()
+    written = bundle / "partition.json"
+    assert written.exists() == (scenario_preset(preset)["kind"] == "linearization")
+    if written.exists():
+        assert written.read_bytes() == taylor.read_bytes()
+    if (bundle / "partition_kmeans.json").exists():
+        regions = str(RegionPartition.load(taylor).n_regions)
+        assert main(["partition", "--preset", preset, "--regions", regions,
+                     "--output", str(tmp_path / "kmeans.json")]) == 0
+        assert ((tmp_path / "kmeans.json").read_bytes()
+                == (bundle / "partition_kmeans.json").read_bytes())
+
+
+def test_train_and_evaluate_reproduce_the_bundle(tmp_path):
+    """On a quick bundle at config seed S, train --seed S*100+i writes method
+    i's model and trace byte for byte, and evaluate --model scores it with
+    every evaluation figure of the bundle's metrics.json."""
+    methods = ["none", "pwcl_orth", "pwcl_kmeans", "pw_ila"]
+    config = dict(_QUICK_TRAIN_CONFIG, seed=2, methods=methods)
+    cfg = _json_file(tmp_path / "c.json", config)
+    assert main(["scenario", "--config", cfg, "--out", str(tmp_path), "--name", "b"]) == 0
+    bundle = tmp_path / "b"
+    metrics = json.loads((bundle / "metrics.json").read_text())["methods"]
+    for index, method in enumerate(methods):
+        model = []
+        if method != "none":
+            assert main(["train", "--config", cfg, "--method", method, "--seed",
+                         str(training_seed(2, index)), "--output", str(tmp_path / method)]) == 0
+            assert (tmp_path / f"{method}.dpd.json").read_bytes() == \
+                (bundle / f"{method}.dpd.json").read_bytes()
+            assert (tmp_path / f"{method}.trace.csv").read_bytes() == \
+                (bundle / f"trace_{method}.csv").read_bytes()
+            model = ["--model", str(bundle / method)]
+        assert main(["evaluate", "--config", cfg, *model,
+                     "--output", str(tmp_path / "e.json")]) == 0
+        figures = json.loads((tmp_path / "e.json").read_text())
+        assert figures == {key: metrics[method][key] for key in figures}, method
+        assert "aclr_dbc" in figures and "evm_percent" in figures
+
+
+def test_scenario_refuses_a_directory_with_files(tmp_path, capsys):
+    """A bundle goes to a new or empty directory, so its manifest lists its own
+    files only: a second run into the same directory exits 2 naming it, and
+    leaves the first run's files as they were, with no error.json."""
+    first = _json_file(tmp_path / "first.json", _NO_DPD_CONFIG)
+    assert main(["scenario", "--config", first, "--out", str(tmp_path / "r"), "--name", "x"]) == 0
+    bundle = tmp_path / "r" / "x"
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+    capsys.readouterr()
+    second = _json_file(tmp_path / "second.json", dict(_NO_DPD_CONFIG, seed=4))
+    assert main(["scenario", "--config", second, "--out", str(tmp_path / "r"), "--name", "x"]) == 2
+    assert str(bundle) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
 
 
 _OUT_OF_RANGE = [("learn", "mu", 2.5), ("learn", "mu", 0), ("learn", "block_size", 0),
@@ -988,7 +1089,7 @@ _UNREADABLE = {
                                            "--out", str(d)],
     "evaluate-model-not-utf8": lambda d: ["evaluate", "--preset", "doherty-n3", "--model",
                                           _not_utf8(d / "m.dpd.json")[:-len(".dpd.json")]],
-    "partition-output-dir": lambda d: ["partition", "--plant", "doherty-n3", "--output", str(d)],
+    "partition-output-dir": lambda d: ["partition", "--preset", "doherty-n3", "--output", str(d)],
 }
 
 
@@ -1016,7 +1117,7 @@ def test_partition_refuses_flags_its_method_does_not_read(tmp_path, capsys, flag
     """--regions K alone selects K-means, which reads neither Taylor flag; there
     is no --method flag, so giving one is a usage error."""
     part = tmp_path / "part.json"
-    assert main(["partition", "--plant", "doherty-n3", *flags, "--output", str(part)]) == 2
+    assert main(["partition", "--preset", "doherty-n3", *flags, "--output", str(part)]) == 2
     assert named in capsys.readouterr().err
     assert not part.exists()
 
@@ -1063,12 +1164,10 @@ def _float_flags():
 # the required flags of each subcommand with a float flag or a --seed, for an
 # output root d
 _REQUIRED_FLAGS = {
-    "generate": lambda d: ["--plant", "doherty-n3", "--output", str(d / "out")],
     "simulate": lambda d: ["--plant", "doherty-n3", "--input", str(d / "wave"),
                            "--output", str(d / "z")],
-    "partition": lambda d: ["--plant", "doherty-n3", "--output", str(d / "part.json")],
+    "partition": lambda d: ["--preset", "doherty-n3", "--output", str(d / "part.json")],
     "train": lambda d: ["--preset", "doherty-n3", "--output", str(d / "m")],
-    "evaluate": lambda d: ["--preset", "doherty-n3", "--output", str(d / "metrics.json")],
 }
 
 
@@ -1113,7 +1212,7 @@ def test_partition_region_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenarios, "preset_waveform", drawn)
     part = tmp_path / "part.json"
     for regions in (0, MAX_REGIONS + 1):
-        assert main(["partition", "--plant", "doherty-n3", "--regions", str(regions),
+        assert main(["partition", "--preset", "doherty-n3", "--regions", str(regions),
                      "--output", str(part)]) == 2
         assert f"between 1 and {MAX_REGIONS}, got {regions}" in capsys.readouterr().err
         assert not part.exists()

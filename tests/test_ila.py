@@ -96,11 +96,11 @@ def test_regularized_lstsq_on_array8_deep_region_blocks():
     from pwdpd.dpd import estimate_gain
     from pwdpd.plant import array_forward, observation_receive
     from pwdpd.presets import load_plant_preset, preset_params
-    from pwdpd.scenarios import SimulatedLoop, derive_partition
+    from pwdpd.scenarios import SimulatedLoop, derive_partition, partition_seed, training_seed
 
     plant, params = load_plant_preset("array8-deep"), preset_params("array8-deep")
-    part, _ = derive_partition(plant, params, seed=7017)
-    loop = SimulatedLoop(plant, params, seed=701)
+    part, _ = derive_partition(plant, params, partition_seed(7))
+    loop = SimulatedLoop(plant, params, training_seed(7, 1))
     a1 = loop.next_block(20000)
     z = observation_receive(plant, array_forward(plant, a1))  # noise-free
     y = z.samples / estimate_gain(a1, z)

@@ -214,6 +214,15 @@ def test_kmeans_too_many_regions():
         kmeans_partition(sig, 3)
 
 
+def test_kmeans_collapsed_centroids_name_n_regions():
+    """Centroids that end up equal (two of three clusters hold no sample) are
+    refused naming K-means and n_regions, not by the edge check of the
+    partition they would make."""
+    env = np.repeat([0.1, 0.5, 1.0], [1, 1, 98])
+    with pytest.raises(ConfigError, match="K-means .* n_regions=3"):
+        kmeans_partition(IqSignal(env.astype(complex), 1.0), 3)
+
+
 def test_kmeans_region_cap():
     """K-means refuses more than MAX_REGIONS regions however many distinct
     amplitudes the signal holds."""
