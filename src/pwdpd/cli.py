@@ -22,7 +22,8 @@ import numpy as np
 
 from . import complexity as complexity_mod
 from .dpd import load_model, save_model, trace_to_csv
-from .errors import ConfigError, DegenerateRegionError, DemodulationError, DivergenceError
+from .errors import (ConfigError, DegenerateRegionError, DemodulationError, DivergenceError,
+                     read_json, write_json)
 from .metrics import aclr_single_direction
 from .partition import RegionPartition
 from .plant import array_forward, load_plant, observation_receive, steer
@@ -63,28 +64,26 @@ def scenario_preset(name: str) -> dict:
         have = sorted(p.name[:-5] for p in
                       resources.files("pwdpd").joinpath("presets/scenarios").iterdir())
         raise ConfigError(f"unknown scenario preset {name!r}; have {have}")
-    return json.loads(ref.read_text())
+    return read_json(ref, dict)
 
 
-def _load_config(args) -> dict:
+def _load_config(args, parse=dict):
+    """parse applied to the scenario config of --config or --preset; a refused
+    --config file is named."""
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
-        config = json.loads(Path(args.config).read_text())
-        if not isinstance(config, dict):
-            raise ConfigError(f"scenario config {args.config} must hold a JSON object")
-        return config
+        return read_json(args.config, parse)
     if args.preset:
-        return scenario_preset(args.preset)
+        return parse(scenario_preset(args.preset))
     raise ConfigError("give a scenario config: --config FILE or --preset NAME")
 
 
 def _scenario(args) -> tuple:
     """(config, seed, plant with the coupling override, plant preset parameters)
     of the scenario config of --preset or --config, checked whole."""
-    config = _load_config(args)
-    seed = scenario_settings(config)["seed"]
-    return config, seed, *load_scenario_plant(config)
+    return _load_config(args, lambda config: (config, scenario_settings(config)["seed"],
+                                              *load_scenario_plant(config)))
 
 
 def cmd_generate(args) -> int:
@@ -193,17 +192,17 @@ def cmd_evaluate(args) -> int:
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
     if args.output:
-        Path(args.output).write_text(json.dumps(res.metrics, indent=2, sort_keys=True) + "\n")
+        write_json(args.output, res.metrics)
     return 0
 
 
 def cmd_complexity(args) -> int:
-    params = (complexity_mod.load_params(json.loads(Path(args.params).read_text()))
+    params = (read_json(args.params, lambda fields: complexity_mod.ComplexityParams(**fields))
               if args.params else complexity_mod.reference_params())
     ledger = complexity_mod.full_ledger(params)
     print(complexity_mod.format_ledger(ledger))
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(ledger, indent=2, sort_keys=True) + "\n")
+        write_json(args.json_out, ledger)
     return 0
 
 
@@ -298,8 +297,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ConfigError, DemodulationError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, DemodulationError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateRegionError as exc:

@@ -61,17 +61,6 @@ def reference_params() -> ComplexityParams:
                             i_ila=4, n_pw_pruned=96)
 
 
-def load_params(source: dict) -> ComplexityParams:
-    """ComplexityParams from a dict of its fields; ConfigError otherwise."""
-    if not isinstance(source, dict):
-        raise ConfigError(f"complexity params must be an object of ComplexityParams "
-                          f"fields, not {source!r}")
-    try:
-        return ComplexityParams(**source)
-    except TypeError as exc:
-        raise ConfigError(f"complexity params: {exc}") from None
-
-
 def params_from_spec(spec, b_cl: int, i_cl: int, b_ila: int, i_ila: int,
                      n_pw_pruned: int | None = None) -> ComplexityParams:
     """Derive the cardinalities from a BasisSpec with a partition."""

@@ -45,7 +45,6 @@ the non-zeros of gamma.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -54,7 +53,8 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import ConfigError, DivergenceError, check_fields, read_pair
+from .errors import (ConfigError, DivergenceError, check_fields, read_json, read_pair, write_csv,
+                     write_json)
 from .signals import IqSignal
 
 @dataclass
@@ -243,10 +243,8 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
 
 
 def trace_to_csv(trace: list[TraceRecord], path: str | Path) -> None:
-    lines = ["iteration,error_power_dbc,active_count"]
-    for rec in trace:
-        lines.append(f"{rec.iteration},{rec.error_power_dbc:.6f},{rec.active_count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "iteration,error_power_dbc,active_count",
+              ((rec.iteration, f"{rec.error_power_dbc:.6f}", rec.active_count) for rec in trace))
 
 
 def save_model(model: DpdModel, stem: str | Path) -> Path:
@@ -256,7 +254,7 @@ def save_model(model: DpdModel, stem: str | Path) -> Path:
     path = Path(stem).with_suffix(".dpd.json")
     fields = {"spec": model.spec.to_dict(), "ghat": [model.ghat.real, model.ghat.imag],
               "gamma": [[v.real, v.imag] for v in model.gamma.tolist()]}
-    path.write_text(json.dumps(fields, indent=2, sort_keys=True) + "\n")
+    write_json(path, fields)
     return path
 
 
@@ -266,16 +264,14 @@ _MODEL_FIELDS = {"spec": (lambda v: isinstance(v, dict), "an object"),
                  "gamma": (lambda v: isinstance(v, list), "a list of [re, im] pairs")}
 
 
+def _model_from(fields: dict) -> DpdModel:
+    check_fields(fields, _MODEL_FIELDS, "model")
+    return DpdModel([read_pair(v, f"gamma[{i}]") for i, v in enumerate(fields["gamma"])],
+                    BasisSpec.from_dict(fields["spec"]),
+                    ghat=read_pair(fields.get("ghat"), "'ghat'"))
+
+
 def load_model(stem: str | Path) -> DpdModel:
     """Read a model written by save_model; ConfigError naming the file and the
     field otherwise."""
-    path = Path(stem).with_suffix(".dpd.json")
-    if not path.exists():
-        raise ConfigError(f"missing model file {path}")
-    fields = check_fields(json.loads(path.read_text()), _MODEL_FIELDS, str(path))
-    try:
-        return DpdModel([read_pair(v, f"gamma[{i}]") for i, v in enumerate(fields["gamma"])],
-                        BasisSpec.from_dict(fields["spec"]),
-                        ghat=read_pair(fields.get("ghat"), "'ghat'"))
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return read_json(Path(stem).with_suffix(".dpd.json"), _model_from)

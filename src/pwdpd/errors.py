@@ -1,11 +1,16 @@
-"""Exception types shared across the workbench, and the one reader rule of its
-files and configs: the two value tests, check_fields and read_pair.
+"""Exception types shared across the workbench, the one reader rule of its
+files and configs (the two value tests, check_fields and read_pair), and the
+one form of its files: read_json and write_json for every JSON file (UTF-8
+text holding one object, 2-space indent, sorted keys, a trailing newline;
+every refusal one ConfigError naming the file once), write_csv for every CSV.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
 DegenerateRegionError -> 3, DivergenceError -> 4.
 """
 
+import json
 import math
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -64,3 +69,33 @@ def read_pair(value, what: str) -> complex:
     if not (isinstance(value, list) and len(value) == 2 and all(map(is_number, value))):
         raise ConfigError(f"{what} holds {value!r}, not an [re, im] pair of finite numbers")
     return complex(*value)
+
+
+def read_json(path, parse):
+    """parse applied to the JSON object held by the UTF-8 file at path (a str,
+    a Path, or an importlib.resources file); any refusal, parse's included, is
+    one ConfigError naming the file."""
+    source = path if hasattr(path, "read_text") else Path(path)
+    try:
+        value = json.loads(source.read_text(encoding="utf-8"))
+        if not isinstance(value, dict):
+            raise ConfigError("not a JSON object")
+        return parse(value)
+    except ConfigError as exc:  # a ValueError, so caught first
+        raise ConfigError(f"{path}: {exc}") from None
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        # invalid JSON and text that is not UTF-8 are ValueErrors too
+        raise ConfigError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def write_json(path, payload) -> None:
+    """payload in the one JSON file form read_json reads."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header: str, rows) -> None:
+    """A CSV file of header and rows: a float cell in 10 significant digits, any
+    other cell (a preformatted string included) as str() gives it."""
+    lines = (",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row)
+             for row in rows)
+    Path(path).write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")

@@ -7,14 +7,13 @@ AM/AM curve to a target error, and a 1-D K-means reference partitioner.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, is_number
+from .errors import ConfigError, is_number, read_json, write_json
 from .signals import IqSignal
 
 # derivative_max's grid points, partition_regions' width tolerance as a
@@ -82,11 +81,11 @@ class RegionPartition:
         return cls(np.asarray(edges, dtype=float))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "RegionPartition":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return read_json(path, cls.from_dict)
 
 
 @dataclass

@@ -30,14 +30,14 @@ numbers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_fields, is_int, is_number, read_pair
+from .errors import (ConfigError, check_fields, is_int, is_number, read_json, read_pair,
+                     write_json)
 from .signals import IqSignal
 
 # the named coefficient tables and scalar settings of each PA kind, with their
@@ -312,18 +312,13 @@ def _decode_coefficients(named: dict) -> dict:
 
 
 def save_plant(plant: ArrayPlant, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(plant.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, plant.to_dict())
 
 
 def load_plant(path: str | Path) -> ArrayPlant:
-    """Read a plant written by save_plant; ConfigError when a field is missing or ill-typed."""
-    d = json.loads(Path(path).read_text())
-    try:
-        return ArrayPlant.from_dict(d)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed plant file {path}: {exc!r}") from None
+    """Read a plant written by save_plant; ConfigError naming the file when a
+    field is missing or ill-typed."""
+    return read_json(path, ArrayPlant.from_dict)
 
 
 def array_forward(plant: ArrayPlant, a1: IqSignal) -> list[IqSignal]:

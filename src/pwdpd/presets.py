@@ -16,10 +16,10 @@ with neither CFR nor receiver noise.
 
 from __future__ import annotations
 
-import json
+import copy
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .plant import ArrayPlant
 
 # drive level (waveform RMS at the plant input), ACLR channel bandwidth,
@@ -56,10 +56,10 @@ def load_plant_preset(name: str) -> ArrayPlant:
     if name not in PLANT_PRESETS:
         raise ConfigError(f"unknown plant preset {name!r}; have {PLANT_PRESETS}")
     ref = resources.files("pwdpd").joinpath(f"presets/plants/{name}.json")
-    return ArrayPlant.from_dict(json.loads(ref.read_text()))
+    return read_json(ref, ArrayPlant.from_dict)
 
 
 def preset_params(name: str) -> dict:
     if name not in PRESET_PARAMS:
         raise ConfigError(f"unknown plant preset {name!r}; have {PLANT_PRESETS}")
-    return json.loads(json.dumps(PRESET_PARAMS[name]))  # deep copy
+    return copy.deepcopy(PRESET_PARAMS[name])

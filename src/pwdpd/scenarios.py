@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -29,7 +28,7 @@ from .basis import BasisSpec
 from .basis import descriptors_json as basis_descriptors_json
 from .dpd import (LEARN_RANGES, DpdModel, LearnConfig, estimate_gain, learn, predistort,
                   save_model, trace_to_csv)
-from .errors import ConfigError, check_fields, is_int, is_number
+from .errors import ConfigError, check_fields, is_int, is_number, write_csv, write_json
 from .ila import ILA_RANGES, ila_learn
 from .metrics import (aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd)
 from .partition import (RegionPartition, check_region_count, fit_amam, kmeans_partition,
@@ -258,17 +257,6 @@ def train_method(method: str, plant: ArrayPlant, preset: dict, config: dict,
     return learn(loop, spec, LearnConfig(**config_section(config, "learn")))
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines += [",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def write_manifest(outdir: Path, config: dict) -> Path:
     """manifest.json: the config, the package and numpy versions that ran it,
     and each artifact's name, sha256 and size."""
@@ -282,7 +270,7 @@ def write_manifest(outdir: Path, config: dict) -> Path:
                 "versions": {"pwdpd": __version__, "numpy": np.__version__},
                 "artifacts": entries}
     path = outdir / "manifest.json"
-    _write_json(path, manifest)
+    write_json(path, manifest)
     return path
 
 
@@ -373,10 +361,10 @@ def run_linearization(config: dict, outdir: Path, seed: int,
     results = {}
     for method, model, trace, (res,) in out.runs:
         _save_run(outdir, method, model, trace)
-        _write_csv(outdir / f"psd_{method}.csv", "freq_hz,psd_db_hz",
+        write_csv(outdir / f"psd_{method}.csv", "freq_hz,psd_db_hz",
                    zip(res.psd_freqs.tolist(), res.psd_db.tolist()))
         if res.beam is not None:
-            _write_csv(outdir / f"beam_{method}.csv",
+            write_csv(outdir / f"beam_{method}.csv",
                        "angle_deg,inband_power,adjacent_low,adjacent_high",
                        zip(res.beam.angles_deg.tolist(), res.beam.inband_power.tolist(),
                            res.beam.adjacent_power_low.tolist(),
@@ -408,7 +396,7 @@ def run_powersweep(config: dict, outdir: Path, seed: int) -> dict:
     for row in rows:
         for m in POWERSWEEP_METHODS:
             csv_rows.append((row["offset_db"], m, row[m]["aclr_dbc"], row[m]["evm_percent"]))
-    _write_csv(outdir / "powersweep.csv", "offset_db,method,aclr_dbc,evm_percent", csv_rows)
+    write_csv(outdir / "powersweep.csv", "offset_db,method,aclr_dbc,evm_percent", csv_rows)
     return {"kind": "powersweep", "offsets_db": list(POWERSWEEP_OFFSETS_DB), "rows": rows}
 
 
@@ -420,7 +408,7 @@ def run_anglesweep(config: dict, outdir: Path, seed: int) -> dict:
     (_, _, _, evals), = out.runs
     rows = [(a, res.metrics["aclr_dbc"], res.metrics["evm_percent"])
             for a, res in zip(ANGLESWEEP_ANGLES, evals)]
-    _write_csv(outdir / "angle_sweep.csv", "angle_deg,aclr_dbc,evm_percent", rows)
+    write_csv(outdir / "angle_sweep.csv", "angle_deg,aclr_dbc,evm_percent", rows)
     return {"kind": "anglesweep", "coupling_strength": out.plant.coupling_strength,
             "rows": [{"angle_deg": a, "aclr_dbc": b, "evm_percent": c} for a, b, c in rows]}
 
@@ -442,7 +430,7 @@ def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
         }
 
     spec = out.spec.with_partition(partition_obj)
-    _write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
+    write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
     learn_cfg, ila_cfg = (section_settings(config, name) for name in ("learn", "ila"))
     params = complexity_mod.params_from_spec(
         spec, b_cl=learn_cfg["block_size"], i_cl=learn_cfg["iterations"],
@@ -600,11 +588,11 @@ def run_scenario(config: dict, outdir: str | Path) -> dict:
                   if name in settings}
         outdir.mkdir(parents=True, exist_ok=True)
         payload = runner(config, outdir, **kwargs)
-        _write_json(outdir / "metrics.json", payload)
+        write_json(outdir / "metrics.json", payload)
         write_manifest(outdir, config)
     except Exception as exc:
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "error.json",
+        write_json(outdir / "error.json",
                     {"error": type(exc).__name__, "message": str(exc), "config": config})
         raise
     return payload

@@ -9,13 +9,12 @@ K x B1 coefficients, is one JSON file (dpd.save_model).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_fields, is_int, is_number
+from .errors import ConfigError, check_fields, is_int, is_number, read_json, write_json
 
 
 @dataclass
@@ -77,7 +76,7 @@ def write_iq(stem: str | Path, sig: IqSignal) -> tuple[Path, Path]:
         "length": len(sig),
         "seed": sig.seed,
     }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(meta_path, meta)
     return bin_path, meta_path
 
 
@@ -89,11 +88,11 @@ def read_iq(stem: str | Path) -> IqSignal:
     meta_path = Path(str(path) + ".json")
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"missing IQ file or sidecar for {path}")
-    meta = check_fields(json.loads(meta_path.read_text()), _SIDECAR_FIELDS,
-                        f"IQ sidecar {meta_path}")
+    meta = read_json(meta_path,
+                     lambda fields: check_fields(fields, _SIDECAR_FIELDS, "IQ sidecar"))
     length, sample_rate = meta["length"], float(meta["sample_rate"])
     n_bytes = path.stat().st_size
     if n_bytes != 16 * length:  # fromfile would drop a trailing partial sample
-        raise ConfigError(f"IQ payload of {n_bytes} bytes does not hold the sidecar's "
+        raise ConfigError(f"IQ payload {path} of {n_bytes} bytes does not hold the sidecar's "
                           f"{length} samples ({16 * length} bytes)")
     return IqSignal(np.fromfile(path, dtype="<c16"), sample_rate, meta.get("seed"))

@@ -393,13 +393,15 @@ def test_regularized_lstsq_allocates_a_few_percent_beyond_a():
 
 
 def _owners(node, name, owner="<module>"):
-    """Names of the functions (or classes) whose bodies refer to name."""
+    """Names of the functions (or classes) whose bodies refer to name, a keyword
+    argument's name included."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _owners(child, name, child.name)
             continue
         if ((isinstance(child, ast.Name) and child.id == name)
                 or (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.keyword) and child.arg == name)
                 or (isinstance(child, ast.alias) and name in (child.name, child.asname))):
             yield owner
         yield from _owners(child, name, owner)
@@ -410,6 +412,24 @@ def test_only_region_blocks_builds_basis_rows():
     owners = {(path.name, owner) for path in sorted(package.glob("*.py"))
               for owner in _owners(ast.parse(path.read_text()), "base_matrix")}
     assert owners == {("basis.py", "region_blocks")}
+
+
+def test_only_errors_reads_and_writes_json_files():
+    """errors.read_json and errors.write_json are the package's one JSON file
+    reader and writer: no other code calls json.loads, .read_text() or an
+    indented json.dumps. cli's print(json.dumps(...)) writes stdout, not a file,
+    so what print is given is not searched."""
+    package = Path(basis_mod.__file__).parent
+    owners = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                node.args = []
+        owners |= {(path.name, name, owner) for name in ("loads", "read_text", "indent")
+                   for owner in _owners(tree, name)}
+    assert owners == {("errors.py", "loads", "read_json"), ("errors.py", "read_text", "read_json"),
+                      ("errors.py", "indent", "write_json")}
 
 
 def test_only_base_matrix_and_derive_partition_assign_regions():

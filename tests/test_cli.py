@@ -1082,24 +1082,72 @@ def _not_utf8(path):
     return str(path)
 
 
-# argv reading a directory, or a file that is not UTF-8, for a scratch directory d
-_UNREADABLE = {
-    "scenario-config-dir": lambda d: ["scenario", "--config", str(d), "--out", str(d)],
-    "scenario-config-not-utf8": lambda d: ["scenario", "--config", _not_utf8(d / "c.json"),
-                                           "--out", str(d)],
-    "evaluate-model-not-utf8": lambda d: ["evaluate", "--preset", "doherty-n3", "--model",
-                                          _not_utf8(d / "m.dpd.json")[:-len(".dpd.json")]],
-    "partition-output-dir": lambda d: ["partition", "--preset", "doherty-n3", "--output", str(d)],
+# each JSON reader: the file it reads in a scratch directory d, the argv that
+# reads it (with any companion file written), and an object the reader refuses
+_READERS = {
+    "train-config": ("c.json", lambda d: ["train", "--config", str(d / "c.json"),
+                                          "--output", str(d / "m")],
+                     dict(_NO_DPD_CONFIG, seed=-1)),
+    "train-partition": ("part.json", lambda d: ["train", "--preset", "doherty-n3", "--partition",
+                                                str(d / "part.json"), "--output", str(d / "m")],
+                        {"edges": [0, 0.5, 0.3]}),
+    "evaluate-model": ("m.dpd.json", lambda d: ["evaluate", "--preset", "doherty-n3",
+                                                "--model", str(d / "m")],
+                       {"gamma": []}),
+    "simulate-plant": ("p.json", lambda d: ["simulate", "--plant", str(d / "p.json"),
+                                            "--input", str(d / "wave"), "--output", str(d / "z")],
+                       dict(load_plant_preset("doherty-n3").to_dict(), weights=[[1.0]])),
+    "complexity-params": ("params.json", lambda d: ["complexity", "--params",
+                                                    str(d / "params.json")],
+                          dict(dataclasses.asdict(reference_params()), k=0)),
+    "simulate-sidecar": ("wave.iq.json", lambda d: [
+        "simulate", "--plant", "doherty-n3", "--output", str(d / "z"),
+        "--input", str(write_iq(d / "wave", random_signal(64, rms=0.3, seed=3))[0])],
+        {"length": -1, "sample_rate": 1e9, "seed": None}),
+}
+
+# each fault, written to a reader's file at path from the object the reader refuses
+_FAULTS = {
+    "truncated": lambda path, refused: path.write_text(json.dumps(refused)[:-1]),
+    "not-utf8": lambda path, refused: _not_utf8(path),
+    "list": lambda path, refused: path.write_text("[]"),
+    "refused-field": lambda path, refused: path.write_text(json.dumps(refused)),
 }
 
 
-@pytest.mark.parametrize("make_argv", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
-def test_unreadable_input_file_exit_code(tmp_path, capsys, make_argv):
-    """A path that is a directory, or a file that is not UTF-8, is a
-    configuration error (exit 2), not a traceback."""
-    assert main(make_argv(tmp_path)) == 2
+def _faulty_file(reader, fault):
+    """The (argv, file) of reader reading its file with fault, for a scratch directory d."""
+    name, make_argv, refused = _READERS[reader]
+
+    def make_case(d):
+        argv = make_argv(d)
+        _FAULTS[fault](d / name, refused)
+        return argv, d / name
+    return make_case
+
+
+# (argv, the path its refusal names) for a scratch directory d: a directory
+# where a file belongs, and each reader's file with each fault
+_UNREADABLE = {
+    "scenario-config-dir": lambda d: (["scenario", "--config", str(d), "--out", str(d)], d),
+    "scenario-config-not-utf8": lambda d: (["scenario", "--config", _not_utf8(d / "c.json"),
+                                            "--out", str(d)], d / "c.json"),
+    "partition-output-dir": lambda d: (["partition", "--preset", "doherty-n3", "--output", str(d)],
+                                       d),
+    **{f"{reader}-{fault}": _faulty_file(reader, fault) for reader in _READERS for fault in _FAULTS},
+}
+
+
+@pytest.mark.parametrize("make_case", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
+def test_unreadable_input_file_exit_code(tmp_path, capsys, make_case):
+    """A directory where a file belongs, and a JSON file that is truncated, not
+    UTF-8, not an object or holds a field its reader refuses, is a configuration
+    error (exit 2), not a traceback, and the message names the file once."""
+    argv, named = make_case(tmp_path)
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
+    assert err.count(str(named)) == 1, err
 
 
 _UNREAD_PARTITION_FLAGS = [
