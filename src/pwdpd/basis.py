@@ -17,7 +17,8 @@ yields each region's rows chunk by chunk, and the Gram, filter and
 correlation passes accumulate over those blocks.
 
 Memory rule: a pass holds one chunk's region blocks at a time, all cut from
-one allocation, and drops them before the next chunk is built; products
+one allocation, and drops them before the next chunk is built; base_matrix
+holds one region's lag table at a time while it writes that chunk; products
 Psi^H Psi are formed over PANEL-row panels, so no conjugated copy larger
 than one panel is made.
 """
@@ -156,48 +157,9 @@ def enumerate_bfs(spec: BasisSpec) -> list[BfTerm]:
     return terms
 
 
-class _LagCache:
-    """Lagged samples x(rows - lag), their conjugates and envelope powers over
-    one region's rows; window[pos] is x at those rows, zero-padded beyond x."""
-
-    def __init__(self, window: np.ndarray, pos: np.ndarray):
-        self._window = window
-        self._pos = pos
-        self._shifted: dict[tuple[int, bool], np.ndarray] = {}
-        self._env_pow: dict[tuple[int, int], np.ndarray] = {}
-
-    def shifted(self, lag: int, conj: bool = False) -> np.ndarray:
-        key = (lag, conj)
-        if key not in self._shifted:
-            self._shifted[key] = (np.conj(self.shifted(lag)) if conj
-                                  else self._window[self._pos - lag])
-        return self._shifted[key]
-
-    def env_power(self, lag: int, exponent: int) -> np.ndarray:
-        """|x(n-lag)|^exponent for even exponent >= 2, a product of the cached lower powers."""
-        key = (lag, exponent)
-        if key not in self._env_pow:
-            if exponent == 2:
-                s = self.shifted(lag)
-                self._env_pow[key] = s.real * s.real + s.imag * s.imag
-            else:
-                self._env_pow[key] = self.env_power(lag, exponent - 2) * self.env_power(lag, 2)
-        return self._env_pow[key]
-
-
-def _write_column(term: BfTerm, cache: _LagCache, out: np.ndarray) -> None:
-    """Write one basis function over the cache's rows into out, without temporaries."""
-    q = term.order
-    if term.family == "conj":
-        mc, mq = term.lags
-        np.square(cache.shifted(mq), out=out)
-        np.multiply(cache.shifted(mc, conj=True), out, out=out)
-        if q > 3:
-            np.multiply(out, cache.env_power(mq, q - 3), out=out)
-    elif q > 1:  # aligned (one lag) or cross (ms, me)
-        np.multiply(cache.shifted(term.lags[0]), cache.env_power(term.lags[-1], q - 1), out=out)
-    else:
-        out[...] = cache.shifted(term.lags[0])
+def _envelope(term: BfTerm) -> tuple[int, int]:
+    """(m, e) of term's envelope factor |x(n-m)|^e; e is even, 0 when there is none."""
+    return term.lags[-1], term.order - (3 if term.family == "conj" else 1)
 
 
 def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
@@ -208,7 +170,8 @@ def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
     k (all n of them for an unpartitioned spec) and psi the matching base-set
     rows, an F-order len(rows) x B1 block filled column by column. The blocks
     are cut from one n x B1 allocation, so a caller holding any one of them
-    holds all of this call's rows.
+    holds all of this call's rows. Each region's columns are written from its
+    lag table: the lagged samples, their conjugates and even envelope powers.
     """
     terms = enumerate_bfs(spec)
     lags = [m for t in terms for m in t.lags]  # negative lags are the GMP cross-term leads
@@ -217,19 +180,35 @@ def base_matrix(spec: BasisSpec, x: np.ndarray, start: int,
     window = np.pad(x[max(lo, 0):hi].astype(np.complex128), (max(-lo, 0), max(hi - x.size, 0)))
     ridx = (np.zeros(n, dtype=np.intp) if spec.partition is None
             else spec.partition.region_index(x[start:start + n]))
+    # every (lag, even exponent) an envelope power is kept for, each after the one two below
+    powers = sorted({(m, p) for m, e in map(_envelope, terms) for p in range(2, e + 1, 2)})
     buf = np.empty(n * len(terms), dtype=np.complex128)
     blocks, used = [], 0
     for k in range(spec.n_regions):
         sel = np.flatnonzero(ridx == k)
-        if sel.size:
-            # rebinding frees the previous region's gathered lags before new ones are made
-            cache = _LagCache(window, sel + max_lag)
-            size = sel.size * len(terms)
-            psi = buf[used:used + size].reshape((sel.size, len(terms)), order="F")
-            used += size
-            for j, term in enumerate(terms):
-                _write_column(term, cache, psi[:, j])
-            blocks.append((k, start + sel, psi))
+        if not sel.size:
+            continue
+        shifted = {m: window[sel + max_lag - m] for m in set(lags)}
+        conj = {m: np.conj(shifted[m]) for m in {t.lags[0] for t in terms if t.family == "conj"}}
+        power = {}
+        for m, e in powers:
+            power[m, e] = (power[m, e - 2] * power[m, 2] if e > 2 else
+                           shifted[m].real * shifted[m].real + shifted[m].imag * shifted[m].imag)
+        psi = buf[used:used + sel.size * len(terms)].reshape((sel.size, len(terms)), order="F")
+        used += psi.size
+        for j, term in enumerate(terms):
+            (m, e), out = _envelope(term), psi[:, j]
+            if term.family == "conj":
+                np.square(shifted[m], out=out)
+                np.multiply(conj[term.lags[0]], out, out=out)
+                if e:
+                    np.multiply(out, power[m, e], out=out)
+            elif e:  # aligned (one lag) or cross (ms, me)
+                np.multiply(shifted[term.lags[0]], power[m, e], out=out)
+            else:
+                out[...] = shifted[term.lags[0]]
+        del shifted, conj, power  # frees this region's table before the next is gathered
+        blocks.append((k, start + sel, psi))
     return blocks
 
 

@@ -211,7 +211,12 @@ def cmd_scenario(args) -> int:
     kind = config.get("kind")  # run_scenario reports a missing or ill-typed kind
     outdir = (Path(args.out or os.environ.get("PWDPD_OUT", "."))
               / (args.name or (kind if isinstance(kind, str) else "scenario")))
-    payload = run_scenario(config, outdir)
+    try:
+        payload = run_scenario(config, outdir)
+    except ConfigError as exc:  # a refused run names the --config file it ran
+        if args.config:
+            raise ConfigError(f"{args.config}: {exc}") from None
+        raise
     print(f"bundle written to {outdir}")
     summary = {"kind": payload.get("kind")}
     if "methods" in payload:

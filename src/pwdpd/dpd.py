@@ -104,6 +104,7 @@ class LearnConfig:
 
 @dataclass
 class TraceRecord:
+    COLUMNS = ("iteration", "error_power_dbc", "active_count")  # of a trace CSV and error.json
     iteration: int
     error_power_dbc: float
     active_count: int
@@ -243,7 +244,7 @@ def learn(source: ClosedLoopSource, spec: BasisSpec,
 
 
 def trace_to_csv(trace: list[TraceRecord], path: str | Path) -> None:
-    write_csv(path, "iteration,error_power_dbc,active_count",
+    write_csv(path, ",".join(TraceRecord.COLUMNS),
               ((rec.iteration, f"{rec.error_power_dbc:.6f}", rec.active_count) for rec in trace))
 
 

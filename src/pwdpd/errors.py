@@ -1,6 +1,6 @@
 """Exception types shared across the workbench, the one reader rule of its
-files and configs (the two value tests, check_fields and read_pair), and the
-one form of its files: read_json and write_json for every JSON file (UTF-8
+files and configs (two value tests, check_fields, check_keys, read_pair), and
+the one form of its files: read_json and write_json for every JSON file (UTF-8
 text holding one object, 2-space indent, sorted keys, a trailing newline;
 every refusal one ConfigError naming the file once), write_csv for every CSV.
 
@@ -61,6 +61,15 @@ def check_fields(values, rules: dict, where: str):
         if not fits(value):
             raise ConfigError(f"{where}: {name!r} must be {wanted}, got {value!r}")
     return values
+
+
+def check_keys(values, accepted, where: str) -> None:
+    """A ConfigError naming `where` if values is not a dict or holds a key not in accepted."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} does not hold a JSON object")
+    for key in values:
+        if key not in accepted:
+            raise ConfigError(f"{where} has unknown key {key!r}; it takes {sorted(accepted)}")
 
 
 def read_pair(value, what: str) -> complex:

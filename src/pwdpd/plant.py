@@ -31,13 +31,13 @@ numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, check_fields, is_int, is_number, read_json, read_pair,
-                     write_json)
+from .errors import (ConfigError, check_fields, check_keys, is_int, is_number, read_json,
+                     read_pair, write_json)
 from .signals import IqSignal
 
 # the named coefficient tables and scalar settings of each PA kind, with their
@@ -94,15 +94,15 @@ class PaModel:
     def __post_init__(self):
         if self.kind not in _KIND_FIELDS:
             raise ConfigError(f"unknown PA kind {self.kind!r}; have {sorted(_KIND_FIELDS)}")
-        fields, given = _KIND_FIELDS[self.kind], self.coefficients
-        if "table" in fields and "table" not in given:
+        takes, given = _KIND_FIELDS[self.kind], self.coefficients
+        if "table" in takes and "table" not in given:
             given = {"table": given}
-        if not isinstance(given, dict) or not set(given) <= set(fields):
-            raise ConfigError(f"{self.kind} coefficients take {sorted(fields)}, got {given!r}")
+        if not isinstance(given, dict) or not set(given) <= set(takes):
+            raise ConfigError(f"{self.kind} coefficients take {sorted(takes)}, got {given!r}")
         # a missing required table is None; a NaN saturation_level would switch
         # the limiter off
         c = {name: _check_table(name, given.get(name)) if name in _TABLES
-             else given.get(name, default) for name, default in fields.items()}
+             else given.get(name, default) for name, default in takes.items()}
         settings = {"saturation_level": self.saturation_level, **c}
         check_fields(settings, {name: _SETTINGS[name] for name in settings if name in _SETTINGS},
                      f"{self.kind} PA")
@@ -267,7 +267,12 @@ class ArrayPlant:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArrayPlant":
-        """Inverse of to_dict; a "channel" key that earlier plant files carried is not read."""
+        """Inverse of to_dict; a "channel" key that earlier plant files carried is
+        not read, and any other key to_dict does not write is refused."""
+        check_keys(d, {"channel", *(f.name for f in fields(cls))}, "plant")
+        for i, e in enumerate(d["elements"]):
+            check_keys(e, [f.name for f in fields(PaModel)], f"plant element {i}")
+
         def l2c(name, pairs, shape=None):
             arr = np.asarray([read_pair(v, f"plant field {name!r}") for v in pairs])
             if shape is None:

@@ -26,9 +26,10 @@ from . import __version__
 from . import complexity as complexity_mod
 from .basis import BasisSpec
 from .basis import descriptors_json as basis_descriptors_json
-from .dpd import (LEARN_RANGES, DpdModel, LearnConfig, estimate_gain, learn, predistort,
-                  save_model, trace_to_csv)
-from .errors import ConfigError, check_fields, is_int, is_number, write_csv, write_json
+from .dpd import (LEARN_RANGES, DpdModel, LearnConfig, TraceRecord, estimate_gain, learn,
+                  predistort, save_model, trace_to_csv)
+from .errors import (ConfigError, DivergenceError, check_fields, check_keys, is_int, is_number,
+                     write_csv, write_json)
 from .ila import ILA_RANGES, ila_learn
 from .metrics import (aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd)
 from .partition import (RegionPartition, check_region_count, fit_amam, kmeans_partition,
@@ -525,9 +526,7 @@ def check_settings(values: dict, accepted: dict, where: str) -> dict:
     """values, once each key is one of `accepted` and each value passes its
     one rule (see _KEY_TYPES and _VALUE_TYPES); otherwise a ConfigError that
     names `where` and the key."""
-    for key in values:
-        if key not in accepted:
-            raise ConfigError(f"{where} has unknown key {key!r}; it takes {sorted(accepted)}")
+    check_keys(values, accepted, where)
     return check_fields(values, {key: _KEY_TYPES.get(key) or _value_rule(accepted[key])
                                  for key in values}, where)
 
@@ -537,8 +536,6 @@ def config_section(config: dict, name: str) -> dict:
     its consumer; checked by check_settings against the consumer's keywords,
     then each value given against its SECTION_RANGES range."""
     section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
     where = f"config section {name!r}"
     check_settings(section, accepted_settings(SECTIONS[name]), where)
     return check_fields(section, {key: rule for key, rule in SECTION_RANGES.get(name, {}).items()
@@ -576,7 +573,8 @@ def run_scenario(config: dict, outdir: str | Path) -> dict:
     """Dispatch a scenario config into outdir, a directory that holds no files
     yet (so the manifest lists this run's files only); writes metrics.json and
     the manifest and returns the metrics payload. A run that fails leaves
-    error.json (the exception and the config) beside the files it finished."""
+    error.json (the exception, the config and a diverged learner's trace)
+    beside the files it finished."""
     outdir = Path(outdir)
     if outdir.is_dir() and any(outdir.iterdir()):
         raise ConfigError(f"bundle directory {outdir} already holds files; "
@@ -592,7 +590,9 @@ def run_scenario(config: dict, outdir: str | Path) -> dict:
         write_manifest(outdir, config)
     except Exception as exc:
         outdir.mkdir(parents=True, exist_ok=True)
-        write_json(outdir / "error.json",
-                    {"error": type(exc).__name__, "message": str(exc), "config": config})
+        record = {"error": type(exc).__name__, "message": str(exc), "config": config}
+        if isinstance(exc, DivergenceError):
+            record["trace"] = [{c: getattr(r, c) for c in TraceRecord.COLUMNS} for r in exc.trace]
+        write_json(outdir / "error.json", record)
         raise
     return payload

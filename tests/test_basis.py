@@ -327,8 +327,9 @@ def _docstring_column(term, x):
     return np.conj(_lagged(x, mc)) * _lagged(x, mq) ** 2 * np.abs(_lagged(x, mq)) ** (q - 3)
 
 
-@pytest.mark.parametrize("spec", [BasisSpec("gmp", 5, 2, 2), BasisSpec("full_dual_input", 5, 2)],
-                         ids=["gmp-leads", "full-dual-input-conj"])
+@pytest.mark.parametrize("spec", [BasisSpec("gmp", 5, 2, 2), BasisSpec("full_dual_input", 5, 2),
+                                  BasisSpec("full_dual_input", 9, 3)],
+                         ids=["gmp-leads", "full-dual-input-conj", "full-dual-input-order-9"])
 def test_region_blocks_against_docstring_formulas(spec):
     """Every yielded block equals the docstring formulas on the region's rows,
     across chunk edges, and each chunk's rows split exactly into its regions."""
@@ -372,7 +373,7 @@ def _memory_case(n):
 
 def test_chunked_passes_hold_one_chunk_at_a_time():
     """Over 3 CHUNK + 1000 rows each pass peaks near one chunk's block plus
-    the lag cache and a PANEL-row conjugated panel. Measured peak / block:
+    the lag table and a PANEL-row conjugated panel. Measured peak / block:
     gram_matrix 1.18, apply_gamma 1.20, cross_correlation 1.17. A pass that
     still held the previous chunk's block while the next one was built
     measured 2.18, 2.20 and 2.17."""
@@ -474,17 +475,6 @@ def test_package_does_not_import_scipy():
                 continue
             hits += [(path.name, m) for m in modules if m.split(".")[0] == "scipy"]
     assert hits == []
-
-
-def test_lag_cache_env_power_matches_pow():
-    # env_power builds |x|^e (e even) from products of the cached lower powers
-    x = random_signal(700, rms=0.8, seed=31).samples
-    pos = np.arange(3, x.size)
-    cache = basis_mod._LagCache(x, pos)
-    for lag in (0, 1, 3):
-        ref = np.abs(x[pos - lag])
-        for e in (8, 2, 6, 4):
-            np.testing.assert_allclose(cache.env_power(lag, e), ref ** e, rtol=1e-14)
 
 
 @pytest.mark.parametrize("seed", [7, 4])

@@ -472,7 +472,8 @@ def test_failed_bundle_keeps_finished_runs(tmp_path, monkeypatch):
 
     def fake_train(method, *args, **kwargs):
         if method == "cl_orth":
-            raise DivergenceError("test divergence", [])
+            raise DivergenceError("test divergence", [TraceRecord(1, -40.0, 3),
+                                                      TraceRecord(2, -12.5, 3)])
         return DpdModel(np.arange(3) + 0j, BasisSpec("memoryless", 5)), [TraceRecord(1, -40.0, 3)]
 
     def fake_evaluate(*args, **kwargs):
@@ -486,7 +487,10 @@ def test_failed_bundle_keeps_finished_runs(tmp_path, monkeypatch):
                                "methods": ["pwcl_orth", "cl_orth"]}))
     assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path), "--name", "x"]) == 4
     bundle = tmp_path / "x"
-    assert json.loads((bundle / "error.json").read_text())["error"] == "DivergenceError"
+    record = json.loads((bundle / "error.json").read_text())
+    assert record["error"] == "DivergenceError"
+    assert record["trace"] == [{"iteration": 1, "error_power_dbc": -40.0, "active_count": 3},
+                               {"iteration": 2, "error_power_dbc": -12.5, "active_count": 3}]
     for name in ("partition.json", "pwcl_orth.dpd.json", "trace_pwcl_orth.csv",
                  "psd_pwcl_orth.csv"):
         assert (bundle / name).exists(), name
@@ -1071,7 +1075,7 @@ def test_out_of_range_section_value_exit_code(tmp_path, capsys, monkeypatch, sec
     named = f"config section {section!r}: {key!r} must be"
     assert _scenario_exit_code(tmp_path, **{section: {key: value}}) == 2
     assert named in json.loads((tmp_path / "x" / "error.json").read_text())["message"]
-    capsys.readouterr()
+    assert capsys.readouterr().err.count(str(tmp_path / "c.json")) == 1
     assert main(_train_argv(tmp_path, "pwcl_orth", **{section: {key: value}})) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "m.dpd.json").exists()
@@ -1557,9 +1561,13 @@ def _scenario_config(tmp_path, broken):
     _plant_with("array8-deep", lambda p: p["branch_filters"].update(shape=[16])),
     _plant_with("array8-deep", lambda p: p["coupling"].update(shape=[64, 2])),
     _plant_with("array8-deep", lambda p: p["elements"][0]["coefficients"].update(table=[])),
+    _plant_with("array8-deep", lambda p: p.update(coupling_strenght=p.pop("coupling_strength"))),
+    _plant_with("array8-deep",
+                lambda p: p["elements"][0].update(saturation_levl=p["elements"][0].pop("saturation_level"))),
 ], ids=["plant-without-weights", "doherty-blend-width-zero", "sidecar-without-length",
         "config-as-list", "partition-without-edges", "partition-edge-string",
-        "branch-filters-1d", "coupling-2d", "empty-table"])
+        "branch-filters-1d", "coupling-2d", "empty-table", "misspelled-plant-key",
+        "misspelled-element-key"])
 def test_malformed_input_file_exit_code(tmp_path, capsys, make_argv):
     """Exit 2 with one message: a refused plant file is named once, and no
     exception repr is wrapped inside it."""
