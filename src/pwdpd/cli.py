@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands compose through the documented file formats (IQ pairs with JSON
-sidecars, plant/partition/model JSON, CSV traces). Exit codes: 0 success,
-2 configuration error, 3 numerical degeneracy, 4 learning divergence. The
-output root for scenario bundles defaults to the PWDPD_OUT environment
-variable, then the current directory.
+sidecars, partition and model JSON, CSV traces), and every one but complexity
+reads its plant, seed and settings from a scenario config; none reads a plant
+file. Exit codes: 0 success, 2 configuration error, 3 numerical degeneracy,
+4 learning divergence. The output root for scenario bundles defaults to the
+PWDPD_OUT environment variable, then the current directory.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from .errors import (ConfigError, DegenerateRegionError, DemodulationError, Dive
                      read_json, write_json)
 from .metrics import aclr_single_direction
 from .partition import RegionPartition
-from .plant import array_forward, load_plant, observation_receive, steer
-from .presets import PLANT_PRESETS, load_plant_preset, preset_params
+from .plant import steer
 from .scenarios import (METHODS, _base_spec, _partitions, config_section, derive_partition,
-                        evaluate, evaluation_seed, load_scenario_plant, partition_seed,
+                        evaluate, evaluation_seed, load_scenario_plant, observe, partition_seed,
                         preset_waveform, run_scenario, scenario_settings, section_settings,
                         train_method)
 from .signals import read_iq, write_iq
@@ -100,58 +100,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _given(**settings) -> dict:
-    """The settings whose flags were given, so the defaults of the code that
-    takes them apply to the rest."""
-    return {key: value for key, value in settings.items() if value is not None}
-
-
-def _refuse(reason: str, **flags) -> None:
-    """A configuration error naming the first of flags that was given, for a
-    flag the chosen method does not read."""
-    for name, value in flags.items():
-        if value is not None:
-            raise ConfigError(f"--{name.replace('_', '-')} {reason}")
-
-
 def cmd_simulate(args) -> int:
-    if args.channel_bw is not None and not args.channel_bw > 0:
-        raise ConfigError(f"--channel-bw must be a positive bandwidth, got {args.channel_bw}")
-    bw = args.channel_bw
-    if args.plant in PLANT_PRESETS:
-        plant = load_plant_preset(args.plant)
-        if bw is None:
-            bw = preset_params(args.plant)["channel_bw"]
-    else:
-        plant = load_plant(args.plant)
-    if args.coupling_strength is not None:
-        from dataclasses import replace
-        plant = replace(plant, coupling_strength=args.coupling_strength)
+    _, seed, plant, params = _scenario(args)
     if args.angle is not None:
         plant = steer(plant, args.angle)
-    sig = read_iq(args.input)
-    if args.drive_rms is not None:
-        sig = sig.scaled_to_rms(args.drive_rms)
-    rng = np.random.default_rng(args.seed)
-    z = observation_receive(plant, array_forward(plant, sig), args.noise_floor, rng)
+    _, z = observe(plant, params, read_iq(args.input), evaluation_seed(seed))
     write_iq(Path(args.output), z)
     print(f"wrote {args.output}.iq ({len(z)} samples)")
-    if bw is not None:
-        try:  # a short or narrowband signal still got written; the ACLR line is optional
-            print(f"observation ACLR: {aclr_single_direction(z, bw):.2f} dBc")
-        except ConfigError as exc:
-            print(f"observation ACLR: n/a ({exc})")
+    try:  # a short or narrowband signal still got written; the ACLR line is optional
+        print(f"observation ACLR: {aclr_single_direction(z, params['channel_bw']):.2f} dBc")
+    except ConfigError as exc:
+        print(f"observation ACLR: n/a ({exc})")
     return 0
 
 
 def cmd_partition(args) -> int:
-    if args.regions is not None:
-        _refuse("sets the Taylor partition and is not read with --regions (K-means)",
-                order=args.order, target_error=args.target_error)
     _, seed, plant, params = _scenario(args)
-    part, info = derive_partition(plant, params, partition_seed(seed),
-                                  **_given(order=args.order, target_error=args.target_error,
-                                           n_regions=args.regions))
+    part, info = derive_partition(plant, params, partition_seed(seed), n_regions=args.regions)
     if args.output:
         part.save(args.output)
     print(f"{info['method']} partition, K = {part.n_regions} "
@@ -168,8 +133,8 @@ def cmd_train(args) -> int:
     if learner is None:
         raise ConfigError(f"unknown training method {args.method!r}; "
                           f"have {[m for m, (_, how) in METHODS.items() if how is not None]}")
-    if kind is None:
-        _refuse(f"needs a piecewise method, not {args.method!r}", partition=args.partition)
+    if kind is None and args.partition is not None:
+        raise ConfigError(f"--partition needs a piecewise method, not {args.method!r}")
     config, seed, plant, params = _scenario(args)
     spec = _base_spec(**config_section(config, "basis"))
     if args.partition:
@@ -241,23 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output stem")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", help="run a signal through a plant")
-    p.add_argument("--plant", required=True, help="preset name or plant JSON path")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--drive-rms", type=finite_float, default=None)
-    p.add_argument("--angle", type=finite_float, default=None)
-    p.add_argument("--coupling-strength", type=finite_float, default=None)
-    p.add_argument("--noise-floor", type=finite_float, default=None, help="dBc")
-    p.add_argument("--channel-bw", type=finite_float, default=None)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p = sub.add_parser("simulate", help="write the observation of a signal through a "
+                       "scenario config's plant, as its evaluation receives it")
+    _config_flags(p)
+    p.add_argument("--input", required=True, help="input stem")
+    p.add_argument("--output", required=True, help="output stem")
+    p.add_argument("--angle", type=finite_float, default=None, help="steering angle, degrees")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("partition", help="derive the amplitude partition of a scenario "
                        "config's plant")
     _config_flags(p)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--target-error", type=finite_float, default=None)
     p.add_argument("--regions", type=int, default=None,
                    help="K: a K-means partition of K regions instead of the Taylor one")
     p.add_argument("--output", default=None)

@@ -268,10 +268,13 @@ class ArrayPlant:
     @classmethod
     def from_dict(cls, d: dict) -> "ArrayPlant":
         """Inverse of to_dict; a "channel" key that earlier plant files carried is
-        not read, and any other key to_dict does not write is refused."""
+        not read, and any other key to_dict does not write, at the top level, in
+        an element or in the coupling and branch_filters objects, is refused."""
         check_keys(d, {"channel", *(f.name for f in fields(cls))}, "plant")
         for i, e in enumerate(d["elements"]):
             check_keys(e, [f.name for f in fields(PaModel)], f"plant element {i}")
+        for name in ("coupling", "branch_filters"):
+            check_keys(d[name], ("shape", "values"), f"plant field {name!r}")
 
         def l2c(name, pairs, shape=None):
             arr = np.asarray([read_pair(v, f"plant field {name!r}") for v in pairs])

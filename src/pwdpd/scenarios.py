@@ -55,11 +55,14 @@ METHODS = {
 }
 
 # derive_partition: the ramp probe's AM/AM fit order, length and phase rate
-# (cycles per sample), OFDM samples that set the amplitude range and region
-# shares, and the smallest share a trailing region may hold unmerged
+# (cycles per sample), the Taylor partition's order and target error, OFDM
+# samples that set the amplitude range and region shares, and the smallest
+# share a trailing region may hold unmerged
 FIT_ORDER = 9
 RAMP_SAMPLES = 32768
 RAMP_PHASE_RATE = 1e-3
+TAYLOR_ORDER = 5
+TAYLOR_TARGET_ERROR = 0.01
 PARTITION_BLOCK = 40000
 MIN_SHARE = 0.025
 
@@ -143,12 +146,11 @@ def ramp_probe(amax: float, sample_rate: float) -> IqSignal:
     return IqSignal(env * phase, sample_rate)
 
 
-def derive_partition(plant: ArrayPlant, preset: dict, seed: int, order: int = 5,
-                     target_error: float = 0.01,
+def derive_partition(plant: ArrayPlant, preset: dict, seed: int,
                      n_regions: int | None = None) -> tuple[RegionPartition, dict]:
     """Amplitude partition from a characterization pass: the Taylor partition
-    of order and target_error, or K-means into n_regions regions when that is
-    given.
+    of TAYLOR_ORDER and TAYLOR_TARGET_ERROR, or K-means into n_regions regions
+    when that is given.
 
     An OFDM block sets the amplitude range and the per-region sample shares;
     the amplitude response itself is extracted from a slow full-scale ramp
@@ -170,7 +172,7 @@ def derive_partition(plant: ArrayPlant, preset: dict, seed: int, order: int = 5,
         zp = observation_receive(plant, array_forward(plant, probe))
         ghat = estimate_gain(probe, zp)
         model = fit_amam(probe, zp.with_samples(zp.samples / ghat), FIT_ORDER)
-        part = partition_regions(model, order, target_error)
+        part = partition_regions(model, TAYLOR_ORDER, TAYLOR_TARGET_ERROR)
         fit_residual = model.fit_residual
     else:
         z = observation_receive(plant, array_forward(plant, a1))
@@ -199,16 +201,24 @@ class EvalResult:
     beam: object | None = None
 
 
-def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
-             num_symbols: int = 4, trp: bool = False) -> EvalResult:
-    """Fresh-data evaluation of one DPD model (or the no-DPD reference), with
-    receiver noise at the preset's noise_floor_dbc (none when it is null);
-    trp adds the beam pattern and TRP ACLR over TRP_ANGLES."""
-    a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
-    x = predistort(model, a1) if model is not None else a1
+def observe(plant: ArrayPlant, preset: dict, x: IqSignal,
+            seed: int) -> tuple[list[IqSignal], IqSignal]:
+    """(per-element outputs, observation) of x through plant, with receiver
+    noise at the preset's noise_floor_dbc (none when it is null) drawn from the
+    evaluation noise stream of seed; evaluate and pwdpd simulate both call it."""
     per_element = array_forward(plant, x)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
-    z = observation_receive(plant, per_element, preset["noise_floor_dbc"], rng)
+    return per_element, observation_receive(plant, per_element, preset["noise_floor_dbc"], rng)
+
+
+def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
+             num_symbols: int = 4, trp: bool = False) -> EvalResult:
+    """Fresh-data evaluation of one DPD model (or the no-DPD reference) on the
+    observation of observe; trp adds the beam pattern and TRP ACLR over
+    TRP_ANGLES."""
+    a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
+    x = predistort(model, a1) if model is not None else a1
+    per_element, z = observe(plant, preset, x, seed)
     ghat = estimate_gain(a1, z)
     y = z.with_samples(z.samples / ghat)
 
@@ -277,9 +287,8 @@ def write_manifest(outdir: Path, config: dict) -> Path:
 
 def _partitions(plant: ArrayPlant, preset: dict, seed: int, kinds) -> dict:
     """The partition kinds asked for, each derived at partition_seed(seed); maps
-    "taylor"/"kmeans" to (RegionPartition, info). Taylor, at derive_partition's
-    order and target error, is derived whenever any kind is asked for, since
-    K-means takes its number of regions."""
+    "taylor"/"kmeans" to (RegionPartition, info). Taylor is derived whenever
+    any kind is asked for, since K-means takes its number of regions."""
     if not kinds:
         return {}
     taylor = derive_partition(plant, preset, partition_seed(seed))

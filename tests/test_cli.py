@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ import pytest
 from pwdpd.basis import BasisSpec
 from pwdpd.cli import build_parser, finite_float, main, scenario_preset
 from pwdpd.complexity import ComplexityParams, reference_params
-from pwdpd.errors import ConfigError, DivergenceError
+from pwdpd.errors import ConfigError, DivergenceError, write_csv
+from pwdpd.metrics import aclr_single_direction, psd
 from pwdpd.partition import MAX_REGIONS, RegionPartition
-from pwdpd.plant import save_plant, steer
+from pwdpd.plant import load_plant, save_plant, steer
 from pwdpd.presets import PLANT_PRESETS, load_plant_preset, preset_params
 import pwdpd
-from pwdpd.scenarios import (METHODS, evaluation_seed, preset_waveform, training_seed,
-                             write_manifest)
+from pwdpd.scenarios import (METHODS, evaluation_seed, load_scenario_plant, observe,
+                             preset_waveform, training_seed, write_manifest)
 from pwdpd.signals import read_iq, write_iq
 
 from conftest import random_signal
@@ -36,17 +38,18 @@ def test_generate_writes_bundle(tmp_path, capsys):
 
 
 def test_generate_then_simulate_and_evaluate(tmp_path, capsys):
-    """generate writes the preset's drive level, so simulate needs no --drive-rms."""
+    """simulate --preset NAME runs the input as given (generate writes the
+    preset's drive level) through the config's plant, and its ACLR line is
+    the one evaluate --preset NAME prints for no DPD."""
     stem = tmp_path / "w"
     assert main(["generate", "--preset", "array8-deep", "--output", str(stem)]) == 0
-    outputs = {}
-    for name, argv in (("z", []), ("z056", ["--drive-rms", "0.56"])):
-        assert main(["simulate", "--plant", "array8-deep", "--input", str(stem),
-                     "--output", str(tmp_path / name), *argv]) == 0
-        assert "ACLR" in capsys.readouterr().out
-        outputs[name] = read_iq(tmp_path / name).samples
-    assert len(outputs["z"]) == len(read_iq(stem))
-    np.testing.assert_allclose(outputs["z"], outputs["z056"], rtol=1e-12, atol=1e-12)
+    assert main(["simulate", "--preset", "array8-deep", "--input", str(stem),
+                 "--output", str(tmp_path / "z")]) == 0
+    aclr = capsys.readouterr().out.splitlines()[-1]
+    assert len(read_iq(tmp_path / "z")) == len(read_iq(stem))
+    assert main(["evaluate", "--preset", "array8-deep", "--output", str(tmp_path / "e.json")]) == 0
+    want = json.loads((tmp_path / "e.json").read_text())["aclr_dbc"]
+    assert aclr == f"observation ACLR: {want:.2f} dBc"
 
 
 @pytest.mark.parametrize("plant", PLANT_PRESETS)
@@ -509,21 +512,17 @@ def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind, own)
     error 0.01, the settings all shipped presets use."""
     import pwdpd.scenarios as scenarios
 
-    signature = inspect.signature(scenarios.derive_partition)
     seen = []
 
-    def record(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        seen.append(bound.arguments)
+    def record(model, order, target_error):
+        seen.append((order, target_error))
         raise _Stop
 
-    monkeypatch.setattr(scenarios, "derive_partition", record)
+    monkeypatch.setattr(scenarios, "partition_regions", record)
     config = {"kind": kind, "preset": "doherty-n3", "seed": 3, **own}
     with pytest.raises(_Stop):
         scenarios.run_scenario(config, tmp_path)
-    assert seen[0].get("order") == 5
-    assert seen[0].get("target_error") == 0.01
+    assert seen == [(5, 0.01)]
 
 
 def test_shipped_scenario_presets_are_well_formed():
@@ -691,7 +690,7 @@ def test_removed_scenario_kind_exit_code(tmp_path, kind):
 
 # (kind, config keys, key) of each key a scenario config no longer takes, in
 # its place and with a value it took before: the preset supplies the drive,
-# CFR target and noise floor, derive_partition's defaults the Taylor
+# CFR target and noise floor, derive_partition's constants the Taylor
 # partition, eval.trp the TRP sweep and module constants the runners' settings
 _REMOVED_KEYS = {
     "drive_rms": ("linearization", {"methods": ["none"], "drive_rms": 0.25}, "drive_rms"),
@@ -910,24 +909,29 @@ def test_train_ila_refuses_closed_loop_flags(tmp_path, capsys, method, flag, val
     assert not (tmp_path / "m.dpd.json").exists()
 
 
-# the flags train and evaluate took before they read a scenario config and its
-# seed, each with a value it took
+# the flags train, evaluate and simulate took before they read a scenario
+# config and its seed, each with a value it took
 _REMOVED_FLAGS = [("train", "--plant", "doherty-n3"), ("train", "--family", "gmp"),
                   ("train", "--order", "5"), ("train", "--memory", "3"),
                   ("train", "--cross-memory", "2"), ("train", "--mu", "0.8"),
                   ("train", "--block-size", "2000"), ("train", "--iterations", "1"),
                   ("train", "--prune", "-40"), ("evaluate", "--plant", "doherty-n3"),
                   ("evaluate", "--symbols", "8"), ("evaluate", "--trp"),
-                  ("evaluate", "--seed", "777")]
+                  ("evaluate", "--seed", "777"), ("simulate", "--plant", "doherty-n3"),
+                  ("simulate", "--drive-rms", "0.56"), ("simulate", "--coupling-strength", "0.5"),
+                  ("simulate", "--noise-floor", "-54"), ("simulate", "--channel-bw", "2e7"),
+                  ("simulate", "--seed", "3")]
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, *f in _REMOVED_FLAGS],
                          ids=[f"{c}{f}" for c, f, *_ in _REMOVED_FLAGS])
 def test_train_and_evaluate_removed_flag_exit_code(tmp_path, capsys, command, flag):
-    """train and evaluate take their plant, basis, learner and eval settings
-    from --preset or --config only; each flag that set one is a usage error."""
+    """train, evaluate and simulate take their plant, basis, learner, eval and
+    noise settings from --preset or --config only; each flag that set one is a
+    usage error."""
     out = tmp_path / "out"
-    assert main([command, "--preset", "doherty-n3", "--output", str(out), *flag]) == 2
+    inputs = ["--input", str(tmp_path / "wave")] if command == "simulate" else []
+    assert main([command, "--preset", "doherty-n3", *inputs, "--output", str(out), *flag]) == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -961,14 +965,18 @@ def test_evaluate_reads_the_preset_config(tmp_path):
     assert json.loads((tmp_path / "e.json").read_text()) == json.loads(json.dumps(want))
 
 
-# the flags partition took before it read a scenario config, each with a value it took
-_REMOVED_PARTITION_FLAGS = [("--plant", "doherty-n3"), ("--seed", "17")]
+# the flags partition took before it read a scenario config, and the Taylor
+# order and target error it took before they became derive_partition's
+# constants, each with a value it took
+_REMOVED_PARTITION_FLAGS = [("--plant", "doherty-n3"), ("--seed", "17"), ("--order", "5"),
+                            ("--target-error", "0.01")]
 
 
 @pytest.mark.parametrize("flag, value", _REMOVED_PARTITION_FLAGS,
                          ids=[f for f, _ in _REMOVED_PARTITION_FLAGS])
 def test_partition_removed_flag_exit_code(tmp_path, capsys, flag, value):
-    """partition takes its plant and seed from --preset or --config only."""
+    """partition takes its plant and seed from --preset or --config only, and
+    sets no Taylor order or target error."""
     assert main(["partition", "--preset", "doherty-n3", "--output", str(tmp_path / "p.json"),
                  flag, value]) == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
@@ -1038,6 +1046,16 @@ def test_train_and_evaluate_reproduce_the_bundle(tmp_path):
         figures = json.loads((tmp_path / "e.json").read_text())
         assert figures == {key: metrics[method][key] for key in figures}, method
         assert "aclr_dbc" in figures and "evm_percent" in figures
+    # generate then simulate writes the observation the bundle scores for none
+    assert main(["generate", "--config", cfg, "--output", str(tmp_path / "w")]) == 0
+    assert main(["simulate", "--config", cfg, "--input", str(tmp_path / "w"),
+                 "--output", str(tmp_path / "z")]) == 0
+    z = read_iq(tmp_path / "z")
+    channel_bw = preset_params(config["preset"])["channel_bw"]
+    assert aclr_single_direction(z, channel_bw) == metrics["none"]["aclr_dbc"]
+    freqs, db = psd(z)
+    write_csv(tmp_path / "psd.csv", "freq_hz,psd_db_hz", zip(freqs.tolist(), db.tolist()))
+    assert (tmp_path / "psd.csv").read_bytes() == (bundle / "psd_none.csv").read_bytes()
 
 
 def test_scenario_refuses_a_directory_with_files(tmp_path, capsys):
@@ -1087,7 +1105,8 @@ def _not_utf8(path):
 
 
 # each JSON reader: the file it reads in a scratch directory d, the argv that
-# reads it (with any companion file written), and an object the reader refuses
+# reads it (with any companion file written) or, for a plant file, which no
+# command reads, the path load_plant reads, and an object the reader refuses
 _READERS = {
     "train-config": ("c.json", lambda d: ["train", "--config", str(d / "c.json"),
                                           "--output", str(d / "m")],
@@ -1098,14 +1117,13 @@ _READERS = {
     "evaluate-model": ("m.dpd.json", lambda d: ["evaluate", "--preset", "doherty-n3",
                                                 "--model", str(d / "m")],
                        {"gamma": []}),
-    "simulate-plant": ("p.json", lambda d: ["simulate", "--plant", str(d / "p.json"),
-                                            "--input", str(d / "wave"), "--output", str(d / "z")],
-                       dict(load_plant_preset("doherty-n3").to_dict(), weights=[[1.0]])),
+    "plant-file": ("p.json", lambda d: d / "p.json",
+                   dict(load_plant_preset("doherty-n3").to_dict(), weights=[[1.0]])),
     "complexity-params": ("params.json", lambda d: ["complexity", "--params",
                                                     str(d / "params.json")],
                           dict(dataclasses.asdict(reference_params()), k=0)),
     "simulate-sidecar": ("wave.iq.json", lambda d: [
-        "simulate", "--plant", "doherty-n3", "--output", str(d / "z"),
+        "simulate", "--preset", "doherty-n3", "--output", str(d / "z"),
         "--input", str(write_iq(d / "wave", random_signal(64, rms=0.3, seed=3))[0])],
         {"length": -1, "sample_rate": 1e9, "seed": None}),
 }
@@ -1120,7 +1138,8 @@ _FAULTS = {
 
 
 def _faulty_file(reader, fault):
-    """The (argv, file) of reader reading its file with fault, for a scratch directory d."""
+    """The (argv or plant path, file) of reader reading its file with fault, for a
+    scratch directory d."""
     name, make_argv, refused = _READERS[reader]
 
     def make_case(d):
@@ -1146,28 +1165,36 @@ _UNREADABLE = {
 def test_unreadable_input_file_exit_code(tmp_path, capsys, make_case):
     """A directory where a file belongs, and a JSON file that is truncated, not
     UTF-8, not an object or holds a field its reader refuses, is a configuration
-    error (exit 2), not a traceback, and the message names the file once."""
+    error (exit 2, or load_plant's ConfigError), not a traceback, and the
+    message names the file once."""
     argv, named = make_case(tmp_path)
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+    err = _refusal(argv, capsys)
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert err.count(str(named)) == 1, err
+
+
+def _refusal(case, capsys) -> str:
+    """The error main(case) prints on exit 2 or, for a plant path, the
+    ConfigError of load_plant(case) in the form main prints it."""
+    if isinstance(case, Path):
+        with pytest.raises(ConfigError) as refused:
+            load_plant(case)
+        return f"configuration error: {refused.value}"
+    assert main(case) == 2
+    return capsys.readouterr().err
 
 
 _UNREAD_PARTITION_FLAGS = [
     (["--method", "kmeans", "--regions", "4"], "--method"),
     (["--method", "taylor", "--regions", "4"], "--method"),
-    (["--regions", "4", "--order", "3"], "--order"),
-    (["--regions", "4", "--target-error", "0.5"], "--target-error"),
 ]
 
 
 @pytest.mark.parametrize("flags, named", _UNREAD_PARTITION_FLAGS,
-                         ids=["method-kmeans", "taylor-regions", "kmeans-order",
-                              "kmeans-target-error"])
+                         ids=["method-kmeans", "taylor-regions"])
 def test_partition_refuses_flags_its_method_does_not_read(tmp_path, capsys, flags, named):
-    """--regions K alone selects K-means, which reads neither Taylor flag; there
-    is no --method flag, so giving one is a usage error."""
+    """--regions K alone selects K-means; there is no --method flag, so giving
+    one is a usage error."""
     part = tmp_path / "part.json"
     assert main(["partition", "--preset", "doherty-n3", *flags, "--output", str(part)]) == 2
     assert named in capsys.readouterr().err
@@ -1206,19 +1233,32 @@ def test_train_non_finite_partition_file_exit_code(tmp_path, capsys, edge):
     assert not (tmp_path / "m.dpd.json").exists()
 
 
+def _subcommands() -> dict:
+    """Each subcommand of build_parser() by name, with its parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_every_command_reads_the_scenario_config():
+    """Every subcommand but complexity takes its plant, seed and settings from
+    --preset or --config, and none reads a plant file."""
+    for name, parser in _subcommands().items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert ({"--preset", "--config"} <= flags) == (name != "complexity"), name
+        assert "--plant" not in flags, name
+
+
 def _float_flags():
     """(subcommand, flag) of every float-typed flag of build_parser()."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [(name, action.option_strings[-1]) for name, parser in sub.choices.items()
+    return [(name, action.option_strings[-1]) for name, parser in _subcommands().items()
             for action in parser._actions if action.type in (float, finite_float)]
 
 
 # the required flags of each subcommand with a float flag or a --seed, for an
 # output root d
 _REQUIRED_FLAGS = {
-    "simulate": lambda d: ["--plant", "doherty-n3", "--input", str(d / "wave"),
+    "simulate": lambda d: ["--preset", "doherty-n3", "--input", str(d / "wave"),
                            "--output", str(d / "z")],
-    "partition": lambda d: ["--preset", "doherty-n3", "--output", str(d / "part.json")],
     "train": lambda d: ["--preset", "doherty-n3", "--output", str(d / "m")],
 }
 
@@ -1237,8 +1277,7 @@ def test_non_finite_float_flag_exit_code(tmp_path, capsys, command, flag, value)
 
 def _seed_commands():
     """Every subcommand of build_parser() that takes --seed."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [name for name, parser in sub.choices.items()
+    return [name for name, parser in _subcommands().items()
             if any("--seed" in action.option_strings for action in parser._actions)]
 
 
@@ -1273,28 +1312,11 @@ def test_partition_region_cap_exit_code(tmp_path, capsys, monkeypatch):
 def test_simulate_without_aclr_view_still_succeeds(tmp_path, capsys):
     # 64 samples at rate 1: shorter than one PSD segment and narrower than 3 channels
     write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
-    rc = main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
+    rc = main(["simulate", "--preset", "doherty-n3", "--input", str(tmp_path / "wave"),
                "--output", str(tmp_path / "z")])
     assert rc == 0
     assert len(read_iq(tmp_path / "z")) == 64
     assert "observation ACLR: n/a (" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("drive_rms", ["-0.25", "0", "nan"])
-def test_simulate_non_positive_drive_exit_code(tmp_path, drive_rms):
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
-    assert main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z"), "--drive-rms", drive_rms]) == 2
-    assert not (tmp_path / "z.iq").exists()
-
-
-@pytest.mark.parametrize("channel_bw", ["0", "-1", "inf"])
-def test_simulate_bad_channel_bw_exit_code(tmp_path, channel_bw):
-    """A given --channel-bw is used, never replaced by the preset's, so a bad one is refused."""
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
-    assert main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z"), "--channel-bw", channel_bw]) == 2
-    assert not (tmp_path / "z.iq").exists()
 
 
 @pytest.mark.parametrize("drive_rms", [-0.25, 0])
@@ -1313,20 +1335,24 @@ _REMOVED_PA_KINDS = {
 }
 
 
+def _plant_refusal(tmp_path, plant) -> str:
+    """load_plant's refusal of the plant dict saved as a file, which names the file once."""
+    plant_file = _json_file(tmp_path / "p.json", plant)
+    with pytest.raises(ConfigError) as refused:
+        load_plant(plant_file)
+    assert str(refused.value).count(plant_file) == 1, refused.value
+    return str(refused.value)
+
+
 @pytest.mark.parametrize("kind", list(_REMOVED_PA_KINDS))
-def test_simulate_removed_pa_kind_exit_code(tmp_path, capsys, kind):
-    """A plant file naming a removed PA kind exits 2 naming it: a memoryless
+def test_simulate_removed_pa_kind_exit_code(tmp_path, kind):
+    """A plant file naming a removed PA kind is refused naming it: a memoryless
     PA is a memory_poly table with tap 0 only, and no preset runs a dual-input
     PA."""
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     plant = load_plant_preset("doherty-n3").to_dict()
     plant["elements"][0] = {"kind": kind, "saturation_level": None,
                             "coefficients": _REMOVED_PA_KINDS[kind]}
-    plant_file = _json_file(tmp_path / "p.json", plant)
-    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z")]) == 2
-    assert f"unknown PA kind {kind!r}" in capsys.readouterr().err
-    assert not (tmp_path / "z.iq").exists()
+    assert f"unknown PA kind {kind!r}" in _plant_refusal(tmp_path, plant)
 
 
 def _set_plant_field(plant, field, value):
@@ -1345,34 +1371,25 @@ _PLANT_SCALARS = [("saturation_level", math.nan), ("coupling_strength", math.nan
 
 @pytest.mark.parametrize("field, value", _PLANT_SCALARS,
                          ids=[f"{f}={v!r}" for f, v in _PLANT_SCALARS])
-def test_plant_file_non_finite_scalar_exit_code(tmp_path, capsys, field, value):
-    """A plant scalar that is not a finite JSON number is refused with exit 2
-    naming it; a NaN saturation_level would otherwise switch the limiter off,
-    and a string or bool would be read as a number."""
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+def test_plant_file_non_finite_scalar_exit_code(tmp_path, field, value):
+    """A plant scalar that is not a finite JSON number is refused naming it; a
+    NaN saturation_level would otherwise switch the limiter off, and a string
+    or bool would be read as a number."""
     plant = load_plant_preset("array8-deep").to_dict()
     _set_plant_field(plant, field, value)
-    plant_file = _json_file(tmp_path / "p.json", plant)
-    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z")]) == 2
-    assert repr(field) in capsys.readouterr().err
-    assert not (tmp_path / "z.iq").exists()
+    assert repr(field) in _plant_refusal(tmp_path, plant)
 
 
 @pytest.mark.parametrize("row", [[[1, 0], [0.5, 0.0]], [[3.5, 1], [0.1, 0.0]],
                                  [[True, 0], [0.1, 0.0]]],
                          ids=["key-twice", "float-order", "bool-order"])
-def test_plant_file_table_key_exit_code(tmp_path, capsys, row):
+def test_plant_file_table_key_exit_code(tmp_path, row):
     """A coefficient table's keys are JSON integers, each listed once; any
-    other row exits 2 naming the table instead of being rounded or overwritten."""
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    other row is refused naming the table instead of being rounded or
+    overwritten."""
     plant = load_plant_preset("array8-deep").to_dict()
     plant["elements"][0]["coefficients"]["table"].append(row)
-    plant_file = _json_file(tmp_path / "p.json", plant)
-    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z")]) == 2
-    assert "'table'" in capsys.readouterr().err
-    assert not (tmp_path / "z.iq").exists()
+    assert "'table'" in _plant_refusal(tmp_path, plant)
 
 
 def _set_first_pair(plant, field, value):
@@ -1392,18 +1409,13 @@ _PLANT_PAIRS = [("weights", [True, False]), ("weights", [math.nan, 0.0]), ("weig
 
 @pytest.mark.parametrize("field, value", _PLANT_PAIRS,
                          ids=[f"{f}={v!r}" for f, v in _PLANT_PAIRS])
-def test_plant_file_complex_pair_exit_code(tmp_path, capsys, field, value):
+def test_plant_file_complex_pair_exit_code(tmp_path, field, value):
     """Every complex number in a plant file (weights, coupling, branch filters,
     coefficient rows) is an [re, im] pair of finite JSON numbers; anything else
-    exits 2 naming the field or table instead of loading as a number."""
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    is refused naming the field or table instead of loading as a number."""
     plant = load_plant_preset("doherty-n3").to_dict()
     _set_first_pair(plant, field, value)
-    plant_file = _json_file(tmp_path / "p.json", plant)
-    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z")]) == 2
-    assert repr(field) in capsys.readouterr().err
-    assert not (tmp_path / "z.iq").exists()
+    assert repr(field) in _plant_refusal(tmp_path, plant)
 
 
 _PLANT_SHAPES = [("coupling", [1, -1, 1]), ("coupling", [1, 1.0, 1]), ("coupling", [1, 1]),
@@ -1413,34 +1425,26 @@ _PLANT_SHAPES = [("coupling", [1, -1, 1]), ("coupling", [1, 1.0, 1]), ("coupling
 
 @pytest.mark.parametrize("field, shape", _PLANT_SHAPES,
                          ids=[f"{f}={s!r}" for f, s in _PLANT_SHAPES])
-def test_plant_file_shape_exit_code(tmp_path, capsys, field, shape):
+def test_plant_file_shape_exit_code(tmp_path, field, shape):
     """A coupling or branch_filters shape is a list of integers >= 1, three for
     coupling and two for branch_filters, whose product is the field's value
     count; a -1 (which reshape would infer), a float, a bool, a missing axis or
-    a shape the values do not fill exits 2 naming the field."""
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    a shape the values do not fill is refused naming the field."""
     plant = load_plant_preset("doherty-n3").to_dict()
     plant[field]["shape"] = shape
-    plant_file = _json_file(tmp_path / "p.json", plant)
-    assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                 "--output", str(tmp_path / "z")]) == 2
-    assert repr(field) in capsys.readouterr().err
-    assert not (tmp_path / "z.iq").exists()
+    assert repr(field) in _plant_refusal(tmp_path, plant)
 
 
 def test_plant_file_channel_key_not_read(tmp_path):
     """A plant file that still holds the channel key earlier files carried
-    loads, and the key does not change what simulate writes."""
-    write_iq(tmp_path / "wave", random_signal(256, rms=0.4, seed=5))
+    loads, and the key does not change the plant read."""
     plant = steer(load_plant_preset("array8-deep"), 20.0).to_dict()
     assert "channel" not in plant
-    outputs = []
     for name, extra in (("without", {}), ("with", {"channel": [[0.3, -0.1]] * 8})):
-        plant_file = _json_file(tmp_path / f"{name}.json", dict(plant, **extra))
-        assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                     "--output", str(tmp_path / name)]) == 0
-        outputs.append((tmp_path / f"{name}.iq").read_bytes())
-    assert outputs[0] == outputs[1]
+        save_plant(load_plant(_json_file(tmp_path / f"{name}.json", dict(plant, **extra))),
+                   tmp_path / f"{name}.saved.json")
+    assert (tmp_path / "with.saved.json").read_bytes() == \
+        (tmp_path / "without.saved.json").read_bytes()
 
 
 _SIDECAR_VALUES = [("length", "4096"), ("length", 4096.0), ("length", True),
@@ -1455,7 +1459,7 @@ def test_iq_sidecar_field_type_exit_code(tmp_path, capsys, field, value):
     null; a string, bool or float in their place exits 2 naming the field."""
     _, sidecar = write_iq(tmp_path / "wave", random_signal(4096, rms=0.3, seed=3, sample_rate=2e9))
     sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{field: value})))
-    assert main(["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
+    assert main(["simulate", "--preset", "doherty-n3", "--input", str(tmp_path / "wave"),
                  "--output", str(tmp_path / "z")]) == 2
     assert repr(field) in capsys.readouterr().err
     assert not (tmp_path / "z.iq").exists()
@@ -1463,51 +1467,44 @@ def test_iq_sidecar_field_type_exit_code(tmp_path, capsys, field, value):
 
 def test_plant_file_unlimited_saturation_level(tmp_path):
     """Infinity and null both mean no limiter."""
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
-    outputs = []
     for name, level in (("inf", math.inf), ("null", None)):
         plant = load_plant_preset("array8-deep").to_dict()
         _set_plant_field(plant, "saturation_level", level)
-        plant_file = _json_file(tmp_path / f"{name}.json", plant)
-        assert main(["simulate", "--plant", plant_file, "--input", str(tmp_path / "wave"),
-                     "--output", str(tmp_path / name)]) == 0
-        outputs.append(read_iq(tmp_path / name).samples)
-    np.testing.assert_array_equal(*outputs)
+        loaded = load_plant(_json_file(tmp_path / f"{name}.json", plant))
+        assert loaded.elements[0].saturation_level == math.inf
 
 
 def test_simulate_angle_zero_resteers(tmp_path):
-    """--angle 0 steers a plant file saved at 30 degrees back to broadside."""
+    """--angle A steers the config's plant to A degrees: simulate writes, bit
+    for bit, observe's observation of the steered plant at the evaluation seed,
+    and --angle 0 that of the plant at broadside."""
     write_iq(tmp_path / "wave", random_signal(256, rms=0.4, seed=5))
-    plant = load_plant_preset("array8-deep")
+    config = scenario_preset("array8-deep")
+    plant, params = load_scenario_plant(config)
     outputs = {}
-    for name, angle, argv in (("saved30", 30.0, ["--angle", "0"]), ("at30", 30.0, []),
-                              ("at0", 0.0, [])):
-        save_plant(steer(plant, angle), tmp_path / f"{name}.json")
-        assert main(["simulate", "--plant", str(tmp_path / f"{name}.json"),
-                     "--input", str(tmp_path / "wave"), "--output", str(tmp_path / name),
-                     *argv]) == 0
-        outputs[name] = read_iq(tmp_path / name).samples
-    np.testing.assert_array_equal(outputs["saved30"], outputs["at0"])
-    assert not np.allclose(outputs["saved30"], outputs["at30"])
+    for angle in (30.0, 0.0):
+        assert main(["simulate", "--preset", "array8-deep", "--input", str(tmp_path / "wave"),
+                     "--output", str(tmp_path / "z"), "--angle", str(angle)]) == 0
+        _, want = observe(steer(plant, angle), params, read_iq(tmp_path / "wave"),
+                          evaluation_seed(config["seed"]))
+        outputs[angle] = read_iq(tmp_path / "z").samples
+        assert outputs[angle].tobytes() == want.samples.tobytes()
+    assert not np.allclose(outputs[30.0], outputs[0.0])
 
 
 def _plant_file(tmp_path, broken):
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
     if broken:
         plant = json.loads((tmp_path / "p.json").read_text())
         del plant["weights"]
         (tmp_path / "p.json").write_text(json.dumps(plant))
-    return ["simulate", "--plant", str(tmp_path / "p.json"), "--input", str(tmp_path / "wave"),
-            "--output", str(tmp_path / "z")]
+    return tmp_path / "p.json"
 
 
 def _doherty_blend_width(tmp_path, broken):
-    write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
     plant = load_plant_preset("doherty-n3").to_dict()
     plant["elements"][0]["coefficients"]["blend_width"] = 0 if broken else 0.07
-    return ["simulate", "--plant", _json_file(tmp_path / "p.json", plant),
-            "--input", str(tmp_path / "wave"), "--output", str(tmp_path / "z")]
+    return Path(_json_file(tmp_path / "p.json", plant))
 
 
 def _iq_sidecar(tmp_path, broken):
@@ -1516,7 +1513,7 @@ def _iq_sidecar(tmp_path, broken):
         meta = json.loads(sidecar.read_text())
         del meta["length"]
         sidecar.write_text(json.dumps(meta))
-    return ["simulate", "--plant", "doherty-n3", "--input", str(tmp_path / "wave"),
+    return ["simulate", "--preset", "doherty-n3", "--input", str(tmp_path / "wave"),
             "--output", str(tmp_path / "z")]
 
 
@@ -1538,15 +1535,14 @@ def _partition_with(**fields):
 
 
 def _plant_with(preset, edit):
-    """A saved plant preset, or with broken set, that plant's JSON changed by edit."""
-    def make_argv(tmp_path, broken):
-        write_iq(tmp_path / "wave", random_signal(64, rms=0.3, seed=3))
+    """The path of a saved plant preset, or with broken set, of that plant's
+    JSON changed by edit."""
+    def make_path(tmp_path, broken):
         plant = load_plant_preset(preset).to_dict()
         if broken:
             edit(plant)
-        return ["simulate", "--plant", _json_file(tmp_path / "p.json", plant),
-                "--input", str(tmp_path / "wave"), "--output", str(tmp_path / "z")]
-    return make_argv
+        return Path(_json_file(tmp_path / "p.json", plant))
+    return make_path
 
 
 def _scenario_config(tmp_path, broken):
@@ -1564,19 +1560,24 @@ def _scenario_config(tmp_path, broken):
     _plant_with("array8-deep", lambda p: p.update(coupling_strenght=p.pop("coupling_strength"))),
     _plant_with("array8-deep",
                 lambda p: p["elements"][0].update(saturation_levl=p["elements"][0].pop("saturation_level"))),
+    _plant_with("array8-deep", lambda p: p["coupling"].update(strength=0.9)),
+    _plant_with("array8-deep", lambda p: p["branch_filters"].update(taps=2)),
 ], ids=["plant-without-weights", "doherty-blend-width-zero", "sidecar-without-length",
         "config-as-list", "partition-without-edges", "partition-edge-string",
         "branch-filters-1d", "coupling-2d", "empty-table", "misspelled-plant-key",
-        "misspelled-element-key"])
+        "misspelled-element-key", "coupling-unknown-key", "branch-filters-unknown-key"])
 def test_malformed_input_file_exit_code(tmp_path, capsys, make_argv):
-    """Exit 2 with one message: a refused plant file is named once, and no
+    """Exit 2 with one message (for a plant file, which no command reads,
+    load_plant's ConfigError): a refused plant file is named once, and no
     exception repr is wrapped inside it."""
-    assert main(make_argv(tmp_path, broken=False)) == 0
-    capsys.readouterr()
-    argv = make_argv(tmp_path, broken=True)
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+    good = make_argv(tmp_path, broken=False)
+    if isinstance(good, Path):
+        load_plant(good)
+    else:
+        assert main(good) == 0
+        capsys.readouterr()
+    case = make_argv(tmp_path, broken=True)
+    err = _refusal(case, capsys)
     assert "configuration error" in err and "ConfigError(" not in err
-    plant = argv[argv.index("--plant") + 1] if "--plant" in argv else ""
-    if plant.endswith(".json"):
-        assert err.count(plant) == 1
+    if isinstance(case, Path):
+        assert err.count(str(case)) == 1
