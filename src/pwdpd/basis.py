@@ -25,11 +25,11 @@ than one panel is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRegionError, check_fields, is_int
+from .errors import ConfigError, DegenerateRegionError, check_fields, check_keys, is_int
 from .partition import RegionPartition
 from .signals import IqSignal
 
@@ -117,7 +117,9 @@ class BasisSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
-        """Inverse of to_dict; a missing family or max_order is refused by name."""
+        """Inverse of to_dict; a missing family or max_order, and any key but those
+        and the unread orders and memories of earlier specs, is refused by name."""
+        check_keys(d, {*(f.name for f in fields(cls)), "orders", "memories"}, "basis spec")
         part = d.get("partition")
         return cls(family=d.get("family"), max_order=d.get("max_order"),
                    memory_depth=d.get("memory_depth", 0),

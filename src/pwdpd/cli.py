@@ -2,10 +2,12 @@
 
 Subcommands compose through the documented file formats (IQ pairs with JSON
 sidecars, partition and model JSON, CSV traces), and every one but complexity
-reads its plant, seed and settings from a scenario config; none reads a plant
-file. Exit codes: 0 success, 2 configuration error, 3 numerical degeneracy,
-4 learning divergence. The output root for scenario bundles defaults to the
-PWDPD_OUT environment variable, then the current directory.
+reads its plant, seed and settings from a scenario config, as
+scenarios.scenario_settings checks and resolves it; none reads a plant file
+or checks a config section itself. Exit codes: 0 success, 2 configuration
+error, 3 numerical degeneracy, 4 learning divergence. The output root for
+scenario bundles defaults to the PWDPD_OUT environment variable, then the
+current directory.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .errors import (ConfigError, DegenerateRegionError, DemodulationError, Dive
 from .metrics import aclr_single_direction
 from .partition import RegionPartition
 from .plant import steer
-from .scenarios import (METHODS, _base_spec, _partitions, config_section, derive_partition,
-                        evaluate, evaluation_seed, load_scenario_plant, observe, partition_seed,
-                        preset_waveform, run_scenario, scenario_settings, section_settings,
-                        train_method)
+from .scenarios import (METHODS, _partitions, derive_partition, evaluate, evaluation_seed,
+                        load_scenario_plant, observe, partition_seed, preset_waveform,
+                        run_scenario, scenario_settings, train_method)
 from .signals import read_iq, write_iq
 from .waveform import papr_ccdf
 
@@ -80,16 +81,16 @@ def _load_config(args, parse=dict):
 
 
 def _scenario(args) -> tuple:
-    """(config, seed, plant with the coupling override, plant preset parameters)
-    of the scenario config of --preset or --config, checked whole."""
-    return _load_config(args, lambda config: (config, scenario_settings(config)["seed"],
+    """(scenario_settings, plant with the coupling override, plant preset
+    parameters) of the scenario config of --preset or --config."""
+    return _load_config(args, lambda config: (scenario_settings(config),
                                               *load_scenario_plant(config)))
 
 
 def cmd_generate(args) -> int:
-    config, seed, _, params = _scenario(args)
-    sig, grid, cfg = preset_waveform(params, section_settings(config, "eval")["num_symbols"],
-                                     evaluation_seed(seed))
+    settings, _, params = _scenario(args)
+    sig, grid, cfg = preset_waveform(params, settings["eval"]["num_symbols"],
+                                     evaluation_seed(settings["seed"]))
     stem = Path(args.output)
     write_iq(stem, sig)
     np.save(str(stem) + ".grid.npy", grid)
@@ -101,10 +102,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _, seed, plant, params = _scenario(args)
+    settings, plant, params = _scenario(args)
     if args.angle is not None:
         plant = steer(plant, args.angle)
-    _, z = observe(plant, params, read_iq(args.input), evaluation_seed(seed))
+    _, z = observe(plant, params, read_iq(args.input), evaluation_seed(settings["seed"]))
     write_iq(Path(args.output), z)
     print(f"wrote {args.output}.iq ({len(z)} samples)")
     try:  # a short or narrowband signal still got written; the ACLR line is optional
@@ -115,8 +116,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    _, seed, plant, params = _scenario(args)
-    part, info = derive_partition(plant, params, partition_seed(seed), n_regions=args.regions)
+    settings, plant, params = _scenario(args)
+    part, info = derive_partition(plant, params, partition_seed(settings["seed"]),
+                                  n_regions=args.regions)
     if args.output:
         part.save(args.output)
     print(f"{info['method']} partition, K = {part.n_regions} "
@@ -135,13 +137,13 @@ def cmd_train(args) -> int:
                           f"have {[m for m, (_, how) in METHODS.items() if how is not None]}")
     if kind is None and args.partition is not None:
         raise ConfigError(f"--partition needs a piecewise method, not {args.method!r}")
-    config, seed, plant, params = _scenario(args)
-    spec = _base_spec(**config_section(config, "basis"))
+    settings, plant, params = _scenario(args)
+    partition = None
     if args.partition:
-        spec = spec.with_partition(RegionPartition.load(args.partition))
+        partition = RegionPartition.load(args.partition)
     elif kind is not None:
-        spec = spec.with_partition(_partitions(plant, params, seed, {kind})[kind][0])
-    model, trace = train_method(args.method, plant, params, config, spec, seed=args.seed)
+        partition = _partitions(plant, params, settings["seed"], {kind})[kind][0]
+    model, trace = train_method(args.method, plant, params, settings, partition, seed=args.seed)
     save_model(model, args.output)
     trace_to_csv(trace, str(args.output) + ".trace.csv")
     print(f"wrote {args.output}.dpd.json "
@@ -151,9 +153,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, seed, plant, params = _scenario(args)
+    settings, plant, params = _scenario(args)
     model = load_model(args.model) if args.model else None
-    res = evaluate(plant, params, model, evaluation_seed(seed), **config_section(config, "eval"))
+    res = evaluate(plant, params, model, evaluation_seed(settings["seed"]), **settings["eval"])
     print(json.dumps({k: round(v, 4) for k, v in res.metrics.items()},
                      indent=2, sort_keys=True))
     if args.output:

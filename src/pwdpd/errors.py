@@ -63,13 +63,14 @@ def check_fields(values, rules: dict, where: str):
     return values
 
 
-def check_keys(values, accepted, where: str) -> None:
-    """A ConfigError naming `where` if values is not a dict or holds a key not in accepted."""
+def check_keys(values, accepted, where: str):
+    """values, a dict whose every key is in accepted; else a ConfigError naming `where`."""
     if not isinstance(values, dict):
         raise ConfigError(f"{where} does not hold a JSON object")
     for key in values:
         if key not in accepted:
             raise ConfigError(f"{where} has unknown key {key!r}; it takes {sorted(accepted)}")
+    return values
 
 
 def read_pair(value, what: str) -> complex:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, is_number, read_json, write_json
+from .errors import ConfigError, check_keys, is_number, read_json, write_json
 from .signals import IqSignal
 
 # derivative_max's grid points, partition_regions' width tolerance as a
@@ -71,10 +71,11 @@ class RegionPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionPartition":
-        """Reads the edges alone; the per-region orders and target errors that
-        earlier partition files carried are not read."""
+        """Reads the edges alone; the per-region orders and target errors of
+        earlier files are not read, and any other key is refused."""
         if not isinstance(d, dict) or "edges" not in d:
             raise ConfigError("a partition must be a JSON object with an 'edges' list")
+        check_keys(d, ("edges", "orders", "target_error"), "partition")
         edges = d["edges"]
         if not (isinstance(edges, list) and all(map(is_number, edges))):
             raise ConfigError(f"partition field 'edges' must be a list of finite numbers, got {edges!r}")

@@ -1,5 +1,7 @@
 """Config-driven experiment pipelines and their output bundles.
 
+scenario_settings checks a config once and fills each section with its
+consumer's defaults; the runners, train_method and the CLI read the result.
 Every scenario is deterministic given its seed: waveform seeds, learning
 block seeds, and observation noise all derive from the config's seed by the
 three seed rules below (partition_seed, training_seed, evaluation_seed),
@@ -88,7 +90,10 @@ def training_seed(seed: int, index: int) -> int:
 
 
 def evaluation_seed(seed: int) -> int:
-    """The seed of the fresh data every model of a config is evaluated on."""
+    """The seed of the frame every model of a config is evaluated on. It need
+    not be fresh data: SimulatedLoop draws block j of method `index` at
+    training_seed(seed, index) + j, so a learner that draws 7 - index blocks or
+    more draws this frame too, as every closed-loop one of the shipped presets does."""
     return seed * 100 + 7
 
 
@@ -213,9 +218,9 @@ def observe(plant: ArrayPlant, preset: dict, x: IqSignal,
 
 def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
              num_symbols: int = 4, trp: bool = False) -> EvalResult:
-    """Fresh-data evaluation of one DPD model (or the no-DPD reference) on the
-    observation of observe; trp adds the beam pattern and TRP ACLR over
-    TRP_ANGLES."""
+    """Evaluation of one DPD model (or the no-DPD reference) on the frame of
+    seed (see evaluation_seed) and the observation of observe; trp adds the
+    beam pattern and TRP ACLR over TRP_ANGLES."""
     a1, grid, cfg = preset_waveform(preset, num_symbols, seed)
     x = predistort(model, a1) if model is not None else a1
     per_element, z = observe(plant, preset, x, seed)
@@ -241,31 +246,32 @@ def evaluate(plant: ArrayPlant, preset: dict, model: DpdModel | None, seed: int,
 
 def _base_spec(family: str = "full_dual_input", max_order: int = 9, memory_depth: int = 3,
                cross_memory_depth: int = 2) -> BasisSpec:
-    """Single-region basis of a scenario's "basis" section (and of pwdpd train)."""
+    """Single-region basis of a scenario's "basis" section, whose defaults these are."""
     return BasisSpec(family, max_order, memory_depth, cross_memory_depth)
 
 
 def load_scenario_plant(config: dict) -> tuple[ArrayPlant, dict]:
-    """The config's plant preset and its parameters, with the config's
-    top-level coupling override."""
+    """The plant preset of a scenario config (raw, or resolved by
+    scenario_settings) and its parameters, with the top-level coupling override."""
     name = config.get("preset", SHARED["preset"])
     plant, preset = load_plant_preset(name), preset_params(name)
-    if "coupling_strength" in config:
+    if config.get("coupling_strength") is not None:
         plant = replace(plant, coupling_strength=config["coupling_strength"])
     return plant, preset
 
 
-def train_method(method: str, plant: ArrayPlant, preset: dict, config: dict,
-                 spec: BasisSpec, seed: int) -> tuple[DpdModel | None, list]:
-    """Train one method of METHODS by its learner on spec, which carries the
-    method's partition; returns (model, trace)."""
+def train_method(method: str, plant: ArrayPlant, preset: dict, settings: dict,
+                 partition: RegionPartition | None, seed: int) -> tuple[DpdModel | None, list]:
+    """Train one method of METHODS by its learner on the basis of the settings
+    over partition (None for a single polynomial); returns (model, trace)."""
     learner = METHODS[method][1]
     if learner is None:
         return None, []
+    spec = BasisSpec(**settings["basis"], partition=partition)
     loop = SimulatedLoop(plant, preset, seed)
     if learner == "ila":
-        return ila_learn(loop, spec, **config_section(config, "ila"))
-    return learn(loop, spec, LearnConfig(**config_section(config, "learn")))
+        return ila_learn(loop, spec, **settings["ila"])
+    return learn(loop, spec, LearnConfig(**settings["learn"]))
 
 
 def write_manifest(outdir: Path, config: dict) -> Path:
@@ -302,50 +308,44 @@ def _partitions(plant: ArrayPlant, preset: dict, seed: int, kinds) -> dict:
 @dataclass
 class _Pipeline:
     plant: ArrayPlant     # as loaded, before any steering
-    spec: BasisSpec       # single-region basis
     partitions: dict      # "taylor"/"kmeans" -> (RegionPartition, info)
     runs: Iterator        # yields (label, model, trace, [EvalResult per evaluation plant])
 
 
-def _pipeline(config: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
+def _pipeline(settings: dict, runs: list, seed: int, drive_offset_db: float = 0.0,
               angles: list | None = None) -> _Pipeline:
     """Plant -> partition -> train -> evaluate, the chain every trained kind runs.
 
     runs lists (label, method, training seed, learn overrides). The partitions
     are derived up front when a piecewise method needs them. Each model is
-    evaluated on fresh data at evaluation_seed(seed) with the config's "eval"
-    settings: on the plant at the preset noise floor or, when angles are
-    given, trained on the plant steered to 0 degrees and evaluated at each
-    angle with the preset's noise floor set to null.
+    evaluated on the frame of evaluation_seed(seed) with the "eval" settings:
+    on the plant at the preset noise floor or, when angles are given, trained
+    on the plant steered to 0 degrees and evaluated at each angle with the
+    preset's noise floor set to null.
     The runs are trained lazily as the caller iterates, so a caller can write
     each run's files before the next one trains.
     """
-    plant, preset = load_scenario_plant(config)
+    plant, preset = load_scenario_plant(settings)
     preset["drive_rms"] *= 10 ** (drive_offset_db / 20)
-    spec = _base_spec(**config_section(config, "basis"))
     if angles is None:
         train_plant, eval_preset, eval_plants = plant, preset, [plant]
     else:
         train_plant, eval_preset = steer(plant, 0.0), dict(preset, noise_floor_dbc=None)
         eval_plants = [steer(plant, float(a)) for a in angles]
-    eval_kw = config_section(config, "eval")
     partitions = _partitions(train_plant, preset, seed,
                              {METHODS[method][0] for _, method, _, _ in runs} - {None})
 
     def trained():
         for label, method, train_seed, overrides in runs:
-            run_config = config
-            if overrides:
-                run_config = dict(config, learn=dict(config_section(config, "learn"), **overrides))
             kind = METHODS[method][0]
-            run_spec = spec if kind is None else spec.with_partition(partitions[kind][0])
-            model, trace = train_method(method, train_plant, preset, run_config, run_spec,
-                                        seed=train_seed)
-            evals = [evaluate(p, eval_preset, model, evaluation_seed(seed), **eval_kw)
+            run_settings = dict(settings, learn={**settings["learn"], **overrides})
+            model, trace = train_method(method, train_plant, preset, run_settings,
+                                        partitions[kind][0] if kind else None, seed=train_seed)
+            evals = [evaluate(p, eval_preset, model, evaluation_seed(seed), **settings["eval"])
                      for p in eval_plants]
             yield label, model, trace, evals
 
-    return _Pipeline(plant, spec, partitions, trained())
+    return _Pipeline(plant, partitions, trained())
 
 
 def _save_run(outdir: Path, label: str, model: DpdModel | None, trace: list) -> None:
@@ -354,9 +354,9 @@ def _save_run(outdir: Path, label: str, model: DpdModel | None, trace: list) -> 
         trace_to_csv(trace, outdir / f"trace_{label}.csv")
 
 
-def run_linearization(config: dict, outdir: Path, seed: int,
+def run_linearization(settings: dict, outdir: Path, seed: int,
                       methods: tuple = ("none", "pwcl_orth")) -> dict:
-    out = _pipeline(config, [(m, m, training_seed(seed, idx), {})
+    out = _pipeline(settings, [(m, m, training_seed(seed, idx), {})
                              for idx, m in enumerate(methods)], seed)
 
     part_info = None
@@ -389,12 +389,12 @@ def run_linearization(config: dict, outdir: Path, seed: int,
     return {"kind": "linearization", "partition": part_info, "methods": results}
 
 
-def run_powersweep(config: dict, outdir: Path, seed: int) -> dict:
+def run_powersweep(settings: dict, outdir: Path, seed: int) -> dict:
     """POWERSWEEP_METHODS at each drive offset of POWERSWEEP_OFFSETS_DB."""
     rows = []
     for i, offset_db in enumerate(POWERSWEEP_OFFSETS_DB):
         point_seed = seed + 31 * i
-        out = _pipeline(config, [(m, m, training_seed(point_seed, j), {})
+        out = _pipeline(settings, [(m, m, training_seed(point_seed, j), {})
                                  for j, m in enumerate(POWERSWEEP_METHODS)],
                         point_seed, drive_offset_db=offset_db)
         row = {"offset_db": offset_db}
@@ -410,11 +410,11 @@ def run_powersweep(config: dict, outdir: Path, seed: int) -> dict:
     return {"kind": "powersweep", "offsets_db": list(POWERSWEEP_OFFSETS_DB), "rows": rows}
 
 
-def run_anglesweep(config: dict, outdir: Path, seed: int) -> dict:
+def run_anglesweep(settings: dict, outdir: Path, seed: int) -> dict:
     """Train ANGLESWEEP_METHOD at 0 degrees, evaluate the frozen model at each
     steering angle of ANGLESWEEP_ANGLES."""
-    out = _pipeline(config, [(ANGLESWEEP_METHOD, ANGLESWEEP_METHOD, training_seed(seed, 0), {})],
-                    seed, angles=ANGLESWEEP_ANGLES)
+    out = _pipeline(settings, [(ANGLESWEEP_METHOD, ANGLESWEEP_METHOD, training_seed(seed, 0),
+                                {})], seed, angles=ANGLESWEEP_ANGLES)
     (_, _, _, evals), = out.runs
     rows = [(a, res.metrics["aclr_dbc"], res.metrics["evm_percent"])
             for a, res in zip(ANGLESWEEP_ANGLES, evals)]
@@ -423,12 +423,11 @@ def run_anglesweep(config: dict, outdir: Path, seed: int) -> dict:
             "rows": [{"angle_deg": a, "aclr_dbc": b, "evm_percent": c} for a, b, c in rows]}
 
 
-def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
+def run_pruning_study(settings: dict, outdir: Path, seed: int) -> dict:
     """pwcl_orth unpruned and pruned at PRUNE_THRESHOLD_DB."""
     runs = [(label, "pwcl_orth", training_seed(seed, 0), {"prune_threshold_db": th})
             for label, th in (("unpruned", None), ("pruned", PRUNE_THRESHOLD_DB))]
-    out = _pipeline(config, runs, seed)
-    partition_obj, part_info = out.partitions["taylor"]
+    out = _pipeline(settings, runs, seed)
     results = {}
     for label, model, trace, (res,) in out.runs:
         _save_run(outdir, label, model, trace)
@@ -439,9 +438,9 @@ def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
             "active_coefficients": trace[0].active_count,
         }
 
-    spec = out.spec.with_partition(partition_obj)
+    spec = model.spec  # the pruned model's piecewise basis
     write_json(outdir / "bf_descriptors.json", basis_descriptors_json(spec))
-    learn_cfg, ila_cfg = (section_settings(config, name) for name in ("learn", "ila"))
+    learn_cfg, ila_cfg = settings["learn"], settings["ila"]
     params = complexity_mod.params_from_spec(
         spec, b_cl=learn_cfg["block_size"], i_cl=learn_cfg["iterations"],
         b_ila=ila_cfg["block_size"], i_ila=ila_cfg["iterations"],
@@ -451,7 +450,7 @@ def run_pruning_study(config: dict, outdir: Path, seed: int) -> dict:
     unpruned_cost = complexity_mod.flops("pwcl_orth_pruned", unpruned_params)["learn_total"]
     return {
         "kind": "pruning",
-        "partition": part_info,
+        "partition": out.partitions["taylor"][1],
         "threshold_db": PRUNE_THRESHOLD_DB,
         "unpruned": results["unpruned"],
         "pruned": results["pruned"],
@@ -479,9 +478,9 @@ SECTION_RANGES = {
     "eval": {"num_symbols": (lambda v: v >= 1, "at least 1")},
 }
 
-# scenario kind -> runner(config, outdir, ...); its keyword parameters with
-# defaults are the kind's own top-level keys, and run_scenario passes it every
-# setting it names (seed, for one)
+# scenario kind -> runner(settings, outdir, ...), settings from scenario_settings;
+# its keyword parameters with defaults are the kind's own top-level keys, and
+# run_scenario passes it every setting it names (seed, for one)
 RUNNERS = {
     "linearization": run_linearization,
     "powersweep": run_powersweep,
@@ -540,28 +539,12 @@ def check_settings(values: dict, accepted: dict, where: str) -> dict:
                                  for key in values}, where)
 
 
-def config_section(config: dict, name: str) -> dict:
-    """The config's section `name` (empty when absent), to be passed whole to
-    its consumer; checked by check_settings against the consumer's keywords,
-    then each value given against its SECTION_RANGES range."""
-    section = config.get(name, {})
-    where = f"config section {name!r}"
-    check_settings(section, accepted_settings(SECTIONS[name]), where)
-    return check_fields(section, {key: rule for key, rule in SECTION_RANGES.get(name, {}).items()
-                                  if key in section}, where)
-
-
-def section_settings(config: dict, name: str) -> dict:
-    """Every setting of the config's section `name`: the config's value or the
-    default of the section's consumer."""
-    return {**accepted_settings(SECTIONS[name]), **config_section(config, name)}
-
-
 def scenario_settings(config: dict) -> dict:
-    """Every top-level setting of a scenario config, the config's value or the
-    default: the SHARED keys, the section names and the keyword parameters of
-    the kind's runner. The whole config, sections included, is checked first,
-    so a misspelled or ill-typed key fails before any run starts."""
+    """Every setting of a scenario config, the config's value or the default:
+    the SHARED keys, the keyword parameters of the kind's runner, and each
+    section of SECTIONS filled with its consumer's keyword defaults. Each key
+    is checked here once, a section's values against SECTION_RANGES too, so a
+    bad config fails before any run starts."""
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("scenario config must be an object with a 'kind' field")
     kind = config["kind"]
@@ -573,8 +556,10 @@ def scenario_settings(config: dict) -> dict:
     settings = {**accepted, **check_settings(config, accepted, f"{kind!r} scenario config")}
     if settings["schema_version"] != 1:
         raise ConfigError("unsupported scenario schema_version")
-    for name in SECTIONS:
-        config_section(config, name)
+    for name, consumer in SECTIONS.items():
+        defaults, where = accepted_settings(consumer), f"config section {name!r}"
+        section = {**defaults, **check_settings(settings[name], defaults, where)}
+        settings[name] = check_fields(section, SECTION_RANGES.get(name, {}), where)
     return settings
 
 
@@ -590,11 +575,11 @@ def run_scenario(config: dict, outdir: str | Path) -> dict:
                           "give a new or empty one")
     try:
         settings = scenario_settings(config)
-        runner = RUNNERS[config["kind"]]
+        runner = RUNNERS[settings["kind"]]
         kwargs = {name: settings[name] for name in inspect.signature(runner).parameters
                   if name in settings}
         outdir.mkdir(parents=True, exist_ok=True)
-        payload = runner(config, outdir, **kwargs)
+        payload = runner(settings, outdir, **kwargs)
         write_json(outdir / "metrics.json", payload)
         write_manifest(outdir, config)
     except Exception as exc:

@@ -1,9 +1,9 @@
 """Complex baseband signal container and its on-disk format.
 
 An IqSignal on disk is a pair of files: ``<stem>.iq`` holding little-endian
-interleaved float64 I/Q pairs, and a JSON sidecar ``<stem>.iq.json`` with
-sample_rate, length and the generating seed (if any). The samples stay
-binary because a waveform runs to 1e4-1e6 of them; a DPD model, with its
+interleaved float64 I/Q pairs, and a JSON sidecar ``<stem>.iq.json`` with its
+format, sample_rate, length and the generating seed (if any). The samples
+stay binary because a waveform runs to 1e4-1e6 of them; a DPD model, with its
 K x B1 coefficients, is one JSON file (dpd.save_model).
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_fields, is_int, is_number, read_json, write_json
+from .errors import ConfigError, check_fields, check_keys, is_int, is_number, read_json, write_json
 
 
 @dataclass
@@ -58,8 +58,11 @@ class IqSignal:
         return IqSignal(samples, self.sample_rate, self.seed)
 
 
-# each sidecar field's test and what it asks for; a missing seed reads as null
-_SIDECAR_FIELDS = {"length": (lambda v: is_int(v) and v >= 0, "an int >= 0"),
+IQ_FORMAT = "iq-float64-le-interleaved"
+
+# each sidecar key's test and what it asks for; a missing seed reads as null
+_SIDECAR_FIELDS = {"format": (lambda v: v == IQ_FORMAT, repr(IQ_FORMAT)),
+                   "length": (lambda v: is_int(v) and v >= 0, "an int >= 0"),
                    "sample_rate": (is_number, "a finite number"),
                    "seed": (lambda v: v is None or is_int(v), "an int or null")}
 
@@ -71,7 +74,7 @@ def write_iq(stem: str | Path, sig: IqSignal) -> tuple[Path, Path]:
     meta_path = Path(str(bin_path) + ".json")
     sig.samples.astype("<c16").tofile(bin_path)  # "<c16" is interleaved "<f8" re/im
     meta = {
-        "format": "iq-float64-le-interleaved",
+        "format": IQ_FORMAT,
         "sample_rate": sig.sample_rate,
         "length": len(sig),
         "seed": sig.seed,
@@ -88,8 +91,8 @@ def read_iq(stem: str | Path) -> IqSignal:
     meta_path = Path(str(path) + ".json")
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"missing IQ file or sidecar for {path}")
-    meta = read_json(meta_path,
-                     lambda fields: check_fields(fields, _SIDECAR_FIELDS, "IQ sidecar"))
+    meta = read_json(meta_path, lambda fields: check_keys(
+        check_fields(fields, _SIDECAR_FIELDS, "IQ sidecar"), _SIDECAR_FIELDS, "IQ sidecar"))
     length, sample_rate = meta["length"], float(meta["sample_rate"])
     n_bytes = path.stat().st_size
     if n_bytes != 16 * length:  # fromfile would drop a trailing partial sample

@@ -246,13 +246,17 @@ _SPEC_NOT_INT = [("max_order", 5.0), ("max_order", True), ("memory_depth", 1.5),
     _edit(lambda f: f["gamma"].extend([[0.0, 0.0]] * 9), "gamma length 12 != basis size 3"),
     *(_edit(lambda f, key=key, value=value: f["spec"].update({key: value}), repr(key))
       for key, value in _SPEC_NOT_INT),
+    # a key save_model does not write in the spec
+    _edit(lambda f: f["spec"].update(cross_memory_dept=2), "unknown key 'cross_memory_dept'"),
 ], ids=["truncated", "odd-length", "ragged", "trailing",
         *(f"no-{key}" for key in _MODEL_KEYS),
         "short-ghat", "nan-ghat", "bool-ghat", "spec-without-family", "dense-whitener-layout",
-        *(f"spec-{key}={value!r}" for key, value in _SPEC_NOT_INT)])
+        *(f"spec-{key}={value!r}" for key, value in _SPEC_NOT_INT),
+        "spec-unknown-key"])
 def test_corrupt_model_payload_exit_code(tmp_path, edit):
     """A model file is one JSON object of spec, ghat and gamma; a field that is
-    missing, ill-typed or the wrong length exits 2 naming it."""
+    missing, ill-typed or the wrong length, and a spec key save_model does not
+    write, exits 2 naming it."""
     from pwdpd.dpd import DpdModel, load_model, save_model
 
     model = DpdModel(np.arange(3) + 1j, BasisSpec("memoryless", 5))
@@ -525,11 +529,38 @@ def test_trained_kinds_pass_partition_settings(tmp_path, monkeypatch, kind, own)
     assert seen == [(5, 0.01)]
 
 
+def test_one_run_checks_each_section_once(tmp_path, monkeypatch):
+    """scenario_settings is the one check of a config: an array8-deep bundle,
+    its learners and evaluation stubbed, checks each section exactly once."""
+    import pwdpd.scenarios as scenarios
+    from pwdpd.dpd import DpdModel, TraceRecord
+
+    checked = []
+    check_settings = scenarios.check_settings
+
+    def counted(values, accepted, where):
+        checked.extend(name for name in scenarios.SECTIONS if repr(name) in where)
+        return check_settings(values, accepted, where)
+
+    def learned(source, spec, *args, **kwargs):
+        return DpdModel.zero(spec), [TraceRecord(1, -40.0, spec.n_basis_total)]
+
+    def evaluated(*args, **kwargs):
+        return scenarios.EvalResult({"aclr_dbc": -40.0}, np.zeros(2), np.zeros(2))
+
+    monkeypatch.setattr(scenarios, "check_settings", counted)
+    monkeypatch.setattr(scenarios, "learn", learned)
+    monkeypatch.setattr(scenarios, "ila_learn", learned)
+    monkeypatch.setattr(scenarios, "evaluate", evaluated)
+    scenarios.run_scenario(scenario_preset("array8-deep"), tmp_path / "bundle")
+    assert sorted(checked) == sorted(scenarios.SECTIONS)
+
+
 def test_shipped_scenario_presets_are_well_formed():
     from importlib import resources
 
     from pwdpd.dpd import LearnConfig
-    from pwdpd.scenarios import (METHODS, RUNNERS, _base_spec, config_section,
+    from pwdpd.scenarios import (METHODS, RUNNERS, SECTIONS, accepted_settings,
                                  load_scenario_plant, scenario_settings)
 
     names = [p.name[:-5] for p in resources.files("pwdpd").joinpath("presets/scenarios").iterdir()]
@@ -540,10 +571,13 @@ def test_shipped_scenario_presets_are_well_formed():
         methods = cfg.get("methods", []) + ([cfg["method"]] if "method" in cfg else [])
         assert set(methods) <= set(METHODS), name
         load_scenario_plant(cfg)
-        scenario_settings(cfg)  # the whole top level and every section
-        _base_spec(**config_section(cfg, "basis"))
-        LearnConfig(**config_section(cfg, "learn"))
-        assert isinstance(config_section(cfg, "eval").get("trp", False), bool), name
+        settings = scenario_settings(cfg)  # the whole top level and every section
+        for section in SECTIONS:
+            assert settings[section] == {**accepted_settings(SECTIONS[section]),
+                                         **cfg.get(section, {})}, (name, section)
+        BasisSpec(**settings["basis"])
+        LearnConfig(**settings["learn"])
+        assert isinstance(settings["eval"]["trp"], bool), name
 
 
 def _scenario_exit_code(tmp_path, **config):
@@ -941,16 +975,19 @@ def test_train_reads_the_preset_config(tmp_path):
     learn section (mu 0.8, 3 statistics blocks), the gamma train_method gives
     on the config's own sections, bit for bit."""
     from pwdpd.dpd import load_model
-    from pwdpd.scenarios import _base_spec, config_section, load_scenario_plant, train_method
+    from pwdpd.scenarios import scenario_settings, train_method
 
     assert main(["train", "--preset", "doherty-n3", "--method", "pwcl_orth",
                  "--output", str(tmp_path / "m")]) == 0
     model = load_model(tmp_path / "m")
     config = scenario_preset("doherty-n3")
-    spec = _base_spec(**config_section(config, "basis"))
-    assert spec == BasisSpec("gmp", 5, 3, 2) == dataclasses.replace(model.spec, partition=None)
-    want, _ = train_method("pwcl_orth", *load_scenario_plant(config), config,
-                           spec.with_partition(model.spec.partition), seed=7)
+    settings = scenario_settings(config)
+    assert BasisSpec(**settings["basis"]) == BasisSpec("gmp", 5, 3, 2) \
+        == dataclasses.replace(model.spec, partition=None)
+    assert (settings["learn"]["mu"], settings["learn"]["stats_blocks"]) == (0.8, 3)
+    want, _ = train_method("pwcl_orth", *load_scenario_plant(config), settings,
+                           model.spec.partition, seed=7)
+    assert want.spec == model.spec
     assert model.gamma.tobytes() == want.gamma.tobytes()
 
 
@@ -996,8 +1033,8 @@ def test_partition_reproduces_the_bundle_partition(tmp_path, monkeypatch, preset
 
     trained_on = []
 
-    def stop(method, plant, preset, config, spec, seed):
-        trained_on.append(spec.partition)
+    def stop(method, plant, preset, settings, partition, seed):
+        trained_on.append(partition)
         raise _Stop
 
     monkeypatch.setattr(scenarios, "train_method", stop)
@@ -1517,6 +1554,18 @@ def _iq_sidecar(tmp_path, broken):
             "--output", str(tmp_path / "z")]
 
 
+def _sidecar_with(**fields):
+    """The simulate argv of a valid IQ sidecar, or with broken set, of one
+    whose fields are updated."""
+    def make_argv(tmp_path, broken):
+        argv = _iq_sidecar(tmp_path, broken=False)
+        if broken:
+            sidecar = tmp_path / "wave.iq.json"
+            sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **fields)))
+        return argv
+    return make_argv
+
+
 def _partition_file(tmp_path, broken):
     RegionPartition([0.0, 0.5, 2.0]).save(tmp_path / "part.json")
     if broken:
@@ -1562,10 +1611,13 @@ def _scenario_config(tmp_path, broken):
                 lambda p: p["elements"][0].update(saturation_levl=p["elements"][0].pop("saturation_level"))),
     _plant_with("array8-deep", lambda p: p["coupling"].update(strength=0.9)),
     _plant_with("array8-deep", lambda p: p["branch_filters"].update(taps=2)),
+    _sidecar_with(format="iq-float64-be-interleaved"), _sidecar_with(sampel_rate=2e9),
+    _partition_with(target_errors=[0.01, 0.01]),
 ], ids=["plant-without-weights", "doherty-blend-width-zero", "sidecar-without-length",
         "config-as-list", "partition-without-edges", "partition-edge-string",
         "branch-filters-1d", "coupling-2d", "empty-table", "misspelled-plant-key",
-        "misspelled-element-key", "coupling-unknown-key", "branch-filters-unknown-key"])
+        "misspelled-element-key", "coupling-unknown-key", "branch-filters-unknown-key",
+        "sidecar-big-endian", "sidecar-unknown-key", "partition-unknown-key"])
 def test_malformed_input_file_exit_code(tmp_path, capsys, make_argv):
     """Exit 2 with one message (for a plant file, which no command reads,
     load_plant's ConfigError): a refused plant file is named once, and no
