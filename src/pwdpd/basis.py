@@ -25,7 +25,7 @@ than one panel is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,21 +117,23 @@ class BasisSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
-        """Inverse of to_dict; a missing family or max_order, and any key but those
-        and the unread orders and memories of earlier specs, is refused by name."""
-        check_keys(d, {*(f.name for f in fields(cls)), "orders", "memories"}, "basis spec")
+        """Inverse of to_dict: a field that is missing or ill-typed, a partition
+        that is neither null nor an object, and a key to_dict does not write are
+        refused by name."""
+        check_keys(check_fields(d, _SPEC_FIELDS, "basis spec"), _SPEC_FIELDS, "basis spec")
         part = d.get("partition")
-        return cls(family=d.get("family"), max_order=d.get("max_order"),
-                   memory_depth=d.get("memory_depth", 0),
-                   cross_memory_depth=d.get("cross_memory_depth", 0),
-                   partition=RegionPartition.from_dict(part) if part else None)
+        return cls(d["family"], d["max_order"], d["memory_depth"], d["cross_memory_depth"],
+                   None if part is None else RegionPartition.from_dict(part))
 
 
-# each BasisSpec field's test and what it asks for
+# each BasisSpec field's test and what it asks for; a spec file's partition is
+# null or the object RegionPartition.from_dict reads
 _SPEC_RULES = {"family": (lambda v: v in FAMILIES, f"one of {FAMILIES}"),
                "max_order": (lambda v: is_int(v) and v >= 1 and v % 2 == 1, "an odd integer >= 1"),
                "memory_depth": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
                "cross_memory_depth": (lambda v: is_int(v) and v >= 0, "an integer >= 0")}
+_SPEC_FIELDS = {**_SPEC_RULES, "partition": (lambda v: v is None or isinstance(v, dict),
+                                             "null or a partition object")}
 
 
 def enumerate_bfs(spec: BasisSpec) -> list[BfTerm]:

@@ -91,10 +91,9 @@ def cmd_generate(args) -> int:
     settings, _, params = _scenario(args)
     sig, grid, cfg = preset_waveform(params, settings["eval"]["num_symbols"],
                                      evaluation_seed(settings["seed"]))
-    stem = Path(args.output)
-    write_iq(stem, sig)
-    np.save(str(stem) + ".grid.npy", grid)
-    print(f"wrote {stem}.iq ({len(sig)} samples at {sig.sample_rate / 1e6:.2f} MHz, "
+    iq_path, _ = write_iq(args.output, sig)
+    np.save(f"{args.output}.grid.npy", grid)
+    print(f"wrote {iq_path} ({len(sig)} samples at {sig.sample_rate / 1e6:.2f} MHz, "
           f"RMS {sig.rms:.2f}, occupied {cfg.occupied_bandwidth / 1e6:.2f} MHz)")
     for p, level in papr_ccdf(sig, [0.01, 0.0001]):
         print(f"PAPR @ {p:g}: {level:.2f} dB")
@@ -106,8 +105,8 @@ def cmd_simulate(args) -> int:
     if args.angle is not None:
         plant = steer(plant, args.angle)
     _, z = observe(plant, params, read_iq(args.input), evaluation_seed(settings["seed"]))
-    write_iq(Path(args.output), z)
-    print(f"wrote {args.output}.iq ({len(z)} samples)")
+    iq_path, _ = write_iq(args.output, z)
+    print(f"wrote {iq_path} ({len(z)} samples)")
     try:  # a short or narrowband signal still got written; the ACLR line is optional
         print(f"observation ACLR: {aclr_single_direction(z, params['channel_bw']):.2f} dBc")
     except ConfigError as exc:
@@ -144,9 +143,9 @@ def cmd_train(args) -> int:
     elif kind is not None:
         partition = _partitions(plant, params, settings["seed"], {kind})[kind][0]
     model, trace = train_method(args.method, plant, params, settings, partition, seed=args.seed)
-    save_model(model, args.output)
-    trace_to_csv(trace, str(args.output) + ".trace.csv")
-    print(f"wrote {args.output}.dpd.json "
+    model_path = save_model(model, args.output)
+    trace_to_csv(trace, f"{args.output}.trace.csv")
+    print(f"wrote {model_path} "
           f"({trace[0].active_count}/{model.gamma.size} active coefficients)")
     print(f"final error power: {trace[-1].error_power_dbc:.2f} dBc")
     return 0

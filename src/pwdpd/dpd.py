@@ -53,8 +53,8 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import BasisSpec
-from .errors import (ConfigError, DivergenceError, check_fields, read_json, read_pair, write_csv,
-                     write_json)
+from .errors import (ConfigError, DivergenceError, check_fields, check_keys, read_json, read_pair,
+                     write_csv, write_json)
 from .signals import IqSignal
 
 @dataclass
@@ -252,7 +252,7 @@ def save_model(model: DpdModel, stem: str | Path) -> Path:
     """Write <stem>.dpd.json: the basis spec, the linear gain ghat and the native
     gamma, each complex value an [re, im] pair of floats, which read back bit
     for bit."""
-    path = Path(stem).with_suffix(".dpd.json")
+    path = Path(f"{stem}.dpd.json")
     fields = {"spec": model.spec.to_dict(), "ghat": [model.ghat.real, model.ghat.imag],
               "gamma": [[v.real, v.imag] for v in model.gamma.tolist()]}
     write_json(path, fields)
@@ -266,13 +266,13 @@ _MODEL_FIELDS = {"spec": (lambda v: isinstance(v, dict), "an object"),
 
 
 def _model_from(fields: dict) -> DpdModel:
-    check_fields(fields, _MODEL_FIELDS, "model")
+    check_keys(check_fields(fields, _MODEL_FIELDS, "model"), ("spec", "ghat", "gamma"), "model")
     return DpdModel([read_pair(v, f"gamma[{i}]") for i, v in enumerate(fields["gamma"])],
                     BasisSpec.from_dict(fields["spec"]),
                     ghat=read_pair(fields.get("ghat"), "'ghat'"))
 
 
 def load_model(stem: str | Path) -> DpdModel:
-    """Read a model written by save_model; ConfigError naming the file and the
-    field otherwise."""
-    return read_json(Path(stem).with_suffix(".dpd.json"), _model_from)
+    """Read <stem>.dpd.json as save_model writes it; ConfigError naming the file
+    and the field or key otherwise."""
+    return read_json(Path(f"{stem}.dpd.json"), _model_from)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_keys, is_number, read_json, write_json
+from .errors import ConfigError, check_fields, check_keys, is_number, read_json, write_json
 from .signals import IqSignal
 
 # derivative_max's grid points, partition_regions' width tolerance as a
@@ -23,6 +23,11 @@ DERIVATIVE_GRID = 1000
 WIDTH_TOLERANCE = 1e-4
 KMEANS_MAX_ITER = 100
 MAX_REGIONS = 256
+
+
+# a partition file's one field, its test and what it asks for
+_PARTITION_FIELDS = {"edges": (lambda v: isinstance(v, list) and all(map(is_number, v)),
+                               "a list of finite numbers")}
 
 
 @dataclass
@@ -71,15 +76,10 @@ class RegionPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionPartition":
-        """Reads the edges alone; the per-region orders and target errors of
-        earlier files are not read, and any other key is refused."""
-        if not isinstance(d, dict) or "edges" not in d:
-            raise ConfigError("a partition must be a JSON object with an 'edges' list")
-        check_keys(d, ("edges", "orders", "target_error"), "partition")
-        edges = d["edges"]
-        if not (isinstance(edges, list) and all(map(is_number, edges))):
-            raise ConfigError(f"partition field 'edges' must be a list of finite numbers, got {edges!r}")
-        return cls(np.asarray(edges, dtype=float))
+        """Inverse of to_dict: edges that are missing or not a list of finite
+        numbers, and any other key, are refused by name."""
+        check_keys(check_fields(d, _PARTITION_FIELDS, "partition"), _PARTITION_FIELDS, "partition")
+        return cls(np.asarray(d["edges"], dtype=float))
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())

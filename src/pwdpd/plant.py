@@ -267,10 +267,10 @@ class ArrayPlant:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArrayPlant":
-        """Inverse of to_dict; a "channel" key that earlier plant files carried is
-        not read, and any other key to_dict does not write, at the top level, in
-        an element or in the coupling and branch_filters objects, is refused."""
-        check_keys(d, {"channel", *(f.name for f in fields(cls))}, "plant")
+        """Inverse of to_dict: a missing or ill-typed scalar, and a key to_dict
+        does not write, at the top level, in an element or in the coupling and
+        branch_filters objects, are refused by name."""
+        check_keys(check_fields(d, _PLANT_SCALARS, "plant"), [f.name for f in fields(cls)], "plant")
         for i, e in enumerate(d["elements"]):
             check_keys(e, [f.name for f in fields(PaModel)], f"plant element {i}")
         for name in ("coupling", "branch_filters"):
@@ -296,9 +296,7 @@ class ArrayPlant:
             coupling=l2c("coupling", d["coupling"]["values"], d["coupling"]["shape"]),
             branch_filters=l2c("branch_filters", d["branch_filters"]["values"],
                                d["branch_filters"]["shape"]),
-            coupling_strength=d.get("coupling_strength", 0.0),
-            steer_angle_deg=d.get("steer_angle_deg", 0.0),
-            angle_coupling_slope=d.get("angle_coupling_slope", 1.0),
+            **{name: d[name] for name in _PLANT_SCALARS},
         )
 
 

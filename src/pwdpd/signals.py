@@ -62,15 +62,14 @@ IQ_FORMAT = "iq-float64-le-interleaved"
 
 # each sidecar key's test and what it asks for; a missing seed reads as null
 _SIDECAR_FIELDS = {"format": (lambda v: v == IQ_FORMAT, repr(IQ_FORMAT)),
-                   "length": (lambda v: is_int(v) and v >= 0, "an int >= 0"),
-                   "sample_rate": (is_number, "a finite number"),
+                   "length": (lambda v: is_int(v) and v >= 1, "an int >= 1"),
+                   "sample_rate": (lambda v: is_number(v) and v > 0, "a finite number > 0"),
                    "seed": (lambda v: v is None or is_int(v), "an int or null")}
 
 
 def write_iq(stem: str | Path, sig: IqSignal) -> tuple[Path, Path]:
     """Write signal to <stem>.iq (+ JSON sidecar); returns both paths."""
-    stem = Path(stem)
-    bin_path = stem.with_suffix(".iq")
+    bin_path = Path(f"{stem}.iq")
     meta_path = Path(str(bin_path) + ".json")
     sig.samples.astype("<c16").tofile(bin_path)  # "<c16" is interleaved "<f8" re/im
     meta = {
@@ -85,9 +84,7 @@ def write_iq(stem: str | Path, sig: IqSignal) -> tuple[Path, Path]:
 
 def read_iq(stem: str | Path) -> IqSignal:
     """Read a signal written by write_iq; accepts the stem or the .iq path."""
-    path = Path(stem)
-    if path.suffix != ".iq":
-        path = path.with_suffix(".iq")
+    path = Path(stem if str(stem).endswith(".iq") else f"{stem}.iq")
     meta_path = Path(str(path) + ".json")
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"missing IQ file or sidecar for {path}")
@@ -98,4 +95,8 @@ def read_iq(stem: str | Path) -> IqSignal:
     if n_bytes != 16 * length:  # fromfile would drop a trailing partial sample
         raise ConfigError(f"IQ payload {path} of {n_bytes} bytes does not hold the sidecar's "
                           f"{length} samples ({16 * length} bytes)")
-    return IqSignal(np.fromfile(path, dtype="<c16"), sample_rate, meta.get("seed"))
+    samples = np.fromfile(path, dtype="<c16")
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ConfigError(f"IQ payload {path}: sample {bad[0]} is {samples[bad[0]]}, not finite")
+    return IqSignal(samples, sample_rate, meta.get("seed"))

@@ -52,6 +52,23 @@ def test_generate_then_simulate_and_evaluate(tmp_path, capsys):
     assert aclr == f"observation ACLR: {want:.2f} dBc"
 
 
+def test_dotted_stems_keep_their_names(tmp_path, capsys):
+    """A stem's files are the stem plus their suffix, a dot in the stem kept:
+    generate, simulate, train and evaluate chain on dotted stems, and each file
+    lands under the name its command printed."""
+    cfg = _json_file(tmp_path / "c.json", dict(_QUICK_TRAIN_CONFIG, eval={"num_symbols": 1}))
+    wave, obs, model = (str(tmp_path / name) for name in ("wave.v1", "obs.v1", "m.v1"))
+    for argv, written in ((["generate", "--output", wave], f"{wave}.iq"),
+                          (["simulate", "--input", wave, "--output", obs], f"{obs}.iq"),
+                          (["train", "--output", model], f"{model}.dpd.json")):
+        assert main([*argv, "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {written} ")
+    assert main(["evaluate", "--config", cfg, "--model", model]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.json", "m.v1.dpd.json", "m.v1.trace.csv", "obs.v1.iq", "obs.v1.iq.json",
+        "wave.v1.grid.npy", "wave.v1.iq", "wave.v1.iq.json"]
+
+
 @pytest.mark.parametrize("plant", PLANT_PRESETS)
 def test_generate_writes_the_preset_waveform(tmp_path, plant):
     """generate writes, bit for bit, the samples and grid a config's evaluation
@@ -201,8 +218,7 @@ def test_config_error_exit_code(tmp_path, capsys):
 def test_degenerate_region_exit_code(tmp_path):
     # a partition whose top region can never be populated
     part = tmp_path / "part.json"
-    part.write_text(json.dumps({"edges": [0.0, 0.9999999, 1.0], "orders": None,
-                                "target_error": None}))
+    part.write_text(json.dumps({"edges": [0.0, 0.9999999, 1.0]}))
     assert main(_train_argv(tmp_path, "pw_ila", "--partition", str(part))) == 3
 
 
@@ -285,70 +301,74 @@ def test_non_finite_model_coefficient_exit_code(tmp_path, capsys):
     assert str(path) in err and "gamma[1] holds [nan, 0.0]" in err
 
 
-def test_model_file_with_active_mask_loads(tmp_path):
-    """A model file that still carries the active mask earlier files wrote loads,
-    and the model predistorts as the one saved; the mask is not read."""
-    from pwdpd.dpd import DpdModel, load_model, predistort, save_model
+def _model_case(tmp_path):
+    """A piecewise model file, its reader, and evaluate of it."""
+    from pwdpd.dpd import DpdModel, load_model, save_model
 
     spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
-    rng = np.random.default_rng(6)
-    model = DpdModel(0.01 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)), spec,
-                     ghat=0.9 - 0.1j)
-    path = save_model(model, tmp_path / "m")
+    path = save_model(DpdModel(np.arange(6) + 1j, spec), tmp_path / "m")
+    return path, lambda: load_model(tmp_path / "m"), ["evaluate", "--preset", "doherty-n3",
+                                                     "--model", str(tmp_path / "m")]
+
+
+def _partition_case(tmp_path):
+    """A partition file, its reader, and train of a piecewise method on it."""
+    path = tmp_path / "part.json"
+    RegionPartition([0.0, 0.5, 2.0]).save(path)
+    return path, lambda: RegionPartition.load(path), _train_argv(tmp_path, "pwcl_orth",
+                                                                "--partition", str(path))
+
+
+def _plant_case(tmp_path):
+    """A plant file, its reader, and its path: no command reads a plant file."""
+    path = tmp_path / "p.json"
+    save_plant(load_plant_preset("array8-deep"), path)
+    return path, lambda: load_plant(path), path
+
+
+_FALSY_PARTITIONS = [{}, 0, False, "", []]
+
+# (file, where, edit, the key its refusal names): edit changes the JSON object
+# the file's writer wrote in place
+_UNWRITTEN = [
+    (_model_case, "top", lambda f: f.update(active_mask=[1] * 6), "active_mask"),
+    (_model_case, "top", lambda f: f.update(gamma_scale=2.0), "gamma_scale"),
+    (_model_case, "spec", lambda f: f["spec"].update(orders=[5] * 3), "orders"),
+    (_model_case, "spec", lambda f: f["spec"].update(memories=[0] * 6), "memories"),
+    (_model_case, "spec", lambda f: f["spec"].pop("memory_depth"), "memory_depth"),
+    (_model_case, "spec", lambda f: f["spec"].pop("cross_memory_depth"), "cross_memory_depth"),
+    # {} is read as a partition without edges
+    *((_model_case, f"partition={value!r}", lambda f, v=value: f["spec"].update(partition=v),
+       "edges" if value == {} else "partition") for value in _FALSY_PARTITIONS),
+    (_model_case, "partition", lambda f: f["spec"]["partition"].update(orders=[5, 5]), "orders"),
+    (_model_case, "partition", lambda f: f["spec"]["partition"].update(target_error=[0.01] * 2),
+     "target_error"),
+    (_partition_case, "top", lambda f: f.update(orders=[5, 5]), "orders"),
+    (_partition_case, "top", lambda f: f.update(target_error=[0.01] * 2), "target_error"),
+    (_plant_case, "top", lambda f: f.update(channel=[[0.3, -0.1]] * 8), "channel"),
+    *((_plant_case, "top", lambda f, key=key: f.pop(key), key)
+      for key in ("coupling_strength", "steer_angle_deg", "angle_coupling_slope")),
+    (_plant_case, "element", lambda f: f["elements"][0].update(orders=[5]), "orders"),
+    (_plant_case, "coupling", lambda f: f["coupling"].update(strength=0.9), "strength"),
+]
+
+
+@pytest.mark.parametrize("case, edit, key", [
+    pytest.param(case, edit, key, id=f"{case.__name__[1:-5]}-{where}-{key}")
+    for case, where, edit, key in _UNWRITTEN])
+def test_reader_refuses_what_its_writer_does_not_write(tmp_path, capsys, case, edit, key):
+    """Each workbench file reader takes the one shape its writer writes: a key
+    the writer does not write (the model's active_mask, the spec's orders and
+    memories, a partition's orders and target_error, a plant's channel among
+    them), a missing field it writes and a falsy partition that is not null
+    each exit 2 naming the file and the key."""
+    path, read, argv = case(tmp_path)
+    read()
     fields = json.loads(path.read_text())
-    assert "active_mask" not in fields
-    path.write_text(json.dumps({**fields, "active_mask": [1, 0, 1, 1, 0, 0]}))
-    back = load_model(tmp_path / "m")
-    np.testing.assert_array_equal(back.gamma, model.gamma)
-    assert back.ghat == model.ghat
-    sig = random_signal(1000, rms=0.25, seed=6)
-    np.testing.assert_array_equal(predistort(back, sig).samples, predistort(model, sig).samples)
-    cfg = _json_file(tmp_path / "c.json", dict(_NO_DPD_CONFIG, eval={"num_symbols": 1}))
-    assert main(["evaluate", "--config", cfg, "--model", str(tmp_path / "m")]) == 0
-
-
-def test_model_header_with_derived_orders_and_memories_loads(tmp_path):
-    """save_model writes no orders or memories. A spec that carries them as
-    earlier headers did (null for the other families) loads with the same spec
-    and gamma."""
-    from pwdpd.dpd import DpdModel, load_model, save_model
-
-    rng = np.random.default_rng(9)
-    for spec, derived in ((BasisSpec("full_dual_input", 9, 3),
-                           {"orders": [9] * 3, "memories": [3] * 6}),
-                          (BasisSpec("gmp", 5, 3, 2), {"orders": None, "memories": None})):
-        gamma = rng.standard_normal(spec.n_basis_total) + 1j
-        path = save_model(DpdModel(gamma, spec), tmp_path / "m")
-        fields = json.loads(path.read_text())
-        assert not {"orders", "memories"} & set(fields["spec"])
-        path.write_text(json.dumps(dict(fields, spec=dict(fields["spec"], **derived))))
-        back = load_model(tmp_path / "m")
-        assert back.spec == spec
-        np.testing.assert_array_equal(back.gamma, gamma)
-
-
-_OTHER_SPEC_FIELDS = [("orders", [9, 7, 11]), ("orders", [9, 8, 9]), ("orders", [9, 9.0, 9]),
-                      ("memories", [3, 3, 3, 3, 3, -1]), ("memories", [3, 3, 3, True, 3, 3]),
-                      ("memories", [3] * 5)]
-
-
-@pytest.mark.parametrize("key, value", _OTHER_SPEC_FIELDS,
-                         ids=[f"{k}={v!r}" for k, v in _OTHER_SPEC_FIELDS])
-def test_model_spec_other_orders_or_memories_not_read(tmp_path, key, value):
-    """A spec's orders and memories are not read, whatever they hold: every
-    full_dual_input term family takes max_order and memory_depth, and the model
-    loads with the spec and gamma it was saved with."""
-    from pwdpd.dpd import DpdModel, load_model, save_model
-
-    spec = BasisSpec("full_dual_input", 9, 3)
-    gamma = np.arange(116) + 1j
-    path = save_model(DpdModel(gamma, spec), tmp_path / "m")
-    fields = json.loads(path.read_text())
-    fields["spec"][key] = value
+    edit(fields)
     path.write_text(json.dumps(fields))
-    back = load_model(tmp_path / "m")
-    assert back.spec == spec
-    np.testing.assert_array_equal(back.gamma, gamma)
+    err = _refusal(argv, capsys)
+    assert str(path) in err and repr(key) in err, err
 
 
 def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
@@ -922,17 +942,6 @@ def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, c
     assert ("--partition" in capsys.readouterr().err) == (code == 2)
 
 
-def test_train_partition_file_with_orders_and_target_error(tmp_path):
-    """A partition file that still carries the per-region orders and target
-    errors of earlier files trains the same model bytes as its edges alone."""
-    files = {"with": {"orders": [5, 5], "target_error": [0.01, 0.01]}, "without": {}}
-    for name, extra in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps({"edges": [0.0, 0.5, 2.0], **extra}))
-        assert main(_train_argv(tmp_path, "pwcl_orth", "--partition",
-                                str(tmp_path / f"{name}.json"), stem=name)) == 0
-    assert (tmp_path / "with.dpd.json").read_bytes() == (tmp_path / "without.dpd.json").read_bytes()
-
-
 @pytest.mark.parametrize("method", ["ila", "pw_ila"])
 @pytest.mark.parametrize("flag, value", [("--mu", "0.5"), ("--prune", "-40")])
 def test_train_ila_refuses_closed_loop_flags(tmp_path, capsys, method, flag, value):
@@ -1472,33 +1481,37 @@ def test_plant_file_shape_exit_code(tmp_path, field, shape):
     assert repr(field) in _plant_refusal(tmp_path, plant)
 
 
-def test_plant_file_channel_key_not_read(tmp_path):
-    """A plant file that still holds the channel key earlier files carried
-    loads, and the key does not change the plant read."""
-    plant = steer(load_plant_preset("array8-deep"), 20.0).to_dict()
-    assert "channel" not in plant
-    for name, extra in (("without", {}), ("with", {"channel": [[0.3, -0.1]] * 8})):
-        save_plant(load_plant(_json_file(tmp_path / f"{name}.json", dict(plant, **extra))),
-                   tmp_path / f"{name}.saved.json")
-    assert (tmp_path / "with.saved.json").read_bytes() == \
-        (tmp_path / "without.saved.json").read_bytes()
-
-
-_SIDECAR_VALUES = [("length", "4096"), ("length", 4096.0), ("length", True),
-                   ("sample_rate", "2e9"), ("sample_rate", True),
-                   ("seed", {"x": 1}), ("seed", 2.5)]
+_SIDECAR_VALUES = [("length", "4096"), ("length", 4096.0), ("length", True), ("length", 0),
+                   ("sample_rate", "2e9"), ("sample_rate", True), ("sample_rate", -1.0),
+                   ("sample_rate", 0), ("seed", {"x": 1}), ("seed", 2.5)]
 
 
 @pytest.mark.parametrize("field, value", _SIDECAR_VALUES,
                          ids=[f"{f}={v!r}" for f, v in _SIDECAR_VALUES])
 def test_iq_sidecar_field_type_exit_code(tmp_path, capsys, field, value):
-    """length is an int >= 0, sample_rate a finite number and seed an int or
-    null; a string, bool or float in their place exits 2 naming the field."""
+    """length is an int >= 1, sample_rate a finite number > 0 and seed an int
+    or null; a string, bool, float or value out of range in their place exits 2
+    naming the sidecar and the field."""
     _, sidecar = write_iq(tmp_path / "wave", random_signal(4096, rms=0.3, seed=3, sample_rate=2e9))
     sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{field: value})))
     assert main(["simulate", "--preset", "doherty-n3", "--input", str(tmp_path / "wave"),
                  "--output", str(tmp_path / "z")]) == 2
-    assert repr(field) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(sidecar) in err and repr(field) in err
+    assert not (tmp_path / "z.iq").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_iq_payload_non_finite_sample_exit_code(tmp_path, capsys, value):
+    """A NaN or infinite sample in an IQ payload exits 2 naming the payload and
+    the sample."""
+    sig = random_signal(64, rms=0.3, seed=3)
+    path, _ = write_iq(tmp_path / "wave", sig)
+    np.concatenate([sig.samples[:5], [complex(0.1, value)], sig.samples[6:]]).astype("<c16").tofile(path)
+    assert main(["simulate", "--preset", "doherty-n3", "--input", str(path),
+                 "--output", str(tmp_path / "z")]) == 2
+    err = capsys.readouterr().err
+    assert f"IQ payload {path}: sample 5 is" in err
     assert not (tmp_path / "z.iq").exists()
 
 

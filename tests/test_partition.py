@@ -23,9 +23,10 @@ def test_region_partition_validation():
     for edges in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [np.nan, 1.0]):
         with pytest.raises(ConfigError, match="edges must be finite"):
             RegionPartition(edges)
-    for malformed in ({"orders": None}, [{"edges": [0.0, 1.0]}]):  # no edges; a list
-        with pytest.raises(ConfigError, match="edges"):
-            RegionPartition.from_dict(malformed)
+    with pytest.raises(ConfigError, match="'edges'"):
+        RegionPartition.from_dict({"orders": None})  # no edges
+    with pytest.raises(ConfigError, match="does not hold a JSON object"):
+        RegionPartition.from_dict([{"edges": [0.0, 1.0]}])
     # edges of the wrong JSON type name the field rather than fail in numpy
     for value in ([0, "x", 2], "0 1", [0, True, 2], [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
         with pytest.raises(ConfigError, match="'edges'"):
@@ -42,16 +43,12 @@ def test_region_index_clamps_top():
 
 
 def test_partition_json_roundtrip(tmp_path):
-    # a partition is its edges; the per-region orders and target errors of
-    # earlier partition files load and are not read
+    # a partition is its edges
     assert [f.name for f in dataclasses.fields(RegionPartition)] == ["edges"]
     part = RegionPartition([0.0, 0.3, 1.2])
     part.save(tmp_path / "p.json")
     assert json.loads((tmp_path / "p.json").read_text()) == {"edges": [0.0, 0.3, 1.2]}
     np.testing.assert_array_equal(RegionPartition.load(tmp_path / "p.json").edges, part.edges)
-    earlier = RegionPartition.from_dict({"edges": [0.0, 0.3, 1.2], "orders": [5, 5],
-                                         "target_error": [0.01, 0.01]})
-    np.testing.assert_array_equal(earlier.edges, part.edges)
 
 
 def test_fit_amam_linear():
