@@ -8,8 +8,7 @@ from .dpd import (DpdModel, LearnConfig, TraceRecord, distortion_power_identity,
                   error_signal, estimate_gain, learn, predistort, prune_select)
 from .errors import ConfigError, DegenerateRegionError, DemodulationError, DivergenceError
 from .ila import ila_learn
-from .metrics import (AngleSweepResult, aclr_single_direction, aclr_trp, beam_pattern,
-                      evm, nmse, psd)
+from .metrics import aclr_single_direction, aclr_trp, beam_pattern, evm, nmse, psd
 from .partition import AmAmModel, RegionPartition, fit_amam, kmeans_partition, partition_regions
 from .plant import ArrayPlant, PaModel, array_forward, load_plant, observation_receive, save_plant, steer
 from .signals import IqSignal, read_iq, write_iq

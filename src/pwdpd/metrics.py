@@ -10,8 +10,6 @@ channels. Only the worse adjacent channel enters the ratio.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +17,9 @@ from .errors import ConfigError, DemodulationError
 from .signals import IqSignal
 from .waveform import OfdmConfig, demodulate_ofdm
 
-# 5G NR release-15 FR2 requirement tables
-EVM_REQUIREMENTS_PERCENT = {"16QAM": 12.5, "64QAM": 8.0}
-EVM_REQUIREMENTS_DB = {"16QAM": -18.0, "64QAM": -22.0}
+# 5G NR release-15 FR2 requirements: the 64QAM EVM limit and the ACLR table
+EVM_REQUIREMENT_64QAM_PERCENT = 8.0
+EVM_REQUIREMENT_64QAM_DB = -22.0
 ACLR_REQUIREMENTS_DBC = (
     (24.25e9, 33.4e9, 28.0),
     (37.0e9, 52.6e9, 26.0),
@@ -74,29 +72,30 @@ def evm(reference_grid: np.ndarray, received: IqSignal, cfg: OfdmConfig) -> floa
     return 100.0 * math.sqrt(p_error / p_ref)
 
 
-def _welch(samples: np.ndarray, sample_rate: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged periodogram (Hann, 50% overlap); linear PSD in 1/Hz units."""
-    window = np.hanning(nperseg)
+def _welch(samples: np.ndarray, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged periodogram of WELCH_BINS-sample segments (Hann, 50% overlap);
+    linear PSD in 1/Hz units."""
+    window = np.hanning(WELCH_BINS)
     norm = sample_rate * float(np.sum(window ** 2))
-    hop = nperseg // 2
-    acc = np.zeros(nperseg)
+    hop = WELCH_BINS // 2
+    acc = np.zeros(WELCH_BINS)
     count = 0
-    for start in range(0, samples.size - nperseg + 1, hop):
-        seg = samples[start:start + nperseg] * window
+    for start in range(0, samples.size - WELCH_BINS + 1, hop):
+        seg = samples[start:start + WELCH_BINS] * window
         acc += np.abs(np.fft.fft(seg)) ** 2
         count += 1
     if count == 0:
         raise ConfigError("signal shorter than one PSD segment")
     pxx = np.fft.fftshift(acc / (count * norm))
-    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, d=1.0 / sample_rate))
+    freqs = np.fft.fftshift(np.fft.fftfreq(WELCH_BINS, d=1.0 / sample_rate))
     return freqs, pxx
 
 
-def psd(sig: IqSignal, resolution_bins: int = WELCH_BINS) -> tuple[np.ndarray, np.ndarray]:
-    """Welch PSD estimate; returns (freqs, dB/Hz)."""
-    if len(sig) < 4 * resolution_bins:
-        raise ConfigError("signal must be at least 4 x resolution_bins long")
-    freqs, pxx = _welch(sig.samples, sig.sample_rate, resolution_bins)
+def psd(sig: IqSignal) -> tuple[np.ndarray, np.ndarray]:
+    """Welch PSD estimate (WELCH_BINS bins); returns (freqs, dB/Hz)."""
+    if len(sig) < 4 * WELCH_BINS:
+        raise ConfigError(f"signal must be at least 4 x {WELCH_BINS} samples long")
+    freqs, pxx = _welch(sig.samples, sig.sample_rate)
     return freqs, 10 * np.log10(pxx + np.finfo(float).tiny)
 
 
@@ -137,7 +136,7 @@ def aclr_single_direction(sig: IqSignal, channel_bw: float) -> float:
     if sig.sample_rate < 3 * channel_bw:
         raise ConfigError(
             f"sample rate {sig.sample_rate:.3g} < 3 x channel bandwidth; adjacent channels not in view")
-    freqs, pxx = _welch(sig.samples, sig.sample_rate, WELCH_BINS)
+    freqs, pxx = _welch(sig.samples, sig.sample_rate)
     (p_ch, p_low, p_high), = _channel_powers(freqs, [pxx], channel_bw)
     p_adj = max(p_low, p_high)
     if p_adj <= 0:
@@ -145,47 +144,24 @@ def aclr_single_direction(sig: IqSignal, channel_bw: float) -> float:
     return 10 * math.log10(p_ch / p_adj)
 
 
-@dataclass
-class AngleSweepResult:
-    """Per-angle in-band and adjacent-channel powers over an azimuth sweep."""
-
-    angles_deg: np.ndarray
-    inband_power: np.ndarray
-    adjacent_power_low: np.ndarray
-    adjacent_power_high: np.ndarray
-
-    def __post_init__(self):
-        for name in ("angles_deg", "inband_power", "adjacent_power_low", "adjacent_power_high"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.angles_deg.size
-        for arr in (self.inband_power, self.adjacent_power_low, self.adjacent_power_high):
-            if arr.size != n:
-                raise ConfigError("sweep arrays must share one length")
-            if np.any(arr < 0):
-                raise ConfigError("sweep powers must be non-negative")
-
-
-def aclr_trp(sweep: AngleSweepResult) -> float:
-    """TRP-based ACLR over the sweep (single polarization, fixed elevation).
+def aclr_trp(powers: np.ndarray) -> float:
+    """TRP-based ACLR over a sweep's (in-channel, lower, upper) powers, one row
+    per angle (single polarization, fixed elevation).
 
     With the elevation factor constant, the TRP ratio reduces to the ratio
     of angle-summed powers; the worse adjacent channel is used. A one-point
-    sweep degenerates to the per-direction ratio (with a warning, since
-    main-beam-only ACLR is optimistic).
+    sweep gives the per-direction ratio.
     """
-    if sweep.angles_deg.size == 1:
-        warnings.warn("single-angle sweep: falling back to per-direction ACLR",
-                      stacklevel=2)
-    trp_ch = float(np.sum(sweep.inband_power))
-    trp_adj = max(float(np.sum(sweep.adjacent_power_low)),
-                  float(np.sum(sweep.adjacent_power_high)))
+    trp_ch, trp_low, trp_high = (float(np.sum(column)) for column in powers.T)
+    trp_adj = max(trp_low, trp_high)
     if trp_adj <= 0:
         return 300.0
     return 10 * math.log10(trp_ch / trp_adj)
 
 
-def beam_pattern(per_element: list[IqSignal], angles_deg, channel_bw: float) -> AngleSweepResult:
-    """Far-field in-band / adjacent powers versus azimuth.
+def beam_pattern(per_element: list[IqSignal], angles_deg, channel_bw: float) -> np.ndarray:
+    """Far-field in-channel, lower and upper adjacent powers versus azimuth,
+    one (in-channel, lower, upper) row per angle.
 
     array_forward's element outputs are combined with the half-wavelength ULA
     array response exp(j pi i sin(angle)) per angle; powers integrate the
@@ -204,6 +180,6 @@ def beam_pattern(per_element: list[IqSignal], angles_deg, channel_bw: float) -> 
     freqs = None
     for ang in angles_deg:
         af = np.exp(1j * np.pi * idx * math.sin(math.radians(ang)))
-        freqs, pxx = _welch(af @ outputs, per_element[0].sample_rate, WELCH_BINS)
+        freqs, pxx = _welch(af @ outputs, per_element[0].sample_rate)
         spectra.append(pxx)
-    return AngleSweepResult(angles_deg, *_channel_powers(freqs, spectra, channel_bw).T)
+    return _channel_powers(freqs, spectra, channel_bw)

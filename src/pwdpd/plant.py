@@ -60,6 +60,21 @@ _PLANT_SCALARS = {"coupling_strength": (lambda v: is_number(v) and v >= 0, "a fi
                   "steer_angle_deg": (is_number, "a finite number"),
                   "angle_coupling_slope": (is_number, "a finite number")}
 
+# the fields of a plant file (the ArrayPlant scalars included), of each of its
+# elements and of its coupling and branch_filters objects, each with its test
+# and what it asks for
+_PAIRS = (lambda v: isinstance(v, list), "a list of [re, im] pairs")
+_OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+_PLANT_FIELDS = {
+    "elements": (lambda v: isinstance(v, list) and len(v) > 0
+                 and all(isinstance(e, dict) for e in v), "a non-empty list of JSON objects"),
+    "weights": _PAIRS, "coupling": _OBJECT, "branch_filters": _OBJECT, **_PLANT_SCALARS,
+}
+_ELEMENT_FIELDS = {"kind": (lambda v: isinstance(v, str), "a string"), "coefficients": _OBJECT}
+_MATRIX_FIELDS = {"shape": (lambda v: isinstance(v, list) and all(is_int(n) and n >= 1 for n in v),
+                             "a list of integers >= 1"),
+                   "values": _PAIRS}
+
 # |x|/sat above which the limiter's (1 + r^4)^(1/4) is r to double precision
 _LIMIT_FLAT = 2.0 ** 14
 
@@ -267,23 +282,24 @@ class ArrayPlant:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArrayPlant":
-        """Inverse of to_dict: a missing or ill-typed scalar, and a key to_dict
+        """Inverse of to_dict: a missing or ill-typed field, and a key to_dict
         does not write, at the top level, in an element or in the coupling and
         branch_filters objects, are refused by name."""
-        check_keys(check_fields(d, _PLANT_SCALARS, "plant"), [f.name for f in fields(cls)], "plant")
+        check_keys(check_fields(d, _PLANT_FIELDS, "plant"), [f.name for f in fields(cls)], "plant")
         for i, e in enumerate(d["elements"]):
-            check_keys(e, [f.name for f in fields(PaModel)], f"plant element {i}")
+            check_keys(check_fields(e, _ELEMENT_FIELDS, f"plant element {i}"),
+                       [f.name for f in fields(PaModel)], f"plant element {i}")
         for name in ("coupling", "branch_filters"):
-            check_keys(d[name], ("shape", "values"), f"plant field {name!r}")
+            check_keys(check_fields(d[name], _MATRIX_FIELDS, f"plant field {name!r}"),
+                       _MATRIX_FIELDS, f"plant field {name!r}")
 
         def l2c(name, pairs, shape=None):
             arr = np.asarray([read_pair(v, f"plant field {name!r}") for v in pairs])
             if shape is None:
                 return arr
-            if not (isinstance(shape, list) and all(is_int(n) and n >= 1 for n in shape)
-                    and math.prod(shape) == arr.size):
-                raise ConfigError(f"plant field {name!r} shape must be a list of integers >= 1 "
-                                  f"with product {arr.size}, its value count; got {shape!r}")
+            if math.prod(shape) != arr.size:
+                raise ConfigError(f"plant field {name!r} shape must have product {arr.size}, "
+                                  f"its value count; got {shape!r}")
             return arr.reshape(shape)
 
         def sat(level):
@@ -347,15 +363,16 @@ def observation_receive(plant: ArrayPlant, per_element: list[IqSignal],
 
     This is the main beam, as a receiver in the steered direction sees it.
     Noise is circular Gaussian at noise_floor_dbc relative to the combined
-    signal power.
+    signal power, drawn from rng, which a noise floor requires.
     """
     if len(per_element) != plant.n_elements:
         raise ConfigError("per_element must hold one signal per element")
+    if noise_floor_dbc is not None and rng is None:
+        raise ConfigError("a noise floor needs the rng its noise is drawn from")
     z = np.zeros(len(per_element[0]), dtype=np.complex128)
     for i, sig in enumerate(per_element):
         z += np.exp(-1j * np.angle(plant.weights[i])) * sig.samples
     if noise_floor_dbc is not None:
-        rng = rng or np.random.default_rng(0)
         p_noise = np.mean(np.abs(z) ** 2) * 10 ** (noise_floor_dbc / 10)
         noise = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
         z = z + np.sqrt(p_noise / 2) * noise

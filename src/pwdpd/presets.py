@@ -23,27 +23,23 @@ from .errors import ConfigError, read_json
 from .plant import ArrayPlant
 
 # drive level (waveform RMS at the plant input), ACLR channel bandwidth,
-# crest-factor-reduction settings, and the matching OFDM numerology
+# crest-factor-reduction PAPR target, and the matching OFDM numerology
 PRESET_PARAMS = {
     "array8-deep": {
         "drive_rms": 0.56,
         "channel_bw": 400e6,
         "cfr_target_papr_db": 6.5,
-        "cfr_iterations": 10,
         "noise_floor_dbc": -54.0,
         "ofdm": dict(subcarrier_spacing=120e3, fft_size=4096, active_subcarriers=3168,
-                     oversampling=5, constellation="64QAM", cp_fraction=0.07,
-                     wola_taper_samples=256),
+                     oversampling=5, wola_taper_samples=256),
     },
     "doherty-n3": {
         "drive_rms": 0.52,
         "channel_bw": 20e6,
         "cfr_target_papr_db": 6.5,
-        "cfr_iterations": 10,
         "noise_floor_dbc": -54.0,
         "ofdm": dict(subcarrier_spacing=15e3, fft_size=2048, active_subcarriers=1272,
-                     oversampling=4, constellation="64QAM", cp_fraction=0.07,
-                     wola_taper_samples=64),
+                     oversampling=4, wola_taper_samples=64),
     },
 }
 PRESET_PARAMS["linear8"] = dict(PRESET_PARAMS["array8-deep"], drive_rms=0.25,

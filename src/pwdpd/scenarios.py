@@ -105,7 +105,7 @@ def preset_waveform(preset: dict, num_symbols: int,
     cfg = OfdmConfig(num_symbols=num_symbols, seed=seed, **preset["ofdm"])
     sig, grid = generate_ofdm(cfg)
     if preset["cfr_target_papr_db"] is not None:
-        sig = crest_factor_reduce(sig, preset["cfr_target_papr_db"], preset["cfr_iterations"],
+        sig = crest_factor_reduce(sig, preset["cfr_target_papr_db"],
                                   occupied_bandwidth=cfg.occupied_bandwidth)
     return sig.scaled_to_rms(preset["drive_rms"]), grid, cfg
 
@@ -203,7 +203,7 @@ class EvalResult:
     metrics: dict
     psd_freqs: np.ndarray
     psd_db: np.ndarray
-    beam: object | None = None
+    beam: np.ndarray | None = None  # beam_pattern's powers over TRP_ANGLES
 
 
 def observe(plant: ArrayPlant, preset: dict, x: IqSignal,
@@ -376,9 +376,7 @@ def run_linearization(settings: dict, outdir: Path, seed: int,
         if res.beam is not None:
             write_csv(outdir / f"beam_{method}.csv",
                        "angle_deg,inband_power,adjacent_low,adjacent_high",
-                       zip(res.beam.angles_deg.tolist(), res.beam.inband_power.tolist(),
-                           res.beam.adjacent_power_low.tolist(),
-                           res.beam.adjacent_power_high.tolist()))
+                       np.column_stack([TRP_ANGLES, res.beam]).tolist())
         entry = dict(res.metrics)
         if model is not None:
             entry["coefficients"] = int(model.gamma.size)

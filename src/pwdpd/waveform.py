@@ -17,16 +17,16 @@ import numpy as np
 from .errors import ConfigError, DemodulationError
 from .signals import IqSignal
 
-_QAM_LEVELS = {"QPSK": 2, "16QAM": 4, "64QAM": 8}
+# every symbol is drawn from the 64QAM alphabet, whose EVM limit the paper
+# scores; the cyclic prefix is this fraction of the FFT length, and CFR runs
+# this many clip-and-filter passes
+CP_FRACTION = 0.07
+CFR_ITERATIONS = 10
 
 
-def constellation_points(name: str) -> np.ndarray:
-    """Unit-average-power square constellation alphabet."""
-    try:
-        m = _QAM_LEVELS[name]
-    except KeyError:
-        raise ConfigError(f"unknown constellation {name!r}") from None
-    levels = np.arange(-(m - 1), m, 2, dtype=float)
+def constellation_points() -> np.ndarray:
+    """Unit-average-power 64QAM alphabet."""
+    levels = np.arange(-7, 8, 2, dtype=float)
     alphabet = (levels[:, None] + 1j * levels[None, :]).ravel()
     return alphabet / np.sqrt(np.mean(np.abs(alphabet) ** 2))
 
@@ -38,8 +38,6 @@ class OfdmConfig:
     active_subcarriers: int
     oversampling: int = 1
     num_symbols: int = 1
-    constellation: str = "64QAM"
-    cp_fraction: float = 0.07
     wola_taper_samples: int = 0
     seed: int = 0
 
@@ -48,12 +46,8 @@ class OfdmConfig:
             raise ConfigError("fft_size, oversampling and num_symbols must be positive")
         if not 0 < self.active_subcarriers < self.fft_size:
             raise ConfigError("active_subcarriers must be in (0, fft_size)")
-        if not 0 <= self.cp_fraction < 1:
-            raise ConfigError("cp_fraction must be in [0, 1)")
         if self.wola_taper_samples < 0:
             raise ConfigError("wola_taper_samples must be non-negative")
-        if self.constellation not in _QAM_LEVELS:
-            raise ConfigError(f"unknown constellation {self.constellation!r}")
         if self.subcarrier_spacing <= 0:
             raise ConfigError("subcarrier_spacing must be positive")
 
@@ -72,7 +66,7 @@ class OfdmConfig:
 
     @property
     def cp_samples(self) -> int:
-        return int(round(self.cp_fraction * self.fft_size_os))
+        return int(round(CP_FRACTION * self.fft_size_os))
 
     @property
     def symbol_stride(self) -> int:
@@ -98,7 +92,7 @@ def generate_ofdm(cfg: OfdmConfig) -> tuple[IqSignal, np.ndarray]:
     (num_symbols x active_subcarriers), kept as the EVM reference.
     """
     rng = np.random.default_rng(cfg.seed)
-    alphabet = constellation_points(cfg.constellation)
+    alphabet = constellation_points()
     grid = alphabet[rng.integers(0, alphabet.size, size=(cfg.num_symbols, cfg.active_subcarriers))]
 
     n_fft = cfg.fft_size_os
@@ -171,14 +165,14 @@ def papr_at(sig: IqSignal, probability: float) -> float:
     return papr_ccdf(sig, [probability])[0][1]
 
 
-def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
+def crest_factor_reduce(sig: IqSignal, target_papr_db: float,
                         occupied_bandwidth: float) -> IqSignal:
-    """Iterative clipping and filtering toward a target PAPR.
+    """CFR_ITERATIONS passes of clipping and filtering toward a target PAPR.
 
-    Each iteration hard-clips the envelope at rms * 10^(target/20) and
+    Each pass hard-clips the envelope at rms * 10^(target/20) and
     projects the result back onto the occupied band (brick-wall: FFT bins
     outside +-occupied_bandwidth/2 are zeroed, so clipping noise cannot grow
-    out of band); iterations stop early once nothing exceeds the clip level,
+    out of band); passes stop early once nothing exceeds the clip level,
     so a signal that never does is returned unchanged. The sequence ends on a
     clip, pinning the output peak exactly at the clip level; the unfiltered
     residue of that last pass is tiny (waveform self-ACLR stays above 60 dBc
@@ -187,8 +181,6 @@ def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
     """
     if not 0 < target_papr_db < np.inf:
         raise ConfigError(f"target_papr_db must be a positive finite number, got {target_papr_db!r}")
-    if iterations < 1:
-        raise ConfigError("iterations must be >= 1")
     x = sig.samples.copy()
     drop = np.abs(np.fft.fftfreq(x.size, d=1.0 / sig.sample_rate)) > occupied_bandwidth / 2
     # clip level fixed against the input average power
@@ -203,7 +195,7 @@ def crest_factor_reduce(sig: IqSignal, target_papr_db: float, iterations: int,
         vec[over] *= clip / env[over]
         return True
 
-    for _ in range(iterations):
+    for _ in range(CFR_ITERATIONS):
         if not clip_pass(x):
             break
         spectrum = np.fft.fft(x)

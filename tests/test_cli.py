@@ -347,8 +347,15 @@ _UNWRITTEN = [
     (_partition_case, "top", lambda f: f.update(target_error=[0.01] * 2), "target_error"),
     (_plant_case, "top", lambda f: f.update(channel=[[0.3, -0.1]] * 8), "channel"),
     *((_plant_case, "top", lambda f, key=key: f.pop(key), key)
-      for key in ("coupling_strength", "steer_angle_deg", "angle_coupling_slope")),
+      for key in ("elements", "weights", "coupling", "branch_filters", "coupling_strength",
+                  "steer_angle_deg", "angle_coupling_slope")),
+    *((_plant_case, f"elements={value!r}", lambda f, v=value: f.update(elements=v), "elements")
+      for value in ({"a": 1}, "abc", [], [1])),
+    *((_plant_case, "element", lambda f, key=key: f["elements"][0].pop(key), key)
+      for key in ("kind", "coefficients")),
     (_plant_case, "element", lambda f: f["elements"][0].update(orders=[5]), "orders"),
+    *((_plant_case, "coupling", lambda f, key=key: f["coupling"].pop(key), key)
+      for key in ("shape", "values")),
     (_plant_case, "coupling", lambda f: f["coupling"].update(strength=0.9), "strength"),
 ]
 
@@ -361,14 +368,16 @@ def test_reader_refuses_what_its_writer_does_not_write(tmp_path, capsys, case, e
     the writer does not write (the model's active_mask, the spec's orders and
     memories, a partition's orders and target_error, a plant's channel among
     them), a missing field it writes and a falsy partition that is not null
-    each exit 2 naming the file and the key."""
+    each exit 2 naming the file and the key, in the reader's own words rather
+    than as a raw KeyError or TypeError."""
     path, read, argv = case(tmp_path)
     read()
     fields = json.loads(path.read_text())
     edit(fields)
     path.write_text(json.dumps(fields))
     err = _refusal(argv, capsys)
-    assert str(path) in err and repr(key) in err, err
+    assert str(path) in err, err
+    assert f"{key!r} must be" in err or f"unknown key {key!r}" in err, err
 
 
 def test_parent_orthogonal_model_file_refused(tmp_path, capsys):

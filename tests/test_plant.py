@@ -170,8 +170,7 @@ def test_observation_trivial_and_beam_pattern_equivalence():
     per = array_forward(steered, random_signal(16384, rms=0.5, seed=25))
     beam = beam_pattern(per, [angle], channel_bw)
     main = beam_pattern([observation_receive(steered, per)], [0.0], channel_bw)
-    for field in ("inband_power", "adjacent_power_low", "adjacent_power_high"):
-        np.testing.assert_allclose(getattr(beam, field), getattr(main, field), rtol=1e-9)
+    np.testing.assert_allclose(beam, main, rtol=1e-9)
 
 
 def test_observation_noise_floor_level():
@@ -185,6 +184,17 @@ def test_observation_noise_floor_level():
                                 rng=np.random.default_rng(12))
     snr = 10 * np.log10(clean.power / np.mean(np.abs(noisy.samples - clean.samples) ** 2))
     assert snr == pytest.approx(54.0, abs=0.5)
+
+
+def test_observation_noise_floor_needs_rng():
+    """Receiver noise is drawn only from the stream the caller hands in: a
+    noise floor without an rng is refused, not drawn from a fixed seed."""
+    pa = PaModel("memory_poly", {(1, 0): 1.0})
+    plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
+                       np.ones((1, 1), dtype=complex))
+    per = array_forward(plant, random_signal(64, seed=9))
+    with pytest.raises(ConfigError, match="rng"):
+        observation_receive(plant, per, noise_floor_dbc=-54.0)
 
 
 def test_steer_geometry():
