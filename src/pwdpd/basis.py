@@ -33,7 +33,7 @@ from .errors import ConfigError, DegenerateRegionError, check_fields, check_keys
 from .partition import RegionPartition
 from .signals import IqSignal
 
-FAMILIES = ("memoryless", "memory_poly", "gmp", "full_dual_input")
+FAMILIES = ("gmp", "full_dual_input")
 
 COVARIANCE_LOADING = 1e-10
 
@@ -75,7 +75,7 @@ class BasisSpec:
     partition: RegionPartition | None = None
 
     def __post_init__(self):
-        check_fields(vars(self), _SPEC_RULES, "basis spec")
+        check_fields(vars(self), SPEC_RANGES, "basis spec")
 
     # full_dual_input's per-family orders (P1..P3) and memories (M1..M6), all
     # max_order and memory_depth; None for the other families
@@ -126,13 +126,13 @@ class BasisSpec:
                    None if part is None else RegionPartition.from_dict(part))
 
 
-# each BasisSpec field's test and what it asks for; a spec file's partition is
-# null or the object RegionPartition.from_dict reads
-_SPEC_RULES = {"family": (lambda v: v in FAMILIES, f"one of {FAMILIES}"),
+# each BasisSpec field's test and what it asks for, a config's basis section's
+# too; a spec file's partition is null or the object RegionPartition.from_dict reads
+SPEC_RANGES = {"family": (lambda v: v in FAMILIES, f"one of {FAMILIES}"),
                "max_order": (lambda v: is_int(v) and v >= 1 and v % 2 == 1, "an odd integer >= 1"),
                "memory_depth": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
                "cross_memory_depth": (lambda v: is_int(v) and v >= 0, "an integer >= 0")}
-_SPEC_FIELDS = {**_SPEC_RULES, "partition": (lambda v: v is None or isinstance(v, dict),
+_SPEC_FIELDS = {**SPEC_RANGES, "partition": (lambda v: v is None or isinstance(v, dict),
                                              "null or a partition object")}
 
 
@@ -147,7 +147,7 @@ def enumerate_bfs(spec: BasisSpec) -> list[BfTerm]:
     beam weights are lumped into the coefficients; at max_order 9 and
     memory_depth 3 that set has 116 entries.
     """
-    taps = range((0 if spec.family == "memoryless" else spec.memory_depth) + 1)
+    taps = range(spec.memory_depth + 1)
     terms = [BfTerm("aligned", q, (m,)) for q in range(1, spec.max_order + 1, 2) for m in taps]
     orders = range(3, spec.max_order + 1, 2)
     if spec.family == "gmp":

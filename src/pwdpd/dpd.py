@@ -26,10 +26,10 @@ Gram, whitened by the statistics factor L, stays near the identity, is
 mu in (0, 2) the stability range independent of array size, with mu <= 1
 contracting the error monotonically. A compressing plant passes the
 correction through its local gain rather than Ghat, and the stable range
-then shrinks with drive level: on a soft-limited 5th-order PA with a
-memoryless order-7 basis, mu = 1.9 converges at rms 0.5 and diverges at
-rms 0.8. The shipped presets use mu <= 1, and that does not make the
-training error monotone: on array8-deep at bundle seed 4 (pwcl_orth,
+then shrinks with drive level: on a soft-limited 5th-order PA with an
+order-7 gmp basis at memory depth 0, mu = 1.9 converges at rms 0.5 and
+diverges at rms 0.8. The shipped presets use mu <= 1, and that does not
+make the training error monotone: on array8-deep at bundle seed 4 (pwcl_orth,
 training seed 401, 1 BLAS thread) the error power falls to -25.94 dBc at
 iteration 5 and rises to -22.47 dBc by iteration 10, for an ACLR of
 30.17 dBc.

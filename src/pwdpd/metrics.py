@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DemodulationError
+from .plant import steering_weights
 from .signals import IqSignal
 from .waveform import OfdmConfig, demodulate_ofdm
 
@@ -163,23 +164,18 @@ def beam_pattern(per_element: list[IqSignal], angles_deg, channel_bw: float) -> 
     """Far-field in-channel, lower and upper adjacent powers versus azimuth,
     one (in-channel, lower, upper) row per angle.
 
-    array_forward's element outputs are combined with the half-wavelength ULA
-    array response exp(j pi i sin(angle)) per angle; powers integrate the
-    Welch spectrum (WELCH_BINS bins) over the measurement bandwidth centered on the
-    channel and the +-channel_bw adjacent offsets. The measurement bandwidth
-    is the occupied-99% band of the angle with the strongest in-channel power,
-    the rule of aclr_single_direction, so a one-point sweep reproduces that
-    metric exactly.
+    array_forward's element outputs are combined at each angle with the
+    half-wavelength ULA array response, the conjugate of steering_weights;
+    powers integrate the Welch spectrum (WELCH_BINS bins) over the measurement
+    bandwidth centered on the channel and the +-channel_bw adjacent offsets.
+    The measurement bandwidth is the occupied-99% band of the angle with the
+    strongest in-channel power, the rule of aclr_single_direction, so a
+    one-point sweep reproduces that metric exactly.
     """
     angles_deg = np.asarray(list(angles_deg), dtype=float)
     if angles_deg.size == 0 or np.any(np.diff(angles_deg) < 0):
         raise ConfigError("angles must be non-empty and sorted")
     outputs = np.stack([sig.samples for sig in per_element])
-    idx = np.arange(len(per_element))
-    spectra = []
-    freqs = None
-    for ang in angles_deg:
-        af = np.exp(1j * np.pi * idx * math.sin(math.radians(ang)))
-        freqs, pxx = _welch(af @ outputs, per_element[0].sample_rate)
-        spectra.append(pxx)
-    return _channel_powers(freqs, spectra, channel_bw)
+    spectra = [_welch(np.conj(steering_weights(len(outputs), ang)) @ outputs,
+                      per_element[0].sample_rate) for ang in angles_deg]
+    return _channel_powers(spectra[0][0], [pxx for _, pxx in spectra], channel_bw)

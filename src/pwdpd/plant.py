@@ -13,7 +13,8 @@ PA kinds:
   doherty_like  two memory-polynomial branches blended across an amplitude
                 crossover, producing strongly local nonlinearity
 
-The drive u is the incident wave w_i * a1 plus the coupled neighbor wave
+The drive u is the incident wave w_i * a1 (w_i the steering_weights phase of
+the steering angle, the one stored beam state) plus the coupled neighbor wave
 scaled by coupling_strength and the steering-angle factor; with
 coupling_strength = 0 the nonlinear response is exactly steering-invariant.
 A smooth envelope limiter at saturation_level bounds the drive to
@@ -57,23 +58,23 @@ _SETTINGS = {"saturation_level": (lambda v: v == math.inf or is_number(v) and v 
 
 # each ArrayPlant scalar's test and what it asks for
 _PLANT_SCALARS = {"coupling_strength": (lambda v: is_number(v) and v >= 0, "a finite number >= 0"),
-                  "steer_angle_deg": (is_number, "a finite number"),
+                  "steer_angle_deg": (lambda v: is_number(v) and abs(v) <= 90,
+                                      "a finite number of degrees in [-90, 90]"),
                   "angle_coupling_slope": (is_number, "a finite number")}
 
 # the fields of a plant file (the ArrayPlant scalars included), of each of its
 # elements and of its coupling and branch_filters objects, each with its test
 # and what it asks for
-_PAIRS = (lambda v: isinstance(v, list), "a list of [re, im] pairs")
 _OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 _PLANT_FIELDS = {
     "elements": (lambda v: isinstance(v, list) and len(v) > 0
                  and all(isinstance(e, dict) for e in v), "a non-empty list of JSON objects"),
-    "weights": _PAIRS, "coupling": _OBJECT, "branch_filters": _OBJECT, **_PLANT_SCALARS,
+    "coupling": _OBJECT, "branch_filters": _OBJECT, **_PLANT_SCALARS,
 }
 _ELEMENT_FIELDS = {"kind": (lambda v: isinstance(v, str), "a string"), "coefficients": _OBJECT}
 _MATRIX_FIELDS = {"shape": (lambda v: isinstance(v, list) and all(is_int(n) and n >= 1 for n in v),
                              "a list of integers >= 1"),
-                   "values": _PAIRS}
+                   "values": (lambda v: isinstance(v, list), "a list of [re, im] pairs")}
 
 # |x|/sat above which the limiter's (1 + r^4)^(1/4) is r to double precision
 _LIMIT_FLAT = 2.0 ** 14
@@ -215,7 +216,6 @@ class ArrayPlant:
     """
 
     elements: tuple[PaModel, ...]
-    weights: np.ndarray
     coupling: np.ndarray
     branch_filters: np.ndarray
     coupling_strength: float = 0.0
@@ -224,15 +224,12 @@ class ArrayPlant:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        for name in ("weights", "coupling", "branch_filters"):
+        for name in ("coupling", "branch_filters"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.complex128))
         L = len(self.elements)
         if L < 1:
             raise ConfigError("plant needs at least one element")
-        shapes = {name: getattr(self, name).shape
-                  for name in ("weights", "coupling", "branch_filters")}
-        check_fields(shapes, {
-            "weights": (lambda s: s == (L,), f"of shape ({L},)"),
+        check_fields({name: getattr(self, name).shape for name in ("coupling", "branch_filters")}, {
             "coupling": (lambda s: len(s) == 3 and s[:2] == (L, L), f"of shape ({L}, {L}, taps)"),
             "branch_filters": (lambda s: len(s) == 2 and s[0] == L, f"of shape ({L}, taps)"),
         }, "plant")
@@ -243,6 +240,11 @@ class ArrayPlant:
         return len(self.elements)
 
     @property
+    def weights(self) -> np.ndarray:
+        """Beamforming weights, derived from steer_angle_deg by steering_weights."""
+        return steering_weights(self.n_elements, self.steer_angle_deg)
+
+    @property
     def angle_factor(self) -> float:
         return 1.0 + self.angle_coupling_slope * abs(math.sin(math.radians(self.steer_angle_deg)))
 
@@ -250,16 +252,16 @@ class ArrayPlant:
         """PA input of element i: incident wave w_i a1 plus the coupled wave, a1
         through one composite FIR sum_{l != i} w_l lambda_il * mu_l scaled as
         the class docstring says."""
+        w = self.weights
         if self.coupling_strength == 0.0:
-            return self.weights[element] * a1
+            return w[element] * a1
         f = np.zeros(self.coupling.shape[2] + self.branch_filters.shape[1] - 1,
                      dtype=np.complex128)
         for l in range(self.n_elements):
             if l != element:
-                f += self.weights[l] * np.convolve(self.coupling[element, l],
-                                                   self.branch_filters[l])
+                f += w[l] * np.convolve(self.coupling[element, l], self.branch_filters[l])
         taps = self.coupling_strength * self.angle_factor * f
-        taps[0] += self.weights[element]
+        taps[0] += w[element]
         return _causal_fir(a1, taps)
 
     def to_dict(self) -> dict:
@@ -272,7 +274,6 @@ class ArrayPlant:
                 "saturation_level": pa.saturation_level if math.isfinite(pa.saturation_level) else None,
                 "coefficients": _encode_coefficients(pa.coefficients),
             } for pa in self.elements],
-            "weights": c2l(self.weights),
             "coupling": {"shape": list(self.coupling.shape), "values": c2l(self.coupling)},
             "branch_filters": {"shape": list(self.branch_filters.shape), "values": c2l(self.branch_filters)},
             "coupling_strength": self.coupling_strength,
@@ -293,10 +294,9 @@ class ArrayPlant:
             check_keys(check_fields(d[name], _MATRIX_FIELDS, f"plant field {name!r}"),
                        _MATRIX_FIELDS, f"plant field {name!r}")
 
-        def l2c(name, pairs, shape=None):
-            arr = np.asarray([read_pair(v, f"plant field {name!r}") for v in pairs])
-            if shape is None:
-                return arr
+        def l2c(name):
+            shape = d[name]["shape"]
+            arr = np.asarray([read_pair(v, f"plant field {name!r}") for v in d[name]["values"]])
             if math.prod(shape) != arr.size:
                 raise ConfigError(f"plant field {name!r} shape must have product {arr.size}, "
                                   f"its value count; got {shape!r}")
@@ -308,10 +308,7 @@ class ArrayPlant:
         return cls(
             elements=tuple(PaModel(e["kind"], _decode_coefficients(e["coefficients"]),
                                    sat(e.get("saturation_level"))) for e in d["elements"]),
-            weights=l2c("weights", d["weights"]),
-            coupling=l2c("coupling", d["coupling"]["values"], d["coupling"]["shape"]),
-            branch_filters=l2c("branch_filters", d["branch_filters"]["values"],
-                               d["branch_filters"]["shape"]),
+            coupling=l2c("coupling"), branch_filters=l2c("branch_filters"),
             **{name: d[name] for name in _PLANT_SCALARS},
         )
 
@@ -323,13 +320,19 @@ def _encode_coefficients(named: dict) -> dict:
 
 
 def _decode_coefficients(named: dict) -> dict:
-    """Inverse of _encode_coefficients; a table that lists a key twice is refused."""
-    out = {name: {tuple(key): read_pair(coef, f"coefficient table {name!r}")
-                  for key, coef in value}
-           if isinstance(value, list) else value for name, value in named.items()}
-    for name, value in named.items():
-        if isinstance(value, list) and len(out[name]) != len(value):
-            raise ConfigError(f"coefficient table {name!r} lists a key twice")
+    """Inverse of _encode_coefficients; a row that is not [[ints...], [re, im]]
+    (_check_table checks its key) and a key listed twice are refused."""
+    out = dict(named)
+    for name, rows in named.items():
+        if isinstance(rows, list):
+            what = f"coefficient table {name!r}"
+            for row in rows:
+                if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)
+                        and all(map(is_int, row[0]))):
+                    raise ConfigError(f"{what} rows are [[order, tap], [re, im]], got {row!r}")
+            out[name] = {tuple(key): read_pair(coef, what) for key, coef in rows}
+            if len(out[name]) != len(rows):
+                raise ConfigError(f"{what} lists a key twice")
     return out
 
 
@@ -370,8 +373,9 @@ def observation_receive(plant: ArrayPlant, per_element: list[IqSignal],
     if noise_floor_dbc is not None and rng is None:
         raise ConfigError("a noise floor needs the rng its noise is drawn from")
     z = np.zeros(len(per_element[0]), dtype=np.complex128)
+    w = plant.weights
     for i, sig in enumerate(per_element):
-        z += np.exp(-1j * np.angle(plant.weights[i])) * sig.samples
+        z += np.exp(-1j * np.angle(w[i])) * sig.samples
     if noise_floor_dbc is not None:
         p_noise = np.mean(np.abs(z) ** 2) * 10 ** (noise_floor_dbc / 10)
         noise = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
@@ -379,11 +383,11 @@ def observation_receive(plant: ArrayPlant, per_element: list[IqSignal],
     return per_element[0].with_samples(z)
 
 
+def steering_weights(n_elements: int, angle_deg: float) -> np.ndarray:
+    """Half-wavelength ULA weights exp(-j pi i sin(angle)): the main beam points at angle_deg."""
+    return np.exp(-1j * np.pi * np.arange(n_elements) * math.sin(math.radians(angle_deg)))
+
+
 def steer(plant: ArrayPlant, angle_deg: float) -> ArrayPlant:
-    """Re-point the array: phase-only weights for a half-wavelength ULA, so the
-    main beam (observation_receive) points at angle_deg."""
-    if not abs(angle_deg) <= 90:
-        raise ConfigError(f"steering angle must satisfy |angle| <= 90 degrees, got {angle_deg!r}")
-    idx = np.arange(plant.n_elements)
-    weights = np.exp(-1j * np.pi * idx * math.sin(math.radians(angle_deg)))
-    return replace(plant, weights=weights, steer_angle_deg=angle_deg)
+    """Re-point the array at angle_deg, |angle_deg| <= 90."""
+    return replace(plant, steer_angle_deg=angle_deg)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import complexity as complexity_mod
-from .basis import BasisSpec
+from .basis import SPEC_RANGES, BasisSpec
 from .basis import descriptors_json as basis_descriptors_json
 from .dpd import (LEARN_RANGES, DpdModel, LearnConfig, TraceRecord, estimate_gain, learn,
                   predistort, save_model, trace_to_csv)
@@ -44,14 +44,13 @@ from .waveform import OfdmConfig, crest_factor_reduce, generate_ofdm, papr_at
 # DPD method -> (the partition it trains on: "taylor", "kmeans" or None for a
 # single polynomial; its learner: "cl" for closed-loop dpd.learn, "ila", or
 # None for no DPD). dpd.learn's one update is both the orthogonal-BF and the
-# self-orthogonalized rule, so the *_orth and *_selforth methods train alike
+# self-orthogonalized rule, so pwcl_orth and pwcl_selforth train alike
 METHODS = {
     "none": (None, None),
     "pwcl_orth": ("taylor", "cl"),
     "pwcl_selforth": ("taylor", "cl"),
     "pwcl_kmeans": ("kmeans", "cl"),
     "cl_orth": (None, "cl"),
-    "cl_selforth": (None, "cl"),
     "pw_ila": ("taylor", "ila"),
     "ila": (None, "ila"),
 }
@@ -471,6 +470,7 @@ SECTIONS = {
 # block_size >= 10 x coefficient-count checks need the partition and stay
 # with dpd.learn and ila_learn
 SECTION_RANGES = {
+    "basis": SPEC_RANGES,
     "learn": LEARN_RANGES,
     "ila": ILA_RANGES,
     "eval": {"num_symbols": (lambda v: v >= 1, "at least 1")},

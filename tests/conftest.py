@@ -22,8 +22,8 @@ def identity_coupling(n, taps=1):
 
 def single_element_plant(table, kind="memory_poly", sat=np.inf, coupling_strength=0.0):
     pa = PaModel(kind, table, saturation_level=sat)
-    return ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
-                      np.ones((1, 1), dtype=complex), coupling_strength=coupling_strength)
+    return ArrayPlant((pa,), identity_coupling(1), np.ones((1, 1), dtype=complex),
+                      coupling_strength=coupling_strength)
 
 
 def random_signal(n, rms=0.5, seed=0, sample_rate=1.0):

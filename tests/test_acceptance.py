@@ -217,7 +217,7 @@ def test_criterion_3_invariant_suites():
     # the loaded Gram G + lam I in the same way.
     sig = random_signal(30000, rms=0.7, seed=5)
     for label, part in _CRITERION_3_PARTITIONS.items():
-        spec = BasisSpec("memoryless", 7, partition=part)
+        spec = BasisSpec("gmp", 7, partition=part)
         white = whiten(dense_basis(spec, sig.samples),
                        block_cholesky(gram_matrix(spec, sig.samples)))
         gram = white.conj().T @ white / len(sig)
@@ -235,7 +235,7 @@ def test_criterion_3_invariant_suites():
 
     # injection identity
     sig2 = random_signal(4000, seed=6)
-    out = predistort(DpdModel.zero(BasisSpec("memory_poly", 7, 2)), sig2)
+    out = predistort(DpdModel.zero(BasisSpec("gmp", 7, 2)), sig2)
     ident = np.array_equal(out.samples, sig2.samples)
     _report("criterion-3 injection identity", ident, "gamma = 0 is bit-exact identity")
 
@@ -252,7 +252,7 @@ def test_criterion_3_invariant_suites():
     x = random_signal(20000, rms=0.8, seed=8).samples
     alpha = np.array([0.2 - 0.05j, 0.02 + 0.07j])
     for label, part in _CRITERION_3_PARTITIONS.items():
-        spec = BasisSpec("memoryless", 5, partition=part)
+        spec = BasisSpec("gmp", 5, partition=part)
         factor = block_cholesky(gram_matrix(spec, x))
         white = np.tile(np.r_[0, alpha], spec.n_regions).reshape(spec.n_regions, -1, 1)
         gamma = np.linalg.solve(factor.conj().transpose(0, 2, 1), white).ravel()  # L^-H c

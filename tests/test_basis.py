@@ -32,14 +32,14 @@ def _block_diag(blocks):
 
 
 def test_memoryless_count_and_order():
-    terms = enumerate_bfs(BasisSpec("memoryless", 5))
+    terms = enumerate_bfs(BasisSpec("gmp", 5))
     assert len(terms) == 3
     assert [t.order for t in terms] == [1, 3, 5]
     assert terms[0].lags == (0,)
 
 
 def test_memory_poly_count():
-    spec = BasisSpec("memory_poly", 5, 2)
+    spec = BasisSpec("gmp", 5, 2)
     # counting formula: orders x taps
     assert spec.n_basis_single == ((5 + 1) // 2) * (2 + 1) == 9
 
@@ -77,7 +77,7 @@ def test_full_dual_input_counts():
 
 def test_even_order_rejected():
     with pytest.raises(ConfigError, match="'max_order' must be an odd integer >= 1"):
-        BasisSpec("memoryless", 4)
+        BasisSpec("gmp", 4)
 
 
 # sha256 of the JSON [family, order, lags] list of enumerate_bfs, frozen from
@@ -99,7 +99,7 @@ def test_shipped_basis_term_order(key):
 
 def test_single_region_identical_to_dense():
     sig = rayleigh_signal(2000)
-    spec = BasisSpec("memory_poly", 5, 1)
+    spec = BasisSpec("gmp", 5, 1)
     dense = dense_basis(spec, sig.samples)
     part = RegionPartition(np.array([0.0, 10.0]))
     masked = dense_basis(spec.with_partition(part), sig.samples)
@@ -108,7 +108,7 @@ def test_single_region_identical_to_dense():
 
 def test_mask_definition_two_samples():
     part = RegionPartition(np.array([0.0, 0.5, 1.0]))
-    spec = BasisSpec("memoryless", 3, partition=part)
+    spec = BasisSpec("gmp", 3, partition=part)
     values = dense_basis(spec, np.array([0.2, 0.8], dtype=complex))
     b1 = spec.n_basis_single
     assert np.all(values[0, b1:] == 0) and np.any(values[0, :b1] != 0)
@@ -119,7 +119,7 @@ def test_partition_of_unity_masking():
     sig = rayleigh_signal(5000, seed=9)
     env = np.abs(sig.samples)
     part = RegionPartition([0.0] + np.quantile(env, [0.4, 0.8]).tolist() + [env.max() * 1.001])
-    spec = BasisSpec("memoryless", 5, partition=part)
+    spec = BasisSpec("gmp", 5, partition=part)
     values = dense_basis(spec, sig.samples)
     b1 = spec.n_basis_single
     hits = np.zeros(len(sig), dtype=int)
@@ -157,7 +157,7 @@ def test_orthogonalize_gram_identity_and_reconstruction():
     """The whitening learn applies, the Cholesky factor L of gram_matrix, turns
     the basis columns into columns of identity sample Gram, and L^H takes them back."""
     sig = rayleigh_signal()
-    spec = BasisSpec("memoryless", 5)
+    spec = BasisSpec("gmp", 5)
     factor = block_cholesky(gram_matrix(spec, sig.samples))
     dense = dense_basis(spec, sig.samples)
     white = whiten(dense, factor)
@@ -174,7 +174,7 @@ def test_orthogonalize_piecewise_block_structure():
     sig = rayleigh_signal(40000, seed=12)
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
-    spec = BasisSpec("memoryless", 5, partition=part)
+    spec = BasisSpec("gmp", 5, partition=part)
     factor = block_cholesky(gram_matrix(spec, sig.samples))
     dense = dense_basis(spec, sig.samples)
     white = whiten(dense, factor)
@@ -194,13 +194,13 @@ def test_orthogonalize_degenerate_cases():
     """block_cholesky refuses a rank-deficient Gram, and the zero block that
     gram_matrix gives an empty region, naming that region."""
     sig = rayleigh_signal(2000)
-    col = dense_basis(BasisSpec("memoryless", 5), sig.samples)[:, :1]
+    col = dense_basis(BasisSpec("gmp", 5), sig.samples)[:, :1]
     dup = np.hstack([col, col])  # exact duplicate
     with pytest.raises(DegenerateRegionError):
         block_cholesky((dup.conj().T @ dup / len(sig))[None])
     # empty top region
     part = RegionPartition([0.0, 5.0, 6.0])
-    spec = BasisSpec("memoryless", 3, partition=part)
+    spec = BasisSpec("gmp", 3, partition=part)
     with pytest.raises(DegenerateRegionError) as err:
         block_cholesky(gram_matrix(spec, sig.samples))
     assert err.value.region == 1
@@ -213,7 +213,7 @@ def _factor_solve(factor, rhs):
 
 def test_covariance_orthonormal_and_closed_form():
     sig = rayleigh_signal()
-    spec = BasisSpec("memoryless", 3)
+    spec = BasisSpec("gmp", 3)
     cov = precompute_covariance(spec, sig)
     # oracle: direct loaded sample covariance and the 2x2 analytic inverse
     x = sig.samples
@@ -233,7 +233,7 @@ def test_covariance_piecewise_block_diagonal():
     sig = rayleigh_signal(20000, seed=3)
     env = np.abs(sig.samples)
     part = RegionPartition([0.0, np.median(env), env.max() * 1.001])
-    spec = BasisSpec("memoryless", 5, partition=part)
+    spec = BasisSpec("gmp", 5, partition=part)
     cov = precompute_covariance(spec, sig)
     b1 = spec.n_basis_single
     assert cov.shape == (2, b1, b1)
@@ -251,7 +251,7 @@ def test_covariance_piecewise_block_diagonal():
 
 def test_covariance_rejects_empty_region():
     sig = rayleigh_signal(20000, seed=3)
-    spec = BasisSpec("memoryless", 3, partition=RegionPartition([0.0, 5.0, 6.0, 7.0]))
+    spec = BasisSpec("gmp", 3, partition=RegionPartition([0.0, 5.0, 6.0, 7.0]))
     with pytest.raises(DegenerateRegionError) as err:
         precompute_covariance(spec, sig)
     assert err.value.region == 1
@@ -280,7 +280,7 @@ def test_chunked_passes_share_one_basis_build_per_chunk(monkeypatch):
     mid = slice(CHUNK, 2 * CHUNK)
     x[mid] *= 0.9 * edges[2] / env[mid].max()  # top region empty in the middle chunk
     sig = sig.with_samples(x)
-    spec = BasisSpec("memory_poly", 3, 1, partition=RegionPartition(edges))
+    spec = BasisSpec("gmp", 3, 1, partition=RegionPartition(edges))
     dense = dense_basis(spec, x)
     assert not np.any(dense[mid, 2 * spec.n_basis_single:])
 

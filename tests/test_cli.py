@@ -146,10 +146,11 @@ def _json_file(path, value):
 # a no-DPD doherty-n3 linearization bundle, the quickest scenario config
 _NO_DPD_CONFIG = {"kind": "linearization", "preset": "doherty-n3", "seed": 3, "methods": ["none"]}
 
-# a doherty-n3 config that trains in about a second: a memoryless order-5
-# basis and one 2000-sample block per learner
+# a doherty-n3 config that trains in about a second: an order-5 gmp basis at
+# memory depth 0 and one 2000-sample block per learner
 _QUICK_TRAIN_CONFIG = {"kind": "linearization", "preset": "doherty-n3",
-                       "basis": {"family": "memoryless", "max_order": 5},
+                       "basis": {"family": "gmp", "max_order": 5, "memory_depth": 0,
+                                 "cross_memory_depth": 0},
                        "learn": {"block_size": 2000, "iterations": 1},
                        "ila": {"block_size": 2000, "iterations": 1}}
 
@@ -275,7 +276,7 @@ def test_corrupt_model_payload_exit_code(tmp_path, edit):
     write, exits 2 naming it."""
     from pwdpd.dpd import DpdModel, load_model, save_model
 
-    model = DpdModel(np.arange(3) + 1j, BasisSpec("memoryless", 5))
+    model = DpdModel(np.arange(3) + 1j, BasisSpec("gmp", 5))
     path = save_model(model, tmp_path / "m")
     assert path == tmp_path / "m.dpd.json" and sorted(tmp_path.iterdir()) == [path]
     np.testing.assert_array_equal(load_model(tmp_path / "m").gamma, model.gamma)
@@ -292,7 +293,7 @@ def test_non_finite_model_coefficient_exit_code(tmp_path, capsys):
     """A NaN coefficient is refused where it is read, naming the file and the coefficient."""
     from pwdpd.dpd import DpdModel, save_model
 
-    path = save_model(DpdModel(np.arange(3) + 1j, BasisSpec("memoryless", 5)), tmp_path / "m")
+    path = save_model(DpdModel(np.arange(3) + 1j, BasisSpec("gmp", 5)), tmp_path / "m")
     fields = json.loads(path.read_text())
     fields["gamma"][1] = [math.nan, 0.0]
     path.write_text(json.dumps(fields))
@@ -305,7 +306,7 @@ def _model_case(tmp_path):
     """A piecewise model file, its reader, and evaluate of it."""
     from pwdpd.dpd import DpdModel, load_model, save_model
 
-    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
+    spec = BasisSpec("gmp", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
     path = save_model(DpdModel(np.arange(6) + 1j, spec), tmp_path / "m")
     return path, lambda: load_model(tmp_path / "m"), ["evaluate", "--preset", "doherty-n3",
                                                      "--model", str(tmp_path / "m")]
@@ -347,8 +348,10 @@ _UNWRITTEN = [
     (_partition_case, "top", lambda f: f.update(target_error=[0.01] * 2), "target_error"),
     (_plant_case, "top", lambda f: f.update(channel=[[0.3, -0.1]] * 8), "channel"),
     *((_plant_case, "top", lambda f, key=key: f.pop(key), key)
-      for key in ("elements", "weights", "coupling", "branch_filters", "coupling_strength",
+      for key in ("elements", "coupling", "branch_filters", "coupling_strength",
                   "steer_angle_deg", "angle_coupling_slope")),
+    # the weights follow from steer_angle_deg, so a plant file does not hold them
+    (_plant_case, "top", lambda f: f.update(weights=[[1.0, 0.0]] * 8), "weights"),
     *((_plant_case, f"elements={value!r}", lambda f, v=value: f.update(elements=v), "elements")
       for value in ({"a": 1}, "abc", [], [1])),
     *((_plant_case, "element", lambda f, key=key: f["elements"][0].pop(key), key)
@@ -388,7 +391,7 @@ def test_parent_orthogonal_model_file_refused(tmp_path, capsys):
     whitened gamma is never applied as a native one."""
     from pwdpd.dpd import load_model
 
-    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 0.6, 2.0]))
+    spec = BasisSpec("gmp", 5, partition=RegionPartition([0.0, 0.3, 0.6, 2.0]))
     n, k, b1 = spec.n_basis_total, spec.n_regions, spec.n_basis_single
     assert (n, k, b1) == (9, 3, 3)
     rng = np.random.default_rng(4)
@@ -510,7 +513,7 @@ def test_failed_bundle_keeps_finished_runs(tmp_path, monkeypatch):
         if method == "cl_orth":
             raise DivergenceError("test divergence", [TraceRecord(1, -40.0, 3),
                                                       TraceRecord(2, -12.5, 3)])
-        return DpdModel(np.arange(3) + 0j, BasisSpec("memoryless", 5)), [TraceRecord(1, -40.0, 3)]
+        return DpdModel(np.arange(3) + 0j, BasisSpec("gmp", 5)), [TraceRecord(1, -40.0, 3)]
 
     def fake_evaluate(*args, **kwargs):
         return scenarios.EvalResult({"aclr_dbc": -40.0}, np.zeros(2), np.zeros(2))
@@ -707,11 +710,17 @@ def _non_finite_cases():
 
 
 # linearization.methods names METHODS entries only; an element that is no
-# name, or cannot be hashed, is refused as well
+# name, or cannot be hashed, is refused as well, and so is the removed alias
+# cl_selforth of cl_orth
 _BAD_METHODS = {f"linearization.methods={label}": ("linearization", {"methods": value}, "methods")
                 for label, value in (("bogus", ["bogus"]), ("number", [3]),
-                                     ("object", [{"a": 1}]))}
-_ILL_TYPED = {**_ill_typed_cases(), **_non_finite_cases(), **_BAD_METHODS}
+                                     ("object", [{"a": 1}]), ("cl_selforth", ["cl_selforth"]))}
+# basis.family names FAMILIES entries only: the removed aliases of gmp at
+# memory depth 0 and at cross-memory depth 0 are refused
+_BAD_FAMILIES = {f"basis.family={family}": ("linearization", {"basis": {"family": family}},
+                                            "family")
+                 for family in ("memoryless", "memory_poly")}
+_ILL_TYPED = {**_ill_typed_cases(), **_non_finite_cases(), **_BAD_METHODS, **_BAD_FAMILIES}
 
 
 @pytest.mark.parametrize("kind, config, key", list(_ILL_TYPED.values()), ids=list(_ILL_TYPED))
@@ -920,7 +929,7 @@ _TRAIN_ROWS = [
     ("pwcl_selforth", 0, "taylor"),
     ("pwcl_kmeans", 0, "kmeans"),
     ("cl_orth", 0, None),
-    ("cl_selforth", 0, None),
+    ("cl_selforth", 2, None),  # the removed alias of cl_orth
     ("pw_ila", 0, "taylor"),
     ("ila", 0, None),
 ]
@@ -941,8 +950,7 @@ def test_train_method_table(tmp_path, method, code, partition):
             assert list(saved) == ["edges"] and len(saved["edges"]) >= 3
 
 
-@pytest.mark.parametrize("method, code", [("pwcl_orth", 0), ("cl_orth", 2), ("cl_selforth", 2),
-                                          ("ila", 2)])
+@pytest.mark.parametrize("method, code", [("pwcl_orth", 0), ("cl_orth", 2), ("ila", 2)])
 def test_train_partition_file_needs_piecewise_method(tmp_path, capsys, method, code):
     part = tmp_path / "part.json"
     assert main(["partition", "--preset", "doherty-n3", "--output", str(part)]) == 0
@@ -1173,7 +1181,7 @@ _READERS = {
                                                 "--model", str(d / "m")],
                        {"gamma": []}),
     "plant-file": ("p.json", lambda d: d / "p.json",
-                   dict(load_plant_preset("doherty-n3").to_dict(), weights=[[1.0]])),
+                   dict(load_plant_preset("doherty-n3").to_dict(), steer_angle_deg=120.0)),
     "complexity-params": ("params.json", lambda d: ["complexity", "--params",
                                                     str(d / "params.json")],
                           dict(dataclasses.asdict(reference_params()), k=0)),
@@ -1256,12 +1264,11 @@ def test_partition_refuses_flags_its_method_does_not_read(tmp_path, capsys, flag
     assert not part.exists()
 
 
-@pytest.mark.parametrize("method, twin", [("pwcl_selforth", "pwcl_orth"),
-                                          ("cl_selforth", "cl_orth")])
+@pytest.mark.parametrize("method, twin", [("pwcl_selforth", "pwcl_orth")])
 def test_train_selforth_prunes_like_orth(tmp_path, capsys, method, twin):
-    """Every closed-loop method prunes, and a *_selforth method writes the same
-    gamma as its *_orth twin at the same seed, since one update serves both
-    rules; the summary line counts the coefficients the pruned learner updates."""
+    """Every closed-loop method prunes, and pwcl_selforth writes the same gamma
+    as its twin pwcl_orth at the same seed, since one update serves both rules;
+    the summary line counts the coefficients the pruned learner updates."""
     from pwdpd.dpd import load_model
 
     payloads = {}
@@ -1421,7 +1428,8 @@ _PLANT_SCALARS = [("saturation_level", math.nan), ("coupling_strength", math.nan
                   ("steer_angle_deg", -math.inf), ("angle_coupling_slope", math.nan),
                   ("angle_coupling_slope", math.inf), ("saturation_level", "1.2"),
                   ("saturation_level", True), ("coupling_strength", True),
-                  ("steer_angle_deg", "0"), ("angle_coupling_slope", False)]
+                  ("steer_angle_deg", "0"), ("angle_coupling_slope", False),
+                  ("steer_angle_deg", 120.0)]
 
 
 @pytest.mark.parametrize("field, value", _PLANT_SCALARS,
@@ -1436,28 +1444,29 @@ def test_plant_file_non_finite_scalar_exit_code(tmp_path, field, value):
 
 
 @pytest.mark.parametrize("row", [[[1, 0], [0.5, 0.0]], [[3.5, 1], [0.1, 0.0]],
-                                 [[True, 0], [0.1, 0.0]]],
-                         ids=["key-twice", "float-order", "bool-order"])
+                                 [[True, 0], [0.1, 0.0]], [[1, 0]], [5, [1.0, 0.0]]],
+                         ids=["key-twice", "float-order", "bool-order", "no-coefficient",
+                              "bare-order"])
 def test_plant_file_table_key_exit_code(tmp_path, row):
-    """A coefficient table's keys are JSON integers, each listed once; any
-    other row is refused naming the table instead of being rounded or
-    overwritten."""
+    """A coefficient table's rows are [[order, tap], [re, im]] with JSON
+    integer keys, each listed once; any other row is refused naming the table
+    instead of being rounded, overwritten or failing as a TypeError."""
     plant = load_plant_preset("array8-deep").to_dict()
     plant["elements"][0]["coefficients"]["table"].append(row)
     assert "'table'" in _plant_refusal(tmp_path, plant)
 
 
 def _set_first_pair(plant, field, value):
-    """Put value in place of the first [re, im] pair of a plant dict's weights,
-    coupling or branch_filters, or of its first element's main table."""
+    """Put value in place of the first [re, im] pair of a plant dict's coupling
+    or branch_filters, or of its first element's main table."""
     if field == "main":
         plant["elements"][0]["coefficients"]["main"][0][1] = value
     else:
-        (plant[field] if field == "weights" else plant[field]["values"])[0] = value
+        plant[field]["values"][0] = value
 
 
-_PLANT_PAIRS = [("weights", [True, False]), ("weights", [math.nan, 0.0]), ("weights", ["1", 0.0]),
-                ("branch_filters", [1.0, math.nan]), ("coupling", [1.0]),
+_PLANT_PAIRS = [("coupling", [True, False]), ("coupling", [math.nan, 0.0]),
+                ("coupling", ["1", 0.0]), ("branch_filters", [1.0, math.nan]), ("coupling", [1.0]),
                 ("main", [math.nan, 0.0]), ("main", [math.inf, 0.0]), ("main", [1.0]),
                 ("main", [True, 0.0])]
 
@@ -1465,7 +1474,7 @@ _PLANT_PAIRS = [("weights", [True, False]), ("weights", [math.nan, 0.0]), ("weig
 @pytest.mark.parametrize("field, value", _PLANT_PAIRS,
                          ids=[f"{f}={v!r}" for f, v in _PLANT_PAIRS])
 def test_plant_file_complex_pair_exit_code(tmp_path, field, value):
-    """Every complex number in a plant file (weights, coupling, branch filters,
+    """Every complex number in a plant file (coupling, branch filters,
     coefficient rows) is an [re, im] pair of finite JSON numbers; anything else
     is refused naming the field or table instead of loading as a number."""
     plant = load_plant_preset("doherty-n3").to_dict()
@@ -1555,7 +1564,7 @@ def _plant_file(tmp_path, broken):
     save_plant(load_plant_preset("doherty-n3"), tmp_path / "p.json")
     if broken:
         plant = json.loads((tmp_path / "p.json").read_text())
-        del plant["weights"]
+        plant["weights"] = [[1.0, 0.0]]
         (tmp_path / "p.json").write_text(json.dumps(plant))
     return tmp_path / "p.json"
 
@@ -1635,7 +1644,7 @@ def _scenario_config(tmp_path, broken):
     _plant_with("array8-deep", lambda p: p["branch_filters"].update(taps=2)),
     _sidecar_with(format="iq-float64-be-interleaved"), _sidecar_with(sampel_rate=2e9),
     _partition_with(target_errors=[0.01, 0.01]),
-], ids=["plant-without-weights", "doherty-blend-width-zero", "sidecar-without-length",
+], ids=["plant-with-weights", "doherty-blend-width-zero", "sidecar-without-length",
         "config-as-list", "partition-without-edges", "partition-edge-string",
         "branch-filters-1d", "coupling-2d", "empty-table", "misspelled-plant-key",
         "misspelled-element-key", "coupling-unknown-key", "branch-filters-unknown-key",

@@ -21,7 +21,7 @@ from conftest import PlantLoop, dense_basis, random_signal, single_element_plant
 
 
 def test_predistort_identity_bit_exact():
-    spec = BasisSpec("memory_poly", 5, 2)
+    spec = BasisSpec("gmp", 5, 2)
     model = DpdModel.zero(spec)
     sig = random_signal(500, seed=1)
     out = predistort(model, sig)
@@ -29,7 +29,7 @@ def test_predistort_identity_bit_exact():
 
 
 def test_predistort_hand_expansion():
-    spec = BasisSpec("memoryless", 3)
+    spec = BasisSpec("gmp", 3)
     c = 0.2 - 0.1j
     model = DpdModel(np.array([0.0, c]), spec)
     sig = random_signal(200, seed=2)
@@ -40,7 +40,7 @@ def test_predistort_hand_expansion():
 
 def test_predistort_piecewise_region_masking():
     part = RegionPartition([0.0, 0.5, 10.0])
-    spec = BasisSpec("memoryless", 3, partition=part)
+    spec = BasisSpec("gmp", 3, partition=part)
     gamma = np.zeros(4, dtype=complex)
     gamma[2] = 0.3  # region-2 linear term only
     model = DpdModel(gamma, spec)
@@ -94,7 +94,7 @@ def test_learn_linear_plant_stays_zero():
     plant = single_element_plant({(1, 0): 1.0})
     loop = PlantLoop(plant, rms=0.3, seed=12)
     cfg = LearnConfig(mu=0.5, block_size=2000, iterations=5)
-    model, trace = learn(loop, BasisSpec("memoryless", 5), cfg)
+    model, trace = learn(loop, BasisSpec("gmp", 5), cfg)
     assert trace[-1].error_power_dbc < -60
     assert np.linalg.norm(model.gamma) < 1e-6
 
@@ -102,7 +102,7 @@ def test_learn_linear_plant_stays_zero():
 def test_learn_cubic_convergence(cubic_plant):
     loop = PlantLoop(cubic_plant, rms=0.25, seed=13)
     cfg = LearnConfig(mu=0.5, block_size=4000, iterations=10)
-    model, trace = learn(loop, BasisSpec("memoryless", 7), cfg)
+    model, trace = learn(loop, BasisSpec("gmp", 7), cfg)
     powers = [t.error_power_dbc for t in trace]
     # decreasing until the floor; near the floor fresh data wiggles a little
     assert all(b < a for a, b in zip(powers[:5], powers[1:5]))
@@ -141,8 +141,8 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
             per = array_forward(cubic_plant, x)
             return observation_receive(cubic_plant, per)
 
-    for spec in (BasisSpec("memoryless", 5),
-                 BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.15, 0.3, 2.0]))):
+    for spec in (BasisSpec("gmp", 5),
+                 BasisSpec("gmp", 5, partition=RegionPartition([0.0, 0.15, 0.3, 2.0]))):
         src = OneShot()
         cfg = LearnConfig(mu=mu, block_size=n, iterations=1, stats_blocks=1)
         model, trace = learn(src, spec, cfg)
@@ -178,7 +178,7 @@ def test_learn_single_update_matches_dense_algebra(cubic_plant):
 def test_learn_stability_fixed_source(cubic_plant):
     loop = PlantLoop(cubic_plant, rms=0.25, seed=14, fixed_data=True)
     cfg = LearnConfig(mu=1.0, block_size=3000, iterations=8)
-    _, trace = learn(loop, BasisSpec("memoryless", 7), cfg)
+    _, trace = learn(loop, BasisSpec("gmp", 7), cfg)
     powers = [t.error_power_dbc for t in trace]
     assert all(b <= a + 1e-6 for a, b in zip(powers, powers[1:]))
 
@@ -186,7 +186,7 @@ def test_learn_stability_fixed_source(cubic_plant):
 def test_model_whitener_is_region_block_stack():
     """The learner's L^-1 and L^-H solve each region block of its factor stack;
     a factor of any other shape is refused."""
-    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
+    spec = BasisSpec("gmp", 5, partition=RegionPartition([0.0, 0.3, 2.0]))
     factor = block_cholesky(precompute_covariance(spec, random_signal(3000, rms=0.25, seed=23)))
     assert factor.shape == (2, 3, 3)
     assert np.all(factor == np.tril(factor))
@@ -235,7 +235,7 @@ def test_learn_divergence_detected(cubic_plant):
             return x.with_samples(x.samples + garbage.samples)
 
     with pytest.raises(DivergenceError) as err:
-        learn(Exploding(), BasisSpec("memoryless", 5),
+        learn(Exploding(), BasisSpec("gmp", 5),
               LearnConfig(mu=0.1, block_size=2000, iterations=8))
     assert len(err.value.trace) >= 4
 
@@ -244,16 +244,16 @@ def test_large_step_stability_depends_on_drive():
     """mu in (0, 2) is not stable at every drive level on a compressing PA."""
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.12 + 0.03j, (5, 0): 0.02}, sat=1.0)
     cfg = LearnConfig(mu=1.9, block_size=4000, iterations=12)
-    learn(PlantLoop(plant, rms=0.5, seed=3), BasisSpec("memoryless", 7), cfg)
+    learn(PlantLoop(plant, rms=0.5, seed=3), BasisSpec("gmp", 7), cfg)
     with pytest.raises(DivergenceError):
-        learn(PlantLoop(plant, rms=0.8, seed=3), BasisSpec("memoryless", 7), cfg)
+        learn(PlantLoop(plant, rms=0.8, seed=3), BasisSpec("gmp", 7), cfg)
 
 
 def test_learn_config_validation():
     with pytest.raises(ConfigError):
         LearnConfig(mu=2.5)
     with pytest.raises(ConfigError):
-        learn(None, BasisSpec("memoryless", 9, 3), LearnConfig(block_size=10))
+        learn(None, BasisSpec("gmp", 9), LearnConfig(block_size=10))
     for threshold in (np.nan, np.inf, -np.inf):
         with pytest.raises(ConfigError, match="prune_threshold_db"):
             LearnConfig(prune_threshold_db=threshold)
@@ -265,7 +265,7 @@ def test_model_refuses_non_finite_gamma(bad):
     gamma = np.zeros(3, dtype=complex)
     gamma[2] = bad
     with pytest.raises(ConfigError, match=r"gamma\[2\] is not finite"):
-        DpdModel(gamma, BasisSpec("memoryless", 5))
+        DpdModel(gamma, BasisSpec("gmp", 5))
 
 
 def test_prune_select_cases():
@@ -279,7 +279,7 @@ def test_distortion_power_identity():
     assert lhs == rhs == 0 and gap == 0
     # constructed: orthonormal (in sample power) third/fifth-order components
     sig = random_signal(20000, rms=0.8, seed=18)
-    spec = BasisSpec("memoryless", 5)
+    spec = BasisSpec("gmp", 5)
     factor = block_cholesky(gram_matrix(spec, sig.samples))
     psi = whiten(dense_basis(spec, sig.samples), factor)[:, 1:]  # third and fifth order
     alpha = np.array([0.3 - 0.1j, 0.05 + 0.2j])
@@ -297,7 +297,7 @@ def test_distortion_power_identity():
 
 def test_piecewise_continuity_after_convergence(cubic_plant):
     part = RegionPartition([0.0, 0.22, 2.0])
-    spec = BasisSpec("memoryless", 7, partition=part)
+    spec = BasisSpec("gmp", 7, partition=part)
     cfg = LearnConfig(mu=0.4, block_size=6000, iterations=12)
     model, _ = learn(PlantLoop(cubic_plant, rms=0.25, seed=20), spec, cfg)
     amps = np.linspace(0.01, 0.8, 1200)
@@ -314,7 +314,7 @@ def test_piecewise_continuity_after_convergence(cubic_plant):
 def test_model_file_keeps_every_bit(tmp_path):
     """The one JSON model file writes each float as its shortest repr, which
     reads back to the same bits: signed zeros, subnormals and extremes too."""
-    spec = BasisSpec("memoryless", 9)
+    spec = BasisSpec("gmp", 9)
     gamma = np.array([-0.0 + 5e-324j, 1.7976931348623157e308 - 2.2250738585072014e-308j,
                       0.1 + 1 / 3 * 1j, -1e-300 + 0.0j, np.pi - np.e * 1j])
     model = DpdModel(gamma, spec, ghat=complex(np.nextafter(1.0, 2.0), -0.0))
@@ -326,7 +326,7 @@ def test_model_file_keeps_every_bit(tmp_path):
 
 def test_model_save_load_roundtrip(tmp_path, cubic_plant):
     part = RegionPartition([0.0, 0.3, 2.0])
-    spec = BasisSpec("memoryless", 5, partition=part)
+    spec = BasisSpec("gmp", 5, partition=part)
     cfg = LearnConfig(mu=0.5, block_size=3000, iterations=3,
                       prune_threshold_db=-60.0)
     model, trace = learn(PlantLoop(cubic_plant, rms=0.25, seed=21), spec, cfg)

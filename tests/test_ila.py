@@ -25,20 +25,20 @@ def test_regularized_lstsq_against_normal_equations():
 def test_ila_linear_plant_identity():
     plant = single_element_plant({(1, 0): 1.0})
     loop = PlantLoop(plant, rms=0.3, seed=2)
-    model, _ = ila_learn(loop, BasisSpec("memoryless", 5), iterations=2, block_size=2000)
+    model, _ = ila_learn(loop, BasisSpec("gmp", 5), iterations=2, block_size=2000)
     assert np.max(np.abs(model.gamma)) < 1e-8
 
 
 def test_ila_invertible_cubic_converges():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     loop = PlantLoop(plant, rms=0.25, seed=3)
-    model, trace = ila_learn(loop, BasisSpec("memoryless", 7), iterations=4, block_size=4000)
+    model, trace = ila_learn(loop, BasisSpec("gmp", 7), iterations=4, block_size=4000)
     assert trace[-1].error_power_dbc <= -40
 
 
 def test_pw_ila_single_region_matches_plain():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
-    spec = BasisSpec("memoryless", 5)
+    spec = BasisSpec("gmp", 5)
     piecewise = spec.with_partition(RegionPartition([0.0, 100.0]))
     plain_model, _ = ila_learn(PlantLoop(plant, rms=0.25, seed=4), spec,
                                iterations=2, block_size=2000)
@@ -51,14 +51,14 @@ def test_pw_ila_degenerate_region():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     # a region sliver so narrow the regressor never lands in it
     part = RegionPartition([0.0, 0.9999999, 1.0])
-    spec = BasisSpec("memoryless", 5, partition=part)
+    spec = BasisSpec("gmp", 5, partition=part)
     with pytest.raises(DegenerateRegionError):
         ila_learn(PlantLoop(plant, rms=0.25, seed=5), spec, iterations=1, block_size=2000)
 
 
 def test_ila_validation():
     with pytest.raises(ConfigError):
-        ila_learn(None, BasisSpec("memoryless", 5), iterations=0)
+        ila_learn(None, BasisSpec("gmp", 5), iterations=0)
     with pytest.raises(ConfigError):
         ila_learn(None, BasisSpec("full_dual_input", 9, 3), block_size=100)
 
@@ -68,14 +68,14 @@ def test_ila_clip_headroom_must_be_positive(headroom):
     # a headroom <= 0 clamps every transmitted sample to zero or flips its sign
     loop = PlantLoop(single_element_plant({(1, 0): 1.0, (3, 0): -0.1}), rms=0.25, seed=9)
     with pytest.raises(ConfigError, match="clip_headroom"):
-        ila_learn(loop, BasisSpec("memoryless", 5), iterations=1, block_size=2000,
+        ila_learn(loop, BasisSpec("gmp", 5), iterations=1, block_size=2000,
                   clip_headroom=headroom)
 
 
 def test_ila_model_predistorts_toward_inverse():
     plant = single_element_plant({(1, 0): 1.0, (3, 0): -0.1})
     loop = PlantLoop(plant, rms=0.25, seed=6)
-    model, _ = ila_learn(loop, BasisSpec("memoryless", 7), iterations=3, block_size=4000)
+    model, _ = ila_learn(loop, BasisSpec("gmp", 7), iterations=3, block_size=4000)
     probe = random_signal(4000, rms=0.25, seed=7)
     x = predistort(model, probe)
     from pwdpd.plant import array_forward, observation_receive
@@ -123,7 +123,7 @@ def test_regularized_lstsq_on_array8_deep_region_blocks():
 
 def test_postinverse_fit_all_zero_block_is_degenerate():
     # a regressor with no power leaves region 0 with an all-zero system
-    spec = BasisSpec("memoryless", 5, partition=RegionPartition([0.0, 0.5, 1.0]))
+    spec = BasisSpec("gmp", 5, partition=RegionPartition([0.0, 0.5, 1.0]))
     target = random_signal(400, seed=8).samples
     with pytest.raises(DegenerateRegionError) as info:
         _postinverse_fit(spec, np.zeros(400, dtype=np.complex128), target)

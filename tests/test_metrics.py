@@ -136,8 +136,7 @@ def test_aclr_trp_cases():
 
 def _linear_array(n):
     pa = PaModel("memory_poly", {(1, 0): 1.0})
-    return ArrayPlant((pa,) * n, np.ones(n, dtype=complex), identity_coupling(n),
-                      np.ones((n, 1), dtype=complex))
+    return ArrayPlant((pa,) * n, identity_coupling(n), np.ones((n, 1), dtype=complex))
 
 
 def band_limited_signal(n=1 << 15, fs=10.0, seed=11):

@@ -15,12 +15,13 @@ from conftest import identity_coupling, random_signal, single_element_plant
 
 
 def test_linear_pa_exact():
-    plant = single_element_plant({(1, 0): 2.5 - 0.5j})
-    plant = ArrayPlant(plant.elements, np.array([np.exp(0.7j)]), plant.coupling,
-                       plant.branch_filters)
+    # at 30 degrees the second element's weight is exp(-j pi / 2) = -j
+    pa = PaModel("memory_poly", {(1, 0): 2.5 - 0.5j})
+    plant = ArrayPlant((pa,) * 2, identity_coupling(2), np.ones((2, 1), dtype=complex),
+                       steer_angle_deg=30.0)
     sig = random_signal(256, seed=1)
-    out = array_forward(plant, sig)[0]
-    np.testing.assert_allclose(out.samples, (2.5 - 0.5j) * np.exp(0.7j) * sig.samples, rtol=1e-14)
+    out = array_forward(plant, sig)[1]
+    np.testing.assert_allclose(out.samples, (2.5 - 0.5j) * -1j * sig.samples, rtol=1e-14)
 
 
 def test_memoryless_hand_value():
@@ -112,8 +113,8 @@ def test_array_forward_coherent_combining():
     """The main-beam observation adds the element outputs in phase."""
     n = 4
     pa = PaModel("memory_poly", {(1, 0): 3.0 + 0j})
-    w = np.exp(1j * np.array([0.1, -0.5, 1.2, 2.0]))
-    plant = ArrayPlant((pa,) * n, w, identity_coupling(n), np.ones((n, 1), dtype=complex))
+    plant = ArrayPlant((pa,) * n, identity_coupling(n), np.ones((n, 1), dtype=complex),
+                       steer_angle_deg=-35.0)
     sig = random_signal(128, seed=2)
     z = observation_receive(plant, array_forward(plant, sig))
     np.testing.assert_allclose(z.samples, n * 3.0 * sig.samples, rtol=1e-12)
@@ -122,8 +123,7 @@ def test_array_forward_coherent_combining():
 def test_array_forward_zero_gain_element():
     live = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.1})
     dead = PaModel("memory_poly", {(1, 0): 0.0})
-    plant = ArrayPlant((live, dead), np.ones(2, dtype=complex), identity_coupling(2),
-                       np.ones((2, 1), dtype=complex))
+    plant = ArrayPlant((live, dead), identity_coupling(2), np.ones((2, 1), dtype=complex))
     sig = random_signal(64, seed=3)
     per = array_forward(plant, sig)
     assert not np.any(per[1].samples)
@@ -135,9 +135,10 @@ def test_array_forward_third_order_symbolic():
     # non-unit gains h weight the element outputs, so the sum is formed here
     alphas = [-0.1 + 0.02j, -0.15 - 0.01j]
     pas = tuple(PaModel("memory_poly", {(1, 0): 1.0, (3, 0): a}) for a in alphas)
-    w = np.exp(1j * np.array([0.3, -1.1]))
+    plant = ArrayPlant(pas, identity_coupling(2), np.ones((2, 1), dtype=complex),
+                       steer_angle_deg=40.0)
+    w = plant.weights
     h = np.conj(w) * np.array([0.9, 1.2])
-    plant = ArrayPlant(pas, w, identity_coupling(2), np.ones((2, 1), dtype=complex))
     sig = random_signal(64, seed=4)
     combined = sum(h_i * b.samples for h_i, b in zip(h, array_forward(plant, sig)))
     a = sig.samples
@@ -148,8 +149,7 @@ def test_array_forward_third_order_symbolic():
 
 def test_observation_trivial_and_beam_pattern_equivalence():
     pa = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.2})
-    plant = ArrayPlant((pa,) * 3, np.ones(3, dtype=complex), identity_coupling(3),
-                       np.ones((3, 1), dtype=complex))
+    plant = ArrayPlant((pa,) * 3, identity_coupling(3), np.ones((3, 1), dtype=complex))
     sig = random_signal(200, seed=6)
     per = array_forward(plant, sig)
     z = observation_receive(plant, per)
@@ -165,8 +165,8 @@ def test_observation_trivial_and_beam_pattern_equivalence():
                             + 1j * rng.standard_normal((n * (n - 1), 2)))
     pas = tuple(PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.2 + 0.03j * i, (3, 1): 0.02})
                 for i in range(n))
-    steered = steer(ArrayPlant(pas, np.ones(n, dtype=complex), coupling,
-                               np.ones((n, 1), dtype=complex), coupling_strength=0.3), angle)
+    steered = steer(ArrayPlant(pas, coupling, np.ones((n, 1), dtype=complex),
+                               coupling_strength=0.3), angle)
     per = array_forward(steered, random_signal(16384, rms=0.5, seed=25))
     beam = beam_pattern(per, [angle], channel_bw)
     main = beam_pattern([observation_receive(steered, per)], [0.0], channel_bw)
@@ -175,8 +175,7 @@ def test_observation_trivial_and_beam_pattern_equivalence():
 
 def test_observation_noise_floor_level():
     pa = PaModel("memory_poly", {(1, 0): 1.0})
-    plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
-                       np.ones((1, 1), dtype=complex))
+    plant = ArrayPlant((pa,), identity_coupling(1), np.ones((1, 1), dtype=complex))
     sig = random_signal(200000, seed=9)
     per = array_forward(plant, sig)
     clean = observation_receive(plant, per)
@@ -190,32 +189,37 @@ def test_observation_noise_floor_needs_rng():
     """Receiver noise is drawn only from the stream the caller hands in: a
     noise floor without an rng is refused, not drawn from a fixed seed."""
     pa = PaModel("memory_poly", {(1, 0): 1.0})
-    plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
-                       np.ones((1, 1), dtype=complex))
+    plant = ArrayPlant((pa,), identity_coupling(1), np.ones((1, 1), dtype=complex))
     per = array_forward(plant, random_signal(64, seed=9))
     with pytest.raises(ConfigError, match="rng"):
         observation_receive(plant, per, noise_floor_dbc=-54.0)
 
 
 def test_steer_geometry():
+    """The weights are the half-wavelength ULA phases of the steering angle, and
+    an angle beyond +-90 degrees is refused by the constructor and steer alike."""
     pa = PaModel("memory_poly", {(1, 0): 1.0})
-    plant = ArrayPlant((pa,) * 4, np.ones(4, dtype=complex), identity_coupling(4),
-                       np.ones((4, 1), dtype=complex))
+    plant = ArrayPlant((pa,) * 4, identity_coupling(4), np.ones((4, 1), dtype=complex))
     flat = steer(plant, 0.0)
     np.testing.assert_allclose(flat.weights, np.ones(4))
     plus = steer(plant, 30.0)
     minus = steer(plant, -30.0)
     np.testing.assert_allclose(plus.weights, np.conj(minus.weights), rtol=1e-12)
-    with pytest.raises(ConfigError):
-        steer(plant, 91.0)
+    np.testing.assert_allclose(plus.weights, [1, -1j, -1, 1j], atol=1e-15)
+    for angle in (91.0, -120.0):
+        with pytest.raises(ConfigError, match="'steer_angle_deg'"):
+            steer(plant, angle)
+        with pytest.raises(ConfigError, match="'steer_angle_deg'"):
+            ArrayPlant(plant.elements, plant.coupling, plant.branch_filters,
+                       steer_angle_deg=angle)
     with pytest.raises(ConfigError, match="nan"):
         steer(plant, np.nan)
 
 
 def test_zero_coupling_angle_invariance():
     pa = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.2 + 0.05j, (3, 1): 0.02})
-    plant = ArrayPlant((pa,) * 4, np.ones(4, dtype=complex), identity_coupling(4),
-                       np.ones((4, 1), dtype=complex), coupling_strength=0.0)
+    plant = ArrayPlant((pa,) * 4, identity_coupling(4), np.ones((4, 1), dtype=complex),
+                       coupling_strength=0.0)
     sig = random_signal(256, seed=10)
 
     def main_beam(angle):
@@ -229,8 +233,8 @@ def test_zero_coupling_angle_invariance():
 
 def test_linearity_superposition():
     pa = PaModel("memory_poly", {(1, 0): 1.0, (1, 1): 0.3 - 0.2j})
-    plant = ArrayPlant((pa,) * 3, np.exp(1j * np.arange(3)), identity_coupling(3),
-                       np.ones((3, 1), dtype=complex))
+    plant = ArrayPlant((pa,) * 3, identity_coupling(3), np.ones((3, 1), dtype=complex),
+                       steer_angle_deg=20.0)
     x = random_signal(300, seed=11)
     y = random_signal(300, seed=12)
     both = x.with_samples(x.samples + y.samples)
@@ -241,8 +245,7 @@ def test_linearity_superposition():
 def test_saturation_bounds_output():
     pa = PaModel("memory_poly", {(1, 0): 1.0, (3, 0): -0.3, (3, 1): 0.05j},
                  saturation_level=0.8)
-    plant = ArrayPlant((pa,), np.ones(1, dtype=complex), identity_coupling(1),
-                       np.ones((1, 1), dtype=complex))
+    plant = ArrayPlant((pa,), identity_coupling(1), np.ones((1, 1), dtype=complex))
     huge = random_signal(500, rms=50.0, seed=13)
     out = array_forward(plant, huge)[0]
     ceiling = pa.output_ceiling()
@@ -281,9 +284,8 @@ def _two_kind_plant():
                                        "crossover": 0.45, "blend_width": 0.08})
     coupling = identity_coupling(2, taps=2)
     coupling[0, 1, 1] = 0.3
-    w = np.exp(0.4j) * np.ones(2)
-    return ArrayPlant((memory, doherty), w, coupling, np.ones((2, 1), dtype=complex),
-                      coupling_strength=0.5)
+    return ArrayPlant((memory, doherty), coupling, np.ones((2, 1), dtype=complex),
+                      coupling_strength=0.5, steer_angle_deg=12.0)
 
 
 def test_plant_json_roundtrip(tmp_path):
@@ -326,8 +328,7 @@ def test_coupled_drive_against_per_pair_oracle():
     coupling[0, 2] = 0.0  # an uncoupled pair
     branch = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     pa = PaModel("memory_poly", {(1, 0): 1.0})
-    plant = steer(ArrayPlant((pa,) * n, np.ones(n, dtype=complex), coupling, branch,
-                             coupling_strength=0.3), 25.0)
+    plant = steer(ArrayPlant((pa,) * n, coupling, branch, coupling_strength=0.3), 25.0)
     a1 = random_signal(256, seed=16).samples
     w, scale = plant.weights, 0.3 * plant.angle_factor
     for i in range(n):
@@ -421,8 +422,7 @@ def test_simple_kinds_against_convolve_pow_oracle(kind, coupling_strength, sat):
     branch[:, 1] = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     table = _MEMORY_TABLE if kind == "memory_poly" else _DOHERTY
     pas = tuple(PaModel(kind, table, saturation_level=sat) for _ in range(n))
-    plant = steer(ArrayPlant(pas, np.ones(n, dtype=complex), coupling, branch,
-                             coupling_strength=coupling_strength), 20.0)
+    plant = steer(ArrayPlant(pas, coupling, branch, coupling_strength=coupling_strength), 20.0)
     sig = random_signal(3000, rms=0.6, seed=22)
     per = array_forward(plant, sig)
     expected = _oracle_simple_forward(plant, sig.samples)
